@@ -1116,6 +1116,97 @@ let perf () =
   Printf.printf "  %-12s %10.3f %14.0f %16.0f %16.0f\n" "reference" sim_r_dt (patps sim_r_dt) sim_r_alloc sim_r_major;
   Printf.printf "  kogge_stone(8), %d patterns: speedup %.1fx, allocation reduced %.0fx\n"
     sim_patterns sim_speedup sim_alloc_reduction;
+  (* ---- Before/after: flat event engine vs the record-heap reference ---- *)
+  subbanner "event sim: glitch-aware power traces, flat engine vs record-heap reference";
+  (* Layered designs at sizes that settle without a storm, plus a 16x16
+     array multiplier whose traces hit the storm cap (the capped path).
+     Both sides replay the same stimuli and noise seeds; the fingerprint
+     covers every sample bit and every storm message. *)
+  let ev_cases =
+    List.map
+      (fun tgt ->
+        ( Printf.sprintf "layered_%d" tgt,
+          Netlist.Bench_gen.sized ~seed:14 Netlist.Bench_gen.Layered ~target_gates:tgt,
+          max 4 ((if !smoke then 100_000 else 400_000) / tgt) ))
+      (if !smoke then [ 500 ] else [ 500; 2000; 8000 ])
+    @ [ ("c6288_w16_storm", Netlist.Bench_gen.c6288_like ~width:16 (), if !smoke then 3 else 20) ]
+  in
+  let ev_rows =
+    List.map
+      (fun (name, c, traces) ->
+        let ni = Netlist.Circuit.num_inputs c in
+        let stim = Rng.create 2024 in
+        let pairs =
+          Array.init traces (fun _ ->
+              let v () = Array.init ni (fun _ -> Rng.bool stim) in
+              let prev = v () in
+              (prev, v ()))
+        in
+        let config = Power.Model.default_config in
+        let run trace () =
+          Array.mapi
+            (fun i (prev_inputs, next_inputs) ->
+              match trace (Rng.create i) c ~config ~prev_inputs ~next_inputs with
+              | samples -> Ok samples
+              | exception Invalid_argument msg -> Error msg)
+            pairs
+        in
+        let fingerprint results =
+          let b = Buffer.create 4096 in
+          Array.iter
+            (function
+              | Ok samples ->
+                Array.iter (fun x -> Printf.bprintf b "%Lx;" (Int64.bits_of_float x)) samples
+              | Error msg -> Printf.bprintf b "!%s;" msg)
+            results;
+          Digest.to_hex (Digest.string (Buffer.contents b))
+        in
+        let new_trace rng c ~config ~prev_inputs ~next_inputs =
+          Power.Model.trace rng c ~config ~prev_inputs ~next_inputs
+        in
+        let ref_trace rng c ~config ~prev_inputs ~next_inputs =
+          Reference.Event_sim_ref.trace rng c ~config ~prev_inputs ~next_inputs
+        in
+        (* Event and storm counts come from the engine's own counters, in
+           an untimed pass. *)
+        let events, storms =
+          let sink, _ = T.memory_sink () in
+          T.with_sink sink (fun () ->
+              ignore (run new_trace ());
+              (T.counter_total "event_sim.events", T.counter_total "event_sim.storms"))
+        in
+        let n_res, n_dt, n_alloc, _ = P.measured (run new_trace) in
+        let r_res, r_dt, r_alloc, _ = P.measured (run ref_trace) in
+        let fingerprint_match = fingerprint n_res = fingerprint r_res in
+        let per_trace w = w /. Float.of_int traces in
+        let evps dt = Float.of_int events /. dt and trps dt = Float.of_int traces /. dt in
+        let gates = Netlist.Circuit.node_count c in
+        Printf.printf
+          "  %-15s %6dg %4d traces %9d events %3d storms: new %8.0f ev/s %7.1f tr/s %9.0f w/tr | \
+           ref %8.0f ev/s %7.1f tr/s %9.0f w/tr  %4.2fx%s\n"
+          name gates traces events storms (evps n_dt) (trps n_dt) (per_trace n_alloc)
+          (evps r_dt) (trps r_dt) (per_trace r_alloc) (r_dt /. n_dt)
+          (if fingerprint_match then "" else "  [FINGERPRINT MISMATCH]");
+        let side dt alloc =
+          T.Json.JObj
+            [ ("seconds", T.Json.JFloat dt);
+              ("events_per_sec", T.Json.JFloat (evps dt));
+              ("traces_per_sec", T.Json.JFloat (trps dt));
+              ("alloc_words_per_trace", T.Json.JFloat (per_trace alloc)) ]
+        in
+        T.Json.JObj
+          [ ("workload", T.Json.JStr name);
+            ("gates", T.Json.JInt gates);
+            ("traces", T.Json.JInt traces);
+            ("events", T.Json.JInt events);
+            ("storms", T.Json.JInt storms);
+            ("new", side n_dt n_alloc);
+            ("reference", side r_dt r_alloc);
+            ("speedup", T.Json.JFloat (r_dt /. n_dt));
+            ("alloc_reduction", T.Json.JFloat (r_alloc /. Float.max n_alloc 1.0));
+            ("fingerprint_match", T.Json.JBool fingerprint_match) ])
+      ev_cases
+  in
   (* ---- Domain pool: size-parametrized speedup-vs-domains curves ---- *)
   subbanner
     (Printf.sprintf "domain pool: speedup vs domains (sweep capped at -j %d)" (max 1 !jobs));
@@ -1510,6 +1601,7 @@ let perf () =
               side "reference" sim_r_dt (patps sim_r_dt) sim_r_alloc sim_r_major [];
               ("speedup", T.Json.JFloat sim_speedup);
               ("alloc_reduction", T.Json.JFloat sim_alloc_reduction) ] );
+        ("event_sim", T.Json.JList ev_rows);
         ("atpg_incremental", T.Json.JList atpg_cmp_rows);
         ("sat_session", T.Json.JList sat_session_rows) ]
   in

@@ -68,13 +68,9 @@ let current_map placement energies =
 (** IR-drop for one simulated transition (vector-driven analysis). *)
 let simulate ?(iterations = 200) ?(resistance = 0.01) placement ~prev_inputs ~next_inputs =
   let c = placement.Placement.circuit in
-  let transitions = Timing.Event_sim.cycle c ~prev_inputs ~next_inputs in
   let energies = Array.make (Circuit.node_count c) 0.0 in
-  List.iter
-    (fun tr ->
-      let node = tr.Timing.Event_sim.node in
-      energies.(node) <- energies.(node) +. Gate.switch_energy (Circuit.kind c node))
-    transitions;
+  Timing.Event_sim.iter c ~prev_inputs ~next_inputs ~f:(fun _ node _ ->
+      energies.(node) <- energies.(node) +. Gate.switch_energy (Circuit.kind c node));
   let cols, rows, current = current_map placement energies in
   solve ~cols ~rows ~current ~iterations ~resistance
 

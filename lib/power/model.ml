@@ -21,21 +21,17 @@ type config = {
 let default_config = { time_bins = 16; bin_width_ps = 50.0; noise_sigma = 0.5 }
 
 (** One cycle's power trace for the transition [prev_inputs] ->
-    [next_inputs]. [input_arrivals] skews input switch times. *)
-let trace rng ?delay_of ?input_arrivals ?state circuit ~config ~prev_inputs ~next_inputs =
-  let transitions =
-    Timing.Event_sim.cycle ?delay_of ?input_arrivals ?state circuit ~prev_inputs ~next_inputs
-  in
+    [next_inputs]. [input_arrivals] skews input switch times. Each
+    transition is binned as the event simulation emits it, in time
+    order. *)
+let trace rng ?input_arrivals ?state circuit ~config ~prev_inputs ~next_inputs =
   let samples = Array.make config.time_bins 0.0 in
-  List.iter
-    (fun tr ->
-      let bin =
-        Float.to_int (tr.Timing.Event_sim.time /. config.bin_width_ps)
-      in
-      let bin = if bin < 0 then 0 else if bin >= config.time_bins then config.time_bins - 1 else bin in
-      let energy = Gate.switch_energy (Circuit.kind circuit tr.Timing.Event_sim.node) in
-      samples.(bin) <- samples.(bin) +. energy)
-    transitions;
+  let last = config.time_bins - 1 in
+  Timing.Event_sim.iter ?input_arrivals ?state circuit ~prev_inputs ~next_inputs
+    ~f:(fun time node _ ->
+      let bin = Float.to_int (time /. config.bin_width_ps) in
+      let bin = if bin < 0 then 0 else if bin > last then last else bin in
+      samples.(bin) <- samples.(bin) +. Gate.switch_energy (Circuit.kind circuit node));
   if config.noise_sigma > 0.0 then
     for k = 0 to config.time_bins - 1 do
       samples.(k) <-
@@ -45,17 +41,12 @@ let trace rng ?delay_of ?input_arrivals ?state circuit ~config ~prev_inputs ~nex
 
 (** Total-energy sample (the whole cycle integrated into one number); the
     model CPA-style attacks typically assume. *)
-let total_energy rng ?delay_of ?state circuit ~noise_sigma ~prev_inputs ~next_inputs =
-  let transitions =
-    Timing.Event_sim.cycle ?delay_of ?state circuit ~prev_inputs ~next_inputs
-  in
-  let e =
-    List.fold_left
-      (fun acc tr ->
-        acc +. Gate.switch_energy (Circuit.kind circuit tr.Timing.Event_sim.node))
-      0.0 transitions
-  in
-  e +. Eda_util.Rng.gaussian_scaled rng ~mean:0.0 ~sigma:noise_sigma
+let total_energy rng ?state circuit ~noise_sigma ~prev_inputs ~next_inputs =
+  (* A one-slot float array keeps the running sum unboxed. *)
+  let e = [| 0.0 |] in
+  Timing.Event_sim.iter ?state circuit ~prev_inputs ~next_inputs ~f:(fun _ node _ ->
+      e.(0) <- e.(0) +. Gate.switch_energy (Circuit.kind circuit node));
+  e.(0) +. Eda_util.Rng.gaussian_scaled rng ~mean:0.0 ~sigma:noise_sigma
 
 (* Net-value buffer for the zero-delay samplers: the caller-provided
    [?scratch] when present (hoisted out of a trace-campaign loop — zero
@@ -96,12 +87,30 @@ let hamming_weight_sample rng ?scratch circuit ~noise_sigma ~inputs =
   done;
   !e +. Eda_util.Rng.gaussian_scaled rng ~mean:0.0 ~sigma:noise_sigma
 
-(** A batch of traces for a list of input-vector pairs. *)
-let trace_batch rng ?delay_of circuit ~config pairs =
-  List.map
-    (fun (prev_inputs, next_inputs) ->
-      trace rng ?delay_of circuit ~config ~prev_inputs ~next_inputs)
-    pairs
+(** {!hamming_weight_sample} with the circuit resolved once — input ids,
+    cell kinds, fanin arrays and per-cell energies — for campaigns that
+    sample one circuit thousands of times. Same result, bit for bit.
+    [scratch] is the net-value buffer (length >= node count); concurrent
+    callers need distinct buffers. *)
+let hamming_weight_sampler circuit =
+  let n = Circuit.node_count circuit in
+  let input_ids = Circuit.inputs circuit and dff_ids = Circuit.dffs circuit in
+  let kinds = Array.init n (Circuit.kind circuit) in
+  let fanins = Array.init n (Circuit.fanins circuit) in
+  let energy = Array.map Gate.switch_energy kinds in
+  fun rng ~scratch:values ~noise_sigma ~inputs ->
+    Array.iteri (fun k id -> values.(id) <- inputs.(k)) input_ids;
+    Array.iter (fun id -> values.(id) <- false) dff_ids;
+    for i = 0 to n - 1 do
+      match kinds.(i) with
+      | Gate.Input | Gate.Dff -> ()
+      | k -> values.(i) <- Gate.eval_indexed k fanins.(i) values
+    done;
+    let e = ref 0.0 in
+    for i = 0 to n - 1 do
+      if values.(i) then e := !e +. energy.(i)
+    done;
+    !e +. Eda_util.Rng.gaussian_scaled rng ~mean:0.0 ~sigma:noise_sigma
 
 (** Static leakage-current proxy per gate (IDDQ model): each cell draws a
     nominal quiescent current depending on its input state; Trojans add

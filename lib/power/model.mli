@@ -15,7 +15,6 @@ val default_config : config
     [input_arrivals] skews per-input switch times (late mask refresh). *)
 val trace :
   Eda_util.Rng.t ->
-  ?delay_of:(int -> Netlist.Gate.kind -> float) ->
   ?input_arrivals:float array ->
   ?state:bool array ->
   Netlist.Circuit.t ->
@@ -27,7 +26,6 @@ val trace :
 (** Whole cycle integrated into one sample (glitch-aware). *)
 val total_energy :
   Eda_util.Rng.t ->
-  ?delay_of:(int -> Netlist.Gate.kind -> float) ->
   ?state:bool array ->
   Netlist.Circuit.t ->
   noise_sigma:float ->
@@ -59,14 +57,18 @@ val hamming_weight_sample :
   inputs:bool array ->
   float
 
-(** One trace per input-vector pair. *)
-val trace_batch :
-  Eda_util.Rng.t ->
-  ?delay_of:(int -> Netlist.Gate.kind -> float) ->
+(** {!hamming_weight_sample} with the circuit's input ids, cell kinds,
+    fanins and energies resolved once: build it outside a campaign loop.
+    Bit-identical to {!hamming_weight_sample}. [scratch] is the net-value
+    buffer (length >= node count); concurrent callers need distinct
+    buffers. *)
+val hamming_weight_sampler :
   Netlist.Circuit.t ->
-  config:config ->
-  (bool array * bool array) list ->
-  float array list
+  Eda_util.Rng.t ->
+  scratch:bool array ->
+  noise_sigma:float ->
+  inputs:bool array ->
+  float
 
 (** Quiescent-current (IDDQ) sample: per-cell leakage with input-state
     dependence and an environmental [temperature_factor]. [scratch] is a

@@ -47,25 +47,34 @@ let assess ?pool rng c ~traces_per_class ~noise_sigma =
   let secrets, randoms = harness c in
   let nodes = Circuit.node_count c in
   let ni = Circuit.num_inputs c in
-  let pos_of =
-    let tbl = Hashtbl.create 64 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
-  in
+  (* Input positions and the circuit's gate arrays, resolved once per
+     campaign rather than per trace. *)
+  let pos = Array.make nodes (-1) in
+  Array.iteri (fun p id -> pos.(id) <- p) (Circuit.inputs c);
+  let secrets = List.map (fun (_, ids) -> Array.map (fun id -> pos.(id)) ids) secrets in
+  let randoms = Array.map (fun id -> pos.(id)) randoms in
+  let sample = Power.Model.hamming_weight_sampler c in
+  (* One net-value buffer recycled from trace to trace; a pooled worker
+     that finds it taken allocates its own. *)
+  let spare = Atomic.make None in
   let collect stream cls =
     let vec = Array.make ni false in
     List.iter
-      (fun (_, ids) ->
+      (fun ps ->
         let value = match cls with `Fixed -> true | `Random -> Rng.bool stream in
-        if Array.length ids = 1 then vec.(pos_of ids.(0)) <- value
+        if Array.length ps = 1 then vec.(ps.(0)) <- value
         else begin
-          let sh = Isw.encode stream ~shares:(Array.length ids) value in
-          Array.iteri (fun s id -> vec.(pos_of id) <- sh.(s)) ids
+          let sh = Isw.encode stream ~shares:(Array.length ps) value in
+          Array.iteri (fun s p -> vec.(p) <- sh.(s)) ps
         end)
       secrets;
-    Array.iter (fun id -> vec.(pos_of id) <- Rng.bool stream) randoms;
-    let scratch = Array.make nodes false in
-    [| Power.Model.hamming_weight_sample stream ~scratch c ~noise_sigma ~inputs:vec |]
+    Array.iter (fun p -> vec.(p) <- Rng.bool stream) randoms;
+    let scratch =
+      match Atomic.exchange spare None with Some b -> b | None -> Array.make nodes false
+    in
+    let hw = sample stream ~scratch ~noise_sigma ~inputs:vec in
+    Atomic.set spare (Some scratch);
+    [| hw |]
   in
   Tvla.campaign_seeded ?pool rng ~traces_per_class ~collect
 

@@ -1274,8 +1274,10 @@ module Trace = struct
       | "synth.gates_removed" ->
         `Higher_better
       (* gates_added is workload-shaped: masking passes grow the netlist
-         on purpose, so neither direction is a regression per se. *)
-      | "sat.groups_retired" | "synth.gates_added" -> `Neutral
+         on purpose, so neither direction is a regression per se; so is
+         the number of net transitions a stimulus causes. Event-sim pops
+         and storms keep the default: more is worse. *)
+      | "sat.groups_retired" | "synth.gates_added" | "event_sim.transitions" -> `Neutral
       | _ -> `Lower_better
     in
     let join prefix ~direction ~keep bs rs =

@@ -353,7 +353,8 @@ module Trace : sig
       counters ([atpg.session_reused], [atpg.faults_dropped],
       [atpg.covered_by_simulation]) invert — a {e drop} means the fast
       path stopped engaging and reads as [Regression]; neutral workload
-      descriptors ([sat.groups_retired]) and gauges read as [Changed]. *)
+      descriptors ([sat.groups_retired], [synth.gates_added],
+      [event_sim.transitions]) and gauges read as [Changed]. *)
   val diff_traces : ?threshold:float -> ?min_duration:float -> base:t -> t -> diff
 
   val pp_diff : Format.formatter -> diff -> unit

@@ -442,6 +442,119 @@ let test_detects_many_differential () =
         faults;
       mask = again && !lanes_agree)
 
+(* --- flat event engine vs the record-heap reference ---------------------- *)
+
+module Ev = Timing.Event_sim
+module Ev_ref = Reference.Event_sim_ref
+
+(* A storm is part of the outcome: both engines must give up with the same
+   message. *)
+let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+let transition_bits l =
+  List.map (fun tr -> (Int64.bits_of_float tr.Ev.time, tr.Ev.node, tr.Ev.value)) l
+
+let sample_bits = Array.map Int64.bits_of_float
+
+(* The engines agree on one cycle: the same (time, node, value) list and
+   the same power-trace samples, bit for bit, noise draws included. *)
+let engines_agree ?input_arrivals c ~prev_inputs ~next_inputs =
+  let config = { Power.Model.default_config with Power.Model.noise_sigma = 0.3 } in
+  let same f g = outcome f = outcome g in
+  same
+    (fun () -> transition_bits (Ev.cycle ?input_arrivals c ~prev_inputs ~next_inputs))
+    (fun () -> transition_bits (Ev_ref.cycle ?input_arrivals c ~prev_inputs ~next_inputs))
+  && same
+       (fun () ->
+         sample_bits
+           (Power.Model.trace (Rng.create 77) ?input_arrivals c ~config ~prev_inputs
+              ~next_inputs))
+       (fun () ->
+         sample_bits
+           (Ev_ref.trace (Rng.create 77) ?input_arrivals c ~config ~prev_inputs ~next_inputs))
+
+let test_event_sim_differential () =
+  (* Every Bench_gen family plus random DAGs (duplicate fanins included);
+     arrivals are multiples of 5 ps like the cell delays, so equal-time
+     ties between inputs and gate outputs are common. *)
+  let source_arb =
+    P.choose_from ~show:(function Some f -> BG.family_name f | None -> "random_dag")
+      (None :: List.map Option.some BG.all_families)
+  in
+  let arb =
+    P.pair source_arb (P.triple (P.int_range 0 100_000) (P.int_range 16 600) (P.int_range 0 100_000))
+  in
+  let show (src, (seed, size, vseed)) =
+    Printf.sprintf "%s seed=%d size=%d vectors=%d"
+      (match src with Some f -> BG.family_name f | None -> "random_dag")
+      seed size vseed
+  in
+  P.check_exn ~count:80 ~name:"flat event engine matches the record-heap reference"
+    { arb with P.show } (fun (src, (seed, size, vseed)) ->
+      let c =
+        match src with
+        | Some fam -> BG.sized ~seed fam ~target_gates:size
+        | None -> Gen.random_dag ~seed ~inputs:(2 + (size mod 14)) ~gates:size ~outputs:4
+      in
+      let ni = Circuit.num_inputs c in
+      let rng = Rng.create vseed in
+      let vec () = Array.init ni (fun _ -> Rng.bool rng) in
+      let prev_inputs = vec () and next_inputs = vec () in
+      let input_arrivals =
+        Array.init ni (fun _ -> if Rng.bool rng then 0.0 else Float.of_int (5 * Rng.int rng 12))
+      in
+      engines_agree c ~prev_inputs ~next_inputs
+      && engines_agree ~input_arrivals c ~prev_inputs ~next_inputs)
+
+let test_event_storm_pinned () =
+  (* A 6x6 array multiplier storms on the all-zero -> all-one step: a DAG,
+     not an oscillation — glitches multiply through the adder grid until
+     the cap. Both engines must stop at the same pop. *)
+  let c = BG.c6288_like ~width:6 () in
+  let ni = Circuit.num_inputs c in
+  let prev_inputs = Array.make ni false and next_inputs = Array.make ni true in
+  (match outcome (fun () -> Ev.cycle c ~prev_inputs ~next_inputs) with
+   | Error m ->
+     let key = "event storm" in
+     let rec has i =
+       i + String.length key <= String.length m
+       && (String.sub m i (String.length key) = key || has (i + 1))
+     in
+     Alcotest.(check bool) "storm message names the storm" true (has 0)
+   | Ok _ -> Alcotest.fail "expected an event storm");
+  Alcotest.(check bool) "same storm as the reference" true
+    (engines_agree c ~prev_inputs ~next_inputs);
+  (* The reference gives up on pop 200 * nodes + 1. *)
+  let sink, _ = Eda_util.Telemetry.memory_sink () in
+  let pops =
+    Eda_util.Telemetry.with_sink sink (fun () ->
+        (try ignore (Ev.cycle c ~prev_inputs ~next_inputs) with Invalid_argument _ -> ());
+        Eda_util.Telemetry.counter_total "event_sim.events")
+  in
+  Alcotest.(check int) "cap counted on pops" ((200 * Circuit.node_count c) + 1) pops
+
+let test_hw_sampler_differential () =
+  (* The campaign-resolved sampler reproduces the one-shot model, bit for
+     bit, through a scratch buffer left dirty by the previous call. *)
+  let arb =
+    P.make
+      ~show:(fun (fam, seed) -> Printf.sprintf "%s seed=%d" (BG.family_name fam) seed)
+      (fun rng -> (Rng.choose rng BG.all_families, Rng.int rng 100_000))
+  in
+  P.check_exn ~count:30 ~name:"prepared Hamming-weight sampler matches the model" arb
+    (fun (fam, seed) ->
+      let c = BG.sized ~seed fam ~target_gates:120 in
+      let sample = Power.Model.hamming_weight_sampler c in
+      let scratch = Array.make (Circuit.node_count c) true in
+      let rng = Rng.create seed in
+      List.for_all
+        (fun k ->
+          let inputs = Array.init (Circuit.num_inputs c) (fun _ -> Rng.bool rng) in
+          let a = sample (Rng.create k) ~scratch ~noise_sigma:0.5 ~inputs in
+          let b = Power.Model.hamming_weight_sample (Rng.create k) c ~noise_sigma:0.5 ~inputs in
+          Int64.bits_of_float a = Int64.bits_of_float b)
+        [ 1; 2; 3; 4 ])
+
 (* --- pooled vs sequential bit-identity at 1/2/8 domains ------------------ *)
 
 let domain_counts = [ 1; 2; 8 ]
@@ -487,6 +600,19 @@ let test_tvla_pool_identical () =
         (r.Sidechannel.Tvla.t_per_sample, r.Sidechannel.Tvla.max_abs_t))
   in
   Alcotest.(check bool) "TVLA bit-identical at 1/2/8 domains" true (all_equal results)
+
+let test_secure_synth_pool_identical () =
+  (* The HW-TVLA gate recycles one net-value buffer between traces;
+     pooled workers must never share it. *)
+  let c = BG.sized ~seed:34 BG.C432 ~target_gates:40 in
+  let masked = Synth.Pass.apply ~params:[ ("shares", "2"); ("seed", "4") ] "mask_insertion" c in
+  let results =
+    with_pools (fun pool ->
+        (Sidechannel.Secure_synth.assess ?pool (Rng.create 36) masked ~traces_per_class:300
+           ~noise_sigma:0.8)
+          .Sidechannel.Tvla.t_per_sample)
+  in
+  Alcotest.(check bool) "HW-TVLA gate bit-identical at 1/2/8 domains" true (all_equal results)
 
 let test_placement_pool_identical () =
   let c = BG.sized ~seed:33 BG.C432 ~target_gates:220 in
@@ -599,10 +725,15 @@ let () =
           Alcotest.test_case "session vs fresh" `Slow test_session_vs_fresh;
           Alcotest.test_case "session budget resume" `Quick test_session_budget_resume;
           Alcotest.test_case "word fault drop vs scalar" `Quick
-            test_detects_many_differential ] );
+            test_detects_many_differential;
+          Alcotest.test_case "event engine vs reference" `Quick test_event_sim_differential;
+          Alcotest.test_case "pinned event storm" `Quick test_event_storm_pinned;
+          Alcotest.test_case "HW sampler vs model" `Quick test_hw_sampler_differential ] );
       ( "pooled",
         [ Alcotest.test_case "atpg 1/2/8 domains" `Slow test_atpg_pool_identical;
           Alcotest.test_case "tvla 1/2/8 domains" `Slow test_tvla_pool_identical;
+          Alcotest.test_case "secure-synth gate 1/2/8 domains" `Slow
+            test_secure_synth_pool_identical;
           Alcotest.test_case "placement 1/2/8 domains" `Slow test_placement_pool_identical;
           Alcotest.test_case "trace merge deterministic" `Quick
             test_trace_merge_deterministic;

@@ -575,18 +575,23 @@ let test_diff_counter_directions () =
   (* Optimization-health counters invert the usual direction: a drop in
      session reuse or dropped faults means the incremental fast path
      stopped engaging — that IS the regression — while a rise is an
-     improvement; sat.groups_retired is a neutral workload descriptor. *)
+     improvement; sat.groups_retired and event_sim.transitions are
+     neutral workload descriptors, while more event-sim pops are worse. *)
   let base =
     trace_of
       [ count_ev "atpg.session_reused" 100.0;
         count_ev "atpg.faults_dropped" 50.0;
-        count_ev "sat.groups_retired" 40.0 ]
+        count_ev "sat.groups_retired" 40.0;
+        count_ev "event_sim.transitions" 40.0;
+        count_ev "event_sim.events" 100.0 ]
   in
   let run =
     trace_of
       [ count_ev "atpg.session_reused" 10.0;
         count_ev "atpg.faults_dropped" 200.0;
-        count_ev "sat.groups_retired" 10.0 ]
+        count_ev "sat.groups_retired" 10.0;
+        count_ev "event_sim.transitions" 10.0;
+        count_ev "event_sim.events" 50.0 ]
   in
   let d = T.Trace.diff_traces ~base run in
   let verdict m =
@@ -598,6 +603,10 @@ let test_diff_counter_directions () =
     (verdict "counter:atpg.faults_dropped" = T.Trace.Improvement);
   Alcotest.(check bool) "groups retired is direction-free" true
     (verdict "counter:sat.groups_retired" = T.Trace.Changed);
+  Alcotest.(check bool) "transitions are direction-free" true
+    (verdict "counter:event_sim.transitions" = T.Trace.Changed);
+  Alcotest.(check bool) "fewer event-sim pops is an improvement" true
+    (verdict "counter:event_sim.events" = T.Trace.Improvement);
   Alcotest.(check int) "exactly the reuse collapse regresses" 1 d.T.Trace.regressions
 
 (* --- budget utilization --------------------------------------------- *)

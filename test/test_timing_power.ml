@@ -101,6 +101,37 @@ let test_event_sim_times_respect_delay () =
      Alcotest.(check (float 1e-9)) "gate after delay" (Gate.delay Gate.And) t_gate.Ev.time
    | _ -> Alcotest.fail "expected exactly two transitions")
 
+let test_event_sim_telemetry () =
+  (* One counter event per name per call — never per simulated event —
+     and the storm counter fires only on a storm. *)
+  let module T = Eda_util.Telemetry in
+  let c = Gen.parity_tree 8 in
+  let sink, events = T.memory_sink () in
+  let transitions, storms =
+    T.with_sink sink (fun () ->
+        let l = Ev.cycle c ~prev_inputs:(Array.make 8 false) ~next_inputs:(Array.make 8 true) in
+        (List.length l, T.counter_total "event_sim.storms"))
+  in
+  let named kind name = List.filter (fun e -> e.T.kind = kind && e.T.name = name) (events ()) in
+  let total name = List.fold_left (fun acc e -> acc +. e.T.value) 0.0 (named T.Count name) in
+  Alcotest.(check int) "one events counter" 1 (List.length (named T.Count "event_sim.events"));
+  Alcotest.(check int) "one high-water gauge" 1
+    (List.length (named T.Gauge "event_sim.heap_high_water"));
+  Alcotest.(check (float 0.0)) "transitions counted" (Float.of_int transitions)
+    (total "event_sim.transitions");
+  Alcotest.(check bool) "pops cover transitions" true
+    (total "event_sim.events" >= Float.of_int transitions);
+  Alcotest.(check int) "no storm" 0 storms;
+  let storm = Netlist.Bench_gen.c6288_like ~width:6 () in
+  let ni = Circuit.num_inputs storm in
+  let storms =
+    T.with_sink sink (fun () ->
+        (try ignore (Ev.cycle storm ~prev_inputs:(Array.make ni false) ~next_inputs:(Array.make ni true))
+         with Invalid_argument _ -> ());
+        T.counter_total "event_sim.storms")
+  in
+  Alcotest.(check int) "storm counted" 1 storms
+
 let test_power_trace_shape () =
   let rng = Rng.create 17 in
   let c = Gen.parity_tree 8 in
@@ -187,7 +218,8 @@ let () =
        [ Alcotest.test_case "settles to static" `Quick test_event_sim_final_values_match;
          Alcotest.test_case "stable input no events" `Quick test_event_sim_no_events_when_stable;
          Alcotest.test_case "produces glitches" `Quick test_event_sim_produces_glitch;
-         Alcotest.test_case "respects delays" `Quick test_event_sim_times_respect_delay ]);
+         Alcotest.test_case "respects delays" `Quick test_event_sim_times_respect_delay;
+         Alcotest.test_case "telemetry once per call" `Quick test_event_sim_telemetry ]);
       ("power",
        [ Alcotest.test_case "trace shape" `Quick test_power_trace_shape;
          Alcotest.test_case "deterministic without noise" `Quick test_power_noise_zero_is_deterministic;
