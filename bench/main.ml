@@ -519,15 +519,15 @@ let ablations () =
   Printf.printf "  %-16s %8s %10s %14s %14s\n" "scheme" "area" "randoms" "1st-ord |t|" "2nd-ord |t|";
   let report_masked name shares =
     let masked = Sidechannel.Isw.transform ~shares (Sidechannel.Leakage.private_and_source ()) in
-    let collect cls =
+    let collect stream cls =
       let a, b =
         match cls with
         | `Fixed -> true, true
-        | `Random -> Rng.bool rng, Rng.bool rng
+        | `Random -> Rng.bool stream, Rng.bool stream
       in
-      [| Sidechannel.Leakage.hw_sample rng masked ~noise_sigma:0.1 ~a ~b |]
+      [| Sidechannel.Leakage.hw_sample stream masked ~noise_sigma:0.1 ~a ~b |]
     in
-    let o1, o2 = Sidechannel.Tvla.campaign_orders ~traces_per_class:6000 ~collect in
+    let o1, o2 = Sidechannel.Tvla.campaign_orders rng ~traces_per_class:6000 ~collect in
     Printf.printf "  %-16s %8.1f %10d %14.2f %14.2f\n" name
       (Circuit.stats masked.Sidechannel.Isw.circuit).Circuit.area
       (Array.length masked.Sidechannel.Isw.random_inputs)
@@ -545,15 +545,15 @@ let ablations () =
         cost.Sidechannel.Dom.latency)
     [ 2; 3 ];
   let dual = Sidechannel.Wddl.transform (Sidechannel.Leakage.private_and_source ()) in
-  let collect cls =
+  let collect stream cls =
     let a, b =
       match cls with
       | `Fixed -> true, true
-      | `Random -> Rng.bool rng, Rng.bool rng
+      | `Random -> Rng.bool stream, Rng.bool stream
     in
-    [| Sidechannel.Wddl.power_sample rng dual ~noise_sigma:0.1 ~values:[ ("a", a); ("b", b) ] |]
+    [| Sidechannel.Wddl.power_sample stream dual ~noise_sigma:0.1 ~values:[ ("a", a); ("b", b) ] |]
   in
-  let w1, w2 = Sidechannel.Tvla.campaign_orders ~traces_per_class:6000 ~collect in
+  let w1, w2 = Sidechannel.Tvla.campaign_orders rng ~traces_per_class:6000 ~collect in
   Printf.printf "  %-16s %8.1f %10d %14.2f %14.2f\n" "WDDL"
     (Circuit.stats dual.Sidechannel.Wddl.circuit).Circuit.area 0
     w1.Sidechannel.Tvla.max_abs_t w2.Sidechannel.Tvla.max_abs_t;
@@ -734,11 +734,11 @@ let smoke = ref false
 
 (* Before/after harness for the allocation-free hot paths: the identical
    workload drives both the production engines and the reference
-   implementations retained from before the optimization ([Sat.Solver_ref];
+   implementations retained from before the optimization ([Reference.Solver_ref];
    local copies of the old allocating simulation loops below). *)
 module Perf_compare = struct
   module Solver = Sat.Solver
-  module Ref = Sat.Solver_ref
+  module Ref = Reference.Solver_ref
   module Gate = Netlist.Gate
 
   (* Minimal solver interface, so one SAT-attack workload can run against
@@ -1064,12 +1064,12 @@ let perf () =
     let (), dt, allocated, major =
       P.measured (fun () ->
           for _ = 1 to reps do
-            let s = Sat.Solver_ref.create () in
+            let s = Reference.Solver_ref.create () in
             let ops, ss, sa = P.instrument_solve (P.ref_ops s) in
             dips := P.dip_attack ops ~original:attack_orig attack_locked;
             solve_s := !solve_s +. !ss;
             solve_alloc := !solve_alloc +. !sa;
-            props := !props + (Sat.Solver_ref.stats s).Sat.Solver_ref.propagations
+            props := !props + (Reference.Solver_ref.stats s).Reference.Solver_ref.propagations
           done)
     in
     (!dips, !props, dt, allocated, major, !solve_s, !solve_alloc)

@@ -204,11 +204,6 @@ let synth_cmd =
          & info [ "max-passes" ]
              ~doc:"Stop the recipe after this many pass executions (budgeted run).")
   in
-  let secure =
-    Arg.(value & flag
-         & info [ "secure" ]
-             ~doc:"Deprecated alias for $(b,--recipe optimize_secure) (honour gadget order barriers).")
-  in
   let list_and_exit () =
     print_endline "recipes:";
     List.iter
@@ -220,16 +215,9 @@ let synth_cmd =
       (Synth.Pass.all ());
     exit 0
   in
-  let run path recipe secure list_recipes params print_ir_after max_passes seconds jobs output trace =
+  let run path recipe list_recipes params print_ir_after max_passes seconds jobs output trace =
     Sidechannel.Secure_synth.register ();
     if list_recipes then list_and_exit ();
-    let recipe =
-      if secure then begin
-        prerr_endline "secure_eda_cli: --secure is deprecated; use --recipe optimize_secure";
-        "optimize_secure"
-      end
-      else recipe
-    in
     let r =
       match Synth.Pipeline.find recipe with
       | Some r -> r
@@ -284,7 +272,7 @@ let synth_cmd =
   Cmd.v
     (Cmd.info "synth"
        ~doc:"Run a synthesis recipe (classical, security-aware or masking; see --list-recipes)")
-    Term.(const run $ netlist_opt $ recipe $ secure $ list_recipes $ params $ print_ir_after
+    Term.(const run $ netlist_opt $ recipe $ list_recipes $ params $ print_ir_after
           $ max_passes $ seconds_arg $ jobs_arg $ output_arg $ trace_arg)
 
 (* --- lock / sat-attack ------------------------------------------------ *)
@@ -476,9 +464,9 @@ let tvla_fig2_cmd =
     let ra, ru =
       with_trace trace (fun () ->
           with_jobs jobs (fun pool ->
-              ( L.tvla_campaign_seeded ?pool rng aware ~traces_per_class:traces
+              ( L.tvla_campaign ?pool rng aware ~traces_per_class:traces
                   ~noise_sigma:0.3,
-                L.tvla_campaign_seeded ?pool rng unaware ~traces_per_class:traces
+                L.tvla_campaign ?pool rng unaware ~traces_per_class:traces
                   ~noise_sigma:0.3 )))
     in
     Printf.printf "security-aware  : max|t| = %.2f (%s)\n" ra.Sidechannel.Tvla.max_abs_t

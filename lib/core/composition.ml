@@ -67,16 +67,16 @@ let stimulus rng design ~a ~b =
 
 (** First-order TVLA max |t| under the Hamming-weight model. *)
 let tvla_max_t rng design ~traces_per_class ~noise_sigma =
-  let collect cls =
+  let collect stream cls =
     let a, b =
       match cls with
       | `Fixed -> true, true
-      | `Random -> Rng.bool rng, Rng.bool rng
+      | `Random -> Rng.bool stream, Rng.bool stream
     in
-    let vec = stimulus rng design ~a ~b in
-    [| Power.Model.hamming_weight_sample rng design.circuit ~noise_sigma ~inputs:vec |]
+    let vec = stimulus stream design ~a ~b in
+    [| Power.Model.hamming_weight_sample stream design.circuit ~noise_sigma ~inputs:vec |]
   in
-  (Sidechannel.Tvla.campaign ~traces_per_class ~collect).Sidechannel.Tvla.max_abs_t
+  (Sidechannel.Tvla.campaign_seeded rng ~traces_per_class ~collect).Sidechannel.Tvla.max_abs_t
 
 (** Fault detection rate: fraction of random transient bit-flips that are
     caught by the alarm (0 without error detection). *)

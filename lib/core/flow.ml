@@ -241,8 +241,6 @@ type report = {
   degraded_stages : int;  (* count of stages with a degradation note *)
 }
 
-type safe_report = report
-
 (** The end-to-end flow, one entry point: never raises on user-reachable
     failures, budgets every engine, and reports degradation honestly per
     stage instead of silently truncating — security metrics are step
@@ -411,7 +409,3 @@ let run rng ?(protect = fun (_ : string) -> false) ?budget ?pool
         final = !current;
         checkpoint = { done_stages = stages_list; circuit = !current };
         degraded_stages }
-
-(** @deprecated Alias of {!run} (the unified entry point). *)
-let run_safe rng ?protect ?budget ?pool ?stage_steps ?stages ?resume circuit =
-  run rng ?protect ?budget ?pool ?stage_steps ?stages ?resume circuit

@@ -61,9 +61,6 @@ type report = {
   degraded_stages : int;  (** count of stages with a degradation note *)
 }
 
-(** @deprecated Alias of {!report}. *)
-type safe_report = report
-
 (** Run the flow. Never raises on user-reachable failures: a
     structurally invalid input netlist is the only [Error]; a stage that
     exhausts its budget or fails internally is recorded with
@@ -83,17 +80,5 @@ val run :
   ?stages:stage list ->
   ?resume:checkpoint ->
   ?checkpoint_to:string ->
-  Netlist.Circuit.t ->
-  (report, Eda_util.Eda_error.t) result
-
-(** @deprecated Alias of {!run} (the unified entry point). *)
-val run_safe :
-  Eda_util.Rng.t ->
-  ?protect:(string -> bool) ->
-  ?budget:Eda_util.Budget.t ->
-  ?pool:Eda_util.Pool.t ->
-  ?stage_steps:(stage -> int option) ->
-  ?stages:stage list ->
-  ?resume:checkpoint ->
   Netlist.Circuit.t ->
   (report, Eda_util.Eda_error.t) result

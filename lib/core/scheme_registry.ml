@@ -290,15 +290,15 @@ let run_upec _rng =
 
 let run_second_order rng =
   let masked = Sidechannel.Isw.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
-  let collect cls =
+  let collect stream cls =
     let a, b =
       match cls with
       | `Fixed -> true, true
-      | `Random -> Rng.bool rng, Rng.bool rng
+      | `Random -> Rng.bool stream, Rng.bool stream
     in
-    [| Sidechannel.Leakage.hw_sample rng masked ~noise_sigma:0.1 ~a ~b |]
+    [| Sidechannel.Leakage.hw_sample stream masked ~noise_sigma:0.1 ~a ~b |]
   in
-  let o1, o2 = Sidechannel.Tvla.campaign_orders ~traces_per_class:4000 ~collect in
+  let o1, o2 = Sidechannel.Tvla.campaign_orders rng ~traces_per_class:4000 ~collect in
   Printf.sprintf
     "2-share masking: 1st-order |t| = %.1f (passes), 2nd-order |t| = %.1f (FAILS: order matters)"
     o1.Sidechannel.Tvla.max_abs_t o2.Sidechannel.Tvla.max_abs_t

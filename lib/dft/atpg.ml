@@ -416,13 +416,6 @@ let run_checked ?budget ?pool ?chunk ?faults circuit =
   let* _ = Netlist.Lint.validate circuit in
   guard ~engine:"atpg" (fun () -> run ?budget ?pool ?chunk ?faults circuit)
 
-(** @deprecated Alias of {!run} (the unified entry point). *)
-let run_report ?budget circuit = run ?budget circuit
-
-(** @deprecated [run] minus the campaign span; alias kept for callers
-    that managed their own span. *)
-let run_report_traced ?budget circuit = run_seq ?budget circuit
-
 (* A copy of [circuit] with [fault] frozen in: the fault site is shadowed
    downstream by a constant carrying the stuck value. Used by redundancy
    removal, which really does want a standalone circuit (the SAT queries

@@ -71,13 +71,6 @@ val run_checked :
   Netlist.Circuit.t ->
   (report, Eda_util.Eda_error.t) result
 
-(** @deprecated Alias of {!run}. *)
-val run_report : ?budget:Eda_util.Budget.t -> Netlist.Circuit.t -> report
-
-(** @deprecated Sequential {!run} without the campaign span, for callers
-    that managed their own. *)
-val run_report_traced : ?budget:Eda_util.Budget.t -> Netlist.Circuit.t -> report
-
 (** Redundancy removal: iteratively replace nodes whose stuck-at faults
     are untestable by the stuck constant and re-simplify — the classic
     synthesis-for-test connection (redundant logic hides watermarks and

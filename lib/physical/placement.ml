@@ -216,12 +216,6 @@ let place ?(starts = 1) ?moves ?budget ?pool rng circuit =
         best_start = 0 }
   end
 
-(** @deprecated Alias of {!place} restricted to one start; returns the
-    classic (placement, moves) pair. *)
-let place_budgeted rng ?moves ?budget circuit =
-  let o = place ?moves ?budget rng circuit in
-  (o.placement, o.moves_performed)
-
 let distance placement a b =
   let xa, ya = placement.position.(a) and xb, yb = placement.position.(b) in
   abs (xa - xb) + abs (ya - yb)

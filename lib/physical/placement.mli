@@ -45,15 +45,6 @@ val place :
   Netlist.Circuit.t ->
   outcome
 
-(** @deprecated Alias of {!place} with one start, returning the classic
-    (placement, moves performed) pair. *)
-val place_budgeted :
-  Eda_util.Rng.t ->
-  ?moves:int ->
-  ?budget:Eda_util.Budget.t ->
-  Netlist.Circuit.t ->
-  t * int
-
 (** Total half-perimeter wirelength of the placement. *)
 val wirelength : t -> int
 

@@ -49,37 +49,27 @@ let hw_sample rng ?scratch masked ~noise_sigma ~a ~b =
   Power.Model.hamming_weight_sample rng ?scratch masked.Isw.circuit ~noise_sigma ~inputs:vec
 
 (** Fixed-vs-random TVLA on a masked variant. Fixed class: (a,b) = (1,1);
-    random class: uniform (a,b). *)
-let tvla_campaign rng masked ~traces_per_class ~noise_sigma =
-  let scratch = Array.make (Circuit.node_count masked.Isw.circuit) false in
-  let collect cls =
-    let a, b =
-      match cls with
-      | `Fixed -> true, true
-      | `Random -> Rng.bool rng, Rng.bool rng
-    in
-    [| hw_sample rng ~scratch masked ~noise_sigma ~a ~b |]
-  in
-  Tvla.campaign ~traces_per_class ~collect
-
-(** Seeded/parallel variant of {!tvla_campaign}: every trace draws its
-    randomness from the per-pair stream handed in by
-    {!Tvla.campaign_seeded}, so the assessment is a function of [rng]
-    alone — bit-identical with no pool and with a pool of any domain
-    count. The scratch buffer is allocated per trace (streams may be
-    consumed on different domains concurrently, so a shared buffer would
-    race); the sequential {!tvla_campaign} keeps its allocation-free
-    loop. *)
-let tvla_campaign_seeded ?pool rng masked ~traces_per_class ~noise_sigma =
+    random class: uniform (a,b). Every trace draws its randomness from the
+    per-pair stream of {!Tvla.campaign_seeded}, so the assessment is a
+    function of [rng] alone — bit-identical with no pool and with a pool
+    of any domain count. *)
+let tvla_campaign ?pool rng masked ~traces_per_class ~noise_sigma =
   let nodes = Circuit.node_count masked.Isw.circuit in
+  (* One net-value buffer recycled from trace to trace; a pooled worker
+     that finds it taken allocates its own. *)
+  let spare = Atomic.make None in
   let collect stream cls =
     let a, b =
       match cls with
       | `Fixed -> true, true
       | `Random -> Rng.bool stream, Rng.bool stream
     in
-    let scratch = Array.make nodes false in
-    [| hw_sample stream ~scratch masked ~noise_sigma ~a ~b |]
+    let scratch =
+      match Atomic.exchange spare None with Some b -> b | None -> Array.make nodes false
+    in
+    let hw = hw_sample stream ~scratch masked ~noise_sigma ~a ~b in
+    Atomic.set spare (Some scratch);
+    [| hw |]
   in
   Tvla.campaign_seeded ?pool rng ~traces_per_class ~collect
 
@@ -104,17 +94,17 @@ let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng masked ~traces_per_class ~con
     end;
     arr
   in
-  let collect cls =
+  let collect stream cls =
     let a, b =
       match cls with
       | `Fixed -> true, true
-      | `Random -> Rng.bool rng, Rng.bool rng
+      | `Random -> Rng.bool stream, Rng.bool stream
     in
-    let next = Isw.input_vector rng masked ~values:[ ("a", a); ("b", b) ] in
-    Power.Model.trace rng c ~config ~input_arrivals ~prev_inputs:(Array.make ni false)
+    let next = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
+    Power.Model.trace stream c ~config ~input_arrivals ~prev_inputs:(Array.make ni false)
       ~next_inputs:next
   in
-  Tvla.campaign ~traces_per_class ~collect
+  Tvla.campaign_seeded rng ~traces_per_class ~collect
 
 (** Mask-failure variant: the masking randomness is stuck at zero (a dead
     TRNG — the failure mode the RNG health tests of [41] guard against).
@@ -130,55 +120,36 @@ let tvla_campaign_mask_failure rng masked ~traces_per_class ~noise_sigma =
     Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
     fun id -> Hashtbl.find tbl id
   in
-  let collect cls =
+  let collect stream cls =
     let a, b =
       match cls with
       | `Fixed -> true, true
-      | `Random -> Rng.bool rng, Rng.bool rng
+      | `Random -> Rng.bool stream, Rng.bool stream
     in
-    let vec = Isw.input_vector rng masked ~values:[ ("a", a); ("b", b) ] in
+    let vec = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
     Array.iter (fun id -> vec.(pos_of id) <- false) masked.Isw.random_inputs;
-    [| Power.Model.hamming_weight_sample rng ~scratch c ~noise_sigma ~inputs:vec |]
+    [| Power.Model.hamming_weight_sample stream ~scratch c ~noise_sigma ~inputs:vec |]
   in
-  Tvla.campaign ~traces_per_class ~collect
+  (* no pool: the shared [scratch] is only ever used by one trace at a time *)
+  Tvla.campaign_seeded rng ~traces_per_class ~collect
 
-(** Find the most leaking internal wire of a masked circuit: per-node
-    fixed-vs-random t statistic on the node's value. Identifies the
-    factored wire of Fig. 2 by name. *)
+(** Find the most leaking internal wire of a masked circuit: a campaign
+    whose trace is the vector of every node's value, then the node with
+    the largest |t|. Identifies the factored wire of Fig. 2 by name. *)
 let leakiest_wire rng masked ~samples =
   let c = masked.Isw.circuit in
-  let n = Circuit.node_count c in
-  let fixed = Array.make_matrix samples n 0.0 in
-  let random = Array.make_matrix samples n 0.0 in
-  let values = Array.make n false in
-  for t = 0 to samples - 1 do
-    let record target cls =
-      let a, b =
-        match cls with
-        | `Fixed -> true, true
-        | `Random -> Rng.bool rng, Rng.bool rng
-      in
-      let vec = Isw.input_vector rng masked ~values:[ ("a", a); ("b", b) ] in
-      Netlist.Sim.eval_all_into c vec ~into:values;
-      Array.iteri (fun i v -> target.(i) <- if v then 1.0 else 0.0) values
+  let values = Array.make (Circuit.node_count c) false in
+  let collect stream cls =
+    let a, b =
+      match cls with
+      | `Fixed -> true, true
+      | `Random -> Rng.bool stream, Rng.bool stream
     in
-    record fixed.(t) `Fixed;
-    record random.(t) `Random
-  done;
-  let col_f = Array.make samples 0.0 and col_r = Array.make samples 0.0 in
-  let t_of_node i =
-    for t = 0 to samples - 1 do
-      col_f.(t) <- fixed.(t).(i);
-      col_r.(t) <- random.(t).(i)
-    done;
-    Eda_util.Stats.welch_t col_f col_r
+    let vec = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
+    Netlist.Sim.eval_all_into c vec ~into:values;
+    Array.map (fun v -> if v then 1.0 else 0.0) values
   in
-  let best = ref 0 and best_t = ref 0.0 in
-  for i = 0 to n - 1 do
-    let t = Float.abs (t_of_node i) in
-    if t > !best_t then begin
-      best := i;
-      best_t := t
-    end
-  done;
-  Circuit.name c !best, !best_t
+  let t = (Tvla.campaign_seeded rng ~traces_per_class:samples ~collect).Tvla.t_per_sample in
+  let best = ref 0 in
+  Array.iteri (fun i ti -> if Float.abs ti > Float.abs t.(!best) then best := i) t;
+  Circuit.name c !best, Float.abs t.(!best)

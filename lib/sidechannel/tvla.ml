@@ -7,9 +7,14 @@
     one with *random* secrets — under otherwise identical conditions. For
     each time sample, Welch's t statistic is computed; |t| above the
     conventional 4.5 threshold flags first-order leakage with high
-    confidence. *)
+    confidence.
 
-module Stats = Eda_util.Stats
+    Every campaign runs on one streaming engine: a flat accumulator of
+    per-sample central moments (M2..M4) per class, filled by one seeded
+    pair loop. First- and second-order t statistics are both read off
+    the same accumulator, so memory stays O(samples), not O(traces). *)
+
+module T = Eda_util.Telemetry
 
 let threshold = 4.5
 
@@ -20,221 +25,218 @@ type result = {
   traces_per_class : int;
 }
 
-(** Per-sample Welch t over two trace populations (arrays of equal-length
-    traces). *)
-let t_test fixed_traces random_traces =
-  match fixed_traces, random_traces with
-  | [], _ | _, [] -> invalid_arg "Tvla.t_test: empty population"
-  | f0 :: _, _ ->
-    let samples = Array.length f0 in
-    (* Column buffers are allocated once and refilled per sample — the
-       values and their order fed to [Stats.welch_t] are identical to a
-       per-sample [Array.of_list], without the per-sample allocation. *)
-    let fixed = Array.of_list fixed_traces and random = Array.of_list random_traces in
-    let col_f = Array.make (Array.length fixed) 0.0 in
-    let col_r = Array.make (Array.length random) 0.0 in
-    let t_per_sample =
-      Array.init samples (fun k ->
-          for j = 0 to Array.length fixed - 1 do col_f.(j) <- fixed.(j).(k) done;
-          for j = 0 to Array.length random - 1 do col_r.(j) <- random.(j).(k) done;
-          Stats.welch_t col_f col_r)
-    in
-    let leaky =
-      List.filter
-        (fun k -> Float.abs t_per_sample.(k) > threshold)
-        (List.init samples (fun k -> k))
-    in
-    { t_per_sample;
-      max_abs_t = Stats.max_abs t_per_sample;
-      leaky_samples = leaky;
-      traces_per_class = min (List.length fixed_traces) (List.length random_traces) }
-
 let leaks result = result.max_abs_t > threshold
 
-(** Second-order (univariate) TVLA: each trace is centered by the pooled
-    per-sample mean and squared before the Welch t-test, exposing leakage
-    in the *variance* of the power consumption. This is the standard
-    assessment that breaks 2-share masking while first-order TVLA passes
-    it — the masking-order story behind the paper's Sec. IV step-function
-    argument. *)
-let t_test_second_order fixed_traces random_traces =
-  match fixed_traces, random_traces with
-  | [], _ | _, [] -> invalid_arg "Tvla.t_test_second_order: empty population"
-  | f0 :: _, _ ->
-    let samples = Array.length f0 in
-    let all = Array.of_list (fixed_traces @ random_traces) in
-    let col = Array.make (Array.length all) 0.0 in
-    let pooled_mean =
-      Array.init samples (fun k ->
-          for j = 0 to Array.length all - 1 do col.(j) <- all.(j).(k) done;
-          Eda_util.Stats.mean col)
-    in
-    let preprocess tr =
-      Array.init samples (fun k ->
-          let d = tr.(k) -. pooled_mean.(k) in
-          d *. d)
-    in
-    t_test (List.map preprocess fixed_traces) (List.map preprocess random_traces)
+(* Streaming moments of both classes: [n] traces per class so far, and
+   per sample the mean and the central sums M2, M3, M4 (sum of the 2nd,
+   3rd, 4th powers of the deviations from the mean). Class [c] (0 fixed,
+   1 random) of sample [k] lives at index [c * samples + k]. *)
+type acc = {
+  samples : int;
+  mutable n : int;
+  mean : float array;
+  m2 : float array;
+  m3 : float array;
+  m4 : float array;
+}
 
-module T = Eda_util.Telemetry
+let create samples =
+  if samples = 0 then invalid_arg "Tvla: traces must be non-empty";
+  let z () = Array.make (2 * samples) 0.0 in
+  { samples; n = 0; mean = z (); m2 = z (); m3 = z (); m4 = z () }
 
-(** Fixed-vs-random campaign assessed at first and second order.
+(* One fixed and one random trace. M2 keeps its Welford form
+   [m2 += delta * (x - mean')], which is what first-order results have
+   always been computed with; M3 and M4 follow Pébay's one-pass update
+   and read M2/M3 before they move. *)
+let add_pair acc fixed random =
+  if Array.length fixed <> acc.samples || Array.length random <> acc.samples then
+    invalid_arg "Tvla: traces must have equal length";
+  acc.n <- acc.n + 1;
+  let n = Float.of_int acc.n in
+  let add j x =
+    let delta = x -. acc.mean.(j) in
+    let delta_n = delta /. n in
+    let delta_n2 = delta_n *. delta_n in
+    let term1 = delta *. delta_n *. (n -. 1.0) in
+    let m2 = acc.m2.(j) and m3 = acc.m3.(j) in
+    acc.mean.(j) <- acc.mean.(j) +. delta_n;
+    acc.m4.(j) <-
+      acc.m4.(j)
+      +. (term1 *. delta_n2 *. ((n *. n) -. (3.0 *. n) +. 3.0))
+      +. (6.0 *. delta_n2 *. m2)
+      -. (4.0 *. delta_n *. m3);
+    acc.m3.(j) <- m3 +. (term1 *. delta_n *. (n -. 2.0)) -. (3.0 *. delta_n *. m2);
+    acc.m2.(j) <- m2 +. (delta *. (x -. acc.mean.(j)))
+  in
+  for k = 0 to acc.samples - 1 do
+    add k fixed.(k);
+    add (acc.samples + k) random.(k)
+  done
 
-    Telemetry: a [tvla.campaign_orders] span counting [tvla.traces]
-    consumed, with [tvla.max_abs_t] / [tvla.max_abs_t_2nd] gauges for the
-    two assessment orders. *)
-let campaign_orders ~traces_per_class ~collect =
-  T.with_span "tvla.campaign_orders"
-    ~attrs:[ ("traces_per_class", T.Int traces_per_class) ]
-  @@ fun () ->
-  let fixed = ref [] and random = ref [] in
-  for _ = 1 to traces_per_class do
-    fixed := collect `Fixed :: !fixed;
-    random := collect `Random :: !random;
-    T.count "tvla.traces" 2
+(* Fold [b] into [a] (Chan's merge for mean and M2, Pébay's for M3/M4).
+   Merging batches in a fixed order gives the same moments however the
+   batches were scheduled. *)
+let merge_into a b =
+  if a.samples <> b.samples then invalid_arg "Tvla: traces must have equal length";
+  let fa = Float.of_int a.n and fb = Float.of_int b.n in
+  let n = a.n + b.n in
+  let fn = Float.of_int n in
+  for j = 0 to (2 * a.samples) - 1 do
+    let delta = b.mean.(j) -. a.mean.(j) in
+    let d2 = delta *. delta in
+    let m2a = a.m2.(j) and m2b = b.m2.(j) and m3a = a.m3.(j) and m3b = b.m3.(j) in
+    a.mean.(j) <- a.mean.(j) +. (delta *. fb /. fn);
+    a.m2.(j) <- m2a +. m2b +. (d2 *. fa *. fb /. fn);
+    a.m3.(j) <-
+      m3a +. m3b
+      +. (d2 *. delta *. fa *. fb *. (fa -. fb) /. (fn *. fn))
+      +. (3.0 *. delta *. ((fa *. m2b) -. (fb *. m2a)) /. fn);
+    a.m4.(j) <-
+      a.m4.(j) +. b.m4.(j)
+      +. (d2 *. d2 *. fa *. fb *. ((fa *. fa) -. (fa *. fb) +. (fb *. fb)) /. (fn *. fn *. fn))
+      +. (6.0 *. d2 *. ((fa *. fa *. m2b) +. (fb *. fb *. m2a)) /. (fn *. fn))
+      +. (4.0 *. delta *. ((fa *. m3b) -. (fb *. m3a)) /. fn)
   done;
-  let first = t_test !fixed !random in
-  let second = t_test_second_order !fixed !random in
-  T.gauge "tvla.max_abs_t" first.max_abs_t;
-  T.gauge "tvla.max_abs_t_2nd" second.max_abs_t;
-  first, second
+  a.n <- n
 
-(** Full fixed-vs-random campaign: [collect cls] must produce one trace for
-    class [cls] ([`Fixed] or [`Random]), drawing its own randomness.
-    Classes are interleaved to avoid drift artifacts, as the TVLA procedure
-    prescribes.
+(* Welch's t from two (mean, sum of squared deviations) summaries over
+   [n] observations each; 0 when degenerate. *)
+let welch_t n ~mean_f ~ss_f ~mean_r ~ss_r =
+  if n < 2 then 0.0
+  else begin
+    let fn = Float.of_int n and fn1 = Float.of_int (n - 1) in
+    let denom = sqrt ((ss_f /. fn1 /. fn) +. (ss_r /. fn1 /. fn)) in
+    if denom <= 0.0 then 0.0 else (mean_f -. mean_r) /. denom
+  end
 
-    Telemetry: a [tvla.campaign] span counting [tvla.traces] consumed and
-    gauging the final [tvla.max_abs_t]. *)
-let campaign ~traces_per_class ~collect =
-  T.with_span "tvla.campaign" ~attrs:[ ("traces_per_class", T.Int traces_per_class) ]
-  @@ fun () ->
-  let fixed = ref [] and random = ref [] in
-  for _ = 1 to traces_per_class do
-    fixed := collect `Fixed :: !fixed;
-    random := collect `Random :: !random;
-    T.count "tvla.traces" 2
-  done;
-  let result = t_test !fixed !random in
-  T.gauge "tvla.max_abs_t" result.max_abs_t;
-  result
+let result_of acc t_per_sample =
+  { t_per_sample;
+    max_abs_t = Eda_util.Stats.max_abs t_per_sample;
+    leaky_samples =
+      List.filter
+        (fun k -> Float.abs t_per_sample.(k) > threshold)
+        (List.init acc.samples Fun.id);
+    traces_per_class = acc.n }
 
-(* Pairs per batch of the seeded campaign. Fixed (not derived from the
-   pool size) so the batch boundaries — and with them the moment-merge
-   order — are identical at any domain count. *)
+let first_order acc =
+  let s = acc.samples in
+  result_of acc
+    (Array.init s (fun k ->
+         welch_t acc.n ~mean_f:acc.mean.(k) ~ss_f:acc.m2.(k) ~mean_r:acc.mean.(s + k)
+           ~ss_r:acc.m2.(s + k)))
+
+(* Second order: each trace centred on the pooled per-sample mean and
+   squared, y = (x - mu_p)^2, then first-order Welch on y. With
+   d = mu_c - mu_p the class moments of y follow from the accumulator:
+   mean y = M2/n + d^2 and sum (y - mean y)^2 = M4 - M2^2/n + 4 d M3
+   + 4 d^2 M2. The latter is sum y^2 - n (mean y)^2 with the n d^4 terms
+   cancelled algebraically rather than in floating point, so a large
+   class-mean offset costs no digits (and noiseless classes give 0). *)
+let second_order acc =
+  let s = acc.samples and fn = Float.of_int acc.n in
+  let y_moments j mu_p =
+    let d = acc.mean.(j) -. mu_p in
+    let d2 = d *. d in
+    let m2 = acc.m2.(j) in
+    ( (m2 /. fn) +. d2,
+      Float.max 0.0
+        (acc.m4.(j) -. (m2 *. m2 /. fn) +. (4.0 *. d *. acc.m3.(j)) +. (4.0 *. d2 *. m2)) )
+  in
+  result_of acc
+    (Array.init s (fun k ->
+         (* equal class sizes: the pooled mean is the midpoint *)
+         let mu_p = (acc.mean.(k) +. acc.mean.(s + k)) /. 2.0 in
+         let mean_f, ss_f = y_moments k mu_p and mean_r, ss_r = y_moments (s + k) mu_p in
+         welch_t acc.n ~mean_f ~ss_f ~mean_r ~ss_r))
+
+(* Pairs per batch. Fixed (not derived from the pool size) so the batch
+   boundaries — and with them the moment-merge order — are identical at
+   any domain count. *)
 let batch_pairs = 32
 
-(** Seeded, batchable fixed-vs-random campaign, the parallel counterpart
-    of {!campaign}: [collect stream cls] must produce one trace for class
-    [cls] drawing randomness only from [stream]. Pair [i] (one fixed then
-    one random trace, interleaved as TVLA prescribes) uses stream [i] of
-    [Rng.split rng traces_per_class]; traces accumulate into per-sample
-    Welford moments per fixed-size batch, and batches merge in index
-    order (Chan's formula). Both the trace values and the floating-point
-    reduction tree are therefore functions of [rng] alone: the result is
-    bit-identical with no pool, and with a pool of any domain count.
-    Streaming moments also mean memory stays O(samples), not O(traces).
-
-    Telemetry: a [tvla.campaign] span (attrs [seeded], [domains])
-    counting [tvla.traces] and gauging the final [tvla.max_abs_t];
-    pooled runs (any size, including 1) nest a [pool.batch] span with
-    one captured [pool.task] span per Welford batch.
-    @raise Invalid_argument on a non-positive trace count or unequal
-    trace lengths. *)
-let campaign_seeded ?pool rng ~traces_per_class ~collect =
-  if traces_per_class <= 0 then
-    invalid_arg "Tvla.campaign_seeded: traces_per_class must be positive";
+(* The one pair loop. Pair [i] (one fixed then one random trace,
+   interleaved as TVLA prescribes) draws only from stream [i] of
+   [Rng.split rng traces_per_class]; each batch of [batch_pairs] pairs
+   fills its own accumulator and batches merge in index order. Trace
+   values and the floating-point reduction tree are both functions of
+   [rng] alone, with or without a pool. *)
+let run ?pool rng ~traces_per_class ~collect =
+  if traces_per_class <= 0 then invalid_arg "Tvla: traces_per_class must be positive";
   let module P = Eda_util.Pool in
-  let domains = match pool with Some p -> P.size p | None -> 1 in
-  T.with_span "tvla.campaign"
-    ~attrs:
-      [ ("traces_per_class", T.Int traces_per_class);
-        ("seeded", T.Bool true);
-        ("domains", T.Int domains) ]
-  @@ fun () ->
   let streams = Eda_util.Rng.split rng traces_per_class in
   let nbatches = (traces_per_class + batch_pairs - 1) / batch_pairs in
+  let pair i =
+    let fixed = collect streams.(i) `Fixed in
+    let random = collect streams.(i) `Random in
+    fixed, random
+  in
   let run_batch b =
     let lo = b * batch_pairs in
     let hi = min traces_per_class (lo + batch_pairs) in
-    let fixed_m = ref [||] and random_m = ref [||] in
-    let accumulate ms tr =
-      if Array.length !ms = 0 then
-        ms := Array.init (Array.length tr) (fun _ -> Stats.moments_create ());
-      if Array.length tr <> Array.length !ms then
-        invalid_arg "Tvla.campaign_seeded: traces must have equal length";
-      Array.iteri (fun k m -> Stats.moments_add m tr.(k)) !ms
-    in
-    for i = lo to hi - 1 do
-      let stream = streams.(i) in
-      accumulate fixed_m (collect stream `Fixed);
-      accumulate random_m (collect stream `Random)
+    let fixed, random = pair lo in
+    let acc = create (Array.length fixed) in
+    add_pair acc fixed random;
+    for i = lo + 1 to hi - 1 do
+      let fixed, random = pair i in
+      add_pair acc fixed random
     done;
-    (!fixed_m, !random_m)
+    acc
   in
-  let batch_ids = Array.init nbatches (fun b -> b) in
   let batches =
     match pool with
     | Some p ->
       (* scheduling grain only: batch boundaries (and so the merge
          order) stay fixed by [batch_pairs] at any domain count *)
       let chunk = max 1 (nbatches / (4 * P.size p)) in
-      P.parallel_map ~label:"tvla" ~chunk p batch_ids ~f:(fun _ctx b -> run_batch b)
-    | None -> Array.map (fun b -> Some (run_batch b)) batch_ids
+      (* [None] is unreachable: no budget is handed to the pool *)
+      Array.map Option.get
+        (P.parallel_map ~label:"tvla" ~chunk p (Array.init nbatches Fun.id) ~f:(fun _ctx b ->
+             run_batch b))
+    | None -> Array.init nbatches run_batch
   in
-  let merged = ref None in
-  Array.iter
-    (function
-      | None -> ()  (* unreachable: no budget is handed to the pool *)
-      | Some (fm, rm) ->
-        (match !merged with
-         | None -> merged := Some (Array.copy fm, Array.copy rm)
-         | Some (mf, mr) ->
-           if Array.length fm <> Array.length mf then
-             invalid_arg "Tvla.campaign_seeded: traces must have equal length";
-           Array.iteri (fun k m -> mf.(k) <- Stats.moments_merge mf.(k) m) fm;
-           Array.iteri (fun k m -> mr.(k) <- Stats.moments_merge mr.(k) m) rm))
-    batches;
-  match !merged with
-  | None -> invalid_arg "Tvla.campaign_seeded: no traces collected"
-  | Some (mf, mr) ->
-    let samples = Array.length mf in
-    let t_per_sample = Array.init samples (fun k -> Stats.welch_t_moments mf.(k) mr.(k)) in
-    let leaky =
-      List.filter
-        (fun k -> Float.abs t_per_sample.(k) > threshold)
-        (List.init samples (fun k -> k))
-    in
-    let result =
-      { t_per_sample;
-        max_abs_t = Stats.max_abs t_per_sample;
-        leaky_samples = leaky;
-        traces_per_class }
-    in
-    T.count "tvla.traces" (2 * traces_per_class);
-    T.gauge "tvla.max_abs_t" result.max_abs_t;
-    result
+  for b = 1 to nbatches - 1 do
+    merge_into batches.(0) batches.(b)
+  done;
+  T.count "tvla.traces" (2 * traces_per_class);
+  batches.(0)
 
-(** Sweep of max |t| as the trace count grows; the paper-shaped "leakage
-    grows with sqrt(n)" series. [steps] are cumulative trace counts.
+(** Seeded, batchable fixed-vs-random campaign: [collect stream cls]
+    produces one trace for class [cls], drawing randomness only from
+    [stream]. The result (every t value, not just the verdict) is
+    bit-identical with no pool and with a pool of any domain count.
 
-    Telemetry: a [tvla.escalation] span; each step gauges [tvla.max_abs_t]
-    so the exported trace carries the |t| trajectory, not just the final
-    value. *)
-let escalation ~steps ~collect =
-  T.with_span "tvla.escalation" ~attrs:[ ("steps", T.Int (List.length steps)) ]
+    Telemetry: a [tvla.campaign] span (attrs [seeded], [domains])
+    counting [tvla.traces] and gauging the final [tvla.max_abs_t];
+    pooled runs (any size, including 1) nest a [pool.batch] span with
+    one captured [pool.task] span per batch.
+    @raise Invalid_argument on a non-positive trace count, empty traces,
+    or traces of unequal length (within or across classes). *)
+let campaign_seeded ?pool rng ~traces_per_class ~collect =
+  let domains = match pool with Some p -> Eda_util.Pool.size p | None -> 1 in
+  T.with_span "tvla.campaign"
+    ~attrs:
+      [ ("traces_per_class", T.Int traces_per_class);
+        ("seeded", T.Bool true);
+        ("domains", T.Int domains) ]
   @@ fun () ->
-  let fixed = ref [] and random = ref [] in
-  let collected = ref 0 in
-  List.map
-    (fun target ->
-      while !collected < target do
-        fixed := collect `Fixed :: !fixed;
-        random := collect `Random :: !random;
-        incr collected;
-        T.count "tvla.traces" 2
-      done;
-      let max_abs_t = (t_test !fixed !random).max_abs_t in
-      T.gauge "tvla.max_abs_t" max_abs_t;
-      target, max_abs_t)
-    steps
+  let result = first_order (run ?pool rng ~traces_per_class ~collect) in
+  T.gauge "tvla.max_abs_t" result.max_abs_t;
+  result
+
+(** Campaign assessed at first and second order from one accumulator.
+    Its first-order result equals {!campaign_seeded}'s on the same
+    arguments.
+
+    Telemetry: a [tvla.campaign_orders] span counting [tvla.traces]
+    consumed, with [tvla.max_abs_t] / [tvla.max_abs_t_2nd] gauges for the
+    two assessment orders. *)
+let campaign_orders rng ~traces_per_class ~collect =
+  T.with_span "tvla.campaign_orders"
+    ~attrs:[ ("traces_per_class", T.Int traces_per_class) ]
+  @@ fun () ->
+  let acc = run rng ~traces_per_class ~collect in
+  let first = first_order acc and second = second_order acc in
+  T.gauge "tvla.max_abs_t" first.max_abs_t;
+  T.gauge "tvla.max_abs_t_2nd" second.max_abs_t;
+  first, second

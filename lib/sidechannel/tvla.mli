@@ -1,5 +1,6 @@
 (** Test vector leakage assessment (TVLA [16]): the fixed-vs-random
-    Welch t-test on power traces, at first and second statistical order. *)
+    Welch t-test on power traces, at first and second statistical order,
+    from one streaming-moments engine. *)
 
 (** The conventional |t| pass/fail line (4.5). *)
 val threshold : float
@@ -11,33 +12,20 @@ type result = {
   traces_per_class : int;
 }
 
-(** Per-sample Welch t over two equal-length trace populations.
-    @raise Invalid_argument on an empty population. *)
-val t_test : float array list -> float array list -> result
-
 (** True when any sample crosses the threshold. *)
 val leaks : result -> bool
 
-(** Second-order (univariate) variant: traces are centered by the pooled
-    per-sample mean and squared before the t-test, exposing leakage in
-    the variance — the assessment that breaks 2-share masking. *)
-val t_test_second_order : float array list -> float array list -> result
-
-(** Fixed-vs-random campaign: [collect cls] must produce one trace for
-    class [`Fixed] or [`Random], drawing its own randomness. Classes are
-    interleaved, as the TVLA procedure prescribes. *)
-val campaign :
-  traces_per_class:int -> collect:([ `Fixed | `Random ] -> float array) -> result
-
-(** Seeded, batchable campaign — the parallel counterpart of {!campaign}.
-    [collect stream cls] must draw randomness only from [stream]; pair
-    [i] uses stream [i] of [Eda_util.Rng.split rng traces_per_class].
-    Traces accumulate into per-sample Welford moments in fixed-size
-    batches merged in index order, so the result (every t value, not
-    just the verdict) is bit-identical with no pool and with a pool of
-    any domain count, and memory stays O(samples).
-    @raise Invalid_argument on a non-positive trace count or unequal
-    trace lengths. *)
+(** Seeded, batchable fixed-vs-random campaign. [collect stream cls]
+    must produce one trace for class [`Fixed] or [`Random], drawing
+    randomness only from [stream]; pair [i] (fixed then random, as the
+    TVLA procedure prescribes) uses stream [i] of
+    [Eda_util.Rng.split rng traces_per_class]. Traces accumulate into
+    per-sample streaming moments in fixed-size batches merged in index
+    order, so the result (every t value, not just the verdict) is
+    bit-identical with no pool and with a pool of any domain count, and
+    memory stays O(samples).
+    @raise Invalid_argument on a non-positive trace count, empty traces,
+    or traces of unequal length (within or across classes). *)
 val campaign_seeded :
   ?pool:Eda_util.Pool.t ->
   Eda_util.Rng.t ->
@@ -45,13 +33,14 @@ val campaign_seeded :
   collect:(Eda_util.Rng.t -> [ `Fixed | `Random ] -> float array) ->
   result
 
-(** Campaign assessed at (first, second) order from one trace set. *)
+(** The same campaign assessed at (first, second) order from one
+    accumulator. Second order centres each trace on the pooled
+    per-sample mean and squares it before the t-test, exposing leakage
+    in the variance — the assessment that breaks 2-share masking. The
+    first-order result equals {!campaign_seeded}'s.
+    @raise Invalid_argument as {!campaign_seeded}. *)
 val campaign_orders :
+  Eda_util.Rng.t ->
   traces_per_class:int ->
-  collect:([ `Fixed | `Random ] -> float array) ->
+  collect:(Eda_util.Rng.t -> [ `Fixed | `Random ] -> float array) ->
   result * result
-
-(** Max |t| as the trace count grows through [steps] (cumulative counts):
-    the "leakage grows with sqrt n" series. *)
-val escalation :
-  steps:int list -> collect:([ `Fixed | `Random ] -> float array) -> (int * float) list

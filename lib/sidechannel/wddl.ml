@@ -142,12 +142,12 @@ let power_sample rng dual ~noise_sigma ~values =
 (** TVLA on a WDDL-protected circuit with a two-secret-input interface
     (like the Fig. 2 AND target). *)
 let tvla_campaign rng dual ~traces_per_class ~noise_sigma =
-  let collect cls =
+  let collect stream cls =
     let a, b =
       match cls with
       | `Fixed -> true, true
-      | `Random -> Eda_util.Rng.bool rng, Eda_util.Rng.bool rng
+      | `Random -> Eda_util.Rng.bool stream, Eda_util.Rng.bool stream
     in
-    [| power_sample rng dual ~noise_sigma ~values:[ ("a", a); ("b", b) ] |]
+    [| power_sample stream dual ~noise_sigma ~values:[ ("a", a); ("b", b) ] |]
   in
-  Tvla.campaign ~traces_per_class ~collect
+  Tvla.campaign_seeded rng ~traces_per_class ~collect

@@ -28,7 +28,7 @@ let moments_variance m = if m.n < 2 then 0.0 else m.m2 /. Float.of_int (m.n - 1)
 (** Merge two Welford accumulators into a fresh one (Chan et al.'s
     pairwise update). Merging partial accumulators in a fixed order gives
     the same moments regardless of how the underlying samples were
-    batched, which is what makes parallel TVLA reductions deterministic. *)
+    batched, which is what makes merged telemetry histograms deterministic. *)
 let moments_merge a b =
   if a.n = 0 then { n = b.n; mean = b.mean; m2 = b.m2; vmin = b.vmin; vmax = b.vmax }
   else if b.n = 0 then { n = a.n; mean = a.mean; m2 = a.m2; vmin = a.vmin; vmax = a.vmax }
@@ -68,18 +68,6 @@ let welch_t xs ys =
     let vy = variance ys /. Float.of_int ny in
     let denom = sqrt (vx +. vy) in
     if denom <= 0.0 then 0.0 else (mean xs -. mean ys) /. denom
-  end
-
-(** Welch's t from two moment accumulators — same statistic as {!welch_t}
-    on the raw samples, computed streamingly. Returns 0 when either side
-    is degenerate, mirroring [welch_t]. *)
-let welch_t_moments ma mb =
-  if ma.n < 2 || mb.n < 2 then 0.0
-  else begin
-    let va = moments_variance ma /. Float.of_int ma.n in
-    let vb = moments_variance mb /. Float.of_int mb.n in
-    let denom = sqrt (va +. vb) in
-    if denom <= 0.0 then 0.0 else (ma.mean -. mb.mean) /. denom
   end
 
 (** Welch-Satterthwaite degrees of freedom, for completeness of reporting. *)

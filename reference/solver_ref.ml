@@ -1,8 +1,8 @@
 (** Reference CDCL solver — the pre-optimization, allocation-heavy
     implementation, kept verbatim as (a) a differential-testing oracle for
-    {!Solver} and (b) the honest "before" baseline for [bench perf].
+    {!Sat.Solver} and (b) the honest "before" baseline for [bench perf].
 
-    Architecture matches {!Solver} feature-for-feature except for the data
+    Architecture matches {!Sat.Solver} feature-for-feature except for the data
     layout (cons-cell trail and watch lists, per-decision trail snapshots)
     and the absence of a learnt-clause database (learnt clauses accumulate
     without bound). Do not use it from production engines.
@@ -422,7 +422,7 @@ let solve_raw ?budget ~assumptions s =
     and periodically between decisions; without it the search is unbounded
     and the answer is always [Sat]/[Unsat].
 
-    Unlike [Solver], this reference implementation emits no telemetry: it
+    Unlike [Sat.Solver], this reference implementation emits no telemetry: it
     exists to be timed against, and a span wrapper would distort exactly
     the comparison it is kept for. *)
 let solve ?budget ?(assumptions = []) s = solve_raw ?budget ~assumptions s

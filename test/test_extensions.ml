@@ -67,15 +67,15 @@ let test_second_order_masking_story () =
     let masked =
       Sidechannel.Isw.transform ~shares (Sidechannel.Leakage.private_and_source ())
     in
-    let collect cls =
+    let collect stream cls =
       let a, b =
         match cls with
         | `Fixed -> true, true
-        | `Random -> Rng.bool rng, Rng.bool rng
+        | `Random -> Rng.bool stream, Rng.bool stream
       in
-      [| Sidechannel.Leakage.hw_sample rng masked ~noise_sigma:0.1 ~a ~b |]
+      [| Sidechannel.Leakage.hw_sample stream masked ~noise_sigma:0.1 ~a ~b |]
     in
-    Sidechannel.Tvla.campaign_orders ~traces_per_class:6000 ~collect
+    Sidechannel.Tvla.campaign_orders rng ~traces_per_class:6000 ~collect
   in
   let o1_2, o2_2 = assess 2 in
   let o1_3, o2_3 = assess 3 in
@@ -86,11 +86,11 @@ let test_second_order_masking_story () =
 
 let test_second_order_detects_variance_shift () =
   let rng = Rng.create 3 in
-  let collect = function
-    | `Fixed -> [| Rng.gaussian_scaled rng ~mean:0.0 ~sigma:2.0 |]
-    | `Random -> [| Rng.gaussian rng |]
+  let collect stream = function
+    | `Fixed -> [| Rng.gaussian_scaled stream ~mean:0.0 ~sigma:2.0 |]
+    | `Random -> [| Rng.gaussian stream |]
   in
-  let o1, o2 = Sidechannel.Tvla.campaign_orders ~traces_per_class:2000 ~collect in
+  let o1, o2 = Sidechannel.Tvla.campaign_orders rng ~traces_per_class:2000 ~collect in
   Alcotest.(check bool) "1st order blind to variance" false (Sidechannel.Tvla.leaks o1);
   Alcotest.(check bool) "2nd order sees variance" true (Sidechannel.Tvla.leaks o2)
 

@@ -383,24 +383,24 @@ let test_dom_first_order_passes () =
     Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
     fun id -> Hashtbl.find tbl id
   in
-  let collect cls =
+  let collect stream cls =
     let a, b =
       match cls with
       | `Fixed -> true, true
-      | `Random -> Rng.bool rng, Rng.bool rng
+      | `Random -> Rng.bool stream, Rng.bool stream
     in
     let vec = Array.make (Circuit.num_inputs c) false in
     List.iter
       (fun (name, ids) ->
         let v = if name = "a" then a else b in
-        let sh = Sidechannel.Isw.encode rng ~shares:2 v in
+        let sh = Sidechannel.Isw.encode stream ~shares:2 v in
         Array.iteri (fun s id -> vec.(pos_of id) <- sh.(s)) ids)
       dom.Sidechannel.Dom.input_shares;
-    Array.iter (fun id -> vec.(pos_of id) <- Rng.bool rng) dom.Sidechannel.Dom.random_inputs;
+    Array.iter (fun id -> vec.(pos_of id) <- Rng.bool stream) dom.Sidechannel.Dom.random_inputs;
     (* Leakage: HW of the settled combinational state in cycle 0. *)
-    [| Power.Model.hamming_weight_sample rng c ~noise_sigma:0.1 ~inputs:vec |]
+    [| Power.Model.hamming_weight_sample stream c ~noise_sigma:0.1 ~inputs:vec |]
   in
-  let r = Sidechannel.Tvla.campaign ~traces_per_class:4000 ~collect in
+  let r = Sidechannel.Tvla.campaign_seeded rng ~traces_per_class:4000 ~collect in
   Alcotest.(check bool) "first-order pass" false (Sidechannel.Tvla.leaks r)
 
 let () =

@@ -177,7 +177,7 @@ let test_atpg_partial_under_pooled_budget () =
 let test_tvla_identical_across_domains () =
   let masked = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_unaware in
   let campaign pool =
-    Sidechannel.Leakage.tvla_campaign_seeded ?pool (Rng.create 515) masked
+    Sidechannel.Leakage.tvla_campaign ?pool (Rng.create 515) masked
       ~traces_per_class:300 ~noise_sigma:0.3
   in
   (* Leak detection itself is covered by the sidechannel suite; here the

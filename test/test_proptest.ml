@@ -276,6 +276,7 @@ let test_sat_differential () =
   P.check_exn ~count:120 ~name:"arrays solver agrees with reference CDCL"
     cnf_arb (fun (nvars, clauses) ->
       let open Sat in
+      let module Solver_ref = Reference.Solver_ref in
       let satisfies model =
         List.for_all
           (List.exists (fun (v, sign) -> model v = sign))
@@ -555,6 +556,99 @@ let test_hw_sampler_differential () =
           Int64.bits_of_float a = Int64.bits_of_float b)
         [ 1; 2; 3; 4 ])
 
+(* Random multi-sample campaign: per sample a large common offset (the
+   DC level of a power trace, which stresses cancellation), and for the
+   fixed class a mean shift and a different spread, so both orders carry
+   signal. Pure in [stream], so safe to run pooled. *)
+let synthetic_collect ~seed ~samples =
+  let params = Rng.create seed in
+  let offset = Array.init samples (fun _ -> 50.0 *. Rng.float params) in
+  let shift = Array.init samples (fun _ -> Rng.float params -. 0.5) in
+  let sigma = Array.init samples (fun _ -> 0.5 +. (2.0 *. Rng.float params)) in
+  fun stream cls ->
+    Array.init samples (fun k ->
+        let x = Rng.gaussian stream in
+        match cls with
+        | `Fixed -> offset.(k) +. shift.(k) +. (sigma.(k) *. x)
+        | `Random -> offset.(k) +. x)
+
+let test_tvla_streaming_differential () =
+  (* The streamed first and second order agree with the list t-tests on
+     the very traces the campaign consumed. *)
+  let module Tvla = Sidechannel.Tvla in
+  let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b) in
+  let agree (got : Tvla.result) (want : Tvla.result) =
+    got.Tvla.traces_per_class = want.Tvla.traces_per_class
+    && Array.length got.Tvla.t_per_sample = Array.length want.Tvla.t_per_sample
+    && Array.for_all2 close got.Tvla.t_per_sample want.Tvla.t_per_sample
+  in
+  P.check_exn ~count:40 ~name:"streamed TVLA matches the list t-tests"
+    (P.triple (P.int_range 0 1_000_000) (P.int_range 1 8) (P.int_range 2 150))
+    (fun (seed, samples, pairs) ->
+      let synthetic = synthetic_collect ~seed ~samples in
+      let fixed = ref [] and random = ref [] in
+      let collect stream cls =
+        let tr = synthetic stream cls in
+        (match cls with `Fixed -> fixed := tr :: !fixed | `Random -> random := tr :: !random);
+        tr
+      in
+      let o1, o2 = Tvla.campaign_orders (Rng.create (seed + 1)) ~traces_per_class:pairs ~collect in
+      agree o1 (Reference.Tvla_ref.t_test !fixed !random)
+      && agree o2 (Reference.Tvla_ref.t_test_second_order !fixed !random))
+
+let test_tvla_second_order_large_shift () =
+  (* Both classes share one spread and the fixed class sits 100-1000
+     above the random one: there is no second-order leakage to find.
+     With noiseless classes every second-order t must be exactly 0 (no
+     rounding residue in the sum of squares), and with a small spread no
+     sample may cross the threshold. *)
+  let module Tvla = Sidechannel.Tvla in
+  P.check_exn ~count:40 ~name:"second order stays silent under a large mean shift"
+    (P.pair
+       (P.triple (P.int_range 0 1_000_000) (P.int_range 1 8) (P.int_range 2 150))
+       (P.choose_from ~show:string_of_float [ 0.0; 1e-6; 1e-3 ]))
+    (fun ((seed, samples, pairs), sigma) ->
+      let params = Rng.create seed in
+      let level = Array.init samples (fun _ -> Rng.float params -. 0.5) in
+      let shift = Array.init samples (fun _ -> 100.0 +. (900.0 *. Rng.float params)) in
+      let collect stream cls =
+        Array.init samples (fun k ->
+            let x = sigma *. Rng.gaussian stream in
+            match cls with `Fixed -> level.(k) +. shift.(k) +. x | `Random -> level.(k) +. x)
+      in
+      let _, o2 = Tvla.campaign_orders (Rng.create (seed + 1)) ~traces_per_class:pairs ~collect in
+      if sigma = 0.0 then Array.for_all (fun t -> t = 0.0) o2.Tvla.t_per_sample
+      else not (Tvla.leaks o2))
+
+(* [Tvla.campaign_seeded]'s t_per_sample digests, captured before the
+   streaming-moments rewrite: the first-order bits must never move. *)
+let t_digest (r : Sidechannel.Tvla.result) =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") r.Sidechannel.Tvla.t_per_sample))))
+
+let test_tvla_pinned_fingerprint () =
+  let module Tvla = Sidechannel.Tvla in
+  let collect stream cls =
+    Array.init 7 (fun k ->
+        let shift = match cls with `Fixed when k = 3 -> 0.4 | _ -> 0.0 in
+        (Rng.gaussian stream *. (1.0 +. (float_of_int k *. 0.25))) +. shift)
+  in
+  List.iter
+    (fun (seed, pairs, digest) ->
+      let label = Printf.sprintf "seed %d, %d pairs" seed pairs in
+      Alcotest.(check string) label digest
+        (t_digest (Tvla.campaign_seeded (Rng.create seed) ~traces_per_class:pairs ~collect));
+      Alcotest.(check string) (label ^ ", first order of campaign_orders") digest
+        (t_digest (fst (Tvla.campaign_orders (Rng.create seed) ~traces_per_class:pairs ~collect))))
+    [ (1, 45, "fbce966047c35f834a69b98f6f78eb87");
+      (2, 100, "5f237b66119763eb0362e0a05c46eb68");
+      (3, 257, "e4bc9bdb5c7a3037f72d66dc34ab5149") ];
+  Alcotest.(check string) "secure-synthesis HW gate on c17" "715e3e7d0e12107882bcbf0f1a83e0fb"
+    (t_digest
+       (Sidechannel.Secure_synth.assess (Rng.create 21) (Gen.c17 ()) ~traces_per_class:1500
+          ~noise_sigma:0.8))
+
 (* --- pooled vs sequential bit-identity at 1/2/8 domains ------------------ *)
 
 let domain_counts = [ 1; 2; 8 ]
@@ -599,7 +693,10 @@ let test_tvla_pool_identical () =
         in
         (r.Sidechannel.Tvla.t_per_sample, r.Sidechannel.Tvla.max_abs_t))
   in
-  Alcotest.(check bool) "TVLA bit-identical at 1/2/8 domains" true (all_equal results)
+  Alcotest.(check bool) "TVLA bit-identical at 1/2/8 domains" true (all_equal results);
+  Alcotest.(check string) "pinned t_per_sample" "f008d0c27a41158e65b8a781e1d0f8d2"
+    (t_digest
+       (Sidechannel.Tvla.campaign_seeded (Rng.create 5150) ~traces_per_class:257 ~collect))
 
 let test_secure_synth_pool_identical () =
   (* The HW-TVLA gate recycles one net-value buffer between traces;
@@ -728,7 +825,12 @@ let () =
             test_detects_many_differential;
           Alcotest.test_case "event engine vs reference" `Quick test_event_sim_differential;
           Alcotest.test_case "pinned event storm" `Quick test_event_storm_pinned;
-          Alcotest.test_case "HW sampler vs model" `Quick test_hw_sampler_differential ] );
+          Alcotest.test_case "HW sampler vs model" `Quick test_hw_sampler_differential;
+          Alcotest.test_case "streamed tvla vs list t-tests" `Quick
+            test_tvla_streaming_differential;
+          Alcotest.test_case "tvla second order under large shift" `Quick
+            test_tvla_second_order_large_shift;
+          Alcotest.test_case "pinned tvla fingerprint" `Quick test_tvla_pinned_fingerprint ] );
       ( "pooled",
         [ Alcotest.test_case "atpg 1/2/8 domains" `Slow test_atpg_pool_identical;
           Alcotest.test_case "tvla 1/2/8 domains" `Slow test_tvla_pool_identical;

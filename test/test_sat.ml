@@ -267,7 +267,7 @@ let test_xor_chain_equivalence_deep () =
 (* ---- Allocation-free core regressions: determinism, learnt-DB
    reduction, stress instances, differential vs the reference solver. ---- *)
 
-module Ref = Sat.Solver_ref
+module Ref = Reference.Solver_ref
 
 (* Random 3-SAT over distinct variables (the classic hard distribution;
    ratio ~4.26 clauses/var sits at the phase transition). *)

@@ -68,32 +68,85 @@ let test_randomness_count () =
 
 let test_tvla_no_leak_on_identical () =
   let rng = Rng.create 5 in
-  let collect _cls = [| Rng.gaussian rng |] in
-  let r = Tvla.campaign ~traces_per_class:500 ~collect in
+  let collect stream _cls = [| Rng.gaussian stream |] in
+  let r = Tvla.campaign_seeded rng ~traces_per_class:500 ~collect in
   Alcotest.(check bool) "no false positive" true (not (Tvla.leaks r))
 
 let test_tvla_detects_mean_shift () =
   let rng = Rng.create 6 in
-  let collect = function
-    | `Fixed -> [| Rng.gaussian rng +. 0.5 |]
-    | `Random -> [| Rng.gaussian rng |]
+  let collect stream = function
+    | `Fixed -> [| Rng.gaussian stream +. 0.5 |]
+    | `Random -> [| Rng.gaussian stream |]
   in
-  let r = Tvla.campaign ~traces_per_class:1000 ~collect in
+  let r = Tvla.campaign_seeded rng ~traces_per_class:1000 ~collect in
   Alcotest.(check bool) "leak found" true (Tvla.leaks r);
   Alcotest.(check (list int)) "sample 0 flagged" [ 0 ] r.Tvla.leaky_samples
 
 let test_tvla_escalation_monotone_overall () =
-  let rng = Rng.create 7 in
-  let collect = function
-    | `Fixed -> [| Rng.gaussian rng +. 0.3 |]
-    | `Random -> [| Rng.gaussian rng |]
+  (* Pair i of a seeded campaign uses stream i of [Rng.split], so the
+     campaigns below are nested prefixes of one trace sequence: the
+     cumulative |t| trajectory of a known mean shift. *)
+  let collect stream = function
+    | `Fixed -> [| Rng.gaussian stream +. 0.3 |]
+    | `Random -> [| Rng.gaussian stream |]
   in
-  let series = Tvla.escalation ~steps:[ 100; 400; 1600 ] ~collect in
-  (match series with
-   | [ (_, t1); (_, t2); (_, t3) ] ->
-     Alcotest.(check bool) "grows with n" true (t3 > t1);
-     Alcotest.(check bool) "mid" true (t2 > t1 *. 0.5)
-   | _ -> Alcotest.fail "expected 3 points")
+  let max_t n = (Tvla.campaign_seeded (Rng.create 7) ~traces_per_class:n ~collect).Tvla.max_abs_t in
+  match List.map max_t [ 100; 400; 1600 ] with
+  | [ t1; t2; t3 ] ->
+    Alcotest.(check bool) "grows with n" true (t3 > t1);
+    Alcotest.(check bool) "mid" true (t2 > t1 *. 0.5);
+    Alcotest.(check bool) "detected at 1600" true (t3 > Tvla.threshold)
+  | _ -> Alcotest.fail "expected 3 points"
+
+(* Ground truth for the verdict statistic: with both classes drawn
+   identically, each of [samples] independent per-sample t values
+   exceeds |t| = 2 with probability 2 (1 - Phi(2)) = 4.55%, at either
+   order. The hit count must sit within 4 binomial standard deviations. *)
+let test_tvla_null_calibration () =
+  let samples = 4000 in
+  let collect stream _cls = Array.init samples (fun _ -> Rng.gaussian stream) in
+  let o1, o2 = Tvla.campaign_orders (Rng.create 12) ~traces_per_class:500 ~collect in
+  let p = 0.0455 in
+  let expected = Float.of_int samples *. p in
+  let sd = sqrt (expected *. (1.0 -. p)) in
+  List.iter
+    (fun (order, r) ->
+      let hits =
+        Array.fold_left
+          (fun n t -> if Float.abs t > 2.0 then n + 1 else n)
+          0 r.Tvla.t_per_sample
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s order: %d of %d samples beyond |t| = 2 (expected %.0f +- %.0f)"
+           order hits samples expected (4.0 *. sd))
+        true
+        (Float.abs (Float.of_int hits -. expected) <= 4.0 *. sd))
+    [ ("first", o1); ("second", o2) ]
+
+(* the campaign's own diagnostic, not a stray array bounds check *)
+let documented_rejection msg =
+  Alcotest.(check bool) ("documented rejection: " ^ msg) true (String.starts_with ~prefix:"Tvla" msg)
+
+let rejects_traces ~fixed_len ~random_len () =
+  let collect _stream = function
+    | `Fixed -> Array.make fixed_len 1.0
+    | `Random -> Array.make random_len 2.0
+  in
+  match Tvla.campaign_seeded (Rng.create 13) ~traces_per_class:5 ~collect with
+  | r -> Alcotest.failf "accepted: %d samples, max|t| = %g" (Array.length r.Tvla.t_per_sample) r.Tvla.max_abs_t
+  | exception Invalid_argument msg -> documented_rejection msg
+
+let test_tvla_rejects_length_drift () =
+  (* every batch is self-consistent, but from pair 32 (the first of the
+     second batch) traces grow by one sample: caught at the merge *)
+  let calls = ref 0 in
+  let collect _stream _cls =
+    incr calls;
+    Array.make (if !calls > 64 then 4 else 3) 0.5
+  in
+  match Tvla.campaign_seeded (Rng.create 14) ~traces_per_class:50 ~collect with
+  | _ -> Alcotest.fail "accepted traces of drifting length"
+  | exception Invalid_argument msg -> documented_rejection msg
 
 let test_fig2_unaware_leaks_aware_passes () =
   let rng = Rng.create 8 in
@@ -263,7 +316,15 @@ let () =
       ("tvla",
        [ Alcotest.test_case "no false positive" `Quick test_tvla_no_leak_on_identical;
          Alcotest.test_case "detects shift" `Quick test_tvla_detects_mean_shift;
-         Alcotest.test_case "escalation" `Quick test_tvla_escalation_monotone_overall ]);
+         Alcotest.test_case "escalation" `Quick test_tvla_escalation_monotone_overall;
+         Alcotest.test_case "null calibration" `Quick test_tvla_null_calibration;
+         Alcotest.test_case "rejects fixed longer than random" `Quick
+           (rejects_traces ~fixed_len:3 ~random_len:2);
+         Alcotest.test_case "rejects random longer than fixed" `Quick
+           (rejects_traces ~fixed_len:2 ~random_len:3);
+         Alcotest.test_case "rejects empty traces" `Quick
+           (rejects_traces ~fixed_len:0 ~random_len:0);
+         Alcotest.test_case "rejects length drift" `Quick test_tvla_rejects_length_drift ]);
       ("fig2",
        [ Alcotest.test_case "aware passes, unaware leaks" `Slow test_fig2_unaware_leaks_aware_passes;
          Alcotest.test_case "variants functionally equal" `Quick test_fig2_variants_functionally_equal;
