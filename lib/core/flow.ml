@@ -251,8 +251,9 @@ type report = {
       netlist is the only [Error] case;
     - [budget] bounds the whole flow; every stage draws a sub-budget from
       it ([stage_steps] optionally caps individual stages);
-    - [pool] parallelizes the testing stage's per-fault SAT queries (the
-      flow's dominant cost); stage results stay independent of the
+    - [pool] parallelizes the testing stage's fault-dropping sweeps
+      (the SAT queries stay in order on the calling domain); stage
+      results, budget-truncated ones included, stay independent of the
       domain count;
     - a stage that exhausts its budget or fails internally is recorded
       with [degraded = Some reason] and the design passes through

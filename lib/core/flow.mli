@@ -67,8 +67,8 @@ type report = {
     [degraded = Some reason] and the design passes through unchanged so
     later stages still run. [stage_steps] caps individual stages within
     [budget]; [stages] restricts the run (default: all four, in order);
-    [pool] parallelizes the per-fault ATPG queries without changing any
-    stage result; [checkpoint_to] saves the checkpoint to disk (atomic
+    [pool] parallelizes the ATPG fault-dropping sweeps without changing
+    any stage result; [checkpoint_to] saves the checkpoint to disk (atomic
     temp+rename) after every completed stage so a killed run resumes
     from its last finished stage. *)
 val run :

@@ -6,13 +6,13 @@
     One entry point, optional capabilities — the repo-wide convention:
     {!run} always works; pass [?budget] to bound it, [?pool] to
     parallelize it, install a {!Eda_util.Telemetry} sink to observe it.
-    The engine is incremental: fixed 8-lane waves of persistent
-    {!Sat.Cnf.Stuck_at_session}s (clean circuit encoded once per lane,
-    per-fault cones under retired clause groups) with word-parallel
-    fault dropping of each fresh pattern against the remaining faults.
-    An unbounded pooled run reports bit-identically to the sequential
-    path at any domain count — the wave plan, and so every lane's query
-    history, is executor-independent. *)
+    The engine is incremental and greedy: one persistent
+    {!Sat.Cnf.Stuck_at_session} (clean circuit encoded once, per-fault
+    cones under retired clause groups) answers the head remaining fault,
+    and each fresh pattern is word-parallel fault-simulated against the
+    remaining faults to drop what it covers. The queries run in order on
+    the calling domain; a pool only spreads the fault-dropping sweeps,
+    so reports are identical at any domain count, budgeted or not. *)
 
 type pattern_result =
   | Pattern of bool array  (** input assignment that detects the fault *)
@@ -41,18 +41,22 @@ type report = {
   solver_stats : Sat.Solver.stats;  (** totals over all per-fault miter queries *)
 }
 
-(** Full ATPG campaign: greedy pattern compaction (each fresh pattern is
-    word-parallel fault-simulated against the remaining faults, 63 per
-    sweep), one budget step per fault plus one per solver conflict,
-    per-fault incremental-session SAT queries run in parallel when a
-    pool is supplied. [faults] restricts the campaign to an explicit
-    fault list (default: every stuck-at fault of the circuit) — the
-    benchmark harness uses deterministic subsets to keep large circuits
-    tractable; coverage is then relative to that list. [chunk] overrides
-    the pooled scheduling grain (default adaptive: wave size over twice
-    the domain count); scheduling-only — reports are grain-invariant.
-    Emits an [atpg.run] span with outcome/session counters and a
-    coverage gauge when telemetry is installed. *)
+(** Full ATPG campaign: a deterministic random-pattern bootstrap, then
+    one greedy loop of incremental-session SAT queries, each fresh
+    pattern word-parallel fault-simulated against the remaining faults
+    (63 per sweep). [budget] goes straight into each query: one step per
+    solver conflict plus one per fault processed, so a step cap of [k]
+    spends at most [k] conflicts and [k + 1] steps. [faults] restricts
+    the campaign to an explicit fault list (default: every stuck-at
+    fault of the circuit) — the benchmark harness uses deterministic
+    subsets to keep large circuits tractable; coverage is then relative
+    to that list. [pool] runs the fault-dropping sweeps' 63-fault batches
+    in parallel and [chunk] overrides their scheduling grain (default
+    adaptive: the batch count over twice the domain count); both are
+    scheduling only — reports are identical at any domain count and
+    grain, also when a budget truncates the run. Emits an [atpg.run]
+    span with outcome/session counters and a coverage gauge when
+    telemetry is installed. *)
 val run :
   ?budget:Eda_util.Budget.t ->
   ?pool:Eda_util.Pool.t ->

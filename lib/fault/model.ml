@@ -103,31 +103,32 @@ let wsim_create circuit =
     touched = Array.make max_lanes 0;
     ntouched = 0 }
 
-(** [detects_many w circuit ~faults pattern] fault-simulates [pattern]
-    against every fault in [faults] (at most 63) in one word-parallel
-    sweep and returns a bitmask: bit [k] is set iff [pattern] detects
-    [faults.(k)] on a primary output. Allocation-free after
-    {!wsim_create}; agrees with per-fault {!detects} lane by lane
-    (differential-tested). *)
-let detects_many w circuit ~faults pattern =
-  let nf = Array.length faults in
-  if nf > max_lanes then invalid_arg "Model.detects_many: more than 63 faults";
+(** [detects_many w circuit ~faults ~pos ~len pattern] fault-simulates
+    [pattern] against the slice [faults.(pos) .. faults.(pos + len - 1)]
+    (at most 63 faults) in one word-parallel sweep and returns a
+    bitmask: bit [k] is set iff [pattern] detects [faults.(pos + k)] on
+    a primary output. Allocation-free after {!wsim_create}; agrees with
+    per-fault {!detects} lane by lane (differential-tested). *)
+let detects_many w circuit ~faults ~pos ~len pattern =
+  if len > max_lanes then invalid_arg "Model.detects_many: more than 63 faults";
+  if pos < 0 || len < 0 || pos + len > Array.length faults then
+    invalid_arg "Model.detects_many: slice out of bounds";
   if Array.length w.values < Circuit.node_count circuit then
     invalid_arg "Model.detects_many: scratch built for a smaller circuit";
   (* Install per-lane overrides; OR so both polarities at one site and
      duplicate sites compose (each lane carries exactly one fault). *)
-  Array.iteri
-    (fun k f ->
-      let bit = 1 lsl k in
-      let v = node_of f in
-      w.touched.(w.ntouched) <- v;
-      w.ntouched <- w.ntouched + 1;
-      match f with
-      | Stuck_at { value; _ } ->
-        w.stuck_mask.(v) <- w.stuck_mask.(v) lor bit;
-        if value then w.stuck_val.(v) <- w.stuck_val.(v) lor bit
-      | Bit_flip _ -> w.flip_mask.(v) <- w.flip_mask.(v) lor bit)
-    faults;
+  for k = 0 to len - 1 do
+    let f = faults.(pos + k) in
+    let bit = 1 lsl k in
+    let v = node_of f in
+    w.touched.(w.ntouched) <- v;
+    w.ntouched <- w.ntouched + 1;
+    match f with
+    | Stuck_at { value; _ } ->
+      w.stuck_mask.(v) <- w.stuck_mask.(v) lor bit;
+      if value then w.stuck_val.(v) <- w.stuck_val.(v) lor bit
+    | Bit_flip _ -> w.flip_mask.(v) <- w.flip_mask.(v) lor bit
+  done;
   (* Clean scalar reference for the broadcast comparison. *)
   Netlist.Sim.eval_all_into circuit pattern ~into:w.clean;
   let n = Circuit.node_count circuit in
@@ -164,7 +165,7 @@ let detects_many w circuit ~faults pattern =
     w.flip_mask.(v) <- 0
   done;
   w.ntouched <- 0;
-  !detected land ((1 lsl nf) - 1)
+  !detected land ((1 lsl len) - 1)
 
 (** Fault simulation of a pattern set: returns per-fault detection. *)
 let fault_simulation circuit ~faults ~patterns =

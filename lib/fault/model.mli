@@ -35,14 +35,15 @@ type wsim
     many nodes). *)
 val wsim_create : Netlist.Circuit.t -> wsim
 
-(** [detects_many w circuit ~faults pattern] fault-simulates [pattern]
-    against every fault in [faults] in one sweep; bit [k] of the result
-    is set iff [pattern] detects [faults.(k)] on a primary output.
-    Agrees with per-fault {!detects} lane by lane; allocation-free after
-    {!wsim_create}.
-    @raise Invalid_argument when [faults] exceeds 63 entries or the
-    scratch was built for a smaller circuit. *)
-val detects_many : wsim -> Netlist.Circuit.t -> faults:fault array -> bool array -> int
+(** [detects_many w circuit ~faults ~pos ~len pattern] fault-simulates
+    [pattern] against the slice [faults.(pos) .. faults.(pos + len - 1)]
+    in one sweep; bit [k] of the result is set iff [pattern] detects
+    [faults.(pos + k)] on a primary output. Agrees with per-fault
+    {!detects} lane by lane; allocation-free after {!wsim_create}.
+    @raise Invalid_argument when [len] exceeds 63, the slice leaves
+    [faults], or the scratch was built for a smaller circuit. *)
+val detects_many :
+  wsim -> Netlist.Circuit.t -> faults:fault array -> pos:int -> len:int -> bool array -> int
 
 (** Per-fault detection by a pattern set. *)
 val fault_simulation :

@@ -270,6 +270,9 @@ module Stuck_at_session = struct
     circuit : Circuit.t;
     floor : int;  (* variable floor: everything >= floor is per-query scratch *)
     in_cone : bool array;  (* per-query cone scratch, cleared after each query *)
+    fvars : int array;  (* per-query faulty-copy variables, cone entries only *)
+    outputs : int array;  (* output node ids, sorted, without duplicates *)
+    diffs : int array;  (* per-query miter difference variables *)
     mutable queries : int;
   }
 
@@ -277,10 +280,17 @@ module Stuck_at_session = struct
 
   let create ?solver circuit =
     let env = encode ?solver circuit in
+    let n = Circuit.node_count circuit in
+    let outputs =
+      Array.of_list (List.sort_uniq compare (Array.to_list (Circuit.output_ids circuit)))
+    in
     { env;
       circuit;
       floor = (Solver.stats env.solver).Solver.vars;
-      in_cone = Array.make (Circuit.node_count circuit) false;
+      in_cone = Array.make n false;
+      fvars = Array.make n (-1);
+      outputs;
+      diffs = Array.make (Array.length outputs) (-1);
       queries = 0 }
 
   let queries t = t.queries
@@ -313,26 +323,27 @@ module Stuck_at_session = struct
     let n = Circuit.node_count circuit in
     if node < 0 || node >= n then
       invalid_arg "Cnf.Stuck_at_session.query: node out of range";
-    let in_cone = t.in_cone in
+    let in_cone = t.in_cone and fvars = t.fvars and diffs = t.diffs in
     ignore (mark_cone circuit ~node in_cone);
     (* The cone only contains indices >= node (topological order). *)
-    let clear () = Array.fill in_cone node (n - node) false in
-    let affected =
-      Array.to_list (Circuit.output_ids circuit)
-      |> List.filter (fun o -> in_cone.(o))
-      |> List.sort_uniq compare
+    let clear () =
+      for i = node to n - 1 do
+        if in_cone.(i) then begin
+          in_cone.(i) <- false;
+          fvars.(i) <- -1
+        end
+      done
     in
     t.queries <- t.queries + 1;
-    match affected with
-    | [] ->
+    if not (Array.exists (fun o -> in_cone.(o)) t.outputs) then begin
       clear ();
       Equivalent
-    | _ ->
+    end
+    else begin
       let s = t.env.solver in
       let before = Solver.stats s in
       let g = Solver.new_group s in
       let add = Solver.add_clause_in s g in
-      let fvars = Array.make n (-1) in
       T.with_span "cnf.encode"
         ~attrs:[ ("nodes", T.Int n); ("cone", T.Int (n - node)) ]
         (fun () ->
@@ -352,9 +363,10 @@ module Stuck_at_session = struct
              {!xor_var}/{!or_var} helpers are not reused here: they add
              unguarded clauses, which would outlive the group and pin
              its recycled variables.) *)
-          let diffs =
-            List.map
-              (fun o ->
+          let nd = ref 0 in
+          Array.iter
+            (fun o ->
+              if in_cone.(o) then begin
                 let d = Solver.new_var s in
                 let ld sign = Solver.lit_of_var d ~sign in
                 let la sign = Solver.lit_of_var t.env.vars.(o) ~sign in
@@ -363,18 +375,17 @@ module Stuck_at_session = struct
                 add [ ld false; la false; lb false ];
                 add [ ld true; la true; lb false ];
                 add [ ld true; la false; lb true ];
-                d)
-              affected
-          in
+                diffs.(!nd) <- d;
+                incr nd
+              end)
+            t.outputs;
           let any = Solver.new_var s in
-          List.iter
-            (fun d ->
-              add
-                [ Solver.lit_of_var any ~sign:true; Solver.lit_of_var d ~sign:false ])
-            diffs;
+          for k = 0 to !nd - 1 do
+            add [ Solver.lit_of_var any ~sign:true; Solver.lit_of_var diffs.(k) ~sign:false ]
+          done;
           add
             (Solver.lit_of_var any ~sign:false
-            :: List.map (fun d -> Solver.lit_of_var d ~sign:true) diffs);
+            :: List.init !nd (fun k -> Solver.lit_of_var diffs.(k) ~sign:true));
           add [ Solver.lit_of_var any ~sign:true ]);
       (* Activity earned on a previous fault's cone is noise for this
          query and can blow up the conflict count by an order of
@@ -398,6 +409,7 @@ module Stuck_at_session = struct
       Option.iter (fun f -> f (stats_delta before after)) on_stats;
       clear ();
       answer
+    end
 end
 
 (** Unbounded equivalence check; [None] when equivalent, or a

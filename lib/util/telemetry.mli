@@ -350,9 +350,11 @@ module Trace : sig
 
       Direction is per metric: span totals and counters generally
       measure work (bigger is the regression), but optimization-health
-      counters ([atpg.session_reused], [atpg.faults_dropped],
-      [atpg.covered_by_simulation]) invert — a {e drop} means the fast
-      path stopped engaging and reads as [Regression]; neutral workload
+      counters ([atpg.session_reused], the SAT queries answered by the
+      campaign's already-encoded session; [atpg.faults_dropped] and
+      [atpg.covered_by_simulation], the faults swept by fault-simulating
+      a pattern) invert — a {e drop} means the fast path stopped
+      engaging and reads as [Regression]; neutral workload
       descriptors ([sat.groups_retired], [synth.gates_added],
       [event_sim.transitions]) and gauges read as [Changed]. *)
   val diff_traces : ?threshold:float -> ?min_duration:float -> base:t -> t -> diff

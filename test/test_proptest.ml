@@ -412,6 +412,38 @@ let test_session_budget_resume () =
     faults;
   Alcotest.(check bool) "at least one query hit the budget" true (!unknowns > 0)
 
+let test_atpg_ground_truth () =
+  (* Unbudgeted campaigns checked against independent ground truth: the
+     pattern set's simulated coverage is exactly the reported coverage,
+     every reported untestable fault is re-proven by a fresh per-fault
+     solver, and detected plus untestable accounts for every fault. *)
+  let untestable_seen = ref 0 in
+  let arb =
+    P.pair family_arb (P.pair (P.int_range 0 1_000_000) (P.int_range 24 160))
+  in
+  let show (fam, (seed, tgt)) =
+    Printf.sprintf "%s seed=%d target=%d" (BG.family_name fam) seed tgt
+  in
+  P.check_exn ~count:30 ~name:"ATPG report matches fault simulation and fresh proofs"
+    { arb with P.show }
+    (fun (fam, (seed, tgt)) ->
+      let c = BG.sized ~seed fam ~target_gates:tgt in
+      let faults = Fault.Model.all_stuck_at_faults c in
+      let r = Dft.Atpg.run c in
+      let detected =
+        List.length
+          (List.filter snd
+             (Fault.Model.fault_simulation c ~faults ~patterns:r.Dft.Atpg.patterns))
+      in
+      let untestable = r.Dft.Atpg.untestable in
+      untestable_seen := !untestable_seen + List.length untestable;
+      r.Dft.Atpg.exhausted = None
+      && Int64.bits_of_float r.Dft.Atpg.coverage
+         = Int64.bits_of_float (Fault.Model.coverage c ~faults ~patterns:r.Dft.Atpg.patterns)
+      && List.for_all (fun f -> Dft.Atpg.generate c f = Dft.Atpg.Untestable) untestable
+      && detected + List.length untestable = r.Dft.Atpg.faults_total);
+  Alcotest.(check bool) "some campaign reported untestable faults" true (!untestable_seen > 0)
+
 let test_detects_many_differential () =
   (* Lane k of the word-parallel fault simulation must agree with the
      scalar [detects] oracle, and reusing the scratch must not leak state
@@ -433,8 +465,12 @@ let test_detects_many_differential () =
         faults.(1) <- Fault.Model.Bit_flip { node = Fault.Model.node_of faults.(1) };
       let pattern = Array.init (Circuit.num_inputs c) (fun _ -> Rng.bool rng) in
       let w = Fault.Model.wsim_create c in
-      let mask = Fault.Model.detects_many w c ~faults pattern in
-      let again = Fault.Model.detects_many w c ~faults pattern in
+      let mask = Fault.Model.detects_many w c ~faults ~pos:0 ~len:nf pattern in
+      (* The same faults as a slice at an offset of a longer array. *)
+      let padded = Array.append all faults in
+      let again =
+        Fault.Model.detects_many w c ~faults:padded ~pos:(Array.length all) ~len:nf pattern
+      in
       let lanes_agree = ref true in
       Array.iteri
         (fun k f ->
@@ -823,6 +859,7 @@ let () =
           Alcotest.test_case "session budget resume" `Quick test_session_budget_resume;
           Alcotest.test_case "word fault drop vs scalar" `Quick
             test_detects_many_differential;
+          Alcotest.test_case "atpg vs ground truth" `Quick test_atpg_ground_truth;
           Alcotest.test_case "event engine vs reference" `Quick test_event_sim_differential;
           Alcotest.test_case "pinned event storm" `Quick test_event_storm_pinned;
           Alcotest.test_case "HW sampler vs model" `Quick test_hw_sampler_differential;

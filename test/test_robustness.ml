@@ -150,6 +150,56 @@ let test_atpg_partial_coverage () =
     (full.Dft.Atpg.solver_stats.Sat.Solver.conflicts >= 0
      && full.Dft.Atpg.solver_stats.Sat.Solver.decisions >= 0)
 
+(* A step cap is a real cap. The SAT residue of this 540-node c6288-class
+   multiplier needs more than [cap] conflicts, so a capped run must stop
+   at the cap: at most [cap] conflicts, and at most one step beyond it
+   (the per-fault charge of a query whose last conflict spent the
+   balance but still concluded). *)
+let step_capped_multiplier () = Netlist.Bench_gen.sized ~seed:1 Netlist.Bench_gen.C6288 ~target_gates:600
+
+let test_atpg_step_cap_is_real () =
+  let c = step_capped_multiplier () in
+  let cap = 500 in
+  let full = Dft.Atpg.run c in
+  Alcotest.(check bool) "the residue needs more than the cap" true
+    (full.Dft.Atpg.solver_stats.Sat.Solver.conflicts > cap);
+  let b = Budget.create ~steps:cap () in
+  let r = Dft.Atpg.run ~budget:b c in
+  Alcotest.(check bool) "exhaustion reported" true (r.Dft.Atpg.exhausted <> None);
+  Alcotest.(check bool)
+    (Printf.sprintf "conflicts %d <= cap %d" r.Dft.Atpg.solver_stats.Sat.Solver.conflicts cap)
+    true
+    (r.Dft.Atpg.solver_stats.Sat.Solver.conflicts <= cap);
+  Alcotest.(check bool)
+    (Printf.sprintf "consumed %d <= cap + 1" (Budget.consumed_steps b))
+    true
+    (Budget.consumed_steps b <= cap + 1)
+
+let test_flow_testing_stage_cap_is_real () =
+  let module T = Eda_util.Telemetry in
+  let c = step_capped_multiplier () in
+  let cap = 500 in
+  let root = Budget.unlimited () in
+  let sink, _events = T.memory_sink () in
+  let conflicts =
+    T.with_sink sink (fun () ->
+        match
+          Flow.run (Rng.create 1) ~budget:root
+            ~stage_steps:(function Flow.Testing -> Some cap | _ -> None)
+            ~stages:[ Flow.Testing ] c
+        with
+        | Error e -> Alcotest.fail (Eda_error.to_string e)
+        | Ok r ->
+          Alcotest.(check int) "testing stage degraded" 1 r.Flow.degraded_stages;
+          T.counter_total "sat.conflicts")
+  in
+  Alcotest.(check bool) (Printf.sprintf "conflicts %d <= cap %d" conflicts cap) true
+    (conflicts <= cap);
+  Alcotest.(check bool)
+    (Printf.sprintf "consumed %d <= cap + 1" (Budget.consumed_steps root))
+    true
+    (Budget.consumed_steps root <= cap + 1)
+
 let test_placement_budget_truncates_moves () =
   let c = Gen.alu 4 in
   let rng = Rng.create 3 in
@@ -488,6 +538,9 @@ let () =
       ("budgeted engines",
        [ Alcotest.test_case "sat-attack exhaustion" `Quick test_sat_attack_budget_exhaustion;
          Alcotest.test_case "atpg partial coverage" `Quick test_atpg_partial_coverage;
+         Alcotest.test_case "atpg step cap is real" `Quick test_atpg_step_cap_is_real;
+         Alcotest.test_case "flow testing cap is real" `Quick
+           test_flow_testing_stage_cap_is_real;
          Alcotest.test_case "placement truncated moves" `Quick
            test_placement_budget_truncates_moves ]);
       ("malformed netlists",
