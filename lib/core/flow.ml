@@ -1,6 +1,6 @@
 (** The end-to-end EDA flow of Fig. 1: synthesize -> place -> verify
-    timing/power -> generate tests, behind one budgeted, poolable,
-    checkpointable entry point ({!run}). With [protect] empty the flow is
+    timing/power -> generate tests, behind one budgeted, checkpointable
+    entry point ({!run}). With [protect] empty the flow is
     fully security-oblivious, exactly the classical PPA flow the paper
     critiques; [protect] threads protection barriers through synthesis. *)
 
@@ -251,10 +251,9 @@ type report = {
       netlist is the only [Error] case;
     - [budget] bounds the whole flow; every stage draws a sub-budget from
       it ([stage_steps] optionally caps individual stages);
-    - [pool] parallelizes the testing stage's fault-dropping sweeps
-      (the SAT queries stay in order on the calling domain); stage
-      results, budget-truncated ones included, stay independent of the
-      domain count;
+    - [pool] is passed to the testing stage's {!Dft.Atpg.run}, which
+      runs on the calling domain and ignores it; stage results,
+      budget-truncated ones included, do not depend on it;
     - a stage that exhausts its budget or fails internally is recorded
       with [degraded = Some reason] and the design passes through
       unchanged, so later stages still run;

@@ -1,8 +1,9 @@
 (** The end-to-end EDA flow of Fig. 1 (synthesis -> placement ->
     timing/power verification -> testing) behind one entry point with
-    optional capabilities: [?budget] bounds every stage, [?pool]
-    parallelizes the testing stage, [?resume] continues a checkpointed
-    run, telemetry is ambient. With [protect] unset the flow is the
+    optional capabilities: [?budget] bounds every stage, [?pool] is
+    accepted for the uniform engine signature (no stage runs in parallel
+    at present), [?resume] continues a checkpointed run, telemetry is
+    ambient. With [protect] unset the flow is the
     security-oblivious classical PPA flow the paper critiques. *)
 
 type stage = Logic_synthesis | Physical_synthesis | Timing_power_verification | Testing
@@ -67,8 +68,8 @@ type report = {
     [degraded = Some reason] and the design passes through unchanged so
     later stages still run. [stage_steps] caps individual stages within
     [budget]; [stages] restricts the run (default: all four, in order);
-    [pool] parallelizes the ATPG fault-dropping sweeps without changing
-    any stage result; [checkpoint_to] saves the checkpoint to disk (atomic
+    [pool] is passed to ATPG, which ignores it (no stage result depends
+    on it); [checkpoint_to] saves the checkpoint to disk (atomic
     temp+rename) after every completed stage so a killed run resumes
     from its last finished stage. *)
 val run :

@@ -68,50 +68,21 @@ type campaign = {
   mutable hi : int;
   mutable exhausted_by : Eda_util.Budget.exhaustion option;
   mutable totals : Solver.stats;
-  pool : Eda_util.Pool.t option;
-  chunk : int option;
-  wsims : Fault.Model.wsim array;  (* fault-dropping scratch, one per pool slot *)
+  wsim : Fault.Model.wsim;  (* fault-dropping scratch *)
 }
 
 (* Word-parallel fault dropping: fault-simulate pattern [p] against the
    live faults in 63-fault batches ({!Fault.Model.detects_many}, one
    word lane per fault) and compact the undetected survivors in place,
-   in order. Returns the number of faults dropped. With a pool the
-   batches run through [Pool.parallel_map] (scheduling grain [chunk],
-   default half a domain's share of the batches) before the sequential
-   compaction, so survivors are concatenated in batch order; the sweep
-   takes no budget and always completes, which keeps the campaign
-   independent of the executor. *)
+   in order. Returns the number of faults dropped. *)
 let drop_detected st circuit p =
-  let module P = Eda_util.Pool in
   let lo = st.lo and live = st.hi - st.lo in
-  let nbatches = (live + 62) / 63 in
-  let batch_len b = min 63 (live - (63 * b)) in
-  let mask wsim b =
-    Fault.Model.detects_many wsim circuit ~faults:st.faults ~pos:(lo + (63 * b))
-      ~len:(batch_len b) p
-  in
-  let mask_of =
-    match st.pool with
-    | None -> mask st.wsims.(0)
-    | Some pool ->
-      let grain =
-        match st.chunk with
-        | Some c -> c
-        | None -> max 1 (nbatches / (2 * P.size pool))
-      in
-      let masks =
-        P.parallel_map ~label:"atpg.drop" ~chunk:grain pool
-          ~f:(fun ctx b -> mask st.wsims.(ctx.P.slot) b)
-          (Array.init nbatches Fun.id)
-      in
-      fun b -> Option.get masks.(b)
-  in
   (* The write cursor never passes the batch being read. *)
   let w = ref lo in
-  for b = 0 to nbatches - 1 do
-    let m = mask_of b and base = lo + (63 * b) in
-    for k = 0 to batch_len b - 1 do
+  for b = 0 to ((live + 62) / 63) - 1 do
+    let base = lo + (63 * b) and len = min 63 (live - (63 * b)) in
+    let m = Fault.Model.detects_many st.wsim circuit ~faults:st.faults ~pos:base ~len p in
+    for k = 0 to len - 1 do
       if (m lsr k) land 1 = 0 then begin
         st.faults.(!w) <- st.faults.(base + k);
         incr w
@@ -219,12 +190,9 @@ let generate_in session ?budget ?on_stats fault =
     spends at most that balance, so a step cap of [k] is never
     overspent by more than one step. On exhaustion the run stops and
     reports honest partial coverage with the unprocessed fault count.
-    [pool] parallelizes the fault-dropping sweeps (63-fault batches);
-    [chunk] overrides their scheduling grain (default adaptive: the
-    batch count over twice the domain count). Both are scheduling only:
-    the SAT queries always run in order on the calling domain and the
-    sweeps take no budget, so reports are identical at any domain count
-    and grain, also when a budget truncates the run.
+    The whole campaign runs on the calling domain: [pool] and [chunk]
+    are accepted for the uniform engine signature and ignored, so
+    reports are identical with or without them.
 
     Telemetry: an [atpg.run] span over the whole campaign with per-fault
     outcome counters ([atpg.detected] for SAT-generated patterns,
@@ -233,13 +201,10 @@ let generate_in session ?budget ?on_stats fault =
     [atpg.abstained]), session counters ([atpg.session_reused] per query
     answered by the already-encoded session, [sat.groups_retired] from
     the solver, per-query [cnf.encode] spans for the encode-vs-solve
-    split) and a final [atpg.coverage] gauge. Pooled sweeps add
-    [pool.batch] spans. *)
-let run ?budget ?pool ?chunk ?faults circuit =
+    split) and a final [atpg.coverage] gauge. *)
+let run ?budget ?pool:_ ?chunk:_ ?faults circuit =
   let module T = Eda_util.Telemetry in
-  let domains = match pool with Some p -> Eda_util.Pool.size p | None -> 1 in
-  T.with_span "atpg.run"
-    ~attrs:[ ("nodes", T.Int (Circuit.node_count circuit)); ("domains", T.Int domains) ]
+  T.with_span "atpg.run" ~attrs:[ ("nodes", T.Int (Circuit.node_count circuit)) ]
     (fun () ->
       let faults =
         match faults with Some fs -> fs | None -> Fault.Model.all_stuck_at_faults circuit
@@ -253,9 +218,7 @@ let run ?budget ?pool ?chunk ?faults circuit =
           hi = Array.length faults;
           exhausted_by = None;
           totals = zero_stats;
-          pool;
-          chunk;
-          wsims = Array.init domains (fun _ -> Fault.Model.wsim_create circuit) }
+          wsim = Fault.Model.wsim_create circuit }
       in
       random_pattern_bootstrap st circuit;
       let session = ref None in

@@ -4,15 +4,15 @@
     proves the fault untestable (redundant logic).
 
     One entry point, optional capabilities — the repo-wide convention:
-    {!run} always works; pass [?budget] to bound it, [?pool] to
-    parallelize it, install a {!Eda_util.Telemetry} sink to observe it.
-    The engine is incremental and greedy: one persistent
-    {!Sat.Cnf.Stuck_at_session} (clean circuit encoded once, per-fault
-    cones under retired clause groups) answers the head remaining fault,
-    and each fresh pattern is word-parallel fault-simulated against the
-    remaining faults to drop what it covers. The queries run in order on
-    the calling domain; a pool only spreads the fault-dropping sweeps,
-    so reports are identical at any domain count, budgeted or not. *)
+    {!run} always works; pass [?budget] to bound it, install a
+    {!Eda_util.Telemetry} sink to observe it. The engine is incremental
+    and greedy: one persistent {!Sat.Cnf.Stuck_at_session} (clean
+    circuit encoded once, per-fault cones under retired clause groups)
+    answers the head remaining fault, and each fresh pattern is
+    word-parallel fault-simulated against the remaining faults to drop
+    what it covers. The whole campaign runs in order on the calling
+    domain; [?pool] is accepted for the uniform engine signature and
+    ignored, so reports are identical with or without one. *)
 
 type pattern_result =
   | Pattern of bool array  (** input assignment that detects the fault *)
@@ -50,13 +50,11 @@ type report = {
     the campaign to an explicit fault list (default: every stuck-at
     fault of the circuit) — the benchmark harness uses deterministic
     subsets to keep large circuits tractable; coverage is then relative
-    to that list. [pool] runs the fault-dropping sweeps' 63-fault batches
-    in parallel and [chunk] overrides their scheduling grain (default
-    adaptive: the batch count over twice the domain count); both are
-    scheduling only — reports are identical at any domain count and
-    grain, also when a budget truncates the run. Emits an [atpg.run]
-    span with outcome/session counters and a coverage gauge when
-    telemetry is installed. *)
+    to that list. [pool] and [chunk] are ignored: the campaign runs on
+    the calling domain, so reports are identical with or without them,
+    also when a budget truncates the run. Emits an [atpg.run] span with
+    outcome/session counters and a coverage gauge when telemetry is
+    installed. *)
 val run :
   ?budget:Eda_util.Budget.t ->
   ?pool:Eda_util.Pool.t ->

@@ -1,8 +1,8 @@
 (** Fixed-size [Domain.t] worker pool with deterministic reduction.
 
-    The engines this pool serves (ATPG fault-dropping sweeps, TVLA
-    trace batches, multi-start placement, SAT-attack portfolios) are
-    loops over independent tasks. The pool runs those tasks on [size] domains — the
+    The engines this pool serves (TVLA trace batches, multi-start
+    placement, SAT-attack portfolios) are loops over independent tasks.
+    The pool runs those tasks on [size] domains — the
     calling domain participates as slot 0, [size - 1] spawned domains
     fill the rest — while keeping every *result* independent of the
     domain count:

@@ -165,8 +165,8 @@ let test_atpg_partial_under_pooled_budget () =
   Pool.with_pool ~num_domains:2 (fun p ->
       let b = Budget.create ~steps:12 () in
       let r = Dft.Atpg.run ~budget:b ~pool:p c in
-      (* The budget only reaches the SAT queries, which run in order on
-         the calling domain, so truncation lands at the same fault. *)
+      (* ATPG runs on the calling domain and ignores the pool, so
+         truncation lands at the same fault. *)
       Alcotest.(check bool) "truncated report equals the sequential one" true (r = seq);
       Alcotest.(check bool) "exhaustion reported" true (r.Dft.Atpg.exhausted <> None);
       Alcotest.(check bool) "some faults left" true (r.Dft.Atpg.faults_remaining > 0);
