@@ -1,16 +1,12 @@
 (* Experiment harness: regenerates every table and figure of the paper
    (Knechtel et al., DATE 2020) in measurable form, plus the Sec. IV
-   composition/step-function experiments and Bechamel micro-benchmarks.
+   composition/step-function experiments, attack/defense curves and
+   ablations. Performance lives elsewhere: perfbench/ is the end-to-end
+   harness, and test/ holds the differential oracles.
 
    Run everything:        dune exec bench/main.exe
    Run one section:       dune exec bench/main.exe -- fig2
-   Sections: table1 table2 fig1 fig2 composition stepfn curves ablations micro perf
-
-   The perf section additionally writes BENCH_perf.json — a machine-readable
-   report built from the telemetry counters the engines emit, including a
-   before/after comparison of the allocation-free SAT and simulation hot
-   paths against the retained reference implementations. Pass --smoke
-   (with perf) to shrink the comparison workloads for CI. *)
+   Sections: table1 table2 fig1 fig2 composition stepfn curves ablations *)
 
 module Rng = Eda_util.Rng
 module Circuit = Netlist.Circuit
@@ -24,9 +20,6 @@ let banner title =
 let flow_ok = function
   | Ok r -> r
   | Error e -> failwith (Eda_util.Eda_error.to_string e)
-
-(* Domain-count cap for the pool speedup sweep (perf section): -j N. *)
-let jobs = ref (Eda_util.Pool.default_jobs ())
 
 let subbanner title = Printf.printf "\n--- %s ---\n" title
 
@@ -659,973 +652,10 @@ let ablations () =
      \     masked-area cost yet fails the SCA threshold (the Sec. IV trap).\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks.                                          *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  banner "MICRO — Bechamel timings of the toolkit's core operations";
-  let open Bechamel in
-  let c17 = Gen.c17 () in
-  let alu = Gen.alu 4 in
-  let sbox = Crypto.Sbox_circuit.aes_sbox () in
-  let rng = Rng.create 5 in
-  let alu_inputs = Array.init 10 (fun _ -> Rng.bool rng) in
-  let sbox_inputs = Crypto.Sbox_circuit.byte_to_bits 0xA5 in
-  let masked = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
-  let tests =
-    [ Test.make ~name:"sim_alu4" (Staged.stage (fun () -> ignore (Netlist.Sim.eval alu alu_inputs)));
-      Test.make ~name:"sim_aes_sbox" (Staged.stage (fun () -> ignore (Netlist.Sim.eval sbox sbox_inputs)));
-      Test.make ~name:"sim_word_alu4"
-        (Staged.stage
-           (let words = Array.make 10 0x5A5A5A5A in
-            fun () -> ignore (Netlist.Sim.eval_word alu words)));
-      Test.make ~name:"event_sim_alu4"
-        (Staged.stage (fun () ->
-             ignore
-               (Timing.Event_sim.cycle alu ~prev_inputs:(Array.make 10 false)
-                  ~next_inputs:(Array.make 10 true))));
-      Test.make ~name:"sat_equiv_c17"
-        (Staged.stage (fun () -> ignore (Sat.Cnf.check_equivalence c17 c17)));
-      Test.make ~name:"synth_optimize_alu4" (Staged.stage (fun () -> ignore (Synth.Flow.optimize alu)));
-      Test.make ~name:"power_hw_sample_masked"
-        (Staged.stage
-           (let r = Rng.create 9 in
-            fun () ->
-              let vec = Sidechannel.Isw.input_vector r masked ~values:[ ("a", true); ("b", true) ] in
-              ignore
-                (Power.Model.hamming_weight_sample r masked.Sidechannel.Isw.circuit
-                   ~noise_sigma:0.3 ~inputs:vec)));
-      Test.make ~name:"sat_attack_epic8_alu4"
-        (Staged.stage
-           (let r = Rng.create 11 in
-            fun () ->
-              let source = Gen.alu 4 in
-              let locked = Locking.Lock.epic r ~key_bits:8 source in
-              ignore
-                (Locking.Sat_attack.run ~oracle:(Locking.Sat_attack.oracle_of_circuit source) locked))) ]
-  in
-  let grouped = Test.make_grouped ~name:"secure_eda" ~fmt:"%s %s" tests in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] grouped in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Printf.printf "  %-36s %16s\n" "benchmark" "time per run";
-  let rows = Hashtbl.fold (fun name ols_result acc -> (name, ols_result) :: acc) results [] in
-  List.iter
-    (fun (name, ols_result) ->
-      match Analyze.OLS.estimates ols_result with
-      | Some (ns :: _) ->
-        let pretty =
-          if ns > 1e9 then Printf.sprintf "%8.2f s" (ns /. 1e9)
-          else if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-          else if ns > 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-          else Printf.sprintf "%8.0f ns" ns
-        in
-        Printf.printf "  %-36s %16s\n" name pretty
-      | Some [] | None -> Printf.printf "  %-36s %16s\n" name "n/a")
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry-backed perf report: machine-readable BENCH_perf.json.     *)
-(* ------------------------------------------------------------------ *)
-
-(* Reduced workload sizes for CI (--smoke). *)
-let smoke = ref false
-
-(* Before/after harness for the allocation-free hot paths: the identical
-   workload drives both the production engines and the reference
-   implementations retained from before the optimization ([Reference.Solver_ref];
-   local copies of the old allocating simulation loops below). *)
-module Perf_compare = struct
-  module Solver = Sat.Solver
-  module Ref = Reference.Solver_ref
-  module Gate = Netlist.Gate
-
-  (* Minimal solver interface, so one SAT-attack workload can run against
-     either implementation with a bit-identical clause stream. *)
-  type ops = {
-    new_vars : int -> int;  (* allocate a contiguous block, return first *)
-    add_clause : int list -> unit;
-    solve : int list -> bool;  (* under assumptions; true = SAT *)
-    model : int -> bool;
-  }
-
-  let solver_ops s =
-    { new_vars = (fun n -> Solver.new_vars s n);
-      add_clause = (fun lits -> Solver.add_clause s lits);
-      solve = (fun assumptions -> Solver.solve ~assumptions s = Solver.Sat);
-      model = (fun v -> Solver.model_value s v) }
-
-  let ref_ops s =
-    { new_vars =
-        (fun n ->
-          let first = Ref.new_var s in
-          for _ = 2 to n do
-            ignore (Ref.new_var s)
-          done;
-          first);
-      add_clause = (fun lits -> Ref.add_clause s lits);
-      solve = (fun assumptions -> Ref.solve ~assumptions s = Ref.Sat);
-      model = (fun v -> Ref.model_value s v) }
-
-  let plit v = Solver.lit_of_var v ~sign:true
-  let nlit v = Solver.lit_of_var v ~sign:false
-
-  (* Tseitin encoding of a circuit copy; returns the per-node variable
-     array. DFFs are treated as free inputs (combinational abstraction,
-     same as the production CNF layer). *)
-  let encode ops c =
-    let n = Circuit.node_count c in
-    let base = ops.new_vars n in
-    let v i = base + i in
-    for i = 0 to n - 1 do
-      let nd = Circuit.node c i in
-      let f k = v nd.Circuit.fanins.(k) in
-      let y = v i in
-      match nd.Circuit.kind with
-      | Gate.Input | Gate.Dff -> ()
-      | Gate.Const b -> ops.add_clause [ (if b then plit y else nlit y) ]
-      | Gate.Buf ->
-        ops.add_clause [ nlit y; plit (f 0) ];
-        ops.add_clause [ plit y; nlit (f 0) ]
-      | Gate.Not ->
-        ops.add_clause [ nlit y; nlit (f 0) ];
-        ops.add_clause [ plit y; plit (f 0) ]
-      | Gate.And ->
-        ops.add_clause [ nlit y; plit (f 0) ];
-        ops.add_clause [ nlit y; plit (f 1) ];
-        ops.add_clause [ plit y; nlit (f 0); nlit (f 1) ]
-      | Gate.Nand ->
-        ops.add_clause [ plit y; plit (f 0) ];
-        ops.add_clause [ plit y; plit (f 1) ];
-        ops.add_clause [ nlit y; nlit (f 0); nlit (f 1) ]
-      | Gate.Or ->
-        ops.add_clause [ plit y; nlit (f 0) ];
-        ops.add_clause [ plit y; nlit (f 1) ];
-        ops.add_clause [ nlit y; plit (f 0); plit (f 1) ]
-      | Gate.Nor ->
-        ops.add_clause [ nlit y; nlit (f 0) ];
-        ops.add_clause [ nlit y; nlit (f 1) ];
-        ops.add_clause [ plit y; plit (f 0); plit (f 1) ]
-      | Gate.Xor ->
-        ops.add_clause [ nlit y; plit (f 0); plit (f 1) ];
-        ops.add_clause [ nlit y; nlit (f 0); nlit (f 1) ];
-        ops.add_clause [ plit y; nlit (f 0); plit (f 1) ];
-        ops.add_clause [ plit y; plit (f 0); nlit (f 1) ]
-      | Gate.Xnor ->
-        ops.add_clause [ plit y; plit (f 0); plit (f 1) ];
-        ops.add_clause [ plit y; nlit (f 0); nlit (f 1) ];
-        ops.add_clause [ nlit y; nlit (f 0); plit (f 1) ];
-        ops.add_clause [ nlit y; plit (f 0); nlit (f 1) ]
-      | Gate.Mux ->
-        let s = f 0 and d0 = f 1 and d1 = f 2 in
-        ops.add_clause [ nlit s; nlit d1; plit y ];
-        ops.add_clause [ nlit s; plit d1; nlit y ];
-        ops.add_clause [ plit s; nlit d0; plit y ];
-        ops.add_clause [ plit s; plit d0; nlit y ]
-    done;
-    Array.init n (fun i -> v i)
-
-  let xor_var ops a b =
-    let t = ops.new_vars 1 in
-    ops.add_clause [ nlit t; plit a; plit b ];
-    ops.add_clause [ nlit t; nlit a; nlit b ];
-    ops.add_clause [ plit t; nlit a; plit b ];
-    ops.add_clause [ plit t; plit a; nlit b ];
-    t
-
-  let or_var ops ds =
-    let t = ops.new_vars 1 in
-    List.iter (fun d -> ops.add_clause [ nlit d; plit t ]) ds;
-    ops.add_clause (nlit t :: List.map plit ds);
-    t
-
-  let tie ops a b =
-    ops.add_clause [ nlit a; plit b ];
-    ops.add_clause [ plit a; nlit b ]
-
-  let fix ops v b = ops.add_clause [ (if b then plit v else nlit v) ]
-
-  (* The oracle-guided DIP loop of the SAT attack, generic over [ops] —
-     structurally the same incremental workload [Locking.Sat_attack] puts
-     on the solver (double-encoded miter, growing I/O constraints).
-     Returns the number of DIP iterations. *)
-  let dip_attack ops ~original (locked : Locking.Lock.locked) =
-    let c = locked.Locking.Lock.circuit in
-    let vars_a = encode ops c in
-    let vars_b = encode ops c in
-    let key env = Array.map (fun id -> env.(id)) locked.Locking.Lock.key_inputs in
-    let data env = Array.map (fun id -> env.(id)) locked.Locking.Lock.data_inputs in
-    let outs env = Array.map (fun o -> env.(o)) (Circuit.output_ids c) in
-    Array.iteri (fun k va -> tie ops va (data vars_b).(k)) (data vars_a);
-    let diffs =
-      Array.to_list
-        (Array.mapi (fun k oa -> xor_var ops oa (outs vars_b).(k)) (outs vars_a))
-    in
-    let miter_on = plit (or_var ops diffs) in
-    let iterations = ref 0 in
-    while ops.solve [ miter_on ] do
-      incr iterations;
-      let dip = Array.map ops.model (data vars_a) in
-      let response = Netlist.Sim.eval original dip in
-      List.iter
-        (fun env_keys ->
-          let vars_f = encode ops c in
-          Array.iteri (fun k v -> fix ops v dip.(k)) (data vars_f);
-          Array.iteri (fun k v -> fix ops v response.(k)) (outs vars_f);
-          Array.iteri (fun k v -> tie ops v env_keys.(k)) (key vars_f))
-        [ key vars_a; key vars_b ]
-    done;
-    ignore (ops.solve []);  (* final key extraction, as in the real attack *)
-    !iterations
-
-  (* The pre-optimization word simulation, verbatim shape: one input-word
-     array per pattern batch, one result array per call, one operand array
-     per gate ([Gate.eval_word] over [Array.map]). *)
-  let eval_all_word_alloc c inputs =
-    let values = Array.make (Circuit.node_count c) 0 in
-    let next_input = ref 0 in
-    for i = 0 to Circuit.node_count c - 1 do
-      let nd = Circuit.node c i in
-      match nd.Circuit.kind with
-      | Gate.Input ->
-        values.(i) <- inputs.(!next_input);
-        incr next_input
-      | Gate.Dff -> values.(i) <- 0
-      | k ->
-        values.(i) <- Gate.eval_word k (Array.map (fun f -> values.(f)) nd.Circuit.fanins)
-    done;
-    values
-
-  (* Pre-optimization Hamming weight: the bit-at-a-time loop Stats used
-     before the SWAR popcount (same values, 63 iterations per word). *)
-  let hamming_weight_loop x =
-    let rec loop acc i =
-      if i >= 63 then acc else loop (acc + ((x lsr i) land 1)) (i + 1)
-    in
-    loop 0 0
-
-  let signal_probabilities_alloc rng ~patterns c =
-    let ni = Circuit.num_inputs c in
-    let words = max 1 ((patterns + 62) / 63) in
-    let ones = Array.make (Circuit.node_count c) 0 in
-    for _ = 1 to words do
-      let inputs =
-        (* boxed Int64 draw, as the pre-PR [Rng] forced on every caller *)
-        Array.init ni (fun _ -> Int64.to_int (Rng.next_int64 rng))
-      in
-      let values = eval_all_word_alloc c inputs in
-      Array.iteri
-        (fun i w -> ones.(i) <- ones.(i) + hamming_weight_loop w)
-        values
-    done;
-    Array.map (fun k -> Float.of_int k /. Float.of_int (words * 63)) ones
-
-  (* CPU time + allocation profile of [f]: (result, seconds, allocated
-     words, major-heap words). Allocation accounting rides the same
-     [Telemetry.alloc_snapshot] primitive the tracer uses for per-span
-     GC deltas, so bench and traces report from one cost model. *)
-  let measured f =
-    Gc.full_major ();
-    let g0 = Eda_util.Telemetry.alloc_snapshot () in
-    let t0 = Sys.time () in
-    let r = f () in
-    let dt = Sys.time () -. t0 in
-    let d = Eda_util.Telemetry.alloc_since g0 in
-    (r, Float.max dt 1e-9, d.Eda_util.Telemetry.alloc_words,
-     d.Eda_util.Telemetry.major_words)
-
-  (* Wrap [ops.solve] so the solver's own search phase is timed and
-     GC-profiled apart from the bench-side CNF encoding (which is shared
-     verbatim between the two implementations and would otherwise dilute
-     the comparison). Returns the wrapped ops plus accumulators. *)
-  let instrument_solve ops =
-    let seconds = ref 0.0 and allocated = ref 0.0 in
-    let solve assumptions =
-      let g0 = Eda_util.Telemetry.alloc_snapshot () in
-      let t0 = Sys.time () in
-      let r = ops.solve assumptions in
-      seconds := !seconds +. (Sys.time () -. t0);
-      allocated :=
-        !allocated +. (Eda_util.Telemetry.alloc_since g0).Eda_util.Telemetry.alloc_words;
-      r
-    in
-    ({ ops with solve }, seconds, allocated)
-end
-
-let perf () =
-  banner "PERF — telemetry-instrumented engine runs (writes BENCH_perf.json)";
-  let module T = Eda_util.Telemetry in
-  Printf.printf
-    "Each workload runs under an in-memory telemetry sink; the JSON below\n\
-     is built from the same spans and counters the JSONL exporter streams.\n";
-  (* Overhead of disabled telemetry: with_span with no sink installed must
-     stay in the nanoseconds — the no-measurable-slowdown guarantee the
-     engines rely on to keep instrumentation always-on. *)
-  let iterations = 1_000_000 in
-  let timed f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, Sys.time () -. t0)
-  in
-  let (), span_s =
-    timed (fun () ->
-        for i = 1 to iterations do
-          T.with_span "noop" (fun () -> ignore (Sys.opaque_identity i))
-        done)
-  in
-  let (), base_s =
-    timed (fun () ->
-        for i = 1 to iterations do
-          (fun () -> ignore (Sys.opaque_identity i)) ()
-        done)
-  in
-  let overhead_ns = 1e9 *. (span_s -. base_s) /. Float.of_int iterations in
-  Printf.printf "  disabled with_span overhead: %.1f ns/call (%d calls)\n"
-    (Float.max 0.0 overhead_ns) iterations;
-  (* Representative instrumented workloads, one per engine family.
-     [gates] is the node count of the circuit the workload runs on, so
-     every JSON row is interpretable as cost-at-size. *)
-  let workload name ~gates f =
-    let sink, events = T.memory_sink () in
-    let (counters, gauges), seconds =
-      timed (fun () ->
-          T.with_sink sink (fun () ->
-              f ();
-              (T.counter_totals (), T.gauge_last "atpg.coverage")))
-    in
-    ignore gauges;
-    let spans =
-      List.length (List.filter (fun e -> e.T.kind = T.Span_end) (events ()))
-    in
-    Printf.printf "  %-24s %8.3f s  %4d span(s)\n" name seconds spans;
-    T.Json.JObj
-      [ ("name", T.Json.JStr name);
-        ("gates", T.Json.JInt gates);
-        ("seconds", T.Json.JFloat seconds);
-        ("spans", T.Json.JInt spans);
-        ( "counters",
-          T.Json.JObj (List.map (fun (k, v) -> (k, T.Json.JInt v)) counters) ) ]
-  in
-  let rng = Rng.create 7 in
-  let alu = Gen.alu 4 in
-  let alu_gates = Netlist.Circuit.node_count alu in
-  let rows =
-    [ workload "synth_optimize" ~gates:alu_gates (fun () ->
-          ignore (Synth.Flow.optimize alu));
-      workload "placement_anneal" ~gates:alu_gates (fun () ->
-          ignore (Physical.Placement.place rng ~moves:8000 alu));
-      workload "atpg" ~gates:alu_gates (fun () -> ignore (Dft.Atpg.run alu));
-      workload "sat_attack_epic8" ~gates:alu_gates (fun () ->
-          let locked = Locking.Lock.epic rng ~key_bits:8 alu in
-          ignore
-            (Locking.Sat_attack.run
-               ~oracle:(Locking.Sat_attack.oracle_of_circuit alu) locked));
-      (let masked =
-         Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware
-       in
-       workload "tvla_campaign"
-         ~gates:(Netlist.Circuit.node_count masked.Sidechannel.Isw.circuit)
-         (fun () ->
-           ignore
-             (Sidechannel.Leakage.tvla_campaign rng masked ~traces_per_class:1000
-                ~noise_sigma:0.3)));
-      workload "flow_run" ~gates:alu_gates (fun () ->
-          ignore (Secure_eda.Flow.run rng alu)) ]
-  in
-  (* ---- Before/after: array-based solver core vs reference CDCL ---- *)
-  let module P = Perf_compare in
-  subbanner "solver core: SAT-attack workload, new vs reference implementation";
-  let key_bits = if !smoke then 8 else 20 in
-  let reps = if !smoke then 1 else 5 in
-  let attack_orig = Gen.alu 4 in
-  let attack_locked = Locking.Lock.epic (Rng.create 90210) ~key_bits attack_orig in
-  let run_new () =
-    let dips = ref 0 and props = ref 0 and learnt_live = ref 0 in
-    let solve_s = ref 0.0 and solve_alloc = ref 0.0 in
-    let (), dt, allocated, major =
-      P.measured (fun () ->
-          for _ = 1 to reps do
-            let s = Sat.Solver.create () in
-            let ops, ss, sa = P.instrument_solve (P.solver_ops s) in
-            dips := P.dip_attack ops ~original:attack_orig attack_locked;
-            solve_s := !solve_s +. !ss;
-            solve_alloc := !solve_alloc +. !sa;
-            let st = Sat.Solver.stats s in
-            props := !props + st.Sat.Solver.propagations;
-            learnt_live := st.Sat.Solver.learnt_live
-          done)
-    in
-    (!dips, !props, !learnt_live, dt, allocated, major, !solve_s, !solve_alloc)
-  in
-  let run_ref () =
-    let dips = ref 0 and props = ref 0 in
-    let solve_s = ref 0.0 and solve_alloc = ref 0.0 in
-    let (), dt, allocated, major =
-      P.measured (fun () ->
-          for _ = 1 to reps do
-            let s = Reference.Solver_ref.create () in
-            let ops, ss, sa = P.instrument_solve (P.ref_ops s) in
-            dips := P.dip_attack ops ~original:attack_orig attack_locked;
-            solve_s := !solve_s +. !ss;
-            solve_alloc := !solve_alloc +. !sa;
-            props := !props + (Reference.Solver_ref.stats s).Reference.Solver_ref.propagations
-          done)
-    in
-    (!dips, !props, dt, allocated, major, !solve_s, !solve_alloc)
-  in
-  let n_dips, n_props, n_learnt, n_dt, n_alloc, n_major, n_ss, n_sa = run_new () in
-  let r_dips, r_props, r_dt, r_alloc, r_major, r_ss, r_sa = run_ref () in
-  if n_dips <> r_dips then
-    Printf.printf "  WARNING: DIP counts differ (new %d, ref %d)\n" n_dips r_dips;
-  let sat_speedup = r_dt /. n_dt in
-  let sat_alloc_reduction = r_alloc /. Float.max n_alloc 1.0 in
-  let solve_speedup = r_ss /. Float.max n_ss 1e-9 in
-  let solve_alloc_reduction = r_sa /. Float.max n_sa 1.0 in
-  let pps dt props = Float.of_int props /. dt in
-  Printf.printf "  %-12s %10s %14s %16s %16s %10s %14s\n" "" "time (s)" "props/sec"
-    "alloc words" "major words" "solve (s)" "solve alloc";
-  Printf.printf "  %-12s %10.3f %14.0f %16.0f %16.0f %10.3f %14.0f\n" "new" n_dt
-    (pps n_dt n_props) n_alloc n_major n_ss n_sa;
-  Printf.printf "  %-12s %10.3f %14.0f %16.0f %16.0f %10.3f %14.0f\n" "reference" r_dt
-    (pps r_dt r_props) r_alloc r_major r_ss r_sa;
-  Printf.printf
-    "  EPIC-%d on alu4, %d DIPs x%d: end-to-end speedup %.1fx (alloc %.0fx down);\n\
-    \  solve phase alone: speedup %.1fx, allocation reduced %.0fx, learnt DB %d live\n"
-    key_bits n_dips reps sat_speedup sat_alloc_reduction solve_speedup
-    solve_alloc_reduction n_learnt;
-  (* ---- Before/after: zero-alloc bit-parallel simulation ---- *)
-  subbanner "simulation: signal_probabilities, new vs allocating baseline";
-  let sim_circuit = Gen.kogge_stone_adder 8 in
-  let sim_patterns = 63 * (if !smoke then 400 else 4000) in
-  let (probs_new, sim_n_dt, sim_n_alloc, sim_n_major) =
-    P.measured (fun () ->
-        Netlist.Sim.signal_probabilities (Rng.create 424242) ~patterns:sim_patterns sim_circuit)
-  in
-  let (probs_ref, sim_r_dt, sim_r_alloc, sim_r_major) =
-    P.measured (fun () ->
-        P.signal_probabilities_alloc (Rng.create 424242) ~patterns:sim_patterns sim_circuit)
-  in
-  if probs_new <> probs_ref then
-    Printf.printf "  WARNING: probability vectors differ between implementations\n";
-  let sim_speedup = sim_r_dt /. sim_n_dt in
-  let sim_alloc_reduction = sim_r_alloc /. Float.max sim_n_alloc 1.0 in
-  let patps dt = Float.of_int sim_patterns /. dt in
-  Printf.printf "  %-12s %10s %14s %16s %16s\n" "" "time (s)" "patterns/sec" "alloc words" "major words";
-  Printf.printf "  %-12s %10.3f %14.0f %16.0f %16.0f\n" "new" sim_n_dt (patps sim_n_dt) sim_n_alloc sim_n_major;
-  Printf.printf "  %-12s %10.3f %14.0f %16.0f %16.0f\n" "reference" sim_r_dt (patps sim_r_dt) sim_r_alloc sim_r_major;
-  Printf.printf "  kogge_stone(8), %d patterns: speedup %.1fx, allocation reduced %.0fx\n"
-    sim_patterns sim_speedup sim_alloc_reduction;
-  (* ---- Before/after: flat event engine vs the record-heap reference ---- *)
-  subbanner "event sim: glitch-aware power traces, flat engine vs record-heap reference";
-  (* Layered designs at sizes that settle without a storm, plus a 16x16
-     array multiplier whose traces hit the storm cap (the capped path).
-     Both sides replay the same stimuli and noise seeds; the fingerprint
-     covers every sample bit and every storm message. *)
-  let ev_cases =
-    List.map
-      (fun tgt ->
-        ( Printf.sprintf "layered_%d" tgt,
-          Netlist.Bench_gen.sized ~seed:14 Netlist.Bench_gen.Layered ~target_gates:tgt,
-          max 4 ((if !smoke then 100_000 else 400_000) / tgt) ))
-      (if !smoke then [ 500 ] else [ 500; 2000; 8000 ])
-    @ [ ("c6288_w16_storm", Netlist.Bench_gen.c6288_like ~width:16 (), if !smoke then 3 else 20) ]
-  in
-  let ev_rows =
-    List.map
-      (fun (name, c, traces) ->
-        let ni = Netlist.Circuit.num_inputs c in
-        let stim = Rng.create 2024 in
-        let pairs =
-          Array.init traces (fun _ ->
-              let v () = Array.init ni (fun _ -> Rng.bool stim) in
-              let prev = v () in
-              (prev, v ()))
-        in
-        let config = Power.Model.default_config in
-        let run trace () =
-          Array.mapi
-            (fun i (prev_inputs, next_inputs) ->
-              match trace (Rng.create i) c ~config ~prev_inputs ~next_inputs with
-              | samples -> Ok samples
-              | exception Invalid_argument msg -> Error msg)
-            pairs
-        in
-        let fingerprint results =
-          let b = Buffer.create 4096 in
-          Array.iter
-            (function
-              | Ok samples ->
-                Array.iter (fun x -> Printf.bprintf b "%Lx;" (Int64.bits_of_float x)) samples
-              | Error msg -> Printf.bprintf b "!%s;" msg)
-            results;
-          Digest.to_hex (Digest.string (Buffer.contents b))
-        in
-        let new_trace rng c ~config ~prev_inputs ~next_inputs =
-          Power.Model.trace rng c ~config ~prev_inputs ~next_inputs
-        in
-        let ref_trace rng c ~config ~prev_inputs ~next_inputs =
-          Reference.Event_sim_ref.trace rng c ~config ~prev_inputs ~next_inputs
-        in
-        (* Event and storm counts come from the engine's own counters, in
-           an untimed pass. *)
-        let events, storms =
-          let sink, _ = T.memory_sink () in
-          T.with_sink sink (fun () ->
-              ignore (run new_trace ());
-              (T.counter_total "event_sim.events", T.counter_total "event_sim.storms"))
-        in
-        let n_res, n_dt, n_alloc, _ = P.measured (run new_trace) in
-        let r_res, r_dt, r_alloc, _ = P.measured (run ref_trace) in
-        let fingerprint_match = fingerprint n_res = fingerprint r_res in
-        let per_trace w = w /. Float.of_int traces in
-        let evps dt = Float.of_int events /. dt and trps dt = Float.of_int traces /. dt in
-        let gates = Netlist.Circuit.node_count c in
-        Printf.printf
-          "  %-15s %6dg %4d traces %9d events %3d storms: new %8.0f ev/s %7.1f tr/s %9.0f w/tr | \
-           ref %8.0f ev/s %7.1f tr/s %9.0f w/tr  %4.2fx%s\n"
-          name gates traces events storms (evps n_dt) (trps n_dt) (per_trace n_alloc)
-          (evps r_dt) (trps r_dt) (per_trace r_alloc) (r_dt /. n_dt)
-          (if fingerprint_match then "" else "  [FINGERPRINT MISMATCH]");
-        let side dt alloc =
-          T.Json.JObj
-            [ ("seconds", T.Json.JFloat dt);
-              ("events_per_sec", T.Json.JFloat (evps dt));
-              ("traces_per_sec", T.Json.JFloat (trps dt));
-              ("alloc_words_per_trace", T.Json.JFloat (per_trace alloc)) ]
-        in
-        T.Json.JObj
-          [ ("workload", T.Json.JStr name);
-            ("gates", T.Json.JInt gates);
-            ("traces", T.Json.JInt traces);
-            ("events", T.Json.JInt events);
-            ("storms", T.Json.JInt storms);
-            ("new", side n_dt n_alloc);
-            ("reference", side r_dt r_alloc);
-            ("speedup", T.Json.JFloat (r_dt /. n_dt));
-            ("alloc_reduction", T.Json.JFloat (r_alloc /. Float.max n_alloc 1.0));
-            ("fingerprint_match", T.Json.JBool fingerprint_match) ])
-      ev_cases
-  in
-  (* ---- Domain pool: size-parametrized speedup-vs-domains curves ---- *)
-  subbanner
-    (Printf.sprintf "domain pool: speedup vs domains (sweep capped at -j %d)" (max 1 !jobs));
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let pool_counts =
-    let cap = max 1 !jobs in
-    List.sort_uniq compare (1 :: List.filter (fun d -> d <= cap) [ 2; 4; 8 ])
-  in
-  (* Each sweep runs the identical workload at every domain count (1 =
-     no pool, the sequential baseline) and fingerprints the result: the
-     engines promise bit-identical answers, so a fingerprint mismatch is
-     a determinism bug, reported both on stdout and in the JSON. Each
-     workload carries its circuit's gate count so the JSON curves are
-     interpretable as speedup-vs-size families. *)
-  let pool_sweep name ~gates ~extra run fingerprint =
-    let rows =
-      List.map
-        (fun d ->
-          let pool = if d = 1 then None else Some (Eda_util.Pool.create ~num_domains:d ()) in
-          let r, dt = wall (fun () -> run pool) in
-          Option.iter Eda_util.Pool.shutdown pool;
-          (d, dt, fingerprint r))
-        pool_counts
-    in
-    let _, base_dt, base_fp = List.hd rows in
-    List.iter
-      (fun (d, dt, fp) ->
-        Printf.printf "  %-22s %2d domain(s): %8.3f s  speedup %.2fx%s\n"
-          (Printf.sprintf "%s/%dg" name gates)
-          d dt (base_dt /. dt)
-          (if fp = base_fp then "" else "  [RESULT MISMATCH]"))
-      rows;
-    T.Json.JObj
-      ([ ("workload", T.Json.JStr name); ("gates", T.Json.JInt gates) ]
-       @ extra
-       @ [ ( "deterministic",
-             T.Json.JBool (List.for_all (fun (_, _, fp) -> fp = base_fp) rows) );
-           ( "curve",
-             T.Json.JList
-               (List.map
-                  (fun (d, dt, _) ->
-                    T.Json.JObj
-                      [ ("domains", T.Json.JInt d);
-                        ("seconds", T.Json.JFloat dt);
-                        ("speedup", T.Json.JFloat (base_dt /. dt)) ])
-                  rows) ) ])
-  in
-  (* Deterministic, cost-representative fault subset: shuffle under a
-     fixed seed, keep random-testable candidates (their miters are
-     satisfiable, so per-fault SAT stays bounded; deep redundant faults
-     would serialize the whole sweep behind one pathological proof),
-     then stratify the pick by fanout-cone size — sort the candidate
-     pool by cone gate count and take evenly spaced ranks. The subset
-     then spans the circuit's cone-size distribution at every size, so
-     per-fault cost scales with the circuit instead of jumping with the
-     luck of the shuffle (the unstratified pick made the 6k-gate sweep
-     slower than the 12k one). Returns the picked faults paired with
-     their cone gate counts, which the JSON rows record. *)
-  let atpg_fault_subset ~seed ~count c =
-    let all = Array.of_list (Fault.Model.all_stuck_at_faults c) in
-    let frng = Rng.create seed in
-    Rng.shuffle frng all;
-    let ni = Netlist.Circuit.num_inputs c in
-    let pats = List.init 24 (fun _ -> Array.init ni (fun _ -> Rng.bool frng)) in
-    let scratch = Array.make (Netlist.Circuit.node_count c) false in
-    let cands = ref [] and n = ref 0 and i = ref 0 in
-    let cap = 4 * count in
-    while !n < cap && !i < Array.length all do
-      let f = all.(!i) in
-      if List.exists (fun p -> Fault.Model.detects c ~fault:f p) pats then begin
-        let cone = Sat.Cnf.fanout_cone_gates ~scratch c ~node:(Fault.Model.node_of f) in
-        cands := (f, cone) :: !cands;
-        incr n
-      end;
-      incr i
-    done;
-    let cands = Array.of_list (List.rev !cands) in
-    Array.sort
-      (fun (fa, ca) (fb, cb) ->
-        compare (ca, Fault.Model.node_of fa, fa) (cb, Fault.Model.node_of fb, fb))
-      cands;
-    let m = Array.length cands in
-    let picked =
-      if m <= count then Array.to_list cands
-      else List.init count (fun j -> cands.(j * m / count))
-    in
-    (List.map fst picked, List.map snd picked)
-  in
-  (* Workload sizes: smoke keeps CI fast with one small size per engine;
-     full mode sweeps >= 3 sizes per engine with a 10k+-gate top size. *)
-  let atpg_sizes = if !smoke then [ 2000 ] else [ 2000; 6000; 12000 ] in
-  let atpg_fault_count = if !smoke then 16 else 32 in
-  let tvla_sizes = if !smoke then [ 2000 ] else [ 2000; 8000; 20000 ] in
-  let tvla_pairs = if !smoke then 128 else 512 in
-  let place_sizes = if !smoke then [ 2000 ] else [ 2000; 8000; 20000 ] in
-  let place_moves = if !smoke then 1000 else 4000 in
-  let place_starts = 8 in
-  let atpg_cases =
-    List.map
-      (fun tgt ->
-        let c = Netlist.Bench_gen.sized ~seed:11 Netlist.Bench_gen.Layered ~target_gates:tgt in
-        let faults, cones = atpg_fault_subset ~seed:99 ~count:atpg_fault_count c in
-        (c, faults, cones))
-      atpg_sizes
-  in
-  let atpg_rows =
-    List.map
-      (fun (c, faults, cones) ->
-        pool_sweep "atpg_layered"
-          ~gates:(Netlist.Circuit.node_count c)
-          ~extra:
-            [ ("faults", T.Json.JInt (List.length faults));
-              ("fault_cones", T.Json.JList (List.map (fun g -> T.Json.JInt g) cones)) ]
-          (fun pool -> Dft.Atpg.run ?pool ~faults c)
-          (fun r ->
-            Printf.sprintf "%.9f/%d" r.Dft.Atpg.coverage (List.length r.Dft.Atpg.patterns)))
-      atpg_cases
-  in
-  let tvla_rows =
-    List.map
-      (fun tgt ->
-        let c = Netlist.Bench_gen.sized ~seed:12 Netlist.Bench_gen.Layered ~target_gates:tgt in
-        let ni = Netlist.Circuit.num_inputs c in
-        let nodes = Netlist.Circuit.node_count c in
-        let collect stream cls =
-          let vec =
-            Array.init ni (fun _ ->
-                match cls with `Fixed -> true | `Random -> Rng.bool stream)
-          in
-          let scratch = Array.make nodes false in
-          [| Power.Model.hamming_weight_sample stream ~scratch c ~noise_sigma:0.5
-               ~inputs:vec |]
-        in
-        pool_sweep "tvla_layered" ~gates:nodes
-          ~extra:[ ("trace_pairs", T.Json.JInt tvla_pairs) ]
-          (fun pool ->
-            Sidechannel.Tvla.campaign_seeded ?pool (Rng.create 5150)
-              ~traces_per_class:tvla_pairs ~collect)
-          (fun r -> Printf.sprintf "%.12f" r.Sidechannel.Tvla.max_abs_t))
-      tvla_sizes
-  in
-  let place_rows =
-    List.map
-      (fun tgt ->
-        let c = Netlist.Bench_gen.sized ~seed:13 Netlist.Bench_gen.C880 ~target_gates:tgt in
-        pool_sweep "placement_c880"
-          ~gates:(Netlist.Circuit.node_count c)
-          ~extra:
-            [ ("starts", T.Json.JInt place_starts); ("moves", T.Json.JInt place_moves) ]
-          (fun pool ->
-            Physical.Placement.place ~starts:place_starts ~moves:place_moves ?pool
-              (Rng.create 2718) c)
-          (fun o ->
-            Printf.sprintf "%d/%d"
-              (Physical.Placement.wirelength o.Physical.Placement.placement)
-              o.Physical.Placement.best_start))
-      place_sizes
-  in
-  (* Scheduling-grain microbench: many tiny tasks, chunk 1 vs a coarse
-     grain — the overhead the ?chunk parameter exists to amortize. *)
-  let grain_tasks = if !smoke then 20_000 else 100_000 in
-  let grain_json =
-    let inputs = Array.init grain_tasks (fun i -> i) in
-    let d = max 1 !jobs in
-    let run chunk =
-      Eda_util.Pool.with_pool ~num_domains:d (fun p ->
-          let (), dt =
-            wall (fun () ->
-                ignore (Eda_util.Pool.parallel_map ~chunk p ~f:(fun _ x -> x + 1) inputs))
-          in
-          dt)
-    in
-    let fine = run 1 in
-    let coarse = run (max 1 (grain_tasks / (4 * d))) in
-    Printf.printf
-      "  pool grain: %d unit tasks at %d domain(s): chunk=1 %.3fs, coarse %.3fs (%.1fx)\n"
-      grain_tasks d fine coarse (fine /. Float.max coarse 1e-9);
-    T.Json.JObj
-      [ ("tasks", T.Json.JInt grain_tasks);
-        ("domains", T.Json.JInt d);
-        ("chunk1_seconds", T.Json.JFloat fine);
-        ("coarse_seconds", T.Json.JFloat coarse);
-        ("coarse_speedup", T.Json.JFloat (fine /. Float.max coarse 1e-9)) ]
-  in
-  (* ---- Incremental vs fresh ATPG: the before/after comparison ---- *)
-  subbanner "atpg: incremental sessions vs per-fault fresh solvers";
-  (* The pre-incremental ATPG path, kept inline as the reference side: a
-     fresh solver + whole clean-circuit re-encode per fault
-     ([Cnf.check_stuck_at]) and scalar per-fault pattern simulation —
-     exactly what [Dft.Atpg.run]'s persistent sessions and word-parallel
-     dropping replaced. Same greedy compaction, so detection statuses
-     (and so coverage) must agree with the incremental engine; witness
-     patterns may differ. *)
-  let atpg_fresh_reference c faults =
-    let remaining = ref faults in
-    let patterns = ref [] in
-    let untestable = ref 0 in
-    while !remaining <> [] do
-      match !remaining with
-      | [] -> ()
-      | Fault.Model.Bit_flip _ :: rest -> remaining := rest
-      | (Fault.Model.Stuck_at { node; value } as _f) :: rest ->
-        (match Sat.Cnf.check_stuck_at c ~node ~value with
-         | Sat.Cnf.Equivalent ->
-           incr untestable;
-           remaining := rest
-         | Sat.Cnf.Equiv_unknown _ -> remaining := rest
-         | Sat.Cnf.Counterexample p ->
-           patterns := p :: !patterns;
-           remaining :=
-             List.filter (fun g -> not (Fault.Model.detects c ~fault:g p)) rest)
-    done;
-    (List.rev !patterns, !untestable)
-  in
-  (* Run a side under an in-memory sink and split its wall time into the
-     encode ([cnf.encode] spans) and solve ([sat.solve] spans) phases
-     from the trace's span totals. *)
-  let measure_atpg_split f =
-    let sink, events = T.memory_sink () in
-    let r, dt = wall (fun () -> T.with_sink sink f) in
-    let totals =
-      match T.Trace.of_events (events ()) with
-      | Ok tr -> T.Trace.span_totals tr
-      | Error _ -> []
-    in
-    let total name = Option.value (List.assoc_opt name totals) ~default:0.0 in
-    (r, dt, total "cnf.encode", total "sat.solve")
-  in
-  let atpg_cmp_rows =
-    List.map
-      (fun (c, faults, _cones) ->
-        let gates = Netlist.Circuit.node_count c in
-        let inc, inc_dt, inc_enc, inc_solve =
-          measure_atpg_split (fun () -> Dft.Atpg.run ~faults c)
-        in
-        let (ref_pats, ref_untestable), ref_dt, ref_enc, ref_solve =
-          measure_atpg_split (fun () -> atpg_fresh_reference c faults)
-        in
-        let total = List.length faults in
-        let ref_coverage =
-          if total = 0 then 1.0
-          else Float.of_int (total - ref_untestable) /. Float.of_int total
-        in
-        let coverage_match = Float.abs (inc.Dft.Atpg.coverage -. ref_coverage) < 1e-9 in
-        let speedup = ref_dt /. Float.max inc_dt 1e-9 in
-        Printf.printf
-          "  atpg %6dg/%2d faults: fresh %7.3fs (enc %6.3f solve %6.3f) -> \
-           incremental %7.3fs (enc %6.3f solve %6.3f)  %5.2fx%s\n"
-          gates total ref_dt ref_enc ref_solve inc_dt inc_enc inc_solve speedup
-          (if coverage_match then "" else "  [COVERAGE MISMATCH]");
-        T.Json.JObj
-          [ ("workload", T.Json.JStr "atpg_layered");
-            ("gates", T.Json.JInt gates);
-            ("faults", T.Json.JInt total);
-            ( "new",
-              T.Json.JObj
-                [ ("seconds", T.Json.JFloat inc_dt);
-                  ("encode_seconds", T.Json.JFloat inc_enc);
-                  ("solve_seconds", T.Json.JFloat inc_solve);
-                  ("patterns", T.Json.JInt (List.length inc.Dft.Atpg.patterns)) ] );
-            ( "reference",
-              T.Json.JObj
-                [ ("seconds", T.Json.JFloat ref_dt);
-                  ("encode_seconds", T.Json.JFloat ref_enc);
-                  ("solve_seconds", T.Json.JFloat ref_solve);
-                  ("patterns", T.Json.JInt (List.length ref_pats)) ] );
-            ("speedup", T.Json.JFloat speedup);
-            ("coverage_match", T.Json.JBool coverage_match) ])
-      atpg_cases
-  in
-  (* ---- Persistent session vs fresh solvers, SAT phase isolated ----
-     The full-engine comparison above can resolve the whole subset in
-     its random-pattern bootstrap, leaving the SAT phase idle; this row
-     measures the clause-group session machinery on its own. The same
-     stuck-at queries run head-order through one persistent
-     [Stuck_at_session] and through per-fault fresh [check_stuck_at] —
-     no pattern dropping on either side — so the contrast is exactly
-     shared-clean-encode + persistent learnts vs a full re-encode and
-     cold solver per query. Per-query statuses must agree. *)
-  subbanner "sat: persistent session vs per-query fresh solvers";
-  let sat_session_rows =
-    List.map
-      (fun (c, faults, _cones) ->
-        let gates = Netlist.Circuit.node_count c in
-        let queries =
-          List.filter_map
-            (function
-              | Fault.Model.Stuck_at { node; value } -> Some (node, value)
-              | Fault.Model.Bit_flip _ -> None)
-            faults
-        in
-        let fresh_answers = ref [] in
-        let (), ref_dt, ref_enc, ref_solve =
-          measure_atpg_split (fun () ->
-              List.iter
-                (fun (node, value) ->
-                  let a = Sat.Cnf.check_stuck_at c ~node ~value in
-                  fresh_answers := a :: !fresh_answers)
-                queries)
-        in
-        let sess_answers = ref [] in
-        let (), sess_dt, sess_enc, sess_solve =
-          measure_atpg_split (fun () ->
-              let s = Sat.Cnf.Stuck_at_session.create c in
-              List.iter
-                (fun (node, value) ->
-                  let a = Sat.Cnf.Stuck_at_session.query s ~node ~value in
-                  sess_answers := a :: !sess_answers)
-                queries)
-        in
-        let status = function
-          | Sat.Cnf.Equivalent -> 0
-          | Sat.Cnf.Counterexample _ -> 1
-          | Sat.Cnf.Equiv_unknown _ -> 2
-        in
-        let answers_match =
-          List.length !fresh_answers = List.length !sess_answers
-          && List.for_all2 (fun a b -> status a = status b) !fresh_answers !sess_answers
-        in
-        let speedup = ref_dt /. Float.max sess_dt 1e-9 in
-        Printf.printf
-          "  sat  %6dg/%2d queries: fresh %7.3fs (enc %6.3f solve %6.3f) -> \
-           session %7.3fs (enc %6.3f solve %6.3f)  %5.2fx%s\n"
-          gates (List.length queries) ref_dt ref_enc ref_solve sess_dt sess_enc
-          sess_solve speedup
-          (if answers_match then "" else "  [ANSWER MISMATCH]");
-        T.Json.JObj
-          [ ("workload", T.Json.JStr "atpg_layered");
-            ("gates", T.Json.JInt gates);
-            ("queries", T.Json.JInt (List.length queries));
-            ( "session",
-              T.Json.JObj
-                [ ("seconds", T.Json.JFloat sess_dt);
-                  ("encode_seconds", T.Json.JFloat sess_enc);
-                  ("solve_seconds", T.Json.JFloat sess_solve) ] );
-            ( "reference",
-              T.Json.JObj
-                [ ("seconds", T.Json.JFloat ref_dt);
-                  ("encode_seconds", T.Json.JFloat ref_enc);
-                  ("solve_seconds", T.Json.JFloat ref_solve) ] );
-            ("speedup", T.Json.JFloat speedup);
-            ("answers_match", T.Json.JBool answers_match) ])
-      atpg_cases
-  in
-  let pool_json =
-    T.Json.JObj
-      [ ("max_domains", T.Json.JInt (List.fold_left max 1 pool_counts));
-        ("atpg", T.Json.JList atpg_rows);
-        ("tvla", T.Json.JList tvla_rows);
-        ("placement", T.Json.JList place_rows);
-        ("granularity", grain_json) ]
-  in
-  let side name seconds throughput alloc major extra =
-    ( name,
-      T.Json.JObj
-        ([ ("seconds", T.Json.JFloat seconds);
-           ("throughput_per_sec", T.Json.JFloat throughput);
-           ("allocated_words", T.Json.JFloat alloc);
-           ("major_words", T.Json.JFloat major) ]
-         @ extra) )
-  in
-  let comparisons =
-    T.Json.JObj
-      [ ( "sat_attack",
-          T.Json.JObj
-            [ ("workload", T.Json.JStr (Printf.sprintf "epic%d_alu4_x%d" key_bits reps));
-              ( "gates",
-                T.Json.JInt
-                  (Netlist.Circuit.node_count attack_locked.Locking.Lock.circuit) );
-              ("dips", T.Json.JInt n_dips);
-              side "new" n_dt (pps n_dt n_props) n_alloc n_major
-                [ ("solve_seconds", T.Json.JFloat n_ss);
-                  ("solve_allocated_words", T.Json.JFloat n_sa);
-                  ("learnt_db_live", T.Json.JInt n_learnt) ];
-              side "reference" r_dt (pps r_dt r_props) r_alloc r_major
-                [ ("solve_seconds", T.Json.JFloat r_ss);
-                  ("solve_allocated_words", T.Json.JFloat r_sa) ];
-              ("speedup", T.Json.JFloat sat_speedup);
-              ("alloc_reduction", T.Json.JFloat sat_alloc_reduction);
-              ("solve_speedup", T.Json.JFloat solve_speedup);
-              ("solve_alloc_reduction", T.Json.JFloat solve_alloc_reduction) ] );
-        ( "signal_probabilities",
-          T.Json.JObj
-            [ ("workload", T.Json.JStr "kogge_stone8");
-              ("gates", T.Json.JInt (Netlist.Circuit.node_count sim_circuit));
-              ("patterns", T.Json.JInt sim_patterns);
-              side "new" sim_n_dt (patps sim_n_dt) sim_n_alloc sim_n_major [];
-              side "reference" sim_r_dt (patps sim_r_dt) sim_r_alloc sim_r_major [];
-              ("speedup", T.Json.JFloat sim_speedup);
-              ("alloc_reduction", T.Json.JFloat sim_alloc_reduction) ] );
-        ("event_sim", T.Json.JList ev_rows);
-        ("atpg_incremental", T.Json.JList atpg_cmp_rows);
-        ("sat_session", T.Json.JList sat_session_rows) ]
-  in
-  let json =
-    T.Json.JObj
-      [ ("schema", T.Json.JStr "secure_eda_bench_perf/3");
-        ("smoke", T.Json.JBool !smoke);
-        ("disabled_span_overhead_ns", T.Json.JFloat (Float.max 0.0 overhead_ns));
-        ("workloads", T.Json.JList rows);
-        ("pool", pool_json);
-        ("comparisons", comparisons) ]
-  in
-  let path = "BENCH_perf.json" in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (T.Json.to_string json);
-      output_char oc '\n');
-  Printf.printf "  written %s\n" path
-
-(* ------------------------------------------------------------------ *)
 
 let sections =
   [ ("table1", table1); ("table2", table2); ("fig1", fig1); ("fig2", fig2);
-    ("composition", composition); ("stepfn", stepfn); ("curves", curves); ("ablations", ablations);
-    ("micro", micro); ("perf", perf) ]
+    ("composition", composition); ("stepfn", stepfn); ("curves", curves); ("ablations", ablations) ]
 
 let () =
   let args =
@@ -1633,19 +663,6 @@ let () =
     | _ :: rest -> rest
     | [] -> []
   in
-  let rec strip = function
-    | [] -> []
-    | "--smoke" :: rest ->
-      smoke := true;
-      strip rest
-    | ("-j" | "--jobs") :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some n when n >= 1 -> jobs := n
-       | Some _ | None -> Printf.eprintf "ignoring bad -j value %s\n" n);
-      strip rest
-    | a :: rest -> a :: strip rest
-  in
-  let args = strip args in
   let requested = if args = [] then List.map fst sections else args in
   List.iter
     (fun name ->

@@ -354,13 +354,10 @@ let atpg_cmd =
   let patterns_flag =
     Arg.(value & flag & info [ "patterns" ] ~doc:"Print the generated patterns")
   in
-  let run path conflicts seconds jobs print_patterns trace =
+  let run path conflicts seconds print_patterns trace =
     let c = read_circuit path in
     let budget = budget_of conflicts seconds in
-    match
-      with_trace trace (fun () ->
-          with_jobs jobs (fun pool -> Dft.Atpg.run_checked ?budget ?pool c))
-    with
+    match with_trace trace (fun () -> Dft.Atpg.run_checked ?budget c) with
     | Error e -> die "%s: %s" path (Eda_error.to_string e)
     | Ok r ->
       Printf.printf "patterns %d, stuck-at coverage %.1f%%, untestable faults %d\n"
@@ -379,8 +376,7 @@ let atpg_cmd =
   in
   Cmd.v (Cmd.info "atpg" ~doc:"SAT-based test pattern generation (stuck-at)")
     Term.(
-      const run $ netlist_arg $ conflicts_arg $ seconds_arg $ jobs_arg $ patterns_flag
-      $ trace_arg)
+      const run $ netlist_arg $ conflicts_arg $ seconds_arg $ patterns_flag $ trace_arg)
 
 (* --- trojan ------------------------------------------------------------ *)
 
@@ -500,7 +496,7 @@ let flow_cmd =
     in
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
   in
-  let run path seed conflicts seconds jobs checkpoint trace =
+  let run path seed conflicts seconds checkpoint trace =
     let c = read_circuit path in
     let rng = Eda_util.Rng.create seed in
     let budget = budget_of conflicts seconds in
@@ -517,8 +513,7 @@ let flow_cmd =
     in
     match
       with_trace trace (fun () ->
-          with_jobs jobs (fun pool ->
-              Secure_eda.Flow.run rng ?budget ?pool ?resume ?checkpoint_to:checkpoint c))
+          Secure_eda.Flow.run rng ?budget ?resume ?checkpoint_to:checkpoint c)
     with
     | Error e -> die "%s: %s" path (Eda_error.to_string e)
     | Ok report ->
@@ -536,8 +531,8 @@ let flow_cmd =
   in
   Cmd.v (Cmd.info "flow" ~doc:"Run the budgeted EDA flow (Fig. 1) with degradation notes")
     Term.(
-      const run $ netlist_arg $ seed_arg $ conflicts_arg $ seconds_arg $ jobs_arg
-      $ checkpoint_arg $ trace_arg)
+      const run $ netlist_arg $ seed_arg $ conflicts_arg $ seconds_arg $ checkpoint_arg
+      $ trace_arg)
 
 (* --- jobs -------------------------------------------------------------- *)
 

@@ -251,9 +251,6 @@ type report = {
       netlist is the only [Error] case;
     - [budget] bounds the whole flow; every stage draws a sub-budget from
       it ([stage_steps] optionally caps individual stages);
-    - [pool] is passed to the testing stage's {!Dft.Atpg.run}, which
-      runs on the calling domain and ignores it; stage results,
-      budget-truncated ones included, do not depend on it;
     - a stage that exhausts its budget or fails internally is recorded
       with [degraded = Some reason] and the design passes through
       unchanged, so later stages still run;
@@ -268,7 +265,7 @@ type report = {
     [flow.degraded] note on its stage span, and each stage gauges
     [flow.budget_utilization] from its sub-budget so partial results can
     be read as budget pressure. *)
-let run rng ?(protect = fun (_ : string) -> false) ?budget ?pool
+let run rng ?(protect = fun (_ : string) -> false) ?budget
     ?(stage_steps = fun (_ : stage) -> None) ?(stages = all_stages) ?resume
     ?checkpoint_to circuit =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
@@ -363,7 +360,7 @@ let run rng ?(protect = fun (_ : string) -> false) ?budget ?pool
               (Printf.sprintf "event-sim: %d transitions, %d glitching nets"
                  (List.length transitions) glitches)
           | Testing ->
-            let r = Dft.Atpg.run ~budget:sub ?pool !current in
+            let r = Dft.Atpg.run ~budget:sub !current in
             let degraded =
               match r.Dft.Atpg.exhausted with
               | Some e ->

@@ -190,9 +190,7 @@ let generate_in session ?budget ?on_stats fault =
     spends at most that balance, so a step cap of [k] is never
     overspent by more than one step. On exhaustion the run stops and
     reports honest partial coverage with the unprocessed fault count.
-    The whole campaign runs on the calling domain: [pool] and [chunk]
-    are accepted for the uniform engine signature and ignored, so
-    reports are identical with or without them.
+    The whole campaign runs on the calling domain.
 
     Telemetry: an [atpg.run] span over the whole campaign with per-fault
     outcome counters ([atpg.detected] for SAT-generated patterns,
@@ -202,14 +200,11 @@ let generate_in session ?budget ?on_stats fault =
     answered by the already-encoded session, [sat.groups_retired] from
     the solver, per-query [cnf.encode] spans for the encode-vs-solve
     split) and a final [atpg.coverage] gauge. *)
-let run ?budget ?pool:_ ?chunk:_ ?faults circuit =
+let run ?budget circuit =
   let module T = Eda_util.Telemetry in
   T.with_span "atpg.run" ~attrs:[ ("nodes", T.Int (Circuit.node_count circuit)) ]
     (fun () ->
-      let faults =
-        match faults with Some fs -> fs | None -> Fault.Model.all_stuck_at_faults circuit
-      in
-      let faults = Array.of_list faults in
+      let faults = Array.of_list (Fault.Model.all_stuck_at_faults circuit) in
       let st =
         { patterns_rev = [];
           untestable_acc = [];
@@ -243,10 +238,10 @@ let run ?budget ?pool:_ ?chunk:_ ?faults circuit =
       finish_report st ~total:(Array.length faults))
 
 (** Checked entry point: lint first, structured errors out. *)
-let run_checked ?budget ?pool ?chunk ?faults circuit =
+let run_checked ?budget circuit =
   let open Eda_util.Eda_error in
   let* _ = Netlist.Lint.validate circuit in
-  guard ~engine:"atpg" (fun () -> run ?budget ?pool ?chunk ?faults circuit)
+  guard ~engine:"atpg" (fun () -> run ?budget circuit)
 
 (* A copy of [circuit] with [fault] frozen in: the fault site is shadowed
    downstream by a constant carrying the stuck value. Used by redundancy

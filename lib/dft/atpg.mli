@@ -11,8 +11,7 @@
     answers the head remaining fault, and each fresh pattern is
     word-parallel fault-simulated against the remaining faults to drop
     what it covers. The whole campaign runs in order on the calling
-    domain; [?pool] is accepted for the uniform engine signature and
-    ignored, so reports are identical with or without one. *)
+    domain. *)
 
 type pattern_result =
   | Pattern of bool array  (** input assignment that detects the fault *)
@@ -46,32 +45,16 @@ type report = {
     pattern word-parallel fault-simulated against the remaining faults
     (63 per sweep). [budget] goes straight into each query: one step per
     solver conflict plus one per fault processed, so a step cap of [k]
-    spends at most [k] conflicts and [k + 1] steps. [faults] restricts
-    the campaign to an explicit fault list (default: every stuck-at
-    fault of the circuit) — the benchmark harness uses deterministic
-    subsets to keep large circuits tractable; coverage is then relative
-    to that list. [pool] and [chunk] are ignored: the campaign runs on
-    the calling domain, so reports are identical with or without them,
-    also when a budget truncates the run. Emits an [atpg.run] span with
+    spends at most [k] conflicts and [k + 1] steps. The fault list is
+    every stuck-at fault of the circuit. Emits an [atpg.run] span with
     outcome/session counters and a coverage gauge when telemetry is
     installed. *)
-val run :
-  ?budget:Eda_util.Budget.t ->
-  ?pool:Eda_util.Pool.t ->
-  ?chunk:int ->
-  ?faults:Fault.Model.fault list ->
-  Netlist.Circuit.t ->
-  report
+val run : ?budget:Eda_util.Budget.t -> Netlist.Circuit.t -> report
 
 (** {!run} behind a netlist lint and an exception guard, for untrusted
     inputs. *)
 val run_checked :
-  ?budget:Eda_util.Budget.t ->
-  ?pool:Eda_util.Pool.t ->
-  ?chunk:int ->
-  ?faults:Fault.Model.fault list ->
-  Netlist.Circuit.t ->
-  (report, Eda_util.Eda_error.t) result
+  ?budget:Eda_util.Budget.t -> Netlist.Circuit.t -> (report, Eda_util.Eda_error.t) result
 
 (** Redundancy removal: iteratively replace nodes whose stuck-at faults
     are untestable by the stuck constant and re-simplify — the classic

@@ -161,38 +161,16 @@ let check_equivalence_b ?budget ?on_stats a b =
    all-false on entry for indices >= node): forward sweep in topological
    (= index) order, cut at DFF boundaries — a stuck fault cannot change
    this frame's latched state, matching {!encode}'s single-time-frame
-   semantics. Returns the number of cone nodes (including [node]). *)
+   semantics. *)
 let mark_cone circuit ~node in_cone =
   let n = Circuit.node_count circuit in
   in_cone.(node) <- true;
-  let count = ref 1 in
   for i = node + 1 to n - 1 do
     if
       (match Circuit.kind circuit i with Gate.Dff -> false | _ -> true)
       && Array.exists (fun f -> in_cone.(f)) (Circuit.fanins circuit i)
-    then begin
-      in_cone.(i) <- true;
-      incr count
-    end
-  done;
-  !count
-
-(** Size (in nodes, including the fault site) of the DFF-cut transitive
-    fanout cone of [node] — the number of gates a stuck-at query at
-    [node] must duplicate, i.e. a direct proxy for that query's encoding
-    cost. [scratch] (length >= node count) avoids the per-call cone
-    buffer; it is reset before use, so a dirty buffer is fine. *)
-let fanout_cone_gates ?scratch circuit ~node =
-  let n = Circuit.node_count circuit in
-  if node < 0 || node >= n then invalid_arg "Cnf.fanout_cone_gates: node out of range";
-  let in_cone =
-    match scratch with
-    | Some a when Array.length a >= n ->
-      Array.fill a 0 n false;
-      a
-    | Some _ | None -> Array.make n false
-  in
-  mark_cone circuit ~node in_cone
+    then in_cone.(i) <- true
+  done
 
 (** Cone-based stuck-at query: is some input assignment able to expose
     [node] stuck at [value] on a primary output? The clean circuit is
@@ -208,7 +186,7 @@ let check_stuck_at ?budget ?on_stats circuit ~node ~value =
   let n = Circuit.node_count circuit in
   if node < 0 || node >= n then invalid_arg "Cnf.check_stuck_at: node out of range";
   let in_cone = Array.make n false in
-  ignore (mark_cone circuit ~node in_cone);
+  mark_cone circuit ~node in_cone;
   let affected =
     Array.to_list (Circuit.output_ids circuit)
     |> List.filter (fun o -> in_cone.(o))
@@ -324,7 +302,7 @@ module Stuck_at_session = struct
     if node < 0 || node >= n then
       invalid_arg "Cnf.Stuck_at_session.query: node out of range";
     let in_cone = t.in_cone and fvars = t.fvars and diffs = t.diffs in
-    ignore (mark_cone circuit ~node in_cone);
+    mark_cone circuit ~node in_cone;
     (* The cone only contains indices >= node (topological order). *)
     let clear () =
       for i = node to n - 1 do

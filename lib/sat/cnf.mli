@@ -57,14 +57,6 @@ val check_stuck_at :
   value:bool ->
   equivalence
 
-(** Size (in nodes, including the fault site) of the DFF-cut transitive
-    fanout cone of [node] — the number of gates a stuck-at query at
-    [node] must duplicate, i.e. a direct proxy for that query's encoding
-    cost. [scratch] (length >= node count) avoids the per-call cone
-    buffer allocation; its contents are reset before use.
-    @raise Invalid_argument when [node] is out of range. *)
-val fanout_cone_gates : ?scratch:bool array -> Netlist.Circuit.t -> node:int -> int
-
 (** Incremental stuck-at sessions: the clean circuit is Tseitin-encoded
     {e once} per session; each {!Stuck_at_session.query} adds only the
     fault's fanout-cone faulty copy and miter under a fresh clause group

@@ -761,9 +761,12 @@ let solve_raw ?budget ~assumptions s =
            new_decision s a;
            if propagate s != dummy_clause then false else install rest)
     in
-    let num_assumptions = List.length assumptions in
     if not (install assumptions) then Unsat
     else begin
+      (* An assumption already true when installed opens no level, so
+         count the levels actually open, not the list length: a conflict
+         at a deeper level involves a free decision and refutes nothing. *)
+      let assumption_levels = s.lim_len in
       while !result = None do
         let conflict = propagate s in
         if conflict != dummy_clause then begin
@@ -776,13 +779,13 @@ let solve_raw ?budget ~assumptions s =
             | Some b ->
               (match Eda_util.Budget.spend b with Ok () -> None | Error e -> Some e)
           in
-          if s.lim_len <= num_assumptions then result := Some Unsat
+          if s.lim_len <= assumption_levels then result := Some Unsat
           else begin
             match stop with
             | Some e -> result := Some (Unknown e)
             | None ->
               let len, back, lbd = analyze s conflict in
-              let back = max back num_assumptions in
+              let back = max back assumption_levels in
               backtrack s back;
               (if len = 1 then begin
                  let l = s.learnt_buf.(0) in
@@ -797,7 +800,7 @@ let solve_raw ?budget ~assumptions s =
                 incr restart_count;
                 s.num_restarts <- s.num_restarts + 1;
                 conflicts_until_restart := 32 * luby !restart_count;
-                backtrack s num_assumptions
+                backtrack s assumption_levels
               end
           end
         end

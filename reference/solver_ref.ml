@@ -1,6 +1,6 @@
 (** Reference CDCL solver — the pre-optimization, allocation-heavy
-    implementation, kept verbatim as (a) a differential-testing oracle for
-    {!Sat.Solver} and (b) the honest "before" baseline for [bench perf].
+    implementation, kept as the differential-testing oracle for
+    {!Sat.Solver}.
 
     Architecture matches {!Sat.Solver} feature-for-feature except for the data
     layout (cons-cell trail and watch lists, per-decision trail snapshots)
@@ -344,9 +344,10 @@ let solve_raw ?budget ~assumptions s =
             | Some _ -> false
             | None -> install rest))
     in
-    let num_assumptions = List.length assumptions in
     if not (install assumptions) then Unsat
     else begin
+      (* Assumption levels actually opened: one already true opens none. *)
+      let assumption_levels = List.length s.decisions in
       while !result = None do
         match propagate s with
         | Some conflict ->
@@ -360,13 +361,13 @@ let solve_raw ?budget ~assumptions s =
               (match Eda_util.Budget.spend b with Ok () -> None | Error e -> Some e)
           in
           let level = List.length s.decisions in
-          if level <= num_assumptions then result := Some Unsat
+          if level <= assumption_levels then result := Some Unsat
           else begin
             match stop with
             | Some e -> result := Some (Unknown e)
             | None ->
             let learnt, back = analyze s conflict in
-            let back = max back num_assumptions in
+            let back = max back assumption_levels in
             backtrack s back;
             (match learnt with
              | [] -> result := Some Unsat
@@ -386,7 +387,7 @@ let solve_raw ?budget ~assumptions s =
               incr restart_count;
               s.num_restarts <- s.num_restarts + 1;
               conflicts_until_restart := 32 * luby !restart_count;
-              backtrack s num_assumptions
+              backtrack s assumption_levels
             end
           end
         | None ->
@@ -422,9 +423,8 @@ let solve_raw ?budget ~assumptions s =
     and periodically between decisions; without it the search is unbounded
     and the answer is always [Sat]/[Unsat].
 
-    Unlike [Sat.Solver], this reference implementation emits no telemetry: it
-    exists to be timed against, and a span wrapper would distort exactly
-    the comparison it is kept for. *)
+    Unlike [Sat.Solver], this reference implementation emits no
+    telemetry. *)
 let solve ?budget ?(assumptions = []) s = solve_raw ?budget ~assumptions s
 
 (** Model access after a [Sat] answer. Unassigned variables read as false. *)

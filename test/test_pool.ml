@@ -140,44 +140,6 @@ let test_default_jobs_env () =
 
 let pool_sizes = [ 1; 2; 8 ]
 
-let test_atpg_identical_across_domains () =
-  let c = Gen.alu 4 in
-  let seq = Dft.Atpg.run c in
-  List.iter
-    (fun d ->
-      Pool.with_pool ~num_domains:d (fun p ->
-          let r = Dft.Atpg.run ~pool:p c in
-          let tag fmt = Printf.sprintf fmt d in
-          Alcotest.(check bool)
-            (tag "same patterns at %d domains") true
-            (r.Dft.Atpg.patterns = seq.Dft.Atpg.patterns);
-          Alcotest.(check (float 1e-12))
-            (tag "same coverage at %d domains")
-            seq.Dft.Atpg.coverage r.Dft.Atpg.coverage;
-          Alcotest.(check bool)
-            (tag "same untestable set at %d domains") true
-            (r.Dft.Atpg.untestable = seq.Dft.Atpg.untestable)))
-    pool_sizes
-
-let test_atpg_partial_under_pooled_budget () =
-  let c = Gen.alu 4 in
-  let seq = Dft.Atpg.run ~budget:(Budget.create ~steps:12 ()) c in
-  Pool.with_pool ~num_domains:2 (fun p ->
-      let b = Budget.create ~steps:12 () in
-      let r = Dft.Atpg.run ~budget:b ~pool:p c in
-      (* ATPG runs on the calling domain and ignores the pool, so
-         truncation lands at the same fault. *)
-      Alcotest.(check bool) "truncated report equals the sequential one" true (r = seq);
-      Alcotest.(check bool) "exhaustion reported" true (r.Dft.Atpg.exhausted <> None);
-      Alcotest.(check bool) "some faults left" true (r.Dft.Atpg.faults_remaining > 0);
-      Alcotest.(check bool) "partial coverage is honest" true
-        (r.Dft.Atpg.coverage >= 0.0 && r.Dft.Atpg.coverage < 1.0);
-      (* Whatever patterns were produced must be real detecting patterns. *)
-      let faults = Fault.Model.all_stuck_at_faults c in
-      Alcotest.(check bool) "patterns verify by simulation" true
-        (Fault.Model.coverage c ~faults ~patterns:r.Dft.Atpg.patterns
-         >= r.Dft.Atpg.coverage -. 1e-9))
-
 let test_tvla_identical_across_domains () =
   let masked = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_unaware in
   let campaign pool =
@@ -224,27 +186,6 @@ let test_placement_multistart_identical_across_domains () =
             (r.Physical.Placement.placement.Physical.Placement.position
              = seq.Physical.Placement.placement.Physical.Placement.position)))
     pool_sizes
-
-let test_flow_identical_with_pool () =
-  let c = Gen.c17 () in
-  let run pool =
-    match Secure_eda.Flow.run (Rng.create 4) ?pool c with
-    | Ok r -> r
-    | Error e -> Alcotest.fail (Eda_util.Eda_error.to_string e)
-  in
-  let seq = run None in
-  Pool.with_pool ~num_domains:2 (fun p ->
-      let r = run (Some p) in
-      let coverages rep =
-        List.map
-          (fun sr -> sr.Secure_eda.Flow.fault_coverage)
-          rep.Secure_eda.Flow.stages
-      in
-      Alcotest.(check bool) "same stage coverage with a pool" true
-        (coverages r = coverages seq);
-      Alcotest.(check bool) "same final netlist" true
-        (Netlist.Sim.equivalent_exhaustive r.Secure_eda.Flow.final
-           seq.Secure_eda.Flow.final))
 
 let test_sat_attack_portfolio_converges () =
   let rng = Rng.create 1234 in
@@ -418,11 +359,8 @@ let () =
           Alcotest.test_case "crashed worker trace" `Quick
             test_crashed_worker_trace_well_formed ] );
       ( "engines",
-        [ Alcotest.test_case "atpg identical" `Quick test_atpg_identical_across_domains;
-          Alcotest.test_case "atpg pooled partial" `Quick test_atpg_partial_under_pooled_budget;
-          Alcotest.test_case "tvla identical" `Quick test_tvla_identical_across_domains;
+        [ Alcotest.test_case "tvla identical" `Quick test_tvla_identical_across_domains;
           Alcotest.test_case "placement identical" `Quick
             test_placement_multistart_identical_across_domains;
-          Alcotest.test_case "flow identical" `Quick test_flow_identical_with_pool;
           Alcotest.test_case "sat-attack portfolio" `Quick
             test_sat_attack_portfolio_converges ] ) ]

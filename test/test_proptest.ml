@@ -322,6 +322,106 @@ let test_sat_differential () =
       | `Unsat, `Unsat -> true
       | _ -> false)
 
+(* A growing instance solved under assumptions after every batch: the
+   incremental shape of the SAT attack's DIP loop and of ATPG sessions. *)
+let incremental_arb =
+  P.make
+    ~show:(fun (nvars, batches) ->
+      Printf.sprintf "%d vars, batches of %s clauses" nvars
+        (String.concat "/"
+           (List.map (fun (cls, _) -> string_of_int (List.length cls)) batches)))
+    (fun rng ->
+      let nvars = 3 + Rng.int rng 25 in
+      let lit () = (Rng.int rng nvars, Rng.bool rng) in
+      let batch () =
+        let clause () = List.init (1 + Rng.int rng 3) (fun _ -> lit ()) in
+        ( List.init (1 + Rng.int rng nvars) (fun _ -> clause ()),
+          List.init (Rng.int rng 4) (fun _ -> lit ()) )
+      in
+      (nvars, List.init (3 + Rng.int rng 3) (fun _ -> batch ())))
+
+let test_sat_incremental_differential () =
+  let open Sat in
+  let module Solver_ref = Reference.Solver_ref in
+  let holds model = List.for_all (fun (v, sign) -> model v = sign) in
+  let satisfies model = List.for_all (List.exists (fun (v, sign) -> model v = sign)) in
+  (* Feed the batches to one solver, solving after each. [add] is false
+     once a clause is refuted at the root: the instance is then Unsat for
+     good and the solver is not used again. A Sat model is checked on the
+     spot, before the next batch can change it. *)
+  let drive ~add ~solve batches =
+    let dead = ref false and so_far = ref [] in
+    List.map
+      (fun (clauses, assumptions) ->
+        so_far := clauses @ !so_far;
+        if not !dead then dead := not (List.for_all add clauses);
+        if !dead then `Unsat
+        else
+          match solve assumptions with
+          | `Sat model ->
+            if satisfies model !so_far && holds model assumptions then `Sat else `Bad_model
+          | (`Unsat | `Unknown) as v -> v)
+      batches
+  in
+  let array_solver nvars =
+    let s = Solver.create () in
+    ignore (Solver.new_vars s nvars);
+    let lits = List.map (fun (v, sign) -> Solver.lit_of_var v ~sign) in
+    ( (fun cl ->
+        match Solver.add_clause s (lits cl) with
+        | () -> true
+        | exception Solver.Unsat_root -> false),
+      fun a ->
+        match Solver.solve ~assumptions:(lits a) s with
+        | Solver.Sat -> `Sat (Solver.model_value s)
+        | Solver.Unsat -> `Unsat
+        | Solver.Unknown _ -> `Unknown )
+  in
+  let ref_solver nvars =
+    let r = Solver_ref.create () in
+    for _ = 1 to nvars do
+      ignore (Solver_ref.new_var r)
+    done;
+    let lits = List.map (fun (v, sign) -> Solver_ref.lit_of_var v ~sign) in
+    ( (fun cl ->
+        match Solver_ref.add_clause r (lits cl) with
+        | () -> true
+        | exception Solver_ref.Unsat_root -> false),
+      fun a ->
+        match Solver_ref.solve ~assumptions:(lits a) r with
+        | Solver_ref.Sat -> `Sat (Solver_ref.model_value r)
+        | Solver_ref.Unsat -> `Unsat
+        | Solver_ref.Unknown _ -> `Unknown )
+  in
+  (* Ground truth that shares no assumption handling with either side: a
+     fresh reference solver given the clauses so far plus each assumption
+     as a unit clause, solved without assumptions. *)
+  let truth nvars batches =
+    let so_far = ref [] in
+    List.map
+      (fun (clauses, assumptions) ->
+        so_far := clauses @ !so_far;
+        let add, solve = ref_solver nvars in
+        let units = List.map (fun l -> [ l ]) assumptions in
+        List.hd (drive ~add ~solve [ (units @ !so_far, []) ]))
+      batches
+  in
+  let seen_sat = ref 0 and seen_unsat = ref 0 in
+  P.check_exn ~count:2000 ~name:"incremental solving under assumptions agrees with reference"
+    incremental_arb (fun (nvars, batches) ->
+      let run (add, solve) = drive ~add ~solve batches in
+      let got = run (array_solver nvars) and expect = run (ref_solver nvars) in
+      List.iter
+        (function `Sat -> incr seen_sat | `Unsat -> incr seen_unsat | _ -> ())
+        expect;
+      got = expect && got = truth nvars batches
+      && List.for_all (fun v -> v = `Sat || v = `Unsat) got);
+  (* Both verdicts must occur, or the property says nothing about one. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "both verdicts seen (%d Sat, %d Unsat)" !seen_sat !seen_unsat)
+    true
+    (!seen_sat > 0 && !seen_unsat > 0)
+
 let test_word_sim_differential () =
   (* 63 patterns per case: lane j of the word simulation must equal the
      boolean simulation of pattern j, on a fresh random circuit. *)
@@ -700,15 +800,6 @@ let all_equal = function
   | [] | [ _ ] -> true
   | x :: rest -> List.for_all (( = ) x) rest
 
-let test_atpg_pool_identical () =
-  let c = BG.sized ~seed:31 BG.C880 ~target_gates:260 in
-  let results =
-    with_pools (fun pool ->
-        let r = Dft.Atpg.run ?pool c in
-        (r.Dft.Atpg.coverage, r.Dft.Atpg.patterns, List.length r.Dft.Atpg.untestable))
-  in
-  Alcotest.(check bool) "ATPG bit-identical at 1/2/8 domains" true (all_equal results)
-
 let test_tvla_pool_identical () =
   let c = BG.sized ~seed:32 BG.Layered ~target_gates:220 in
   let ni = Circuit.num_inputs c in
@@ -811,24 +902,6 @@ let test_pool_chunking_preserves_results () =
             true (got = expect)))
     [ 1; 3; 64; 1000 ]
 
-let test_atpg_chunk_invariance () =
-  (* The scheduling grain (?chunk) must never leak into ATPG results: any
-     grain at 4 domains must reproduce the no-pool run bit for bit. *)
-  let c = BG.sized ~seed:34 BG.C880 ~target_gates:260 in
-  let summary (r : Dft.Atpg.report) =
-    (r.Dft.Atpg.coverage, r.Dft.Atpg.patterns, List.length r.Dft.Atpg.untestable)
-  in
-  let base = summary (Dft.Atpg.run c) in
-  List.iter
-    (fun chunk ->
-      Pool.with_pool ~num_domains:4 (fun p ->
-          let got = summary (Dft.Atpg.run ?chunk ~pool:p c) in
-          Alcotest.(check bool)
-            (Printf.sprintf "chunk=%s matches no-pool run"
-               (match chunk with None -> "auto" | Some n -> string_of_int n))
-            true (got = base)))
-    [ None; Some 1; Some 3; Some 64 ]
-
 let () =
   Alcotest.run "proptest"
     [ ( "harness",
@@ -854,6 +927,8 @@ let () =
           Alcotest.test_case "sized hits target" `Quick test_sized_hits_target ] );
       ( "differential",
         [ Alcotest.test_case "sat vs reference" `Quick test_sat_differential;
+          Alcotest.test_case "incremental sat vs reference" `Quick
+            test_sat_incremental_differential;
           Alcotest.test_case "word sim vs naive" `Quick test_word_sim_differential;
           Alcotest.test_case "session vs fresh" `Slow test_session_vs_fresh;
           Alcotest.test_case "session budget resume" `Quick test_session_budget_resume;
@@ -869,14 +944,11 @@ let () =
             test_tvla_second_order_large_shift;
           Alcotest.test_case "pinned tvla fingerprint" `Quick test_tvla_pinned_fingerprint ] );
       ( "pooled",
-        [ Alcotest.test_case "atpg 1/2/8 domains" `Slow test_atpg_pool_identical;
-          Alcotest.test_case "tvla 1/2/8 domains" `Slow test_tvla_pool_identical;
+        [ Alcotest.test_case "tvla 1/2/8 domains" `Slow test_tvla_pool_identical;
           Alcotest.test_case "secure-synth gate 1/2/8 domains" `Slow
             test_secure_synth_pool_identical;
           Alcotest.test_case "placement 1/2/8 domains" `Slow test_placement_pool_identical;
           Alcotest.test_case "trace merge deterministic" `Quick
             test_trace_merge_deterministic;
           Alcotest.test_case "chunking invariant" `Quick
-            test_pool_chunking_preserves_results;
-          Alcotest.test_case "atpg chunk invariant" `Slow
-            test_atpg_chunk_invariance ] ) ]
+            test_pool_chunking_preserves_results ] ) ]

@@ -139,6 +139,12 @@ let test_atpg_partial_coverage () =
   Alcotest.(check bool) "coverage is partial, not a lie" true (r.Dft.Atpg.coverage < 1.0);
   Alcotest.(check bool) "totals consistent" true
     (r.Dft.Atpg.faults_remaining <= r.Dft.Atpg.faults_total);
+  (* Whatever patterns the truncated run produced are real detecting
+     patterns: fault simulation confirms at least the reported coverage. *)
+  let faults = Fault.Model.all_stuck_at_faults c in
+  Alcotest.(check bool) "patterns verify by simulation" true
+    (Fault.Model.coverage c ~faults ~patterns:r.Dft.Atpg.patterns
+     >= r.Dft.Atpg.coverage -. 1e-9);
   (* Unbudgeted report on a small circuit: complete, nothing remaining. *)
   let full = Dft.Atpg.run (Gen.c17 ()) in
   Alcotest.(check bool) "no exhaustion" true (full.Dft.Atpg.exhausted = None);

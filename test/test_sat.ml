@@ -55,6 +55,22 @@ let test_assumptions () =
     (Solver.solve ~assumptions:[ lit a true ] s = Solver.Unsat);
   Alcotest.(check bool) "sat without" true (Solver.solve s = Solver.Sat)
 
+let test_assumption_already_true () =
+  (* An assumption the root already implies opens no decision level, so
+     a conflict on the first free decision is not a refutation of the
+     assumptions. Here x3 is a root unit and the first free decision
+     conflicts; the instance is satisfiable (x0 = 1, x4 = 1). *)
+  let s = Solver.create () in
+  ignore (Solver.new_vars s 7);
+  List.iter
+    (fun cl -> Solver.add_clause s (List.map (fun (v, sign) -> lit v sign) cl))
+    [ [ (5, false) ]; [ (2, true); (4, false); (0, true) ]; [ (0, true); (4, true) ];
+      [ (2, false); (1, false); (0, false) ]; [ (2, false) ]; [ (3, true) ] ];
+  Alcotest.(check bool) "sat under an already-true assumption" true
+    (Solver.solve ~assumptions:[ lit 3 true ] s = Solver.Sat);
+  Alcotest.(check bool) "sat under a repeated assumption" true
+    (Solver.solve ~assumptions:[ lit 3 true; lit 3 true; lit 1 true ] s = Solver.Sat)
+
 let test_incremental_reuse () =
   let s = Solver.create () in
   let vs = Array.init 10 (fun _ -> Solver.new_var s) in
@@ -469,6 +485,7 @@ let () =
          Alcotest.test_case "trivial unsat" `Quick test_trivial_unsat;
          Alcotest.test_case "pigeonhole unsat" `Quick test_unsat_pigeon;
          Alcotest.test_case "assumptions" `Quick test_assumptions;
+         Alcotest.test_case "assumption already true" `Quick test_assumption_already_true;
          Alcotest.test_case "incremental reuse" `Quick test_incremental_reuse;
          Alcotest.test_case "group retire reclaims" `Quick test_group_retire_reclaims;
          Alcotest.test_case "group fuzz vs fresh" `Quick test_group_fuzz_vs_fresh;

@@ -131,6 +131,33 @@ let test_null_sink_adds_no_events () =
   in
   Alcotest.(check int) "only this sink's events recorded" 2 (List.length events)
 
+let test_disabled_span_allocates_nothing () =
+  (* The always-on instrumentation promise: a span outside any sink is a
+     sink check and a call, nothing else. A million of them must allocate
+     no more minor words than the same loop without the span. The body is
+     a closed closure, so neither loop allocates one per iteration. *)
+  let n = 1_000_000 in
+  let minor_words loop =
+    let w0 = Gc.minor_words () in
+    loop ();
+    Gc.minor_words () -. w0
+  in
+  let bare =
+    minor_words (fun () ->
+        for _ = 1 to n do
+          Sys.opaque_identity (fun () -> ()) ()
+        done)
+  in
+  let spanned =
+    minor_words (fun () ->
+        for _ = 1 to n do
+          T.with_span "noop" (fun () -> ())
+        done)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "disabled spans allocate %.0f words, bare loop %.0f" spanned bare)
+    true (spanned <= bare)
+
 (* --- JSONL round-trip ----------------------------------------------- *)
 
 let test_json_value_roundtrip () =
@@ -652,7 +679,9 @@ let () =
            test_counter_aggregation_deterministic;
          Alcotest.test_case "gauge + histogram" `Quick test_gauge_and_histogram ]);
       ("null sink",
-       [ Alcotest.test_case "adds no events" `Quick test_null_sink_adds_no_events ]);
+       [ Alcotest.test_case "adds no events" `Quick test_null_sink_adds_no_events;
+         Alcotest.test_case "disabled span allocates nothing" `Quick
+           test_disabled_span_allocates_nothing ]);
       ("clock & gc",
        [ Alcotest.test_case "monotonic wall clock" `Quick test_monotonic_clock;
          Alcotest.test_case "hist min/max" `Quick test_hist_min_max;
