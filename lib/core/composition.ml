@@ -67,6 +67,9 @@ let stimulus rng design ~a ~b =
 
 (** First-order TVLA max |t| under the Hamming-weight model. *)
 let tvla_max_t rng design ~traces_per_class ~noise_sigma =
+  let sample = Power.Model.hamming_weight_sampler design.circuit in
+  (* no pool: the one [scratch] serves one trace at a time *)
+  let scratch = Array.make (Circuit.node_count design.circuit) false in
   let collect stream cls =
     let a, b =
       match cls with
@@ -74,7 +77,7 @@ let tvla_max_t rng design ~traces_per_class ~noise_sigma =
       | `Random -> Rng.bool stream, Rng.bool stream
     in
     let vec = stimulus stream design ~a ~b in
-    [| Power.Model.hamming_weight_sample stream design.circuit ~noise_sigma ~inputs:vec |]
+    [| sample stream ~scratch ~noise_sigma ~inputs:vec |]
   in
   (Sidechannel.Tvla.campaign_seeded rng ~traces_per_class ~collect).Sidechannel.Tvla.max_abs_t
 

@@ -58,6 +58,7 @@ let tvla_campaign ?pool rng masked ~traces_per_class ~noise_sigma =
   (* One net-value buffer recycled from trace to trace; a pooled worker
      that finds it taken allocates its own. *)
   let spare = Atomic.make None in
+  let sample = Power.Model.hamming_weight_sampler masked.Isw.circuit in
   let collect stream cls =
     let a, b =
       match cls with
@@ -67,7 +68,8 @@ let tvla_campaign ?pool rng masked ~traces_per_class ~noise_sigma =
     let scratch =
       match Atomic.exchange spare None with Some b -> b | None -> Array.make nodes false
     in
-    let hw = hw_sample stream ~scratch masked ~noise_sigma ~a ~b in
+    let inputs = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
+    let hw = sample stream ~scratch ~noise_sigma ~inputs in
     Atomic.set spare (Some scratch);
     [| hw |]
   in
@@ -115,6 +117,7 @@ let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng masked ~traces_per_class ~con
 let tvla_campaign_mask_failure rng masked ~traces_per_class ~noise_sigma =
   let c = masked.Isw.circuit in
   let scratch = Array.make (Circuit.node_count c) false in
+  let sample = Power.Model.hamming_weight_sampler c in
   let pos_of =
     let tbl = Hashtbl.create 16 in
     Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
@@ -128,7 +131,7 @@ let tvla_campaign_mask_failure rng masked ~traces_per_class ~noise_sigma =
     in
     let vec = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
     Array.iter (fun id -> vec.(pos_of id) <- false) masked.Isw.random_inputs;
-    [| Power.Model.hamming_weight_sample stream ~scratch c ~noise_sigma ~inputs:vec |]
+    [| sample stream ~scratch ~noise_sigma ~inputs:vec |]
   in
   (* no pool: the shared [scratch] is only ever used by one trace at a time *)
   Tvla.campaign_seeded rng ~traces_per_class ~collect

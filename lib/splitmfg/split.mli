@@ -19,12 +19,16 @@ val all_connections : Netlist.Circuit.t -> connection list
 val split_by_length : feol_threshold:int -> Physical.Placement.t -> split
 
 (** Wire-lifting defense [53]: additionally hide the given [fraction] of
-    visible wires, shortest (most informative) first. *)
+    visible wires, shortest (most informative) first.
+    @raise Invalid_argument when [fraction] is outside [0, 1] or NaN. *)
 val lift_wires : fraction:float -> split -> split
 
 (** Proximity attack: each hidden sink matched to the nearest candidate
-    driver (candidates = pins with BEOL via stubs). Returns the
-    correct-connection rate. *)
+    driver by Manhattan distance (candidates = pins with BEOL via stubs;
+    ties to the lowest node id; a sink never matches itself). Returns the
+    correct-connection rate. A bucketed nearest-candidate search gives the
+    same answer as scanning every candidate, on any positions (shared
+    sites and off-grid ones included), at no worse asymptotic cost. *)
 val proximity_attack : split -> float
 
 (** Expected CCR of random guessing over the same candidate pool — the

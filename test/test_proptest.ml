@@ -732,6 +732,67 @@ let test_tvla_streaming_differential () =
       agree o1 (Reference.Tvla_ref.t_test !fixed !random)
       && agree o2 (Reference.Tvla_ref.t_test_second_order !fixed !random))
 
+module Place = Physical.Placement
+module Place_ref = Reference.Placement_ref
+module Split = Splitmfg.Split
+
+(* A random DAG, optionally with a gate that reads one net twice and a
+   DFF that feeds itself (its net lists the driver as a consumer too):
+   the pin multiplicities the move kernel must count like the lists. *)
+let placement_circuit ~seed ~gates ~dup =
+  let c = Gen.random_dag ~seed ~inputs:(2 + (seed mod 6)) ~gates ~outputs:2 in
+  if dup then begin
+    let v = Circuit.node_count c - 1 in
+    ignore (Circuit.add_gate c Netlist.Gate.Xor [ v; v ]);
+    let q = Circuit.add_dff c ~d:v in
+    Circuit.connect_dff c q ~d:q
+  end;
+  c
+
+let test_placement_differential () =
+  (* The CSR move kernel against the list annealer: positions, moves
+     performed and the winning start at 1 and 4 starts, with and without
+     a step budget; perturbation positions; full wirelength (the cached
+     HPWL sums against a from-scratch list recount); and the bucketed
+     proximity attack's CCR on lifted splits. *)
+  let arb =
+    P.pair
+      (P.triple (P.int_range 0 100_000) (P.int_range 1 250) P.bool_arb)
+      (P.triple (P.int_range 0 3000) (P.int_range 1 4000) (P.int_range 0 4))
+  in
+  let show ((seed, gates, dup), (moves, steps, knob)) =
+    Printf.sprintf "seed=%d gates=%d dup=%b moves=%d steps=%d knob=%d" seed gates dup moves
+      steps knob
+  in
+  P.check_exn ~count:40 ~name:"CSR placement kernel matches the list annealer"
+    { arb with P.show } (fun ((seed, gates, dup), (moves, steps, knob)) ->
+      let c = placement_circuit ~seed ~gates ~dup in
+      let same_place starts budgeted =
+        let budget () = if budgeted then Some (Eda_util.Budget.create ~steps ()) else None in
+        let o = Place.place ~starts ~moves ?budget:(budget ()) (Rng.create seed) c in
+        let r = Place_ref.place ~starts ~moves ?budget:(budget ()) (Rng.create seed) c in
+        o.Place.placement.Place.position = r.Place.placement.Place.position
+        && o.Place.moves_performed = r.Place.moves_performed
+        && o.Place.best_start = r.Place.best_start
+      in
+      let p = (Place.place ~moves (Rng.create seed) c).Place.placement in
+      let lambda = [| 0.5; 0.0; 1.3; 0.1; 2.0 |].(knob) in
+      let q = Place.perturb (Rng.create (seed + 1)) ~lambda ~moves p in
+      let q_ref = Place_ref.perturb (Rng.create (seed + 1)) ~lambda ~moves p in
+      let ccr placement =
+        let s =
+          Split.lift_wires ~fraction:(Float.of_int knob /. 4.0)
+            (Split.split_by_length ~feol_threshold:(knob mod 3) placement)
+        in
+        Int64.bits_of_float (Split.proximity_attack s)
+        = Int64.bits_of_float (Place_ref.proximity_attack s)
+      in
+      List.for_all (fun starts -> same_place starts false && same_place starts true) [ 1; 4 ]
+      && q.Place.position = q_ref.Place.position
+      && Place.wirelength p = Place_ref.wirelength p
+      && Place.wirelength q = Place_ref.wirelength q
+      && ccr p && ccr q)
+
 let test_tvla_second_order_large_shift () =
   (* Both classes share one spread and the fixed class sits 100-1000
      above the random one: there is no second-order leakage to find.
@@ -938,6 +999,8 @@ let () =
           Alcotest.test_case "event engine vs reference" `Quick test_event_sim_differential;
           Alcotest.test_case "pinned event storm" `Quick test_event_storm_pinned;
           Alcotest.test_case "HW sampler vs model" `Quick test_hw_sampler_differential;
+          Alcotest.test_case "placement kernel vs list annealer" `Quick
+            test_placement_differential;
           Alcotest.test_case "streamed tvla vs list t-tests" `Quick
             test_tvla_streaming_differential;
           Alcotest.test_case "tvla second order under large shift" `Quick
