@@ -284,7 +284,9 @@ let lock_cmd =
   let run path key_bits seed output =
     let c = read_circuit path in
     let rng = Eda_util.Rng.create seed in
-    let locked = Locking.Lock.epic rng ~key_bits c in
+    let locked =
+      try Locking.Lock.epic rng ~key_bits c with Invalid_argument msg -> die "%s: %s" path msg
+    in
     Printf.eprintf "correct key: %s\n" (bits_to_string locked.Locking.Lock.correct_key);
     Printf.eprintf "verification: %s\n"
       (match Locking.Lock.verify_correct locked ~original:c with
@@ -302,7 +304,7 @@ let sat_attack_cmd =
   let max_iterations =
     Arg.(value & opt int 256 & info [ "max-iterations" ] ~doc:"DIP query cap")
   in
-  let run locked_path oracle_path max_iterations conflicts seconds jobs trace =
+  let run locked_path oracle_path max_iterations conflicts seconds trace =
     let locked_circuit = read_circuit locked_path in
     let original = read_circuit oracle_path in
     (* Reconstruct the locked view: key inputs are the key* named ones. *)
@@ -322,9 +324,8 @@ let sat_attack_cmd =
     let budget = budget_of conflicts seconds in
     match
       with_trace trace (fun () ->
-          with_jobs jobs (fun pool ->
-              Locking.Sat_attack.run_checked ~max_iterations ?budget ?pool
-                ~oracle:(Locking.Sat_attack.oracle_of_circuit original) locked))
+          Locking.Sat_attack.run_checked ~max_iterations ?budget
+            ~oracle:(Locking.Sat_attack.oracle_of_circuit original) locked)
     with
     | Error e -> die "%s: %s" locked_path (Eda_error.to_string e)
     | Ok result ->
@@ -346,7 +347,7 @@ let sat_attack_cmd =
   Cmd.v (Cmd.info "sat-attack" ~doc:"Oracle-guided SAT attack on a locked netlist")
     Term.(
       const run $ netlist_arg $ oracle $ max_iterations $ conflicts_arg $ seconds_arg
-      $ jobs_arg $ trace_arg)
+      $ trace_arg)
 
 (* --- atpg ------------------------------------------------------------- *)
 

@@ -1,8 +1,9 @@
 (** The end-to-end EDA flow of Fig. 1: synthesize -> place -> verify
     timing/power -> generate tests, behind one budgeted, checkpointable
-    entry point ({!run}). With [protect] empty the flow is
-    fully security-oblivious, exactly the classical PPA flow the paper
-    critiques; [protect] threads protection barriers through synthesis. *)
+    entry point ({!run}). Without [protect] the flow is fully
+    security-oblivious, exactly the classical PPA flow the paper
+    critiques (synthesis runs the [optimize] recipe); a given [protect]
+    threads protection barriers through synthesis ([optimize_secure]). *)
 
 module Circuit = Netlist.Circuit
 module Rng = Eda_util.Rng
@@ -265,7 +266,7 @@ type report = {
     [flow.degraded] note on its stage span, and each stage gauges
     [flow.budget_utilization] from its sub-budget so partial results can
     be read as budget pressure. *)
-let run rng ?(protect = fun (_ : string) -> false) ?budget
+let run rng ?protect ?budget
     ?(stage_steps = fun (_ : stage) -> None) ?(stages = all_stages) ?resume
     ?checkpoint_to circuit =
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
@@ -324,8 +325,9 @@ let run rng ?(protect = fun (_ : string) -> false) ?budget
           match stage with
           | Logic_synthesis ->
             let synthesized =
-              if protect == Synth.Rewrite.no_protection then Synth.Flow.optimize !current
-              else Synth.Flow.optimize_secure ~protect !current
+              match protect with
+              | None -> Synth.Flow.optimize !current
+              | Some protect -> Synth.Flow.optimize_secure ~protect !current
             in
             current := synthesized;
             report stage "constant-prop + strash + xor-reassoc"

@@ -3,7 +3,8 @@
     optional capabilities: [?budget] bounds every stage, [?resume]
     continues a checkpointed run, telemetry is ambient. With [protect]
     unset the flow is the security-oblivious classical PPA flow the paper
-    critiques. *)
+    critiques: synthesis runs {!Synth.Flow.optimize}. A given [protect]
+    runs {!Synth.Flow.optimize_secure} with it instead. *)
 
 type stage = Logic_synthesis | Physical_synthesis | Timing_power_verification | Testing
 

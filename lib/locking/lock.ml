@@ -24,7 +24,10 @@ type style =
 (** Insert [key_bits] XOR/XNOR key gates on randomly chosen internal nets.
     With the correct key every key gate is transparent. *)
 let epic rng ?(style = Polarity_hidden) ~key_bits source =
-  assert (Circuit.num_dffs source = 0);
+  if Circuit.num_dffs source > 0 then
+    invalid_arg
+      (Printf.sprintf "Lock.epic: sequential circuit (%d DFFs); EPIC locks combinational logic only"
+         (Circuit.num_dffs source));
   let n = Circuit.node_count source in
   (* Lockable sites: combinational gates (not inputs/constants). *)
   let sites =
@@ -36,7 +39,10 @@ let epic rng ?(style = Polarity_hidden) ~key_bits source =
         | Gate.Xor | Gate.Xnor | Gate.Mux -> true)
       (List.init n (fun i -> i))
   in
-  assert (List.length sites >= key_bits);
+  if key_bits < 0 || key_bits > List.length sites then
+    invalid_arg
+      (Printf.sprintf "Lock.epic: cannot insert %d key gates, the circuit has %d lockable sites"
+         key_bits (List.length sites));
   let chosen = Rng.sample rng key_bits (List.length sites) in
   let site_arr = Array.of_list sites in
   let locked_site = Hashtbl.create 16 in  (* source node -> key index *)

@@ -19,8 +19,9 @@ type style =
 
 (** Insert [key_bits] XOR/XNOR key gates on randomly chosen internal
     nets (default style {!Polarity_hidden}).
-    @raise Assert_failure when the circuit has fewer lockable sites than
-    [key_bits]. *)
+    @raise Invalid_argument when the circuit has DFFs, or fewer lockable
+    sites (combinational gates) than [key_bits]; the message names the
+    DFF or site count. *)
 val epic :
   Eda_util.Rng.t -> ?style:style -> key_bits:int -> Netlist.Circuit.t -> locked
 

@@ -5,16 +5,7 @@
     independent keys form a miter; each SAT solution is a distinguishing
     input pattern (DIP) whose oracle response prunes all keys disagreeing
     on it. When no DIP remains, any key consistent with the recorded I/O
-    pairs is functionally correct.
-
-    With a [?pool], the attack runs as a solver portfolio: phase-seeded
-    copies of the miter race each DIP query and the first decisive answer
-    wins ({!Eda_util.Pool.race}). The portfolio path is taken only when
-    it buys parallelism ([members > 1]) — unlike the deterministic pooled
-    engines, which take their pooled path at any pool size, a race is
-    timing-dependent by design (which member wins picks the DIP order),
-    so its captured [pool.task] telemetry is honest but not expected to
-    be bit-identical across runs or domain counts. *)
+    pairs is functionally correct. *)
 
 module Circuit = Netlist.Circuit
 module Solver = Sat.Solver
@@ -50,53 +41,6 @@ let describe_status = function
   | Iteration_limit -> "iteration limit reached"
   | Budget_exhausted e -> Budget.describe_exhaustion e
 
-(** One attack state: a solver holding the two-copy miter encoding of the
-    locked circuit. The sequential attack owns one; the portfolio owns
-    one per member and keeps their formulas in lockstep through
-    [add_io]. *)
-type instance = {
-  solver : Solver.t;
-  keys : int array;  (* key variables of circuit copy A *)
-  data : int array;  (* shared data-input variables (copy A side) *)
-  miter_on : Solver.lit;  (* assumption literal activating the miter *)
-  add_io : bool array -> bool array -> unit;
-      (* record a DIP/response pair: both key copies must reproduce the
-         oracle response on this DIP, enforced on fresh circuit copies *)
-}
-
-let make_instance (locked : Lock.locked) =
-  let c = locked.Lock.circuit in
-  let solver = Solver.create () in
-  let env_a = Cnf.encode ~solver c in
-  let env_b = Cnf.encode ~solver c in
-  let key_vars env = Array.map (fun id -> env.Cnf.vars.(id)) locked.Lock.key_inputs in
-  let data_vars env = Array.map (fun id -> env.Cnf.vars.(id)) locked.Lock.data_inputs in
-  let out_vars env = Array.map (fun o -> env.Cnf.vars.(o)) (Circuit.output_ids c) in
-  (* Shared data inputs. *)
-  Array.iteri (fun k va -> tie_equal solver va (data_vars env_b).(k)) (data_vars env_a);
-  (* Miter on outputs, activated by assumption so it can be dropped for the
-     final key extraction. *)
-  let diffs =
-    Array.to_list
-      (Array.mapi (fun k oa -> Cnf.xor_var solver oa (out_vars env_b).(k)) (out_vars env_a))
-  in
-  let any_diff = Cnf.or_var solver diffs in
-  let keys_a = key_vars env_a and keys_b = key_vars env_b in
-  let add_io dip response =
-    List.iter
-      (fun env_keys ->
-        let env_f = Cnf.encode ~solver c in
-        Array.iteri (fun k v -> fix solver v dip.(k)) (data_vars env_f);
-        Array.iteri (fun k v -> fix solver v response.(k)) (out_vars env_f);
-        Array.iteri (fun k v -> tie_equal solver v env_keys.(k)) (key_vars env_f))
-      [ keys_a; keys_b ]
-  in
-  { solver;
-    keys = keys_a;
-    data = data_vars env_a;
-    miter_on = Solver.lit_of_var any_diff ~sign:true;
-    add_io }
-
 (** Run the attack. [oracle data] must return the correct outputs for the
     data inputs (the activated chip).
 
@@ -112,21 +56,42 @@ let make_instance (locked : Lock.locked) =
     [sat_attack.dip] span per DIP query (the nested [sat.solve] spans
     carry the solver counters), a [sat_attack.dips] counter, and a final
     [sat_attack.status] note. *)
-let run_traced ?(max_iterations = 256) ?budget ?iteration_steps ~oracle (locked : Lock.locked) =
-  let inst = make_instance locked in
-  let solver = inst.solver in
+let run ?(max_iterations = 256) ?budget ?iteration_steps ~oracle (locked : Lock.locked) =
+  Telemetry.with_span "sat_attack.run"
+    ~attrs:
+      [ ("key_bits", Telemetry.Int (Array.length locked.Lock.key_inputs));
+        ("data_bits", Telemetry.Int (Array.length locked.Lock.data_inputs)) ]
+  @@ fun () ->
+  let c = locked.Lock.circuit in
+  let solver = Solver.create () in
+  let vars env ids = Array.map (fun id -> env.Cnf.vars.(id)) ids in
+  let key_vars env = vars env locked.Lock.key_inputs in
+  let data_vars env = vars env locked.Lock.data_inputs in
+  let out_vars env = vars env (Circuit.output_ids c) in
+  (* The miter: two copies of the locked circuit with shared data inputs
+     and independent keys. *)
+  let env_a = Cnf.encode ~solver c in
+  let env_b = Cnf.encode ~solver c in
+  let data = data_vars env_a and keys_a = key_vars env_a and keys_b = key_vars env_b in
+  Array.iter2 (tie_equal solver) data (data_vars env_b);
+  (* Some output differs: activated by assumption, so it can be dropped
+     for the final key extraction. *)
+  let diffs = Array.map2 (Cnf.xor_var solver) (out_vars env_a) (out_vars env_b) in
+  let any_diff = Cnf.or_var solver (Array.to_list diffs) in
+  let miter_on = Solver.lit_of_var any_diff ~sign:true in
   let solve_bounded ?(assumptions = []) () =
     match budget, iteration_steps with
     | None, None -> Solver.solve ~assumptions solver
     | Some b, steps -> Solver.solve ~budget:(Budget.sub ?steps b) ~assumptions solver
     | None, Some steps -> Solver.solve ~budget:(Budget.create ~steps ()) ~assumptions solver
   in
+  let model_key () = Array.map (fun v -> Solver.model_value solver v) keys_a in
   (* Best-effort key: any key consistent with the I/O pairs recorded so
      far. Extracted under an independent grace budget so a spent main
      budget still yields partial progress rather than nothing. *)
   let best_effort_key () =
     match Solver.solve ~budget:(Budget.create ~steps:4096 ()) solver with
-    | Solver.Sat -> Some (Array.map (fun v -> Solver.model_value solver v) inst.keys)
+    | Solver.Sat -> Some (model_key ())
     | Solver.Unsat | Solver.Unknown _ -> None
   in
   let finish ?key iterations status =
@@ -148,12 +113,20 @@ let run_traced ?(max_iterations = 256) ?budget ?iteration_steps ~oracle (locked 
       match
         Telemetry.with_span "sat_attack.dip"
           ~attrs:[ ("iteration", Telemetry.Int iterations) ]
-          (fun () -> solve_bounded ~assumptions:[ inst.miter_on ] ())
+          (fun () -> solve_bounded ~assumptions:[ miter_on ] ())
       with
       | Solver.Sat ->
-        let dip = Array.map (fun v -> Solver.model_value solver v) inst.data in
+        let dip = Array.map (fun v -> Solver.model_value solver v) data in
         let response = oracle dip in
-        inst.add_io dip response;
+        (* Both key copies must reproduce the oracle response on this DIP,
+           enforced on fresh circuit copies. *)
+        List.iter
+          (fun keys ->
+            let env_f = Cnf.encode ~solver c in
+            Array.iteri (fun k v -> fix solver v dip.(k)) (data_vars env_f);
+            Array.iteri (fun k v -> fix solver v response.(k)) (out_vars env_f);
+            Array.iter2 (tie_equal solver) (key_vars env_f) keys)
+          [ keys_a; keys_b ];
         Telemetry.count "sat_attack.dips" 1;
         if Telemetry.active () then
           Telemetry.gauge "sat_attack.learnt_db"
@@ -164,9 +137,7 @@ let run_traced ?(max_iterations = 256) ?budget ?iteration_steps ~oracle (locked 
       | Solver.Unsat ->
         (* No distinguishing input remains: extract any consistent key. *)
         (match solve_bounded () with
-         | Solver.Sat ->
-           let key = Array.map (fun v -> Solver.model_value solver v) inst.keys in
-           finish ~key iterations Converged
+         | Solver.Sat -> finish ~key:(model_key ()) iterations Converged
          | Solver.Unknown reason ->
            finish ?key:(best_effort_key ()) iterations (Budget_exhausted reason)
          | Solver.Unsat ->
@@ -176,184 +147,13 @@ let run_traced ?(max_iterations = 256) ?budget ?iteration_steps ~oracle (locked 
   in
   try loop 0 with Solver.Unsat_root -> finish 0 Converged
 
-(** Portfolio attack: [members] phase-seeded copies of the miter race each
-    DIP query on [pool]; the first decisive answer (a DIP, or the Unsat
-    that proves none remains) wins and losers are cancelled through their
-    polling task budgets. The winning DIP's oracle response is appended to
-    every member in the same order on the calling domain, so all formulas
-    stay logically identical — an Unsat from any member is therefore a
-    global proof. Which member wins a close race is timing-dependent, so
-    the DIP *sequence* (and the iteration count) may differ from the
-    sequential attack; the convergence guarantee does not: a [Converged]
-    key is provably correct regardless of the race order.
-
-    The main [budget] is charged on the caller after each race by the
-    members' conflict deltas — the total work actually spent, parallel or
-    not. Solver stats in the result aggregate all members (sizes from
-    member 0, work counters summed). *)
-let run_portfolio ~pool ~members ?(max_iterations = 256) ?budget ?iteration_steps ~oracle
-    (locked : Lock.locked) =
-  let module P = Eda_util.Pool in
-  (* Member 0 is the stock solver; the rest differ only in their seeded
-     saved phases — the classic cheap portfolio diversification. *)
-  let instances =
-    Array.init members (fun i ->
-        let inst = make_instance locked in
-        if i > 0 then Solver.randomize_phases inst.solver (0x5eda + i);
-        inst)
-  in
-  (* Conflicts accumulate on worker domains; the main budget is charged
-     here on the caller, by delta, after each race joins. [charged] is
-     the per-member conflict count already accounted for. *)
-  let charged = Array.make members 0 in
-  let charge () =
-    match budget with
-    | None -> ()
-    | Some b ->
-      Array.iteri
-        (fun i inst ->
-          let c = (Solver.stats inst.solver).Solver.conflicts in
-          if c > charged.(i) then begin
-            Budget.tick ~cost:(c - charged.(i)) b;
-            charged.(i) <- c
-          end)
-        instances
-  in
-  let aggregate_stats () =
-    Array.fold_left
-      (fun acc inst ->
-        let s = Solver.stats inst.solver in
-        { acc with
-          Solver.conflicts = acc.Solver.conflicts + s.Solver.conflicts;
-          decisions = acc.Solver.decisions + s.Solver.decisions;
-          propagations = acc.Solver.propagations + s.Solver.propagations;
-          learnt = acc.Solver.learnt + s.Solver.learnt;
-          learnt_live = acc.Solver.learnt_live + s.Solver.learnt_live;
-          restarts = acc.Solver.restarts + s.Solver.restarts;
-          db_reductions = acc.Solver.db_reductions + s.Solver.db_reductions;
-          clauses_deleted = acc.Solver.clauses_deleted + s.Solver.clauses_deleted })
-      (Solver.stats instances.(0).solver)
-      (Array.sub instances 1 (members - 1))
-  in
-  let best_effort_key () =
-    let inst = instances.(0) in
-    match Solver.solve ~budget:(Budget.create ~steps:4096 ()) inst.solver with
-    | Solver.Sat -> Some (Array.map (fun v -> Solver.model_value inst.solver v) inst.keys)
-    | Solver.Unsat | Solver.Unknown _ -> None
-  in
-  let finish ?key iterations status =
-    let stats = aggregate_stats () in
-    Telemetry.note "sat_attack.status"
-      ~attrs:
-        [ ("status", Telemetry.Str (describe_status status));
-          ("iterations", Telemetry.Int iterations);
-          ("key_recovered", Telemetry.Bool (key <> None));
-          ("members", Telemetry.Int members);
-          ("learnt_live", Telemetry.Int stats.Solver.learnt_live);
-          ("db_reductions", Telemetry.Int stats.Solver.db_reductions) ];
-    { key; iterations; solver_stats = stats; status }
-  in
-  (* Cap each member's DIP query by the per-iteration allowance and by
-     whatever remains of the main budget (speculative: every member gets
-     the full remainder; the charge-by-delta above keeps the accounting
-     exact). *)
-  let step_cap () =
-    match iteration_steps, Option.bind budget Budget.remaining_steps with
-    | Some a, Some b -> Some (min a b)
-    | (Some _ as cap), None -> cap
-    | None, cap -> cap
-  in
-  let member_ids = Array.init members (fun i -> i) in
-  let race_dip iterations =
-    Telemetry.with_span "sat_attack.dip"
-      ~attrs:
-        [ ("iteration", Telemetry.Int iterations); ("members", Telemetry.Int members) ]
-    @@ fun () ->
-    let steps = step_cap () in
-    let won =
-      P.race ?budget ~label:"sat_attack" pool member_ids ~f:(fun ctx i ->
-          let inst = instances.(i) in
-          let tb = ctx.P.task_budget ?steps () in
-          match Solver.solve ~budget:tb ~assumptions:[ inst.miter_on ] inst.solver with
-          | Solver.Sat ->
-            (* Extract the DIP here, while still on the solving domain. *)
-            Some (`Dip (Array.map (fun v -> Solver.model_value inst.solver v) inst.data))
-          | Solver.Unsat -> Some `No_dip
-          | Solver.Unknown _ -> None)
-    in
-    charge ();
-    won
-  in
-  let rec loop iterations =
-    if iterations >= max_iterations then finish iterations Iteration_limit
-    else begin
-      match race_dip iterations with
-      | Some (_, `Dip dip) ->
-        let response = oracle dip in
-        (* Same member order every iteration: formulas stay in lockstep. *)
-        Array.iter (fun inst -> inst.add_io dip response) instances;
-        Telemetry.count "sat_attack.dips" 1;
-        loop (iterations + 1)
-      | Some (_, `No_dip) ->
-        (* One member proved no DIP remains; the proof covers all of them.
-           Extract any consistent key (member 0, caller domain; this
-           solve charges the main budget directly through [Budget.sub],
-           not through [charge]). *)
-        let inst = instances.(0) in
-        let solve_extract () =
-          match budget, iteration_steps with
-          | None, None -> Solver.solve inst.solver
-          | Some b, steps -> Solver.solve ~budget:(Budget.sub ?steps b) inst.solver
-          | None, Some steps -> Solver.solve ~budget:(Budget.create ~steps ()) inst.solver
-        in
-        (match solve_extract () with
-         | Solver.Sat ->
-           let key = Array.map (fun v -> Solver.model_value inst.solver v) inst.keys in
-           finish ~key iterations Converged
-         | Solver.Unknown reason ->
-           finish ?key:(best_effort_key ()) iterations (Budget_exhausted reason)
-         | Solver.Unsat -> finish iterations Converged)
-      | None ->
-        (* Every member came back Unknown: the allowance ran out. *)
-        let reason =
-          match Option.bind budget Budget.status with
-          | Some e -> e
-          | None -> Budget.Out_of_steps  (* per-iteration caps consumed *)
-        in
-        finish ?key:(best_effort_key ()) iterations (Budget_exhausted reason)
-    end
-  in
-  try loop 0 with Solver.Unsat_root -> finish 0 Converged
-
-(* Portfolio width cap: phase diversification stops paying for itself
-   quickly, and each member is a full miter encoding. *)
-let max_members = 4
-
-let run ?max_iterations ?budget ?iteration_steps ?pool ~oracle (locked : Lock.locked) =
-  let members =
-    match pool with
-    | Some p -> min (Eda_util.Pool.size p) max_members
-    | None -> 1
-  in
-  Telemetry.with_span "sat_attack.run"
-    ~attrs:
-      [ ("key_bits", Telemetry.Int (Array.length locked.Lock.key_inputs));
-        ("data_bits", Telemetry.Int (Array.length locked.Lock.data_inputs));
-        ("members", Telemetry.Int members) ]
-    (fun () ->
-      match pool with
-      | Some p when members > 1 ->
-        run_portfolio ~pool:p ~members ?max_iterations ?budget ?iteration_steps ~oracle
-          locked
-      | _ -> run_traced ?max_iterations ?budget ?iteration_steps ~oracle locked)
-
 (** Checked entry point: lint the locked netlist, then run with internal
     failures converted to structured errors. *)
-let run_checked ?max_iterations ?budget ?iteration_steps ?pool ~oracle locked =
+let run_checked ?max_iterations ?budget ?iteration_steps ~oracle locked =
   let open Eda_util.Eda_error in
   let* _ = Netlist.Lint.validate locked.Lock.circuit in
   guard ~engine:"sat-attack" (fun () ->
-      run ?max_iterations ?budget ?iteration_steps ?pool ~oracle locked)
+      run ?max_iterations ?budget ?iteration_steps ~oracle locked)
 
 (** Convenience oracle from the original (unlocked) circuit. *)
 let oracle_of_circuit original data = Netlist.Sim.eval original data

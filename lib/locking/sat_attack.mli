@@ -24,20 +24,13 @@ type result = {
     [budget] bounds total solver work (one step per conflict);
     [iteration_steps] additionally caps each individual DIP query. On any
     exhaustion the attack returns honestly instead of hanging: [status]
-    records the reason and [iterations] the DIPs completed.
-
-    With [pool] (of size > 1) the attack becomes a solver portfolio: up
-    to 4 phase-seeded copies of the miter race each DIP query and the
-    first decisive answer wins. Which member wins a close race is
-    timing-dependent, so the DIP sequence and iteration count may differ
-    from the sequential attack — but a [Converged] key is provably
-    correct either way, and the budget is still charged for all conflicts
-    actually spent. *)
+    records the reason and [iterations] the DIPs completed. The attack
+    is deterministic: the same netlist, oracle and budget give the same
+    DIP sequence, key and solver stats. *)
 val run :
   ?max_iterations:int ->
   ?budget:Eda_util.Budget.t ->
   ?iteration_steps:int ->
-  ?pool:Eda_util.Pool.t ->
   oracle:(bool array -> bool array) ->
   Lock.locked ->
   result
@@ -48,7 +41,6 @@ val run_checked :
   ?max_iterations:int ->
   ?budget:Eda_util.Budget.t ->
   ?iteration_steps:int ->
-  ?pool:Eda_util.Pool.t ->
   oracle:(bool array -> bool array) ->
   Lock.locked ->
   (result, Eda_util.Eda_error.t) Stdlib.result

@@ -17,9 +17,48 @@
     # region secret : w y
     v} *)
 
+(* The name each net is written under. An output port whose driver has
+   another name is written as an alias [port = BUF(driver)], which defines
+   a net called [port]; a different net that already carries that name
+   (say, a locked output driver whose port moved to its key gate) is
+   written under a fresh name instead, so the text never defines a net
+   twice. Inputs cannot be renamed without renaming a port, and an alias
+   cannot be defined twice: both are rejected. *)
+let net_names c =
+  let names = Array.init (Circuit.node_count c) (Circuit.name c) in
+  (* Net names the text defines besides the nodes' own: the aliases, then
+     every fresh name handed out. *)
+  let extra = Hashtbl.create 8 in
+  Array.iter
+    (fun (nm, o) ->
+      if names.(o) <> nm then begin
+        if Hashtbl.mem extra nm then
+          invalid_arg (Printf.sprintf "Io: aliased output %s is declared twice" nm);
+        Hashtbl.replace extra nm ()
+      end)
+    (Circuit.outputs c);
+  let rec fresh_name base k =
+    let nm = Printf.sprintf "%s_%d" base k in
+    if Circuit.find_by_name c nm <> None || Hashtbl.mem extra nm then fresh_name base (k + 1)
+    else nm
+  in
+  Array.iteri
+    (fun i nm ->
+      if Hashtbl.mem extra nm then begin
+        if Circuit.kind c i = Gate.Input then
+          invalid_arg
+            (Printf.sprintf "Io: output %s names an input but is driven by another net" nm);
+        let nm' = fresh_name nm 1 in
+        Hashtbl.replace extra nm' ();
+        names.(i) <- nm'
+      end)
+    names;
+  names
+
 let print_circuit fmt c =
   let pr fs = Format.fprintf fmt fs in
-  Array.iter (fun id -> pr "INPUT(%s)@." (Circuit.name c id)) (Circuit.inputs c);
+  let name = net_names c in
+  Array.iter (fun id -> pr "INPUT(%s)@." name.(id)) (Circuit.inputs c);
   Array.iter (fun (nm, _) -> pr "OUTPUT(%s)@." nm) (Circuit.outputs c);
   for i = 0 to Circuit.node_count c - 1 do
     let nd = Circuit.node c i in
@@ -27,16 +66,13 @@ let print_circuit fmt c =
     | Gate.Input -> ()
     | k ->
       let args =
-        Array.to_list nd.Circuit.fanins
-        |> List.map (fun f -> Circuit.name c f)
-        |> String.concat ", "
+        Array.to_list nd.Circuit.fanins |> List.map (fun f -> name.(f)) |> String.concat ", "
       in
-      pr "%s = %s(%s)@." nd.Circuit.name (Gate.name k) args
+      pr "%s = %s(%s)@." name.(i) (Gate.name k) args
   done;
   (* Emit explicit aliases for outputs that name internal nets differently. *)
   Array.iter
-    (fun (nm, o) ->
-      if Circuit.name c o <> nm then pr "%s = BUF(%s)@." nm (Circuit.name c o))
+    (fun (nm, o) -> if name.(o) <> nm then pr "%s = BUF(%s)@." nm name.(o))
     (Circuit.outputs c);
   (* Region pragmas: only currently-resolvable members are written, so a
      printed circuit always parses back. *)
@@ -46,7 +82,7 @@ let print_circuit fmt c =
       | [] -> ()
       | members ->
         pr "# region %s :%s@." region
-          (String.concat "" (List.map (fun id -> " " ^ Circuit.name c id) members)))
+          (String.concat "" (List.map (fun id -> " " ^ name.(id)) members)))
     (Circuit.region_names c)
 
 let to_string c =

@@ -13,8 +13,16 @@
 
 exception Parse_error of string
 
+(** Write [c] so that {!of_string} reads back an equivalent circuit with
+    the same input and output names. An output port driven by a net of
+    another name is written as an alias [port = BUF(net)]; an internal
+    net that already carries the port's name is written under a fresh
+    name ([port_1], ...).
+    @raise Invalid_argument when that would rename an input, or when an
+    aliased output name is declared twice. *)
 val print_circuit : Format.formatter -> Circuit.t -> unit
 
+(** {!print_circuit} into a string. *)
 val to_string : Circuit.t -> string
 
 (** @raise Parse_error on malformed input or undefined nets. *)

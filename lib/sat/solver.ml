@@ -868,19 +868,6 @@ let solve ?budget ?(assumptions = []) s =
                   | Unknown e -> "unknown: " ^ Eda_util.Budget.describe_exhaustion e)) ];
         result)
 
-(** Seed the saved-phase store pseudo-randomly. Phase saving normally
-    starts all-false and converges on the last assigned polarity; seeding
-    it sends the very first decisions of otherwise-identical solvers down
-    different branches — the diversification knob of a portfolio
-    ({!Locking.Sat_attack} races one member per seed). Deterministic per
-    [seed]; soundness is untouched (phases only bias decision polarity).
-    Covers variables allocated so far; call after encoding. *)
-let randomize_phases s seed =
-  let r = Eda_util.Rng.create seed in
-  for v = 0 to s.nvars - 1 do
-    s.phase.(v) <- Eda_util.Rng.bool r
-  done
-
 (** Model access after a [Sat] answer. Unassigned variables read as false. *)
 let model_value s v =
   if v < s.nvars then

@@ -145,13 +145,6 @@ val set_learnt_limit : t -> int -> unit
     solver — useful for determinism comparisons. *)
 val set_db_reduction : t -> bool -> unit
 
-(** [randomize_phases s seed] seeds the saved-phase store so identical
-    solvers explore the search space in different orders — the
-    diversification knob for portfolio solving. Deterministic per [seed];
-    affects only decision polarity, never soundness. Covers variables
-    allocated so far, so call it after encoding. *)
-val randomize_phases : t -> int -> unit
-
 type stats = {
   vars : int;
   clauses : int;  (** live problem (non-learnt) clauses *)

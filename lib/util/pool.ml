@@ -1,9 +1,10 @@
 (** Fixed-size domain worker pool for the embarrassingly-parallel engines.
 
-    Every hot fan-out in the toolkit — ATPG fault processing, TVLA trace
-    batches, multi-start placement, SAT-attack portfolios — is a set of
-    independent tasks whose *reduction* must stay deterministic. The pool
-    therefore separates scheduling (which domain runs a task: arbitrary,
+    Every pooled fan-out in the toolkit — TVLA trace batches (including
+    the secure-synthesis TVLA gate), multi-start placement and the
+    supervised job waves of [Service] — is a set of independent tasks
+    whose *reduction* must stay deterministic. The pool therefore
+    separates scheduling (which domain runs a task: arbitrary,
     work-stealing) from semantics (which result is kept: ordered by task
     index, never by completion time):
 
@@ -13,10 +14,10 @@
       {!Rng.split} and task [i] draws from stream [i] wherever it runs;
     - cancellation is cooperative: a shared stop flag is set when the
       caller's {!Budget} exhausts (polled between tasks on the caller's
-      slot), when a task raises, or when a {!race} finds a winner. Tasks
-      already running finish (or observe the flag through
-      [ctx.cancelled] / a [ctx.task_budget]); tasks not yet started are
-      skipped and report [None]. Domains are always joined.
+      slot) or when a task raises. Tasks already running finish (or
+      observe the flag through [ctx.cancelled] / a [ctx.task_budget]);
+      tasks not yet started are skipped and report [None]. Domains are
+      always joined.
 
     Scheduling: the task range is divided into one contiguous stripe per
     slot, each with an atomic cursor; a slot that exhausts its stripe
@@ -181,7 +182,7 @@ let run_batch t work =
       (fun () -> try work 0 with _ -> ())
   end
 
-(* The scheduling core shared by map and race. [exec ctx i] must record
+(* The scheduling core of every batch. [exec ctx i] must record
    its own result; exceptions it lets escape are captured per task index
    and the first (lowest-index) one is re-raised after the join.
 
@@ -192,8 +193,9 @@ let run_batch t work =
    results land where — semantics are grain-independent. The stop flag
    is still polled before every task inside a block, so cancellation
    latency stays one task, not one chunk. *)
-let drive ?budget ?(label = "batch") ?(chunk = 1) ~stop ~exec t n =
+let drive ?budget ?(label = "batch") ?(chunk = 1) ~exec t n =
   let chunk = max 1 chunk in
+  let stop = Atomic.make false in
   let exns = Array.make n None in
   (* Worker-side telemetry: each task runs under a private capture
      context derived from the caller's ([spec] is an immutable snapshot,
@@ -299,23 +301,19 @@ let drive ?budget ?(label = "batch") ?(chunk = 1) ~stop ~exec t n =
 let parallel_map ?budget ?label ?chunk t ~f inputs =
   let n = Array.length inputs in
   let results = Array.make n None in
-  if n > 0 then begin
-    let stop = Atomic.make false in
-    drive ?budget ?label ?chunk ~stop t n
-      ~exec:(fun ctx i -> results.(i) <- Some (f ctx inputs.(i)))
-  end;
+  if n > 0 then
+    drive ?budget ?label ?chunk t n ~exec:(fun ctx i -> results.(i) <- Some (f ctx inputs.(i)));
   results
 
 let parallel_try_map ?budget ?label ?chunk t ~f inputs =
   let n = Array.length inputs in
   let results = Array.make n None in
   if n > 0 then begin
-    let stop = Atomic.make false in
     (* Isolation: the task body catches everything itself, so no
        exception ever reaches [drive]'s per-task capture — the stop flag
        stays clear and the other tasks keep running. [None] still marks
        tasks skipped by budget exhaustion or an external cancel. *)
-    drive ?budget ?label ?chunk ~stop t n ~exec:(fun ctx i ->
+    drive ?budget ?label ?chunk t n ~exec:(fun ctx i ->
         let r = try Ok (f ctx inputs.(i)) with e -> Error e in
         results.(i) <- Some r)
   end;
@@ -326,17 +324,3 @@ let parallel_reduce ?budget ?label ?chunk t ~f ~combine ~init inputs =
   Array.fold_left
     (fun acc r -> match r with Some v -> combine acc v | None -> acc)
     init results
-
-let race ?budget ?label t ~f inputs =
-  let n = Array.length inputs in
-  if n = 0 then None
-  else begin
-    let stop = Atomic.make false in
-    let winner = Atomic.make None in
-    drive ?budget ?label ~stop t n ~exec:(fun ctx i ->
-        match f ctx inputs.(i) with
-        | Some v ->
-          if Atomic.compare_and_set winner None (Some (i, v)) then Atomic.set stop true
-        | None -> ());
-    Atomic.get winner
-  end

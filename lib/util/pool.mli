@@ -1,11 +1,11 @@
 (** Fixed-size [Domain.t] worker pool with deterministic reduction.
 
-    The engines this pool serves (TVLA trace batches, multi-start
-    placement, SAT-attack portfolios) are loops over independent tasks.
-    The pool runs those tasks on [size] domains — the
-    calling domain participates as slot 0, [size - 1] spawned domains
-    fill the rest — while keeping every *result* independent of the
-    domain count:
+    The engines this pool serves (TVLA trace batches, including the
+    secure-synthesis TVLA gate; multi-start placement; the supervised
+    job waves of [Service]) are loops over independent tasks. The pool
+    runs those tasks on [size] domains — the calling domain participates
+    as slot 0, [size - 1] spawned domains fill the rest — while keeping
+    every *result* independent of the domain count:
 
     - {b ordered reduction}: [parallel_map] returns results positionally,
       so downstream folds see task [i]'s result at index [i] no matter
@@ -15,11 +15,10 @@
       shared across tasks;
     - {b cooperative cancellation}: an atomic stop flag is set when the
       caller's {!Budget} reports exhaustion (polled on slot 0 between
-      tasks), when any task raises, or when a {!race} wins. Unstarted
-      tasks are skipped ([None]); running tasks can observe the flag via
-      [ctx.cancelled] or a polling [ctx.task_budget]. All domains are
-      joined before any call returns — a cancelled batch still leaves the
-      pool reusable.
+      tasks) or when any task raises. Unstarted tasks are skipped
+      ([None]); running tasks can observe the flag via [ctx.cancelled]
+      or a polling [ctx.task_budget]. All domains are joined before any
+      call returns — a cancelled batch still leaves the pool reusable.
 
     Telemetry is ambient per domain; worker domains start without the
     caller's context, so each task instead runs under a private capture
@@ -128,17 +127,3 @@ val parallel_reduce :
   init:'acc ->
   'a array ->
   'acc
-
-(** First-result-wins: run [f] over the inputs until some task returns
-    [Some v]; the win stops the batch (losers observe [ctx.cancelled] /
-    their task budgets), all domains are joined, and [(winner_index, v)]
-    is returned. [None] when every task declined or was skipped. Which
-    member wins a close race is timing-dependent by nature — use only
-    where any winner is acceptable (portfolio solving). *)
-val race :
-  ?budget:Budget.t ->
-  ?label:string ->
-  t ->
-  f:(task_ctx -> 'a -> 'b option) ->
-  'a array ->
-  (int * 'b) option

@@ -93,8 +93,9 @@ let test_flow_reports_all_stages () =
 
 let test_flow_demonstrates_fig2_on_masked_input () =
   (* The classical flow run on a masked circuit destroys its security;
-     the same flow with barriers does not (checked via structure: the
-     protected run keeps the ISW chain names). *)
+     the same flow with barriers does not: the two runs must synthesize
+     structurally different netlists (the protected run keeps the ISW
+     chain verbatim) that still compute the same function. *)
   let masked = Sidechannel.Isw.transform (Sidechannel.Leakage.private_and_source ()) in
   let c = masked.Sidechannel.Isw.circuit in
   let rng = Rng.create 8 in
@@ -105,7 +106,10 @@ let test_flow_demonstrates_fig2_on_masked_input () =
   let classical = ok (Flow.run rng c) in
   let secure = ok (Flow.run rng ~protect:Sidechannel.Isw.protected_name c) in
   Alcotest.(check bool) "both functionally fine" true
-    (Netlist.Sim.equivalent_exhaustive classical.Flow.final secure.Flow.final)
+    (Netlist.Sim.equivalent_exhaustive classical.Flow.final secure.Flow.final);
+  let fp r = Netlist.Bench_gen.fingerprint r.Flow.final in
+  Alcotest.(check bool) "classical and protected netlists differ" true
+    (fp classical <> fp secure)
 
 let test_metric_shape_classifier () =
   let step = [ (1.0, 0.0); (2.0, 0.02); (3.0, 1.0); (4.0, 1.0) ] in

@@ -15,6 +15,73 @@ let test_epic_correct_key_restores () =
       Alcotest.(check bool) (name ^ " verified") true (Lock.verify_correct locked ~original:source = None))
     [ ("c17", Gen.c17 (), 4); ("adder", Gen.ripple_adder 4, 10); ("alu", Gen.alu 4, 16) ]
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let test_epic_rejects_impossible_key_count () =
+  let rejects what f needle =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (Printf.sprintf "%s: %S names %S" what msg needle) true
+        (contains msg needle)
+  in
+  rejects "alu4, 48 key bits"
+    (fun () -> Lock.epic (Rng.create 1) ~key_bits:48 (Gen.alu 4))
+    "36 lockable sites";
+  rejects "comparator8, 32 key bits"
+    (fun () -> Lock.epic (Rng.create 1) ~key_bits:32 (Gen.comparator 8))
+    "15 lockable sites";
+  let seq = Circuit.create () in
+  let a = Circuit.add_input ~name:"a" seq in
+  let q = Circuit.add_dff ~name:"q" seq ~d:a in
+  Circuit.set_output seq "y" (Circuit.add_gate ~name:"y" seq Netlist.Gate.Not [ q ]);
+  rejects "sequential circuit" (fun () -> Lock.epic (Rng.create 1) ~key_bits:1 seq) "1 DFFs"
+
+(* A locked netlist must survive the .bench writer: it reads back to an
+   equivalent circuit with the same port names. Locking an output driver
+   moves its port onto the key gate while the driver keeps the port's
+   name, so the writer has to rename the driver. *)
+let check_round_trip what c =
+  match Netlist.Io.of_string_result (Netlist.Io.to_string c) with
+  | Error e -> Alcotest.failf "%s: %s" what (Eda_util.Eda_error.to_string e)
+  | Ok back ->
+    let inputs c = Array.map (Circuit.name c) (Circuit.inputs c) in
+    let outputs c = Array.map fst (Circuit.outputs c) in
+    Alcotest.(check (array string)) (what ^ ": inputs") (inputs c) (inputs back);
+    Alcotest.(check (array string)) (what ^ ": outputs") (outputs c) (outputs back);
+    Alcotest.(check bool) (what ^ ": equivalent") true
+      (Sat.Cnf.check_equivalence c back = None)
+
+let test_locked_netlist_round_trips () =
+  (* Pinned: this lock puts a key gate on G22's driver. *)
+  let c17 = (Lock.epic (Rng.create 1) ~key_bits:6 (Gen.c17 ())).Lock.circuit in
+  Alcotest.(check bool) "c17: G22 is driven by its key gate" true
+    (Circuit.name c17 (List.assoc "G22" (Array.to_list (Circuit.outputs c17))) <> "G22");
+  check_round_trip "c17, 6 key bits, seed 1" c17;
+  List.iter
+    (fun (name, source) ->
+      let key_bits = min 24 (Circuit.stats source).Circuit.gates in
+      List.iter
+        (fun seed ->
+          let locked = Lock.epic (Rng.create seed) ~key_bits source in
+          check_round_trip (Printf.sprintf "%s, %d key bits, seed %d" name key_bits seed)
+            locked.Lock.circuit)
+        [ 1; 2; 3 ])
+    [ ("c17", Gen.c17 ());
+      ("adder8", Gen.ripple_adder 8);
+      ("alu4", Gen.alu 4);
+      ("comparator8", Gen.comparator 8);
+      ("parity16", Gen.parity_tree 16);
+      ("kogge_stone8", Gen.kogge_stone_adder 8);
+      ("multiplier4", Gen.array_multiplier 4);
+      ("random", Gen.random_dag ~seed:1 ~inputs:8 ~gates:80 ~outputs:4);
+      ("aes_sbox", Crypto.Sbox_circuit.aes_sbox ());
+      ("present_round", Crypto.Sbox_circuit.present_round ());
+      ("aes_mixcolumn", Crypto.Sbox_circuit.aes_mixcolumn ()) ]
+
 let test_epic_wrong_key_corrupts () =
   let rng = Rng.create 2 in
   let source = Gen.alu 4 in
@@ -160,7 +227,9 @@ let () =
        [ Alcotest.test_case "correct key restores" `Quick test_epic_correct_key_restores;
          Alcotest.test_case "wrong key corrupts" `Quick test_epic_wrong_key_corrupts;
          Alcotest.test_case "single wrong bit" `Quick test_epic_single_wrong_bit_corrupts;
-         Alcotest.test_case "eval/apply_key agree" `Quick test_eval_and_apply_key_agree ]);
+         Alcotest.test_case "eval/apply_key agree" `Quick test_eval_and_apply_key_agree;
+         Alcotest.test_case "impossible key count" `Quick test_epic_rejects_impossible_key_count;
+         Alcotest.test_case "locked netlist round-trips" `Quick test_locked_netlist_round_trips ]);
       ("sat_attack",
        [ Alcotest.test_case "recovers epic keys" `Quick test_sat_attack_recovers_epic;
          Alcotest.test_case "equivalence not bit-equality" `Quick test_sat_attack_key_not_bitwise_equal_but_equivalent ]);

@@ -184,6 +184,31 @@ let test_io_roundtrip () =
   Alcotest.(check bool) "equivalent" true (Sim.equivalent_exhaustive c c');
   Alcotest.(check int) "same inputs" (Circuit.num_inputs c) (Circuit.num_inputs c')
 
+(* An output port whose driver has another name becomes an alias; a net
+   already carrying the port's name is written under a fresh one. What
+   cannot be written that way (an input of the port's name, or the same
+   alias twice) is rejected instead of written unreadable. *)
+let test_io_port_name_collisions () =
+  let c = Circuit.create () in
+  let a = Circuit.add_input ~name:"a" c in
+  let y = Circuit.add_gate ~name:"y" c Gate.Not [ a ] in
+  let k = Circuit.add_gate ~name:"k" c Gate.Buf [ y ] in
+  Circuit.set_output c "y" k;
+  let c' = Io.of_string (Io.to_string c) in
+  Alcotest.(check (array string)) "port kept" [| "y" |] (Array.map fst (Circuit.outputs c'));
+  Alcotest.(check bool) "driver renamed" true (Circuit.find_by_name c' "y_1" <> None);
+  Alcotest.(check bool) "equivalent" true (Sim.equivalent_exhaustive c c');
+  let bad = Circuit.create () in
+  let a = Circuit.add_input ~name:"a" bad in
+  Circuit.set_output bad "a" (Circuit.add_gate ~name:"n" bad Gate.Not [ a ]);
+  Alcotest.check_raises "input named like an aliased port"
+    (Invalid_argument "Io: output a names an input but is driven by another net")
+    (fun () -> ignore (Io.to_string bad));
+  Circuit.set_output c "y" k;
+  Alcotest.check_raises "alias declared twice"
+    (Invalid_argument "Io: aliased output y is declared twice")
+    (fun () -> ignore (Io.to_string c))
+
 let test_io_sequential_roundtrip () =
   let src = "INPUT(x)\nOUTPUT(q)\nq = DFF(d)\nnq = NOT(q)\nd = XOR(x, nq)\n" in
   (* The DFF D-input refers forward to a net defined later. *)
@@ -447,6 +472,7 @@ let () =
       ("io",
        [ Alcotest.test_case "roundtrip c17" `Quick test_io_roundtrip;
          Alcotest.test_case "sequential roundtrip" `Quick test_io_sequential_roundtrip;
+         Alcotest.test_case "port name collisions" `Quick test_io_port_name_collisions;
          Alcotest.test_case "rejects garbage" `Quick test_io_rejects_garbage;
          Alcotest.test_case "region pragma roundtrip" `Quick test_region_io_roundtrip ]);
       ("properties",

@@ -112,18 +112,6 @@ let test_exhausted_budget_skips_batch () =
       let r = Pool.parallel_map ~budget:b p ~f:(fun _ctx x -> x) [| 1; 2; 3 |] in
       Alcotest.(check bool) "nothing ran" true (Array.for_all (( = ) None) r))
 
-let test_race_returns_a_winner () =
-  Pool.with_pool ~num_domains:2 (fun p ->
-      match
-        Pool.race p
-          ~f:(fun _ctx i -> if i mod 2 = 1 then Some (i * 10) else None)
-          (Array.init 6 (fun i -> i))
-      with
-      | None -> Alcotest.fail "a decisive task must win"
-      | Some (i, v) ->
-        Alcotest.(check bool) "winner is a decisive task" true (i mod 2 = 1);
-        Alcotest.(check int) "payload matches winner" (i * 10) v)
-
 let test_default_jobs_env () =
   let set v = Unix.putenv "SECURE_EDA_JOBS" v in
   set "3";
@@ -186,20 +174,6 @@ let test_placement_multistart_identical_across_domains () =
             (r.Physical.Placement.placement.Physical.Placement.position
              = seq.Physical.Placement.placement.Physical.Placement.position)))
     pool_sizes
-
-let test_sat_attack_portfolio_converges () =
-  let rng = Rng.create 1234 in
-  let original = Gen.alu 4 in
-  let locked = Locking.Lock.epic rng ~key_bits:8 original in
-  Pool.with_pool ~num_domains:2 (fun p ->
-      let result =
-        Locking.Sat_attack.run ~pool:p
-          ~oracle:(Locking.Sat_attack.oracle_of_circuit original) locked
-      in
-      Alcotest.(check bool) "portfolio attack converges" true
-        (result.Locking.Sat_attack.status = Locking.Sat_attack.Converged);
-      Alcotest.(check bool) "recovered key unlocks the design" true
-        (Locking.Sat_attack.recovered_key_correct locked ~original result))
 
 (* --- cross-domain trace capture ----------------------------------------- *)
 
@@ -350,7 +324,6 @@ let () =
           Alcotest.test_case "exception reraised" `Quick test_task_exception_reraised;
           Alcotest.test_case "budget cancellation" `Quick test_budget_cancellation_partial;
           Alcotest.test_case "pre-exhausted budget" `Quick test_exhausted_budget_skips_batch;
-          Alcotest.test_case "race" `Quick test_race_returns_a_winner;
           Alcotest.test_case "default jobs env" `Quick test_default_jobs_env ] );
       ( "tracing",
         [ Alcotest.test_case "merged trace bit-identical" `Quick
@@ -361,6 +334,4 @@ let () =
       ( "engines",
         [ Alcotest.test_case "tvla identical" `Quick test_tvla_identical_across_domains;
           Alcotest.test_case "placement identical" `Quick
-            test_placement_multistart_identical_across_domains;
-          Alcotest.test_case "sat-attack portfolio" `Quick
-            test_sat_attack_portfolio_converges ] ) ]
+            test_placement_multistart_identical_across_domains ] ) ]
