@@ -8,10 +8,11 @@
     transition stream, not just final values.
 
     The engine is flat: per call it builds a CSR fanout table and per-node
-    kind/fanin/delay arrays, then runs a struct-of-arrays event heap whose
-    times sit unboxed in a [float array]. {!iter} hands each transition to
-    its consumer as it happens; nothing per event is allocated on the
-    heap's side. *)
+    kind/fanin/delay arrays, then drains a bucketed time queue: one FIFO
+    of events per distinct pending time, and a short sorted array of those
+    times. {!iter} hands each transition to its consumer as it happens; a
+    push is an array append and a pop an array read, and nothing per event
+    is allocated on the queue's side. *)
 
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
@@ -22,98 +23,144 @@ type transition = { time : float; node : int; value : bool }
 (* Pops allowed per node before a cycle is declared an event storm. *)
 let storm_factor = 200
 
-(* Pending events: a binary min-heap on (time, seq), earliest time first,
-   FIFO among equal times. The FIFO tie-break is essential: when a gate's
-   inputs change twice at the same instant, the event computed from the
-   *later* input state must win, or the simulation settles to stale
-   values. Slot i holds time.(i), seq.(i) and ev.(i) = node lsl 1 lor
-   value. Sift-up and sift-down move a hole instead of swapping; they
-   make the same comparisons as a swapping heap, so the pop order — the
-   only observable — is the (time, seq) order either way. *)
-type heap = {
+(* Pending events, bucketed by time. Each distinct pending time owns one
+   FIFO of events (node lsl 1 lor value). The live times sit in slots
+   0 .. live - 1, latest first, so the earliest is the top slot, live - 1.
+   A pop reads the top FIFO in push order and drops the slot once it is
+   drained. That is the order of a min-heap on (time, push sequence):
+   earliest time first, FIFO among equal times. The FIFO tie-break is
+   essential: when a gate's inputs change twice at the same instant, the
+   event computed from the *later* input state must win, or the
+   simulation settles to stale values. Times compare with the float [<]
+   and [=], so -0.0 and 0.0 share a bucket, as they tie on (time, seq),
+   and a push at the time being drained appends to its FIFO.
+
+   Every pending time is an input arrival or an earlier time plus a cell
+   delay, so few are pending at once (at most 14 on the perfbench
+   corpora, against up to 79k events): a push finds its slot by binary
+   search and opens a new one by shifting the later slots up.
+
+   The FIFOs share one [store], cut into chunks of 64 events. A FIFO is a
+   chain of chunks through [link]; [rd] and [wr] are store indices, and
+   the FIFO is empty when they meet. A write that fills a chunk chains a
+   fresh one at once, so [wr] always points at a free cell; a read that
+   leaves a chunk returns it to the free list, which is threaded through
+   [link] from [free] (-1 when empty). The store doubles when no chunk
+   is free, so storage follows the pending events, not the largest
+   bucket, and nothing is allocated per event. *)
+let chunk_bits = 6
+
+let chunk_mask = (1 lsl chunk_bits) - 1
+
+type queue = {
   mutable time : float array;
-  mutable seq : int array;
-  mutable ev : int array;
-  mutable size : int;
-  mutable next_seq : int;
+  mutable rd : int array;
+  mutable wr : int array;
+  mutable live : int;
+  mutable store : int array;
+  mutable link : int array;
+  mutable free : int;
+  mutable size : int;  (* pending events *)
   mutable high_water : int;
 }
 
-let heap_create () =
-  { time = Array.make 64 0.0;
-    seq = Array.make 64 0;
-    ev = Array.make 64 0;
+let queue_create () =
+  { time = Array.make 16 0.0;
+    rd = Array.make 16 0;
+    wr = Array.make 16 0;
+    live = 0;
+    store = Array.make (4 lsl chunk_bits) 0;
+    link = [| 1; 2; 3; -1 |];
+    free = 0;
     size = 0;
-    next_seq = 0;
     high_water = 0 }
 
-let grow h =
-  let cap = 2 * Array.length h.seq in
-  let extend a fill =
-    let b = Array.make cap fill in
-    Array.blit a 0 b 0 h.size;
-    b
-  in
-  h.time <- extend h.time 0.0;
-  h.seq <- extend h.seq 0;
-  h.ev <- extend h.ev 0
+let extend a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-let[@inline] push h t node v =
-  if h.size = Array.length h.seq then grow h;
-  let s = h.next_seq in
-  h.next_seq <- s + 1;
-  let i = ref h.size in
-  h.size <- h.size + 1;
-  if h.size > h.high_water then h.high_water <- h.size;
-  let moving = ref true in
-  while !moving && !i > 0 do
-    let p = (!i - 1) / 2 in
-    let pt = h.time.(p) in
-    if t < pt || (t = pt && s < h.seq.(p)) then begin
-      h.time.(!i) <- pt;
-      h.seq.(!i) <- h.seq.(p);
-      h.ev.(!i) <- h.ev.(p);
-      i := p
-    end
-    else moving := false
-  done;
-  h.time.(!i) <- t;
-  h.seq.(!i) <- s;
-  h.ev.(!i) <- (node lsl 1) lor Bool.to_int v
-
-(* Drop the root (the caller has read it): the last slot sifts down from
-   the top. *)
-let remove_top h =
-  h.size <- h.size - 1;
-  let n = h.size in
-  if n > 0 then begin
-    let t = h.time.(n) and s = h.seq.(n) and e = h.ev.(n) in
-    let i = ref 0 in
-    let moving = ref true in
-    while !moving do
-      let l = (2 * !i) + 1 in
-      let r = l + 1 in
-      (* [c] is the earliest of the moving entry and both children; -1
-         stands for the moving entry itself. *)
-      let c = ref (-1) in
-      if l < n && (h.time.(l) < t || (h.time.(l) = t && h.seq.(l) < s)) then c := l;
-      if r < n then begin
-        let ct = if !c < 0 then t else h.time.(!c) in
-        let cs = if !c < 0 then s else h.seq.(!c) in
-        if h.time.(r) < ct || (h.time.(r) = ct && h.seq.(r) < cs) then c := r
-      end;
-      if !c < 0 then moving := false
-      else begin
-        h.time.(!i) <- h.time.(!c);
-        h.seq.(!i) <- h.seq.(!c);
-        h.ev.(!i) <- h.ev.(!c);
-        i := !c
-      end
+let take_chunk q =
+  if q.free < 0 then begin
+    (* Double the store; the new chunks m .. 2m - 1 become the free list. *)
+    let m = Array.length q.link in
+    q.store <- extend q.store (2 * m lsl chunk_bits) 0;
+    q.link <- extend q.link (2 * m) (-1);
+    for k = m to (2 * m) - 2 do
+      q.link.(k) <- k + 1
     done;
-    h.time.(!i) <- t;
-    h.seq.(!i) <- s;
-    h.ev.(!i) <- e
+    q.free <- m
+  end;
+  let k = q.free in
+  q.free <- q.link.(k);
+  k
+
+let release q k =
+  q.link.(k) <- q.free;
+  q.free <- k
+
+(* Put an empty FIFO for time [t] at slot [i], moving slots
+   i .. live - 1 up one. *)
+let open_slot q i t =
+  if q.live = Array.length q.time then begin
+    let cap = 2 * q.live in
+    q.time <- extend q.time cap 0.0;
+    q.rd <- extend q.rd cap 0;
+    q.wr <- extend q.wr cap 0
+  end;
+  let moved = q.live - i in
+  Array.blit q.time i q.time (i + 1) moved;
+  Array.blit q.rd i q.rd (i + 1) moved;
+  Array.blit q.wr i q.wr (i + 1) moved;
+  let w = take_chunk q lsl chunk_bits in
+  q.time.(i) <- t;
+  q.rd.(i) <- w;
+  q.wr.(i) <- w;
+  q.live <- q.live + 1
+
+let[@inline] push q t node v =
+  (* [i]: the first slot whose time is not later than [t]. *)
+  let lo = ref 0 and hi = ref q.live in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if q.time.(mid) > t then lo := mid + 1 else hi := mid
+  done;
+  let i = !lo in
+  if i = q.live || q.time.(i) <> t then open_slot q i t;
+  let w = q.wr.(i) in
+  q.store.(w) <- (node lsl 1) lor Bool.to_int v;
+  let w = w + 1 in
+  if w land chunk_mask = 0 then begin
+    let k = take_chunk q in
+    q.link.((w - 1) lsr chunk_bits) <- k;
+    q.wr.(i) <- k lsl chunk_bits
   end
+  else q.wr.(i) <- w;
+  q.size <- q.size + 1;
+  if q.size > q.high_water then q.high_water <- q.size
+
+(* The next event of the top slot, whose time the caller has read. *)
+let pop q =
+  let top = q.live - 1 in
+  let r = q.rd.(top) in
+  let e = q.store.(r) in
+  let r = r + 1 in
+  let r =
+    if r land chunk_mask = 0 then begin
+      let k = (r - 1) lsr chunk_bits in
+      let next = q.link.(k) in
+      release q k;
+      next lsl chunk_bits
+    end
+    else r
+  in
+  if r = q.wr.(top) then begin
+    release q (r lsr chunk_bits);
+    q.live <- top
+  end
+  else q.rd.(top) <- r;
+  q.size <- q.size - 1;
+  e
 
 (* Consumers of node v are adj.(start.(v)) .. adj.(start.(v + 1) - 1),
    in {!Circuit.fanouts} order: descending consumer id, a consumer listed
@@ -144,13 +191,19 @@ let csr_fanouts n kinds fanins =
   start, adj
 
 (* Once per call, never per event: the disabled-sink cost is one check. *)
-let report ~events ~transitions ~storms h =
+let report ~events ~transitions ~storms q =
   if T.active () then begin
     T.count "event_sim.events" events;
     T.count "event_sim.transitions" transitions;
     T.count "event_sim.storms" storms;
-    T.gauge "event_sim.heap_high_water" (Float.of_int h.high_water)
+    T.gauge "event_sim.heap_high_water" (Float.of_int q.high_water)
   end
+
+let check_length what ~inputs a =
+  if Array.length a <> inputs then
+    invalid_arg
+      (Printf.sprintf "Event_sim.iter: %s has %d entries, the circuit has %d inputs" what
+         (Array.length a) inputs)
 
 (** Simulate one clock cycle and stream its transitions: the circuit
     settles at [prev_inputs] (and [state] for DFF outputs), then input k
@@ -160,27 +213,36 @@ let report ~events ~transitions ~storms h =
     late mask refresh or unbalanced input paths, the classic cause of
     glitch leakage in masked logic. *)
 let iter ?input_arrivals ?state circuit ~prev_inputs ~next_inputs ~f =
+  let inputs = Circuit.inputs circuit in
+  let ni = Array.length inputs in
+  check_length "prev_inputs" ~inputs:ni prev_inputs;
+  check_length "next_inputs" ~inputs:ni next_inputs;
+  Option.iter (check_length "input_arrivals" ~inputs:ni) input_arrivals;
   let n = Circuit.node_count circuit in
   let values = Netlist.Sim.eval_all ?state circuit prev_inputs in
   let kinds = Array.init n (Circuit.kind circuit) in
   let fanins = Array.init n (Circuit.fanins circuit) in
   let delays = Array.map Gate.delay kinds in
   let start, adj = csr_fanouts n kinds fanins in
-  let h = heap_create () in
+  (* An input's own switch time. Its bucket's time equals it as a float
+     but may be the other zero (-0.0 beside 0.0); gate events are never
+     at -0.0, since every cell delay is positive. *)
+  let arrival = Array.make n 0.0 in
+  Option.iter (Array.iteri (fun k a -> arrival.(inputs.(k)) <- a)) input_arrivals;
+  let q = queue_create () in
   Array.iteri
     (fun k id ->
       let v = next_inputs.(k) in
-      if v <> values.(id) then
-        push h (match input_arrivals with Some a -> a.(k) | None -> 0.0) id v)
-    (Circuit.inputs circuit);
+      if v <> values.(id) then push q arrival.(id) id v)
+    inputs;
   let max_events = storm_factor * n in
   let events = ref 0 and transitions = ref 0 in
-  while h.size > 0 do
-    let t = h.time.(0) and e = h.ev.(0) in
-    remove_top h;
+  while q.live > 0 do
+    let t = q.time.(q.live - 1) in
+    let e = pop q in
     incr events;
     if !events > max_events then begin
-      report ~events:!events ~transitions:!transitions ~storms:1 h;
+      report ~events:!events ~transitions:!transitions ~storms:1 q;
       (* The message is matched on ("event storm") by the flow's
          degradation note and by failure classifiers; keep it stable. *)
       invalid_arg "Event_sim.cycle: event storm (oscillation?)"
@@ -189,14 +251,15 @@ let iter ?input_arrivals ?state circuit ~prev_inputs ~next_inputs ~f =
     if values.(node) <> v then begin
       values.(node) <- v;
       incr transitions;
+      let t = match kinds.(node) with Gate.Input -> arrival.(node) | _ -> t in
       f t node v;
       for j = start.(node) to start.(node + 1) - 1 do
         let c = adj.(j) in
-        push h (t +. delays.(c)) c (Gate.eval_indexed kinds.(c) fanins.(c) values)
+        push q (t +. delays.(c)) c (Gate.eval_indexed kinds.(c) fanins.(c) values)
       done
     end
   done;
-  report ~events:!events ~transitions:!transitions ~storms:0 h
+  report ~events:!events ~transitions:!transitions ~storms:0 q
 
 (** The transitions of {!iter}, as a list in time order. *)
 let cycle ?input_arrivals ?state circuit ~prev_inputs ~next_inputs =

@@ -10,9 +10,11 @@
     node; the raised [Invalid_argument] message contains ["event storm"],
     which callers match on to classify the failure.
 
-    Telemetry, once per call: counters [event_sim.events] (heap pops),
+    Telemetry, once per call: counters [event_sim.events] (queue pops),
     [event_sim.transitions] and [event_sim.storms], and the gauge
-    [event_sim.heap_high_water] (most pending events at once). *)
+    [event_sim.heap_high_water]: the most events pending at once, summed
+    over the time buckets of the queue. The name predates the bucketed
+    queue; the count it reports is unchanged. *)
 
 type transition = { time : float; node : int; value : bool }
 
@@ -20,6 +22,9 @@ type transition = { time : float; node : int; value : bool }
     outputs from [state]), then input k switches to [next_inputs.(k)] at
     [input_arrivals.(k)] (default 0). [f time node value] is called once
     per net transition, in time order, FIFO among equal times.
+    @raise Invalid_argument when [prev_inputs], [next_inputs] or
+    [input_arrivals] does not have one entry per circuit input (the
+    message names both counts), before [f] is called.
     @raise Invalid_argument on an event storm, after [f] has seen the
     transitions up to that point. *)
 val iter :
@@ -32,7 +37,7 @@ val iter :
   unit
 
 (** The transitions of {!iter} as a list, in time order.
-    @raise Invalid_argument on an event storm. *)
+    @raise Invalid_argument as {!iter} does. *)
 val cycle :
   ?input_arrivals:float array ->
   ?state:bool array ->

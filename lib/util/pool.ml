@@ -14,10 +14,13 @@
       {!Rng.split} and task [i] draws from stream [i] wherever it runs;
     - cancellation is cooperative: a shared stop flag is set when the
       caller's {!Budget} exhausts (polled between tasks on the caller's
-      slot) or when a task raises. Tasks already running finish (or
-      observe the flag through [ctx.cancelled] / a [ctx.task_budget]);
-      tasks not yet started are skipped and report [None]. Domains are
-      always joined.
+      slot). Tasks already running finish (or observe the flag through
+      [ctx.cancelled] / a [ctx.task_budget]); tasks not yet started are
+      skipped and report [None]. Domains are always joined;
+    - a task that raises bounds the batch at its index: tasks above the
+      lowest raising index are skipped (running ones see [ctx.cancelled]),
+      every task below it still runs, so the re-raised exception does not
+      depend on the schedule or the domain count.
 
     Scheduling: the task range is divided into one contiguous stripe per
     slot, each with an atomic cursor; a slot that exhausts its stripe
@@ -184,7 +187,10 @@ let run_batch t work =
 
 (* The scheduling core of every batch. [exec ctx i] must record
    its own result; exceptions it lets escape are captured per task index
-   and the first (lowest-index) one is re-raised after the join.
+   and the first (lowest-index) one is re-raised after the join. A raise
+   at index i lowers [bound] to i: tasks at or above the bound are
+   skipped, tasks below it all run, so the lowest raising index is the
+   same under every schedule.
 
    [chunk] is the scheduling grain: a slot claims up to [chunk]
    consecutive task indices per atomic cursor bump and amortizes the
@@ -196,6 +202,11 @@ let run_batch t work =
 let drive ?budget ?(label = "batch") ?(chunk = 1) ~exec t n =
   let chunk = max 1 chunk in
   let stop = Atomic.make false in
+  let bound = Atomic.make n in
+  let rec lower_bound i =
+    let b = Atomic.get bound in
+    if i < b && not (Atomic.compare_and_set bound b i) then lower_bound i
+  in
   let exns = Array.make n None in
   (* Worker-side telemetry: each task runs under a private capture
      context derived from the caller's ([spec] is an immutable snapshot,
@@ -215,20 +226,23 @@ let drive ?budget ?(label = "batch") ?(chunk = 1) ~exec t n =
   let stats = Array.init t.size (fun _ -> { tasks = 0; steals = 0; busy = 0.0 }) in
   let completed = Atomic.make 0 in
   (match budget with Some b when Budget.exhausted b -> Atomic.set stop true | _ -> ());
-  let cancelled () = Atomic.get stop in
-  let task_budget ?steps ?seconds () =
-    Budget.create ~clock:Unix.gettimeofday ?steps ?seconds ~poll:cancelled ()
+  let ctx slot i =
+    let cancelled () = Atomic.get stop || i > Atomic.get bound in
+    let task_budget ?steps ?seconds () =
+      Budget.create ~clock:Unix.gettimeofday ?steps ?seconds ~poll:cancelled ()
+    in
+    { task_index = i; slot; cancelled; task_budget }
   in
   (* Run tasks [i, j): one timing window for the whole block. *)
   let run_block slot i j =
     let st = stats.(slot) in
     let t0 = now () in
     let k = ref i in
-    while !k < j && not (Atomic.get stop) do
-      (try exec { task_index = !k; slot; cancelled; task_budget } !k
+    while !k < j && !k < Atomic.get bound && not (Atomic.get stop) do
+      (try exec (ctx slot !k) !k
        with e ->
          exns.(!k) <- Some (e, Printexc.get_raw_backtrace ());
-         Atomic.set stop true);
+         lower_bound !k);
       st.tasks <- st.tasks + 1;
       Atomic.incr completed;
       incr k

@@ -15,10 +15,10 @@
       shared across tasks;
     - {b cooperative cancellation}: an atomic stop flag is set when the
       caller's {!Budget} reports exhaustion (polled on slot 0 between
-      tasks) or when any task raises. Unstarted tasks are skipped
-      ([None]); running tasks can observe the flag via [ctx.cancelled]
-      or a polling [ctx.task_budget]. All domains are joined before any
-      call returns — a cancelled batch still leaves the pool reusable.
+      tasks). Unstarted tasks are skipped ([None]); running tasks can
+      observe the flag via [ctx.cancelled] or a polling
+      [ctx.task_budget]. All domains are joined before any call
+      returns — a cancelled batch still leaves the pool reusable.
 
     Telemetry is ambient per domain; worker domains start without the
     caller's context, so each task instead runs under a private capture
@@ -44,7 +44,9 @@ type t
 type task_ctx = {
   task_index : int;  (** index of this task in the submitted batch *)
   slot : int;  (** executing slot, 0 = the calling domain *)
-  cancelled : unit -> bool;  (** true once the batch is stopping *)
+  cancelled : unit -> bool;
+      (** true once the batch is stopping, or a lower-index task has
+          raised *)
   task_budget : ?steps:int -> ?seconds:float -> unit -> Budget.t;
       (** fresh per-task budget (wall-clock based) whose [status] also
           reads as [Cancelled] once the batch stops — hand it to solver
@@ -73,11 +75,14 @@ val default_jobs : unit -> int
 
 (** [parallel_map ?budget ?label ?chunk t ~f inputs] runs
     [f ctx inputs.(i)] for every [i] and returns the results in input
-    order. [None] marks a task skipped by cancellation. If a task
-    raises, the batch stops, all domains are joined, and the
-    lowest-index exception is re-raised. [budget] is only polled for
-    exhaustion — the pool never charges it; engines account their own
-    steps on the calling domain.
+    order. [None] marks a task skipped by cancellation. A task that
+    raises bounds the batch at its index: tasks above the lowest raising
+    index are skipped (a running one reads [ctx.cancelled] as true),
+    every task below it still runs, all domains are joined, and the
+    lowest-index exception is re-raised — the same one at any schedule
+    and domain count, unless the [budget] cancels the batch first.
+    [budget] is only polled for exhaustion — the pool never charges it;
+    engines account their own steps on the calling domain.
 
     [chunk] (default 1) is the scheduling grain: each atomic claim takes
     up to [chunk] consecutive tasks, amortizing per-claim bookkeeping

@@ -81,6 +81,32 @@ let test_task_exception_reraised () =
       Alcotest.(check bool) "pool reusable after exception" true
         (ok = [| Some 2; Some 3; Some 4 |]))
 
+let test_task_exception_schedule_independent () =
+  (* Stripes at 2 domains are [0..3] and [4..7]. Task 4 raises first;
+     task 2 waits until it has, so a stop-on-first-raise pool would skip
+     task 3 and re-raise task 4's exception. Every task below the lowest
+     raising index must still run, so task 3's exception wins. *)
+  Pool.with_pool ~num_domains:2 (fun p ->
+      let task4_raised = Atomic.make false in
+      let ran = Array.init 8 (fun _ -> Atomic.make false) in
+      Alcotest.check_raises "task 3 raises below task 4" (Failure "task 3") (fun () ->
+          ignore
+            (Pool.parallel_map p
+               ~f:(fun _ctx i ->
+                 Atomic.set ran.(i) true;
+                 if i = 2 then begin
+                   let deadline = Unix.gettimeofday () +. 10.0 in
+                   while (not (Atomic.get task4_raised)) && Unix.gettimeofday () < deadline do
+                     Domain.cpu_relax ()
+                   done;
+                   Unix.sleepf 0.05
+                 end;
+                 if i = 4 then Atomic.set task4_raised true;
+                 if i >= 3 then failwith (Printf.sprintf "task %d" i))
+               (Array.init 8 (fun i -> i))));
+      Alcotest.(check bool) "every task below the raise ran" true
+        (Array.for_all Atomic.get (Array.sub ran 0 4)))
+
 let test_budget_cancellation_partial () =
   (* Task 0 (always on the calling slot, which owns the budget poll)
      cancels the budget; the spinning tasks only return once they observe
@@ -322,6 +348,8 @@ let () =
         [ Alcotest.test_case "ordered map" `Quick test_map_ordered_any_size;
           Alcotest.test_case "deterministic reduce" `Quick test_reduce_deterministic;
           Alcotest.test_case "exception reraised" `Quick test_task_exception_reraised;
+          Alcotest.test_case "exception schedule-independent" `Quick
+            test_task_exception_schedule_independent;
           Alcotest.test_case "budget cancellation" `Quick test_budget_cancellation_partial;
           Alcotest.test_case "pre-exhausted budget" `Quick test_exhausted_budget_skips_batch;
           Alcotest.test_case "default jobs env" `Quick test_default_jobs_env ] );

@@ -610,38 +610,69 @@ let engines_agree ?input_arrivals c ~prev_inputs ~next_inputs =
          sample_bits
            (Ev_ref.trace (Rng.create 77) ?input_arrivals c ~config ~prev_inputs ~next_inputs))
 
+type ev_source = Family of BG.family | Random_dag | Masked of Synth.Masking.style * int
+
+let ev_source_name = function
+  | Family f -> BG.family_name f
+  | Random_dag -> "random_dag"
+  | Masked (style, shares) ->
+    Printf.sprintf "%s_%d_shares" (Synth.Masking.string_of_style style) shares
+
 let test_event_sim_differential () =
-  (* Every Bench_gen family plus random DAGs (duplicate fanins included);
-     arrivals are multiples of 5 ps like the cell delays, so equal-time
-     ties between inputs and gate outputs are common. *)
+  (* Every Bench_gen family, random DAGs (duplicate fanins included), and
+     the ISW/DOM gadget netlists the glitch campaign simulates, whose
+     equal-time buckets hold dozens of events. Each cycle runs with all
+     inputs at 0, with arrivals on a 5 ps grid like the cell delays (so
+     equal-time ties between inputs and gate outputs are common), with
+     multiples of 0.1 ps computed two ways (k *. 0.1 and k /. 10.0 differ
+     in the last bit for some k, so their times must not be merged), and
+     with -0.0 arrivals beside 0.0 ones. *)
   let source_arb =
-    P.choose_from ~show:(function Some f -> BG.family_name f | None -> "random_dag")
-      (None :: List.map Option.some BG.all_families)
+    P.choose_from ~show:ev_source_name
+      ((Random_dag :: List.map (fun f -> Family f) BG.all_families)
+      @ List.concat_map
+          (fun style -> [ Masked (style, 2); Masked (style, 3) ])
+          [ Synth.Masking.Isw; Synth.Masking.Dom ])
   in
   let arb =
     P.pair source_arb (P.triple (P.int_range 0 100_000) (P.int_range 16 600) (P.int_range 0 100_000))
   in
   let show (src, (seed, size, vseed)) =
-    Printf.sprintf "%s seed=%d size=%d vectors=%d"
-      (match src with Some f -> BG.family_name f | None -> "random_dag")
-      seed size vseed
+    Printf.sprintf "%s seed=%d size=%d vectors=%d" (ev_source_name src) seed size vseed
   in
   P.check_exn ~count:80 ~name:"flat event engine matches the record-heap reference"
     { arb with P.show } (fun (src, (seed, size, vseed)) ->
       let c =
         match src with
-        | Some fam -> BG.sized ~seed fam ~target_gates:size
-        | None -> Gen.random_dag ~seed ~inputs:(2 + (size mod 14)) ~gates:size ~outputs:4
+        | Family fam -> BG.sized ~seed fam ~target_gates:size
+        | Random_dag -> Gen.random_dag ~seed ~inputs:(2 + (size mod 14)) ~gates:size ~outputs:4
+        | Masked (style, shares) ->
+          (* The multiplier families storm at 3 shares; keep the bases
+             that finish, so the gadgets' ties are what gets compared. *)
+          let fam = [| BG.Layered; BG.C432; BG.C880 |].(seed mod 3) in
+          let base = BG.sized ~seed fam ~target_gates:(16 + (size / 16)) in
+          (Synth.Masking.transform ~shares ~style ~seed base).Synth.Masking.circuit
       in
       let ni = Circuit.num_inputs c in
       let rng = Rng.create vseed in
       let vec () = Array.init ni (fun _ -> Rng.bool rng) in
       let prev_inputs = vec () and next_inputs = vec () in
-      let input_arrivals =
-        Array.init ni (fun _ -> if Rng.bool rng then 0.0 else Float.of_int (5 * Rng.int rng 12))
+      let grid () = Float.of_int (5 * Rng.int rng 12) in
+      let on_grid = Array.init ni (fun _ -> if Rng.bool rng then 0.0 else grid ()) in
+      let fractional =
+        Array.init ni (fun _ ->
+            let k = Float.of_int (Rng.int rng 30) in
+            if Rng.bool rng then k *. 0.1 else k /. 10.0)
+      in
+      let signed_zeros =
+        Array.init ni (fun k ->
+            if k = 0 then -0.0
+            else match Rng.int rng 3 with 0 -> 0.0 | 1 -> -0.0 | _ -> grid ())
       in
       engines_agree c ~prev_inputs ~next_inputs
-      && engines_agree ~input_arrivals c ~prev_inputs ~next_inputs)
+      && List.for_all
+           (fun input_arrivals -> engines_agree ~input_arrivals c ~prev_inputs ~next_inputs)
+           [ on_grid; fractional; signed_zeros ])
 
 let test_event_storm_pinned () =
   (* A 6x6 array multiplier storms on the all-zero -> all-one step: a DAG,

@@ -132,6 +132,45 @@ let test_event_sim_telemetry () =
   in
   Alcotest.(check int) "storm counted" 1 storms
 
+let test_event_sim_rejects_bad_lengths () =
+  (* Every input vector must have one entry per circuit input; a short or
+     long one is rejected up front with both counts, never reported as an
+     event storm (failure classifiers match that text). *)
+  let c = Gen.c17 () in
+  let ok = Array.make 5 false and flip = Array.make 5 true in
+  let expect what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument m ->
+      let has key =
+        let rec go i =
+          i + String.length key <= String.length m
+          && (String.sub m i (String.length key) = key || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) (what ^ " names the circuit's input count") true
+        (has "5 inputs");
+      Alcotest.(check bool) (what ^ " is not an event storm") false (has "event storm")
+  in
+  List.iter
+    (fun len ->
+      let bad = Array.make len true in
+      let run ?input_arrivals ~prev_inputs ~next_inputs () =
+        ignore (Ev.cycle ?input_arrivals c ~prev_inputs ~next_inputs)
+      in
+      let tag = Printf.sprintf " of length %d" len in
+      expect ("prev_inputs" ^ tag) (run ~prev_inputs:bad ~next_inputs:flip);
+      expect ("next_inputs" ^ tag) (run ~prev_inputs:ok ~next_inputs:bad);
+      expect ("input_arrivals" ^ tag)
+        (run ~input_arrivals:(Array.make len 0.0) ~prev_inputs:ok ~next_inputs:flip))
+    [ 0; 4; 6 ];
+  Alcotest.check_raises "message names both counts"
+    (Invalid_argument "Event_sim.iter: next_inputs has 4 entries, the circuit has 5 inputs")
+    (fun () -> ignore (Ev.cycle c ~prev_inputs:ok ~next_inputs:(Array.make 4 true)));
+  Alcotest.(check bool) "matching lengths still simulate" true
+    (Ev.cycle ~input_arrivals:(Array.make 5 0.0) c ~prev_inputs:ok ~next_inputs:flip <> [])
+
 let test_power_trace_shape () =
   let rng = Rng.create 17 in
   let c = Gen.parity_tree 8 in
@@ -219,7 +258,8 @@ let () =
          Alcotest.test_case "stable input no events" `Quick test_event_sim_no_events_when_stable;
          Alcotest.test_case "produces glitches" `Quick test_event_sim_produces_glitch;
          Alcotest.test_case "respects delays" `Quick test_event_sim_times_respect_delay;
-         Alcotest.test_case "telemetry once per call" `Quick test_event_sim_telemetry ]);
+         Alcotest.test_case "telemetry once per call" `Quick test_event_sim_telemetry;
+         Alcotest.test_case "rejects bad lengths" `Quick test_event_sim_rejects_bad_lengths ]);
       ("power",
        [ Alcotest.test_case "trace shape" `Quick test_power_trace_shape;
          Alcotest.test_case "deterministic without noise" `Quick test_power_noise_zero_is_deterministic;
