@@ -53,9 +53,9 @@ let budget_of conflicts seconds =
   | None, None -> None
   | steps, seconds -> Some (Budget.create ?steps ?seconds ())
 
-(* Shared parallelism flag: the commands with a pool-aware engine accept
-   -j N and run it on a domain pool. The default honours SECURE_EDA_JOBS
-   (else 1), so exported CI environments widen every run at once. *)
+(* Shared parallelism flag: the commands with a pool-aware engine
+   ([tvla-fig2], [jobs]) accept -j N and run it on a domain pool. The
+   default honours SECURE_EDA_JOBS (else 1). *)
 let jobs_arg =
   let doc =
     "Worker domains for the parallel engines (default: $(b,SECURE_EDA_JOBS) or 1)."
@@ -215,7 +215,7 @@ let synth_cmd =
       (Synth.Pass.all ());
     exit 0
   in
-  let run path recipe list_recipes params print_ir_after max_passes seconds jobs output trace =
+  let run path recipe list_recipes params print_ir_after max_passes seconds output trace =
     Sidechannel.Secure_synth.register ();
     if list_recipes then list_and_exit ();
     let r =
@@ -254,9 +254,7 @@ let synth_cmd =
     let budget = budget_of max_passes seconds in
     let optimized =
       try
-        with_trace trace (fun () ->
-            with_jobs jobs (fun pool ->
-                Synth.Pipeline.run_recipe ?budget ?pool ?observe ~params recipe c))
+        with_trace trace (fun () -> Synth.Pipeline.run_recipe ?budget ?observe ~params recipe c)
       with
       | Synth.Pass.Check_failed { pass; msg } -> die "pass %s failed its check: %s" pass msg
       | Invalid_argument msg -> die "%s" msg
@@ -273,7 +271,7 @@ let synth_cmd =
     (Cmd.info "synth"
        ~doc:"Run a synthesis recipe (classical, security-aware or masking; see --list-recipes)")
     Term.(const run $ netlist_opt $ recipe $ list_recipes $ params $ print_ir_after
-          $ max_passes $ seconds_arg $ jobs_arg $ output_arg $ trace_arg)
+          $ max_passes $ seconds_arg $ output_arg $ trace_arg)
 
 (* --- lock / sat-attack ------------------------------------------------ *)
 

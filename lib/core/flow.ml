@@ -352,15 +352,17 @@ let run rng ?protect ?budget
             let ni = Circuit.num_inputs !current in
             let prev = Array.make ni false in
             let next = Array.init ni (fun _ -> Rng.bool rng) in
-            let transitions =
-              Timing.Event_sim.cycle !current ~prev_inputs:prev ~next_inputs:next
-            in
-            let glitches =
-              List.length (Timing.Event_sim.glitching_nodes !current transitions)
-            in
+            (* a glitching net is one with more than one transition *)
+            let toggles = Array.make (Circuit.node_count !current) 0 in
+            let transitions = ref 0 in
+            Timing.Event_sim.iter !current ~prev_inputs:prev ~next_inputs:next
+              ~f:(fun _ node _ ->
+                incr transitions;
+                toggles.(node) <- toggles.(node) + 1);
+            let glitches = Array.fold_left (fun n k -> if k > 1 then n + 1 else n) 0 toggles in
             report stage
-              (Printf.sprintf "event-sim: %d transitions, %d glitching nets"
-                 (List.length transitions) glitches)
+              (Printf.sprintf "event-sim: %d transitions, %d glitching nets" !transitions
+                 glitches)
           | Testing ->
             let r = Dft.Atpg.run ~budget:sub !current in
             let degraded =

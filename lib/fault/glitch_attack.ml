@@ -19,13 +19,9 @@ module Gate = Netlist.Gate
     input transition: each node holds its value from the last event before
     the edge (transport-delay event simulation). *)
 let capture_at circuit ~period_ps ~prev_inputs ~next_inputs =
-  let transitions = Timing.Event_sim.cycle circuit ~prev_inputs ~next_inputs in
   let values = Netlist.Sim.eval_all circuit prev_inputs in
-  List.iter
-    (fun tr ->
-      if tr.Timing.Event_sim.time <= period_ps then
-        values.(tr.Timing.Event_sim.node) <- tr.Timing.Event_sim.value)
-    transitions;
+  Timing.Event_sim.iter circuit ~prev_inputs ~next_inputs ~f:(fun t node v ->
+      if t <= period_ps then values.(node) <- v);
   values
 
 (** Outputs captured under a glitched clock of [period_ps]. *)

@@ -232,8 +232,7 @@ let initial rng circuit =
     pairwise swaps, geometric cooling. [budget] is charged one step per
     attempted move and checked every 64 moves; annealing is an anytime
     algorithm, so stopping early degrades quality, not validity. Returns
-    the refined placement, the number of moves actually performed and the
-    final wirelength.
+    the refined placement and the number of moves actually performed.
 
     Telemetry: a [placement.anneal] span with [placement.moves_accepted] /
     [placement.moves_rejected] counters, a periodic [placement.temperature]
@@ -254,107 +253,26 @@ let anneal_budgeted rng ?(moves = 20_000) ?budget g placement =
   T.count "placement.moves_accepted" r.accepted;
   T.count "placement.moves_rejected" r.rejected;
   T.gauge "placement.final_temperature" r.final_temp;
-  ({ placement with position = positions k }, r.performed, wirelength_of k)
+  ({ placement with position = positions k }, r.performed)
 
 let wirelength placement = wirelength_of (kernel (csr placement.circuit) placement.position)
 
-(** Result of the unified placement entry point. *)
+(** Result of the placement entry point. *)
 type outcome = {
   placement : t;
-  moves_performed : int;  (* the winning start's count; fewer than requested on exhaustion *)
-  starts : int;
-  best_start : int;  (* index of the winning start (0 when [starts = 1]) *)
+  moves_performed : int;  (* fewer than requested on exhaustion *)
 }
 
-(** Full placement flow, one entry point: random initial placement plus
-    annealing, optionally [?budget]-bounded, optionally best-of-[starts]
-    multi-start (each start anneals an independent {!Rng.split} stream;
-    the lowest-wirelength result wins, ties to the lowest start index),
-    optionally parallel across starts via [?pool]. The selection is an
-    ordered reduction over start indices, so an unbudgeted multi-start
-    result is identical at any domain count; with [starts = 1] (the
-    default) the result is bit-identical to the classic sequential
-    placer. Under a step budget, sequential starts share the budget
-    serially while pooled starts each receive the remaining allowance
-    speculatively (the caller's budget is charged for all performed
-    moves after the join) — coverage differs at the margin, validity
-    never. *)
-let place ?(starts = 1) ?moves ?budget ?pool rng circuit =
+(** Full placement flow: random initial placement plus annealing,
+    optionally [?budget]-bounded. *)
+let place ?moves ?budget rng circuit =
   let module T = Eda_util.Telemetry in
-  let module P = Eda_util.Pool in
-  if starts < 1 then invalid_arg "Placement.place: starts must be >= 1";
-  let domains = match pool with Some p -> P.size p | None -> 1 in
-  T.with_span "placement.place"
-    ~attrs:
-      [ ("nodes", T.Int (Circuit.node_count circuit));
-        ("starts", T.Int starts);
-        ("domains", T.Int domains) ]
+  T.with_span "placement.place" ~attrs:[ ("nodes", T.Int (Circuit.node_count circuit)) ]
   @@ fun () ->
-  let g = csr circuit in
-  if starts = 1 then begin
-    let placement, performed, _ = anneal_budgeted rng ?moves ?budget g (initial rng circuit) in
-    { placement; moves_performed = performed; starts = 1; best_start = 0 }
-  end
-  else begin
-    let streams = Rng.split rng starts in
-    let run_start ?budget i =
-      let r = streams.(i) in
-      anneal_budgeted r ?moves ?budget g (initial r circuit)
-    in
-    let candidates =
-      match pool with
-      | Some p ->
-        (* any pool size, 1 included, takes this path: captured
-           [pool.task] spans keep the trace shape uniform across -j *)
-        let step_cap = Option.bind budget Eda_util.Budget.remaining_steps in
-        let results =
-          P.parallel_map ?budget ~label:"placement" p
-            (Array.init starts (fun i -> i))
-            ~f:(fun ctx i ->
-              let tb =
-                match budget with
-                | None -> None
-                | Some _ -> Some (ctx.P.task_budget ?steps:step_cap ())
-              in
-              run_start ?budget:tb i)
-        in
-        (* moves performed on worker domains, charged here on the caller *)
-        Option.iter
-          (fun b ->
-            Array.iter
-              (function
-                | Some (_, performed, _) -> Eda_util.Budget.tick ~cost:performed b
-                | None -> ())
-              results)
-          budget;
-        results
-      | None -> Array.init starts (fun i -> Some (run_start ?budget i))
-    in
-    let best = ref None in
-    let completed = ref 0 in
-    Array.iteri
-      (fun i candidate ->
-        match candidate with
-        | None -> ()
-        | Some (placement, performed, wl) ->
-          incr completed;
-          (match !best with
-           | Some (_, _, _, best_wl) when best_wl <= wl -> ()
-           | _ -> best := Some (i, placement, performed, wl)))
-      candidates;
-    T.count "placement.starts_completed" !completed;
-    match !best with
-    | Some (i, placement, performed, wl) ->
-      T.gauge "placement.best_wirelength" (float_of_int wl);
-      { placement; moves_performed = performed; starts; best_start = i }
-    | None ->
-      (* budget exhausted before any start ran: fall back to stream 0's
-         unrefined initial placement — anytime semantics, never a failure *)
-      { placement = initial streams.(0) circuit;
-        moves_performed = 0;
-        starts;
-        best_start = 0 }
-  end
+  let placement, moves_performed =
+    anneal_budgeted rng ?moves ?budget (csr circuit) (initial rng circuit)
+  in
+  { placement; moves_performed }
 
 let distance placement a b =
   let xa, ya = placement.position.(a) and xb, yb = placement.position.(b) in

@@ -4,9 +4,8 @@
     PPA-optimal placer puts connected cells next to each other, which is
     precisely the hint [52]-style attackers exploit.
 
-    One entry point, optional capabilities: {!place} always works; pass
-    [?budget] to bound it (annealing is anytime — early stops degrade
-    quality, not validity), [?starts]/[?pool] for best-of-N multi-start,
+    One entry point: {!place} always works; pass [?budget] to bound it
+    (annealing is anytime — early stops degrade quality, not validity);
     telemetry is ambient. *)
 
 (** A placement: geometry over the circuit's nodes. The record is
@@ -23,24 +22,15 @@ type t = {
 type outcome = {
   placement : t;
   moves_performed : int;
-      (** the winning start's annealing moves; fewer than requested when
-          the budget ran out *)
-  starts : int;
-  best_start : int;  (** index of the winning start (0 when [starts = 1]) *)
+      (** annealing moves performed; fewer than requested when the budget
+          ran out *)
 }
 
-(** [place ?starts ?moves ?budget ?pool rng circuit] — random initial
-    placement refined by simulated annealing. With [starts > 1], each
-    start anneals an independent {!Eda_util.Rng.split} stream and the
-    lowest-wirelength result wins (ties to the lowest index) — an ordered
-    reduction, so unbudgeted results are identical at any domain count.
-    [starts] defaults to 1, which is bit-identical to the classic
-    sequential placer. *)
+(** [place ?moves ?budget rng circuit] — random initial placement refined
+    by simulated annealing on one {!Eda_util.Rng.t} stream. *)
 val place :
-  ?starts:int ->
   ?moves:int ->
   ?budget:Eda_util.Budget.t ->
-  ?pool:Eda_util.Pool.t ->
   Eda_util.Rng.t ->
   Netlist.Circuit.t ->
   outcome

@@ -41,9 +41,8 @@ let harness c =
 
 (** One fixed-vs-random Hamming-weight TVLA campaign over any circuit.
     Fixed class: every secret input true; random class: uniform secrets.
-    Masking randomness is fresh in both classes. Bit-identical at any
-    pool size (see {!Tvla.campaign_seeded}). *)
-let assess ?pool rng c ~traces_per_class ~noise_sigma =
+    Masking randomness is fresh in both classes. *)
+let assess rng c ~traces_per_class ~noise_sigma =
   let secrets, randoms = harness c in
   let nodes = Circuit.node_count c in
   let ni = Circuit.num_inputs c in
@@ -54,9 +53,8 @@ let assess ?pool rng c ~traces_per_class ~noise_sigma =
   let secrets = List.map (fun (_, ids) -> Array.map (fun id -> pos.(id)) ids) secrets in
   let randoms = Array.map (fun id -> pos.(id)) randoms in
   let sample = Power.Model.hamming_weight_sampler c in
-  (* One net-value buffer recycled from trace to trace; a pooled worker
-     that finds it taken allocates its own. *)
-  let spare = Atomic.make None in
+  (* One net-value buffer recycled from trace to trace. *)
+  let scratch = Array.make nodes false in
   let collect stream cls =
     let vec = Array.make ni false in
     List.iter
@@ -69,18 +67,13 @@ let assess ?pool rng c ~traces_per_class ~noise_sigma =
         end)
       secrets;
     Array.iter (fun p -> vec.(p) <- Rng.bool stream) randoms;
-    let scratch =
-      match Atomic.exchange spare None with Some b -> b | None -> Array.make nodes false
-    in
-    let hw = sample stream ~scratch ~noise_sigma ~inputs:vec in
-    Atomic.set spare (Some scratch);
-    [| hw |]
+    [| sample stream ~scratch ~noise_sigma ~inputs:vec |]
   in
-  Tvla.campaign_seeded ?pool rng ~traces_per_class ~collect
+  Tvla.campaign_seeded rng ~traces_per_class ~collect
 
 (** Convenience verdict: does the circuit leak under {!assess}? *)
-let leaks ?pool rng c ~traces_per_class ~noise_sigma =
-  Tvla.leaks (assess ?pool rng c ~traces_per_class ~noise_sigma)
+let leaks rng c ~traces_per_class ~noise_sigma =
+  Tvla.leaks (assess rng c ~traces_per_class ~noise_sigma)
 
 type verification = {
   masked_result : Tvla.result;
@@ -92,9 +85,9 @@ type verification = {
     (masked clean, reference leaking), not either verdict alone — a
     too-noisy campaign that cannot even catch the unmasked design proves
     nothing about the masked one. *)
-let verify ?pool rng ~reference masked ~traces_per_class ~noise_sigma =
-  { masked_result = assess ?pool rng masked ~traces_per_class ~noise_sigma;
-    unmasked_result = assess ?pool rng reference ~traces_per_class ~noise_sigma }
+let verify rng ~reference masked ~traces_per_class ~noise_sigma =
+  { masked_result = assess rng masked ~traces_per_class ~noise_sigma;
+    unmasked_result = assess rng reference ~traces_per_class ~noise_sigma }
 
 (* --- Registration ------------------------------------------------------ *)
 
@@ -116,8 +109,7 @@ let tvla_pass =
       let noise_sigma = param_float ctx "noise_sigma" ~default:0.8 in
       let seed = Synth.Pass.param_int ctx "seed" ~default:7 in
       let result =
-        assess ?pool:ctx.Synth.Pass.pool (Rng.create (0x74766c61 + seed)) c
-          ~traces_per_class:traces ~noise_sigma
+        assess (Rng.create (0x74766c61 + seed)) c ~traces_per_class:traces ~noise_sigma
       in
       if Tvla.leaks result then
         Error

@@ -10,10 +10,9 @@
     ({!Synth.Masking.interface_of}): share groups are re-encoded from the
     secret per trace, gadget randomness ([mg_]/[isw_]/[dom_] inputs) is
     fresh per trace, unshared inputs carry the secret directly. Fixed
-    class: all secrets true; random class: uniform. Bit-identical at any
-    pool size. *)
+    class: all secrets true; random class: uniform. The campaign runs on
+    the calling domain: at the gate's trace counts a pool loses. *)
 val assess :
-  ?pool:Eda_util.Pool.t ->
   Eda_util.Rng.t ->
   Netlist.Circuit.t ->
   traces_per_class:int ->
@@ -22,7 +21,6 @@ val assess :
 
 (** [Tvla.leaks] of {!assess}. *)
 val leaks :
-  ?pool:Eda_util.Pool.t ->
   Eda_util.Rng.t ->
   Netlist.Circuit.t ->
   traces_per_class:int ->
@@ -39,7 +37,6 @@ type verification = {
     reference leaking) — a campaign too weak to catch the unmasked
     design proves nothing about the masked one. *)
 val verify :
-  ?pool:Eda_util.Pool.t ->
   Eda_util.Rng.t ->
   reference:Netlist.Circuit.t ->
   Netlist.Circuit.t ->

@@ -22,7 +22,7 @@
     pre-declares every randomness input and assigns them to gadgets
     through a seeded [Rng] permutation, so the emitted netlist is a pure
     function of (circuit, shares, style, seed) — reproducible across
-    runs, machines and worker-pool sizes.
+    runs and machines.
 
     Every created net carries the ["mg_"] prefix, which doubles as the
     order barrier for security-aware synthesis (cf. ["isw_"]/["dom_"]).

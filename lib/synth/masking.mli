@@ -7,8 +7,8 @@
     prefix, which doubles as the order barrier for security-aware
     recipes. Randomness inputs are pre-declared and dealt to gadgets
     through a seeded [Rng] permutation, so the output is a pure function
-    of (circuit, shares, style, seed) — reproducible across runs and
-    worker-pool sizes. Registered as the [mask_insertion] pass
+    of (circuit, shares, style, seed) — reproducible across runs.
+    Registered as the [mask_insertion] pass
     (params [shares], [style=isw|dom], [seed], [region]). *)
 
 type style =

@@ -2,8 +2,7 @@
 
     A pass is a named, pure circuit transform plus an optional invariant
     check. Passes run inside a {!ctx} that carries the protection
-    predicate, resource budget, worker pool and string parameters — the
-    runner (see {!Pipeline}) threads one context through a whole recipe,
+    predicate and string parameters — the runner (see {!Pipeline}) threads one context through a whole recipe,
     so a transform never needs its own plumbing.
 
     Registration makes a transform addressable by name from pipeline
@@ -22,13 +21,10 @@ module Circuit = Netlist.Circuit
 
 type ctx = {
   protect : string -> bool;  (** net-name fence: true = hands off *)
-  budget : Eda_util.Budget.t option;
-  pool : Eda_util.Pool.t option;
   params : (string * string) list;  (** per-pass string options *)
 }
 
-let default_ctx =
-  { protect = (fun _ -> false); budget = None; pool = None; params = [] }
+let default_ctx = { protect = (fun _ -> false); params = [] }
 
 let param ctx key = List.assoc_opt key ctx.params
 
@@ -64,7 +60,6 @@ let () =
 
 let make ~name ~doc ?check transform = { name; doc; transform; check }
 let simple ~name ~doc f = make ~name ~doc (fun _ c -> f c)
-let protectable ~name ~doc f = make ~name ~doc (fun ctx c -> f ~protect:ctx.protect c)
 
 (* --- Registry ---------------------------------------------------------- *)
 
@@ -103,14 +98,8 @@ let run ctx p c =
   if c' != c then Circuit.transfer_regions ~from:c c';
   c'
 
-let apply ?(params = []) ?protect ?budget ?pool name c =
-  let ctx =
-    { protect = Option.value ~default:default_ctx.protect protect;
-      budget;
-      pool;
-      params }
-  in
-  run ctx (get name) c
+let apply ?(params = []) ?protect name c =
+  run { protect = Option.value ~default:default_ctx.protect protect; params } (get name) c
 
 (* --- Builtin passes ---------------------------------------------------- *)
 

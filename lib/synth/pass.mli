@@ -19,12 +19,10 @@
 (** Execution context threaded through a recipe. *)
 type ctx = {
   protect : string -> bool;  (** net-name fence: [true] = hands off *)
-  budget : Eda_util.Budget.t option;  (** step/wall-clock budget, if any *)
-  pool : Eda_util.Pool.t option;  (** worker pool for parallel passes *)
   params : (string * string) list;  (** per-pass string options *)
 }
 
-(** No protection, no budget, no pool, no parameters. *)
+(** No protection, no parameters. *)
 val default_ctx : ctx
 
 val param : ctx -> string -> string option
@@ -55,13 +53,6 @@ val make :
 
 (** A pass that ignores its context. *)
 val simple : name:string -> doc:string -> (Netlist.Circuit.t -> Netlist.Circuit.t) -> t
-
-(** A pass that only consumes the protection fence. *)
-val protectable :
-  name:string ->
-  doc:string ->
-  (protect:(string -> bool) -> Netlist.Circuit.t -> Netlist.Circuit.t) ->
-  t
 
 (** {2 Registry}
 
@@ -96,8 +87,6 @@ val run : ctx -> t -> Netlist.Circuit.t -> Netlist.Circuit.t
 val apply :
   ?params:(string * string) list ->
   ?protect:(string -> bool) ->
-  ?budget:Eda_util.Budget.t ->
-  ?pool:Eda_util.Pool.t ->
   string ->
   Netlist.Circuit.t ->
   Netlist.Circuit.t

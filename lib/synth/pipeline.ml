@@ -89,7 +89,7 @@ let instrument name f c =
         [ ("pass", T.Str name); ("gates_before", T.Int before); ("gates_after", T.Int after) ];
     c'
 
-let run ?budget ?pool ?protect ?(params = []) ?observe t c =
+let run ?budget ?protect ?(params = []) ?observe t c =
   let stopped = ref false in
   let seq = ref 0 in
   let exec_pass (ctx : Pass.ctx) c name step_params =
@@ -146,18 +146,13 @@ let run ?budget ?pool ?protect ?(params = []) ?observe t c =
       in
       loop c max_rounds
   in
-  let ctx =
-    { Pass.protect = Option.value ~default:(fun _ -> false) protect;
-      budget;
-      pool;
-      params }
-  in
+  let ctx = { Pass.protect = Option.value ~default:(fun _ -> false) protect; params } in
   exec_steps ctx c t.steps
 
-let run_recipe ?budget ?pool ?protect ?params ?observe name c =
+let run_recipe ?budget ?protect ?params ?observe name c =
   let t = get name in
   T.with_span ("synth.recipe." ^ name) @@ fun () ->
-  run ?budget ?pool ?protect ?params ?observe t c
+  run ?budget ?protect ?params ?observe t c
 
 (* --- Builtin recipes --------------------------------------------------- *)
 

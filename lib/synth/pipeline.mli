@@ -1,7 +1,7 @@
 (** Synthesis recipes as data, and the runner that executes them.
 
     A {!t} is a tree of steps referring to registered {!Pass}es by name.
-    The runner threads budget/pool/protect through the tree, meters each
+    The runner threads budget/protect through the tree, meters each
     pass (span [synth.pass.<name>], signed gate-delta counters
     [synth.gates_removed] / [synth.gates_added]), charges one budget step
     per executed pass and stops early — returning the last completed
@@ -53,14 +53,13 @@ val gadget_prefixes : string list
 
 (** {2 Execution} *)
 
-(** [run ?budget ?pool ?protect ?params ?observe t c] executes the recipe.
+(** [run ?budget ?protect ?params ?observe t c] executes the recipe.
     [observe] sees every intermediate circuit with a global 1-based
     sequence number — the hook behind [--print-ir-after].
     @raise Pass.Check_failed when a pass invariant fails.
     @raise Invalid_argument on unregistered pass names or bad params. *)
 val run :
   ?budget:Eda_util.Budget.t ->
-  ?pool:Eda_util.Pool.t ->
   ?protect:(string -> bool) ->
   ?params:(string * string) list ->
   ?observe:(seq:int -> pass:string -> Netlist.Circuit.t -> unit) ->
@@ -71,7 +70,6 @@ val run :
 (** {!run} by registry name, under a [synth.recipe.<name>] span. *)
 val run_recipe :
   ?budget:Eda_util.Budget.t ->
-  ?pool:Eda_util.Pool.t ->
   ?protect:(string -> bool) ->
   ?params:(string * string) list ->
   ?observe:(seq:int -> pass:string -> Netlist.Circuit.t -> unit) ->

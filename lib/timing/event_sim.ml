@@ -12,13 +12,13 @@
     of events per distinct pending time, and a short sorted array of those
     times. {!iter} hands each transition to its consumer as it happens; a
     push is an array append and a pop an array read, and nothing per event
-    is allocated on the queue's side. *)
+    is allocated on the queue's side. {!iter} is the only entry point:
+    callers fold over the transitions in place rather than building a
+    list. *)
 
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
 module T = Eda_util.Telemetry
-
-type transition = { time : float; node : int; value : bool }
 
 (* Pops allowed per node before a cycle is declared an event storm. *)
 let storm_factor = 200
@@ -199,11 +199,11 @@ let report ~events ~transitions ~storms q =
     T.gauge "event_sim.heap_high_water" (Float.of_int q.high_water)
   end
 
-let check_length what ~inputs a =
-  if Array.length a <> inputs then
+let check_length what ~expected ~unit a =
+  if Array.length a <> expected then
     invalid_arg
-      (Printf.sprintf "Event_sim.iter: %s has %d entries, the circuit has %d inputs" what
-         (Array.length a) inputs)
+      (Printf.sprintf "Event_sim.iter: %s has %d entries, the circuit has %d %s" what
+         (Array.length a) expected unit)
 
 (** Simulate one clock cycle and stream its transitions: the circuit
     settles at [prev_inputs] (and [state] for DFF outputs), then input k
@@ -215,9 +215,10 @@ let check_length what ~inputs a =
 let iter ?input_arrivals ?state circuit ~prev_inputs ~next_inputs ~f =
   let inputs = Circuit.inputs circuit in
   let ni = Array.length inputs in
-  check_length "prev_inputs" ~inputs:ni prev_inputs;
-  check_length "next_inputs" ~inputs:ni next_inputs;
-  Option.iter (check_length "input_arrivals" ~inputs:ni) input_arrivals;
+  check_length "prev_inputs" ~expected:ni ~unit:"inputs" prev_inputs;
+  check_length "next_inputs" ~expected:ni ~unit:"inputs" next_inputs;
+  Option.iter (check_length "input_arrivals" ~expected:ni ~unit:"inputs") input_arrivals;
+  Option.iter (check_length "state" ~expected:(Circuit.num_dffs circuit) ~unit:"DFFs") state;
   let n = Circuit.node_count circuit in
   let values = Netlist.Sim.eval_all ?state circuit prev_inputs in
   let kinds = Array.init n (Circuit.kind circuit) in
@@ -260,25 +261,3 @@ let iter ?input_arrivals ?state circuit ~prev_inputs ~next_inputs ~f =
     end
   done;
   report ~events:!events ~transitions:!transitions ~storms:0 q
-
-(** The transitions of {!iter}, as a list in time order. *)
-let cycle ?input_arrivals ?state circuit ~prev_inputs ~next_inputs =
-  let acc = ref [] in
-  iter ?input_arrivals ?state circuit ~prev_inputs ~next_inputs ~f:(fun time node value ->
-      acc := { time; node; value } :: !acc);
-  List.rev !acc
-
-(** Transition count per node over the cycle; >1 on a node that glitched
-    on the way to its final value (or toggled and returned). *)
-let toggle_counts circuit transitions =
-  let counts = Array.make (Circuit.node_count circuit) 0 in
-  List.iter (fun tr -> counts.(tr.node) <- counts.(tr.node) + 1) transitions;
-  counts
-
-(** Nets that glitched: more transitions than the |initial -> final| change
-    requires. *)
-let glitching_nodes circuit transitions =
-  let counts = toggle_counts circuit transitions in
-  let nodes = ref [] in
-  Array.iteri (fun i c -> if c > 1 then nodes := i :: !nodes) counts;
-  List.rev !nodes

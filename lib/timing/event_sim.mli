@@ -16,15 +16,14 @@
     over the time buckets of the queue. The name predates the bucketed
     queue; the count it reports is unchanged. *)
 
-type transition = { time : float; node : int; value : bool }
-
 (** Simulate one clock cycle: the circuit settles at [prev_inputs] (DFF
     outputs from [state]), then input k switches to [next_inputs.(k)] at
     [input_arrivals.(k)] (default 0). [f time node value] is called once
     per net transition, in time order, FIFO among equal times.
     @raise Invalid_argument when [prev_inputs], [next_inputs] or
-    [input_arrivals] does not have one entry per circuit input (the
-    message names both counts), before [f] is called.
+    [input_arrivals] does not have one entry per circuit input, or
+    [state] one entry per DFF (the message names both counts), before [f]
+    is called.
     @raise Invalid_argument on an event storm, after [f] has seen the
     transitions up to that point. *)
 val iter :
@@ -35,19 +34,3 @@ val iter :
   next_inputs:bool array ->
   f:(float -> int -> bool -> unit) ->
   unit
-
-(** The transitions of {!iter} as a list, in time order.
-    @raise Invalid_argument as {!iter} does. *)
-val cycle :
-  ?input_arrivals:float array ->
-  ?state:bool array ->
-  Netlist.Circuit.t ->
-  prev_inputs:bool array ->
-  next_inputs:bool array ->
-  transition list
-
-(** Transition count per node over the cycle. *)
-val toggle_counts : Netlist.Circuit.t -> transition list -> int array
-
-(** Nodes with more than one transition — the glitching nets. *)
-val glitching_nodes : Netlist.Circuit.t -> transition list -> int list

@@ -333,8 +333,3 @@ let parallel_try_map ?budget ?label ?chunk t ~f inputs =
   end;
   results
 
-let parallel_reduce ?budget ?label ?chunk t ~f ~combine ~init inputs =
-  let results = parallel_map ?budget ?label ?chunk t ~f inputs in
-  Array.fold_left
-    (fun acc r -> match r with Some v -> combine acc v | None -> acc)
-    init results

@@ -1,7 +1,6 @@
 (** Fixed-size [Domain.t] worker pool with deterministic reduction.
 
-    The engines this pool serves (TVLA trace batches, including the
-    secure-synthesis TVLA gate; multi-start placement; the supervised
+    The engines this pool serves (TVLA trace batches and the supervised
     job waves of [Service]) are loops over independent tasks. The pool
     runs those tasks on [size] domains — the calling domain participates
     as slot 0, [size - 1] spawned domains fill the rest — while keeping
@@ -118,17 +117,3 @@ val parallel_try_map :
   f:(task_ctx -> 'a -> 'b) ->
   'a array ->
   ('b, exn) result option array
-
-(** [parallel_map] followed by an ordered left fold over the present
-    results — the reduction order (and so the result) is independent of
-    the domain count. *)
-val parallel_reduce :
-  ?budget:Budget.t ->
-  ?label:string ->
-  ?chunk:int ->
-  t ->
-  f:(task_ctx -> 'a -> 'b) ->
-  combine:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a array ->
-  'acc

@@ -2,12 +2,31 @@
     {!Timing.Event_sim} and {!Power.Model.trace} replaced, kept verbatim
     (minus the unused [?delay_of] knob) as the differential oracle for
     the flat engine: same transitions, same storm exception, same trace
-    samples to the bit. *)
+    samples to the bit. Also the list view of the production engine
+    ({!collect}, {!glitching_nodes}) that tests read transitions
+    through. *)
 
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
 
-type transition = Timing.Event_sim.transition = { time : float; node : int; value : bool }
+type transition = { time : float; node : int; value : bool }
+
+(** The transitions of production {!Timing.Event_sim.iter} as a list, in
+    time order. *)
+let collect ?input_arrivals ?state circuit ~prev_inputs ~next_inputs =
+  let acc = ref [] in
+  Timing.Event_sim.iter ?input_arrivals ?state circuit ~prev_inputs ~next_inputs
+    ~f:(fun time node value -> acc := { time; node; value } :: !acc);
+  List.rev !acc
+
+(** Nodes with more than one transition — the glitching nets (glitched
+    on the way to their final value, or toggled and returned). *)
+let glitching_nodes circuit transitions =
+  let counts = Array.make (Circuit.node_count circuit) 0 in
+  List.iter (fun tr -> counts.(tr.node) <- counts.(tr.node) + 1) transitions;
+  let nodes = ref [] in
+  Array.iteri (fun i c -> if c > 1 then nodes := i :: !nodes) counts;
+  List.rev !nodes
 
 (* Minimal binary heap on (time, sequence); earliest time first, FIFO
    among equal times. One boxed record per event. *)
@@ -69,7 +88,7 @@ module Heap = struct
 end
 
 (** Every transition of one clock cycle, in time order; see
-    {!Timing.Event_sim.cycle}. *)
+    {!Timing.Event_sim.iter}. *)
 let cycle ?input_arrivals ?state circuit ~prev_inputs ~next_inputs =
   let values = Netlist.Sim.eval_all ?state circuit prev_inputs in
   let fanouts = Circuit.fanouts circuit in

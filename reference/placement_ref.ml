@@ -94,30 +94,10 @@ let anneal_budgeted rng ?(moves = 20_000) ?budget ?(t_start = 8.0) ?(t_end = 0.0
   done;
   { placement with Placement.position = pos }, !performed
 
-(** The sequential placement flow: initial placement plus annealing, and
-    best-of-[starts] over {!Rng.split} streams (lowest wirelength, ties
-    to the lowest start index). *)
-let place ?(starts = 1) ?moves ?budget rng circuit =
-  if starts = 1 then begin
-    let placement, performed = anneal_budgeted rng ?moves ?budget (initial rng circuit) in
-    { Placement.placement; moves_performed = performed; starts = 1; best_start = 0 }
-  end
-  else begin
-    let streams = Rng.split rng starts in
-    let best = ref None in
-    for i = 0 to starts - 1 do
-      let r = streams.(i) in
-      let placement, performed = anneal_budgeted r ?moves ?budget (initial r circuit) in
-      let wl = wirelength placement in
-      match !best with
-      | Some (_, _, _, best_wl) when best_wl <= wl -> ()
-      | _ -> best := Some (i, placement, performed, wl)
-    done;
-    match !best with
-    | Some (i, placement, performed, _) ->
-      { Placement.placement; moves_performed = performed; starts; best_start = i }
-    | None -> assert false
-  end
+(** The sequential placement flow: initial placement plus annealing. *)
+let place ?moves ?budget rng circuit =
+  let placement, moves_performed = anneal_budgeted rng ?moves ?budget (initial rng circuit) in
+  { Placement.placement; moves_performed }
 
 (** Placement perturbation defense: annealing on HPWL plus [lambda]
     times a privacy term that rewards spreading connected pins apart. *)

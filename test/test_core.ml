@@ -91,6 +91,20 @@ let test_flow_reports_all_stages () =
    | Some cov -> Alcotest.(check bool) "coverage" true (cov > 0.9)
    | None -> Alcotest.fail "testing stage must report coverage")
 
+let test_flow_timing_note_pinned () =
+  (* The timing stage's note at seed 1 on a design that does not storm:
+     transitions and glitching nets are counted over one random cycle. *)
+  let c = Netlist.Bench_gen.sized ~seed:1 Netlist.Bench_gen.C880 ~target_gates:300 in
+  match Flow.run (Rng.create 1) c with
+  | Error e -> Alcotest.fail (Eda_util.Eda_error.to_string e)
+  | Ok report ->
+    let timing =
+      List.find (fun sr -> sr.Flow.stage = Flow.Timing_power_verification) report.Flow.stages
+    in
+    Alcotest.(check (option string)) "timing stage concluded" None timing.Flow.degraded;
+    Alcotest.(check string) "pinned note" "event-sim: 295 transitions, 53 glitching nets"
+      timing.Flow.note
+
 let test_flow_demonstrates_fig2_on_masked_input () =
   (* The classical flow run on a masked circuit destroys its security;
      the same flow with barriers does not: the two runs must synthesize
@@ -162,6 +176,7 @@ let () =
        [ Alcotest.test_case "cross effect" `Slow test_composition_cross_effect ]);
       ("flow",
        [ Alcotest.test_case "stage reports" `Quick test_flow_reports_all_stages;
+         Alcotest.test_case "pinned timing note" `Quick test_flow_timing_note_pinned;
          Alcotest.test_case "fig2 on masked input" `Quick test_flow_demonstrates_fig2_on_masked_input ]);
       ("metrics",
        [ Alcotest.test_case "shape classifier" `Quick test_metric_shape_classifier;

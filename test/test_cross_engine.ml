@@ -134,14 +134,11 @@ let test_sta_bounds_event_sim () =
     let max_arrival = Array.fold_left Float.max 0.0 report.Timing.Sta.arrival in
     let prev = Array.init 6 (fun _ -> Rng.bool rng) in
     let next = Array.init 6 (fun _ -> Rng.bool rng) in
-    let transitions = Timing.Event_sim.cycle c ~prev_inputs:prev ~next_inputs:next in
-    List.iter
-      (fun tr ->
+    Timing.Event_sim.iter c ~prev_inputs:prev ~next_inputs:next ~f:(fun time _ _ ->
         Alcotest.(check bool)
-          (Printf.sprintf "seed %d event at %.0f <= STA %.0f" seed tr.Timing.Event_sim.time max_arrival)
+          (Printf.sprintf "seed %d event at %.0f <= STA %.0f" seed time max_arrival)
           true
-          (tr.Timing.Event_sim.time <= max_arrival +. 1e-9))
-      transitions
+          (time <= max_arrival +. 1e-9))
   done
 
 let test_word_sim_matches_scalar_on_all_slots () =

@@ -4,7 +4,6 @@
 module Pool = Eda_util.Pool
 module Budget = Eda_util.Budget
 module Rng = Eda_util.Rng
-module Gen = Netlist.Generators
 
 (* --- Rng.split ---------------------------------------------------------- *)
 
@@ -49,24 +48,6 @@ let test_map_ordered_any_size () =
             (Printf.sprintf "ordered results at %d domains" d)
             true (got = expect)))
     [ 1; 2; 3; 8 ]
-
-let test_reduce_deterministic () =
-  (* Float reduction order matters; the ordered fold must give the exact
-     same sum at every domain count. *)
-  let inputs = Array.init 257 (fun i -> i) in
-  let sum d =
-    Pool.with_pool ~num_domains:d (fun p ->
-        Pool.parallel_reduce p
-          ~f:(fun _ctx i -> 1.0 /. Float.of_int (i + 1))
-          ~combine:( +. ) ~init:0.0 inputs)
-  in
-  let s1 = sum 1 in
-  List.iter
-    (fun d ->
-      Alcotest.(check bool)
-        (Printf.sprintf "bitwise-equal sum at %d domains" d)
-        true (Float.equal s1 (sum d)))
-    [ 2; 4; 8 ]
 
 let test_task_exception_reraised () =
   Pool.with_pool ~num_domains:2 (fun p ->
@@ -174,31 +155,6 @@ let test_tvla_identical_across_domains () =
             (r.Sidechannel.Tvla.t_per_sample = seq.Sidechannel.Tvla.t_per_sample
              && Float.equal r.Sidechannel.Tvla.max_abs_t seq.Sidechannel.Tvla.max_abs_t
              && r.Sidechannel.Tvla.leaky_samples = seq.Sidechannel.Tvla.leaky_samples)))
-    pool_sizes
-
-let test_placement_multistart_identical_across_domains () =
-  let c = Gen.alu 4 in
-  let place pool =
-    Physical.Placement.place ~starts:4 ~moves:1500 ?pool (Rng.create 99) c
-  in
-  let seq = place None in
-  Alcotest.(check bool) "multi-start beats or ties a single start" true
-    (Physical.Placement.wirelength seq.Physical.Placement.placement
-     <= Physical.Placement.wirelength
-          (Physical.Placement.place ~moves:1500 (Rng.create 99) c).Physical.Placement
-            .placement);
-  List.iter
-    (fun d ->
-      Pool.with_pool ~num_domains:d (fun p ->
-          let r = place (Some p) in
-          Alcotest.(check int)
-            (Printf.sprintf "same winning start at %d domains" d)
-            seq.Physical.Placement.best_start r.Physical.Placement.best_start;
-          Alcotest.(check bool)
-            (Printf.sprintf "same positions at %d domains" d)
-            true
-            (r.Physical.Placement.placement.Physical.Placement.position
-             = seq.Physical.Placement.placement.Physical.Placement.position)))
     pool_sizes
 
 (* --- cross-domain trace capture ----------------------------------------- *)
@@ -346,7 +302,6 @@ let () =
           Alcotest.test_case "bad count" `Quick test_rng_split_bad_count ] );
       ( "pool",
         [ Alcotest.test_case "ordered map" `Quick test_map_ordered_any_size;
-          Alcotest.test_case "deterministic reduce" `Quick test_reduce_deterministic;
           Alcotest.test_case "exception reraised" `Quick test_task_exception_reraised;
           Alcotest.test_case "exception schedule-independent" `Quick
             test_task_exception_schedule_independent;
@@ -360,6 +315,4 @@ let () =
           Alcotest.test_case "crashed worker trace" `Quick
             test_crashed_worker_trace_well_formed ] );
       ( "engines",
-        [ Alcotest.test_case "tvla identical" `Quick test_tvla_identical_across_domains;
-          Alcotest.test_case "placement identical" `Quick
-            test_placement_multistart_identical_across_domains ] ) ]
+        [ Alcotest.test_case "tvla identical" `Quick test_tvla_identical_across_domains ] ) ]

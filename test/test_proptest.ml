@@ -581,7 +581,6 @@ let test_detects_many_differential () =
 
 (* --- flat event engine vs the record-heap reference ---------------------- *)
 
-module Ev = Timing.Event_sim
 module Ev_ref = Reference.Event_sim_ref
 
 (* A storm is part of the outcome: both engines must give up with the same
@@ -589,7 +588,7 @@ module Ev_ref = Reference.Event_sim_ref
 let outcome f = match f () with v -> Ok v | exception Invalid_argument m -> Error m
 
 let transition_bits l =
-  List.map (fun tr -> (Int64.bits_of_float tr.Ev.time, tr.Ev.node, tr.Ev.value)) l
+  List.map (fun tr -> (Int64.bits_of_float tr.Ev_ref.time, tr.Ev_ref.node, tr.Ev_ref.value)) l
 
 let sample_bits = Array.map Int64.bits_of_float
 
@@ -599,7 +598,7 @@ let engines_agree ?input_arrivals c ~prev_inputs ~next_inputs =
   let config = { Power.Model.default_config with Power.Model.noise_sigma = 0.3 } in
   let same f g = outcome f = outcome g in
   same
-    (fun () -> transition_bits (Ev.cycle ?input_arrivals c ~prev_inputs ~next_inputs))
+    (fun () -> transition_bits (Ev_ref.collect ?input_arrivals c ~prev_inputs ~next_inputs))
     (fun () -> transition_bits (Ev_ref.cycle ?input_arrivals c ~prev_inputs ~next_inputs))
   && same
        (fun () ->
@@ -681,7 +680,7 @@ let test_event_storm_pinned () =
   let c = BG.c6288_like ~width:6 () in
   let ni = Circuit.num_inputs c in
   let prev_inputs = Array.make ni false and next_inputs = Array.make ni true in
-  (match outcome (fun () -> Ev.cycle c ~prev_inputs ~next_inputs) with
+  (match outcome (fun () -> Ev_ref.collect c ~prev_inputs ~next_inputs) with
    | Error m ->
      let key = "event storm" in
      let rec has i =
@@ -696,10 +695,60 @@ let test_event_storm_pinned () =
   let sink, _ = Eda_util.Telemetry.memory_sink () in
   let pops =
     Eda_util.Telemetry.with_sink sink (fun () ->
-        (try ignore (Ev.cycle c ~prev_inputs ~next_inputs) with Invalid_argument _ -> ());
+        (try ignore (Ev_ref.collect c ~prev_inputs ~next_inputs) with Invalid_argument _ -> ());
         Eda_util.Telemetry.counter_total "event_sim.events")
   in
   Alcotest.(check int) "cap counted on pops" ((200 * Circuit.node_count c) + 1) pops
+
+let test_glitch_capture_differential () =
+  (* [Glitch_attack.capture_at] folds the production event stream into the
+     settled start values; the list-based capture applies the reference
+     engine's transitions with [time <= period_ps] in order. The period is
+     one of the cycle's own transition times (or just below the first, or
+     past the last), so the [<=] boundary and the last write among events
+     at one instant are both exercised. *)
+  let arb =
+    P.triple (P.int_range 0 100_000) (P.int_range 8 200)
+      (P.choose_from ~show:string_of_int [ 0; 2; 3 ])
+  in
+  let show (seed, size, shares) = Printf.sprintf "seed=%d size=%d shares=%d" seed size shares in
+  P.check_exn ~count:60 ~name:"glitch capture matches the list-based capture"
+    { arb with P.show } (fun (seed, size, shares) ->
+      let c =
+        if shares = 0 then Gen.random_dag ~seed ~inputs:(2 + (size mod 10)) ~gates:size ~outputs:3
+        else
+          (Synth.Masking.transform ~shares ~style:Synth.Masking.Isw ~seed
+             (Gen.random_dag ~seed ~inputs:(2 + (size mod 5)) ~gates:(4 + (size / 10)) ~outputs:2))
+            .Synth.Masking.circuit
+      in
+      let ni = Circuit.num_inputs c in
+      let rng = Rng.create (seed + 1) in
+      let prev_inputs = Array.init ni (fun _ -> Rng.bool rng) in
+      let next_inputs = Array.init ni (fun _ -> Rng.bool rng) in
+      match Ev_ref.cycle c ~prev_inputs ~next_inputs with
+      | exception Invalid_argument m ->
+        outcome (fun () ->
+            Fault.Glitch_attack.capture_at c ~period_ps:0.0 ~prev_inputs ~next_inputs)
+        = Error m
+      | transitions ->
+        let times = Array.of_list (List.map (fun tr -> tr.Ev_ref.time) transitions) in
+        let periods =
+          if times = [||] then [ 0.0 ]
+          else
+            [ times.(0) -. 1.0;
+              times.(Rng.int rng (Array.length times));
+              times.(Rng.int rng (Array.length times));
+              times.(Array.length times - 1) +. 1.0 ]
+        in
+        List.for_all
+          (fun period_ps ->
+            let expect = Sim.eval_all c prev_inputs in
+            List.iter
+              (fun { Ev_ref.time; node; value } ->
+                if time <= period_ps then expect.(node) <- value)
+              transitions;
+            Fault.Glitch_attack.capture_at c ~period_ps ~prev_inputs ~next_inputs = expect)
+          periods)
 
 let test_hw_sampler_differential () =
   (* The campaign-resolved sampler reproduces the one-shot model, bit for
@@ -781,9 +830,8 @@ let placement_circuit ~seed ~gates ~dup =
   c
 
 let test_placement_differential () =
-  (* The CSR move kernel against the list annealer: positions, moves
-     performed and the winning start at 1 and 4 starts, with and without
-     a step budget; perturbation positions; full wirelength (the cached
+  (* The CSR move kernel against the list annealer: positions and moves
+     performed, with and without a step budget; perturbation positions; full wirelength (the cached
      HPWL sums against a from-scratch list recount); and the bucketed
      proximity attack's CCR on lifted splits. *)
   let arb =
@@ -798,13 +846,12 @@ let test_placement_differential () =
   P.check_exn ~count:40 ~name:"CSR placement kernel matches the list annealer"
     { arb with P.show } (fun ((seed, gates, dup), (moves, steps, knob)) ->
       let c = placement_circuit ~seed ~gates ~dup in
-      let same_place starts budgeted =
+      let same_place budgeted =
         let budget () = if budgeted then Some (Eda_util.Budget.create ~steps ()) else None in
-        let o = Place.place ~starts ~moves ?budget:(budget ()) (Rng.create seed) c in
-        let r = Place_ref.place ~starts ~moves ?budget:(budget ()) (Rng.create seed) c in
+        let o = Place.place ~moves ?budget:(budget ()) (Rng.create seed) c in
+        let r = Place_ref.place ~moves ?budget:(budget ()) (Rng.create seed) c in
         o.Place.placement.Place.position = r.Place.placement.Place.position
         && o.Place.moves_performed = r.Place.moves_performed
-        && o.Place.best_start = r.Place.best_start
       in
       let p = (Place.place ~moves (Rng.create seed) c).Place.placement in
       let lambda = [| 0.5; 0.0; 1.3; 0.1; 2.0 |].(knob) in
@@ -818,7 +865,7 @@ let test_placement_differential () =
         Int64.bits_of_float (Split.proximity_attack s)
         = Int64.bits_of_float (Place_ref.proximity_attack s)
       in
-      List.for_all (fun starts -> same_place starts false && same_place starts true) [ 1; 4 ]
+      same_place false && same_place true
       && q.Place.position = q_ref.Place.position
       && Place.wirelength p = Place_ref.wirelength p
       && Place.wirelength q = Place_ref.wirelength q
@@ -917,30 +964,6 @@ let test_tvla_pool_identical () =
     (t_digest
        (Sidechannel.Tvla.campaign_seeded (Rng.create 5150) ~traces_per_class:257 ~collect))
 
-let test_secure_synth_pool_identical () =
-  (* The HW-TVLA gate recycles one net-value buffer between traces;
-     pooled workers must never share it. *)
-  let c = BG.sized ~seed:34 BG.C432 ~target_gates:40 in
-  let masked = Synth.Pass.apply ~params:[ ("shares", "2"); ("seed", "4") ] "mask_insertion" c in
-  let results =
-    with_pools (fun pool ->
-        (Sidechannel.Secure_synth.assess ?pool (Rng.create 36) masked ~traces_per_class:300
-           ~noise_sigma:0.8)
-          .Sidechannel.Tvla.t_per_sample)
-  in
-  Alcotest.(check bool) "HW-TVLA gate bit-identical at 1/2/8 domains" true (all_equal results)
-
-let test_placement_pool_identical () =
-  let c = BG.sized ~seed:33 BG.C432 ~target_gates:220 in
-  let results =
-    with_pools (fun pool ->
-        let o = Physical.Placement.place ~starts:8 ~moves:400 ?pool (Rng.create 2718) c in
-        ( Physical.Placement.wirelength o.Physical.Placement.placement,
-          o.Physical.Placement.best_start ))
-  in
-  Alcotest.(check bool) "placement bit-identical at 1/2/8 domains" true
-    (all_equal results)
-
 let test_trace_merge_deterministic () =
   (* Canonical merged telemetry must be byte-identical at 1/2/8 domains
      for any deterministic workload: random task counts and payloads,
@@ -1029,6 +1052,8 @@ let () =
           Alcotest.test_case "atpg vs ground truth" `Quick test_atpg_ground_truth;
           Alcotest.test_case "event engine vs reference" `Quick test_event_sim_differential;
           Alcotest.test_case "pinned event storm" `Quick test_event_storm_pinned;
+          Alcotest.test_case "glitch capture vs list capture" `Quick
+            test_glitch_capture_differential;
           Alcotest.test_case "HW sampler vs model" `Quick test_hw_sampler_differential;
           Alcotest.test_case "placement kernel vs list annealer" `Quick
             test_placement_differential;
@@ -1039,9 +1064,6 @@ let () =
           Alcotest.test_case "pinned tvla fingerprint" `Quick test_tvla_pinned_fingerprint ] );
       ( "pooled",
         [ Alcotest.test_case "tvla 1/2/8 domains" `Slow test_tvla_pool_identical;
-          Alcotest.test_case "secure-synth gate 1/2/8 domains" `Slow
-            test_secure_synth_pool_identical;
-          Alcotest.test_case "placement 1/2/8 domains" `Slow test_placement_pool_identical;
           Alcotest.test_case "trace merge deterministic" `Quick
             test_trace_merge_deterministic;
           Alcotest.test_case "chunking invariant" `Quick

@@ -299,19 +299,11 @@ let test_pass_registry_errors () =
 (* --- mask insertion ----------------------------------------------------- *)
 
 let test_mask_insertion_deterministic () =
-  (* Pure function of (circuit, params): bit-identical across repeat runs
-     and across pool sizes 1/2/8. *)
+  (* Pure function of (circuit, params): bit-identical across repeat runs. *)
   let c = Gen.ripple_adder 4 in
-  let run ?pool () =
-    Synth.Pass.apply ?pool ~params:[ ("shares", "3"); ("seed", "9") ] "mask_insertion" c
-  in
+  let run () = Synth.Pass.apply ~params:[ ("shares", "3"); ("seed", "9") ] "mask_insertion" c in
   let base = fp (run ()) in
   Alcotest.(check string) "repeat run" base (fp (run ()));
-  List.iter
-    (fun n ->
-      Eda_util.Pool.with_pool ~num_domains:n (fun pool ->
-          Alcotest.(check string) (Printf.sprintf "%d domains" n) base (fp (run ~pool ()))))
-    [ 2; 8 ];
   let other = fp (Synth.Pass.apply ~params:[ ("shares", "3"); ("seed", "10") ] "mask_insertion" c) in
   Alcotest.(check bool) "seed changes the randomness wiring" true (base <> other)
 

@@ -5,7 +5,7 @@ module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
 module Gen = Netlist.Generators
 module Sta = Timing.Sta
-module Ev = Timing.Event_sim
+module Ev = Reference.Event_sim_ref
 module Rng = Eda_util.Rng
 
 let test_sta_single_gate () =
@@ -61,7 +61,7 @@ let test_event_sim_final_values_match () =
     let c = Gen.random_dag ~seed ~inputs:6 ~gates:40 ~outputs:3 in
     let prev = Array.init 6 (fun _ -> Rng.bool rng) in
     let next = Array.init 6 (fun _ -> Rng.bool rng) in
-    let transitions = Ev.cycle c ~prev_inputs:prev ~next_inputs:next in
+    let transitions = Ev.collect c ~prev_inputs:prev ~next_inputs:next in
     let values = Netlist.Sim.eval_all c prev in
     List.iter (fun tr -> values.(tr.Ev.node) <- tr.Ev.value) transitions;
     Alcotest.(check bool) (Printf.sprintf "seed %d settles correctly" seed) true
@@ -71,7 +71,7 @@ let test_event_sim_final_values_match () =
 let test_event_sim_no_events_when_stable () =
   let c = Gen.c17 () in
   let inputs = [| true; false; true; false; true |] in
-  let transitions = Ev.cycle c ~prev_inputs:inputs ~next_inputs:inputs in
+  let transitions = Ev.collect c ~prev_inputs:inputs ~next_inputs:inputs in
   Alcotest.(check int) "no transitions" 0 (List.length transitions)
 
 let test_event_sim_produces_glitch () =
@@ -83,7 +83,7 @@ let test_event_sim_produces_glitch () =
   let n2 = Circuit.add_gate c Gate.Not [ n1 ] in
   let y = Circuit.add_gate c Gate.Xor [ a; n2 ] in
   Circuit.set_output c "y" y;
-  let transitions = Ev.cycle c ~prev_inputs:[| false |] ~next_inputs:[| true |] in
+  let transitions = Ev.collect c ~prev_inputs:[| false |] ~next_inputs:[| true |] in
   let glitchers = Ev.glitching_nodes c transitions in
   Alcotest.(check bool) "xor glitches" true (List.mem y glitchers);
   (* Final value of y is 0 both before and after. *)
@@ -94,7 +94,7 @@ let test_event_sim_times_respect_delay () =
   let a = Circuit.add_input ~name:"a" c in
   let y = Circuit.add_gate c Gate.And [ a; a ] in
   Circuit.set_output c "y" y;
-  let transitions = Ev.cycle c ~prev_inputs:[| false |] ~next_inputs:[| true |] in
+  let transitions = Ev.collect c ~prev_inputs:[| false |] ~next_inputs:[| true |] in
   (match transitions with
    | [ t_in; t_gate ] ->
      Alcotest.(check (float 1e-9)) "input at 0" 0.0 t_in.Ev.time;
@@ -109,7 +109,7 @@ let test_event_sim_telemetry () =
   let sink, events = T.memory_sink () in
   let transitions, storms =
     T.with_sink sink (fun () ->
-        let l = Ev.cycle c ~prev_inputs:(Array.make 8 false) ~next_inputs:(Array.make 8 true) in
+        let l = Ev.collect c ~prev_inputs:(Array.make 8 false) ~next_inputs:(Array.make 8 true) in
         (List.length l, T.counter_total "event_sim.storms"))
   in
   let named kind name = List.filter (fun e -> e.T.kind = kind && e.T.name = name) (events ()) in
@@ -126,7 +126,7 @@ let test_event_sim_telemetry () =
   let ni = Circuit.num_inputs storm in
   let storms =
     T.with_sink sink (fun () ->
-        (try ignore (Ev.cycle storm ~prev_inputs:(Array.make ni false) ~next_inputs:(Array.make ni true))
+        (try ignore (Ev.collect storm ~prev_inputs:(Array.make ni false) ~next_inputs:(Array.make ni true))
          with Invalid_argument _ -> ());
         T.counter_total "event_sim.storms")
   in
@@ -157,7 +157,7 @@ let test_event_sim_rejects_bad_lengths () =
     (fun len ->
       let bad = Array.make len true in
       let run ?input_arrivals ~prev_inputs ~next_inputs () =
-        ignore (Ev.cycle ?input_arrivals c ~prev_inputs ~next_inputs)
+        ignore (Ev.collect ?input_arrivals c ~prev_inputs ~next_inputs)
       in
       let tag = Printf.sprintf " of length %d" len in
       expect ("prev_inputs" ^ tag) (run ~prev_inputs:bad ~next_inputs:flip);
@@ -167,9 +167,36 @@ let test_event_sim_rejects_bad_lengths () =
     [ 0; 4; 6 ];
   Alcotest.check_raises "message names both counts"
     (Invalid_argument "Event_sim.iter: next_inputs has 4 entries, the circuit has 5 inputs")
-    (fun () -> ignore (Ev.cycle c ~prev_inputs:ok ~next_inputs:(Array.make 4 true)));
+    (fun () -> ignore (Ev.collect c ~prev_inputs:ok ~next_inputs:(Array.make 4 true)));
   Alcotest.(check bool) "matching lengths still simulate" true
-    (Ev.cycle ~input_arrivals:(Array.make 5 0.0) c ~prev_inputs:ok ~next_inputs:flip <> [])
+    (Ev.collect ~input_arrivals:(Array.make 5 0.0) c ~prev_inputs:ok ~next_inputs:flip <> []);
+  (* [state] needs one entry per DFF, checked before [f] sees anything:
+     a 2-bit counter enabled by [en], and c17, which has no DFFs. *)
+  let seq = Circuit.create () in
+  let en = Circuit.add_input ~name:"en" seq in
+  let q0 = Circuit.add_dff seq ~d:en and q1 = Circuit.add_dff seq ~d:en in
+  let t0 = Circuit.add_gate seq Gate.Xor [ q0; en ] in
+  let c1 = Circuit.add_gate seq Gate.And [ q0; en ] in
+  let t1 = Circuit.add_gate seq Gate.Xor [ q1; c1 ] in
+  Circuit.connect_dff seq q0 ~d:t0;
+  Circuit.connect_dff seq q1 ~d:t1;
+  Circuit.set_output seq "q0" q0;
+  Circuit.set_output seq "q1" q1;
+  let calls = ref 0 in
+  let run circuit ~inputs state () =
+    Timing.Event_sim.iter ~state circuit ~prev_inputs:(Array.make inputs false)
+      ~next_inputs:(Array.make inputs true) ~f:(fun _ _ _ -> incr calls)
+  in
+  List.iter
+    (fun (circuit, inputs, state, msg) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (run circuit ~inputs state))
+    [ (seq, 1, [||], "Event_sim.iter: state has 0 entries, the circuit has 2 DFFs");
+      (seq, 1, [| true |], "Event_sim.iter: state has 1 entries, the circuit has 2 DFFs");
+      (seq, 1, Array.make 3 true, "Event_sim.iter: state has 3 entries, the circuit has 2 DFFs");
+      (c, 5, [| false |], "Event_sim.iter: state has 1 entries, the circuit has 0 DFFs") ];
+  Alcotest.(check int) "rejected before f is called" 0 !calls;
+  run seq ~inputs:1 [| true; false |] ();
+  Alcotest.(check bool) "a full state still simulates" true (!calls > 0)
 
 let test_power_trace_shape () =
   let rng = Rng.create 17 in
@@ -240,7 +267,7 @@ let prop_event_sim_settles_to_static =
       let c = Gen.random_dag ~seed ~inputs:6 ~gates:30 ~outputs:2 in
       let prev = Array.init 6 (fun i -> (p lsr i) land 1 = 1) in
       let next = Array.init 6 (fun i -> (q lsr i) land 1 = 1) in
-      let transitions = Ev.cycle c ~prev_inputs:prev ~next_inputs:next in
+      let transitions = Ev.collect c ~prev_inputs:prev ~next_inputs:next in
       let values = Netlist.Sim.eval_all c prev in
       List.iter (fun tr -> values.(tr.Ev.node) <- tr.Ev.value) transitions;
       values = Netlist.Sim.eval_all c next)
