@@ -303,7 +303,7 @@ let stepfn () =
       let masked = Sidechannel.Isw.transform ~shares (Sidechannel.Leakage.private_and_source ()) in
       let secure =
         Sidechannel.Isw.rebind masked
-          (Synth.Flow.optimize_secure ~protect:Sidechannel.Isw.protected_name
+          (Synth.Pipeline.run_recipe ~protect:Sidechannel.Isw.protected_name "optimize_secure"
              masked.Sidechannel.Isw.circuit)
       in
       let r = Sidechannel.Leakage.tvla_campaign rng secure ~traces_per_class:4000 ~noise_sigma:0.3 in
@@ -570,7 +570,8 @@ let ablations () =
   Printf.printf "  %-34s %12s %15d/16\n" "functional (don't-care minterms)"
     (Printf.sprintf "%d/16"
        (Locking.Watermark.verify_functional fm fm.Locking.Watermark.f_circuit))
-    (Locking.Watermark.verify_functional fm (Synth.Flow.optimize fm.Locking.Watermark.f_circuit));
+    (Locking.Watermark.verify_functional fm
+       (Synth.Pipeline.run_recipe "optimize" fm.Locking.Watermark.f_circuit));
 
   subbanner "active metering: per-chip activation";
   let metered = Locking.Metering.meter rng ~state_bits:12 (Gen.c17 ()) in

@@ -491,7 +491,8 @@ let flow_cmd =
   let checkpoint_arg =
     let doc =
       "Persist the flow checkpoint to $(docv) after every completed stage (atomic \
-       write); if $(docv) already holds a valid checkpoint, resume from it."
+       write); if $(docv) already holds a valid checkpoint of this netlist, resume \
+       from it. A corrupt, stale or foreign checkpoint is refused."
     in
     Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
   in
@@ -499,23 +500,11 @@ let flow_cmd =
     let c = read_circuit path in
     let rng = Eda_util.Rng.create seed in
     let budget = budget_of conflicts seconds in
-    let resume =
-      match checkpoint with
-      | Some file when Sys.file_exists file ->
-        (match Secure_eda.Flow.load_checkpoint file with
-         | Ok cp ->
-           Printf.eprintf "resuming: %d stage(s) already done\n"
-             (List.length cp.Secure_eda.Flow.done_stages);
-           Some cp
-         | Error e -> die "%s: %s" file (Eda_error.to_string e))
-      | _ -> None
-    in
-    match
-      with_trace trace (fun () ->
-          Secure_eda.Flow.run rng ?budget ?resume ?checkpoint_to:checkpoint c)
-    with
+    match with_trace trace (fun () -> Secure_eda.Flow.run rng ?budget ?checkpoint c) with
     | Error e -> die "%s: %s" path (Eda_error.to_string e)
     | Ok report ->
+      if report.Secure_eda.Flow.resumed > 0 then
+        Printf.eprintf "resuming: %d stage(s) already done\n" report.Secure_eda.Flow.resumed;
       List.iter
         (fun sr ->
           Printf.printf "%-28s area %8.1f  delay %8.1f ps  %s%s\n"
@@ -553,7 +542,9 @@ let job_work ~engine ~input ~seed ~name ~checkpoint_dir =
   | "synth" ->
     fun (_ : Budget.t) ->
       let* c = parse () in
-      let* optimized = Eda_error.guard ~engine:"synth" (fun () -> Synth.Flow.optimize c) in
+      let* optimized =
+        Eda_error.guard ~engine:"synth" (fun () -> Synth.Pipeline.run_recipe "optimize" c)
+      in
       Ok
         (Printf.sprintf "%d -> %d gates"
            (Netlist.Circuit.stats c).Netlist.Circuit.gates
@@ -580,25 +571,16 @@ let job_work ~engine ~input ~seed ~name ~checkpoint_dir =
     let ckpt = Option.map (fun dir -> Filename.concat dir (name ^ ".json")) checkpoint_dir in
     fun budget ->
       let* c = parse () in
-      let* resume =
-        match ckpt with
-        | Some file when Sys.file_exists file ->
-          let* cp = Secure_eda.Flow.load_checkpoint file in
-          Ok (Some cp)
-        | _ -> Ok None
-      in
       (* A fresh rng per attempt: retries replay the same schedule. *)
       let rng = Eda_util.Rng.create seed in
-      let* report = Secure_eda.Flow.run rng ~budget ?resume ?checkpoint_to:ckpt c in
+      let* report = Secure_eda.Flow.run rng ~budget ?checkpoint:ckpt c in
       Ok
         (Printf.sprintf "%d stage(s), %d degraded%s"
            (List.length report.Secure_eda.Flow.stages)
            report.Secure_eda.Flow.degraded_stages
-           (match resume with
-            | Some cp ->
-              Printf.sprintf " (resumed past %d)"
-                (List.length cp.Secure_eda.Flow.done_stages)
-            | None -> ""))
+           (if report.Secure_eda.Flow.resumed > 0 then
+              Printf.sprintf " (resumed past %d)" report.Secure_eda.Flow.resumed
+            else ""))
   | other ->
     fun (_ : Budget.t) ->
       Error

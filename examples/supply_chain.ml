@@ -81,7 +81,7 @@ let () =
   line "pirate: strip the metering FSM and resynthesize the stolen netlist";
   (* Even if the pirate recovers and cleans the raw function, the
      functional watermark survives resynthesis and proves ownership. *)
-  let stolen = Synth.Flow.optimize mark.Locking.Watermark.f_circuit in
+  let stolen = Synth.Pipeline.run_recipe "optimize" mark.Locking.Watermark.f_circuit in
   Printf.printf "  watermark readout on the resynthesized pirate netlist: %d/20 bits\n"
     (Locking.Watermark.verify_functional mark stolen);
   Printf.printf "  watermark readout on an independent design           : %d/20 bits\n"

@@ -34,34 +34,36 @@ module Budget = Eda_util.Budget
 module Eda_error = Eda_util.Eda_error
 
 (** Resume token: everything the flow has concluded so far. Serializable
-    state is deliberately small — completed stage reports plus the circuit
-    they apply to. *)
+    state is deliberately small — the design it was made from, the
+    completed stage reports and the circuit they apply to. *)
 type checkpoint = {
+  source : string;  (* FNV-1a hash of the input design's bench text *)
   done_stages : stage_report list;  (* in flow order *)
   circuit : Circuit.t;  (* design state after the last completed stage *)
 }
-
-let checkpoint_start circuit = { done_stages = []; circuit }
 
 (* --- On-disk checkpoints ------------------------------------------------ *)
 
 (* A checkpoint file is one JSON object:
 
-     {"format":"secure-eda/flow-checkpoint","version":1,
+     {"format":"secure-eda/flow-checkpoint","version":2,
       "hash":"<fnv1a64 of the serialized payload>",
-      "payload":{"circuit":"<bench text>","stages":[...]}}
+      "payload":{"source":"<fnv1a64 of the input's bench text>",
+                 "circuit":"<bench text>","stages":[...]}}
 
    Writes are atomic (temp file in the same directory, then rename), so
    a run killed mid-write can never leave a half checkpoint behind: the
    previous complete file survives. Reads validate format, version and
    content hash and reject anything corrupt or stale with a structured
-   error — resuming from a bad file is a refusal, never a crash. *)
+   error — resuming from a bad file is a refusal, never a crash. The
+   source hash ties a checkpoint to its design: resuming it for any
+   other input is refused the same way. *)
 
 module Json = Eda_util.Telemetry.Json
 
 let checkpoint_format = "secure-eda/flow-checkpoint"
 
-let checkpoint_version = 1
+let checkpoint_version = 2
 
 let stage_id = function
   | Logic_synthesis -> "logic-synthesis"
@@ -154,7 +156,8 @@ let stage_report_of_json j =
 
 let payload_to_json cp =
   Json.JObj
-    [ ("circuit", Json.JStr (Netlist.Io.to_string cp.circuit));
+    [ ("source", Json.JStr cp.source);
+      ("circuit", Json.JStr (Netlist.Io.to_string cp.circuit));
       ("stages", Json.JList (List.map stage_report_to_json cp.done_stages)) ]
 
 let checkpoint_to_string cp =
@@ -171,6 +174,11 @@ let payload_of_json j =
   match j with
   | Json.JObj fields ->
     let find k = List.assoc_opt k fields in
+    let* source =
+      match find "source" with
+      | Some (Json.JStr h) -> Ok h
+      | _ -> invalid "payload missing its \"source\" hash"
+    in
     let* circuit =
       match find "circuit" with
       | Some (Json.JStr text) ->
@@ -191,7 +199,7 @@ let payload_of_json j =
         |> Result.map List.rev
       | _ -> invalid "payload missing its \"stages\" list"
     in
-    Ok { circuit; done_stages }
+    Ok { source; circuit; done_stages }
   | _ -> invalid "payload is not an object"
 
 let checkpoint_of_string text =
@@ -219,7 +227,7 @@ let checkpoint_of_string text =
      | _ -> invalid "missing \"format\" marker")
   | Ok _ -> invalid "top level is not a JSON object"
 
-let save_checkpoint path cp =
+let save path cp =
   let text = checkpoint_to_string cp in
   let tmp = path ^ ".tmp" in
   match
@@ -230,7 +238,7 @@ let save_checkpoint path cp =
   | exception Sys_error msg ->
     Error (Eda_error.Engine_failure { engine = "checkpoint write"; msg })
 
-let load_checkpoint path =
+let load path =
   match In_channel.with_open_bin path In_channel.input_all with
   | text -> checkpoint_of_string text
   | exception Sys_error msg -> invalid "%s" msg
@@ -238,8 +246,8 @@ let load_checkpoint path =
 type report = {
   stages : stage_report list;  (* completed-before-resume + this run *)
   final : Circuit.t;
-  checkpoint : checkpoint;  (* pass back as [resume] to continue *)
   degraded_stages : int;  (* count of stages with a degradation note *)
+  resumed : int;  (* stages restored from the checkpoint, not re-run *)
 }
 
 (** The end-to-end flow, one entry point: never raises on user-reachable
@@ -249,164 +257,157 @@ type report = {
     value.
 
     - the input is linted before anything runs; a structurally invalid
-      netlist is the only [Error] case;
+      netlist (or an unusable checkpoint) is the only [Error] case;
     - [budget] bounds the whole flow; every stage draws a sub-budget from
       it ([stage_steps] optionally caps individual stages);
     - a stage that exhausts its budget or fails internally is recorded
       with [degraded = Some reason] and the design passes through
       unchanged, so later stages still run;
-    - [resume] continues from a {!checkpoint}, skipping completed stages;
-    - [checkpoint_to] persists the checkpoint to disk (atomic
-      temp+rename) after every completed stage, so a killed run resumes
-      from its last finished stage via {!load_checkpoint};
-    - [stages] restricts the run (default: all four, in order).
+    - [checkpoint] names a file: when it exists and validates, the run
+      resumes from it, skipping completed stages; after every stage the
+      checkpoint is persisted there (atomic temp+rename), so a killed
+      run resumes from its last finished stage. The source hash is only
+      computed when [checkpoint] is given.
 
     Telemetry: one [flow.run] span over the run, one [flow.stage] span
     per stage (attr [stage]); a degradation is exported as a
     [flow.degraded] note on its stage span, and each stage gauges
     [flow.budget_utilization] from its sub-budget so partial results can
     be read as budget pressure. *)
-let run rng ?protect ?budget
-    ?(stage_steps = fun (_ : stage) -> None) ?(stages = all_stages) ?resume
-    ?checkpoint_to circuit =
+let run rng ?protect ?budget ?(stage_steps = fun (_ : stage) -> None) ?checkpoint circuit =
+  let ( let* ) = Result.bind in
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
-  let start_circuit, done_reports =
-    match resume with
-    | Some cp -> cp.circuit, cp.done_stages
-    | None -> circuit, []
+  (* the checkpoint file and the hash of the design it belongs to *)
+  let target = Option.map (fun path -> (path, fnv1a64 (Netlist.Io.to_string circuit))) checkpoint in
+  let* start_circuit, done_reports =
+    match target with
+    | Some (path, source) when Sys.file_exists path ->
+      let* cp = load path in
+      if cp.source = source then Ok (cp.circuit, cp.done_stages)
+      else
+        invalid "%s was made from design %s, not from this input (design %s)" path cp.source
+          source
+    | _ -> Ok (circuit, [])
   in
-  match Netlist.Lint.validate start_circuit with
-  | Error e -> Error e
-  | Ok _ ->
-    let module T = Eda_util.Telemetry in
-    let completed = List.map (fun r -> r.stage) done_reports in
-    let todo = List.filter (fun s -> not (List.mem s completed)) stages in
-    T.with_span "flow.run"
-      ~attrs:
-        [ ("stages", T.Int (List.length todo));
-          ("resumed", T.Bool (resume <> None)) ]
+  let* _ = Netlist.Lint.validate start_circuit in
+  let module T = Eda_util.Telemetry in
+  let completed = List.map (fun r -> r.stage) done_reports in
+  let todo = List.filter (fun s -> not (List.mem s completed)) all_stages in
+  T.with_span "flow.run"
+    ~attrs:
+      [ ("stages", T.Int (List.length todo)); ("resumed", T.Bool (done_reports <> [])) ]
+  @@ fun () ->
+  let reports = ref (List.rev done_reports) in
+  let current = ref start_circuit in
+  let report stage ?wirelength ?fault_coverage ?degraded note =
+    (match degraded with
+     | Some why ->
+       T.note "flow.degraded"
+         ~attrs:[ ("stage", T.Str (stage_name stage)); ("reason", T.Str why) ]
+     | None -> ());
+    (* PPA of the design as the stage leaves it: cell area, STA delay *)
+    let area = (Circuit.stats !current).Circuit.area in
+    let delay_ps = (Timing.Sta.analyze !current).Timing.Sta.critical_path_delay in
+    reports := { stage; area; delay_ps; wirelength; fault_coverage; note; degraded } :: !reports
+  in
+  let run_stage stage =
+    T.with_span "flow.stage" ~attrs:[ ("stage", T.Str (stage_name stage)) ]
     @@ fun () ->
-    let reports = ref (List.rev done_reports) in
-    let current = ref start_circuit in
-    let report stage ?wirelength ?fault_coverage ?degraded note =
-      (match degraded with
-       | Some why ->
-         T.note "flow.degraded"
-           ~attrs:[ ("stage", T.Str (stage_name stage)); ("reason", T.Str why) ]
-       | None -> ());
-      let ppa = Synth.Flow.ppa !current in
-      reports :=
-        { stage;
-          area = ppa.Synth.Flow.area;
-          delay_ps = ppa.Synth.Flow.delay_ps;
-          wirelength;
-          fault_coverage;
-          note;
-          degraded }
-        :: !reports
-    in
-    let run_stage stage =
-      T.with_span "flow.stage" ~attrs:[ ("stage", T.Str (stage_name stage)) ]
-      @@ fun () ->
-      let sub = Budget.sub ?steps:(stage_steps stage) root in
-      let finish () =
-        match Budget.utilization sub with
-        | Some u -> T.gauge "flow.budget_utilization" u
-        | None -> ()
-      in
-      match Budget.status sub with
-      | Some e ->
-        report stage
-          ~degraded:(Printf.sprintf "skipped: %s" (Budget.describe_exhaustion e))
-          "stage skipped";
-        finish ()
-      | None ->
-        let attempt () =
-          match stage with
-          | Logic_synthesis ->
-            let synthesized =
-              match protect with
-              | None -> Synth.Flow.optimize !current
-              | Some protect -> Synth.Flow.optimize_secure ~protect !current
-            in
-            current := synthesized;
-            report stage "constant-prop + strash + xor-reassoc"
-          | Physical_synthesis ->
-            let moves = 4000 in
-            let o = Physical.Placement.place rng ~moves ~budget:sub !current in
-            let placement = o.Physical.Placement.placement in
-            let performed = o.Physical.Placement.moves_performed in
-            let degraded =
-              if performed < moves then
-                Some
-                  (Printf.sprintf "annealing stopped after %d/%d moves (%s)" performed moves
-                     (match Budget.status sub with
-                      | Some e -> Budget.describe_exhaustion e
-                      | None -> "budget"))
-              else None
-            in
-            report stage
-              ~wirelength:(Physical.Placement.wirelength placement)
-              ?degraded "simulated-annealing placement"
-          | Timing_power_verification ->
-            let ni = Circuit.num_inputs !current in
-            let prev = Array.make ni false in
-            let next = Array.init ni (fun _ -> Rng.bool rng) in
-            (* a glitching net is one with more than one transition *)
-            let toggles = Array.make (Circuit.node_count !current) 0 in
-            let transitions = ref 0 in
-            Timing.Event_sim.iter !current ~prev_inputs:prev ~next_inputs:next
-              ~f:(fun _ node _ ->
-                incr transitions;
-                toggles.(node) <- toggles.(node) + 1);
-            let glitches = Array.fold_left (fun n k -> if k > 1 then n + 1 else n) 0 toggles in
-            report stage
-              (Printf.sprintf "event-sim: %d transitions, %d glitching nets" !transitions
-                 glitches)
-          | Testing ->
-            let r = Dft.Atpg.run ~budget:sub !current in
-            let degraded =
-              match r.Dft.Atpg.exhausted with
-              | Some e ->
-                Some
-                  (Printf.sprintf "partial ATPG: %s, %d/%d faults unprocessed"
-                     (Budget.describe_exhaustion e) r.Dft.Atpg.faults_remaining
-                     r.Dft.Atpg.faults_total)
-              | None -> None
-            in
-            report stage ~fault_coverage:r.Dft.Atpg.coverage ?degraded
-              (Printf.sprintf "%d patterns" (List.length r.Dft.Atpg.patterns))
-        in
-        (match Eda_error.guard ~engine:(stage_name stage) attempt with
-         | Ok () -> ()
-         | Error e ->
-           (* The stage blew up; the design passes through unchanged and
-              the flow keeps going with an honest note. *)
-           report stage ~degraded:(Eda_error.to_string e) "stage failed");
-        finish ()
-    in
-    let persist () =
-      match checkpoint_to with
+    let sub = Budget.sub ?steps:(stage_steps stage) root in
+    let finish () =
+      match Budget.utilization sub with
+      | Some u -> T.gauge "flow.budget_utilization" u
       | None -> ()
-      | Some path ->
-        (match save_checkpoint path { done_stages = List.rev !reports; circuit = !current } with
-         | Ok () -> ()
-         | Error e ->
-           (* A failing save must not fail the flow; surface it on the
-              trace so the operator can see the resume point is stale. *)
-           T.note "flow.checkpoint_error" ~attrs:[ ("reason", T.Str (Eda_error.to_string e)) ])
     in
-    List.iter
-      (fun stage ->
-        run_stage stage;
-        persist ())
-      todo;
-    let stages_list = List.rev !reports in
-    let degraded_stages =
-      List.length (List.filter (fun r -> r.degraded <> None) stages_list)
-    in
-    Ok
-      { stages = stages_list;
-        final = !current;
-        checkpoint = { done_stages = stages_list; circuit = !current };
-        degraded_stages }
+    match Budget.status sub with
+    | Some e ->
+      report stage
+        ~degraded:(Printf.sprintf "skipped: %s" (Budget.describe_exhaustion e))
+        "stage skipped";
+      finish ()
+    | None ->
+      let attempt () =
+        match stage with
+        | Logic_synthesis ->
+          let recipe = if protect = None then "optimize" else "optimize_secure" in
+          current := Synth.Pipeline.run_recipe ?protect recipe !current;
+          report stage "constant-prop + strash + xor-reassoc"
+        | Physical_synthesis ->
+          let moves = 4000 in
+          let o = Physical.Placement.place rng ~moves ~budget:sub !current in
+          let placement = o.Physical.Placement.placement in
+          let performed = o.Physical.Placement.moves_performed in
+          let degraded =
+            if performed < moves then
+              Some
+                (Printf.sprintf "annealing stopped after %d/%d moves (%s)" performed moves
+                   (match Budget.status sub with
+                    | Some e -> Budget.describe_exhaustion e
+                    | None -> "budget"))
+            else None
+          in
+          report stage
+            ~wirelength:(Physical.Placement.wirelength placement)
+            ?degraded "simulated-annealing placement"
+        | Timing_power_verification ->
+          let ni = Circuit.num_inputs !current in
+          let prev = Array.make ni false in
+          let next = Array.init ni (fun _ -> Rng.bool rng) in
+          (* a glitching net is one with more than one transition *)
+          let toggles = Array.make (Circuit.node_count !current) 0 in
+          let transitions = ref 0 in
+          Timing.Event_sim.iter !current ~prev_inputs:prev ~next_inputs:next
+            ~f:(fun _ node _ ->
+              incr transitions;
+              toggles.(node) <- toggles.(node) + 1);
+          let glitches = Array.fold_left (fun n k -> if k > 1 then n + 1 else n) 0 toggles in
+          report stage
+            (Printf.sprintf "event-sim: %d transitions, %d glitching nets" !transitions
+               glitches)
+        | Testing ->
+          let r = Dft.Atpg.run ~budget:sub !current in
+          let degraded =
+            match r.Dft.Atpg.exhausted with
+            | Some e ->
+              Some
+                (Printf.sprintf "partial ATPG: %s, %d/%d faults unprocessed"
+                   (Budget.describe_exhaustion e) r.Dft.Atpg.faults_remaining
+                   r.Dft.Atpg.faults_total)
+            | None -> None
+          in
+          report stage ~fault_coverage:r.Dft.Atpg.coverage ?degraded
+            (Printf.sprintf "%d patterns" (List.length r.Dft.Atpg.patterns))
+      in
+      (match Eda_error.guard ~engine:(stage_name stage) attempt with
+       | Ok () -> ()
+       | Error e ->
+         (* The stage blew up; the design passes through unchanged and
+            the flow keeps going with an honest note. *)
+         report stage ~degraded:(Eda_error.to_string e) "stage failed");
+      finish ()
+  in
+  let persist () =
+    match target with
+    | None -> ()
+    | Some (path, source) ->
+      (match save path { source; done_stages = List.rev !reports; circuit = !current } with
+       | Ok () -> ()
+       | Error e ->
+         (* A failing save must not fail the flow; surface it on the
+            trace so the operator can see the resume point is stale. *)
+         T.note "flow.checkpoint_error" ~attrs:[ ("reason", T.Str (Eda_error.to_string e)) ])
+  in
+  List.iter
+    (fun stage ->
+      run_stage stage;
+      persist ())
+    todo;
+  let stages_list = List.rev !reports in
+  let degraded_stages =
+    List.length (List.filter (fun r -> r.degraded <> None) stages_list)
+  in
+  Ok
+    { stages = stages_list;
+      final = !current;
+      degraded_stages;
+      resumed = List.length done_reports }

@@ -247,7 +247,7 @@ let run_wddl rng =
 let run_watermark rng =
   let src = Netlist.Generators.alu 4 in
   let mark = Locking.Watermark.embed_functional rng ~bits:16 src in
-  let resynth = Synth.Flow.optimize mark.Locking.Watermark.f_circuit in
+  let resynth = Synth.Pipeline.run_recipe "optimize" mark.Locking.Watermark.f_circuit in
   Printf.sprintf
     "functional watermark: %d/16 bits after hostile resynthesis (false-claim p = 2^-16)"
     (Locking.Watermark.verify_functional mark resynth)

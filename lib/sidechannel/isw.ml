@@ -12,7 +12,7 @@
     The transform emits exactly this association as a left-to-right chain
     and names every created node with the "isw_" prefix, which doubles as
     the order barrier ([protect] predicate) for security-aware synthesis.
-    A classical flow that ignores the barriers (Synth.Flow.optimize) is
+    A classical flow that ignores the barriers (the [optimize] recipe) is
     free to re-associate those chains — reproducing Fig. 2. *)
 
 module Circuit = Netlist.Circuit

@@ -18,7 +18,7 @@ type masked = {
 (** Prefix of every transform-created net ("isw_"). *)
 val prefix : string
 
-(** The order-barrier predicate for [Synth.Flow.optimize_secure]. *)
+(** The order-barrier predicate for the [optimize_secure] recipe. *)
 val protected_name : string -> bool
 
 (** Mask a combinational circuit with [shares] XOR shares (default 3,

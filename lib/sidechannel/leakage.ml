@@ -34,7 +34,7 @@ let synthesize_masked ?(shares = 3) variant =
     match variant with
     | Security_aware ->
       (* The aware flow honours the isw_ order barriers. *)
-      Synth.Flow.optimize_secure ~protect:Isw.protected_name masked.Isw.circuit
+      Synth.Pipeline.run_recipe ~protect:Isw.protected_name "optimize_secure" masked.Isw.circuit
     | Security_unaware ->
       (* The classical flow is free to re-associate (Fig. 2). *)
       Synth.Xor_reassoc.run masked.Isw.circuit

@@ -2,12 +2,11 @@
     private circuits, {!Masking}) are defined over this basis; every
     other cell is rewritten by Boolean identities before masking.
 
-    Registered as the [to_and_xor_not] pass; outside [lib/synth],
-    address it through {!Pass.apply} / {!Pipeline} rather than calling
-    here directly. *)
+    A module private to [lib/synth]: the conversion is reachable as the
+    [to_and_xor_not] pass ({!Pass}, {!Pipeline}), whose check is
+    {!in_basis}. *)
 
 val to_and_xor_not : Netlist.Circuit.t -> Netlist.Circuit.t
-[@@deprecated "use Synth.Pass.apply \"to_and_xor_not\" (or a Pipeline recipe)"]
 
 (** True when the circuit uses only AND/XOR/NOT (plus IO cells). *)
 val in_basis : Netlist.Circuit.t -> bool

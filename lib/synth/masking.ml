@@ -39,9 +39,6 @@
       and function are preserved (for any value of the new randomness
       inputs). *)
 
-(* The basis conversion is deprecated as an external surface only. *)
-[@@@alert "-deprecated"]
-
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
 module Rng = Eda_util.Rng

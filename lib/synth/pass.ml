@@ -6,16 +6,12 @@
     so a transform never needs its own plumbing.
 
     Registration makes a transform addressable by name from pipeline
-    descriptions, the CLI and tests; the raw functions in [Rewrite],
-    [Techmap] and [Basis] remain the implementations but are deprecated
-    as an external surface. Builtin passes are registered here (not in
-    their home modules) so that linking any registry user is enough to
-    see them — module initializers of otherwise-unreferenced archive
-    members are dropped by the linker. *)
-
-(* The registry wraps the raw transforms; the deprecation aimed at
-   external callers does not apply here. *)
-[@@@alert "-deprecated"]
+    descriptions, the CLI and tests; [Rewrite] and [Basis] are private
+    to the library and [Techmap.run] is deprecated outside it. Builtin
+    passes are registered here (not in their home modules) so that
+    linking any registry user is enough to see them — module
+    initializers of otherwise-unreferenced archive members are dropped
+    by the linker. *)
 
 module Circuit = Netlist.Circuit
 
@@ -142,7 +138,8 @@ let () =
        ~check:(fun ctx c ->
          if Techmap.conforms (target_of ctx) c then Ok ()
          else Error "mapped circuit leaves the target library")
-       (fun ctx c -> Techmap.run ~target:(target_of ctx) c));
+       (* the registry is the supported way to reach [Techmap.run] *)
+       (fun ctx c -> (Techmap.run [@alert "-deprecated"]) ~target:(target_of ctx) c));
   register
     (make ~name:"to_and_xor_not"
        ~doc:"Rewrite into the AND/XOR/NOT masking basis"

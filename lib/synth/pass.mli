@@ -82,8 +82,7 @@ val all : unit -> t list
     @raise Check_failed when the pass invariant fails. *)
 val run : ctx -> t -> Netlist.Circuit.t -> Netlist.Circuit.t
 
-(** One-shot by name: the supported replacement for calling [Rewrite] /
-    [Techmap] / [Basis] functions directly from outside [lib/synth]. *)
+(** One-shot by name: run one registered pass outside a recipe. *)
 val apply :
   ?params:(string * string) list ->
   ?protect:(string -> bool) ->

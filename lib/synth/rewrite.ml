@@ -198,6 +198,3 @@ let strash ?(protect = no_protection) c =
   in
   let out = rebuild c rewrite in
   fst (Circuit.sweep out)
-
-(** Area after a pass pipeline; convenience for reporting. *)
-let area c = (Circuit.stats c).Circuit.area

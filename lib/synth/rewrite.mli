@@ -6,19 +6,14 @@
     {e net name} satisfies it are copied verbatim and never merged,
     simplified or re-expressed.
 
-    These transforms are registered as the [constant_propagation] and
-    [strash] passes; outside [lib/synth], address them through
-    {!Pass.apply} / {!Pipeline} rather than calling here directly. *)
+    A module private to [lib/synth]: these transforms are reachable as
+    the [constant_propagation] and [strash] passes ({!Pass},
+    {!Pipeline}). *)
 
 (** The trivial fence: nothing is protected. *)
 val no_protection : string -> bool
 
 val constant_propagation :
   ?protect:(string -> bool) -> Netlist.Circuit.t -> Netlist.Circuit.t
-[@@deprecated "use Synth.Pass.apply \"constant_propagation\" (or a Pipeline recipe)"]
 
 val strash : ?protect:(string -> bool) -> Netlist.Circuit.t -> Netlist.Circuit.t
-[@@deprecated "use Synth.Pass.apply \"strash\" (or a Pipeline recipe)"]
-
-(** Area after a pass pipeline; convenience for reporting. *)
-val area : Netlist.Circuit.t -> float

@@ -13,10 +13,6 @@
     propagation to clean double inverters — the classical peephole
     recovery. *)
 
-(* The peephole recovery uses the raw rewrite, which is deprecated as an
-   external surface only. *)
-[@@@alert "-deprecated"]
-
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
 

@@ -125,6 +125,68 @@ let test_flow_demonstrates_fig2_on_masked_input () =
   Alcotest.(check bool) "classical and protected netlists differ" true
     (fp classical <> fp secure)
 
+(* Every field of every stage report, and the final circuit's
+   fingerprint, of the seed-1 flow on three generated designs, with and
+   without a fence (every net whose name ends in an odd character code).
+   Floats print in hex, so the pin is exact. *)
+let pinned_flow_reports =
+  [ (("c432", false), "fb2609ad817b7cf3",
+      [ "logic synthesis|0x1.40cccccccccc9p+6|0x1.59p+8|-|-|constant-prop + strash + xor-reassoc|-";
+        "physical synthesis (place)|0x1.40cccccccccc9p+6|0x1.59p+8|227|-|simulated-annealing placement|-";
+        "timing/power verification|0x1.40cccccccccc9p+6|0x1.59p+8|-|-|event-sim: 67 transitions, 12 glitching nets|-";
+        "testing (ATPG)|0x1.40cccccccccc9p+6|0x1.59p+8|-|0x1p+0|35 patterns|-" ]);
+    (("c432", true), "3481e605d890fc08",
+      [ "logic synthesis|0x1.45ffffffffffcp+6|0x1.59p+8|-|-|constant-prop + strash + xor-reassoc|-";
+        "physical synthesis (place)|0x1.45ffffffffffcp+6|0x1.59p+8|225|-|simulated-annealing placement|-";
+        "timing/power verification|0x1.45ffffffffffcp+6|0x1.59p+8|-|-|event-sim: 81 transitions, 22 glitching nets|-";
+        "testing (ATPG)|0x1.45ffffffffffcp+6|0x1.59p+8|-|0x1.fa3f47e8fd1fap-1|35 patterns|-" ]);
+    (("c880", false), "e2913ddc6c76b311",
+      [ "logic synthesis|0x1.769999999999fp+7|0x1.e5p+9|-|-|constant-prop + strash + xor-reassoc|-";
+        "physical synthesis (place)|0x1.769999999999fp+7|0x1.e5p+9|539|-|simulated-annealing placement|-";
+        "timing/power verification|0x1.769999999999fp+7|0x1.e5p+9|-|-|event-sim: 133 transitions, 26 glitching nets|-";
+        "testing (ATPG)|0x1.769999999999fp+7|0x1.e5p+9|-|0x1p+0|25 patterns|-" ]);
+    (("c880", true), "6c4dfe84426644f5",
+      [ "logic synthesis|0x1.769999999999fp+7|0x1.09p+10|-|-|constant-prop + strash + xor-reassoc|-";
+        "physical synthesis (place)|0x1.769999999999fp+7|0x1.09p+10|532|-|simulated-annealing placement|-";
+        "timing/power verification|0x1.769999999999fp+7|0x1.09p+10|-|-|event-sim: 90 transitions, 15 glitching nets|-";
+        "testing (ATPG)|0x1.769999999999fp+7|0x1.09p+10|-|0x1p+0|25 patterns|-" ]);
+    (("layered", false), "97524ca9bc9e2287",
+      [ "logic synthesis|0x1.38e6666666675p+8|0x1.2f2p+12|-|-|constant-prop + strash + xor-reassoc|-";
+        "physical synthesis (place)|0x1.38e6666666675p+8|0x1.2f2p+12|1283|-|simulated-annealing placement|-";
+        "timing/power verification|0x1.38e6666666675p+8|0x1.2f2p+12|-|-|event-sim: 1900 transitions, 102 glitching nets|-";
+        "testing (ATPG)|0x1.38e6666666675p+8|0x1.2f2p+12|-|0x1.f20f353a4c0a2p-1|18 patterns|-" ]);
+    (("layered", true), "19cf0193969a71cb",
+      [ "logic synthesis|0x1.560000000001p+8|0x1.978p+9|-|-|constant-prop + strash + xor-reassoc|-";
+        "physical synthesis (place)|0x1.560000000001p+8|0x1.978p+9|1465|-|simulated-annealing placement|-";
+        "timing/power verification|0x1.560000000001p+8|0x1.978p+9|-|-|event-sim: 740 transitions, 104 glitching nets|-";
+        "testing (ATPG)|0x1.560000000001p+8|0x1.978p+9|-|0x1.e9ca3a728e9cap-1|21 patterns|-" ]) ]
+
+let test_flow_reports_pinned () =
+  let designs =
+    [ ("c432", Netlist.Bench_gen.c432_like ~seed:3 ~scale:1 ());
+      ("c880", Netlist.Bench_gen.c880_like ~seed:7 ~width:8 ());
+      ("layered", Netlist.Bench_gen.layered ~seed:11 ~inputs:12 ~layers:6 ~width:24 ()) ]
+  in
+  let fence name = Char.code name.[String.length name - 1] mod 2 = 1 in
+  let opt f = function None -> "-" | Some v -> f v in
+  let render (sr : Flow.stage_report) =
+    Printf.sprintf "%s|%h|%h|%s|%s|%s|%s" (Flow.stage_name sr.stage) sr.area sr.delay_ps
+      (opt string_of_int sr.wirelength) (opt (Printf.sprintf "%h") sr.fault_coverage) sr.note
+      (opt Fun.id sr.degraded)
+  in
+  List.iter
+    (fun ((name, fenced), fingerprint, stages) ->
+      let protect = if fenced then Some fence else None in
+      match Flow.run (Rng.create 1) ?protect (List.assoc name designs) with
+      | Error e -> Alcotest.fail (Eda_util.Eda_error.to_string e)
+      | Ok r ->
+        let tag = Printf.sprintf "%s protect=%b" name fenced in
+        Alcotest.(check (list string)) (tag ^ " stage reports") stages
+          (List.map render r.Flow.stages);
+        Alcotest.(check string) (tag ^ " final circuit") fingerprint
+          (Netlist.Bench_gen.fingerprint r.Flow.final))
+    pinned_flow_reports
+
 let test_metric_shape_classifier () =
   let step = [ (1.0, 0.0); (2.0, 0.02); (3.0, 1.0); (4.0, 1.0) ] in
   let smooth = [ (1.0, 0.1); (2.0, 0.35); (3.0, 0.6); (4.0, 0.9) ] in
@@ -177,6 +239,7 @@ let () =
       ("flow",
        [ Alcotest.test_case "stage reports" `Quick test_flow_reports_all_stages;
          Alcotest.test_case "pinned timing note" `Quick test_flow_timing_note_pinned;
+         Alcotest.test_case "pinned stage reports" `Quick test_flow_reports_pinned;
          Alcotest.test_case "fig2 on masked input" `Quick test_flow_demonstrates_fig2_on_masked_input ]);
       ("metrics",
        [ Alcotest.test_case "shape classifier" `Quick test_metric_shape_classifier;

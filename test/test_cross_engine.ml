@@ -80,7 +80,7 @@ let test_synthesis_pipeline_all_engines () =
   (* The full optimizer must be equivalence-preserving under all engines. *)
   for seed = 20 to 26 do
     let c = Gen.random_dag ~seed ~inputs:6 ~gates:40 ~outputs:1 in
-    let opt = Synth.Flow.optimize c in
+    let opt = Synth.Pipeline.run_recipe "optimize" c in
     Alcotest.(check bool) "sat agrees" true (Sat.Cnf.check_equivalence c opt = None);
     let mgr = Bdd.manager () in
     Alcotest.(check bool) "bdd agrees" true

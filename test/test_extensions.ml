@@ -216,7 +216,7 @@ let test_functional_watermark () =
   Alcotest.(check int) "full readout" 16
     (Locking.Watermark.verify_functional mark mark.Locking.Watermark.f_circuit);
   (* Survives the full synthesis pipeline. *)
-  let resynthesized = Synth.Flow.optimize mark.Locking.Watermark.f_circuit in
+  let resynthesized = Synth.Pipeline.run_recipe "optimize" mark.Locking.Watermark.f_circuit in
   Alcotest.(check int) "survives resynthesis" 16
     (Locking.Watermark.verify_functional mark resynthesized);
   (* An innocent design matches about half the bits. *)

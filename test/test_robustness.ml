@@ -185,6 +185,7 @@ let test_flow_testing_stage_cap_is_real () =
   let module T = Eda_util.Telemetry in
   let c = step_capped_multiplier () in
   let cap = 500 in
+  let placement_moves = 4000 in
   let root = Budget.unlimited () in
   let sink, _events = T.memory_sink () in
   let conflicts =
@@ -192,19 +193,26 @@ let test_flow_testing_stage_cap_is_real () =
         match
           Flow.run (Rng.create 1) ~budget:root
             ~stage_steps:(function Flow.Testing -> Some cap | _ -> None)
-            ~stages:[ Flow.Testing ] c
+            c
         with
         | Error e -> Alcotest.fail (Eda_error.to_string e)
         | Ok r ->
-          Alcotest.(check int) "testing stage degraded" 1 r.Flow.degraded_stages;
+          (* The timing stage degrades too, on an event storm of this
+             multiplier; only the testing stage's note is under test. *)
+          let testing = List.find (fun sr -> sr.Flow.stage = Flow.Testing) r.Flow.stages in
+          Alcotest.(check bool) "testing stage degraded" true
+            (match testing.Flow.degraded with
+             | Some why -> String.starts_with ~prefix:"partial ATPG" why
+             | None -> false);
           T.counter_total "sat.conflicts")
   in
   Alcotest.(check bool) (Printf.sprintf "conflicts %d <= cap %d" conflicts cap) true
     (conflicts <= cap);
+  (* Only placement (one step per move) and ATPG draw on the root. *)
   Alcotest.(check bool)
-    (Printf.sprintf "consumed %d <= cap + 1" (Budget.consumed_steps root))
+    (Printf.sprintf "consumed %d <= moves + cap + 1" (Budget.consumed_steps root))
     true
-    (Budget.consumed_steps root <= cap + 1)
+    (Budget.consumed_steps root <= placement_moves + cap + 1)
 
 let test_placement_budget_truncates_moves () =
   let c = Gen.alu 4 in
@@ -357,117 +365,134 @@ let test_flow_rejects_invalid_circuit () =
   | Error e -> Alcotest.fail ("wrong error: " ^ Eda_error.to_string e)
   | Ok _ -> Alcotest.fail "flow accepted an output-less circuit"
 
-let test_flow_checkpoint_resume () =
-  let c = Gen.c17 () in
-  let first =
-    match Flow.run (Rng.create 1) ~stages:[ Flow.Logic_synthesis ] c with
-    | Ok r -> r
-    | Error e -> Alcotest.fail (Eda_error.to_string e)
-  in
-  Alcotest.(check int) "one stage done" 1 (List.length first.Flow.stages);
-  match Flow.run (Rng.create 1) ~resume:first.Flow.checkpoint c with
-  | Error e -> Alcotest.fail (Eda_error.to_string e)
-  | Ok r ->
-    Alcotest.(check int) "all four stages after resume" 4 (List.length r.Flow.stages);
-    let synth_reports =
-      List.filter (fun sr -> sr.Flow.stage = Flow.Logic_synthesis) r.Flow.stages
-    in
-    Alcotest.(check int) "synthesis not re-run" 1 (List.length synth_reports)
-
 (* --- On-disk checkpoints ------------------------------------------------- *)
 
-let tmp_path name = Filename.concat (Filename.get_temp_dir_name ()) name
+(* A checkpoint path with no file behind it yet. *)
+let fresh_path name =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) name in
+  if Sys.file_exists path then Sys.remove path;
+  path
 
-let flow_once_checkpoint () =
-  (* A checkpoint with real content: one completed stage. *)
-  match Flow.run (Rng.create 1) ~stages:[ Flow.Logic_synthesis ] (Gen.c17 ()) with
-  | Ok r -> r.Flow.checkpoint
+let read_text path = In_channel.with_open_bin path In_channel.input_all
+
+let write_text path text = Out_channel.with_open_bin path (fun oc -> output_string oc text)
+
+(* Index of the first occurrence of [sub] in [s]. *)
+let find_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec scan i =
+    if i + m > n then None else if String.sub s i m = sub then Some i else scan (i + 1)
+  in
+  scan 0
+
+let run_checkpointed ?(c = Gen.c17 ()) path =
+  match Flow.run (Rng.create 1) ~checkpoint:path c with
+  | Ok r -> r
   | Error e -> Alcotest.fail (Eda_error.to_string e)
 
+(* A full run's checkpoint file at [path], and the run's report. *)
+let full_checkpoint name =
+  let path = fresh_path name in
+  let r = run_checkpointed path in
+  Alcotest.(check int) "a fresh file resumes nothing" 0 r.Flow.resumed;
+  path, r
+
+let parse_checkpoint path =
+  match Flow.checkpoint_of_string (read_text path) with
+  | Ok cp -> cp
+  | Error e -> Alcotest.fail (Eda_error.to_string e)
+
+let check_refused ?(c = Gen.c17 ()) ~expect label path =
+  match Flow.run (Rng.create 1) ~checkpoint:path c with
+  | Ok _ -> Alcotest.failf "%s: checkpoint accepted" label
+  | Error (Eda_error.Invalid_input { what = "checkpoint"; msg }) ->
+    List.iter
+      (fun s ->
+        Alcotest.(check bool) (Printf.sprintf "%s: message names %s" label s) true
+          (find_sub msg s <> None))
+      expect
+  | Error e -> Alcotest.failf "%s: wrong error class: %s" label (Eda_error.to_string e)
+
+let test_flow_checkpoint_resume () =
+  (* A file holding only the synthesis report resumes the other three
+     stages, which reproduce the full run exactly (same seed, and
+     synthesis draws nothing from the rng). *)
+  let path, full = full_checkpoint "robustness-partial-ck.json" in
+  let cp = parse_checkpoint path in
+  let synthesis =
+    List.filter (fun sr -> sr.Flow.stage = Flow.Logic_synthesis) cp.Flow.done_stages
+  in
+  Alcotest.(check int) "one synthesis report" 1 (List.length synthesis);
+  write_text path (Flow.checkpoint_to_string { cp with Flow.done_stages = synthesis });
+  let r = run_checkpointed path in
+  Alcotest.(check int) "synthesis restored" 1 r.Flow.resumed;
+  Alcotest.(check int) "all four stages after resume" 4 (List.length r.Flow.stages);
+  Alcotest.(check bool) "reports equal the full run's" true (r.Flow.stages = full.Flow.stages);
+  Alcotest.(check int) "the file holds all four again" 4
+    (List.length (parse_checkpoint path).Flow.done_stages)
+
 let test_checkpoint_roundtrip () =
-  let cp = flow_once_checkpoint () in
+  let path, _ = full_checkpoint "robustness-roundtrip-ck.json" in
+  let cp = parse_checkpoint path in
+  Alcotest.(check string) "re-serializes byte for byte" (read_text path)
+    (Flow.checkpoint_to_string cp);
   match Flow.checkpoint_of_string (Flow.checkpoint_to_string cp) with
   | Error e -> Alcotest.fail (Eda_error.to_string e)
   | Ok got ->
-    Alcotest.(check int) "stage reports survive" (List.length cp.Flow.done_stages)
-      (List.length got.Flow.done_stages);
+    Alcotest.(check string) "source survives" cp.Flow.source got.Flow.source;
     Alcotest.(check string) "circuit survives bit-for-bit"
       (Io.to_string cp.Flow.circuit) (Io.to_string got.Flow.circuit);
-    List.iter2
-      (fun a b ->
-        Alcotest.(check bool) "report fields equal" true
-          (a.Flow.stage = b.Flow.stage && a.Flow.area = b.Flow.area
-           && a.Flow.delay_ps = b.Flow.delay_ps && a.Flow.note = b.Flow.note
-           && a.Flow.degraded = b.Flow.degraded && a.Flow.wirelength = b.Flow.wirelength
-           && a.Flow.fault_coverage = b.Flow.fault_coverage))
-      cp.Flow.done_stages got.Flow.done_stages
+    Alcotest.(check bool) "report fields equal" true (cp.Flow.done_stages = got.Flow.done_stages)
 
 let test_checkpoint_corrupt_files_rejected () =
-  let cp = flow_once_checkpoint () in
   List.iter
     (fun corruption ->
-      let path = tmp_path ("robustness-ck-" ^ Chaos.file_corruption_name corruption ^ ".json") in
-      (match Flow.save_checkpoint path cp with
-       | Ok () -> ()
-       | Error e -> Alcotest.fail (Eda_error.to_string e));
+      let name = Chaos.file_corruption_name corruption in
+      let path, _ = full_checkpoint ("robustness-ck-" ^ name ^ ".json") in
       Chaos.corrupt_file (Rng.create 13) corruption path;
-      match Flow.load_checkpoint path with
-      | Ok _ -> Alcotest.failf "%s: corrupt checkpoint accepted"
-                  (Chaos.file_corruption_name corruption)
-      | Error (Eda_error.Invalid_input { what = "checkpoint"; _ }) -> ()
-      | Error e ->
-        Alcotest.failf "%s: wrong error class: %s"
-          (Chaos.file_corruption_name corruption) (Eda_error.to_string e))
+      check_refused ~expect:[] name path)
     Chaos.all_file_corruptions
 
 let test_checkpoint_stale_version_rejected () =
-  let cp = flow_once_checkpoint () in
-  let bumped =
-    (* Rewrite the version field; the hash guards content, the version
-       guards format drift, so the rejection must name the version. *)
-    let text = Flow.checkpoint_to_string cp in
-    let marker = "\"version\":1" in
-    let idx =
-      let n = String.length text and m = String.length marker in
-      let rec scan i =
-        if i + m > n then Alcotest.fail "version field not found"
-        else if String.sub text i m = marker then i
-        else scan (i + 1)
-      in
-      scan 0
-    in
-    String.sub text 0 idx ^ "\"version\":999"
-    ^ String.sub text (idx + String.length marker) (String.length text - idx - String.length marker)
+  (* Rewrite the version field; the hash guards content, the version
+     guards format drift, so the refusal must name the version. *)
+  let path, _ = full_checkpoint "robustness-stale-ck.json" in
+  let text = read_text path in
+  let marker = "\"version\":2" in
+  let idx =
+    match find_sub text marker with
+    | Some i -> i
+    | None -> Alcotest.fail "version field not found"
   in
-  match Flow.checkpoint_of_string bumped with
-  | Ok _ -> Alcotest.fail "stale-version checkpoint accepted"
-  | Error (Eda_error.Invalid_input { what = "checkpoint"; msg }) ->
-    Alcotest.(check bool) "names the version" true
-      (let n = String.length msg in
-       let rec scan i = i + 3 <= n && (String.sub msg i 3 = "999" || scan (i + 1)) in
-       scan 0)
-  | Error e -> Alcotest.fail ("wrong error class: " ^ Eda_error.to_string e)
+  write_text path
+    (String.sub text 0 idx ^ "\"version\":999"
+     ^ String.sub text (idx + String.length marker) (String.length text - idx - String.length marker));
+  check_refused ~expect:[ "999" ] "version 999" path
 
-let test_checkpoint_to_persists_and_resumes () =
-  let path = tmp_path "robustness-flow-ck.json" in
-  if Sys.file_exists path then Sys.remove path;
-  let c = Gen.c17 () in
-  (match Flow.run (Rng.create 1) ~checkpoint_to:path c with
-   | Error e -> Alcotest.fail (Eda_error.to_string e)
-   | Ok _ -> ());
-  match Flow.load_checkpoint path with
-  | Error e -> Alcotest.fail (Eda_error.to_string e)
-  | Ok cp ->
-    Alcotest.(check int) "all four stages persisted" 4 (List.length cp.Flow.done_stages);
-    (* Resuming from the loaded file re-runs nothing. *)
-    (match Flow.run (Rng.create 1) ~resume:cp c with
-     | Error e -> Alcotest.fail (Eda_error.to_string e)
-     | Ok r ->
-       Alcotest.(check int) "four stages total" 4 (List.length r.Flow.stages);
-       let synth_reports =
-         List.filter (fun sr -> sr.Flow.stage = Flow.Logic_synthesis) r.Flow.stages
-       in
-       Alcotest.(check int) "synthesis not re-run" 1 (List.length synth_reports))
+let test_checkpoint_rerun_resumes_everything () =
+  let path, full = full_checkpoint "robustness-flow-ck.json" in
+  Alcotest.(check int) "all four stages persisted" 4
+    (List.length (parse_checkpoint path).Flow.done_stages);
+  let r = run_checkpointed path in
+  Alcotest.(check int) "nothing re-run" 4 r.Flow.resumed;
+  Alcotest.(check bool) "reports equal" true (r.Flow.stages = full.Flow.stages);
+  Alcotest.(check string) "same final circuit" (Io.to_string full.Flow.final)
+    (Io.to_string r.Flow.final)
+
+let test_checkpoint_of_another_design_refused () =
+  (* A checkpoint resumes only the design it was made from: the same
+     file handed another netlist is refused, naming both hashes, and is
+     left as it was. *)
+  let path, _ = full_checkpoint "robustness-swap-ck.json" in
+  let before = read_text path in
+  let cp = parse_checkpoint path in
+  let other = Gen.alu 4 in
+  check_refused ~c:other ~expect:[ cp.Flow.source ] "alu4 on a c17 checkpoint" path;
+  Alcotest.(check string) "file untouched" before (read_text path);
+  let own = fresh_path "robustness-swap-own-ck.json" in
+  ignore (run_checkpointed ~c:other own);
+  check_refused ~expect:[ (parse_checkpoint own).Flow.source; cp.Flow.source ]
+    "c17 on an alu4 checkpoint" own
 
 (* --- Chaos -------------------------------------------------------------- *)
 
@@ -575,8 +600,10 @@ let () =
            test_checkpoint_corrupt_files_rejected;
          Alcotest.test_case "stale version rejected" `Quick
            test_checkpoint_stale_version_rejected;
-         Alcotest.test_case "checkpoint_to persists and resumes" `Quick
-           test_checkpoint_to_persists_and_resumes ]);
+         Alcotest.test_case "rerun resumes every stage" `Quick
+           test_checkpoint_rerun_resumes_everything;
+         Alcotest.test_case "another design refused" `Quick
+           test_checkpoint_of_another_design_refused ]);
       ("chaos",
        [ Alcotest.test_case "corruption campaign" `Quick test_chaos_corruption_campaign;
          Alcotest.test_case "budget starvation scenarios" `Quick

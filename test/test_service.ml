@@ -245,10 +245,10 @@ let write_corrupt_checkpoint corruption =
   let path =
     Filename.concat chaos_jobs_dir ("ck-" ^ Chaos.file_corruption_name corruption ^ ".json")
   in
-  let cp = Flow.checkpoint_start (Gen.c17 ()) in
-  (match Flow.save_checkpoint path cp with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "save_checkpoint: %s" (Eda_error.to_string e));
+  if Sys.file_exists path then Sys.remove path;
+  (match Flow.run (Rng.create 5) ~checkpoint:path (Gen.c17 ()) with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "checkpointed flow: %s" (Eda_error.to_string e));
   Chaos.corrupt_file (Rng.create 99) corruption path;
   path
 
@@ -265,7 +265,9 @@ let make_jobs () =
        fun corrupted (_ : Budget.t) ->
          let ( let* ) = Eda_error.( let* ) in
          let* c = Io.of_string_result corrupted in
-         let* opt = Eda_error.guard ~engine:"synth" (fun () -> Synth.Flow.optimize c) in
+         let* opt =
+           Eda_error.guard ~engine:"synth" (fun () -> Synth.Pipeline.run_recipe "optimize" c)
+         in
          Ok (Printf.sprintf "synth ok: %d gates" (Netlist.Circuit.stats opt).Netlist.Circuit.gates));
       ("atpg",
        fun corrupted budget ->
@@ -309,10 +311,8 @@ let make_jobs () =
         job ~klass:"checkpoint" ~policy
           ("resume-" ^ Chaos.file_corruption_name corruption)
           (fun budget ->
-            let ( let* ) = Eda_error.( let* ) in
-            let* cp = Flow.load_checkpoint path in
-            let* r = Flow.run (Rng.create 5) ~budget ~resume:cp (Gen.c17 ()) in
-            Ok (Printf.sprintf "resumed: %d stages" (List.length r.Flow.stages))))
+            Flow.run (Rng.create 5) ~budget ~checkpoint:path (Gen.c17 ())
+            |> Result.map (fun r -> Printf.sprintf "resumed: %d stages" r.Flow.resumed)))
       Chaos.all_file_corruptions
   in
   corruption_jobs @ scenario_jobs @ checkpoint_jobs

@@ -9,6 +9,16 @@ module Rng = Eda_util.Rng
 
 let gates c = (Circuit.stats c).Circuit.gates
 
+let optimize c = Synth.Pipeline.run_recipe "optimize" c
+
+let optimize_secure ~protect c = Synth.Pipeline.run_recipe ~protect "optimize_secure" c
+
+(* Basis membership, asked of the [to_and_xor_not] pass's own check. *)
+let in_basis c =
+  match (Synth.Pass.get "to_and_xor_not").Synth.Pass.check with
+  | Some check -> check Synth.Pass.default_ctx c = Ok ()
+  | None -> Alcotest.fail "to_and_xor_not has no basis check"
+
 let build_with_redundancy () =
   (* Circuit with constants, double negation, duplicate gates. *)
   let c = Circuit.create () in
@@ -73,7 +83,7 @@ let test_strash_commutative () =
 let test_optimize_random_dags () =
   for seed = 0 to 14 do
     let c = Gen.random_dag ~seed ~inputs:6 ~gates:40 ~outputs:3 in
-    let opt = Synth.Flow.optimize c in
+    let opt = optimize c in
     Alcotest.(check bool) (Printf.sprintf "seed %d equivalent" seed) true
       (Sim.equivalent_exhaustive c opt);
     Alcotest.(check bool) (Printf.sprintf "seed %d not larger" seed) true
@@ -84,7 +94,7 @@ let test_basis_conversion () =
   for seed = 20 to 30 do
     let c = Gen.random_dag ~seed ~inputs:5 ~gates:30 ~outputs:2 in
     let axn = Synth.Pass.apply "to_and_xor_not" c in
-    Alcotest.(check bool) (Printf.sprintf "seed %d in basis" seed) true (Synth.Basis.in_basis axn);
+    Alcotest.(check bool) (Printf.sprintf "seed %d in basis" seed) true (in_basis axn);
     Alcotest.(check bool) (Printf.sprintf "seed %d equivalent" seed) true
       (Sim.equivalent_exhaustive c axn)
   done
@@ -92,7 +102,7 @@ let test_basis_conversion () =
 let test_basis_mux () =
   let c = Gen.mux_tree 2 in
   let axn = Synth.Pass.apply "to_and_xor_not" c in
-  Alcotest.(check bool) "in basis" true (Synth.Basis.in_basis axn);
+  Alcotest.(check bool) "in basis" true (in_basis axn);
   Alcotest.(check bool) "equivalent" true (Sim.equivalent_exhaustive c axn)
 
 let test_xor_reassoc_preserves_function () =
@@ -157,16 +167,27 @@ let test_balanced_strategy_reduces_depth () =
   Alcotest.(check int) "log depth" 4 (Timing.Sta.depth balanced)
 
 let test_ppa_model () =
-  let c = Gen.alu 4 in
-  let p = Synth.Flow.ppa c in
-  Alcotest.(check bool) "area positive" true (p.Synth.Flow.area > 0.0);
-  Alcotest.(check bool) "delay positive" true (p.Synth.Flow.delay_ps > 0.0);
-  Alcotest.(check bool) "gate count sane" true (p.Synth.Flow.gate_count = gates c)
+  (* Every flow stage reports the cell area and STA delay of the design
+     as it leaves the stage; only synthesis changes the design. *)
+  let module Flow = Secure_eda.Flow in
+  match Flow.run (Rng.create 1) (Gen.alu 4) with
+  | Error e -> Alcotest.fail (Eda_util.Eda_error.to_string e)
+  | Ok r ->
+    let area = (Circuit.stats r.Flow.final).Circuit.area in
+    let delay = (Timing.Sta.analyze r.Flow.final).Timing.Sta.critical_path_delay in
+    Alcotest.(check bool) "area positive" true (area > 0.0);
+    Alcotest.(check bool) "delay positive" true (delay > 0.0);
+    List.iter
+      (fun (sr : Flow.stage_report) ->
+        let name = Flow.stage_name sr.stage in
+        Alcotest.(check (float 0.0)) (name ^ " area") area sr.area;
+        Alcotest.(check (float 0.0)) (name ^ " delay") delay sr.delay_ps)
+      r.Flow.stages
 
 let test_optimize_secure_preserves_function () =
   let masked = Sidechannel.Isw.transform (Sidechannel.Leakage.private_and_source ()) in
   let c = masked.Sidechannel.Isw.circuit in
-  let opt = Synth.Flow.optimize_secure ~protect:Sidechannel.Isw.protected_name c in
+  let opt = optimize_secure ~protect:Sidechannel.Isw.protected_name c in
   Alcotest.(check bool) "equivalent" true (Sim.equivalent_exhaustive c opt)
 
 (* --- pass manager / pipeline ------------------------------------------- *)
@@ -175,16 +196,15 @@ module Masking = Synth.Masking
 module Pipeline = Synth.Pipeline
 module Bench_gen = Netlist.Bench_gen
 
-(* The hardcoded sequences the recipes replaced, kept verbatim from the
-   pre-pass-manager Flow for the differential test below. *)
+(* The hardcoded sequences the recipes replaced, kept step for step from
+   the pre-pass-manager flow for the differential test below; each step
+   is one pass applied by hand. *)
 module Legacy = struct
-  [@@@alert "-deprecated"]
-
   let optimize ?(reassoc = true) c =
     let step c =
-      let c = Synth.Rewrite.constant_propagation c in
-      let c = Synth.Rewrite.strash c in
-      if reassoc then Synth.Xor_reassoc.run c else c
+      let c = Synth.Pass.apply "constant_propagation" c in
+      let c = Synth.Pass.apply "strash" c in
+      if reassoc then Synth.Pass.apply "xor_reassoc" c else c
     in
     let rec loop c rounds =
       if rounds = 0 then c
@@ -197,9 +217,9 @@ module Legacy = struct
     loop c 4
 
   let optimize_secure ~protect c =
-    let c = Synth.Rewrite.constant_propagation ~protect c in
-    let c = Synth.Rewrite.strash ~protect c in
-    Synth.Xor_reassoc.run ~protect c
+    let c = Synth.Pass.apply ~protect "constant_propagation" c in
+    let c = Synth.Pass.apply ~protect "strash" c in
+    Synth.Pass.apply ~protect "xor_reassoc" c
 end
 
 let fp = Bench_gen.fingerprint
@@ -217,7 +237,9 @@ let test_pipeline_matches_legacy () =
           let tag = Printf.sprintf "%s reassoc=%b" nm reassoc in
           Alcotest.(check string) tag
             (fp (Legacy.optimize ~reassoc c))
-            (fp (Synth.Flow.optimize ~reassoc c)))
+            (fp
+               (Pipeline.run_recipe ~params:[ ("reassoc", string_of_bool reassoc) ] "optimize"
+                  c)))
         [ true; false ])
     (differential_workloads ())
 
@@ -227,7 +249,7 @@ let test_pipeline_matches_legacy_secure () =
   let protect = Sidechannel.Isw.protected_name in
   Alcotest.(check string) "secure flow bit-identical"
     (fp (Legacy.optimize_secure ~protect c))
-    (fp (Synth.Flow.optimize_secure ~protect c))
+    (fp (optimize_secure ~protect c))
 
 let test_fixed_point_bounded () =
   (* The optimize recipe is Fixed_point{max_rounds=4} over three passes:
@@ -390,7 +412,7 @@ let prop_optimize_never_changes_function =
     QCheck.(int_bound 900)
     (fun seed ->
       let c = Gen.random_dag ~seed ~inputs:5 ~gates:35 ~outputs:2 in
-      Sim.equivalent_exhaustive c (Synth.Flow.optimize c))
+      Sim.equivalent_exhaustive c (optimize c))
 
 let prop_basis_preserves_function =
   QCheck.Test.make ~name:"basis conversion preserves function" ~count:12
