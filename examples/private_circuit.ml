@@ -12,11 +12,11 @@ let () =
 
   (* 1. The sensitive operation: c = a AND b (a, b secret). *)
   print_endline "masking c = a AND b with 3-share ISW private circuits...";
-  let masked = Sidechannel.Isw.transform ~shares:3 (L.private_and_source ()) in
+  let masked = Synth.Masking.transform ~shares:3 (L.private_and_source ()) in
   Printf.printf "  shares per secret: %d, fresh random bits: %d, gates: %d\n"
-    masked.Sidechannel.Isw.shares
-    (Array.length masked.Sidechannel.Isw.random_inputs)
-    (Netlist.Circuit.stats masked.Sidechannel.Isw.circuit).Netlist.Circuit.gates;
+    masked.Synth.Masking.shares
+    (Array.length masked.Synth.Masking.random_inputs)
+    (Netlist.Circuit.stats masked.Synth.Masking.circuit).Netlist.Circuit.gates;
 
   (* 2. Synthesize twice. *)
   let aware = L.synthesize_masked L.Security_aware in

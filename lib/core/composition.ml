@@ -19,6 +19,7 @@ module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
 module Rng = Eda_util.Rng
 module Isw = Sidechannel.Isw
+module Masking = Synth.Masking
 
 type point = Baseline | Masked | Parity | Masked_and_parity
 
@@ -33,13 +34,13 @@ let point_name = function
 type design = {
   point : point;
   circuit : Circuit.t;
-  masked : Isw.masked option;  (* drives share/randomness inputs *)
+  masked : Masking.masked option;  (* drives share/randomness inputs *)
   alarm : string option;  (* error-detection alarm output name *)
 }
 
 (* Protect a circuit with an independent predictor of the XOR of its
    outputs (cf. Fault.Countermeasure.parity_protect, rebuilt here so the
-   masked variant can keep its Isw descriptor attached). *)
+   masked variant can keep its masking descriptor attached). *)
 let add_parity source =
   let prot = Fault.Countermeasure.parity_protect source in
   prot.Fault.Countermeasure.circuit
@@ -50,12 +51,12 @@ let build point =
   | Baseline -> { point; circuit = source; masked = None; alarm = None }
   | Masked ->
     let m = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
-    { point; circuit = m.Isw.circuit; masked = Some m; alarm = None }
+    { point; circuit = m.Masking.circuit; masked = Some m; alarm = None }
   | Parity ->
     { point; circuit = add_parity source; masked = None; alarm = Some "alarm" }
   | Masked_and_parity ->
     let m = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
-    let protected_c = add_parity m.Isw.circuit in
+    let protected_c = add_parity m.Masking.circuit in
     let m = Isw.rebind m protected_c in
     { point; circuit = protected_c; masked = Some m; alarm = Some "alarm" }
 

@@ -289,7 +289,7 @@ let run_upec _rng =
   Printf.sprintf "UPEC-style 2-safety BMC: architectural secret leak found = %b" leak
 
 let run_second_order rng =
-  let masked = Sidechannel.Isw.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
+  let masked = Synth.Masking.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
   let collect stream cls =
     let a, b =
       match cls with
@@ -385,10 +385,10 @@ let run_dom rng =
 let table =
   [ { stage = High_level_synthesis; threat = Threat_model.Side_channel;
       scheme = "Information-flow tracking [14]; masking [5]; register flushing";
-      modules = "Iflow.Qif, Sidechannel.Isw, Hls.Dataflow"; run = run_iflow };
+      modules = "Iflow.Qif, Synth.Masking, Hls.Dataflow"; run = run_iflow };
     { stage = High_level_synthesis; threat = Threat_model.Side_channel;
       scheme = "Integration of masking [5]";
-      modules = "Sidechannel.Isw"; run = run_masking };
+      modules = "Synth.Masking"; run = run_masking };
     { stage = High_level_synthesis; threat = Threat_model.Side_channel;
       scheme = "Domain-oriented masking [5] (register stage)";
       modules = "Sidechannel.Dom"; run = run_dom };

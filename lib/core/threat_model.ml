@@ -46,7 +46,7 @@ let table =
       times = [ Runtime ];
       roles = [ Evaluation_at_design_time; Mitigation_at_design_time ];
       toolkit_evaluation = "Sidechannel.Tvla / Sidechannel.Cpa / Iflow.Qif";
-      toolkit_mitigation = "Sidechannel.Isw (masking) + Synth.Pipeline optimize_secure" };
+      toolkit_mitigation = "Synth.Masking (ISW) + Synth.Pipeline optimize_secure" };
     { vector = Fault_injection;
       times = [ Runtime ];
       roles = [ Evaluation_at_design_time; Mitigation_at_design_time ];

@@ -24,7 +24,6 @@
 
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
-module Rng = Eda_util.Rng
 
 type masked = {
   circuit : Circuit.t;
@@ -171,43 +170,17 @@ let transform ?(shares = 2) source =
     outputs decoded from the share registers. *)
 let eval rng masked ~values =
   let c = masked.circuit in
-  let pos_of =
-    let tbl = Hashtbl.create 64 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
+  let vec =
+    Isw.stimulus rng c ~shares:masked.shares ~input_shares:masked.input_shares
+      ~random_inputs:masked.random_inputs ~values
   in
-  let vec = Array.make (Circuit.num_inputs c) false in
-  List.iter
-    (fun (name, ids) ->
-      let value =
-        match List.assoc_opt name values with
-        | Some v -> v
-        | None -> invalid_arg (Printf.sprintf "Dom.eval: missing input %s" name)
-      in
-      let sh = Isw.encode rng ~shares:masked.shares value in
-      Array.iteri (fun s id -> vec.(pos_of id) <- sh.(s)) ids)
-    masked.input_shares;
-  Array.iter (fun id -> vec.(pos_of id) <- Rng.bool rng) masked.random_inputs;
   let state = ref (Array.make (Circuit.num_dffs c) false) in
-  let outs = ref [||] in
   for _ = 0 to masked.latency do
-    let o, next = Netlist.Sim.step c ~state:!state vec in
-    outs := o;
-    state := next
+    state := snd (Netlist.Sim.step c ~state:!state vec)
   done;
   (* One more settle: outputs read the registered values combinationally. *)
-  let o, _ = Netlist.Sim.step c ~state:!state vec in
-  outs := o;
-  let out_positions =
-    let tbl = Hashtbl.create 16 in
-    Array.iteri (fun pos (nm, _) -> Hashtbl.replace tbl nm pos) (Circuit.outputs c);
-    tbl
-  in
-  List.map
-    (fun (nm, share_names) ->
-      let bits = Array.map (fun sn -> !outs.(Hashtbl.find out_positions sn)) share_names in
-      nm, Isw.decode bits)
-    masked.output_shares
+  let outs, _ = Netlist.Sim.step c ~state:!state vec in
+  Isw.decode_outputs c ~output_shares:masked.output_shares outs
 
 (** Cost comparison vs ISW at the same share count, for the ablation. *)
 type cost = { area : float; randoms : int; latency : int; registers : int }

@@ -15,6 +15,7 @@
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
 module Rng = Eda_util.Rng
+module Masking = Synth.Masking
 
 (** The paper's example target: c = a AND b, to be masked. *)
 let private_and_source () =
@@ -29,15 +30,15 @@ type variant = Security_aware | Security_unaware
 
 (** Masked-and-synthesized circuit for one flow variant. *)
 let synthesize_masked ?(shares = 3) variant =
-  let masked = Isw.transform ~shares (private_and_source ()) in
+  let masked = Masking.transform ~shares (private_and_source ()) in
   let circuit =
     match variant with
     | Security_aware ->
-      (* The aware flow honours the isw_ order barriers. *)
-      Synth.Pipeline.run_recipe ~protect:Isw.protected_name "optimize_secure" masked.Isw.circuit
+      (* The aware recipe fences the mg_ gadget internals. *)
+      Synth.Pipeline.run_recipe "optimize_secure" masked.Masking.circuit
     | Security_unaware ->
       (* The classical flow is free to re-associate (Fig. 2). *)
-      Synth.Xor_reassoc.run masked.Isw.circuit
+      Synth.Xor_reassoc.run masked.Masking.circuit
   in
   Isw.rebind masked circuit
 
@@ -46,7 +47,17 @@ let synthesize_masked ?(shares = 3) variant =
     reusable net-value buffer for campaign loops. *)
 let hw_sample rng ?scratch masked ~noise_sigma ~a ~b =
   let vec = Isw.input_vector rng masked ~values:[ ("a", a); ("b", b) ] in
-  Power.Model.hamming_weight_sample rng ?scratch masked.Isw.circuit ~noise_sigma ~inputs:vec
+  Power.Model.hamming_weight_sample rng ?scratch masked.Masking.circuit ~noise_sigma ~inputs:vec
+
+(* One trace's input vector: class inputs (a, b) — (1, 1) when fixed,
+   uniform when random — masked with fresh shares and randomness. *)
+let class_vector stream masked cls =
+  let a, b =
+    match cls with
+    | `Fixed -> true, true
+    | `Random -> Rng.bool stream, Rng.bool stream
+  in
+  Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ]
 
 (** Fixed-vs-random TVLA on a masked variant. Fixed class: (a,b) = (1,1);
     random class: uniform (a,b). Every trace draws its randomness from the
@@ -54,21 +65,16 @@ let hw_sample rng ?scratch masked ~noise_sigma ~a ~b =
     function of [rng] alone — bit-identical with no pool and with a pool
     of any domain count. *)
 let tvla_campaign ?pool rng masked ~traces_per_class ~noise_sigma =
-  let nodes = Circuit.node_count masked.Isw.circuit in
+  let nodes = Circuit.node_count masked.Masking.circuit in
   (* One net-value buffer recycled from trace to trace; a pooled worker
      that finds it taken allocates its own. *)
   let spare = Atomic.make None in
-  let sample = Power.Model.hamming_weight_sampler masked.Isw.circuit in
+  let sample = Power.Model.hamming_weight_sampler masked.Masking.circuit in
   let collect stream cls =
-    let a, b =
-      match cls with
-      | `Fixed -> true, true
-      | `Random -> Rng.bool stream, Rng.bool stream
-    in
     let scratch =
       match Atomic.exchange spare None with Some b -> b | None -> Array.make nodes false
     in
-    let inputs = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
+    let inputs = class_vector stream masked cls in
     let hw = sample stream ~scratch ~noise_sigma ~inputs in
     Atomic.set spare (Some scratch);
     [| hw |]
@@ -82,7 +88,7 @@ let tvla_campaign ?pool rng masked ~traces_per_class ~noise_sigma =
     are transiently combined before the fresh randomness lands, the classic
     glitch-leakage mechanism of [55] (Sec. III-E). *)
 let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng masked ~traces_per_class ~config =
-  let c = masked.Isw.circuit in
+  let c = masked.Masking.circuit in
   let ni = Circuit.num_inputs c in
   let input_arrivals =
     let arr = Array.make ni 0.0 in
@@ -92,19 +98,13 @@ let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng masked ~traces_per_class ~con
         Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
         fun id -> Hashtbl.find tbl id
       in
-      Array.iter (fun id -> arr.(pos_of id) <- mask_skew_ps) masked.Isw.random_inputs
+      Array.iter (fun id -> arr.(pos_of id) <- mask_skew_ps) masked.Masking.random_inputs
     end;
     arr
   in
   let collect stream cls =
-    let a, b =
-      match cls with
-      | `Fixed -> true, true
-      | `Random -> Rng.bool stream, Rng.bool stream
-    in
-    let next = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
     Power.Model.trace stream c ~config ~input_arrivals ~prev_inputs:(Array.make ni false)
-      ~next_inputs:next
+      ~next_inputs:(class_vector stream masked cls)
   in
   Tvla.campaign_seeded rng ~traces_per_class ~collect
 
@@ -115,7 +115,7 @@ let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng masked ~traces_per_class ~con
     the timing-model question of Sec. III-E (a mask that arrives after the
     evaluation window is as good as no mask). *)
 let tvla_campaign_mask_failure rng masked ~traces_per_class ~noise_sigma =
-  let c = masked.Isw.circuit in
+  let c = masked.Masking.circuit in
   let scratch = Array.make (Circuit.node_count c) false in
   let sample = Power.Model.hamming_weight_sampler c in
   let pos_of =
@@ -124,13 +124,8 @@ let tvla_campaign_mask_failure rng masked ~traces_per_class ~noise_sigma =
     fun id -> Hashtbl.find tbl id
   in
   let collect stream cls =
-    let a, b =
-      match cls with
-      | `Fixed -> true, true
-      | `Random -> Rng.bool stream, Rng.bool stream
-    in
-    let vec = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
-    Array.iter (fun id -> vec.(pos_of id) <- false) masked.Isw.random_inputs;
+    let vec = class_vector stream masked cls in
+    Array.iter (fun id -> vec.(pos_of id) <- false) masked.Masking.random_inputs;
     [| sample stream ~scratch ~noise_sigma ~inputs:vec |]
   in
   (* no pool: the shared [scratch] is only ever used by one trace at a time *)
@@ -140,16 +135,10 @@ let tvla_campaign_mask_failure rng masked ~traces_per_class ~noise_sigma =
     whose trace is the vector of every node's value, then the node with
     the largest |t|. Identifies the factored wire of Fig. 2 by name. *)
 let leakiest_wire rng masked ~samples =
-  let c = masked.Isw.circuit in
+  let c = masked.Masking.circuit in
   let values = Array.make (Circuit.node_count c) false in
   let collect stream cls =
-    let a, b =
-      match cls with
-      | `Fixed -> true, true
-      | `Random -> Rng.bool stream, Rng.bool stream
-    in
-    let vec = Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ] in
-    Netlist.Sim.eval_all_into c vec ~into:values;
+    Netlist.Sim.eval_all_into c (class_vector stream masked cls) ~into:values;
     Array.map (fun v -> if v then 1.0 else 0.0) values
   in
   let t = (Tvla.campaign_seeded rng ~traces_per_class:samples ~collect).Tvla.t_per_sample in

@@ -12,7 +12,7 @@
 
     The assessment harness is interface-generic via
     {!Synth.Masking.interface_of}: share-group inputs are re-encoded from
-    the secret per trace, [mg_]/[isw_]/[dom_] inputs draw fresh
+    the secret per trace, [mg_]/[dom_] inputs draw fresh
     randomness, unshared inputs carry the secret directly. One harness
     therefore assesses masked and unmasked circuits alike — which is how
     {!verify} can also assert that the {e unmasked} design fails the very
@@ -24,7 +24,7 @@ module Masking = Synth.Masking
 
 (* Randomness inputs of any recognised gadget family. *)
 let is_random_input name =
-  Masking.protected_name name || Isw.protected_name name || Dom.protected_name name
+  Masking.protected_name name || Dom.protected_name name
 
 (* The assessed interface: share groups re-encoded per trace, gadget
    randomness refreshed per trace, unshared inputs carrying the secret. *)

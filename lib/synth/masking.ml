@@ -1,7 +1,7 @@
-(** Order-parametric masked-gadget insertion — the constructive
-    counterpart of the Fig. 2 destructive demo: instead of showing that a
-    classical flow breaks a private circuit, this pass {e builds} one
-    inside the synthesis flow.
+(** Order-parametric masked-gadget insertion — the toolkit's one gadget
+    generator. It builds the private circuit of the Fig. 2 demo (which a
+    classical flow then breaks) and, as a synthesis pass, masks designs
+    inside the flow.
 
     Two gadget styles over the AND/XOR/NOT basis, both emitted as
     left-to-right chains whose association order is the security
@@ -10,8 +10,8 @@
     - [Isw]: the ISW private-circuit AND — per ordered share pair,
       [z_qp = (r ^ a_p b_q) ^ a_q b_p] with fresh randomness per
       unordered pair, accumulated as
-      [c_i = a_i b_i ^ z_i1 ^ ...] (the exact association of
-      [Sidechannel.Isw], reproduced here gate for gate);
+      [c_i = a_i b_i ^ z_i1 ^ ...] — the private circuit of the
+      paper's motivational example (Sec. II-B);
     - [Dom]: the combinational DOM-indep AND — cross products remasked
       with randomness {e shared} per unordered pair
       ([q_i = a_i b_i ^ (a_i b_j ^ z_ij) ^ ...]); the register stage of
@@ -25,7 +25,8 @@
     runs and machines.
 
     Every created net carries the ["mg_"] prefix, which doubles as the
-    order barrier for security-aware synthesis (cf. ["isw_"]/["dom_"]).
+    order barrier for security-aware synthesis (cf. ["dom_"] of the
+    pipelined DOM gadgets in [Sidechannel.Dom]).
 
     Modes:
     - {!transform} masks a whole combinational circuit, re-shaping its

@@ -1,6 +1,6 @@
-(** Order-parametric masked-gadget insertion — the constructive
-    counterpart of the Fig. 2 demo: build a private circuit {e inside}
-    the synthesis flow instead of breaking one with it.
+(** Order-parametric masked-gadget insertion — the one generator of
+    masked gadgets: it builds the private circuit of the Fig. 2 demo and,
+    as a synthesis pass, masks designs {e inside} the flow.
 
     Gadgets are emitted as left-to-right chains whose association order
     is the security property; every created net carries the ["mg_"]
@@ -13,8 +13,8 @@
 
 type style =
   | Isw  (** ISW private-circuit AND: fresh randomness per ordered pair,
-             [z_qp = (r ^ a_p b_q) ^ a_q b_p] — the association of
-             [Sidechannel.Isw], reproduced gate for gate *)
+             [z_qp = (r ^ a_p b_q) ^ a_q b_p] — the private circuit of
+             the paper's motivational example *)
   | Dom  (** combinational DOM-indep AND: cross products remasked with
              randomness shared per unordered pair; no register stage, so
              only the probing-model argument applies, not the glitch

@@ -1,7 +1,6 @@
 (** Fixed-size domain worker pool for the embarrassingly-parallel engines.
 
-    Every pooled fan-out in the toolkit — TVLA trace batches (including
-    the secure-synthesis TVLA gate), multi-start placement and the
+    Every pooled fan-out in the toolkit — TVLA trace batches and the
     supervised job waves of [Service] — is a set of independent tasks
     whose *reduction* must stay deterministic. The pool therefore
     separates scheduling (which domain runs a task: arbitrary,
@@ -85,8 +84,8 @@ let now () = Unix.gettimeofday ()
 let recommended () = max 1 (Domain.recommended_domain_count ())
 
 (** Pool size implied by the environment: [SECURE_EDA_JOBS] when set to a
-    positive integer, else 1 (sequential). The CLI's [-j] and the bench
-    harness use this as their default so CI can widen every run at once. *)
+    positive integer, else 1 (sequential). Only the CLI's [-j] default
+    and the pool tests read it. *)
 let default_jobs () =
   match Sys.getenv_opt "SECURE_EDA_JOBS" with
   | Some s ->

@@ -68,8 +68,9 @@ val shutdown : t -> unit
 val with_pool : ?num_domains:int -> (t -> 'a) -> 'a
 
 (** Pool size implied by the environment: [SECURE_EDA_JOBS] when set to
-    a positive integer, else 1. The CLI [-j] default and the test suite
-    read this, so exporting the variable widens every run at once. *)
+    a positive integer, else 1. The CLI reads this as its [-j] default,
+    so exporting the variable widens every CLI run at once; the pool
+    tests pin its parsing. *)
 val default_jobs : unit -> int
 
 (** [parallel_map ?budget ?label ?chunk t ~f inputs] runs

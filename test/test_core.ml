@@ -110,15 +110,15 @@ let test_flow_demonstrates_fig2_on_masked_input () =
      the same flow with barriers does not: the two runs must synthesize
      structurally different netlists (the protected run keeps the ISW
      chain verbatim) that still compute the same function. *)
-  let masked = Sidechannel.Isw.transform (Sidechannel.Leakage.private_and_source ()) in
-  let c = masked.Sidechannel.Isw.circuit in
+  let masked = Synth.Masking.transform (Sidechannel.Leakage.private_and_source ()) in
+  let c = masked.Synth.Masking.circuit in
   let rng = Rng.create 8 in
   let ok = function
     | Ok r -> r
     | Error e -> Alcotest.fail (Eda_util.Eda_error.to_string e)
   in
   let classical = ok (Flow.run rng c) in
-  let secure = ok (Flow.run rng ~protect:Sidechannel.Isw.protected_name c) in
+  let secure = ok (Flow.run rng ~protect:Synth.Masking.protected_name c) in
   Alcotest.(check bool) "both functionally fine" true
     (Netlist.Sim.equivalent_exhaustive classical.Flow.final secure.Flow.final);
   let fp r = Netlist.Bench_gen.fingerprint r.Flow.final in

@@ -65,7 +65,7 @@ let test_second_order_masking_story () =
   let rng = Rng.create 2 in
   let assess shares =
     let masked =
-      Sidechannel.Isw.transform ~shares (Sidechannel.Leakage.private_and_source ())
+      Synth.Masking.transform ~shares (Sidechannel.Leakage.private_and_source ())
     in
     let collect stream cls =
       let a, b =

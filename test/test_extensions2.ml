@@ -364,39 +364,30 @@ let test_dom_registers_cross_terms () =
      contain flip-flops (ISW has none). *)
   let src = Sidechannel.Leakage.private_and_source () in
   let dom = Sidechannel.Dom.transform ~shares:2 src in
-  let isw = Sidechannel.Isw.transform ~shares:2 src in
+  let isw = Synth.Masking.transform ~shares:2 src in
   Alcotest.(check bool) "DOM has registers" true
     (Circuit.num_dffs dom.Sidechannel.Dom.circuit > 0);
   Alcotest.(check int) "ISW is combinational" 0
-    (Circuit.num_dffs isw.Sidechannel.Isw.circuit);
+    (Circuit.num_dffs isw.Synth.Masking.circuit);
   (* Same randomness budget at equal share count. *)
   Alcotest.(check int) "same randomness"
-    (Array.length isw.Sidechannel.Isw.random_inputs)
+    (Array.length isw.Synth.Masking.random_inputs)
     (Array.length dom.Sidechannel.Dom.random_inputs)
 
 let test_dom_first_order_passes () =
   let rng = Rng.create 62 in
   let dom = Sidechannel.Dom.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
   let c = dom.Sidechannel.Dom.circuit in
-  let pos_of =
-    let tbl = Hashtbl.create 64 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
-  in
   let collect stream cls =
     let a, b =
       match cls with
       | `Fixed -> true, true
       | `Random -> Rng.bool stream, Rng.bool stream
     in
-    let vec = Array.make (Circuit.num_inputs c) false in
-    List.iter
-      (fun (name, ids) ->
-        let v = if name = "a" then a else b in
-        let sh = Sidechannel.Isw.encode stream ~shares:2 v in
-        Array.iteri (fun s id -> vec.(pos_of id) <- sh.(s)) ids)
-      dom.Sidechannel.Dom.input_shares;
-    Array.iter (fun id -> vec.(pos_of id) <- Rng.bool stream) dom.Sidechannel.Dom.random_inputs;
+    let vec =
+      Sidechannel.Isw.stimulus stream c ~shares:2 ~input_shares:dom.Sidechannel.Dom.input_shares
+        ~random_inputs:dom.Sidechannel.Dom.random_inputs ~values:[ ("a", a); ("b", b) ]
+    in
     (* Leakage: HW of the settled combinational state in cycle 0. *)
     [| Power.Model.hamming_weight_sample stream c ~noise_sigma:0.1 ~inputs:vec |]
   in

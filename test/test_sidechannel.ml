@@ -4,6 +4,7 @@ module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
 module Rng = Eda_util.Rng
 module Isw = Sidechannel.Isw
+module Masking = Synth.Masking
 module Tvla = Sidechannel.Tvla
 module Cpa = Sidechannel.Cpa
 module Leakage = Sidechannel.Leakage
@@ -32,7 +33,7 @@ let test_shares_look_random () =
 let test_masked_and_correct () =
   let rng = Rng.create 3 in
   for shares = 2 to 4 do
-    let masked = Isw.transform ~shares (Leakage.private_and_source ()) in
+    let masked = Masking.transform ~shares (Leakage.private_and_source ()) in
     for _ = 1 to 100 do
       let a = Rng.bool rng and b = Rng.bool rng in
       match Isw.eval rng masked ~values:[ ("a", a); ("b", b) ] with
@@ -45,7 +46,7 @@ let test_masked_arbitrary_circuit () =
   (* Mask a richer function: c17 (NANDs exercise basis conversion). *)
   let rng = Rng.create 4 in
   let src = Netlist.Generators.c17 () in
-  let masked = Isw.transform ~shares:3 src in
+  let masked = Masking.transform ~shares:3 src in
   for m = 0 to 31 do
     let inputs = Array.init 5 (fun i -> (m lsr i) land 1 = 1) in
     let expected = Netlist.Sim.eval src inputs in
@@ -61,10 +62,10 @@ let test_masked_arbitrary_circuit () =
 
 let test_randomness_count () =
   (* One 3-share AND consumes C(3,2) = 3 random bits. *)
-  let masked = Isw.transform ~shares:3 (Leakage.private_and_source ()) in
-  Alcotest.(check int) "3 randoms" 3 (Array.length masked.Isw.random_inputs);
-  let masked4 = Isw.transform ~shares:4 (Leakage.private_and_source ()) in
-  Alcotest.(check int) "6 randoms at 4 shares" 6 (Array.length masked4.Isw.random_inputs)
+  let masked = Masking.transform ~shares:3 (Leakage.private_and_source ()) in
+  Alcotest.(check int) "3 randoms" 3 (Array.length masked.Masking.random_inputs);
+  let masked4 = Masking.transform ~shares:4 (Leakage.private_and_source ()) in
+  Alcotest.(check int) "6 randoms at 4 shares" 6 (Array.length masked4.Masking.random_inputs)
 
 let test_tvla_no_leak_on_identical () =
   let rng = Rng.create 5 in
@@ -293,7 +294,7 @@ let prop_masked_eval_matches_source =
     QCheck.(pair (int_bound 300) (int_bound 255))
     (fun (seed, m) ->
       let src = Netlist.Generators.random_dag ~seed ~inputs:4 ~gates:12 ~outputs:1 in
-      let masked = Isw.transform ~shares:3 src in
+      let masked = Masking.transform ~shares:3 src in
       let rng = Rng.create (seed + m) in
       let inputs = Array.init 4 (fun i -> (m lsr i) land 1 = 1) in
       let values =

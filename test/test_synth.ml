@@ -147,10 +147,10 @@ let test_xor_reassoc_regroups () =
 
 let test_xor_reassoc_protection () =
   (* With every net protected, the circuit structure is unchanged. *)
-  let masked = Sidechannel.Isw.transform (Sidechannel.Leakage.private_and_source ()) in
-  let before = Circuit.node_count masked.Sidechannel.Isw.circuit in
+  let masked = Synth.Masking.transform (Sidechannel.Leakage.private_and_source ()) in
+  let before = Circuit.node_count masked.Synth.Masking.circuit in
   let after =
-    Synth.Xor_reassoc.run ~protect:Sidechannel.Isw.protected_name masked.Sidechannel.Isw.circuit
+    Synth.Xor_reassoc.run ~protect:Synth.Masking.protected_name masked.Synth.Masking.circuit
   in
   (* Protected XOR chains are kept verbatim: same node count post sweep. *)
   Alcotest.(check int) "structure preserved" before (Circuit.node_count after)
@@ -185,10 +185,22 @@ let test_ppa_model () =
       r.Flow.stages
 
 let test_optimize_secure_preserves_function () =
-  let masked = Sidechannel.Isw.transform (Sidechannel.Leakage.private_and_source ()) in
-  let c = masked.Sidechannel.Isw.circuit in
-  let opt = optimize_secure ~protect:Sidechannel.Isw.protected_name c in
-  Alcotest.(check bool) "equivalent" true (Sim.equivalent_exhaustive c opt)
+  (* With no caller fence, the recipe's own gadget fence keeps every
+     masked gadget verbatim, while the classical recipe and plain XOR
+     re-association both restructure the same netlist. *)
+  let fp = Netlist.Bench_gen.fingerprint in
+  List.iter
+    (fun shares ->
+      let tag = Printf.sprintf "%d shares: " shares in
+      let masked = Synth.Masking.transform ~shares (Sidechannel.Leakage.private_and_source ()) in
+      let c = masked.Synth.Masking.circuit in
+      let opt = Synth.Pipeline.run_recipe "optimize_secure" c in
+      Alcotest.(check bool) (tag ^ "equivalent") true (Sim.equivalent_exhaustive c opt);
+      Alcotest.(check string) (tag ^ "optimize_secure keeps the gadgets") (fp c) (fp opt);
+      Alcotest.(check bool) (tag ^ "optimize restructures") true (fp (optimize c) <> fp c);
+      Alcotest.(check bool) (tag ^ "xor_reassoc restructures") true
+        (fp (Synth.Xor_reassoc.run c) <> fp c))
+    [ 2; 3; 4 ]
 
 (* --- pass manager / pipeline ------------------------------------------- *)
 
@@ -244,9 +256,9 @@ let test_pipeline_matches_legacy () =
     (differential_workloads ())
 
 let test_pipeline_matches_legacy_secure () =
-  let masked = Sidechannel.Isw.transform (Sidechannel.Leakage.private_and_source ()) in
-  let c = masked.Sidechannel.Isw.circuit in
-  let protect = Sidechannel.Isw.protected_name in
+  let masked = Masking.transform (Sidechannel.Leakage.private_and_source ()) in
+  let c = masked.Masking.circuit in
+  let protect = Masking.protected_name in
   Alcotest.(check string) "secure flow bit-identical"
     (fp (Legacy.optimize_secure ~protect c))
     (fp (optimize_secure ~protect c))
