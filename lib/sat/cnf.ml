@@ -190,7 +190,7 @@ let check_stuck_at ?budget ?on_stats circuit ~node ~value =
   let affected =
     Array.to_list (Circuit.output_ids circuit)
     |> List.filter (fun o -> in_cone.(o))
-    |> List.sort_uniq compare
+    |> List.sort_uniq Int.compare
   in
   match affected with
   | [] -> Equivalent
@@ -260,7 +260,7 @@ module Stuck_at_session = struct
     let env = encode ?solver circuit in
     let n = Circuit.node_count circuit in
     let outputs =
-      Array.of_list (List.sort_uniq compare (Array.to_list (Circuit.output_ids circuit)))
+      Array.of_list (List.sort_uniq Int.compare (Array.to_list (Circuit.output_ids circuit)))
     in
     { env;
       circuit;

@@ -9,6 +9,12 @@
       levels are trail *offsets* stored in [trail_lim] (no per-decision
       trail snapshots);
     - the propagation queue is a head pointer [qhead] into the trail;
+    - literal values are kept per literal beside the per-variable
+      assignment, so reading one during propagation is a single load;
+    - the decision order is a binary heap keyed by activity ({!Var_heap}),
+      ties to the lowest index: it picks the variable a linear scan for
+      the first maximum would, at logarithmic instead of linear cost per
+      decision;
     - watch lists are growable array-backed vectors compacted in place
       during propagation (no cons cells on the hot path);
     - conflict analysis uses a reusable [seen] bitmap with an explicit
@@ -19,6 +25,10 @@
     drops the cold half — skipping binary clauses, low-LBD "glue" clauses
     and clauses currently acting as a reason — so long incremental runs
     (SAT attack, ATPG) stop growing memory without bound.
+
+    Clause groups retire at the cost of the group: each group records the
+    clauses it created, and when its activation unit is the only new root
+    literal only those clauses and the learnt database are visited.
 
     Literal encoding: variable [v >= 0]; positive literal [2v], negative
     [2v+1]. *)
@@ -54,7 +64,9 @@ type t = {
      a watched literal; [watch_len.(l)] is the live prefix length. *)
   mutable watches : clause array array;
   mutable watch_len : int array;
+  mutable dirty : bool array;  (* per literal: watch vector awaits compaction *)
   mutable assign : lbool array;  (* per variable *)
+  mutable vals : lbool array;  (* per literal: [value_lit] in one load *)
   mutable level : int array;  (* decision level per variable *)
   mutable reason : clause array;  (* antecedent per variable; dummy_clause = none *)
   mutable trail : lit array;
@@ -64,7 +76,11 @@ type t = {
   mutable lim_len : int;  (* current decision level *)
   mutable activity : float array;
   mutable var_inc : float;
+  order : Var_heap.t;  (* holds every unassigned variable *)
   mutable phase : bool array;
+  (* Root trail length at the end of the last root sweep: no live clause
+     is satisfied by [trail.(0 .. swept-1)]. *)
+  mutable swept : int;
   (* Learnt-clause database. *)
   mutable learnts : clause array;
   mutable learnt_len : int;
@@ -92,7 +108,9 @@ let create () =
     num_clauses = 0;
     watches = Array.make 16 [||];
     watch_len = Array.make 16 0;
+    dirty = Array.make 16 false;
     assign = Array.make 8 LUndef;
+    vals = Array.make 16 LUndef;
     level = Array.make 8 0;
     reason = Array.make 8 dummy_clause;
     trail = Array.make 8 0;
@@ -102,7 +120,9 @@ let create () =
     lim_len = 0;
     activity = Array.make 8 0.0;
     var_inc = 1.0;
+    order = Var_heap.create ();
     phase = Array.make 8 false;
+    swept = 0;
     learnts = Array.make 16 dummy_clause;
     learnt_len = 0;
     cla_inc = 1.0;
@@ -132,6 +152,10 @@ let ensure_var s v =
       let wl = Array.make cap 0 in
       Array.blit s.watch_len 0 wl 0 (2 * s.nvars);
       s.watch_len <- wl;
+      s.dirty <- Array.make cap false;
+      let vals = Array.make cap LUndef in
+      Array.blit s.vals 0 vals 0 (2 * s.nvars);
+      s.vals <- vals;
       let vars = cap / 2 in
       let grow_arr a def =
         let b = Array.make vars def in
@@ -156,8 +180,14 @@ let ensure_var s v =
       s.seen_touched <- Array.make vars 0;
       s.learnt_buf <- Array.make (vars + 1) 0;
       s.lbd_stamp <- Array.make (vars + 1) 0;
-      s.lbd_counter <- 0
+      s.lbd_counter <- 0;
+      Var_heap.reserve s.order vars
     end;
+    (* A fresh variable has zero activity and the highest index, so it
+       joins the bottom of the order without moving. *)
+    for v = s.nvars to need - 1 do
+      Var_heap.insert s.order s.activity v
+    done;
     s.nvars <- need
   end
 
@@ -173,11 +203,7 @@ let new_vars s n =
   if n > 0 then ensure_var s (v + n - 1);
   v
 
-let value_lit s l =
-  match s.assign.(var_of_lit l) with
-  | LUndef -> LUndef
-  | LTrue -> if pos l then LTrue else LFalse
-  | LFalse -> if pos l then LFalse else LTrue
+let value_lit s l = s.vals.(l)
 
 let push_watch s l c =
   let ws = s.watches.(l) in
@@ -204,6 +230,8 @@ let push_learnt s c =
 let enqueue s l reason =
   let v = var_of_lit l in
   s.assign.(v) <- (if pos l then LTrue else LFalse);
+  s.vals.(l) <- LTrue;
+  s.vals.(negate l) <- LFalse;
   s.level.(v) <- s.lim_len;
   s.reason.(v) <- reason;
   s.phase.(v) <- pos l;
@@ -217,38 +245,48 @@ let new_decision s l =
 
 exception Unsat_root
 
+(* The antecedent of an unassigned variable is left stale: only the
+   antecedents of assigned variables are ever read ([analyze], [locked]),
+   and clearing it would cost a write barrier per unassignment. *)
 let backtrack s target_level =
   if s.lim_len > target_level then begin
     let bound = s.trail_lim.(target_level) in
     for i = s.trail_len - 1 downto bound do
-      let v = var_of_lit s.trail.(i) in
+      let l = s.trail.(i) in
+      let v = var_of_lit l in
       s.assign.(v) <- LUndef;
-      s.reason.(v) <- dummy_clause
+      s.vals.(l) <- LUndef;
+      s.vals.(negate l) <- LUndef;
+      Var_heap.insert s.order s.activity v
     done;
     s.trail_len <- bound;
     s.qhead <- bound;
     s.lim_len <- target_level
   end
 
-(** Add a clause; simplifies trivially satisfied/duplicate literals.
-    Backtracks to the root level first, so it is safe to call between
-    incremental [solve] invocations. Raises [Unsat_root] if the clause is
-    falsified at level 0. *)
-let add_clause s lits =
+(* Sorted, a literal's negation is its neighbour: [2v] and [2v+1]. *)
+let rec tautology = function
+  | a :: (b :: _ as rest) -> b = negate a || tautology rest
+  | [] | [ _ ] -> false
+
+(* [add_clause], returning the clause it created, or [dummy_clause] when
+   it created none (a tautology, a root-satisfied clause or a unit). *)
+let add_clause_ret s lits =
   backtrack s 0;
-  let lits = List.sort_uniq compare lits in
-  let tautology =
-    List.exists (fun l -> List.mem (negate l) lits) lits
-  in
-  if not tautology then begin
+  let lits = List.sort_uniq Int.compare lits in
+  if tautology lits then dummy_clause
+  else begin
     List.iter (fun l -> ensure_var s (var_of_lit l)) lits;
     (* Drop root-level false literals. *)
     let lits = List.filter (fun l -> value_lit s l <> LFalse) lits in
     let already_sat = List.exists (fun l -> value_lit s l = LTrue) lits in
-    if not already_sat then begin
+    if already_sat then dummy_clause
+    else
       match lits with
       | [] -> raise Unsat_root
-      | [ l ] -> enqueue s l dummy_clause
+      | [ l ] ->
+        enqueue s l dummy_clause;
+        dummy_clause
       | l0 :: l1 :: _ ->
         let c =
           { lits = Array.of_list lits;
@@ -259,9 +297,15 @@ let add_clause s lits =
         in
         s.num_clauses <- s.num_clauses + 1;
         push_watch s (negate l0) c;
-        push_watch s (negate l1) c
-    end
+        push_watch s (negate l1) c;
+        c
   end
+
+(** Add a clause; simplifies trivially satisfied/duplicate literals.
+    Backtracks to the root level first, so it is safe to call between
+    incremental [solve] invocations. Raises [Unsat_root] if the clause is
+    falsified at level 0. *)
+let add_clause s lits = ignore (add_clause_ret s lits)
 
 (* Propagate everything pending on the trail; returns the conflicting
    clause, or [dummy_clause] if none. Watch vectors are compacted in
@@ -277,12 +321,15 @@ let propagate s =
     let n = s.watch_len.(l) in
     let keep = ref 0 in
     let i = ref 0 in
+    (* A kept clause is stored back only once an earlier one has left:
+       until then it is already in its slot, and the store is a write
+       barrier. *)
     while !i < n do
       let c = ws.(!i) in
       incr i;
       if !conflict != dummy_clause then begin
         (* Conflict found: keep the remaining clauses watched unchanged. *)
-        ws.(!keep) <- c;
+        if !keep <> !i - 1 then ws.(!keep) <- c;
         incr keep
       end
       else begin
@@ -295,7 +342,7 @@ let propagate s =
         end;
         if value_lit s lits.(0) = LTrue then begin
           (* Satisfied; keep watching. *)
-          ws.(!keep) <- c;
+          if !keep <> !i - 1 then ws.(!keep) <- c;
           incr keep
         end
         else begin
@@ -318,7 +365,7 @@ let propagate s =
           done;
           if not !found then begin
             (* Unit or conflict; stays watched here. *)
-            ws.(!keep) <- c;
+            if !keep <> !i - 1 then ws.(!keep) <- c;
             incr keep;
             match value_lit s lits.(0) with
             | LFalse -> conflict := c
@@ -333,14 +380,23 @@ let propagate s =
   if !conflict != dummy_clause then s.qhead <- s.trail_len;
   !conflict
 
+(* Refill the decision order with every unassigned variable. *)
+let rebuild_order s =
+  let assign = s.assign in
+  Var_heap.rebuild s.order s.activity ~n:s.nvars (fun v -> assign.(v) = LUndef)
+
 let bump s v =
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
   if s.activity.(v) > 1e100 then begin
     for i = 0 to s.nvars - 1 do
       s.activity.(i) <- s.activity.(i) *. 1e-100
     done;
-    s.var_inc <- s.var_inc *. 1e-100
+    s.var_inc <- s.var_inc *. 1e-100;
+    (* The rescale can round distinct activities into ties, which the
+       index order must then break: rebuild rather than sift. *)
+    rebuild_order s
   end
+  else Var_heap.increase s.order s.activity v
 
 let decay s = s.var_inc <- s.var_inc /. 0.95
 
@@ -440,7 +496,40 @@ let analyze s conflict =
    assignment still on the trail (its implied literal sits at index 0 by
    the propagation invariant). *)
 let locked s c =
-  Array.length c.lits > 0 && s.reason.(var_of_lit c.lits.(0)) == c
+  Array.length c.lits > 0
+  && value_lit s c.lits.(0) <> LUndef
+  && s.reason.(var_of_lit c.lits.(0)) == c
+
+(* Drop the deleted clauses from the watch vector of [l], keeping the
+   order of the rest. *)
+let compact_watch s l =
+  let ws = s.watches.(l) in
+  let keep = ref 0 in
+  for j = 0 to s.watch_len.(l) - 1 do
+    let c = ws.(j) in
+    if not c.deleted then begin
+      ws.(!keep) <- c;
+      incr keep
+    end
+  done;
+  s.watch_len.(l) <- !keep
+
+(* Drop the deleted clauses from the learnt database, keeping the order of
+   the rest. *)
+let compact_learnts s =
+  let n = s.learnt_len in
+  let keep = ref 0 in
+  for j = 0 to n - 1 do
+    let c = s.learnts.(j) in
+    if not c.deleted then begin
+      s.learnts.(!keep) <- c;
+      incr keep
+    end
+  done;
+  for j = !keep to n - 1 do
+    s.learnts.(j) <- dummy_clause
+  done;
+  s.learnt_len <- !keep
 
 (** Drop the cold half of the learnt database: clauses are ranked by
     activity and deleted coldest-first, skipping binary clauses (cheap and
@@ -451,7 +540,7 @@ let reduce_db s =
   let n = s.learnt_len in
   if n > 0 then begin
     let live = Array.sub s.learnts 0 n in
-    Array.sort (fun (a : clause) (b : clause) -> compare a.activity b.activity) live;
+    Array.sort (fun (a : clause) (b : clause) -> Float.compare a.activity b.activity) live;
     let target = n / 2 in
     let deleted = ref 0 in
     let i = ref 0 in
@@ -465,36 +554,75 @@ let reduce_db s =
     done;
     if !deleted > 0 then begin
       for l = 0 to (2 * s.nvars) - 1 do
-        let ws = s.watches.(l) in
-        let wn = s.watch_len.(l) in
-        let keep = ref 0 in
-        for j = 0 to wn - 1 do
-          let c = ws.(j) in
-          if not c.deleted then begin
-            ws.(!keep) <- c;
-            incr keep
-          end
-        done;
-        s.watch_len.(l) <- !keep
+        compact_watch s l
       done;
-      let keep = ref 0 in
-      for j = 0 to n - 1 do
-        let c = s.learnts.(j) in
-        if not c.deleted then begin
-          s.learnts.(!keep) <- c;
-          incr keep
-        end
-      done;
-      for j = !keep to n - 1 do
-        s.learnts.(j) <- dummy_clause
-      done;
-      s.learnt_len <- !keep;
+      compact_learnts s;
       s.db_reductions <- s.db_reductions + 1;
       s.clauses_deleted <- s.clauses_deleted + !deleted;
       T.count "sat.db_reduced" 1;
       T.count "sat.clauses_deleted" !deleted
     end
   end
+
+(* Back at the root, re-propagate the whole root trail, then detach its
+   antecedents. A conflict here means the formula is root-unsat; a sweep
+   after it is still sound, because it only removes root-SATISFIED
+   clauses and a conflicting clause (every literal false) is never one of
+   them, so the conflict — and every later [solve]'s Unsat answer —
+   survives. The whole trail is level 0 and conflict analysis skips
+   level-0 literals, so no antecedent on it will ever be consulted again.
+   Detaching them unlocks clauses that both imply a root literal and are
+   root-satisfied — e.g. a group clause whose base literals were all
+   root-falsified, leaving it to force its own activation variable — so a
+   sweep can reclaim them: with every antecedent detached, no clause is
+   locked. *)
+let root_propagate s =
+  backtrack s 0;
+  s.qhead <- 0;
+  ignore (propagate s);
+  for i = 0 to s.trail_len - 1 do
+    s.reason.(var_of_lit s.trail.(i)) <- dummy_clause
+  done
+
+(* At the root the whole trail is level 0, so a true literal is a
+   root-true literal. *)
+let root_satisfied s (c : clause) =
+  let lits = c.lits in
+  let len = Array.length lits in
+  let sat = ref false in
+  let j = ref 0 in
+  while (not !sat) && !j < len do
+    if value_lit s lits.(!j) = LTrue then sat := true;
+    incr j
+  done;
+  !sat
+
+(* Book the clauses a sweep deleted and mark the root trail swept. *)
+let finish_sweep s ~removed_problem ~removed_learnt =
+  if removed_learnt > 0 then compact_learnts s;
+  s.num_clauses <- s.num_clauses - removed_problem;
+  s.clauses_deleted <- s.clauses_deleted + removed_learnt;
+  s.swept <- s.trail_len
+
+(* Delete every root-satisfied clause in the watch table. Runs after
+   [root_propagate]. *)
+let sweep_all s =
+  let removed_problem = ref 0 and removed_learnt = ref 0 in
+  for l = 0 to (2 * s.nvars) - 1 do
+    let ws = s.watches.(l) in
+    for j = 0 to s.watch_len.(l) - 1 do
+      let c = ws.(j) in
+      if (not c.deleted) && root_satisfied s c then begin
+        c.deleted <- true;
+        if c.learnt then incr removed_learnt else incr removed_problem
+      end
+    done
+  done;
+  if !removed_problem > 0 || !removed_learnt > 0 then
+    for l = 0 to (2 * s.nvars) - 1 do
+      compact_watch s l
+    done;
+  finish_sweep s ~removed_problem:!removed_problem ~removed_learnt:!removed_learnt
 
 (** Remove every clause satisfied at the root level from the watch lists
     and the learnt database. Sound unconditionally: a root-satisfied
@@ -504,82 +632,11 @@ let reduce_db s =
     reclaimed too. This is what makes {!retire_group} actually reclaim memory —
     a retired group's clauses, and every learnt clause derived from them
     (all of which contain the group's negated activation literal), become
-    root-satisfied and are swept here instead of lingering as watch-list
+    root-satisfied and are swept instead of lingering as watch-list
     noise for the rest of an incremental session. *)
 let simplify s =
-  backtrack s 0;
-  s.qhead <- 0;
-  (* A conflict here means the formula is root-unsat. The sweep below is
-     still sound: it only removes root-SATISFIED clauses, and a
-     conflicting clause (every literal false) is never one of them, so
-     the conflict — and every subsequent [solve]'s Unsat answer —
-     survives the sweep. *)
-  ignore (propagate s);
-  begin
-    (* The whole trail is level 0 here and conflict analysis skips
-       level-0 literals, so no antecedent on it will ever be consulted
-       again. Detaching them unlocks clauses that both imply a root
-       literal and are root-satisfied — e.g. a group clause whose base
-       literals were all root-falsified, leaving it to force its own
-       activation variable — so the sweep below can reclaim them. *)
-    for i = 0 to s.trail_len - 1 do
-      s.reason.(var_of_lit s.trail.(i)) <- dummy_clause
-    done;
-    let removed_problem = ref 0 and removed_learnt = ref 0 in
-    (* At the root the whole trail is level 0, so a true literal is a
-       root-true literal. *)
-    let root_satisfied (c : clause) =
-      let lits = c.lits in
-      let len = Array.length lits in
-      let sat = ref false in
-      let j = ref 0 in
-      while (not !sat) && !j < len do
-        if value_lit s lits.(!j) = LTrue then sat := true;
-        incr j
-      done;
-      !sat
-    in
-    for l = 0 to (2 * s.nvars) - 1 do
-      let ws = s.watches.(l) in
-      for j = 0 to s.watch_len.(l) - 1 do
-        let c = ws.(j) in
-        if (not c.deleted) && (not (locked s c)) && root_satisfied c then begin
-          c.deleted <- true;
-          if c.learnt then incr removed_learnt else incr removed_problem
-        end
-      done
-    done;
-    if !removed_problem > 0 || !removed_learnt > 0 then begin
-      for l = 0 to (2 * s.nvars) - 1 do
-        let ws = s.watches.(l) in
-        let wn = s.watch_len.(l) in
-        let keep = ref 0 in
-        for j = 0 to wn - 1 do
-          let c = ws.(j) in
-          if not c.deleted then begin
-            ws.(!keep) <- c;
-            incr keep
-          end
-        done;
-        s.watch_len.(l) <- !keep
-      done;
-      let n = s.learnt_len in
-      let keep = ref 0 in
-      for j = 0 to n - 1 do
-        let c = s.learnts.(j) in
-        if not c.deleted then begin
-          s.learnts.(!keep) <- c;
-          incr keep
-        end
-      done;
-      for j = !keep to n - 1 do
-        s.learnts.(j) <- dummy_clause
-      done;
-      s.learnt_len <- !keep;
-      s.num_clauses <- s.num_clauses - !removed_problem;
-      s.clauses_deleted <- s.clauses_deleted + !removed_learnt
-    end
-  end
+  root_propagate s;
+  sweep_all s
 
 (* --- clause groups ---------------------------------------------------- *)
 
@@ -589,26 +646,84 @@ let simplify s =
     (the positive activation literal). Retiring the group root-falsifies
     the activation variable, permanently satisfying the group's clauses
     and every learnt clause derived from them — resolution can never
-    eliminate [¬act] because no clause contains the positive literal. *)
-type group = { act : int; mutable retired : bool }
+    eliminate [¬act] because no clause contains the positive literal.
+    [members] are the clauses {!add_clause_in} created, so retirement can
+    find them without sweeping the whole watch table. *)
+type group = { act : int; mutable retired : bool; mutable members : clause list }
 
-let new_group s = { act = new_var s; retired = false }
+let new_group s = { act = new_var s; retired = false; members = [] }
 
 let group_lit g = lit_of_var g.act ~sign:true
 
 let add_clause_in s g lits =
   if g.retired then invalid_arg "Solver.add_clause_in: group already retired";
-  add_clause s (lit_of_var g.act ~sign:false :: lits)
+  let c = add_clause_ret s (lit_of_var g.act ~sign:false :: lits) in
+  if c != dummy_clause then g.members <- c :: g.members
+
+(* The sweep of [sweep_all], at the cost of the group, for a root trail
+   whose only literal since the last sweep is [¬act]. Every clause that
+   literal newly satisfies contains [¬act]: a member of the group, or a
+   learnt clause derived from one (no other clause mentions [act], by
+   {!add_clause_in}'s contract). Nothing else can be root-satisfied —
+   the last sweep removed every clause the older root literals satisfy,
+   later problem clauses were skipped when root-satisfied, and learnt
+   clauses never contain root literals. Deleting that set and compacting
+   only the watch vectors it occupied (a clause is watched under the
+   negations of [lits.(0)] and [lits.(1)]) leaves every vector and the
+   learnt database exactly as [sweep_all] would. *)
+let sweep_group s g =
+  let removed_problem = ref 0 and removed_learnt = ref 0 in
+  let delete c =
+    c.deleted <- true;
+    s.dirty.(negate c.lits.(0)) <- true;
+    s.dirty.(negate c.lits.(1)) <- true
+  in
+  List.iter
+    (fun c ->
+      if (not c.deleted) && root_satisfied s c then begin
+        delete c;
+        incr removed_problem
+      end)
+    g.members;
+  for j = 0 to s.learnt_len - 1 do
+    let c = s.learnts.(j) in
+    if root_satisfied s c then begin
+      delete c;
+      incr removed_learnt
+    end
+  done;
+  (* Compact each vector a deleted clause occupied, once. *)
+  let compact_occupied c =
+    if c.deleted then
+      for k = 0 to 1 do
+        let l = negate c.lits.(k) in
+        if s.dirty.(l) then begin
+          s.dirty.(l) <- false;
+          compact_watch s l
+        end
+      done
+  in
+  List.iter compact_occupied g.members;
+  for j = 0 to s.learnt_len - 1 do
+    compact_occupied s.learnts.(j)
+  done;
+  finish_sweep s ~removed_problem:!removed_problem ~removed_learnt:!removed_learnt
 
 (** Permanently deactivate a group: a root unit clause falsifies its
-    activation variable, then {!simplify} physically removes the now
-    root-satisfied member clauses and their learnt descendants.
-    Idempotent. *)
+    activation variable, then the now root-satisfied member clauses and
+    their learnt descendants are physically removed. When [¬act] is the
+    only root literal since the last sweep, only those clauses are visited
+    ({!sweep_group}); otherwise the whole watch table is swept, as
+    {!simplify} does. Idempotent. *)
 let retire_group s g =
   if not g.retired then begin
     g.retired <- true;
-    add_clause s [ lit_of_var g.act ~sign:false ];
-    simplify s;
+    let deact = lit_of_var g.act ~sign:false in
+    add_clause s [ deact ];
+    root_propagate s;
+    if s.trail_len = s.swept + 1 && s.trail.(s.swept) = deact then sweep_group s g
+    else sweep_all s;
+    g.members <- [];
     T.count "sat.groups_retired" 1
   end
 
@@ -619,49 +734,52 @@ let retire_group s g =
     shrink. Root assignments of released variables are dropped from the
     trail and their activity/saved phase reset, so re-allocating the
     same indices behaves like fresh variables. Keeps incremental
-    sessions' variable range (and the decision heuristic's scan) bounded
-    by one query's footprint instead of growing with session length. *)
+    sessions' variable range (and the decision order) bounded by one
+    query's footprint instead of growing with session length. *)
 let shrink_vars s n =
   if n < 0 || n > s.nvars then invalid_arg "Solver.shrink_vars";
   backtrack s 0;
-  let keep = ref 0 in
+  (* Filter the root trail; the swept mark moves with the literals it
+     covers, so dropping a retired activation unit keeps the trail swept. *)
+  let keep = ref 0 and swept = ref 0 in
   for i = 0 to s.trail_len - 1 do
     let l = s.trail.(i) in
-    let v = var_of_lit l in
-    if v < n then begin
+    if var_of_lit l < n then begin
       s.trail.(!keep) <- l;
       incr keep
-    end
-    else begin
-      s.assign.(v) <- LUndef;
-      s.reason.(v) <- dummy_clause
-    end
+    end;
+    if i < s.swept then swept := !keep
   done;
   s.trail_len <- !keep;
+  s.swept <- !swept;
   s.qhead <- 0;
   for v = n to s.nvars - 1 do
     (* Released variables must be clause-free by the caller's contract. *)
     assert (s.watch_len.(2 * v) = 0 && s.watch_len.((2 * v) + 1) = 0);
     s.assign.(v) <- LUndef;
+    s.vals.(2 * v) <- LUndef;
+    s.vals.((2 * v) + 1) <- LUndef;
     s.level.(v) <- 0;
     s.reason.(v) <- dummy_clause;
     s.activity.(v) <- 0.0;
     s.phase.(v) <- false
   done;
-  s.nvars <- n
+  s.nvars <- n;
+  rebuild_order s
 
 (** Reset the decision heuristic — VSIDS activities and saved phases —
     to a fresh solver's initial state (all-zero activity makes the
     decision order fall back to variable index; all-false phases match
-    [create]'s default). Incremental sessions call this between
-    unrelated queries: activity earned on one query's fault cone is
-    noise for the next, and with zero activity the search order is
+    [create]'s default); the decision order is rebuilt to match.
+    Incremental sessions call this between unrelated queries: activity
+    earned on one query's fault cone is noise for the next, and with zero activity the search order is
     fixed, so stale phases can deterministically replay a bad subtree
     that restarts cannot escape — both were observed as orders-of-
     magnitude conflict blow-ups. Only the learnt clauses persist. *)
 let reset_activity s =
   Array.fill s.activity 0 (Array.length s.activity) 0.0;
-  Array.fill s.phase 0 (Array.length s.phase) false
+  Array.fill s.phase 0 (Array.length s.phase) false;
+  rebuild_order s
 
 (** Override the automatic learnt-DB limit ([max 2000 #clauses]); [0]
     restores the automatic limit. *)
@@ -683,16 +801,15 @@ let maybe_reduce_db s =
     end
   end
 
-let pick_branch s =
-  let best = ref (-1) and best_act = ref neg_infinity in
-  for v = 0 to s.nvars - 1 do
-    if s.assign.(v) = LUndef && s.activity.(v) > !best_act then begin
-      best := v;
-      best_act := s.activity.(v)
-    end
-  done;
-  if !best < 0 then None
-  else Some (lit_of_var !best ~sign:s.phase.(!best))
+(* The next decision literal, or [-1] when every variable is assigned:
+   the unassigned variable of highest activity, ties to the lowest
+   index, in its saved phase. Assigned variables still in the order are dropped as they
+   surface; [backtrack] puts them back once they are unassigned. *)
+let rec pick_branch s =
+  let v = Var_heap.pop s.order s.activity in
+  if v < 0 then -1
+  else if s.assign.(v) <> LUndef then pick_branch s
+  else lit_of_var v ~sign:s.phase.(v)
 
 let luby i =
   (* Luby sequence: 1 1 2 1 1 2 4 ... *)
@@ -815,11 +932,12 @@ let solve_raw ?budget ~assumptions s =
           match stop with
           | Some e -> result := Some (Unknown e)
           | None ->
-            (match pick_branch s with
-             | None -> result := Some Sat
-             | Some l ->
-               s.num_decisions <- s.num_decisions + 1;
-               new_decision s l)
+            let l = pick_branch s in
+            if l < 0 then result := Some Sat
+            else begin
+              s.num_decisions <- s.num_decisions + 1;
+              new_decision s l
+            end
         end
       done;
       match !result with
@@ -873,6 +991,9 @@ let model_value s v =
   if v < s.nvars then
     match s.assign.(v) with LTrue -> true | LFalse | LUndef -> false
   else false
+
+let learnt_clauses s =
+  List.init s.learnt_len (fun j -> Array.copy s.learnts.(j).lits)
 
 type stats = {
   vars : int;

@@ -7,8 +7,11 @@
 
     The core is allocation-free: the trail is a flat preallocated array
     indexed by a propagation head pointer (decision levels are trail
-    offsets), watch lists are array-backed vectors compacted in place, and
-    conflict analysis reuses scratch buffers. Learnt clauses carry
+    offsets), watch lists are array-backed vectors compacted in place,
+    literal values are stored per literal, and conflict analysis reuses
+    scratch buffers. Decisions come from an activity heap ({!Var_heap})
+    that picks the highest-activity unassigned variable, ties to the
+    lowest index. Learnt clauses carry
     activity and LBD scores and live in a bounded database: when it
     outgrows its limit, the cold half is dropped (binary, low-LBD and
     reason clauses are kept) — see {!set_learnt_limit} /
@@ -80,12 +83,17 @@ val model_value : t -> int -> bool
     group's assumption, then retire the group.
 
     {!retire_group} permanently falsifies the activation variable with a
-    root unit clause and then runs {!simplify}, which physically removes
-    the group's clauses {e and every learnt clause derived from them}:
+    root unit clause and then physically removes the group's clauses
+    {e and every learnt clause derived from them}:
     resolution can never eliminate [¬act] (no clause contains the
     positive activation literal), so each such learnt clause contains
     [¬act] and becomes root-satisfied. Learnt clauses that mention only
     base-formula variables survive and keep accelerating later queries.
+    Retirement visits only the group's own clauses and the learnt
+    database when the activation unit is the only root literal added
+    since the last sweep, and otherwise sweeps like {!simplify}; clauses
+    that mention an activation variable must therefore be added with
+    {!add_clause_in}, or a retirement may leave them in place.
 
     Answers are unaffected: with the assumption installed a group behaves
     exactly as if its clauses had been added plainly, and after
@@ -106,14 +114,16 @@ val group_lit : group -> lit
 val add_clause_in : t -> group -> lit list -> unit
 
 (** Permanently deactivate a group and reclaim its clauses and learnt
-    descendants (see the section comment). Idempotent. *)
+    descendants (see the section comment); the removal is exactly what
+    {!simplify} would remove. Idempotent. *)
 val retire_group : t -> group -> unit
 
 (** Remove every root-satisfied clause from the watch lists and the
     learnt database. Antecedents of root assignments are detached first
     (conflict analysis never consults level-0 reasons), so clauses locked
     only by a root assignment are reclaimed too. Sound unconditionally;
-    called automatically by {!retire_group}. *)
+    {!retire_group} runs this sweep, or the part of it its group can
+    affect. *)
 val simplify : t -> unit
 
 (** Roll variable allocation back to [n] variables. The caller must have
@@ -121,16 +131,19 @@ val simplify : t -> unit
     intended use is recycling per-query scratch variables above a fixed
     floor after {!retire_group}. Root assignments, activity and saved
     phases of released variables are reset, so re-allocating the same
-    indices behaves like fresh variables.
+    indices behaves like fresh variables. Dropping a retired group's
+    activation unit from the root trail keeps a later retirement on the
+    group-sized path.
     @raise Invalid_argument when [n] is negative or above the current
     variable count. *)
 val shrink_vars : t -> int -> unit
 
 (** Reset the decision heuristic — VSIDS activities and saved phases —
-    to a fresh solver's initial state (index-order decisions, all-false
-    phases). Incremental sessions call this between unrelated queries:
-    stale activity or phases from an earlier query can deterministically
-    steer the search into a pathological subtree. Learnt clauses are
+    to a fresh solver's initial state (all-zero activity, so decisions
+    go by lowest index until conflicts bump it; all-false phases).
+    Incremental sessions call this between unrelated queries: stale
+    activity or phases from an earlier query can deterministically steer
+    the search into a pathological subtree. Learnt clauses are
     unaffected. *)
 val reset_activity : t -> unit
 
@@ -144,6 +157,9 @@ val set_learnt_limit : t -> int -> unit
     Disabling reproduces the unbounded-growth behaviour of the reference
     solver — useful for determinism comparisons. *)
 val set_db_reduction : t -> bool -> unit
+
+(** A copy of the live learnt clauses, in database order. *)
+val learnt_clauses : t -> lit array list
 
 type stats = {
   vars : int;

@@ -3,9 +3,14 @@
     {!Sat.Solver}.
 
     Architecture matches {!Sat.Solver} feature-for-feature except for the data
-    layout (cons-cell trail and watch lists, per-decision trail snapshots)
-    and the absence of a learnt-clause database (learnt clauses accumulate
-    without bound). Do not use it from production engines.
+    layout (cons-cell trail and watch lists, per-decision trail snapshots,
+    values per variable only), the decision order (a linear scan over every
+    variable for the first highest activity, where {!Sat.Solver} keeps an
+    activity heap that picks the same variable) and the absence of a
+    learnt-clause database (learnt clauses accumulate without bound). Its
+    list watch lists propagate in another order, so its search path differs
+    from {!Sat.Solver}'s even where its verdicts agree. Do not use it from
+    production engines.
 
     Literal encoding: variable [v >= 0]; positive literal [2v], negative
     [2v+1]. *)

@@ -322,6 +322,121 @@ let test_sat_differential () =
       | `Unsat, `Unsat -> true
       | _ -> false)
 
+(* The decision heap against the linear scan it replaced. A random
+   sequence of solver-shaped operations drives [Sat.Var_heap] the way
+   [Sat.Solver] does: variables are assigned without leaving the heap,
+   re-inserted when unassigned, bumped by increments from a small set (so
+   ties are common), and rescaled by 1e-100 as the solver does past 1e100
+   — which rounds the tiniest activities to zero, merging them into ties
+   the index order must break. Every pick must equal the scan's. *)
+type heap_op =
+  | New_var
+  | Bump of int * int  (* variable (modulo the count), increment index *)
+  | Rescale
+  | Assign of int
+  | Backtrack of int  (* unassign this many of the latest assignments *)
+  | Rebuild
+  | Pick
+
+let show_heap_op = function
+  | New_var -> "new"
+  | Bump (v, k) -> Printf.sprintf "bump %d by #%d" v k
+  | Rescale -> "rescale"
+  | Assign v -> Printf.sprintf "assign %d" v
+  | Backtrack k -> Printf.sprintf "backtrack %d" k
+  | Rebuild -> "rebuild"
+  | Pick -> "pick"
+
+let increments = [| 1e-230; 2e-230; 1.0; 2.0; 1e99 |]
+
+let heap_op_arb =
+  P.make ~show:show_heap_op (fun rng ->
+      match Rng.int rng 16 with
+      | 0 -> New_var
+      | 1 | 2 | 3 | 4 -> Bump (Rng.int rng 64, Rng.int rng (Array.length increments))
+      | 5 -> Rescale
+      | 6 | 7 -> Assign (Rng.int rng 64)
+      | 8 | 9 -> Backtrack (Rng.int rng 6)
+      | 10 -> Rebuild
+      | _ -> Pick)
+
+(* The scan the heap replaced: the first unassigned variable of highest
+   activity, or -1. *)
+let scan_pick act assigned n =
+  let best = ref (-1) in
+  for v = 0 to n - 1 do
+    if (not assigned.(v)) && (!best < 0 || act.(v) > act.(!best)) then best := v
+  done;
+  !best
+
+let test_var_heap_vs_scan () =
+  let module H = Sat.Var_heap in
+  let cap = 64 in
+  P.check_exn ~count:1000 ~name:"decision heap picks what the scan picks"
+    (P.pair (P.int_range 1 16) (P.list_of ~max_len:300 heap_op_arb))
+    (fun (n0, ops) ->
+      let act = Array.make cap 0.0 and assigned = Array.make cap false in
+      let h = H.create () in
+      H.reserve h cap;
+      let n = ref 0 and trail = ref [] in
+      let new_var () =
+        H.insert h act !n;
+        incr n
+      in
+      for _ = 1 to n0 do
+        new_var ()
+      done;
+      let assign v =
+        assigned.(v) <- true;
+        trail := v :: !trail
+      in
+      let rec backtrack k =
+        match !trail with
+        | v :: rest when k > 0 ->
+          assigned.(v) <- false;
+          trail := rest;
+          H.insert h act v;
+          backtrack (k - 1)
+        | _ -> ()
+      in
+      let rebuild () = H.rebuild h act ~n:!n (fun v -> not assigned.(v)) in
+      let rec pick () =
+        let v = H.pop h act in
+        if v >= 0 && assigned.(v) then pick () else v
+      in
+      List.for_all
+        (function
+          | New_var ->
+            if !n < cap then new_var ();
+            true
+          | Bump (v, k) ->
+            let v = v mod !n in
+            act.(v) <- act.(v) +. increments.(k);
+            H.increase h act v;
+            true
+          | Rescale ->
+            for v = 0 to !n - 1 do
+              act.(v) <- act.(v) *. 1e-100
+            done;
+            rebuild ();
+            true
+          | Assign v ->
+            let v = v mod !n in
+            if not assigned.(v) then assign v;
+            true
+          | Backtrack k ->
+            backtrack k;
+            true
+          | Rebuild ->
+            rebuild ();
+            true
+          | Pick ->
+            let expect = scan_pick act assigned !n in
+            let got = pick () in
+            if got >= 0 then assign got;
+            got = expect)
+        ops)
+
 (* A growing instance solved under assumptions after every batch: the
    incremental shape of the SAT attack's DIP loop and of ATPG sessions. *)
 let incremental_arb =
@@ -1044,6 +1159,7 @@ let () =
         [ Alcotest.test_case "sat vs reference" `Quick test_sat_differential;
           Alcotest.test_case "incremental sat vs reference" `Quick
             test_sat_incremental_differential;
+          Alcotest.test_case "decision heap vs scan" `Quick test_var_heap_vs_scan;
           Alcotest.test_case "word sim vs naive" `Quick test_word_sim_differential;
           Alcotest.test_case "session vs fresh" `Slow test_session_vs_fresh;
           Alcotest.test_case "session budget resume" `Quick test_session_budget_resume;

@@ -106,6 +106,60 @@ let test_group_retire_reclaims () =
    | exception Invalid_argument _ -> ());
   Alcotest.(check bool) "base still sat" true (Solver.solve s = Solver.Sat)
 
+(* Retirement must give back everything a query added, whichever sweep
+   it takes. After every query of a session the problem-clause count is
+   the clean circuit's again, and no live learnt clause mentions a
+   variable at or above the session's floor. *)
+let test_retire_restores_session () =
+  let c = Netlist.Bench_gen.sized ~seed:5 Netlist.Bench_gen.C432 ~target_gates:200 in
+  let s = Solver.create () in
+  let session = Cnf.Stuck_at_session.create ~solver:s c in
+  let clean = Solver.stats s in
+  let floor = clean.Solver.vars in
+  for node = 0 to Circuit.node_count c - 1 do
+    List.iter
+      (fun value ->
+        ignore (Cnf.Stuck_at_session.query session ~node ~value);
+        let st = Solver.stats s in
+        let name what = Printf.sprintf "node %d/%b: %s" node value what in
+        Alcotest.(check int) (name "clean clause count") clean.Solver.clauses
+          st.Solver.clauses;
+        Alcotest.(check int) (name "variables at the floor") floor st.Solver.vars;
+        Alcotest.(check bool) (name "learnt clauses below the floor") true
+          (List.for_all
+             (Array.for_all (fun l -> Solver.var_of_lit l < floor))
+             (Solver.learnt_clauses s)))
+      [ false; true ]
+  done
+
+(* A group clause whose base literals all turn false at the root forces
+   its own activation variable there, as the antecedent of [¬act]. The
+   root then gained more than the activation unit since the last sweep,
+   so retirement sweeps the whole watch table — which must reclaim the
+   group clause and the base clause that the new root literals satisfy. *)
+let test_retire_self_forcing_group () =
+  let s = Solver.create () in
+  let u = Solver.new_var s and x = Solver.new_var s and y = Solver.new_var s in
+  Solver.add_clause s [ lit u false; lit x false ];
+  Solver.add_clause s [ lit x true; lit y true ];
+  Solver.simplify s;
+  let floor = (Solver.stats s).Solver.vars in
+  let g = Solver.new_group s in
+  Solver.add_clause_in s g [ lit x true ];
+  Alcotest.(check int) "group clause created" 3 (Solver.stats s).Solver.clauses;
+  (* The root unit arrives after the group clause: only root propagation
+     turns x false, and then the group clause forces ¬act. *)
+  Solver.add_clause s [ lit u true ];
+  Alcotest.(check bool) "unsat under the group" true
+    (Solver.solve ~assumptions:[ Solver.group_lit g ] s = Solver.Unsat);
+  Solver.retire_group s g;
+  Solver.shrink_vars s floor;
+  (* u, ¬x and y are root literals now, so every clause is satisfied. *)
+  Alcotest.(check int) "group and satisfied base clauses reclaimed" 0
+    (Solver.stats s).Solver.clauses;
+  Alcotest.(check bool) "base still sat" true (Solver.solve s = Solver.Sat);
+  Alcotest.(check bool) "y forced" true (Solver.model_value s y)
+
 (* Brute-force reference: enumerate assignments over n vars. *)
 let brute_force nvars clauses =
   let sat = ref false in
@@ -461,6 +515,128 @@ let test_fuzz_forced_reduction () =
       Alcotest.(check bool) (Printf.sprintf "trial %d (root)" trial) expected false
   done
 
+(* ---- Search fingerprint: the exact search path, pinned ----
+
+   Every value below was recorded before the decision heap, the
+   per-literal value array and group-sized retirement replaced the
+   linear branching scan, the variable-indexed values and the full
+   retirement sweep. Those changes make each step cheaper without
+   choosing a different step, so any drift here means the search itself
+   changed. [Reference.Solver_ref] cannot serve as this oracle: its list
+   watch lists propagate in another order. *)
+
+let stats_line (st : Solver.stats) =
+  Printf.sprintf "c%d d%d p%d l%d r%d db%d del%d" st.Solver.conflicts st.Solver.decisions
+    st.Solver.propagations st.Solver.learnt st.Solver.restarts st.Solver.db_reductions
+    st.Solver.clauses_deleted
+
+(* Model bits of variables [0 .. nvars-1], digested. *)
+let model_digest s nvars =
+  String.init nvars (fun v -> if Solver.model_value s v then '1' else '0')
+  |> Digest.string |> Digest.to_hex |> fun h -> String.sub h 0 12
+
+let answer_line s nvars = function
+  | Solver.Sat -> "sat " ^ model_digest s nvars
+  | Solver.Unsat -> "unsat"
+  | Solver.Unknown _ -> "unknown"
+
+let fingerprint_3sat ~seed ~nvars ~learnt_limit =
+  let rng = Rng.create seed in
+  let nclauses = Float.to_int (4.26 *. Float.of_int nvars) in
+  let clauses = random_3sat rng ~nvars ~nclauses in
+  let s = Solver.create () in
+  ignore (Solver.new_vars s nvars);
+  Solver.set_learnt_limit s learnt_limit;
+  List.iter (Solver.add_clause s) clauses;
+  let r = Solver.solve s in
+  Printf.sprintf "3sat seed %d: %s %s" seed (answer_line s nvars r) (stats_line (Solver.stats s))
+
+(* Pigeonhole: past ~4,490 conflicts the decaying increment pushes an
+   activity over 1e100 and every activity is rescaled, which can merge
+   distinct scores into ties. *)
+let fingerprint_pigeonhole () =
+  let nvars, clauses = pigeonhole_clauses ~pigeons:8 ~holes:7 in
+  let s = Solver.create () in
+  ignore (Solver.new_vars s nvars);
+  List.iter (Solver.add_clause s) clauses;
+  let r = Solver.solve s in
+  let st = Solver.stats s in
+  Alcotest.(check bool) "pigeonhole crosses the activity rescale" true
+    (st.Solver.conflicts > 4_500);
+  Printf.sprintf "pigeonhole 8/7: %s %s" (answer_line s nvars r) (stats_line st)
+
+(* One solver, a sequence of solves under shifting assumptions with
+   clauses added in between. *)
+let fingerprint_incremental () =
+  let rng = Rng.create 77 in
+  let nvars = 90 in
+  let clauses = random_3sat rng ~nvars ~nclauses:330 in
+  let s = Solver.create () in
+  ignore (Solver.new_vars s nvars);
+  List.iter (Solver.add_clause s) clauses;
+  List.init 8 (fun step ->
+      let assumptions = List.init 6 (fun _ -> lit (Rng.int rng nvars) (Rng.bool rng)) in
+      let r = Solver.solve ~assumptions s in
+      let line =
+        Printf.sprintf "incremental %d: %s %s" step (answer_line s nvars r)
+          (stats_line (Solver.stats s))
+      in
+      (match List.iter (Solver.add_clause s) (random_3sat rng ~nvars ~nclauses:6) with
+       | () -> ()
+       | exception Solver.Unsat_root -> ());
+      line)
+
+(* A stuck-at session over a generated design: per-query activity reset,
+   group retirement and variable shrinking, query after query. *)
+let fingerprint_session () =
+  let c = Netlist.Bench_gen.sized ~seed:3 Netlist.Bench_gen.C880 ~target_gates:300 in
+  let session = Cnf.Stuck_at_session.create c in
+  let answers = Buffer.create 1024 in
+  for node = 0 to Circuit.node_count c - 1 do
+    List.iter
+      (fun value ->
+        match Cnf.Stuck_at_session.query session ~node ~value with
+        | Cnf.Equivalent -> Buffer.add_char answers 'e'
+        | Cnf.Counterexample w ->
+          Array.iter (fun b -> Buffer.add_char answers (if b then '1' else '0')) w;
+          Buffer.add_char answers ';'
+        | Cnf.Equiv_unknown _ -> Buffer.add_char answers 'u')
+      [ false; true ]
+  done;
+  let st = Cnf.Stuck_at_session.stats session in
+  Printf.sprintf "session c880: %s %s"
+    (String.sub (Digest.to_hex (Digest.string (Buffer.contents answers))) 0 12)
+    (stats_line st)
+
+let search_fingerprints () =
+  [ fingerprint_3sat ~seed:1 ~nvars:150 ~learnt_limit:0;
+    fingerprint_3sat ~seed:2 ~nvars:150 ~learnt_limit:0;
+    fingerprint_3sat ~seed:3 ~nvars:150 ~learnt_limit:0;
+    fingerprint_3sat ~seed:4 ~nvars:150 ~learnt_limit:40;
+    fingerprint_pigeonhole () ]
+  @ fingerprint_incremental ()
+  @ [ fingerprint_session () ]
+
+let pinned_fingerprints =
+  [ "3sat seed 1: unsat c1362 d1708 p41481 l1354 r15 db0 del0";
+    "3sat seed 2: sat 82f234e59c3c c995 d1390 p31979 l995 r15 db0 del0";
+    "3sat seed 3: unsat c3123 d3857 p96054 l3112 r15 db1 del1000";
+    "3sat seed 4: sat 02ea0af411ae c730 d1036 p23431 l730 r14 db8 del502";
+    "pigeonhole 8/7: unsat c4698 d5700 p61917 l4690 r15 db3 del3335";
+    "incremental 0: sat f86a819782be c29 d49 p651 l29 r0 db0 del0";
+    "incremental 1: sat 10ba6733672c c41 d71 p947 l41 r0 db0 del0";
+    "incremental 2: sat a411be874c86 c65 d118 p1684 l65 r0 db0 del0";
+    "incremental 3: unsat c82 d141 p2033 l81 r0 db0 del0";
+    "incremental 4: unsat c82 d141 p2038 l81 r0 db0 del0";
+    "incremental 5: unsat c118 d181 p2810 l116 r1 db0 del0";
+    "incremental 6: unsat c162 d229 p3585 l159 r2 db0 del0";
+    "incremental 7: unsat c183 d257 p4012 l179 r2 db0 del0";
+    "session c880: c9001ba2170e c18976 d85618 p1155711 l18976 r442 db0 del18533" ]
+
+let test_search_fingerprint () =
+  Alcotest.(check (list string)) "search fingerprints" pinned_fingerprints
+    (search_fingerprints ())
+
 let prop_miter_random_dags_self_equal =
   QCheck.Test.make ~name:"every circuit equals itself (SAT miter)" ~count:15
     QCheck.(int_bound 500)
@@ -488,6 +664,10 @@ let () =
          Alcotest.test_case "assumption already true" `Quick test_assumption_already_true;
          Alcotest.test_case "incremental reuse" `Quick test_incremental_reuse;
          Alcotest.test_case "group retire reclaims" `Quick test_group_retire_reclaims;
+         Alcotest.test_case "retire restores the session" `Quick
+           test_retire_restores_session;
+         Alcotest.test_case "retire a self-forcing group" `Quick
+           test_retire_self_forcing_group;
          Alcotest.test_case "group fuzz vs fresh" `Quick test_group_fuzz_vs_fresh;
          Alcotest.test_case "fuzz vs brute force" `Slow test_fuzz_against_brute_force ]);
       ("perf core",
@@ -498,6 +678,7 @@ let () =
          Alcotest.test_case "budget resume keeps learnts" `Quick
            test_budget_resume_preserves_learnts;
          Alcotest.test_case "learnt DB bounded" `Quick test_learnt_db_bounded;
+         Alcotest.test_case "search fingerprint" `Quick test_search_fingerprint;
          Alcotest.test_case "fuzz with forced reduction" `Slow
            test_fuzz_forced_reduction ]);
       ("cnf",
