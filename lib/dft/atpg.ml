@@ -13,19 +13,6 @@ type pattern_result =
   | Untestable
   | Abstained of Eda_util.Budget.exhaustion  (* budget ran out mid-proof *)
 
-(** Generate a test for one stuck-at fault, optionally bounded. The miter
-    is cone-based ({!Cnf.check_stuck_at}): only the fault's fanout cone
-    is duplicated in the SAT instance, which keeps per-fault queries
-    tractable on circuits far beyond what a whole-copy miter handles. *)
-let generate ?budget ?on_stats circuit fault =
-  match (fault : Fault.Model.fault) with
-  | Fault.Model.Bit_flip _ -> invalid_arg "Atpg: transient faults have no static copy"
-  | Fault.Model.Stuck_at { node; value } ->
-    (match Cnf.check_stuck_at ?budget ?on_stats circuit ~node ~value with
-     | Cnf.Equivalent -> Untestable
-     | Cnf.Counterexample witness -> Pattern witness
-     | Cnf.Equiv_unknown e -> Abstained e)
-
 (** Outcome of a (possibly bounded) ATPG run. Coverage counts only faults
     with a generated detecting pattern — on exhaustion it is the honest
     partial number, never an extrapolation. *)
@@ -162,9 +149,9 @@ let random_pattern_bootstrap st circuit =
     incr k
   done
 
-(* Session-backed [generate]: the clean circuit was encoded when the
-   session was created; this adds only the fault's cone under a fresh
-   clause group, retired after the query. *)
+(* One stuck-at query on [session]: the clean circuit was encoded when
+   the session was created; this adds only the fault's cone under a
+   fresh clause group, retired after the query. *)
 let generate_in session ?budget ?on_stats fault =
   match (fault : Fault.Model.fault) with
   | Fault.Model.Bit_flip _ -> invalid_arg "Atpg: transient faults have no static copy"
@@ -173,6 +160,14 @@ let generate_in session ?budget ?on_stats fault =
      | Cnf.Equivalent -> Untestable
      | Cnf.Counterexample witness -> Pattern witness
      | Cnf.Equiv_unknown e -> Abstained e)
+
+(** Generate a test for one stuck-at fault, optionally bounded, on a
+    one-shot {!Cnf.Stuck_at_session}: the same cone-based miter {!run}
+    queries, where only the fault's fanout cone is duplicated in the SAT
+    instance. The test suite re-proves its answers with the fresh-solver
+    whole-copy oracle kept in [reference/]. *)
+let generate ?budget ?on_stats circuit fault =
+  generate_in (Cnf.Stuck_at_session.create circuit) ?budget ?on_stats fault
 
 (** Full ATPG run in two phases. A deterministic random-pattern
     bootstrap first fault-simulates a fixed batch of random patterns
@@ -243,46 +238,17 @@ let run_checked ?budget circuit =
   let* _ = Netlist.Lint.validate circuit in
   guard ~engine:"atpg" (fun () -> run ?budget circuit)
 
-(* A copy of [circuit] with [fault] frozen in: the fault site is shadowed
-   downstream by a constant carrying the stuck value. Used by redundancy
-   removal, which really does want a standalone circuit (the SAT queries
-   themselves go through the cone miter and never build one). *)
-let faulty_copy circuit fault =
-  match (fault : Fault.Model.fault) with
-  | Fault.Model.Bit_flip _ -> invalid_arg "Atpg: transient faults have no static copy"
-  | Fault.Model.Stuck_at { node; value } ->
-    let out = Circuit.create () in
-    let n = Circuit.node_count circuit in
-    let remap = Array.make n (-1) in
-    let name_taken = Hashtbl.create 64 in
-    let copy_name i =
-      let nm = Circuit.name circuit i in
-      if Hashtbl.mem name_taken nm || Circuit.find_by_name out nm <> None then ""
-      else begin
-        Hashtbl.replace name_taken nm ();
-        nm
-      end
-    in
-    for i = 0 to n - 1 do
-      let nd = Circuit.node circuit i in
-      let fanins = Array.map (fun f -> remap.(f)) nd.Circuit.fanins in
-      let id = Circuit.add_node_raw out nd.Circuit.kind fanins (copy_name i) in
-      remap.(i) <-
-        (if i = node then Circuit.add_node_raw out (Gate.Const value) [||] "" else id)
-    done;
-    Array.iter (fun (nm, o) -> Circuit.set_output out nm remap.(o)) (Circuit.outputs circuit);
-    out
-
 (** Redundancy removal — the classic synthesis-for-test connection: a node
     whose stuck-at-v fault is untestable can be replaced by the constant v
     without changing the function. Security relevance: redundant logic is
     where lazy watermarks and sloppy Trojans hide, and redundancy also
     caps fault coverage; a clean flow sweeps it. Iterates to a fixed
-    point. *)
+    point; each pass answers all its stuck-at queries on one session. *)
 let remove_redundancy circuit =
   let rec pass c budget =
     if budget = 0 then c
     else begin
+      let session = Cnf.Stuck_at_session.create c in
       let redundant = ref None in
       let n = Circuit.node_count c in
       let i = ref 0 in
@@ -293,7 +259,7 @@ let remove_redundancy circuit =
          | Gate.Xor | Gate.Xnor | Gate.Mux ->
            let try_value value =
              if !redundant = None then
-               match generate c (Fault.Model.Stuck_at { node = !i; value }) with
+               match generate_in session (Fault.Model.Stuck_at { node = !i; value }) with
                | Untestable -> redundant := Some (!i, value)
                | Pattern _ | Abstained _ -> ()
            in
@@ -305,7 +271,10 @@ let remove_redundancy circuit =
       | None -> c
       | Some (node, value) ->
         (* Replace the node with the constant and simplify. *)
-        let simplified = Synth.Pass.apply "constant_propagation" (faulty_copy c (Fault.Model.Stuck_at { node; value })) in
+        let simplified =
+          Synth.Pass.apply "constant_propagation"
+            (Fault.Model.faulty_copy c (Fault.Model.Stuck_at { node; value }))
+        in
         pass simplified (budget - 1)
     end
   in

@@ -18,7 +18,9 @@ type pattern_result =
   | Untestable  (** proven redundant: no pattern exists *)
   | Abstained of Eda_util.Budget.exhaustion  (** budget ran out mid-proof *)
 
-(** Generate a test for one stuck-at fault, optionally bounded.
+(** Generate a test for one stuck-at fault, optionally bounded: one
+    query on a one-shot {!Sat.Cnf.Stuck_at_session}, the path {!run}
+    takes for every fault.
     @raise Invalid_argument on transient (non-stuck-at) faults. *)
 val generate :
   ?budget:Eda_util.Budget.t ->
@@ -59,5 +61,6 @@ val run_checked :
 (** Redundancy removal: iteratively replace nodes whose stuck-at faults
     are untestable by the stuck constant and re-simplify — the classic
     synthesis-for-test connection (redundant logic hides watermarks and
-    Trojans, and caps fault coverage). *)
+    Trojans, and caps fault coverage). Each pass answers its queries on
+    one stuck-at session. *)
 val remove_redundancy : Netlist.Circuit.t -> Netlist.Circuit.t

@@ -12,34 +12,6 @@ module Circuit = Netlist.Circuit
 module Solver = Sat.Solver
 module Cnf = Sat.Cnf
 
-(* A copy of the circuit with a stuck-at fault frozen in (combinational
-   circuits; mirrors Dft.Atpg.faulty_copy without depending on dft). *)
-let faulty_copy circuit fault =
-  match (fault : Model.fault) with
-  | Model.Bit_flip _ -> invalid_arg "Formal: transient faults have no static copy"
-  | Model.Stuck_at { node; value } ->
-    let out = Circuit.create () in
-    let n = Circuit.node_count circuit in
-    let remap = Array.make n (-1) in
-    let name_taken = Hashtbl.create 64 in
-    let copy_name i =
-      let nm = Circuit.name circuit i in
-      if Hashtbl.mem name_taken nm || Circuit.find_by_name out nm <> None then ""
-      else begin
-        Hashtbl.replace name_taken nm ();
-        nm
-      end
-    in
-    for i = 0 to n - 1 do
-      let nd = Circuit.node circuit i in
-      let fanins = Array.map (fun f -> remap.(f)) nd.Circuit.fanins in
-      let id = Circuit.add_node_raw out nd.Circuit.kind fanins (copy_name i) in
-      remap.(i) <-
-        (if i = node then Circuit.add_node_raw out (Netlist.Gate.Const value) [||] "" else id)
-    done;
-    Array.iter (fun (nm, o) -> Circuit.set_output out nm remap.(o)) (Circuit.outputs circuit);
-    out
-
 type verdict =
   | Proven_detected  (* no input corrupts data silently *)
   | Escape of bool array  (* witness input: corrupts data, alarm silent *)
@@ -48,17 +20,7 @@ type verdict =
 (** Check one stuck-at fault against the protected circuit. *)
 let check_fault (prot : Countermeasure.protected_circuit) fault =
   let clean = prot.Countermeasure.circuit in
-  let faulty = faulty_copy clean fault in
-  let solver = Solver.create () in
-  let env_c = Cnf.encode ~solver clean in
-  let env_f = Cnf.encode ~solver faulty in
-  let ins_c = Circuit.inputs clean and ins_f = Circuit.inputs faulty in
-  Array.iteri
-    (fun k ic ->
-      let vc = env_c.Cnf.vars.(ic) and vf = env_f.Cnf.vars.(ins_f.(k)) in
-      Solver.add_clause solver [ Solver.lit_of_var vc ~sign:true; Solver.lit_of_var vf ~sign:false ];
-      Solver.add_clause solver [ Solver.lit_of_var vc ~sign:false; Solver.lit_of_var vf ~sign:true ])
-    ins_c;
+  let faulty = Model.faulty_copy clean fault in
   let outs = Circuit.outputs clean in
   let index_of nm =
     let rec find k =
@@ -68,51 +30,40 @@ let check_fault (prot : Countermeasure.protected_circuit) fault =
     in
     find 0
   in
-  let out_ids_c = Circuit.output_ids clean and out_ids_f = Circuit.output_ids faulty in
   let alarm = index_of prot.Countermeasure.alarm_output in
-  let data_idx = List.map index_of prot.Countermeasure.data_outputs in
-  (* Some data output differs. *)
-  let data_diffs =
-    List.map
-      (fun k -> Cnf.xor_var solver env_c.Cnf.vars.(out_ids_c.(k)) env_f.Cnf.vars.(out_ids_f.(k)))
-      data_idx
+  let data_idx = Array.of_list (List.map index_of prot.Countermeasure.data_outputs) in
+  (* A fresh miter of the clean and faulty copies asserting that some
+     data output differs: the solver, the clean copy's input variables
+     and both copies' output variables. *)
+  let corruption () =
+    let solver = Solver.create () in
+    let add = Solver.add_clause solver in
+    let env_c = Cnf.encode ~solver clean in
+    let env_f = Cnf.encode ~solver faulty in
+    let vars env ids = Array.map (fun id -> env.Cnf.vars.(id)) ids in
+    let ins_c = vars env_c (Circuit.inputs clean) in
+    Array.iter2 (Cnf.tie ~add) ins_c (vars env_f (Circuit.inputs faulty));
+    let out_c = vars env_c (Circuit.output_ids clean) in
+    let out_f = vars env_f (Circuit.output_ids faulty) in
+    let data outs = Array.map (fun k -> outs.(k)) data_idx in
+    add [ Solver.lit_of_var (Cnf.differs solver ~add (data out_c) (data out_f)) ~sign:true ];
+    (solver, ins_c, out_c, out_f)
   in
-  let corrupted = Cnf.or_var solver data_diffs in
-  Solver.add_clause solver [ Solver.lit_of_var corrupted ~sign:true ];
+  let solver, ins_c, out_c, out_f = corruption () in
   (* Alarm agrees between faulty and clean (i.e. the fault is not flagged). *)
-  let alarm_diff =
-    Cnf.xor_var solver env_c.Cnf.vars.(out_ids_c.(alarm)) env_f.Cnf.vars.(out_ids_f.(alarm))
-  in
-  Solver.add_clause solver [ Solver.lit_of_var alarm_diff ~sign:false ];
+  let add = Solver.add_clause solver in
+  add [ Solver.lit_of_var (Cnf.xor_var solver ~add out_c.(alarm) out_f.(alarm)) ~sign:false ];
   match Solver.solve solver with
   | Solver.Unsat ->
     (* No silent corruption. Distinguish "always detected" from "harmless"
        with a second query: can the fault corrupt data at all? *)
-    let solver2 = Solver.create () in
-    let env_c2 = Cnf.encode ~solver:solver2 clean in
-    let env_f2 = Cnf.encode ~solver:solver2 faulty in
-    Array.iteri
-      (fun k ic ->
-        let vc = env_c2.Cnf.vars.(ic) and vf = env_f2.Cnf.vars.((Circuit.inputs faulty).(k)) in
-        Solver.add_clause solver2 [ Solver.lit_of_var vc ~sign:true; Solver.lit_of_var vf ~sign:false ];
-        Solver.add_clause solver2 [ Solver.lit_of_var vc ~sign:false; Solver.lit_of_var vf ~sign:true ])
-      ins_c;
-    let diffs2 =
-      List.map
-        (fun k ->
-          Cnf.xor_var solver2 env_c2.Cnf.vars.(out_ids_c.(k)) env_f2.Cnf.vars.(out_ids_f.(k)))
-        data_idx
-    in
-    let corrupted2 = Cnf.or_var solver2 diffs2 in
-    Solver.add_clause solver2 [ Solver.lit_of_var corrupted2 ~sign:true ];
+    let solver2, _, _, _ = corruption () in
     (match Solver.solve solver2 with
      | Solver.Sat -> Proven_detected
      | Solver.Unsat -> Harmless
      | Solver.Unknown _ -> assert false (* unbudgeted solve cannot abstain *))
   | Solver.Unknown _ -> assert false  (* unbudgeted solve cannot abstain *)
-  | Solver.Sat ->
-    let witness = Array.map (fun ic -> Solver.model_value solver env_c.Cnf.vars.(ic)) ins_c in
-    Escape witness
+  | Solver.Sat -> Escape (Array.map (Solver.model_value solver) ins_c)
 
 (** Exhaustive formal audit over every single stuck-at fault: the red-team
     search the paper describes ("to demonstrate whether an error-detecting

@@ -12,6 +12,12 @@ val node_of : fault -> int
 (** Human-readable description, e.g. ["s-a-1 @ G22"]. *)
 val describe : Netlist.Circuit.t -> fault -> string
 
+(** A standalone copy of the circuit with a stuck-at fault frozen in:
+    the fault site is shadowed downstream by a constant carrying the
+    stuck value.
+    @raise Invalid_argument on a transient ([Bit_flip]) fault. *)
+val faulty_copy : Netlist.Circuit.t -> fault -> Netlist.Circuit.t
+
 (** Evaluate all nets with [faults] active. *)
 val eval_all_faulty :
   ?state:bool array -> Netlist.Circuit.t -> faults:fault list -> bool array -> bool array

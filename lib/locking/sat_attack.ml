@@ -28,12 +28,6 @@ type result = {
   status : status;
 }
 
-let tie_equal solver va vb =
-  Solver.add_clause solver
-    [ Solver.lit_of_var va ~sign:true; Solver.lit_of_var vb ~sign:false ];
-  Solver.add_clause solver
-    [ Solver.lit_of_var va ~sign:false; Solver.lit_of_var vb ~sign:true ]
-
 let fix solver v b = Solver.add_clause solver [ Solver.lit_of_var v ~sign:b ]
 
 let describe_status = function
@@ -64,6 +58,7 @@ let run ?(max_iterations = 256) ?budget ?iteration_steps ~oracle (locked : Lock.
   @@ fun () ->
   let c = locked.Lock.circuit in
   let solver = Solver.create () in
+  let add = Solver.add_clause solver in
   let vars env ids = Array.map (fun id -> env.Cnf.vars.(id)) ids in
   let key_vars env = vars env locked.Lock.key_inputs in
   let data_vars env = vars env locked.Lock.data_inputs in
@@ -73,11 +68,10 @@ let run ?(max_iterations = 256) ?budget ?iteration_steps ~oracle (locked : Lock.
   let env_a = Cnf.encode ~solver c in
   let env_b = Cnf.encode ~solver c in
   let data = data_vars env_a and keys_a = key_vars env_a and keys_b = key_vars env_b in
-  Array.iter2 (tie_equal solver) data (data_vars env_b);
+  Array.iter2 (Cnf.tie ~add) data (data_vars env_b);
   (* Some output differs: activated by assumption, so it can be dropped
      for the final key extraction. *)
-  let diffs = Array.map2 (Cnf.xor_var solver) (out_vars env_a) (out_vars env_b) in
-  let any_diff = Cnf.or_var solver (Array.to_list diffs) in
+  let any_diff = Cnf.differs solver ~add (out_vars env_a) (out_vars env_b) in
   let miter_on = Solver.lit_of_var any_diff ~sign:true in
   let solve_bounded ?(assumptions = []) () =
     match budget, iteration_steps with
@@ -125,7 +119,7 @@ let run ?(max_iterations = 256) ?budget ?iteration_steps ~oracle (locked : Lock.
             let env_f = Cnf.encode ~solver c in
             Array.iteri (fun k v -> fix solver v dip.(k)) (data_vars env_f);
             Array.iteri (fun k v -> fix solver v response.(k)) (out_vars env_f);
-            Array.iter2 (tie_equal solver) (key_vars env_f) keys)
+            Array.iter2 (Cnf.tie ~add) (key_vars env_f) keys)
           [ keys_a; keys_b ];
         Telemetry.count "sat_attack.dips" 1;
         if Telemetry.active () then

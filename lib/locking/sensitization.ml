@@ -36,21 +36,14 @@ let run_pass ~oracle ~guesses (locked : Lock.locked) =
   for k = 0 to nk - 1 do
     (* Fresh solver per key bit: two copies differing only in key k. *)
     let solver = Solver.create () in
+    let add = Solver.add_clause solver in
     let env_a = Cnf.encode ~solver c in
     let env_b = Cnf.encode ~solver c in
-    let tie va vb =
-      Solver.add_clause solver
-        [ Solver.lit_of_var va ~sign:true; Solver.lit_of_var vb ~sign:false ];
-      Solver.add_clause solver
-        [ Solver.lit_of_var va ~sign:false; Solver.lit_of_var vb ~sign:true ]
-    in
-    let fix env node b =
-      Solver.add_clause solver [ Cnf.lit env ~node ~sign:b ]
-    in
+    let vars env ids = Array.map (fun id -> env.Cnf.vars.(id)) ids in
+    let fix env node b = add [ Cnf.lit env ~node ~sign:b ] in
     (* Shared data inputs. *)
-    Array.iteri
-      (fun i ia -> tie env_a.Cnf.vars.(ia) env_b.Cnf.vars.(locked.Lock.data_inputs.(i)))
-      locked.Lock.data_inputs;
+    Array.iter2 (Cnf.tie ~add)
+      (vars env_a locked.Lock.data_inputs) (vars env_b locked.Lock.data_inputs);
     (* Other keys: this pass's recovered value, else the incoming guess. *)
     Array.iteri
       (fun j id ->
@@ -68,15 +61,9 @@ let run_pass ~oracle ~guesses (locked : Lock.locked) =
     fix env_a locked.Lock.key_inputs.(k) false;
     fix env_b locked.Lock.key_inputs.(k) true;
     (* Outputs must differ. *)
-    let outs_a = Circuit.output_ids c and outs_b = Circuit.output_ids c in
-    let diffs =
-      Array.to_list
-        (Array.mapi
-           (fun i oa -> Cnf.xor_var solver env_a.Cnf.vars.(oa) env_b.Cnf.vars.(outs_b.(i)))
-           outs_a)
-    in
-    let any = Cnf.or_var solver diffs in
-    Solver.add_clause solver [ Solver.lit_of_var any ~sign:true ];
+    let outs = Circuit.output_ids c in
+    let any = Cnf.differs solver ~add (vars env_a outs) (vars env_b outs) in
+    add [ Solver.lit_of_var any ~sign:true ];
     (match Solver.solve solver with
      | Solver.Unsat -> unresolved := k :: !unresolved
      | Solver.Unknown _ -> assert false  (* unbudgeted solve cannot abstain *)

@@ -80,27 +80,41 @@ let encode ?solver circuit =
       done;
       { solver; vars })
 
-(** Fresh solver variable constrained to be the XOR of two node variables
-    (used to compare outputs of two encoded circuits). *)
-let xor_var s va vb =
+(* --- miter primitives ------------------------------------------------- *)
+
+(* Every miter in the toolkit is built from the two primitives below.
+   Both send their clauses to a sink [add]: [Solver.add_clause s] for a
+   one-shot miter, [Solver.add_clause_in s g] for a query that a clause
+   group must be able to retire whole. *)
+
+(** Constrain two variables to be equal (two binary clauses). *)
+let tie ~add va vb =
+  add [ Solver.lit_of_var va ~sign:true; Solver.lit_of_var vb ~sign:false ];
+  add [ Solver.lit_of_var va ~sign:false; Solver.lit_of_var vb ~sign:true ]
+
+(** Fresh variable constrained to the XOR of [va] and [vb]. *)
+let xor_var s ~add va vb =
   let v = Solver.new_var s in
   let lv sign = Solver.lit_of_var v ~sign in
   let la sign = Solver.lit_of_var va ~sign in
   let lb sign = Solver.lit_of_var vb ~sign in
-  Solver.add_clause s [ lv false; la true; lb true ];
-  Solver.add_clause s [ lv false; la false; lb false ];
-  Solver.add_clause s [ lv true; la true; lb false ];
-  Solver.add_clause s [ lv true; la false; lb true ];
+  add [ lv false; la true; lb true ];
+  add [ lv false; la false; lb false ];
+  add [ lv true; la true; lb false ];
+  add [ lv true; la false; lb true ];
   v
 
-(** OR of a set of variables into a fresh variable. *)
-let or_var s vs =
+(** Fresh variable that is true exactly when some pair [xs.(k)], [ys.(k)]
+    differs: one XOR variable per pair, in index order, then their OR. *)
+let differs s ~add xs ys =
+  let diffs = Array.map2 (xor_var s ~add) xs ys in
   let v = Solver.new_var s in
-  List.iter
-    (fun vi -> Solver.add_clause s [ Solver.lit_of_var v ~sign:true; Solver.lit_of_var vi ~sign:false ])
-    vs;
-  Solver.add_clause s
-    (Solver.lit_of_var v ~sign:false :: List.map (fun vi -> Solver.lit_of_var vi ~sign:true) vs);
+  Array.iter
+    (fun d -> add [ Solver.lit_of_var v ~sign:true; Solver.lit_of_var d ~sign:false ])
+    diffs;
+  add
+    (Solver.lit_of_var v ~sign:false
+    :: Array.to_list (Array.map (fun d -> Solver.lit_of_var d ~sign:true) diffs));
   v
 
 (** Three-valued outcome of a bounded equivalence query. *)
@@ -108,54 +122,6 @@ type equivalence =
   | Equivalent
   | Counterexample of bool array  (* distinguishing input assignment *)
   | Equiv_unknown of Eda_util.Budget.exhaustion
-
-(** Equivalence check of two combinational circuits with identical
-    interfaces, bounded by [budget] (charged one step per solver
-    conflict). [on_stats] receives the solver statistics of the query —
-    the miter solver is internal, so this is how callers meter it. *)
-let check_equivalence_b ?budget ?on_stats a b =
-  if Circuit.num_inputs a <> Circuit.num_inputs b
-     || Circuit.num_outputs a <> Circuit.num_outputs b
-  then
-    raise
-      (Eda_util.Eda_error.Error
-         (Eda_util.Eda_error.Invalid_input
-            { what = "equivalence query";
-              msg =
-                Printf.sprintf "interface mismatch: %dx%d vs %dx%d inputs/outputs"
-                  (Circuit.num_inputs a) (Circuit.num_outputs a)
-                  (Circuit.num_inputs b) (Circuit.num_outputs b) }));
-  let solver = Solver.create () in
-  let env_a = encode ~solver a in
-  let env_b = encode ~solver b in
-  (* Tie inputs together. *)
-  let ins_a = Circuit.inputs a and ins_b = Circuit.inputs b in
-  Array.iteri
-    (fun k ia ->
-      let va = env_a.vars.(ia) and vb = env_b.vars.(ins_b.(k)) in
-      Solver.add_clause solver [ Solver.lit_of_var va ~sign:true; Solver.lit_of_var vb ~sign:false ];
-      Solver.add_clause solver [ Solver.lit_of_var va ~sign:false; Solver.lit_of_var vb ~sign:true ])
-    ins_a;
-  (* Miter: OR of output XORs must be true. *)
-  let outs_a = Circuit.output_ids a and outs_b = Circuit.output_ids b in
-  let diffs =
-    Array.to_list
-      (Array.mapi (fun k oa -> xor_var solver env_a.vars.(oa) env_b.vars.(outs_b.(k))) outs_a)
-  in
-  let any = or_var solver diffs in
-  Solver.add_clause solver [ Solver.lit_of_var any ~sign:true ];
-  let answer =
-    match Solver.solve ?budget solver with
-    | Solver.Unsat -> Equivalent
-    | Solver.Sat ->
-      let witness =
-        Array.map (fun ia -> Solver.model_value solver env_a.vars.(ia)) ins_a
-      in
-      Counterexample witness
-    | Solver.Unknown e -> Equiv_unknown e
-  in
-  Option.iter (fun f -> f (Solver.stats solver)) on_stats;
-  answer
 
 (* Mark the transitive fanout cone of [node] in [in_cone] (which must be
    all-false on entry for indices >= node): forward sweep in topological
@@ -172,58 +138,6 @@ let mark_cone circuit ~node in_cone =
     then in_cone.(i) <- true
   done
 
-(** Cone-based stuck-at query: is some input assignment able to expose
-    [node] stuck at [value] on a primary output? The clean circuit is
-    encoded once; faulty variables exist only for the fault's transitive
-    fanout cone, whose gates read non-cone fanins directly from the
-    clean encoding. Outside the cone the two copies share variables, so
-    their equality is structural instead of something the solver must
-    derive — the whole-copy miter forced exactly that derivation, which
-    is what made large-circuit ATPG intractable. The cone is cut at DFF
-    boundaries (see {!mark_cone}). A fault whose cone reaches no output
-    is undetectable without any solving. *)
-let check_stuck_at ?budget ?on_stats circuit ~node ~value =
-  let n = Circuit.node_count circuit in
-  if node < 0 || node >= n then invalid_arg "Cnf.check_stuck_at: node out of range";
-  let in_cone = Array.make n false in
-  mark_cone circuit ~node in_cone;
-  let affected =
-    Array.to_list (Circuit.output_ids circuit)
-    |> List.filter (fun o -> in_cone.(o))
-    |> List.sort_uniq Int.compare
-  in
-  match affected with
-  | [] -> Equivalent
-  | _ ->
-    let solver = Solver.create () in
-    let env = encode ~solver circuit in
-    let fvars = Array.make n (-1) in
-    for i = 0 to n - 1 do
-      if in_cone.(i) then fvars.(i) <- Solver.new_var solver
-    done;
-    let add = Solver.add_clause solver in
-    add [ Solver.lit_of_var fvars.(node) ~sign:value ];
-    let l j sign =
-      Solver.lit_of_var (if in_cone.(j) then fvars.(j) else env.vars.(j)) ~sign
-    in
-    for i = node + 1 to n - 1 do
-      if in_cone.(i) then encode_node ~add ~l i (Circuit.node circuit i)
-    done;
-    let diffs = List.map (fun o -> xor_var solver env.vars.(o) fvars.(o)) affected in
-    add [ Solver.lit_of_var (or_var solver diffs) ~sign:true ];
-    let answer =
-      match Solver.solve ?budget solver with
-      | Solver.Unsat -> Equivalent
-      | Solver.Sat ->
-        Counterexample
-          (Array.map
-             (fun ia -> Solver.model_value solver env.vars.(ia))
-             (Circuit.inputs circuit))
-      | Solver.Unknown e -> Equiv_unknown e
-    in
-    Option.iter (fun f -> f (Solver.stats solver)) on_stats;
-    answer
-
 (** Incremental stuck-at sessions: the clean circuit is Tseitin-encoded
     {e once}, and each fault query adds only its fanout-cone faulty copy
     and miter under a fresh clause group ({!Solver.new_group}), solved
@@ -233,10 +147,15 @@ let check_stuck_at ?budget ?on_stats circuit ~node ~value =
     circuit persist and accelerate every later query; {!Solver
     .shrink_vars} then recycles the query's variable indices, so the
     session's variable range stays bounded by one query's footprint.
+    Gates of the cone read their non-cone fanins straight from the clean
+    encoding, so outside the cone the two copies share variables and
+    their equality is structural; a whole-copy miter makes the solver
+    derive it, which is what made large-circuit ATPG intractable.
 
-    Answers match {!check_stuck_at} on a fresh solver exactly
-    (differential-tested): both are sound and complete, so the
-    [Equivalent]/[Counterexample] status per fault is identical. The
+    Answers match a fresh solver's exactly (differential-tested against
+    the whole-copy reference oracle in [reference/]): both are sound and
+    complete, so the [Equivalent]/[Counterexample] status per fault is
+    identical. The
     {e witness pattern} of a [Counterexample] may differ — persistent
     learnt clauses steer the search — but it always detects the fault.
     Within one session, answers are a deterministic function of the
@@ -249,26 +168,27 @@ module Stuck_at_session = struct
     floor : int;  (* variable floor: everything >= floor is per-query scratch *)
     in_cone : bool array;  (* per-query cone scratch, cleared after each query *)
     fvars : int array;  (* per-query faulty-copy variables, cone entries only *)
-    outputs : int array;  (* output node ids, sorted, without duplicates *)
-    diffs : int array;  (* per-query miter difference variables *)
+    outputs : int list;  (* output node ids, sorted, without duplicates *)
     mutable queries : int;
   }
 
   type t = session
 
+  (* Every query starts from a fresh solver's decision heuristic: activity
+     earned on a previous fault's cone is noise for the next and can blow
+     up its conflict count by an order of magnitude, while the learnt
+     clauses are kept. The reset is made here for the first query and by
+     {!Solver.shrink_vars} at the end of each query for the next. *)
   let create ?solver circuit =
     let env = encode ?solver circuit in
+    Solver.reset_activity env.solver;
     let n = Circuit.node_count circuit in
-    let outputs =
-      Array.of_list (List.sort_uniq Int.compare (Array.to_list (Circuit.output_ids circuit)))
-    in
     { env;
       circuit;
       floor = (Solver.stats env.solver).Solver.vars;
       in_cone = Array.make n false;
       fvars = Array.make n (-1);
-      outputs;
-      diffs = Array.make (Array.length outputs) (-1);
+      outputs = List.sort_uniq Int.compare (Array.to_list (Circuit.output_ids circuit));
       queries = 0 }
 
   let queries t = t.queries
@@ -290,8 +210,9 @@ module Stuck_at_session = struct
       db_reductions = after.Solver.db_reductions - before.Solver.db_reductions;
       clauses_deleted = after.Solver.clauses_deleted - before.Solver.clauses_deleted }
 
-  (** One stuck-at query against the session. Same contract as
-      {!check_stuck_at}; the group is retired and its variables recycled
+  (** One stuck-at query against the session: [Equivalent] when [node]
+      stuck at [value] is undetectable, otherwise a detecting input
+      assignment. The group is retired and its variables recycled
       before returning — also after an [Equiv_unknown], so a later retry
       (with a larger budget) re-encodes only the fault's cone while
       keeping every clean-circuit learnt clause. [on_stats] receives
@@ -301,7 +222,7 @@ module Stuck_at_session = struct
     let n = Circuit.node_count circuit in
     if node < 0 || node >= n then
       invalid_arg "Cnf.Stuck_at_session.query: node out of range";
-    let in_cone = t.in_cone and fvars = t.fvars and diffs = t.diffs in
+    let in_cone = t.in_cone and fvars = t.fvars in
     mark_cone circuit ~node in_cone;
     (* The cone only contains indices >= node (topological order). *)
     let clear () =
@@ -313,7 +234,7 @@ module Stuck_at_session = struct
       done
     in
     t.queries <- t.queries + 1;
-    if not (Array.exists (fun o -> in_cone.(o)) t.outputs) then begin
+    if not (List.exists (fun o -> in_cone.(o)) t.outputs) then begin
       clear ();
       Equivalent
     end
@@ -335,41 +256,12 @@ module Stuck_at_session = struct
           for i = node + 1 to n - 1 do
             if in_cone.(i) then encode_node ~add ~l i (Circuit.node circuit i)
           done;
-          (* Group-guarded miter: XOR each affected output pair, OR the
-             differences, assert the OR — all under the activation
-             literal, so retirement erases the whole query. (The plain
-             {!xor_var}/{!or_var} helpers are not reused here: they add
-             unguarded clauses, which would outlive the group and pin
-             its recycled variables.) *)
-          let nd = ref 0 in
-          Array.iter
-            (fun o ->
-              if in_cone.(o) then begin
-                let d = Solver.new_var s in
-                let ld sign = Solver.lit_of_var d ~sign in
-                let la sign = Solver.lit_of_var t.env.vars.(o) ~sign in
-                let lb sign = Solver.lit_of_var fvars.(o) ~sign in
-                add [ ld false; la true; lb true ];
-                add [ ld false; la false; lb false ];
-                add [ ld true; la true; lb false ];
-                add [ ld true; la false; lb true ];
-                diffs.(!nd) <- d;
-                incr nd
-              end)
-            t.outputs;
-          let any = Solver.new_var s in
-          for k = 0 to !nd - 1 do
-            add [ Solver.lit_of_var any ~sign:true; Solver.lit_of_var diffs.(k) ~sign:false ]
-          done;
-          add
-            (Solver.lit_of_var any ~sign:false
-            :: List.init !nd (fun k -> Solver.lit_of_var diffs.(k) ~sign:true));
+          (* The miter goes under the activation literal too, so
+             retirement erases the whole query. *)
+          let hit = List.filter (fun o -> in_cone.(o)) t.outputs in
+          let vars_of a = Array.of_list (List.map (fun o -> a.(o)) hit) in
+          let any = differs s ~add (vars_of t.env.vars) (vars_of fvars) in
           add [ Solver.lit_of_var any ~sign:true ]);
-      (* Activity earned on a previous fault's cone is noise for this
-         query and can blow up the conflict count by an order of
-         magnitude; start each query from the fresh index-order
-         heuristic while keeping the learnt clauses. *)
-      Solver.reset_activity s;
       let answer =
         match Solver.solve ?budget ~assumptions:[ Solver.group_lit g ] s with
         | Solver.Unsat -> Equivalent
@@ -390,13 +282,35 @@ module Stuck_at_session = struct
     end
 end
 
-(** Unbounded equivalence check; [None] when equivalent, or a
-    distinguishing input assignment. *)
+(** Unbounded equivalence check of two combinational circuits with the
+    same interface: [None] when equivalent, or a distinguishing input
+    assignment. *)
 let check_equivalence a b =
-  match check_equivalence_b a b with
-  | Equivalent -> None
-  | Counterexample w -> Some w
-  | Equiv_unknown _ -> assert false  (* no budget, solve cannot abstain *)
+  if Circuit.num_inputs a <> Circuit.num_inputs b
+     || Circuit.num_outputs a <> Circuit.num_outputs b
+  then
+    raise
+      (Eda_util.Eda_error.Error
+         (Eda_util.Eda_error.Invalid_input
+            { what = "equivalence query";
+              msg =
+                Printf.sprintf "interface mismatch: %dx%d vs %dx%d inputs/outputs"
+                  (Circuit.num_inputs a) (Circuit.num_outputs a)
+                  (Circuit.num_inputs b) (Circuit.num_outputs b) }));
+  let solver = Solver.create () in
+  let add = Solver.add_clause solver in
+  let env_a = encode ~solver a in
+  let env_b = encode ~solver b in
+  let vars env ids = Array.map (fun id -> env.vars.(id)) ids in
+  Array.iter2 (tie ~add) (vars env_a (Circuit.inputs a)) (vars env_b (Circuit.inputs b));
+  let any =
+    differs solver ~add (vars env_a (Circuit.output_ids a)) (vars env_b (Circuit.output_ids b))
+  in
+  add [ Solver.lit_of_var any ~sign:true ];
+  match Solver.solve solver with
+  | Solver.Unsat -> None
+  | Solver.Sat -> Some (Array.map (Solver.model_value solver) (vars env_a (Circuit.inputs a)))
+  | Solver.Unknown _ -> assert false  (* unbudgeted solve cannot abstain *)
 
 (** Satisfiability of a single-output circuit being true for some input. *)
 let satisfiable_output circuit ~output =

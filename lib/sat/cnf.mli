@@ -16,46 +16,32 @@ val lit : env -> node:int -> sign:bool -> Solver.lit
     [solver] (pass it explicitly) for miters and multi-copy attacks. *)
 val encode : ?solver:Solver.t -> Netlist.Circuit.t -> env
 
-(** Fresh variable constrained to the XOR of two existing variables. *)
-val xor_var : Solver.t -> int -> int -> int
+(** {1 Miter primitives}
 
-(** Fresh variable constrained to the OR of existing variables. *)
-val or_var : Solver.t -> int list -> int
+    Every miter — two circuit copies with tied inputs whose outputs are
+    compared — is built from {!tie} and {!differs}. Both send their
+    clauses to the sink [add]: [Solver.add_clause s] for a one-shot
+    miter, [Solver.add_clause_in s g] for a query that clause group [g]
+    must be able to retire whole. *)
+
+(** Constrain two variables to be equal (two binary clauses). *)
+val tie : add:(Solver.lit list -> unit) -> int -> int -> unit
+
+(** Fresh variable constrained to the XOR of two existing variables. *)
+val xor_var : Solver.t -> add:(Solver.lit list -> unit) -> int -> int -> int
+
+(** [differs s ~add xs ys] is a fresh variable that is true exactly when
+    [xs.(k) <> ys.(k)] for some [k]: one {!xor_var} per pair in index
+    order, then their OR. Assert it for a miter, or assume it to switch
+    the miter on per solve.
+    @raise Invalid_argument when the arrays differ in length. *)
+val differs : Solver.t -> add:(Solver.lit list -> unit) -> int array -> int array -> int
 
 (** Three-valued outcome of a bounded equivalence query. *)
 type equivalence =
   | Equivalent
   | Counterexample of bool array  (** distinguishing input assignment *)
   | Equiv_unknown of Eda_util.Budget.exhaustion
-
-(** Combinational equivalence bounded by [budget] (one step per solver
-    conflict). Without a budget the answer is never [Equiv_unknown].
-    [on_stats] observes the internal miter solver's statistics.
-    @raise Eda_util.Eda_error.Error on interface mismatch. *)
-val check_equivalence_b :
-  ?budget:Eda_util.Budget.t ->
-  ?on_stats:(Solver.stats -> unit) ->
-  Netlist.Circuit.t ->
-  Netlist.Circuit.t ->
-  equivalence
-
-(** Cone-based stuck-at detectability query — the ATPG miter. The clean
-    circuit is encoded once; faulty variables exist only in the fault's
-    transitive fanout cone (cut at DFF boundaries), and the miter XORs
-    only the affected outputs. Outside the cone the copies share
-    variables, so the solver never has to re-derive their equality —
-    this is what keeps per-fault queries tractable on 10k+-gate
-    circuits, where a whole-copy miter blows up. [Equivalent] means
-    undetectable (the cone reaches no output, or the miter is UNSAT);
-    [Counterexample] carries a detecting input assignment.
-    @raise Invalid_argument when [node] is out of range. *)
-val check_stuck_at :
-  ?budget:Eda_util.Budget.t ->
-  ?on_stats:(Solver.stats -> unit) ->
-  Netlist.Circuit.t ->
-  node:int ->
-  value:bool ->
-  equivalence
 
 (** Incremental stuck-at sessions: the clean circuit is Tseitin-encoded
     {e once} per session; each {!Stuck_at_session.query} adds only the
@@ -66,12 +52,15 @@ val check_stuck_at :
     {!Solver.shrink_vars} recycles each query's variable indices so the
     session's footprint stays bounded by one query.
 
-    Answers match fresh-solver {!check_stuck_at} exactly — both are
-    sound and complete, so the per-fault status is identical
-    (differential-tested). A [Counterexample]'s witness pattern may
-    differ (persistent learnt clauses steer the search), but it always
-    detects the fault. Within one session, answers are a deterministic
-    function of the query sequence. *)
+    The fanout cone of a fault is cut at DFF boundaries (one time frame,
+    as {!encode}); a fault whose cone reaches no output is answered
+    [Equivalent] without solving. Answers match a fresh solver's exactly,
+    because both are sound and complete: the test suite checks every
+    status against the reference oracle in [reference/], a fresh solver
+    per fault over a whole faulty copy. A [Counterexample]'s witness
+    pattern may differ (persistent learnt clauses steer the search), but
+    it always detects the fault. Within one session, answers are a
+    deterministic function of the query sequence. *)
 module Stuck_at_session : sig
   type t
 
@@ -79,7 +68,9 @@ module Stuck_at_session : sig
       default). *)
   val create : ?solver:Solver.t -> Netlist.Circuit.t -> t
 
-  (** One stuck-at query; same contract as {!check_stuck_at}. The query's
+  (** Is [node] stuck at [value] detectable? [Equivalent] means
+      undetectable; [Counterexample] carries a detecting input
+      assignment. Charges [budget] one step per conflict. The query's
       clause group is retired and its variables recycled before
       returning — also after an [Equiv_unknown], so a later retry with a
       larger budget re-encodes only the fault's cone while keeping every
@@ -105,7 +96,9 @@ end
 
 (** Unbounded combinational equivalence of two identically-shaped
     circuits; [None] when equivalent, otherwise a distinguishing input
-    assignment. *)
+    assignment.
+    @raise Eda_util.Eda_error.Error ([Invalid_input], what
+    ["equivalence query"]) when the input or output counts differ. *)
 val check_equivalence : Netlist.Circuit.t -> Netlist.Circuit.t -> bool array option
 
 (** Is output [output] ever true? Returns a witness input when so. *)

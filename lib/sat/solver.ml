@@ -727,15 +727,36 @@ let retire_group s g =
     T.count "sat.groups_retired" 1
   end
 
+(** Reset the decision heuristic — VSIDS activities and saved phases —
+    to a fresh solver's initial state (all-zero activity makes the
+    decision order fall back to variable index; all-false phases match
+    [create]'s default); the decision order is rebuilt to match.
+    Incremental sessions reset between unrelated queries: activity
+    earned on one query's fault cone is noise for the next, and with
+    zero activity the search order is fixed, so stale phases can
+    deterministically replay a bad subtree that restarts cannot escape —
+    both were observed as orders-of-magnitude conflict blow-ups. Only
+    the learnt clauses persist. Variables at or above [nvars] already
+    hold zero activity and a false phase (fresh capacity is created so
+    and {!shrink_vars} clears what it releases), so only the live range
+    is filled. *)
+let reset_activity s =
+  Array.fill s.activity 0 s.nvars 0.0;
+  Array.fill s.phase 0 s.nvars false;
+  rebuild_order s
+
 (** Roll variable allocation back to [n] variables. The caller must have
     removed every clause mentioning a variable [>= n] first — the
     intended discipline is per-query variables above a fixed floor,
     all guarded by one group, with {!retire_group} run before the
     shrink. Root assignments of released variables are dropped from the
     trail and their activity/saved phase reset, so re-allocating the
-    same indices behaves like fresh variables. Keeps incremental
-    sessions' variable range (and the decision order) bounded by one
-    query's footprint instead of growing with session length. *)
+    same indices behaves like fresh variables; the survivors' decision
+    heuristic is then reset as {!reset_activity} does, ready for the
+    next query, with one rebuild of the decision order. Keeps
+    incremental sessions' variable range (and the decision order)
+    bounded by one query's footprint instead of growing with session
+    length. *)
 let shrink_vars s n =
   if n < 0 || n > s.nvars then invalid_arg "Solver.shrink_vars";
   backtrack s 0;
@@ -765,21 +786,7 @@ let shrink_vars s n =
     s.phase.(v) <- false
   done;
   s.nvars <- n;
-  rebuild_order s
-
-(** Reset the decision heuristic — VSIDS activities and saved phases —
-    to a fresh solver's initial state (all-zero activity makes the
-    decision order fall back to variable index; all-false phases match
-    [create]'s default); the decision order is rebuilt to match.
-    Incremental sessions call this between unrelated queries: activity
-    earned on one query's fault cone is noise for the next, and with zero activity the search order is
-    fixed, so stale phases can deterministically replay a bad subtree
-    that restarts cannot escape — both were observed as orders-of-
-    magnitude conflict blow-ups. Only the learnt clauses persist. *)
-let reset_activity s =
-  Array.fill s.activity 0 (Array.length s.activity) 0.0;
-  Array.fill s.phase 0 (Array.length s.phase) false;
-  rebuild_order s
+  reset_activity s
 
 (** Override the automatic learnt-DB limit ([max 2000 #clauses]); [0]
     restores the automatic limit. *)
@@ -964,7 +971,10 @@ let solve ?budget ?(assumptions = []) s =
   if not (T.active ()) then solve_raw ?budget ~assumptions s
   else
     T.with_span "sat.solve"
-      ~attrs:[ ("vars", T.Int s.nvars); ("assumptions", T.Int (List.length assumptions)) ]
+      ~attrs:
+        [ ("vars", T.Int s.nvars);
+          ("clauses", T.Int s.num_clauses);
+          ("assumptions", T.Int (List.length assumptions)) ]
       (fun () ->
         let conflicts0 = s.conflicts
         and decisions0 = s.num_decisions

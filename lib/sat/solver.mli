@@ -131,7 +131,9 @@ val simplify : t -> unit
     intended use is recycling per-query scratch variables above a fixed
     floor after {!retire_group}. Root assignments, activity and saved
     phases of released variables are reset, so re-allocating the same
-    indices behaves like fresh variables. Dropping a retired group's
+    indices behaves like fresh variables, and the surviving variables'
+    decision heuristic is reset as by {!reset_activity}, so the next
+    query starts from a fresh solver's order. Dropping a retired group's
     activation unit from the root trail keeps a later retirement on the
     group-sized path.
     @raise Invalid_argument when [n] is negative or above the current

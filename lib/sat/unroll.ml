@@ -71,6 +71,43 @@ let expand source ~frames =
   done;
   { circuit = out; frames; initial_state_inputs; frame_inputs; frame_outputs }
 
+(* Two expansions encoded into one solver. [reset] pins both initial
+   states to zero; the primary inputs of every frame are tied across the
+   copies; [tie] ties one more pair of expansion nodes. *)
+type miter = {
+  solver : Solver.t;
+  a : expansion;
+  b : expansion;
+  env_a : Cnf.env;
+  env_b : Cnf.env;
+  tie : int -> int -> unit;
+}
+
+let miter ?(reset = false) a b =
+  let solver = Solver.create () in
+  let add = Solver.add_clause solver in
+  let env_a = Cnf.encode ~solver a.circuit in
+  let env_b = Cnf.encode ~solver b.circuit in
+  if reset then
+    List.iter
+      (fun (env, e) ->
+        Array.iter
+          (fun id -> add [ Solver.lit_of_var env.Cnf.vars.(id) ~sign:false ])
+          e.initial_state_inputs)
+      [ (env_a, a); (env_b, b) ];
+  let tie ia ib = Cnf.tie ~add env_a.Cnf.vars.(ia) env_b.Cnf.vars.(ib) in
+  Array.iteri (fun f ins_a -> Array.iter2 tie ins_a b.frame_inputs.(f)) a.frame_inputs;
+  { solver; a; b; env_a; env_b; tie }
+
+(* Assert that some output of the two copies differs in some frame, and
+   solve. *)
+let solve_differs m =
+  let add = Solver.add_clause m.solver in
+  let outs env e = Array.map (fun o -> env.Cnf.vars.(o)) (Circuit.output_ids e.circuit) in
+  let any = Cnf.differs m.solver ~add (outs m.env_a m.a) (outs m.env_b m.b) in
+  add [ Solver.lit_of_var any ~sign:true ];
+  Solver.solve m.solver
+
 (** Two-safety information-flow check (the essence of unique-program-
     execution checking [31]): two copies of the design run with identical
     public inputs and initial state but free *secret* state bits; if any
@@ -81,88 +118,26 @@ let expand source ~frames =
     when no leak is possible within the bound, or a witness assignment of
     the expansion's inputs for copy A. *)
 let two_safety_leak source ~frames ~secret_state =
-  let exp_a = expand source ~frames in
-  let exp_b = expand source ~frames in
-  let solver = Solver.create () in
-  let env_a = Cnf.encode ~solver exp_a.circuit in
-  let env_b = Cnf.encode ~solver exp_b.circuit in
-  let tie va vb =
-    Solver.add_clause solver
-      [ Solver.lit_of_var va ~sign:true; Solver.lit_of_var vb ~sign:false ];
-    Solver.add_clause solver
-      [ Solver.lit_of_var va ~sign:false; Solver.lit_of_var vb ~sign:true ]
-  in
-  (* Public inputs equal across copies, every frame. *)
-  Array.iteri
-    (fun f ins_a ->
-      Array.iteri
-        (fun k ia -> tie env_a.Cnf.vars.(ia) env_b.Cnf.vars.(exp_b.frame_inputs.(f).(k)))
-        ins_a)
-    exp_a.frame_inputs;
+  let m = miter (expand source ~frames) (expand source ~frames) in
   (* Non-secret initial state equal; secret state free in both copies. *)
   Array.iteri
     (fun k ia ->
-      if not (List.mem k secret_state) then
-        tie env_a.Cnf.vars.(ia) env_b.Cnf.vars.(exp_b.initial_state_inputs.(k)))
-    exp_a.initial_state_inputs;
-  (* Miter: some observable output differs in some frame. *)
-  let out_ids_a = Circuit.output_ids exp_a.circuit in
-  let out_ids_b = Circuit.output_ids exp_b.circuit in
-  let diffs =
-    Array.to_list
-      (Array.mapi
-         (fun k oa -> Cnf.xor_var solver env_a.Cnf.vars.(oa) env_b.Cnf.vars.(out_ids_b.(k)))
-         out_ids_a)
-  in
-  let any = Cnf.or_var solver diffs in
-  Solver.add_clause solver [ Solver.lit_of_var any ~sign:true ];
-  match Solver.solve solver with
+      if not (List.mem k secret_state) then m.tie ia m.b.initial_state_inputs.(k))
+    m.a.initial_state_inputs;
+  match solve_differs m with
   | Solver.Unsat -> None
   | Solver.Unknown _ -> assert false  (* unbudgeted solve cannot abstain *)
   | Solver.Sat ->
-    let witness =
-      Array.map
-        (fun i -> Solver.model_value solver env_a.Cnf.vars.(i))
-        (Circuit.inputs exp_a.circuit)
-    in
-    Some witness
+    Some
+      (Array.map
+         (fun i -> Solver.model_value m.solver m.env_a.Cnf.vars.(i))
+         (Circuit.inputs m.a.circuit))
 
 (** Sequential equivalence up to a bound: same interface, equal outputs on
     all frames from the all-zero initial state, for all input sequences. *)
 let bounded_equivalence a b ~frames =
-  let exp_a = expand a ~frames in
-  let exp_b = expand b ~frames in
-  let solver = Solver.create () in
-  let env_a = Cnf.encode ~solver exp_a.circuit in
-  let env_b = Cnf.encode ~solver exp_b.circuit in
-  let fix env id b =
-    Solver.add_clause solver [ Solver.lit_of_var env.Cnf.vars.(id) ~sign:b ]
-  in
-  Array.iter (fun id -> fix env_a id false) exp_a.initial_state_inputs;
-  Array.iter (fun id -> fix env_b id false) exp_b.initial_state_inputs;
-  let tie va vb =
-    Solver.add_clause solver
-      [ Solver.lit_of_var va ~sign:true; Solver.lit_of_var vb ~sign:false ];
-    Solver.add_clause solver
-      [ Solver.lit_of_var va ~sign:false; Solver.lit_of_var vb ~sign:true ]
-  in
-  Array.iteri
-    (fun f ins_a ->
-      Array.iteri
-        (fun k ia -> tie env_a.Cnf.vars.(ia) env_b.Cnf.vars.(exp_b.frame_inputs.(f).(k)))
-        ins_a)
-    exp_a.frame_inputs;
-  let out_ids_a = Circuit.output_ids exp_a.circuit in
-  let out_ids_b = Circuit.output_ids exp_b.circuit in
-  let diffs =
-    Array.to_list
-      (Array.mapi
-         (fun k oa -> Cnf.xor_var solver env_a.Cnf.vars.(oa) env_b.Cnf.vars.(out_ids_b.(k)))
-         out_ids_a)
-  in
-  let any = Cnf.or_var solver diffs in
-  Solver.add_clause solver [ Solver.lit_of_var any ~sign:true ];
-  match Solver.solve solver with
+  let m = miter ~reset:true (expand a ~frames) (expand b ~frames) in
+  match solve_differs m with
   | Solver.Unsat -> true
   | Solver.Sat -> false
   | Solver.Unknown _ -> assert false  (* unbudgeted solve cannot abstain *)

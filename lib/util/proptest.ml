@@ -85,16 +85,18 @@ let triple a b c =
     show =
       (fun (x, y, z) -> Printf.sprintf "(%s, %s, %s)" (a.show x) (b.show y) (c.show z)) }
 
-(* Shrink a list by dropping progressively smaller chunks off the tail
-   (halving), then by shrinking one element at a time. *)
+(* Shrink a list by deleting chunks of halving length — the whole list,
+   then each half, each quarter, and so on down to every single element,
+   so a failure caused by a late element sheds everything around it —
+   then by shrinking one element at a time. *)
 let shrink_list elt l =
   let n = List.length l in
-  let prefixes =
-    let rec keep k () =
-      if k >= n then Seq.Nil
-      else Seq.Cons (List.filteri (fun i _ -> i < k) l, keep (k + ((n - k + 1) / 2)))
-    in
-    if n = 0 then Seq.empty else keep 0
+  let rec deletions len pos () =
+    if len = 0 then Seq.Nil
+    else if pos >= n then deletions (len / 2) 0 ()
+    else
+      Seq.Cons
+        (List.filteri (fun i _ -> i < pos || i >= pos + len) l, deletions len (pos + len))
   in
   let elementwise =
     List.to_seq l
@@ -102,7 +104,7 @@ let shrink_list elt l =
            Seq.map (fun x' -> List.mapi (fun j y -> if j = i then x' else y) l) (elt.shrink x))
     |> Seq.concat
   in
-  Seq.append prefixes elementwise
+  Seq.append (deletions n 0) elementwise
 
 let list_of ?(min_len = 0) ~max_len elt =
   if min_len < 0 || max_len < min_len then invalid_arg "Proptest.list_of: bad bounds";

@@ -45,7 +45,8 @@ val pair : 'a arb -> 'b arb -> ('a * 'b) arb
 val triple : 'a arb -> 'b arb -> 'c arb -> ('a * 'b * 'c) arb
 
 (** List whose length is uniform in [min_len, max_len]; shrinks by
-    halving the tail away, then by shrinking elements. *)
+    deleting chunks of halving length (down to single elements, at any
+    position), then by shrinking elements. *)
 val list_of : ?min_len:int -> max_len:int -> 'a arb -> 'a list arb
 
 (** [map ?shrink_back f a] transforms generated values. Shrinking maps

@@ -78,6 +78,17 @@ let test_list_min_len_kept () =
     Alcotest.(check string) "minimal list" "[0; 0]" f.P.minimal
   | P.Passed _ -> Alcotest.fail "property should fail"
 
+let test_list_shrinks_interior () =
+  (* The failure needs only one element, wherever it sits: every other
+     element, before it or after it, must be deleted. *)
+  match
+    P.check ~seed:11 ~name:"no seven"
+      (P.list_of ~max_len:60 (P.int_range 0 9))
+      (fun l -> not (List.mem 7 l))
+  with
+  | P.Failed f -> Alcotest.(check string) "minimal list" "[7]" f.P.minimal
+  | P.Passed _ -> Alcotest.fail "property should fail"
+
 let test_failure_report_replayable () =
   match P.check ~seed:123 ~name:"demo" (P.int_range 0 99) (fun n -> n < 50) with
   | P.Failed f ->
@@ -565,8 +576,9 @@ let test_word_sim_differential () =
 
 let test_session_vs_fresh () =
   (* One persistent Stuck_at_session must answer every query exactly like a
-     throwaway check_stuck_at solver: same Equivalent/Counterexample status,
-     and any session witness must actually detect the fault. *)
+     fresh whole-copy solver (Reference.Stuck_at_ref): same
+     Equivalent/Counterexample status, and any session witness must
+     actually detect the fault. *)
   let arb =
     P.make
       ~show:(fun (seed, fseed) -> Printf.sprintf "circuit=%d faults=%d" seed fseed)
@@ -584,7 +596,7 @@ let test_session_vs_fresh () =
         match faults.(i) with
         | Fault.Model.Bit_flip _ -> ()
         | Fault.Model.Stuck_at { node; value } as f ->
-          let fresh = Sat.Cnf.check_stuck_at c ~node ~value in
+          let fresh = Reference.Stuck_at_ref.check_stuck_at c ~node ~value in
           let inc = Sat.Cnf.Stuck_at_session.query session ~node ~value in
           (match (fresh, inc) with
            | Sat.Cnf.Equivalent, Sat.Cnf.Equivalent -> ()
@@ -618,7 +630,7 @@ let test_session_budget_resume () =
            | Sat.Cnf.Equiv_unknown _ -> incr unknowns
            | Sat.Cnf.Equivalent | Sat.Cnf.Counterexample _ -> ());
           let retry = Sat.Cnf.Stuck_at_session.query session ~node ~value in
-          (match (Sat.Cnf.check_stuck_at c ~node ~value, retry) with
+          (match (Reference.Stuck_at_ref.check_stuck_at c ~node ~value, retry) with
            | Sat.Cnf.Equivalent, Sat.Cnf.Equivalent -> ()
            | Sat.Cnf.Counterexample _, Sat.Cnf.Counterexample w ->
              Alcotest.(check bool) "retry witness detects" true
@@ -630,8 +642,10 @@ let test_session_budget_resume () =
 let test_atpg_ground_truth () =
   (* Unbudgeted campaigns checked against independent ground truth: the
      pattern set's simulated coverage is exactly the reported coverage,
-     every reported untestable fault is re-proven by a fresh per-fault
-     solver, and detected plus untestable accounts for every fault. *)
+     every reported untestable fault is re-proven by a fresh whole-copy
+     solver (Reference.Stuck_at_ref, which shares nothing with the
+     session under test), and detected plus untestable accounts for every
+     fault. *)
   let untestable_seen = ref 0 in
   let arb =
     P.pair family_arb (P.pair (P.int_range 0 1_000_000) (P.int_range 24 160))
@@ -655,7 +669,12 @@ let test_atpg_ground_truth () =
       r.Dft.Atpg.exhausted = None
       && Int64.bits_of_float r.Dft.Atpg.coverage
          = Int64.bits_of_float (Fault.Model.coverage c ~faults ~patterns:r.Dft.Atpg.patterns)
-      && List.for_all (fun f -> Dft.Atpg.generate c f = Dft.Atpg.Untestable) untestable
+      && List.for_all
+           (function
+             | Fault.Model.Stuck_at { node; value } ->
+               Reference.Stuck_at_ref.check_stuck_at c ~node ~value = Sat.Cnf.Equivalent
+             | Fault.Model.Bit_flip _ -> false)
+           untestable
       && detected + List.length untestable = r.Dft.Atpg.faults_total);
   Alcotest.(check bool) "some campaign reported untestable faults" true (!untestable_seen > 0)
 
@@ -1142,6 +1161,7 @@ let () =
           Alcotest.test_case "pair shrinks componentwise" `Quick
             test_pair_shrinks_componentwise;
           Alcotest.test_case "list min length kept" `Quick test_list_min_len_kept;
+          Alcotest.test_case "list shrinks interior" `Quick test_list_shrinks_interior;
           Alcotest.test_case "failure report replayable" `Quick
             test_failure_report_replayable ] );
       ( "oracles",

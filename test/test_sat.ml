@@ -311,6 +311,23 @@ let test_equivalence_detects_difference () =
      Alcotest.(check bool) "witness distinguishes" true
        (Sim.eval a witness <> Sim.eval b witness))
 
+(* A miter needs one input and one output per pair: circuits whose
+   interfaces differ are refused with a structured error, in both
+   directions and for inputs as well as outputs. *)
+let test_equivalence_interface_mismatch () =
+  let refused name a b =
+    match Cnf.check_equivalence a b with
+    | _ -> Alcotest.fail (name ^ ": mismatched interfaces were compared")
+    | exception
+        Eda_util.Eda_error.Error
+          (Eda_util.Eda_error.Invalid_input { what = "equivalence query"; _ }) -> ()
+  in
+  let two_outputs = Gen.ripple_adder 1 in
+  refused "more inputs" (Gen.parity_tree 4) (Gen.parity_tree 3);
+  refused "fewer inputs" (Gen.parity_tree 3) (Gen.parity_tree 4);
+  refused "more outputs" two_outputs (Gen.parity_tree 3);
+  refused "fewer outputs" (Gen.parity_tree 3) two_outputs
+
 let test_satisfiable_output () =
   let c = Gen.comparator 4 in
   (match Cnf.satisfiable_output c ~output:0 with
@@ -608,6 +625,83 @@ let fingerprint_session () =
     (String.sub (Digest.to_hex (Digest.string (Buffer.contents answers))) 0 12)
     (stats_line st)
 
+(* The miter engines build their solvers internally, so their search is
+   read off the [sat.solve] spans [f] emits: the number of solves, the
+   variables and problem clauses each solve starts from, and the
+   conflict, decision and propagation counters, all summed. [f] returns
+   a digest of its answer. *)
+let traced_search name f =
+  let module T = Eda_util.Telemetry in
+  let sink, events = T.memory_sink () in
+  let answer = T.with_sink sink f in
+  let solves = ref 0 and vars = ref 0 and clauses = ref 0 in
+  let conflicts = ref 0 and decisions = ref 0 and propagations = ref 0 in
+  let attr e k = match List.assoc_opt k e.T.attrs with Some (T.Int n) -> n | _ -> 0 in
+  let add r e = r := !r + Float.to_int e.T.value in
+  List.iter
+    (fun e ->
+      match (e.T.kind, e.T.name) with
+      | T.Span_start, "sat.solve" ->
+        incr solves;
+        vars := !vars + attr e "vars";
+        clauses := !clauses + attr e "clauses"
+      | T.Count, "sat.conflicts" -> add conflicts e
+      | T.Count, "sat.decisions" -> add decisions e
+      | T.Count, "sat.propagations" -> add propagations e
+      | _ -> ())
+    (events ());
+  Printf.sprintf "%s: %s s%d v%d cl%d c%d d%d p%d" name answer !solves !vars !clauses
+    !conflicts !decisions !propagations
+
+let bits_digest w =
+  String.init (Array.length w) (fun i -> if w.(i) then '1' else '0')
+  |> Digest.string |> Digest.to_hex |> fun h -> String.sub h 0 12
+
+let witness_line = function None -> "none" | Some w -> bits_digest w
+
+(* One line per engine that builds a two-copy miter. *)
+let fingerprint_miters () =
+  let module BG = Netlist.Bench_gen in
+  let design = BG.sized ~seed:5 BG.C880 ~target_gates:150 in
+  let optimized = Synth.Pipeline.run_recipe "optimize" design in
+  let buggy = BG.sized ~seed:6 BG.C880 ~target_gates:150 in
+  let locked = Locking.Lock.epic (Rng.create 41) ~key_bits:10 design in
+  let oracle = Locking.Sat_attack.oracle_of_circuit design in
+  let formal prot fault =
+    match Fault.Formal.check_fault prot fault with
+    | Fault.Formal.Proven_detected -> "proven"
+    | Fault.Formal.Harmless -> "harmless"
+    | Fault.Formal.Escape w -> "escape " ^ bits_digest w
+  in
+  let round = Crypto.Sbox_circuit.aes_round_registered () in
+  let scanned = (Dft.Scan.insert round).Dft.Scan.circuit in
+  let redundant = BG.sized ~seed:2 BG.Layered ~target_gates:40 in
+  [ traced_search "check_equivalence" (fun () ->
+        witness_line (Cnf.check_equivalence design optimized)
+        ^ " " ^ witness_line (Cnf.check_equivalence design buggy));
+    traced_search "sat_attack" (fun () ->
+        let r = Locking.Sat_attack.run ~oracle locked in
+        Printf.sprintf "%d %s" r.Locking.Sat_attack.iterations
+          (witness_line r.Locking.Sat_attack.key));
+    traced_search "sensitization" (fun () ->
+        let o = Locking.Sensitization.run ~oracle locked in
+        Printf.sprintf "%d/%d q%d" (List.length o.Locking.Sensitization.recovered)
+          (List.length o.Locking.Sensitization.unresolved)
+          o.Locking.Sensitization.oracle_queries);
+    traced_search "formal escape" (fun () ->
+        formal (Fault.Countermeasure.parity_protect (Gen.ripple_adder 3))
+          (Fault.Model.Stuck_at { node = 7; value = false }));
+    traced_search "formal proven" (fun () ->
+        formal (Fault.Countermeasure.duplicate_protect (Gen.ripple_adder 3))
+          (Fault.Model.Stuck_at { node = 9; value = true }));
+    traced_search "two_safety_leak" (fun () ->
+        witness_line
+          (Sat.Unroll.two_safety_leak scanned ~frames:2 ~secret_state:[ 0; 1; 2; 3 ]));
+    traced_search "bounded_equivalence" (fun () ->
+        string_of_bool (Sat.Unroll.bounded_equivalence round round ~frames:2));
+    traced_search "remove_redundancy" (fun () ->
+        BG.fingerprint (Dft.Atpg.remove_redundancy redundant)) ]
+
 let search_fingerprints () =
   [ fingerprint_3sat ~seed:1 ~nvars:150 ~learnt_limit:0;
     fingerprint_3sat ~seed:2 ~nvars:150 ~learnt_limit:0;
@@ -616,6 +710,7 @@ let search_fingerprints () =
     fingerprint_pigeonhole () ]
   @ fingerprint_incremental ()
   @ [ fingerprint_session () ]
+  @ fingerprint_miters ()
 
 let pinned_fingerprints =
   [ "3sat seed 1: unsat c1362 d1708 p41481 l1354 r15 db0 del0";
@@ -631,7 +726,21 @@ let pinned_fingerprints =
     "incremental 5: unsat c118 d181 p2810 l116 r1 db0 del0";
     "incremental 6: unsat c162 d229 p3585 l159 r2 db0 del0";
     "incremental 7: unsat c183 d257 p4012 l179 r2 db0 del0";
-    "session c880: c9001ba2170e c18976 d85618 p1155711 l18976 r442 db0 del18533" ]
+    "session c880: c9001ba2170e c18976 d85618 p1155711 l18976 r442 db0 del18533";
+    (* The miter lines were recorded before the engines moved onto the
+       shared Cnf.tie / Cnf.differs primitives, which emit the same
+       clauses in the same order over the same variables. The last line
+       is the exception: redundancy removal moved from one fresh solver
+       per query (s220 v12948 cl36326 c1486 d3495 p36939) to one
+       stuck-at session per pass, which removes the same gates. *)
+    "check_equivalence: none 5b84739a1529 s2 v714 cl2278 c1283 d2984 p60731";
+    "sat_attack: 4 fe6eaa020d50 s6 v7926 cl23298 c1280 d3737 p79137";
+    "sensitization: 0/10 q30 s30 v12330 cl37410 c48 d771 p16806";
+    "formal escape: escape 2be4f0108563 s1 v95 cl293 c8 d19 p259";
+    "formal proven: proven s2 v193 cl578 c86 d120 p3347";
+    "two_safety_leak: 60997cc8aef7 s1 v1823 cl6763 c0 d47 p1823";
+    "bounded_equivalence: true s1 v1777 cl6561 c406 d757 p181674";
+    "remove_redundancy: 68d3c904909b4717 s220 v13168 cl37912 c1533 d3604 p38843" ]
 
 let test_search_fingerprint () =
   Alcotest.(check (list string)) "search fingerprints" pinned_fingerprints
@@ -685,6 +794,8 @@ let () =
        [ Alcotest.test_case "encoding matches sim" `Quick test_circuit_encoding_agrees_with_sim;
          Alcotest.test_case "adder self-equivalence" `Quick test_equivalence_adders;
          Alcotest.test_case "detects difference" `Quick test_equivalence_detects_difference;
+         Alcotest.test_case "interface mismatch refused" `Quick
+           test_equivalence_interface_mismatch;
          Alcotest.test_case "satisfiable output" `Quick test_satisfiable_output;
          Alcotest.test_case "xor associativity miter" `Quick test_xor_chain_equivalence_deep ]);
       ("properties",
