@@ -524,14 +524,7 @@ let ablations () =
   Printf.printf "  %-16s %8s %10s %14s %14s\n" "scheme" "area" "randoms" "1st-ord |t|" "2nd-ord |t|";
   let report_masked name shares =
     let masked = Masking.transform ~shares (Sidechannel.Leakage.private_and_source ()) in
-    let collect stream cls =
-      let a, b =
-        match cls with
-        | `Fixed -> true, true
-        | `Random -> Rng.bool stream, Rng.bool stream
-      in
-      [| Sidechannel.Leakage.hw_sample stream masked ~noise_sigma:0.1 ~a ~b |]
-    in
+    let collect = Sidechannel.Leakage.hw_collect masked ~noise_sigma:0.1 in
     let o1, o2 = Sidechannel.Tvla.campaign_orders rng ~traces_per_class:6000 ~collect in
     Printf.printf "  %-16s %8.1f %10d %14.2f %14.2f\n" name
       (Circuit.stats masked.Masking.circuit).Circuit.area

@@ -290,14 +290,7 @@ let run_upec _rng =
 
 let run_second_order rng =
   let masked = Synth.Masking.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
-  let collect stream cls =
-    let a, b =
-      match cls with
-      | `Fixed -> true, true
-      | `Random -> Rng.bool stream, Rng.bool stream
-    in
-    [| Sidechannel.Leakage.hw_sample stream masked ~noise_sigma:0.1 ~a ~b |]
-  in
+  let collect = Sidechannel.Leakage.hw_collect masked ~noise_sigma:0.1 in
   let o1, o2 = Sidechannel.Tvla.campaign_orders rng ~traces_per_class:4000 ~collect in
   Printf.sprintf
     "2-share masking: 1st-order |t| = %.1f (passes), 2nd-order |t| = %.1f (FAILS: order matters)"

@@ -74,11 +74,7 @@ let build () =
       Circuit.connect_dff c st ~d)
     state;
   Array.iteri (fun i st -> Circuit.set_output c (Printf.sprintf "c%d" i) st) state;
-  let pos_of =
-    let tbl = Hashtbl.create 512 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
-  in
+  let pos_of = Circuit.input_position c in
   { circuit = c;
     load_pos = pos_of load;
     final_pos = pos_of final;

@@ -118,11 +118,7 @@ let insert ?(protection = Plain) source =
          end)
        dffs);
   Circuit.set_output out "scan_out" scan_out_node;
-  let input_pos =
-    let tbl = Hashtbl.create 16 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs out);
-    fun id -> Hashtbl.find tbl id
-  in
+  let input_pos = Circuit.input_position out in
   let data_positions =
     Array.map
       (fun id ->

@@ -106,11 +106,7 @@ let epic rng ?(style = Polarity_hidden) ~key_bits source =
 let input_vector locked ~key ~data =
   let c = locked.circuit in
   let vec = Array.make (Circuit.num_inputs c) false in
-  let pos_of =
-    let tbl = Hashtbl.create 64 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
-  in
+  let pos_of = Circuit.input_position c in
   Array.iteri (fun k id -> vec.(pos_of id) <- key.(k)) locked.key_inputs;
   Array.iteri (fun k id -> vec.(pos_of id) <- data.(k)) locked.data_inputs;
   vec

@@ -170,11 +170,7 @@ let meter rng ~state_bits source =
       let gated = Circuit.add_gate out Gate.And [ remap.(o); unlocked ] in
       Circuit.set_output out nm gated)
     (Circuit.outputs source);
-  let pos_of =
-    let tbl = Hashtbl.create 64 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs out);
-    fun id -> Hashtbl.find tbl id
-  in
+  let pos_of = Circuit.input_position out in
   { circuit = out;
     state_bits;
     transition_keys = keys;

@@ -26,8 +26,9 @@ type outcome = {
 
 (** Attack: for each key bit in turn, search a pattern sensitizing it
     (other keys fixed to the current best guess — recovered values when
-    available, 0 otherwise). [passes] re-runs the sweep with the improved
-    guesses, the fixpoint refinement the original attack applies. *)
+    available, 0 otherwise). [run] repeats the sweep with the improved
+    guesses, the fixpoint refinement the original attack applies, for at
+    most [passes] sweeps. *)
 let run_pass ~oracle ~guesses (locked : Lock.locked) =
   let c = locked.Lock.circuit in
   let nk = Array.length locked.Lock.key_inputs in
@@ -94,17 +95,17 @@ let run_pass ~oracle ~guesses (locked : Lock.locked) =
 let run ?(passes = 3) ~oracle (locked : Lock.locked) =
   let nk = Array.length locked.Lock.key_inputs in
   let guesses = Array.make nk false in
-  let total_queries = ref 0 in
-  let last = ref None in
-  for _ = 1 to passes do
+  (* A pass depends only on [guesses]: once one leaves them unchanged,
+     the next would repeat it exactly, so the sweep stops there. *)
+  let rec sweep pass total =
     let outcome = run_pass ~oracle ~guesses locked in
-    total_queries := !total_queries + outcome.oracle_queries;
+    let total = total + outcome.oracle_queries in
+    let changed = List.exists (fun (k, v) -> guesses.(k) <> v) outcome.recovered in
     List.iter (fun (k, v) -> guesses.(k) <- v) outcome.recovered;
-    last := Some outcome
-  done;
-  match !last with
-  | Some outcome -> { outcome with oracle_queries = !total_queries }
-  | None -> { recovered = []; unresolved = []; oracle_queries = 0 }
+    if changed && pass < passes then sweep (pass + 1) total
+    else { outcome with oracle_queries = total }
+  in
+  if passes < 1 then { recovered = []; unresolved = []; oracle_queries = 0 } else sweep 1 0
 
 (** Accuracy of the recovered bits against the inserted key (unresolved
     bits score as coin flips). *)

@@ -16,7 +16,10 @@ type node = {
 type t = {
   mutable nodes : node array;
   mutable n : int;  (* live prefix of [nodes] *)
-  mutable inputs : int list;  (* in declaration order, reversed *)
+  (* Input ids in declaration order — ascending, since ids are handed
+     out in insertion order; live prefix [ni]. *)
+  mutable inputs : int array;
+  mutable ni : int;
   mutable outputs : (string * int) list;  (* reversed *)
   mutable dffs : int list;  (* reversed *)
   by_name : (string, int) Hashtbl.t;
@@ -30,7 +33,8 @@ type t = {
 let create () =
   { nodes = Array.make 64 { kind = Gate.Input; fanins = [||]; name = "" };
     n = 0;
-    inputs = [];
+    inputs = [||];
+    ni = 0;
     outputs = [];
     dffs = [];
     by_name = Hashtbl.create 64;
@@ -74,7 +78,14 @@ let add_node c kind fanins name =
     invalid_arg (Printf.sprintf "Circuit: duplicate net name %s" name);
   Hashtbl.replace c.by_name name id;
   (match kind with
-   | Gate.Input -> c.inputs <- id :: c.inputs
+   | Gate.Input ->
+     if c.ni = Array.length c.inputs then begin
+       let bigger = Array.make (max 8 (2 * c.ni)) 0 in
+       Array.blit c.inputs 0 bigger 0 c.ni;
+       c.inputs <- bigger
+     end;
+     c.inputs.(c.ni) <- id;
+     c.ni <- c.ni + 1
    | Gate.Dff -> c.dffs <- id :: c.dffs
    | Gate.Const _ | Gate.Buf | Gate.Not | Gate.And | Gate.Nand | Gate.Or
    | Gate.Nor | Gate.Xor | Gate.Xnor | Gate.Mux -> ());
@@ -104,16 +115,34 @@ let set_output c name id =
   assert (id >= 0 && id < c.n);
   c.outputs <- (name, id) :: c.outputs
 
-let inputs c = Array.of_list (List.rev c.inputs)
+let inputs c = Array.sub c.inputs 0 c.ni
 let outputs c = Array.of_list (List.rev c.outputs)
 let output_ids c = Array.map snd (outputs c)
 let dffs c = Array.of_list (List.rev c.dffs)
 
-let num_inputs c = List.length c.inputs
+let num_inputs c = c.ni
 let num_outputs c = List.length c.outputs
 let num_dffs c = List.length c.dffs
 
 let find_by_name c net = Hashtbl.find_opt c.by_name net
+
+(* Binary search of the ascending input ids. *)
+let rec search_input ids id lo hi =
+  if lo >= hi then -1
+  else begin
+    let mid = (lo + hi) / 2 in
+    let v = ids.(mid) in
+    if v = id then mid else if v < id then search_input ids id (mid + 1) hi
+    else search_input ids id lo mid
+  end
+
+let input_position c id =
+  let pos = search_input c.inputs id 0 c.ni in
+  if pos < 0 then begin
+    let net = if id >= 0 && id < c.n then name c id else Printf.sprintf "#%d" id in
+    invalid_arg (Printf.sprintf "Circuit.input_position: %s is not an input" net)
+  end;
+  pos
 
 (* --- Region annotations ------------------------------------------------ *)
 
@@ -219,7 +248,8 @@ let stats c =
 let copy c =
   { nodes = Array.map (fun nd -> { nd with fanins = Array.copy nd.fanins }) (Array.sub c.nodes 0 (max 1 c.n));
     n = c.n;
-    inputs = c.inputs;
+    inputs = inputs c;
+    ni = c.ni;
     outputs = c.outputs;
     dffs = c.dffs;
     by_name = Hashtbl.copy c.by_name;

@@ -59,6 +59,11 @@ val num_outputs : t -> int
 val num_dffs : t -> int
 val find_by_name : t -> string -> int option
 
+(** Declaration position of input [id]: its index in {!inputs} and in a
+    simulation input vector. Logarithmic time, no allocation.
+    @raise Invalid_argument naming the net when [id] is not an input. *)
+val input_position : t -> int -> int
+
 (** {2 Region annotations}
 
     Named node groups ("this cone is a secret", "these nets are a masked

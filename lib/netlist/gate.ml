@@ -166,5 +166,3 @@ let switch_energy = function
 let is_combinational = function
   | Buf | Not | And | Nand | Or | Nor | Xor | Xnor | Mux | Const _ -> true
   | Input | Dff -> false
-
-let equal_kind (a : kind) b = a = b

@@ -57,5 +57,3 @@ val switch_energy : kind -> float
 
 (** True for every kind evaluated combinationally (including constants). *)
 val is_combinational : kind -> bool
-
-val equal_kind : kind -> kind -> bool

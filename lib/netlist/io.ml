@@ -248,14 +248,6 @@ let write_file path c =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (to_string c))
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      of_string (really_input_string ic len))
-
 (** Structured-error file read: I/O failures, parse errors and lint
     violations all come back as [Error] instead of an exception. *)
 let read_file_result path =

@@ -13,16 +13,13 @@
 
 exception Parse_error of string
 
-(** Write [c] so that {!of_string} reads back an equivalent circuit with
-    the same input and output names. An output port driven by a net of
-    another name is written as an alias [port = BUF(net)]; an internal
-    net that already carries the port's name is written under a fresh
-    name ([port_1], ...).
+(** [c] as .bench text that {!of_string} reads back as an equivalent
+    circuit with the same input and output names. An output port driven
+    by a net of another name is written as an alias [port = BUF(net)]; an
+    internal net that already carries the port's name is written under a
+    fresh name ([port_1], ...).
     @raise Invalid_argument when that would rename an input, or when an
     aliased output name is declared twice. *)
-val print_circuit : Format.formatter -> Circuit.t -> unit
-
-(** {!print_circuit} into a string. *)
 val to_string : Circuit.t -> string
 
 (** @raise Parse_error on malformed input or undefined nets. *)
@@ -35,8 +32,6 @@ val of_string : string -> Circuit.t
 val of_string_result : string -> (Circuit.t, Eda_util.Eda_error.t) result
 
 val write_file : string -> Circuit.t -> unit
-
-val read_file : string -> Circuit.t
 
 (** Like {!of_string_result}, with missing/unreadable files reported as
     [Error] too. *)

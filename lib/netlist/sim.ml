@@ -27,7 +27,7 @@ let run_gates_word circuit (values : int array) =
 
 (** Evaluate every net into the caller-supplied buffer [into] (length >=
     node count), reusing it across calls: the only remaining per-call
-    allocation is the O(#inputs) id lookup inside {!Circuit.inputs}. DFF
+    allocation is the O(#inputs) id array {!Circuit.inputs} returns. DFF
     slots are cleared when [state] is absent, so a dirty buffer from a
     previous pattern is safe to pass back in. *)
 let eval_all_into ?state circuit inputs ~into =
@@ -55,15 +55,6 @@ let eval_all ?state circuit inputs =
 let eval ?state circuit inputs =
   let values = eval_all ?state circuit inputs in
   Array.map (fun (_, o) -> values.(o)) (Circuit.outputs circuit)
-
-(** Outputs as an integer, bit 0 being the first declared output. *)
-let eval_int ?state circuit inputs =
-  let outs = eval ?state circuit inputs in
-  let v = ref 0 in
-  for i = Array.length outs - 1 downto 0 do
-    v := (!v lsl 1) lor (if outs.(i) then 1 else 0)
-  done;
-  !v
 
 (** Bit-parallel analogue of {!eval_all_into}: each input word carries up
     to 63 independent patterns; every net word lands in [into]. *)

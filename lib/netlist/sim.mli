@@ -15,9 +15,6 @@ val eval_all_into : ?state:bool array -> Circuit.t -> bool array -> into:bool ar
 (** Primary outputs for one input assignment, in output declaration order. *)
 val eval : ?state:bool array -> Circuit.t -> bool array -> bool array
 
-(** Outputs packed into an integer, bit 0 being the first declared output. *)
-val eval_int : ?state:bool array -> Circuit.t -> bool array -> int
-
 (** Bit-parallel variants: each input word carries up to 63 independent
     patterns. *)
 val eval_all_word : ?state:int array -> Circuit.t -> int array -> int array

@@ -76,22 +76,11 @@ let hamming_distance_sample rng ?scratch ?scratch2 circuit ~noise_sigma ~prev_in
   !e +. Eda_util.Rng.gaussian_scaled rng ~mean:0.0 ~sigma:noise_sigma
 
 (** Hamming-weight model of the settled state: energy proportional to the
-    weighted count of nets at 1. Used for leakage models of precharged
-    buses. [scratch] is a reusable net-value buffer (>= node count). *)
-let hamming_weight_sample rng ?scratch circuit ~noise_sigma ~inputs =
-  let values = value_buffer ?scratch circuit in
-  Netlist.Sim.eval_all_into circuit inputs ~into:values;
-  let e = ref 0.0 in
-  for i = 0 to Circuit.node_count circuit - 1 do
-    if values.(i) then e := !e +. Gate.switch_energy (Circuit.kind circuit i)
-  done;
-  !e +. Eda_util.Rng.gaussian_scaled rng ~mean:0.0 ~sigma:noise_sigma
-
-(** {!hamming_weight_sample} with the circuit resolved once — input ids,
-    cell kinds, fanin arrays and per-cell energies — for campaigns that
-    sample one circuit thousands of times. Same result, bit for bit.
-    [scratch] is the net-value buffer (length >= node count); concurrent
-    callers need distinct buffers. *)
+    weighted count of nets at 1, the leakage model of precharged buses.
+    The circuit is resolved once — input ids, cell kinds, fanin arrays
+    and per-cell energies — for campaigns that sample one circuit
+    thousands of times. [scratch] is the net-value buffer (length >= node
+    count); concurrent callers need distinct buffers. *)
 let hamming_weight_sampler circuit =
   let n = Circuit.node_count circuit in
   let input_ids = Circuit.inputs circuit and dff_ids = Circuit.dffs circuit in

@@ -47,21 +47,11 @@ val hamming_distance_sample :
   next_inputs:bool array ->
   float
 
-(** Weighted Hamming weight of the settled state (precharged-logic model).
-    [scratch] is a reusable net-value buffer (length >= node count). *)
-val hamming_weight_sample :
-  Eda_util.Rng.t ->
-  ?scratch:bool array ->
-  Netlist.Circuit.t ->
-  noise_sigma:float ->
-  inputs:bool array ->
-  float
-
-(** {!hamming_weight_sample} with the circuit's input ids, cell kinds,
-    fanins and energies resolved once: build it outside a campaign loop.
-    Bit-identical to {!hamming_weight_sample}. [scratch] is the net-value
-    buffer (length >= node count); concurrent callers need distinct
-    buffers. *)
+(** Weighted Hamming weight of the settled state (precharged-logic
+    model), with the circuit's input ids, cell kinds, fanins and energies
+    resolved once: build it outside a campaign loop. [scratch] is the
+    net-value buffer (length >= node count); concurrent callers need
+    distinct buffers. *)
 val hamming_weight_sampler :
   Netlist.Circuit.t ->
   Eda_util.Rng.t ->

@@ -44,8 +44,6 @@ type severity = Transient | Permanent
 (** Map a structured error to whether retrying could help. *)
 val classify : Eda_util.Eda_error.t -> severity
 
-val severity_name : severity -> string
-
 type shed_reason =
   | Queue_depth of { limit : int }
   | Admission_exhausted of Eda_util.Budget.exhaustion

@@ -59,7 +59,7 @@ let attack ?correct_key observations =
 let campaign ?(leakage = `Hamming_weight) rng circuit ~key ~traces ~noise_sigma =
   let observations = ref [] in
   let prev = ref 0 in
-  let hw_sample = Power.Model.hamming_weight_sampler circuit in
+  let hamming_weight = Power.Model.hamming_weight_sampler circuit in
   let scratch = Array.make (Netlist.Circuit.node_count circuit) false in
   for _ = 1 to traces do
     let p = Rng.int rng 256 in
@@ -68,7 +68,7 @@ let campaign ?(leakage = `Hamming_weight) rng circuit ~key ~traces ~noise_sigma 
     in
     let sample =
       match leakage with
-      | `Hamming_weight -> hw_sample rng ~scratch ~noise_sigma ~inputs:next_inputs
+      | `Hamming_weight -> hamming_weight rng ~scratch ~noise_sigma ~inputs:next_inputs
       | `Switching ->
         let prev_inputs =
           Array.append (Crypto.Sbox_circuit.byte_to_bits !prev)

@@ -42,11 +42,7 @@ let stimulus rng c ~shares ~input_shares ~random_inputs ~values =
   let vec = Array.make (Circuit.num_inputs c) false in
   (* Share and randomness inputs may interleave, so translate node ids to
      input positions via the declaration order. *)
-  let pos_of =
-    let tbl = Hashtbl.create 64 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
-  in
+  let pos_of = Circuit.input_position c in
   List.iter
     (fun (name, ids) ->
       let value =

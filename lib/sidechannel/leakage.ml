@@ -42,13 +42,6 @@ let synthesize_masked ?(shares = 3) variant =
   in
   Isw.rebind masked circuit
 
-(** One Hamming-weight leakage sample of the masked circuit for secret
-    inputs [a] and [b] with fresh share/mask randomness. [scratch] is a
-    reusable net-value buffer for campaign loops. *)
-let hw_sample rng ?scratch masked ~noise_sigma ~a ~b =
-  let vec = Isw.input_vector rng masked ~values:[ ("a", a); ("b", b) ] in
-  Power.Model.hamming_weight_sample rng ?scratch masked.Masking.circuit ~noise_sigma ~inputs:vec
-
 (* One trace's input vector: class inputs (a, b) — (1, 1) when fixed,
    uniform when random — masked with fresh shares and randomness. *)
 let class_vector stream masked cls =
@@ -59,18 +52,17 @@ let class_vector stream masked cls =
   in
   Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ]
 
-(** Fixed-vs-random TVLA on a masked variant. Fixed class: (a,b) = (1,1);
-    random class: uniform (a,b). Every trace draws its randomness from the
-    per-pair stream of {!Tvla.campaign_seeded}, so the assessment is a
-    function of [rng] alone — bit-identical with no pool and with a pool
-    of any domain count. *)
-let tvla_campaign ?pool rng masked ~traces_per_class ~noise_sigma =
+(** Per-trace collect of a Hamming-weight TVLA campaign on a masked
+    variant: the class inputs, masked with fresh shares and randomness,
+    then one noisy Hamming-weight sample. Build it once per campaign: the
+    sampler is resolved once and one net-value buffer is recycled from
+    trace to trace — a pooled worker that finds it taken allocates its
+    own, so the collect is safe under [?pool]. *)
+let hw_collect masked ~noise_sigma =
   let nodes = Circuit.node_count masked.Masking.circuit in
-  (* One net-value buffer recycled from trace to trace; a pooled worker
-     that finds it taken allocates its own. *)
   let spare = Atomic.make None in
   let sample = Power.Model.hamming_weight_sampler masked.Masking.circuit in
-  let collect stream cls =
+  fun stream cls ->
     let scratch =
       match Atomic.exchange spare None with Some b -> b | None -> Array.make nodes false
     in
@@ -78,8 +70,14 @@ let tvla_campaign ?pool rng masked ~traces_per_class ~noise_sigma =
     let hw = sample stream ~scratch ~noise_sigma ~inputs in
     Atomic.set spare (Some scratch);
     [| hw |]
-  in
-  Tvla.campaign_seeded ?pool rng ~traces_per_class ~collect
+
+(** Fixed-vs-random TVLA on a masked variant. Fixed class: (a,b) = (1,1);
+    random class: uniform (a,b). Every trace draws its randomness from the
+    per-pair stream of {!Tvla.campaign_seeded}, so the assessment is a
+    function of [rng] alone — bit-identical with no pool and with a pool
+    of any domain count. *)
+let tvla_campaign ?pool rng masked ~traces_per_class ~noise_sigma =
+  Tvla.campaign_seeded ?pool rng ~traces_per_class ~collect:(hw_collect masked ~noise_sigma)
 
 (** Glitch-aware variant: traces from the delay-annotated event simulation,
     with inputs switching from an all-zero reference state.
@@ -92,14 +90,10 @@ let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng masked ~traces_per_class ~con
   let ni = Circuit.num_inputs c in
   let input_arrivals =
     let arr = Array.make ni 0.0 in
-    if mask_skew_ps > 0.0 then begin
-      let pos_of =
-        let tbl = Hashtbl.create 16 in
-        Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-        fun id -> Hashtbl.find tbl id
-      in
-      Array.iter (fun id -> arr.(pos_of id) <- mask_skew_ps) masked.Masking.random_inputs
-    end;
+    if mask_skew_ps > 0.0 then
+      Array.iter
+        (fun id -> arr.(Circuit.input_position c id) <- mask_skew_ps)
+        masked.Masking.random_inputs;
     arr
   in
   let collect stream cls =
@@ -118,14 +112,9 @@ let tvla_campaign_mask_failure rng masked ~traces_per_class ~noise_sigma =
   let c = masked.Masking.circuit in
   let scratch = Array.make (Circuit.node_count c) false in
   let sample = Power.Model.hamming_weight_sampler c in
-  let pos_of =
-    let tbl = Hashtbl.create 16 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
-  in
   let collect stream cls =
     let vec = class_vector stream masked cls in
-    Array.iter (fun id -> vec.(pos_of id) <- false) masked.Masking.random_inputs;
+    Array.iter (fun id -> vec.(Circuit.input_position c id) <- false) masked.Masking.random_inputs;
     [| sample stream ~scratch ~noise_sigma ~inputs:vec |]
   in
   (* no pool: the shared [scratch] is only ever used by one trace at a time *)

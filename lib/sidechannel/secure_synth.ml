@@ -48,10 +48,9 @@ let assess rng c ~traces_per_class ~noise_sigma =
   let ni = Circuit.num_inputs c in
   (* Input positions and the circuit's gate arrays, resolved once per
      campaign rather than per trace. *)
-  let pos = Array.make nodes (-1) in
-  Array.iteri (fun p id -> pos.(id) <- p) (Circuit.inputs c);
-  let secrets = List.map (fun (_, ids) -> Array.map (fun id -> pos.(id)) ids) secrets in
-  let randoms = Array.map (fun id -> pos.(id)) randoms in
+  let pos = Circuit.input_position c in
+  let secrets = List.map (fun (_, ids) -> Array.map pos ids) secrets in
+  let randoms = Array.map pos randoms in
   let sample = Power.Model.hamming_weight_sampler c in
   (* One net-value buffer recycled from trace to trace. *)
   let scratch = Array.make nodes false in

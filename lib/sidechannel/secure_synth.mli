@@ -44,13 +44,10 @@ val verify :
   noise_sigma:float ->
   verification
 
-(** The [tvla_check] pass: identity transform whose invariant check runs
-    {!assess} and fails the pipeline on leakage
-    (params [traces], [noise_sigma], [seed]). *)
-val tvla_pass : Synth.Pass.t
-
 (** The recipe: [mask_insertion] → protected re-optimization →
-    [tvla_check]. *)
+    [tvla_check], an identity pass whose invariant check runs {!assess}
+    and fails the pipeline on leakage (params [traces], [noise_sigma],
+    [seed]). *)
 val secure_synthesis : Synth.Pipeline.t
 
 (** Register both with the [Synth] registries; idempotent. *)

@@ -85,11 +85,7 @@ let transform source =
 let eval_inputs dual ~values =
   let c = dual.circuit in
   let vec = Array.make (Circuit.num_inputs c) false in
-  let pos_of =
-    let tbl = Hashtbl.create 64 in
-    Array.iteri (fun pos id -> Hashtbl.replace tbl id pos) (Circuit.inputs c);
-    fun id -> Hashtbl.find tbl id
-  in
+  let pos_of = Circuit.input_position c in
   List.iter
     (fun (name, (t, f)) ->
       let v =

@@ -41,9 +41,6 @@ val prefix : string
 (** The order-barrier predicate: true for every net the pass created. *)
 val protected_name : string -> bool
 
-(** Fresh randomness bits one AND gadget consumes. *)
-val pairs_per_and : int -> int
-
 (** Mask a whole combinational circuit (any basis; converted internally).
     The interface is re-shaped: input [x] becomes [x_s0..x_s<n-1>],
     outputs likewise, plus [mg_r*] randomness inputs.

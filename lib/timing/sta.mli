@@ -8,11 +8,9 @@ type report = {
   critical_output : string;  (** name of the latest endpoint *)
 }
 
-(** Arrival times; [delay_of node kind] overrides the library delays, e.g.
-    with process variation for fingerprinting. *)
-val arrival_times :
-  ?delay_of:(int -> Netlist.Gate.kind -> float) -> Netlist.Circuit.t -> float array
-
+(** Arrival times and the critical endpoint; [delay_of node kind]
+    overrides the library delays, e.g. with process variation for
+    fingerprinting. *)
 val analyze :
   ?delay_of:(int -> Netlist.Gate.kind -> float) -> Netlist.Circuit.t -> report
 

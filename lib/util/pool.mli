@@ -52,19 +52,14 @@ type task_ctx = {
           calls so they abort promptly on cancellation *)
 }
 
-(** [create ?num_domains ()] spawns the pool. [num_domains] defaults to
-    [Domain.recommended_domain_count ()] and is clamped to [1, 64]. A
-    pool of size 1 spawns no domains and runs every task inline on the
-    caller — same code path, zero parallelism, ambient telemetry intact. *)
-val create : ?num_domains:int -> unit -> t
-
 val size : t -> int
 
-(** Join all worker domains. Idempotent; the pool must not be used
-    afterwards. *)
-val shutdown : t -> unit
-
-(** [with_pool ?num_domains f] — create, run [f], always shut down. *)
+(** [with_pool ?num_domains f] spawns a pool, runs [f] on it and always
+    joins its worker domains afterwards; the pool must not escape [f].
+    [num_domains] defaults to [Domain.recommended_domain_count ()] and is
+    clamped to [1, 64]. A pool of size 1 spawns no domains and runs every
+    task inline on the caller — same code path, zero parallelism, ambient
+    telemetry intact. *)
 val with_pool : ?num_domains:int -> (t -> 'a) -> 'a
 
 (** Pool size implied by the environment: [SECURE_EDA_JOBS] when set to

@@ -129,18 +129,6 @@ let map ?shrink_back ?(show = fun _ -> "<mapped>") f a =
            | Some x -> Seq.map f (a.shrink x)));
     show }
 
-let such_that pred a =
-  { gen =
-      (fun rng ->
-        let rec draw n =
-          if n = 0 then invalid_arg "Proptest.such_that: predicate never satisfied";
-          let v = a.gen rng in
-          if pred v then v else draw (n - 1)
-        in
-        draw 1000);
-    shrink = (fun v -> Seq.filter pred (a.shrink v));
-    show = a.show }
-
 type failure = {
   prop_name : string;
   seed : int;

@@ -54,11 +54,6 @@ val list_of : ?min_len:int -> max_len:int -> 'a arb -> 'a list arb
     pre-image ([None] disables shrinking through the map). *)
 val map : ?shrink_back:('b -> 'a option) -> ?show:('b -> string) -> ('a -> 'b) -> 'a arb -> 'b arb
 
-(** Retry the generator until [pred] holds (at most 1000 draws).
-    Shrink candidates not satisfying [pred] are filtered out.
-    @raise Invalid_argument when no value is found. *)
-val such_that : ('a -> bool) -> 'a arb -> 'a arb
-
 (** A failed property with its replay coordinates. *)
 type failure = {
   prop_name : string;
@@ -78,11 +73,9 @@ type outcome =
     [PROPTEST_SEED] needed to reproduce it. *)
 val describe_failure : failure -> string
 
-(** Seed from [PROPTEST_SEED] when set to an integer, else [default]. *)
-val seed_from_env : default:int -> int
-
 (** [check ~name arb prop] runs [prop] on [count] (default 100) cases.
-    [seed] defaults to [seed_from_env ~default:0xEDA]. [max_shrink_steps]
+    [seed] defaults to [PROPTEST_SEED] when set to an integer, else
+    [0xEDA]. [max_shrink_steps]
     (default 400) bounds the greedy descent. A property fails by
     returning [false] or raising. *)
 val check :

@@ -70,14 +70,6 @@ let welch_t xs ys =
     if denom <= 0.0 then 0.0 else (mean xs -. mean ys) /. denom
   end
 
-(** Welch-Satterthwaite degrees of freedom, for completeness of reporting. *)
-let welch_df xs ys =
-  let nx = Float.of_int (Array.length xs) and ny = Float.of_int (Array.length ys) in
-  let vx = variance xs /. nx and vy = variance ys /. ny in
-  let num = (vx +. vy) ** 2.0 in
-  let den = ((vx ** 2.0) /. (nx -. 1.0)) +. ((vy ** 2.0) /. (ny -. 1.0)) in
-  if den <= 0.0 then 1.0 else num /. den
-
 (** Pearson correlation coefficient; the CPA decision statistic. *)
 let pearson xs ys =
   let n = Array.length xs in

@@ -1238,6 +1238,8 @@ module Trace = struct
     regressions : int;
   }
 
+  (* Per-name summed span durations over the whole trace, name-sorted:
+     the aggregation [diff_traces] compares. *)
   let span_totals t =
     let tbl : (string, float) Hashtbl.t = Hashtbl.create 32 in
     let rec go sp =

@@ -225,9 +225,6 @@ module Json : sig
   val parse : string -> (t, string) result
 end
 
-val event_to_json : event -> Json.t
-val event_of_json : Json.t -> (event, string) result
-
 (** One JSONL line (no trailing newline). *)
 val event_to_line : event -> string
 
@@ -298,11 +295,6 @@ module Trace : sig
   (** {!fold_stacks} in the format flamegraph tooling ingests:
       ["path;to;span <self µs>"] per line. *)
   val pp_flame : Format.formatter -> t -> unit
-
-  (** Per-name summed span durations over the whole trace, name-sorted —
-      the aggregation {!diff_traces} compares; also the phase-split
-      primitive (e.g. encode vs solve seconds) the bench reports. *)
-  val span_totals : t -> (string * float) list
 
   (** Per-domain busy accounting from merged [pool.task] spans:
       [(domain, tasks, busy seconds)], sorted by domain id. *)

@@ -67,14 +67,7 @@ let test_second_order_masking_story () =
     let masked =
       Synth.Masking.transform ~shares (Sidechannel.Leakage.private_and_source ())
     in
-    let collect stream cls =
-      let a, b =
-        match cls with
-        | `Fixed -> true, true
-        | `Random -> Rng.bool stream, Rng.bool stream
-      in
-      [| Sidechannel.Leakage.hw_sample stream masked ~noise_sigma:0.1 ~a ~b |]
-    in
+    let collect = Sidechannel.Leakage.hw_collect masked ~noise_sigma:0.1 in
     Sidechannel.Tvla.campaign_orders rng ~traces_per_class:6000 ~collect
   in
   let o1_2, o2_2 = assess 2 in

@@ -118,6 +118,19 @@ let test_sensitization_isolated_keys_recovered () =
   Alcotest.(check bool) "sparse keys fully recovered" true
     (Locking.Sensitization.accuracy outcome locked >= 0.95)
 
+let test_sensitization_stops_at_fixed_point () =
+  (* The bits three full passes recovered on the isolated-keys lock. The
+     second pass leaves the guesses unchanged, so a third would repeat it
+     query for query; the attack stops there. *)
+  let src = Gen.alu 4 in
+  let locked = Locking.Lock.epic (Rng.create 32) ~key_bits:4 src in
+  let oracle = Locking.Sat_attack.oracle_of_circuit src in
+  let o = Locking.Sensitization.run ~oracle locked in
+  Alcotest.(check (list (pair int bool))) "same bits as three passes"
+    [ (0, false); (1, false); (2, true); (3, true) ] o.Locking.Sensitization.recovered;
+  Alcotest.(check (list int)) "nothing unresolved" [] o.Locking.Sensitization.unresolved;
+  Alcotest.(check int) "two passes of 4 queries" 8 o.Locking.Sensitization.oracle_queries
+
 let test_sensitization_interference_degrades () =
   (* Sparse keys on a tiny circuit sensitize cleanly; dense keys on the
      same circuit interfere. Compare on c17 (6 gates): 2 vs 6 key bits. *)
@@ -378,6 +391,8 @@ let test_dom_first_order_passes () =
   let rng = Rng.create 62 in
   let dom = Sidechannel.Dom.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
   let c = dom.Sidechannel.Dom.circuit in
+  let sample = Power.Model.hamming_weight_sampler c in
+  let scratch = Array.make (Netlist.Circuit.node_count c) false in
   let collect stream cls =
     let a, b =
       match cls with
@@ -389,7 +404,7 @@ let test_dom_first_order_passes () =
         ~random_inputs:dom.Sidechannel.Dom.random_inputs ~values:[ ("a", a); ("b", b) ]
     in
     (* Leakage: HW of the settled combinational state in cycle 0. *)
-    [| Power.Model.hamming_weight_sample stream c ~noise_sigma:0.1 ~inputs:vec |]
+    [| sample stream ~scratch ~noise_sigma:0.1 ~inputs:vec |]
   in
   let r = Sidechannel.Tvla.campaign_seeded rng ~traces_per_class:4000 ~collect in
   Alcotest.(check bool) "first-order pass" false (Sidechannel.Tvla.leaks r)
@@ -410,6 +425,7 @@ let () =
       ("sensitization",
        [ Alcotest.test_case "isolated keys" `Quick test_sensitization_isolated_keys_recovered;
          Alcotest.test_case "interference degrades" `Quick test_sensitization_interference_degrades;
+         Alcotest.test_case "fixed point" `Quick test_sensitization_stops_at_fixed_point;
          Alcotest.test_case "single key exact" `Quick test_sensitization_never_wrong_on_resolved_single_key ]);
       ("unroll",
        [ Alcotest.test_case "frame counts" `Quick test_expand_frame_count;

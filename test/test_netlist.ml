@@ -20,6 +20,27 @@ let test_build_and_eval () =
   Alcotest.(check bool) "1^1" false (Sim.eval c [| true; true |]).(0);
   Alcotest.(check bool) "well formed" true (Circuit.well_formed c)
 
+let test_input_position () =
+  (* Inputs interleaved with gates, and a copy that grows further: the
+     position is the declaration index, the one [inputs] and simulation
+     vectors use. *)
+  let c = Circuit.create () in
+  let a = Circuit.add_input ~name:"a" c in
+  let x = Circuit.add_gate ~name:"x" c Gate.Not [ a ] in
+  let b = Circuit.add_input ~name:"b" c in
+  let d = Circuit.copy c in
+  let e = Circuit.add_input ~name:"e" d in
+  Array.iteri
+    (fun k id -> Alcotest.(check int) (Circuit.name d id) k (Circuit.input_position d id))
+    (Circuit.inputs d);
+  Alcotest.(check (list int)) "original" [ 0; 1 ] (List.map (Circuit.input_position c) [ a; b ]);
+  Alcotest.check_raises "copy's input unknown to the original"
+    (Invalid_argument "Circuit.input_position: #3 is not an input") (fun () ->
+      ignore (Circuit.input_position c e));
+  Alcotest.check_raises "a gate is not an input"
+    (Invalid_argument "Circuit.input_position: x is not an input") (fun () ->
+      ignore (Circuit.input_position c x))
+
 let test_all_gate_kinds () =
   let c = Circuit.create () in
   let a = Circuit.add_input ~name:"a" c in
@@ -448,7 +469,8 @@ let () =
          Alcotest.test_case "sweep" `Quick test_sweep_removes_dead;
          Alcotest.test_case "stats" `Quick test_stats;
          Alcotest.test_case "fanouts" `Quick test_fanouts;
-         Alcotest.test_case "regions" `Quick test_regions ]);
+         Alcotest.test_case "regions" `Quick test_regions;
+         Alcotest.test_case "input position" `Quick test_input_position ]);
       ("sim",
        [ Alcotest.test_case "word matches scalar" `Quick test_word_sim_matches_scalar;
          Alcotest.test_case "sequential counter" `Quick test_sequential_counter;

@@ -902,7 +902,9 @@ let test_hw_sampler_differential () =
         (fun k ->
           let inputs = Array.init (Circuit.num_inputs c) (fun _ -> Rng.bool rng) in
           let a = sample (Rng.create k) ~scratch ~noise_sigma:0.5 ~inputs in
-          let b = Power.Model.hamming_weight_sample (Rng.create k) c ~noise_sigma:0.5 ~inputs in
+          let b =
+            Reference.Hw_model_ref.hamming_weight_sample (Rng.create k) c ~noise_sigma:0.5 ~inputs
+          in
           Int64.bits_of_float a = Int64.bits_of_float b)
         [ 1; 2; 3; 4 ])
 
@@ -1056,7 +1058,33 @@ let test_tvla_pinned_fingerprint () =
   Alcotest.(check string) "secure-synthesis HW gate on c17" "715e3e7d0e12107882bcbf0f1a83e0fb"
     (t_digest
        (Sidechannel.Secure_synth.assess (Rng.create 21) (Gen.c17 ()) ~traces_per_class:1500
-          ~noise_sigma:0.8))
+          ~noise_sigma:0.8));
+  (* The masked private-AND campaigns: the first-order campaign, and both
+     orders over the same per-trace draws (class bits, shares and
+     randomness, then noise). *)
+  let private_and shares =
+    Synth.Masking.transform ~shares (Sidechannel.Leakage.private_and_source ())
+  in
+  List.iter
+    (fun (shares, campaign, first, second) ->
+      let masked = private_and shares in
+      let label = Printf.sprintf "private AND, %d shares" shares in
+      Alcotest.(check string) (label ^ ", tvla_campaign") campaign
+        (t_digest
+           (Sidechannel.Leakage.tvla_campaign (Rng.create 22) masked ~traces_per_class:800
+              ~noise_sigma:0.3));
+      let collect = Sidechannel.Leakage.hw_collect masked ~noise_sigma:0.1 in
+      let o1, o2 = Tvla.campaign_orders (Rng.create 23) ~traces_per_class:800 ~collect in
+      Alcotest.(check (pair string string)) (label ^ ", campaign_orders") (first, second)
+        (t_digest o1, t_digest o2))
+    [ ( 2,
+        "e1d3eee137fd0a674d18f0c8f380a1c9",
+        "d2b11d2c3a4f9022415db9005761c4f7",
+        "72bdbb9bdd4cb2adf220fc2e7339a1e0" );
+      ( 3,
+        "c7d310a532e05a3a5aa861b852cdab59",
+        "0284c98af8a8e200973acea57e99c588",
+        "c75871ef2e4b4d000ec8e3347b2175fb" ) ]
 
 (* --- pooled vs sequential bit-identity at 1/2/8 domains ------------------ *)
 
@@ -1077,13 +1105,14 @@ let test_tvla_pool_identical () =
   let c = BG.sized ~seed:32 BG.Layered ~target_gates:220 in
   let ni = Circuit.num_inputs c in
   let nodes = Circuit.node_count c in
+  let sample = Power.Model.hamming_weight_sampler c in
   let collect stream cls =
     let vec =
       Array.init ni (fun _ ->
           match cls with `Fixed -> true | `Random -> Rng.bool stream)
     in
     let scratch = Array.make nodes false in
-    [| Power.Model.hamming_weight_sample stream ~scratch c ~noise_sigma:0.4 ~inputs:vec |]
+    [| sample stream ~scratch ~noise_sigma:0.4 ~inputs:vec |]
   in
   let results =
     with_pools (fun pool ->

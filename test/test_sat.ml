@@ -732,10 +732,12 @@ let pinned_fingerprints =
        clauses in the same order over the same variables. The last line
        is the exception: redundancy removal moved from one fresh solver
        per query (s220 v12948 cl36326 c1486 d3495 p36939) to one
-       stuck-at session per pass, which removes the same gates. *)
+       stuck-at session per pass, which removes the same gates. The
+       sensitization attack recovers no bit in its first pass here, so
+       it stops at that fixed point after one pass. *)
     "check_equivalence: none 5b84739a1529 s2 v714 cl2278 c1283 d2984 p60731";
     "sat_attack: 4 fe6eaa020d50 s6 v7926 cl23298 c1280 d3737 p79137";
-    "sensitization: 0/10 q30 s30 v12330 cl37410 c48 d771 p16806";
+    "sensitization: 0/10 q10 s10 v4110 cl12470 c16 d257 p5602";
     "formal escape: escape 2be4f0108563 s1 v95 cl293 c8 d19 p259";
     "formal proven: proven s2 v193 cl578 c86 d120 p3347";
     "two_safety_leak: 60997cc8aef7 s1 v1823 cl6763 c0 d47 p1823";

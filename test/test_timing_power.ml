@@ -243,7 +243,9 @@ let test_hw_sample_monotone_in_ones () =
   let y = Circuit.add_gate c Gate.Or [ a; b ] in
   Circuit.set_output c "y" y;
   let rng = Rng.create 3 in
-  let hw inputs = Power.Model.hamming_weight_sample rng c ~noise_sigma:0.0 ~inputs in
+  let sample = Power.Model.hamming_weight_sampler c in
+  let scratch = Array.make (Circuit.node_count c) false in
+  let hw inputs = sample rng ~scratch ~noise_sigma:0.0 ~inputs in
   Alcotest.(check bool) "more ones more power" true (hw [| true; true |] > hw [| false; false |])
 
 let test_iddq_trojan_increases_current () =

@@ -1,9 +1,8 @@
 (* Tests for the eda_util substrate: PRNG determinism and distribution
-   sanity, statistics against hand-computed values, bit vectors. *)
+   sanity, statistics against hand-computed values. *)
 
 module Rng = Eda_util.Rng
 module Stats = Eda_util.Stats
-module Bitvec = Eda_util.Bitvec
 
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -195,31 +194,7 @@ let test_argmax_maxabs () =
   Alcotest.(check int) "argmax" 2 (Stats.argmax [| 1.0; 3.0; 7.0; 2.0 |]);
   Alcotest.(check (float 1e-9)) "max_abs" 7.5 (Stats.max_abs [| 1.0; -7.5; 3.0 |])
 
-let test_bitvec_roundtrip () =
-  let bv = Bitvec.of_int ~width:8 0xA5 in
-  Alcotest.(check int) "to_int" 0xA5 (Bitvec.to_int bv);
-  Alcotest.(check string) "to_string" "10100101" (Bitvec.to_string bv);
-  Alcotest.(check int) "of_string" 0xA5 (Bitvec.to_int (Bitvec.of_string "10100101"))
-
-let test_bitvec_ops () =
-  let a = Bitvec.of_int ~width:4 0b1100 in
-  let b = Bitvec.of_int ~width:4 0b1010 in
-  Alcotest.(check int) "xor" 0b0110 (Bitvec.to_int (Bitvec.xor a b));
-  Alcotest.(check int) "hw" 2 (Bitvec.hamming_weight a);
-  Alcotest.(check int) "hd" 2 (Bitvec.hamming_distance a b);
-  Alcotest.(check int) "flip" 0b0100 (Bitvec.to_int (Bitvec.flip a 3))
-
-let test_bitvec_enumerate () =
-  let all = Bitvec.enumerate ~width:3 in
-  Alcotest.(check int) "count" 8 (List.length all);
-  Alcotest.(check (list int)) "order" (List.init 8 (fun i -> i)) (List.map Bitvec.to_int all)
-
 (* Property tests. *)
-let prop_bitvec_roundtrip =
-  QCheck.Test.make ~name:"bitvec int roundtrip" ~count:200
-    QCheck.(int_bound 65535)
-    (fun x -> Bitvec.to_int (Bitvec.of_int ~width:16 x) = x)
-
 let prop_welch_antisymmetric =
   QCheck.Test.make ~name:"welch t antisymmetric" ~count:100
     QCheck.(pair (array_of_size (Gen.return 20) (float_bound_exclusive 10.0))
@@ -258,10 +233,6 @@ let () =
          Alcotest.test_case "entropy" `Quick test_entropy;
          Alcotest.test_case "histogram" `Quick test_histogram;
          Alcotest.test_case "argmax/max_abs" `Quick test_argmax_maxabs ]);
-      ("bitvec",
-       [ Alcotest.test_case "roundtrip" `Quick test_bitvec_roundtrip;
-         Alcotest.test_case "ops" `Quick test_bitvec_ops;
-         Alcotest.test_case "enumerate" `Quick test_bitvec_enumerate ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
-         [ prop_bitvec_roundtrip; prop_welch_antisymmetric; prop_hamming_triangle ]) ]
+         [ prop_welch_antisymmetric; prop_hamming_triangle ]) ]
