@@ -524,8 +524,8 @@ let ablations () =
   Printf.printf "  %-16s %8s %10s %14s %14s\n" "scheme" "area" "randoms" "1st-ord |t|" "2nd-ord |t|";
   let report_masked name shares =
     let masked = Masking.transform ~shares (Sidechannel.Leakage.private_and_source ()) in
-    let collect = Sidechannel.Leakage.hw_collect masked ~noise_sigma:0.1 in
-    let o1, o2 = Sidechannel.Tvla.campaign_orders rng ~traces_per_class:6000 ~collect in
+    let batch = Sidechannel.Leakage.hw_collect masked ~noise_sigma:0.1 in
+    let o1, o2 = Sidechannel.Tvla.campaign_orders rng ~traces_per_class:6000 ~batch in
     Printf.printf "  %-16s %8.1f %10d %14.2f %14.2f\n" name
       (Circuit.stats masked.Masking.circuit).Circuit.area
       (Array.length masked.Masking.random_inputs)
@@ -551,7 +551,10 @@ let ablations () =
     in
     [| Sidechannel.Wddl.power_sample stream dual ~noise_sigma:0.1 ~values:[ ("a", a); ("b", b) ] |]
   in
-  let w1, w2 = Sidechannel.Tvla.campaign_orders rng ~traces_per_class:6000 ~collect in
+  let w1, w2 =
+    Sidechannel.Tvla.campaign_orders rng ~traces_per_class:6000
+      ~batch:(Sidechannel.Tvla.per_trace collect)
+  in
   Printf.printf "  %-16s %8.1f %10d %14.2f %14.2f\n" "WDDL"
     (Circuit.stats dual.Sidechannel.Wddl.circuit).Circuit.area 0
     w1.Sidechannel.Tvla.max_abs_t w2.Sidechannel.Tvla.max_abs_t;

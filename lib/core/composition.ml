@@ -70,7 +70,7 @@ let stimulus rng design ~a ~b =
 let tvla_max_t rng design ~traces_per_class ~noise_sigma =
   let sample = Power.Model.hamming_weight_sampler design.circuit in
   (* no pool: the one [scratch] serves one trace at a time *)
-  let scratch = Array.make (Circuit.node_count design.circuit) false in
+  let scratch = Array.make (Circuit.node_count design.circuit) 0 in
   let collect stream cls =
     let a, b =
       match cls with
@@ -78,7 +78,8 @@ let tvla_max_t rng design ~traces_per_class ~noise_sigma =
       | `Random -> Rng.bool stream, Rng.bool stream
     in
     let vec = stimulus stream design ~a ~b in
-    [| sample stream ~scratch ~noise_sigma ~inputs:vec |]
+    let e = sample ~scratch ~lanes:1 ~inputs:(Array.map Bool.to_int vec) in
+    [| e.(0) +. Rng.gaussian_scaled stream ~mean:0.0 ~sigma:noise_sigma |]
   in
   (Sidechannel.Tvla.campaign_seeded rng ~traces_per_class ~collect).Sidechannel.Tvla.max_abs_t
 

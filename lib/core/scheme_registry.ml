@@ -290,8 +290,8 @@ let run_upec _rng =
 
 let run_second_order rng =
   let masked = Synth.Masking.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
-  let collect = Sidechannel.Leakage.hw_collect masked ~noise_sigma:0.1 in
-  let o1, o2 = Sidechannel.Tvla.campaign_orders rng ~traces_per_class:4000 ~collect in
+  let batch = Sidechannel.Leakage.hw_collect masked ~noise_sigma:0.1 in
+  let o1, o2 = Sidechannel.Tvla.campaign_orders rng ~traces_per_class:4000 ~batch in
   Printf.sprintf
     "2-share masking: 1st-order |t| = %.1f (passes), 2nd-order |t| = %.1f (FAILS: order matters)"
     o1.Sidechannel.Tvla.max_abs_t o2.Sidechannel.Tvla.max_abs_t

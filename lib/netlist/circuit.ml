@@ -20,8 +20,11 @@ type t = {
      out in insertion order; live prefix [ni]. *)
   mutable inputs : int array;
   mutable ni : int;
-  mutable outputs : (string * int) list;  (* reversed *)
-  mutable dffs : int list;  (* reversed *)
+  (* Outputs and DFF ids in declaration order; live prefixes [no], [nd]. *)
+  mutable outputs : (string * int) array;
+  mutable no : int;
+  mutable dffs : int array;
+  mutable nd : int;
   by_name : (string, int) Hashtbl.t;
   (* Region annotations: region name -> member *net names*, declaration
      order. Membership is by name, not id, so annotations survive the id
@@ -35,8 +38,10 @@ let create () =
     n = 0;
     inputs = [||];
     ni = 0;
-    outputs = [];
-    dffs = [];
+    outputs = [||];
+    no = 0;
+    dffs = [||];
+    nd = 0;
     by_name = Hashtbl.create 64;
     regions = [] }
 
@@ -49,6 +54,15 @@ let node c i =
 let kind c i = (node c i).kind
 let fanins c i = (node c i).fanins
 let name c i = (node c i).name
+
+(* [arr] with room for one more than its live prefix [len]. *)
+let room arr len ~fill =
+  if len < Array.length arr then arr
+  else begin
+    let bigger = Array.make (max 8 (2 * len)) fill in
+    Array.blit arr 0 bigger 0 len;
+    bigger
+  end
 
 let grow c =
   if c.n = Array.length c.nodes then begin
@@ -79,14 +93,13 @@ let add_node c kind fanins name =
   Hashtbl.replace c.by_name name id;
   (match kind with
    | Gate.Input ->
-     if c.ni = Array.length c.inputs then begin
-       let bigger = Array.make (max 8 (2 * c.ni)) 0 in
-       Array.blit c.inputs 0 bigger 0 c.ni;
-       c.inputs <- bigger
-     end;
+     c.inputs <- room c.inputs c.ni ~fill:0;
      c.inputs.(c.ni) <- id;
      c.ni <- c.ni + 1
-   | Gate.Dff -> c.dffs <- id :: c.dffs
+   | Gate.Dff ->
+     c.dffs <- room c.dffs c.nd ~fill:0;
+     c.dffs.(c.nd) <- id;
+     c.nd <- c.nd + 1
    | Gate.Const _ | Gate.Buf | Gate.Not | Gate.And | Gate.Nand | Gate.Or
    | Gate.Nor | Gate.Xor | Gate.Xnor | Gate.Mux -> ());
   id
@@ -113,16 +126,30 @@ let connect_dff c dff ~d =
 
 let set_output c name id =
   assert (id >= 0 && id < c.n);
-  c.outputs <- (name, id) :: c.outputs
+  c.outputs <- room c.outputs c.no ~fill:("", 0);
+  c.outputs.(c.no) <- (name, id);
+  c.no <- c.no + 1
 
 let inputs c = Array.sub c.inputs 0 c.ni
-let outputs c = Array.of_list (List.rev c.outputs)
-let output_ids c = Array.map snd (outputs c)
-let dffs c = Array.of_list (List.rev c.dffs)
+let outputs c = Array.sub c.outputs 0 c.no
+let output_ids c = Array.init c.no (fun k -> snd c.outputs.(k))
+let dffs c = Array.sub c.dffs 0 c.nd
 
 let num_inputs c = c.ni
-let num_outputs c = List.length c.outputs
-let num_dffs c = List.length c.dffs
+let num_outputs c = c.no
+let num_dffs c = c.nd
+
+let input_id c k =
+  assert (k >= 0 && k < c.ni);
+  c.inputs.(k)
+
+let output_id c k =
+  assert (k >= 0 && k < c.no);
+  snd c.outputs.(k)
+
+let dff_id c k =
+  assert (k >= 0 && k < c.nd);
+  c.dffs.(k)
 
 let find_by_name c net = Hashtbl.find_opt c.by_name net
 
@@ -250,8 +277,10 @@ let copy c =
     n = c.n;
     inputs = inputs c;
     ni = c.ni;
-    outputs = c.outputs;
-    dffs = c.dffs;
+    outputs = outputs c;
+    no = c.no;
+    dffs = dffs c;
+    nd = c.nd;
     by_name = Hashtbl.copy c.by_name;
     regions = c.regions }
 
@@ -296,7 +325,7 @@ let sweep c =
       connect_dff out remap.(i) ~d:remap.(d)
     end
   done;
-  List.iter (fun (nm, o) -> set_output out nm remap.(o)) (List.rev c.outputs);
+  Array.iter (fun (nm, o) -> set_output out nm remap.(o)) (outputs c);
   (* Region annotations are by name: dead members stop resolving. *)
   transfer_regions ~from:c out;
   out, remap
@@ -334,5 +363,8 @@ let well_formed c =
     else if nd.kind = Gate.Dff then
       Array.iter (fun f -> if f < 0 || f >= c.n then ok := false) nd.fanins
   done;
-  List.iter (fun (_, o) -> if o < 0 || o >= c.n then ok := false) c.outputs;
+  for k = 0 to c.no - 1 do
+    let o = snd c.outputs.(k) in
+    if o < 0 || o >= c.n then ok := false
+  done;
   !ok

@@ -47,16 +47,28 @@ val add_dff : ?name:string -> t -> d:int -> int
 val connect_dff : t -> int -> d:int -> unit
 
 (** Register a primary output under [name]; outputs are ordered by
-    declaration. *)
+    declaration. Registering a name twice keeps both entries (lint
+    reports the duplicate). *)
 val set_output : t -> string -> int -> unit
 
+(** Inputs, outputs and DFFs in declaration order, each a fresh copy. *)
 val inputs : t -> int array
 val outputs : t -> (string * int) array
 val output_ids : t -> int array
 val dffs : t -> int array
+
+(** Counts, in constant time. *)
 val num_inputs : t -> int
 val num_outputs : t -> int
 val num_dffs : t -> int
+
+(** The [k]-th input, output and DFF id in declaration order, in
+    constant time and without a copy: per-pattern loops use these
+    rather than {!inputs}, {!output_ids} and {!dffs}.
+    @raise Assert_failure unless [0 <= k < ] the matching count. *)
+val input_id : t -> int -> int
+val output_id : t -> int -> int
+val dff_id : t -> int -> int
 val find_by_name : t -> string -> int option
 
 (** Declaration position of input [id]: its index in {!inputs} and in a

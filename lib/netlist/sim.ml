@@ -25,23 +25,28 @@ let run_gates_word circuit (values : int array) =
     | k -> values.(i) <- Gate.eval_word_indexed k nd.Circuit.fanins values
   done
 
+(* Load the input and DFF slots of [into]: the input vector, then the
+   DFF values from [state], or [zero] when it is absent (so a dirty
+   buffer from a previous pattern is safe to pass back in). Reads the ids
+   in place: nothing is allocated per pattern. *)
+let load_slots ?state circuit inputs ~into ~zero =
+  assert (Array.length inputs = Circuit.num_inputs circuit);
+  for k = 0 to Array.length inputs - 1 do
+    into.(Circuit.input_id circuit k) <- inputs.(k)
+  done;
+  (match state with
+   | Some st -> assert (Array.length st = Circuit.num_dffs circuit)
+   | None -> ());
+  for k = 0 to Circuit.num_dffs circuit - 1 do
+    into.(Circuit.dff_id circuit k) <- (match state with None -> zero | Some st -> st.(k))
+  done
+
 (** Evaluate every net into the caller-supplied buffer [into] (length >=
-    node count), reusing it across calls: the only remaining per-call
-    allocation is the O(#inputs) id array {!Circuit.inputs} returns. DFF
+    node count), reusing it across calls with no per-call allocation. DFF
     slots are cleared when [state] is absent, so a dirty buffer from a
     previous pattern is safe to pass back in. *)
 let eval_all_into ?state circuit inputs ~into =
-  let input_ids = Circuit.inputs circuit in
-  assert (Array.length inputs = Array.length input_ids);
-  Array.iteri (fun k id -> into.(id) <- inputs.(k)) input_ids;
-  (match state with
-   | None ->
-     if Circuit.num_dffs circuit > 0 then
-       Array.iter (fun id -> into.(id) <- false) (Circuit.dffs circuit)
-   | Some st ->
-     let dff_ids = Circuit.dffs circuit in
-     assert (Array.length st = Array.length dff_ids);
-     Array.iteri (fun k id -> into.(id) <- st.(k)) dff_ids);
+  load_slots ?state circuit inputs ~into ~zero:false;
   run_gates circuit into
 
 (** Values of every net for one input assignment; DFF outputs come from
@@ -54,21 +59,12 @@ let eval_all ?state circuit inputs =
 (** Primary outputs for one input assignment. *)
 let eval ?state circuit inputs =
   let values = eval_all ?state circuit inputs in
-  Array.map (fun (_, o) -> values.(o)) (Circuit.outputs circuit)
+  Array.init (Circuit.num_outputs circuit) (fun k -> values.(Circuit.output_id circuit k))
 
 (** Bit-parallel analogue of {!eval_all_into}: each input word carries up
     to 63 independent patterns; every net word lands in [into]. *)
 let eval_all_word_into ?state circuit (inputs : int array) ~into =
-  let input_ids = Circuit.inputs circuit in
-  assert (Array.length inputs = Array.length input_ids);
-  Array.iteri (fun k id -> into.(id) <- inputs.(k)) input_ids;
-  (match state with
-   | None ->
-     if Circuit.num_dffs circuit > 0 then
-       Array.iter (fun id -> into.(id) <- 0) (Circuit.dffs circuit)
-   | Some st ->
-     let dff_ids = Circuit.dffs circuit in
-     Array.iteri (fun k id -> into.(id) <- st.(k)) dff_ids);
+  load_slots ?state circuit inputs ~into ~zero:0;
   run_gates_word circuit into
 
 (** Bit-parallel evaluation: each input is a word carrying up to 63
@@ -80,13 +76,16 @@ let eval_all_word ?state circuit (inputs : int array) =
 
 let eval_word ?state circuit inputs =
   let values = eval_all_word ?state circuit inputs in
-  Array.map (fun (_, o) -> values.(o)) (Circuit.outputs circuit)
+  Array.init (Circuit.num_outputs circuit) (fun k -> values.(Circuit.output_id circuit k))
 
 (** One clock cycle of a sequential circuit: returns (outputs, next state). *)
 let step circuit ~state inputs =
   let values = eval_all ~state circuit inputs in
-  let outs = Array.map (fun (_, o) -> values.(o)) (Circuit.outputs circuit) in
-  let next = Array.map (fun id -> values.((Circuit.fanins circuit id).(0))) (Circuit.dffs circuit) in
+  let outs = Array.init (Circuit.num_outputs circuit) (fun k -> values.(Circuit.output_id circuit k)) in
+  let next =
+    Array.init (Circuit.num_dffs circuit) (fun k ->
+        values.((Circuit.fanins circuit (Circuit.dff_id circuit k)).(0)))
+  in
   outs, next
 
 (** Run a sequence of input vectors from the all-zero state; returns the

@@ -79,27 +79,60 @@ let hamming_distance_sample rng ?scratch ?scratch2 circuit ~noise_sigma ~prev_in
     weighted count of nets at 1, the leakage model of precharged buses.
     The circuit is resolved once — input ids, cell kinds, fanin arrays
     and per-cell energies — for campaigns that sample one circuit
-    thousands of times. [scratch] is the net-value buffer (length >= node
-    count); concurrent callers need distinct buffers. *)
+    thousands of times. Word-parallel: bit [j] of input word [k] is input
+    [k] of trace (lane) [j], one bit-parallel sweep evaluates up to 63
+    traces, and lane [j]'s energy is summed over the nets in node order,
+    the order of a one-trace evaluation, so a trace's energy does not
+    depend on its lane or on the traces beside it. [scratch] is the
+    net-word buffer (length >= node count); concurrent callers need
+    distinct buffers. *)
 let hamming_weight_sampler circuit =
   let n = Circuit.node_count circuit in
   let input_ids = Circuit.inputs circuit and dff_ids = Circuit.dffs circuit in
   let kinds = Array.init n (Circuit.kind circuit) in
   let fanins = Array.init n (Circuit.fanins circuit) in
-  let energy = Array.map Gate.switch_energy kinds in
-  fun rng ~scratch:values ~noise_sigma ~inputs ->
+  (* [pick.(2i + b)]: net [i]'s term when its value is [b]. A net at 0
+     adds +0.0 to a non-negative sum, which leaves it unchanged, so the
+     branchless sum equals the sum over the nets at 1, bit for bit. *)
+  let pick = Array.make (2 * n) 0.0 in
+  Array.iteri (fun i k -> pick.((2 * i) + 1) <- Gate.switch_energy k) kinds;
+  fun ~scratch:values ~lanes ~inputs ->
+    if lanes < 1 || lanes > 63 then
+      invalid_arg (Printf.sprintf "Power.Model.hamming_weight_sampler: %d lanes" lanes);
     Array.iteri (fun k id -> values.(id) <- inputs.(k)) input_ids;
-    Array.iter (fun id -> values.(id) <- false) dff_ids;
+    Array.iter (fun id -> values.(id) <- 0) dff_ids;
     for i = 0 to n - 1 do
       match kinds.(i) with
       | Gate.Input | Gate.Dff -> ()
-      | k -> values.(i) <- Gate.eval_indexed k fanins.(i) values
+      | k -> values.(i) <- Gate.eval_word_indexed k fanins.(i) values
     done;
-    let e = ref 0.0 in
-    for i = 0 to n - 1 do
-      if values.(i) then e := !e +. energy.(i)
+    let energies = Array.make lanes 0.0 in
+    (* Four lanes per sweep: four independent sums keep the float adder
+       busy, and each still adds its nets in node order. *)
+    let quads = lanes / 4 in
+    for q = 0 to quads - 1 do
+      let l = 4 * q in
+      let e0 = ref 0.0 and e1 = ref 0.0 and e2 = ref 0.0 and e3 = ref 0.0 in
+      for i = 0 to n - 1 do
+        let w = values.(i) lsr l and b = 2 * i in
+        e0 := !e0 +. pick.(b + (w land 1));
+        e1 := !e1 +. pick.(b + ((w lsr 1) land 1));
+        e2 := !e2 +. pick.(b + ((w lsr 2) land 1));
+        e3 := !e3 +. pick.(b + ((w lsr 3) land 1))
+      done;
+      energies.(l) <- !e0;
+      energies.(l + 1) <- !e1;
+      energies.(l + 2) <- !e2;
+      energies.(l + 3) <- !e3
     done;
-    !e +. Eda_util.Rng.gaussian_scaled rng ~mean:0.0 ~sigma:noise_sigma
+    for j = 4 * quads to lanes - 1 do
+      let e = ref 0.0 in
+      for i = 0 to n - 1 do
+        e := !e +. pick.((2 * i) + ((values.(i) lsr j) land 1))
+      done;
+      energies.(j) <- !e
+    done;
+    energies
 
 (** Static leakage-current proxy per gate (IDDQ model): each cell draws a
     nominal quiescent current depending on its input state; Trojans add

@@ -60,7 +60,7 @@ let campaign ?(leakage = `Hamming_weight) rng circuit ~key ~traces ~noise_sigma 
   let observations = ref [] in
   let prev = ref 0 in
   let hamming_weight = Power.Model.hamming_weight_sampler circuit in
-  let scratch = Array.make (Netlist.Circuit.node_count circuit) false in
+  let scratch = Array.make (Netlist.Circuit.node_count circuit) 0 in
   for _ = 1 to traces do
     let p = Rng.int rng 256 in
     let next_inputs =
@@ -68,7 +68,9 @@ let campaign ?(leakage = `Hamming_weight) rng circuit ~key ~traces ~noise_sigma 
     in
     let sample =
       match leakage with
-      | `Hamming_weight -> hamming_weight rng ~scratch ~noise_sigma ~inputs:next_inputs
+      | `Hamming_weight ->
+        (hamming_weight ~scratch ~lanes:1 ~inputs:(Array.map Bool.to_int next_inputs)).(0)
+        +. Rng.gaussian_scaled rng ~mean:0.0 ~sigma:noise_sigma
       | `Switching ->
         let prev_inputs =
           Array.append (Crypto.Sbox_circuit.byte_to_bits !prev)

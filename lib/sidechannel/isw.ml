@@ -29,32 +29,61 @@ let rebind (masked : Masking.masked) circuit =
       List.map (fun (nm, ids) -> nm, rebind_ids masked.circuit ids) masked.input_shares;
     random_inputs = rebind_ids masked.circuit masked.random_inputs }
 
+(** Split [value] into [Array.length positions] random XOR shares, into
+    one lane of a word vector: share [s] sets bit [lane] of
+    [words.(positions.(s))] when it is 1 (bits are only set, so clear the
+    lane first). Every share is drawn, then share 0 is flipped if the
+    parity misses [value]. *)
+let encode_lane rng value ~words ~positions ~lane =
+  let bit = 1 lsl lane in
+  let first = Rng.bool rng in
+  let parity = ref first in
+  for s = 1 to Array.length positions - 1 do
+    if Rng.bool rng then begin
+      parity := not !parity;
+      words.(positions.(s)) <- words.(positions.(s)) lor bit
+    end
+  done;
+  if first <> (!parity <> value) then
+    words.(positions.(0)) <- words.(positions.(0)) lor bit
+
 (** Split [value] into [shares] random XOR shares. *)
 let encode rng ~shares value =
-  let sh = Array.init shares (fun _ -> Rng.bool rng) in
-  let parity = Array.fold_left ( <> ) false sh in
-  if parity <> value then sh.(0) <- not sh.(0);
-  sh
+  let words = Array.make shares 0 in
+  encode_lane rng value ~words ~positions:(Array.init shares Fun.id) ~lane:0;
+  Array.map (fun w -> w <> 0) words
 
 let decode sh = Array.fold_left ( <> ) false sh
 
-let stimulus rng c ~shares ~input_shares ~random_inputs ~values =
-  let vec = Array.make (Circuit.num_inputs c) false in
-  (* Share and randomness inputs may interleave, so translate node ids to
-     input positions via the declaration order. *)
-  let pos_of = Circuit.input_position c in
+let stimulus_lane rng ~groups ~randoms ~values ~words ~lane =
   List.iter
-    (fun (name, ids) ->
+    (fun (name, positions) ->
       let value =
         match List.assoc_opt name values with
         | Some v -> v
         | None -> invalid_arg (Printf.sprintf "Isw.stimulus: missing input %s" name)
       in
-      let sh = encode rng ~shares value in
-      Array.iteri (fun s id -> vec.(pos_of id) <- sh.(s)) ids)
-    input_shares;
-  Array.iter (fun id -> vec.(pos_of id) <- Rng.bool rng) random_inputs;
-  vec
+      encode_lane rng value ~words ~positions ~lane)
+    groups;
+  let bit = 1 lsl lane in
+  Array.iter (fun p -> if Rng.bool rng then words.(p) <- words.(p) lor bit) randoms
+
+let stimulus rng c ~shares ~input_shares ~random_inputs ~values =
+  (* Share and randomness inputs may interleave, so translate node ids to
+     input positions via the declaration order. *)
+  let pos_of = Circuit.input_position c in
+  let groups =
+    List.map
+      (fun (name, ids) ->
+        if Array.length ids <> shares then
+          invalid_arg (Printf.sprintf "Isw.stimulus: %s has %d shares, not %d" name
+                         (Array.length ids) shares);
+        name, Array.map pos_of ids)
+      input_shares
+  in
+  let words = Array.make (Circuit.num_inputs c) 0 in
+  stimulus_lane rng ~groups ~randoms:(Array.map pos_of random_inputs) ~values ~words ~lane:0;
+  Array.map (fun w -> w <> 0) words
 
 let decode_outputs c ~output_shares outs =
   let out_positions = Hashtbl.create 16 in

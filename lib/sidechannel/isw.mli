@@ -8,8 +8,17 @@
     @raise Invalid_argument if synthesis dropped a share/random input. *)
 val rebind : Synth.Masking.masked -> Netlist.Circuit.t -> Synth.Masking.masked
 
-(** Split [value] into fresh random XOR shares. *)
+(** Split [value] into fresh random XOR shares: [shares] bits are drawn,
+    then share 0 is flipped if their parity misses [value]. *)
 val encode : Eda_util.Rng.t -> shares:int -> bool -> bool array
+
+(** {!encode} with [shares = Array.length positions], written into lane
+    [lane] of a word vector (the lane layout of
+    {!Power.Model.hamming_weight_sampler}): share [s] sets bit [lane] of
+    [words.(positions.(s))] when it is 1. Bits are only ever set, so the
+    lane must be clear. Same draws, so the same shares, as {!encode}. *)
+val encode_lane :
+  Eda_util.Rng.t -> bool -> words:int array -> positions:int array -> lane:int -> unit
 
 (** XOR-recombine shares. *)
 val decode : bool array -> bool
@@ -18,7 +27,8 @@ val decode : bool array -> bool
     inputs, from original input [values]: each input's shares are drawn
     by {!encode} in [input_shares] order, then one fresh bit per
     randomness input. Shared by every masked descriptor (ISW and DOM).
-    @raise Invalid_argument when [values] misses a shared input. *)
+    @raise Invalid_argument when [values] misses a shared input, or an
+    entry of [input_shares] does not hold [shares] ids. *)
 val stimulus :
   Eda_util.Rng.t ->
   Netlist.Circuit.t ->
@@ -27,6 +37,21 @@ val stimulus :
   random_inputs:int array ->
   values:(string * bool) list ->
   bool array
+
+(** {!stimulus}'s draws written into lane [lane] of input words (as
+    {!encode_lane}), with the share groups and randomness inputs already
+    resolved to input positions: [groups] pairs each shared input's name
+    with its share positions, [randoms] lists the randomness positions.
+    Same draws, so the same vector, as {!stimulus}.
+    @raise Invalid_argument when [values] misses a shared input. *)
+val stimulus_lane :
+  Eda_util.Rng.t ->
+  groups:(string * int array) list ->
+  randoms:int array ->
+  values:(string * bool) list ->
+  words:int array ->
+  lane:int ->
+  unit
 
 (** Decode each original output from its share outputs, given the
     circuit's output values in declaration order. *)

@@ -42,42 +42,84 @@ let synthesize_masked ?(shares = 3) variant =
   in
   Isw.rebind masked circuit
 
-(* One trace's input vector: class inputs (a, b) — (1, 1) when fixed,
-   uniform when random — masked with fresh shares and randomness. *)
-let class_vector stream masked cls =
+(* The class inputs (a, b): (1, 1) when fixed, uniform when random. *)
+let class_values stream cls =
   let a, b =
     match cls with
     | `Fixed -> true, true
     | `Random -> Rng.bool stream, Rng.bool stream
   in
-  Isw.input_vector stream masked ~values:[ ("a", a); ("b", b) ]
+  [ ("a", a); ("b", b) ]
 
-(** Per-trace collect of a Hamming-weight TVLA campaign on a masked
-    variant: the class inputs, masked with fresh shares and randomness,
-    then one noisy Hamming-weight sample. Build it once per campaign: the
-    sampler is resolved once and one net-value buffer is recycled from
-    trace to trace — a pooled worker that finds it taken allocates its
+(* One trace's input vector: the class inputs masked with fresh shares
+   and randomness. *)
+let class_vector stream masked cls =
+  Isw.input_vector stream masked ~values:(class_values stream cls)
+
+(** The batch collect of a Hamming-weight TVLA campaign on circuit [c]
+    ({!Tvla.batch}). [draw stream cls words lane] writes one trace's
+    input vector into lane [lane] of the (cleared) input words [words],
+    drawing only from [stream]. Per stream of the batch, in order: the
+    fixed vector, the fixed trace's noise, the random vector, the random
+    trace's noise — the draws of a per-trace collect. Lane [j] of the
+    fixed word vector and of the random one carries pair [j]; each is
+    evaluated once, and each trace is its lane's energy plus its noise,
+    the same float as a one-trace evaluation. Build it once per campaign:
+    the sampler is resolved once and one scratch set is recycled from
+    batch to batch — a pooled worker that finds it taken allocates its
     own, so the collect is safe under [?pool]. *)
-let hw_collect masked ~noise_sigma =
-  let nodes = Circuit.node_count masked.Masking.circuit in
+let hw_batch c ~noise_sigma ~draw : Tvla.batch =
+  let ni = Circuit.num_inputs c and nodes = Circuit.node_count c in
+  let sample = Power.Model.hamming_weight_sampler c in
   let spare = Atomic.make None in
-  let sample = Power.Model.hamming_weight_sampler masked.Masking.circuit in
-  fun stream cls ->
-    let scratch =
-      match Atomic.exchange spare None with Some b -> b | None -> Array.make nodes false
+  fun streams ->
+    let lanes = Array.length streams in
+    let ((fixed, random, scratch) as s) =
+      match Atomic.exchange spare None with
+      | Some s -> s
+      | None -> (Array.make ni 0, Array.make ni 0, Array.make nodes 0)
     in
-    let inputs = class_vector stream masked cls in
-    let hw = sample stream ~scratch ~noise_sigma ~inputs in
-    Atomic.set spare (Some scratch);
-    [| hw |]
+    Array.fill fixed 0 ni 0;
+    Array.fill random 0 ni 0;
+    let noise = Array.make (2 * lanes) 0.0 in
+    Array.iteri
+      (fun j stream ->
+        draw stream `Fixed fixed j;
+        noise.(2 * j) <- Rng.gaussian_scaled stream ~mean:0.0 ~sigma:noise_sigma;
+        draw stream `Random random j;
+        noise.((2 * j) + 1) <- Rng.gaussian_scaled stream ~mean:0.0 ~sigma:noise_sigma)
+      streams;
+    let traces words cls =
+      let e = sample ~scratch ~lanes ~inputs:words in
+      Array.mapi (fun j e -> [| e +. noise.((2 * j) + cls) |]) e
+    in
+    let batch = traces fixed 0, traces random 1 in
+    Atomic.set spare (Some s);
+    batch
+
+(* [class_vector] as a lane writer, with the input positions resolved
+   once. *)
+let class_lane masked =
+  let c = masked.Masking.circuit in
+  let pos = Circuit.input_position c in
+  let groups = List.map (fun (nm, ids) -> nm, Array.map pos ids) masked.Masking.input_shares in
+  let randoms = Array.map pos masked.Masking.random_inputs in
+  fun stream cls words lane ->
+    Isw.stimulus_lane stream ~groups ~randoms ~values:(class_values stream cls) ~words ~lane
+
+(** Batch collect of a Hamming-weight TVLA campaign on a masked variant:
+    per trace, the class inputs masked with fresh shares and randomness,
+    then one noisy Hamming-weight sample ({!hw_batch}). *)
+let hw_collect masked ~noise_sigma =
+  hw_batch masked.Masking.circuit ~noise_sigma ~draw:(class_lane masked)
 
 (** Fixed-vs-random TVLA on a masked variant. Fixed class: (a,b) = (1,1);
     random class: uniform (a,b). Every trace draws its randomness from the
-    per-pair stream of {!Tvla.campaign_seeded}, so the assessment is a
+    per-pair stream of {!Tvla.campaign_batched}, so the assessment is a
     function of [rng] alone — bit-identical with no pool and with a pool
     of any domain count. *)
 let tvla_campaign ?pool rng masked ~traces_per_class ~noise_sigma =
-  Tvla.campaign_seeded ?pool rng ~traces_per_class ~collect:(hw_collect masked ~noise_sigma)
+  Tvla.campaign_batched ?pool rng ~traces_per_class ~batch:(hw_collect masked ~noise_sigma)
 
 (** Glitch-aware variant: traces from the delay-annotated event simulation,
     with inputs switching from an all-zero reference state.
@@ -110,15 +152,13 @@ let tvla_campaign_glitch ?(mask_skew_ps = 0.0) rng masked ~traces_per_class ~con
     evaluation window is as good as no mask). *)
 let tvla_campaign_mask_failure rng masked ~traces_per_class ~noise_sigma =
   let c = masked.Masking.circuit in
-  let scratch = Array.make (Circuit.node_count c) false in
-  let sample = Power.Model.hamming_weight_sampler c in
-  let collect stream cls =
-    let vec = class_vector stream masked cls in
-    Array.iter (fun id -> vec.(Circuit.input_position c id) <- false) masked.Masking.random_inputs;
-    [| sample stream ~scratch ~noise_sigma ~inputs:vec |]
+  let randoms = Array.map (Circuit.input_position c) masked.Masking.random_inputs in
+  let draw = class_lane masked in
+  let draw stream cls words lane =
+    draw stream cls words lane;
+    Array.iter (fun p -> words.(p) <- words.(p) land lnot (1 lsl lane)) randoms
   in
-  (* no pool: the shared [scratch] is only ever used by one trace at a time *)
-  Tvla.campaign_seeded rng ~traces_per_class ~collect
+  Tvla.campaign_batched rng ~traces_per_class ~batch:(hw_batch c ~noise_sigma ~draw)
 
 (** Find the most leaking internal wire of a masked circuit: a campaign
     whose trace is the vector of every node's value, then the node with

@@ -44,31 +44,21 @@ let harness c =
     Masking randomness is fresh in both classes. *)
 let assess rng c ~traces_per_class ~noise_sigma =
   let secrets, randoms = harness c in
-  let nodes = Circuit.node_count c in
-  let ni = Circuit.num_inputs c in
-  (* Input positions and the circuit's gate arrays, resolved once per
-     campaign rather than per trace. *)
+  (* Input positions resolved once per campaign rather than per trace. *)
   let pos = Circuit.input_position c in
   let secrets = List.map (fun (_, ids) -> Array.map pos ids) secrets in
   let randoms = Array.map pos randoms in
-  let sample = Power.Model.hamming_weight_sampler c in
-  (* One net-value buffer recycled from trace to trace. *)
-  let scratch = Array.make nodes false in
-  let collect stream cls =
-    let vec = Array.make ni false in
+  let draw stream cls words lane =
+    let bit = 1 lsl lane in
     List.iter
       (fun ps ->
         let value = match cls with `Fixed -> true | `Random -> Rng.bool stream in
-        if Array.length ps = 1 then vec.(ps.(0)) <- value
-        else begin
-          let sh = Isw.encode stream ~shares:(Array.length ps) value in
-          Array.iteri (fun s p -> vec.(p) <- sh.(s)) ps
-        end)
+        if Array.length ps > 1 then Isw.encode_lane stream value ~words ~positions:ps ~lane
+        else if value then words.(ps.(0)) <- words.(ps.(0)) lor bit)
       secrets;
-    Array.iter (fun p -> vec.(p) <- Rng.bool stream) randoms;
-    [| sample stream ~scratch ~noise_sigma ~inputs:vec |]
+    Array.iter (fun p -> if Rng.bool stream then words.(p) <- words.(p) lor bit) randoms
   in
-  Tvla.campaign_seeded rng ~traces_per_class ~collect
+  Tvla.campaign_batched rng ~traces_per_class ~batch:(Leakage.hw_batch c ~noise_sigma ~draw)
 
 (** Convenience verdict: does the circuit leak under {!assess}? *)
 let leaks rng c ~traces_per_class ~noise_sigma =

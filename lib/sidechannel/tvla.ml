@@ -155,31 +155,42 @@ let second_order acc =
    any domain count. *)
 let batch_pairs = 32
 
+(* A batch collect: given the streams of a batch's pairs, the pairs'
+   fixed traces and their random traces, each in stream order. *)
+type batch = Eda_util.Rng.t array -> float array array * float array array
+
+(* The trivial lift of a per-trace collect: per stream, its fixed trace
+   then its random trace. *)
+let per_trace collect streams =
+  let n = Array.length streams in
+  let fixed = Array.make n [||] and random = Array.make n [||] in
+  Array.iteri
+    (fun j stream ->
+      fixed.(j) <- collect stream `Fixed;
+      random.(j) <- collect stream `Random)
+    streams;
+  fixed, random
+
 (* The one pair loop. Pair [i] (one fixed then one random trace,
    interleaved as TVLA prescribes) draws only from stream [i] of
    [Rng.split rng traces_per_class]; each batch of [batch_pairs] pairs
-   fills its own accumulator and batches merge in index order. Trace
-   values and the floating-point reduction tree are both functions of
-   [rng] alone, with or without a pool. *)
-let run ?pool rng ~traces_per_class ~collect =
+   is collected at once, fills its own accumulator, and batches merge in
+   index order. Trace values and the floating-point reduction tree are
+   both functions of [rng] alone, with or without a pool. *)
+let run ?pool rng ~traces_per_class ~(batch : batch) =
   if traces_per_class <= 0 then invalid_arg "Tvla: traces_per_class must be positive";
   let module P = Eda_util.Pool in
   let streams = Eda_util.Rng.split rng traces_per_class in
   let nbatches = (traces_per_class + batch_pairs - 1) / batch_pairs in
-  let pair i =
-    let fixed = collect streams.(i) `Fixed in
-    let random = collect streams.(i) `Random in
-    fixed, random
-  in
   let run_batch b =
     let lo = b * batch_pairs in
-    let hi = min traces_per_class (lo + batch_pairs) in
-    let fixed, random = pair lo in
-    let acc = create (Array.length fixed) in
-    add_pair acc fixed random;
-    for i = lo + 1 to hi - 1 do
-      let fixed, random = pair i in
-      add_pair acc fixed random
+    let n = min traces_per_class (lo + batch_pairs) - lo in
+    let fixed, random = batch (Array.sub streams lo n) in
+    if Array.length fixed <> n || Array.length random <> n then
+      invalid_arg "Tvla: a batch collect must return one trace per stream and class";
+    let acc = create (Array.length fixed.(0)) in
+    for j = 0 to n - 1 do
+      add_pair acc fixed.(j) random.(j)
     done;
     acc
   in
@@ -201,10 +212,11 @@ let run ?pool rng ~traces_per_class ~collect =
   T.count "tvla.traces" (2 * traces_per_class);
   batches.(0)
 
-(** Seeded, batchable fixed-vs-random campaign: [collect stream cls]
-    produces one trace for class [cls], drawing randomness only from
-    [stream]. The result (every t value, not just the verdict) is
-    bit-identical with no pool and with a pool of any domain count.
+(** Seeded, batchable fixed-vs-random campaign over a batch collect:
+    [batch streams] produces the fixed and the random traces of the
+    pairs whose streams are [streams]. The result (every t value, not
+    just the verdict) is bit-identical with no pool and with a pool of
+    any domain count.
 
     Telemetry: a [tvla.campaign] span (attrs [seeded], [domains])
     counting [tvla.traces] and gauging the final [tvla.max_abs_t];
@@ -212,7 +224,7 @@ let run ?pool rng ~traces_per_class ~collect =
     one captured [pool.task] span per batch.
     @raise Invalid_argument on a non-positive trace count, empty traces,
     or traces of unequal length (within or across classes). *)
-let campaign_seeded ?pool rng ~traces_per_class ~collect =
+let campaign_batched ?pool rng ~traces_per_class ~batch =
   let domains = match pool with Some p -> Eda_util.Pool.size p | None -> 1 in
   T.with_span "tvla.campaign"
     ~attrs:
@@ -220,22 +232,28 @@ let campaign_seeded ?pool rng ~traces_per_class ~collect =
         ("seeded", T.Bool true);
         ("domains", T.Int domains) ]
   @@ fun () ->
-  let result = first_order (run ?pool rng ~traces_per_class ~collect) in
+  let result = first_order (run ?pool rng ~traces_per_class ~batch) in
   T.gauge "tvla.max_abs_t" result.max_abs_t;
   result
 
+(** {!campaign_batched} over the {!per_trace} lift of a per-trace
+    collect: [collect stream cls] produces one trace for class [cls],
+    drawing randomness only from [stream]. *)
+let campaign_seeded ?pool rng ~traces_per_class ~collect =
+  campaign_batched ?pool rng ~traces_per_class ~batch:(per_trace collect)
+
 (** Campaign assessed at first and second order from one accumulator.
-    Its first-order result equals {!campaign_seeded}'s on the same
+    Its first-order result equals {!campaign_batched}'s on the same
     arguments.
 
     Telemetry: a [tvla.campaign_orders] span counting [tvla.traces]
     consumed, with [tvla.max_abs_t] / [tvla.max_abs_t_2nd] gauges for the
     two assessment orders. *)
-let campaign_orders rng ~traces_per_class ~collect =
+let campaign_orders rng ~traces_per_class ~batch =
   T.with_span "tvla.campaign_orders"
     ~attrs:[ ("traces_per_class", T.Int traces_per_class) ]
   @@ fun () ->
-  let acc = run rng ~traces_per_class ~collect in
+  let acc = run rng ~traces_per_class ~batch in
   let first = first_order acc and second = second_order acc in
   T.gauge "tvla.max_abs_t" first.max_abs_t;
   T.gauge "tvla.max_abs_t_2nd" second.max_abs_t;

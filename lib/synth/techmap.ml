@@ -108,8 +108,3 @@ let run ?(target = Nand_inv) source =
   match target with
   | Nand_inv -> Rewrite.constant_propagation out
   | Nand_nor_xnor -> fst (Circuit.sweep out)
-
-(** Area ratio of the mapped design vs the generic-library original. *)
-let mapping_overhead ?(target = Nand_inv) source =
-  let mapped = run ~target source in
-  (Circuit.stats mapped).Circuit.area /. (Circuit.stats source).Circuit.area

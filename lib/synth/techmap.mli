@@ -18,6 +18,3 @@ val conforms : target -> Netlist.Circuit.t -> bool
 
 val run : ?target:target -> Netlist.Circuit.t -> Netlist.Circuit.t
 [@@deprecated "use Synth.Pass.apply \"techmap\" ~params:[(\"target\", ...)]"]
-
-(** Area ratio of the mapped design vs the generic-library original. *)
-val mapping_overhead : ?target:target -> Netlist.Circuit.t -> float

@@ -67,8 +67,8 @@ let test_second_order_masking_story () =
     let masked =
       Synth.Masking.transform ~shares (Sidechannel.Leakage.private_and_source ())
     in
-    let collect = Sidechannel.Leakage.hw_collect masked ~noise_sigma:0.1 in
-    Sidechannel.Tvla.campaign_orders rng ~traces_per_class:6000 ~collect
+    let batch = Sidechannel.Leakage.hw_collect masked ~noise_sigma:0.1 in
+    Sidechannel.Tvla.campaign_orders rng ~traces_per_class:6000 ~batch
   in
   let o1_2, o2_2 = assess 2 in
   let o1_3, o2_3 = assess 3 in
@@ -83,7 +83,10 @@ let test_second_order_detects_variance_shift () =
     | `Fixed -> [| Rng.gaussian_scaled stream ~mean:0.0 ~sigma:2.0 |]
     | `Random -> [| Rng.gaussian stream |]
   in
-  let o1, o2 = Sidechannel.Tvla.campaign_orders rng ~traces_per_class:2000 ~collect in
+  let o1, o2 =
+    Sidechannel.Tvla.campaign_orders rng ~traces_per_class:2000
+      ~batch:(Sidechannel.Tvla.per_trace collect)
+  in
   Alcotest.(check bool) "1st order blind to variance" false (Sidechannel.Tvla.leaks o1);
   Alcotest.(check bool) "2nd order sees variance" true (Sidechannel.Tvla.leaks o2)
 

@@ -896,12 +896,15 @@ let test_hw_sampler_differential () =
     (fun (fam, seed) ->
       let c = BG.sized ~seed fam ~target_gates:120 in
       let sample = Power.Model.hamming_weight_sampler c in
-      let scratch = Array.make (Circuit.node_count c) true in
+      let scratch = Array.make (Circuit.node_count c) (-1) in
       let rng = Rng.create seed in
       List.for_all
         (fun k ->
           let inputs = Array.init (Circuit.num_inputs c) (fun _ -> Rng.bool rng) in
-          let a = sample (Rng.create k) ~scratch ~noise_sigma:0.5 ~inputs in
+          let a =
+            (sample ~scratch ~lanes:1 ~inputs:(Array.map Bool.to_int inputs)).(0)
+            +. Rng.gaussian_scaled (Rng.create k) ~mean:0.0 ~sigma:0.5
+          in
           let b =
             Reference.Hw_model_ref.hamming_weight_sample (Rng.create k) c ~noise_sigma:0.5 ~inputs
           in
@@ -944,7 +947,10 @@ let test_tvla_streaming_differential () =
         (match cls with `Fixed -> fixed := tr :: !fixed | `Random -> random := tr :: !random);
         tr
       in
-      let o1, o2 = Tvla.campaign_orders (Rng.create (seed + 1)) ~traces_per_class:pairs ~collect in
+      let o1, o2 =
+        Tvla.campaign_orders (Rng.create (seed + 1)) ~traces_per_class:pairs
+          ~batch:(Tvla.per_trace collect)
+      in
       agree o1 (Reference.Tvla_ref.t_test !fixed !random)
       && agree o2 (Reference.Tvla_ref.t_test_second_order !fixed !random))
 
@@ -1027,7 +1033,10 @@ let test_tvla_second_order_large_shift () =
             let x = sigma *. Rng.gaussian stream in
             match cls with `Fixed -> level.(k) +. shift.(k) +. x | `Random -> level.(k) +. x)
       in
-      let _, o2 = Tvla.campaign_orders (Rng.create (seed + 1)) ~traces_per_class:pairs ~collect in
+      let _, o2 =
+        Tvla.campaign_orders (Rng.create (seed + 1)) ~traces_per_class:pairs
+          ~batch:(Tvla.per_trace collect)
+      in
       if sigma = 0.0 then Array.for_all (fun t -> t = 0.0) o2.Tvla.t_per_sample
       else not (Tvla.leaks o2))
 
@@ -1051,7 +1060,10 @@ let test_tvla_pinned_fingerprint () =
       Alcotest.(check string) label digest
         (t_digest (Tvla.campaign_seeded (Rng.create seed) ~traces_per_class:pairs ~collect));
       Alcotest.(check string) (label ^ ", first order of campaign_orders") digest
-        (t_digest (fst (Tvla.campaign_orders (Rng.create seed) ~traces_per_class:pairs ~collect))))
+        (t_digest
+           (fst
+              (Tvla.campaign_orders (Rng.create seed) ~traces_per_class:pairs
+                 ~batch:(Tvla.per_trace collect)))))
     [ (1, 45, "fbce966047c35f834a69b98f6f78eb87");
       (2, 100, "5f237b66119763eb0362e0a05c46eb68");
       (3, 257, "e4bc9bdb5c7a3037f72d66dc34ab5149") ];
@@ -1073,8 +1085,8 @@ let test_tvla_pinned_fingerprint () =
         (t_digest
            (Sidechannel.Leakage.tvla_campaign (Rng.create 22) masked ~traces_per_class:800
               ~noise_sigma:0.3));
-      let collect = Sidechannel.Leakage.hw_collect masked ~noise_sigma:0.1 in
-      let o1, o2 = Tvla.campaign_orders (Rng.create 23) ~traces_per_class:800 ~collect in
+      let batch = Sidechannel.Leakage.hw_collect masked ~noise_sigma:0.1 in
+      let o1, o2 = Tvla.campaign_orders (Rng.create 23) ~traces_per_class:800 ~batch in
       Alcotest.(check (pair string string)) (label ^ ", campaign_orders") (first, second)
         (t_digest o1, t_digest o2))
     [ ( 2,
@@ -1111,8 +1123,9 @@ let test_tvla_pool_identical () =
       Array.init ni (fun _ ->
           match cls with `Fixed -> true | `Random -> Rng.bool stream)
     in
-    let scratch = Array.make nodes false in
-    [| sample stream ~scratch ~noise_sigma:0.4 ~inputs:vec |]
+    let scratch = Array.make nodes 0 in
+    let e = sample ~scratch ~lanes:1 ~inputs:(Array.map Bool.to_int vec) in
+    [| e.(0) +. Rng.gaussian_scaled stream ~mean:0.0 ~sigma:0.4 |]
   in
   let results =
     with_pools (fun pool ->
@@ -1126,6 +1139,143 @@ let test_tvla_pool_identical () =
   Alcotest.(check string) "pinned t_per_sample" "f008d0c27a41158e65b8a781e1d0f8d2"
     (t_digest
        (Sidechannel.Tvla.campaign_seeded (Rng.create 5150) ~traces_per_class:257 ~collect))
+
+(* A layered Bench_gen circuit with muxes, plus the cells the generator
+   never emits: both constants and a DFF whose output feeds logic. *)
+let hw_lanes_circuit ~seed =
+  let module G = Netlist.Gate in
+  let c =
+    BG.layered ~seed ~kinds:[ G.And; G.Or; G.Xor; G.Nand; G.Not; G.Mux ]
+      ~inputs:(3 + (seed mod 6)) ~layers:(2 + (seed mod 4)) ~width:(4 + (seed mod 8)) ()
+  in
+  let last = Circuit.node_count c - 1 in
+  let one = Circuit.add_const c true and zero = Circuit.add_const c false in
+  let q = Circuit.add_dff c ~d:last in
+  let m = Circuit.add_gate c G.Mux [ q; one; last ] in
+  Circuit.set_output c "hw_y" (Circuit.add_gate c G.Or [ m; zero ]);
+  c
+
+(* The per-trace XOR sharing the campaigns drew before they were
+   batched: every share drawn, then share 0 fixed up to the parity. *)
+let oracle_encode stream ~shares value =
+  let sh = Array.init shares (fun _ -> Rng.bool stream) in
+  if Array.fold_left ( <> ) false sh <> value then sh.(0) <- not sh.(0);
+  sh
+
+(* [Secure_synth.assess] as a per-trace campaign over the one-shot HW
+   model: per trace the secrets (fixed: all true), their shares, the
+   gadget randomness, then the noise. *)
+let oracle_assess rng c ~traces_per_class ~noise_sigma =
+  let module M = Synth.Masking in
+  let iface = M.interface_of c in
+  let is_random nm = M.protected_name nm || Sidechannel.Dom.protected_name nm in
+  let secrets, extra = List.partition (fun (nm, _) -> not (is_random nm)) iface.M.secrets in
+  let randoms = Array.append iface.M.randoms (Array.concat (List.map snd extra)) in
+  let pos = Circuit.input_position c in
+  let collect stream cls =
+    let vec = Array.make (Circuit.num_inputs c) false in
+    List.iter
+      (fun (_, ids) ->
+        let value = match cls with `Fixed -> true | `Random -> Rng.bool stream in
+        if Array.length ids = 1 then vec.(pos ids.(0)) <- value
+        else begin
+          let sh = oracle_encode stream ~shares:(Array.length ids) value in
+          Array.iteri (fun s id -> vec.(pos id) <- sh.(s)) ids
+        end)
+      secrets;
+    Array.iter (fun id -> vec.(pos id) <- Rng.bool stream) randoms;
+    [| Reference.Hw_model_ref.hamming_weight_sample stream c ~noise_sigma ~inputs:vec |]
+  in
+  Sidechannel.Tvla.campaign_seeded rng ~traces_per_class ~collect
+
+(* [Leakage.tvla_campaign] as a per-trace campaign over the one-shot HW
+   model: per trace the class bits (a, b), the shares of each input, the
+   masking randomness, then the noise. *)
+let oracle_tvla_campaign rng (m : Synth.Masking.masked) ~traces_per_class ~noise_sigma =
+  let pos = Circuit.input_position m.circuit in
+  let collect stream cls =
+    let a, b =
+      match cls with
+      | `Fixed -> true, true
+      | `Random -> Rng.bool stream, Rng.bool stream
+    in
+    let vec = Array.make (Circuit.num_inputs m.circuit) false in
+    List.iter
+      (fun (nm, ids) ->
+        let sh = oracle_encode stream ~shares:m.shares (if nm = "a" then a else b) in
+        Array.iteri (fun s id -> vec.(pos id) <- sh.(s)) ids)
+      m.input_shares;
+    Array.iter (fun id -> vec.(pos id) <- Rng.bool stream) m.random_inputs;
+    [| Reference.Hw_model_ref.hamming_weight_sample stream m.circuit ~noise_sigma ~inputs:vec |]
+  in
+  Sidechannel.Tvla.campaign_seeded rng ~traces_per_class ~collect
+
+let same_t (a : Sidechannel.Tvla.result) (b : Sidechannel.Tvla.result) =
+  t_digest a = t_digest b && a.Sidechannel.Tvla.traces_per_class = b.Sidechannel.Tvla.traces_per_class
+
+let test_hw_lanes_differential () =
+  (* Every lane of one word-parallel sweep is the one-shot model on that
+     lane's vector, bit for bit: 1 to 63 lanes, garbage above the last
+     lane, a scratch buffer left dirty, and Mux, Const and Dff cells. *)
+  let arb = P.pair (P.int_range 0 100_000) (P.int_range 1 63) in
+  P.check_exn ~count:40 ~name:"every HW lane matches the one-shot model" arb
+    (fun (seed, lanes) ->
+      let c = hw_lanes_circuit ~seed in
+      let sample = Power.Model.hamming_weight_sampler c in
+      let scratch = Array.make (Circuit.node_count c) (-1) in
+      let rng = Rng.create seed in
+      let ni = Circuit.num_inputs c in
+      let vectors = Array.init lanes (fun _ -> Array.init ni (fun _ -> Rng.bool rng)) in
+      let used = if lanes = 63 then -1 else (1 lsl lanes) - 1 in
+      let words =
+        Array.init ni (fun k ->
+            let w = ref (Rng.bits63 rng land lnot used) in
+            Array.iteri (fun j v -> if v.(k) then w := !w lor (1 lsl j)) vectors;
+            !w)
+      in
+      let energies = sample ~scratch ~lanes ~inputs:words in
+      Array.length energies = lanes
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun j inputs ->
+                let a = energies.(j) +. Rng.gaussian_scaled (Rng.create j) ~mean:0.0 ~sigma:0.5 in
+                let b =
+                  Reference.Hw_model_ref.hamming_weight_sample (Rng.create j) c ~noise_sigma:0.5
+                    ~inputs
+                in
+                Int64.bits_of_float a = Int64.bits_of_float b)
+              vectors));
+  (* The batched secure-synthesis gate against its per-trace oracle, on
+     whole and partial batches of 32 pairs, masked (ISW and DOM) and
+     not. *)
+  let designs =
+    [ ("c17", Gen.c17 ());
+      ("c17 ISW 2 shares", (Synth.Masking.transform ~shares:2 (Gen.c17 ())).Synth.Masking.circuit);
+      ("c17 ISW 3 shares", (Synth.Masking.transform ~shares:3 (Gen.c17 ())).Synth.Masking.circuit);
+      ( "private AND DOM 2 shares",
+        (Sidechannel.Dom.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()))
+          .Sidechannel.Dom.circuit ) ]
+  in
+  List.iter
+    (fun (name, c) ->
+      List.iter
+        (fun n ->
+          let got = Sidechannel.Secure_synth.assess (Rng.create n) c ~traces_per_class:n ~noise_sigma:0.8 in
+          let want = oracle_assess (Rng.create n) c ~traces_per_class:n ~noise_sigma:0.8 in
+          Alcotest.(check bool) (Printf.sprintf "assess on %s, %d pairs" name n) true (same_t got want))
+        [ 1; 31; 32; 33; 257 ])
+    designs;
+  (* The pooled masked private-AND campaign: the per-trace oracle at every
+     domain count. *)
+  let masked = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_unaware in
+  let want = oracle_tvla_campaign (Rng.create 61) masked ~traces_per_class:257 ~noise_sigma:0.3 in
+  List.iter2
+    (fun d got ->
+      Alcotest.(check bool) (Printf.sprintf "tvla_campaign at %d domains" d) true (same_t got want))
+    domain_counts
+    (with_pools (fun pool ->
+         Sidechannel.Leakage.tvla_campaign ?pool (Rng.create 61) masked ~traces_per_class:257
+           ~noise_sigma:0.3))
 
 let test_trace_merge_deterministic () =
   (* Canonical merged telemetry must be byte-identical at 1/2/8 domains
@@ -1220,6 +1370,7 @@ let () =
           Alcotest.test_case "glitch capture vs list capture" `Quick
             test_glitch_capture_differential;
           Alcotest.test_case "HW sampler vs model" `Quick test_hw_sampler_differential;
+          Alcotest.test_case "HW lanes vs model" `Quick test_hw_lanes_differential;
           Alcotest.test_case "placement kernel vs list annealer" `Quick
             test_placement_differential;
           Alcotest.test_case "streamed tvla vs list t-tests" `Quick

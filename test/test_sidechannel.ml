@@ -106,7 +106,9 @@ let test_tvla_escalation_monotone_overall () =
 let test_tvla_null_calibration () =
   let samples = 4000 in
   let collect stream _cls = Array.init samples (fun _ -> Rng.gaussian stream) in
-  let o1, o2 = Tvla.campaign_orders (Rng.create 12) ~traces_per_class:500 ~collect in
+  let o1, o2 =
+    Tvla.campaign_orders (Rng.create 12) ~traces_per_class:500 ~batch:(Tvla.per_trace collect)
+  in
   let p = 0.0455 in
   let expected = Float.of_int samples *. p in
   let sd = sqrt (expected *. (1.0 -. p)) in
