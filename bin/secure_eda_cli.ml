@@ -421,7 +421,9 @@ let techmap_cmd =
 let redundancy_cmd =
   let run path output =
     let c = read_circuit path in
-    let cleaned = Dft.Atpg.remove_redundancy c in
+    let cleaned =
+      try Dft.Atpg.remove_redundancy c with Invalid_argument msg -> die "%s: %s" path msg
+    in
     Printf.eprintf "redundancy removal: %d -> %d gates\n"
       (Netlist.Circuit.stats c).Netlist.Circuit.gates
       (Netlist.Circuit.stats cleaned).Netlist.Circuit.gates;

@@ -60,7 +60,6 @@ let apply rng ~cells source =
     select the cell function (2 bits per cell, one-hot-ish mux). *)
 let to_locked camo =
   let src = camo.circuit in
-  let n = Circuit.node_count src in
   let ambiguous = Hashtbl.create 16 in
   List.iteri (fun k (node, _) -> Hashtbl.replace ambiguous node k) camo.ambiguous;
   let num_cells = List.length camo.ambiguous in
@@ -69,36 +68,26 @@ let to_locked camo =
     Array.init (2 * num_cells) (fun k -> Circuit.add_input ~name:(Printf.sprintf "key%d" k) out)
   in
   let data_inputs = ref [] in
-  let remap = Array.make n (-1) in
-  let name_taken = Hashtbl.create 64 in
-  let copy_name i =
-    let nm = Circuit.name src i in
-    if Hashtbl.mem name_taken nm || Circuit.find_by_name out nm <> None then ""
-    else begin
-      Hashtbl.replace name_taken nm ();
-      nm
-    end
+  let remap =
+    Circuit.rebuild ~into:out src (fun copy remap i ->
+        match Hashtbl.find_opt ambiguous i with
+        | None ->
+          let id = copy i in
+          if Circuit.kind src i = Gate.Input then data_inputs := id :: !data_inputs;
+          id
+        | Some cell_idx ->
+          (* Key bits (2k, 2k+1) select among candidates via mux tree. *)
+          let fanins = Circuit.fanins src i in
+          let a = remap.(fanins.(0)) and b = remap.(fanins.(1)) in
+          let nand_v = Circuit.add_node_raw out Gate.Nand [| a; b |] "" in
+          let nor_v = Circuit.add_node_raw out Gate.Nor [| a; b |] "" in
+          let xnor_v = Circuit.add_node_raw out Gate.Xnor [| a; b |] "" in
+          let k0 = key_inputs.(2 * cell_idx) and k1 = key_inputs.((2 * cell_idx) + 1) in
+          (* config 0 -> nand, 1 -> nor, 2 or 3 -> xnor. *)
+          let low = Circuit.add_node_raw out Gate.Mux [| k0; nand_v; nor_v |] "" in
+          Circuit.add_node_raw out Gate.Mux [| k1; low; xnor_v |]
+            (Circuit.free_name out (Circuit.name src i)))
   in
-  for i = 0 to n - 1 do
-    let nd = Circuit.node src i in
-    let fanins = Array.map (fun f -> remap.(f)) nd.Circuit.fanins in
-    remap.(i) <-
-      (match Hashtbl.find_opt ambiguous i with
-       | None ->
-         let id = Circuit.add_node_raw out nd.Circuit.kind fanins (copy_name i) in
-         if nd.Circuit.kind = Gate.Input then data_inputs := id :: !data_inputs;
-         id
-       | Some cell_idx ->
-         (* Key bits (2k, 2k+1) select among candidates via mux tree. *)
-         let a = fanins.(0) and b = fanins.(1) in
-         let nand_v = Circuit.add_node_raw out Gate.Nand [| a; b |] "" in
-         let nor_v = Circuit.add_node_raw out Gate.Nor [| a; b |] "" in
-         let xnor_v = Circuit.add_node_raw out Gate.Xnor [| a; b |] "" in
-         let k0 = key_inputs.(2 * cell_idx) and k1 = key_inputs.((2 * cell_idx) + 1) in
-         (* config 0 -> nand, 1 -> nor, 2 or 3 -> xnor. *)
-         let low = Circuit.add_node_raw out Gate.Mux [| k0; nand_v; nor_v |] "" in
-         Circuit.add_node_raw out Gate.Mux [| k1; low; xnor_v |] (copy_name i))
-  done;
   Array.iter (fun (nm, o) -> Circuit.set_output out nm remap.(o)) (Circuit.outputs src);
   let correct_key = Array.make (2 * num_cells) false in
   List.iteri

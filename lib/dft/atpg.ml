@@ -245,6 +245,12 @@ let run_checked ?budget circuit =
     caps fault coverage; a clean flow sweeps it. Iterates to a fixed
     point; each pass answers all its stuck-at queries on one session. *)
 let remove_redundancy circuit =
+  if Circuit.num_dffs circuit > 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Atpg.remove_redundancy: sequential circuit (%d DFFs); redundancy removal reasons \
+          about combinational logic only"
+         (Circuit.num_dffs circuit));
   let rec pass c budget =
     if budget = 0 then c
     else begin

@@ -62,5 +62,7 @@ val run_checked :
     are untestable by the stuck constant and re-simplify — the classic
     synthesis-for-test connection (redundant logic hides watermarks and
     Trojans, and caps fault coverage). Each pass answers its queries on
-    one stuck-at session. *)
+    one stuck-at session, which sees one combinational frame.
+    @raise Invalid_argument when the circuit has DFFs; the message names
+    their count. *)
 val remove_redundancy : Netlist.Circuit.t -> Netlist.Circuit.t

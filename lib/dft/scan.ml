@@ -41,25 +41,7 @@ let insert ?(protection = Plain) source =
       Array.init n_cells (fun k ->
           Circuit.add_const ~name:(Printf.sprintf "tkey%d" k) out key.(k))
   in
-  let n = Circuit.node_count source in
-  let remap = Array.make n (-1) in
-  let name_taken = Hashtbl.create 64 in
-  let copy_name i =
-    let nm = Circuit.name source i in
-    if Hashtbl.mem name_taken nm || Circuit.find_by_name out nm <> None then ""
-    else begin
-      Hashtbl.replace name_taken nm ();
-      nm
-    end
-  in
-  for i = 0 to n - 1 do
-    let nd = Circuit.node source i in
-    let fanins =
-      if nd.Circuit.kind = Gate.Dff then [| 0 |]
-      else Array.map (fun f -> remap.(f)) nd.Circuit.fanins
-    in
-    remap.(i) <- Circuit.add_node_raw out nd.Circuit.kind fanins (copy_name i)
-  done;
+  let remap = Circuit.rebuild ~into:out source (fun copy _ i -> copy i) in
   (* Stitch the chain: cell k shifts from cell k-1 (or scan_in). *)
   let dffs = Circuit.dffs source in
   Array.iteri

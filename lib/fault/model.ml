@@ -27,24 +27,11 @@ let faulty_copy circuit = function
   | Bit_flip _ -> invalid_arg "Model.faulty_copy: transient faults have no static copy"
   | Stuck_at { node; value } ->
     let out = Circuit.create () in
-    let n = Circuit.node_count circuit in
-    let remap = Array.make n (-1) in
-    let name_taken = Hashtbl.create 64 in
-    let copy_name i =
-      let nm = Circuit.name circuit i in
-      if Hashtbl.mem name_taken nm || Circuit.find_by_name out nm <> None then ""
-      else begin
-        Hashtbl.replace name_taken nm ();
-        nm
-      end
+    let remap =
+      Circuit.rebuild ~into:out circuit (fun copy _ i ->
+          let id = copy i in
+          if i = node then Circuit.add_node_raw out (Gate.Const value) [||] "" else id)
     in
-    for i = 0 to n - 1 do
-      let nd = Circuit.node circuit i in
-      let fanins = Array.map (fun f -> remap.(f)) nd.Circuit.fanins in
-      let id = Circuit.add_node_raw out nd.Circuit.kind fanins (copy_name i) in
-      remap.(i) <-
-        (if i = node then Circuit.add_node_raw out (Gate.Const value) [||] "" else id)
-    done;
     Array.iter (fun (nm, o) -> Circuit.set_output out nm remap.(o)) (Circuit.outputs circuit);
     out
 

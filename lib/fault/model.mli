@@ -13,8 +13,8 @@ val node_of : fault -> int
 val describe : Netlist.Circuit.t -> fault -> string
 
 (** A standalone copy of the circuit with a stuck-at fault frozen in:
-    the fault site is shadowed downstream by a constant carrying the
-    stuck value.
+    the fault site is shadowed downstream, DFF D-inputs included, by a
+    constant carrying the stuck value.
     @raise Invalid_argument on a transient ([Bit_flip]) fault. *)
 val faulty_copy : Netlist.Circuit.t -> fault -> Netlist.Circuit.t
 

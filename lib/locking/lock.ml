@@ -52,50 +52,36 @@ let epic rng ?(style = Polarity_hidden) ~key_bits source =
     Array.init key_bits (fun k -> Circuit.add_input ~name:(Printf.sprintf "key%d" k) out)
   in
   let correct_key = Array.init key_bits (fun _ -> Rng.bool rng) in
-  let remap = Array.make n (-1) in
-  let name_taken = Hashtbl.create 64 in
-  let copy_name i =
-    let nm = Circuit.name source i in
-    if Hashtbl.mem name_taken nm || Circuit.find_by_name out nm <> None then ""
-    else begin
-      Hashtbl.replace name_taken nm ();
-      nm
-    end
-  in
   let data_inputs = ref [] in
-  for i = 0 to n - 1 do
-    let nd = Circuit.node source i in
-    let fanins = Array.map (fun f -> remap.(f)) nd.Circuit.fanins in
-    let id = Circuit.add_node_raw out nd.Circuit.kind fanins (copy_name i) in
-    if nd.Circuit.kind = Gate.Input then data_inputs := id :: !data_inputs;
-    let mapped =
-      match Hashtbl.find_opt locked_site i with
-      | None -> id
-      | Some k ->
-        (* Correct key bit k0 makes the gate transparent:
-           XOR is transparent for key = 0, XNOR for key = 1. *)
-        let key_bit = correct_key.(k) in
-        (match style with
-         | Xor_only ->
-           (* Gate type chosen so the correct key works; type leaks bit. *)
-           let kind = if key_bit then Gate.Xnor else Gate.Xor in
-           Circuit.add_node_raw out kind [| id; key_inputs.(k) |] ""
-         | Polarity_hidden ->
-           (* Randomize structure: optionally invert the key input into the
-              gate and compensate with the opposite gate type, so XOR/XNOR
-              type no longer reveals the key bit. *)
-           if Rng.bool rng then begin
-             let inv = Circuit.add_node_raw out Gate.Not [| key_inputs.(k) |] "" in
-             let kind = if key_bit then Gate.Xor else Gate.Xnor in
-             Circuit.add_node_raw out kind [| id; inv |] ""
-           end
-           else begin
+  let remap =
+    Circuit.rebuild ~into:out source (fun copy _ i ->
+        let id = copy i in
+        if Circuit.kind source i = Gate.Input then data_inputs := id :: !data_inputs;
+        match Hashtbl.find_opt locked_site i with
+        | None -> id
+        | Some k ->
+          (* Correct key bit k0 makes the gate transparent:
+             XOR is transparent for key = 0, XNOR for key = 1. *)
+          let key_bit = correct_key.(k) in
+          (match style with
+           | Xor_only ->
+             (* Gate type chosen so the correct key works; type leaks bit. *)
              let kind = if key_bit then Gate.Xnor else Gate.Xor in
              Circuit.add_node_raw out kind [| id; key_inputs.(k) |] ""
-           end)
-    in
-    remap.(i) <- mapped
-  done;
+           | Polarity_hidden ->
+             (* Randomize structure: optionally invert the key input into the
+                gate and compensate with the opposite gate type, so XOR/XNOR
+                type no longer reveals the key bit. *)
+             if Rng.bool rng then begin
+               let inv = Circuit.add_node_raw out Gate.Not [| key_inputs.(k) |] "" in
+               let kind = if key_bit then Gate.Xor else Gate.Xnor in
+               Circuit.add_node_raw out kind [| id; inv |] ""
+             end
+             else begin
+               let kind = if key_bit then Gate.Xnor else Gate.Xor in
+               Circuit.add_node_raw out kind [| id; key_inputs.(k) |] ""
+             end))
+  in
   Array.iter (fun (nm, o) -> Circuit.set_output out nm remap.(o)) (Circuit.outputs source);
   { circuit = out;
     key_inputs;
@@ -118,34 +104,18 @@ let eval locked ~key ~data =
     constants and simplifies); what an end product with a programmed
     tamper-proof key memory computes. *)
 let apply_key locked ~key =
-  let c = Circuit.copy locked.circuit in
+  let c = locked.circuit in
   (* Rebuild with key inputs replaced by constants. *)
   let out = Circuit.create () in
-  let n = Circuit.node_count c in
-  let remap = Array.make n (-1) in
   let is_key = Hashtbl.create 16 in
   Array.iteri (fun k id -> Hashtbl.replace is_key id key.(k)) locked.key_inputs;
-  let name_taken = Hashtbl.create 64 in
-  let copy_name i =
-    let nm = Circuit.name c i in
-    if Hashtbl.mem name_taken nm || Circuit.find_by_name out nm <> None then ""
-    else begin
-      Hashtbl.replace name_taken nm ();
-      nm
-    end
+  let remap =
+    Circuit.rebuild ~into:out c (fun copy _ i ->
+        match Hashtbl.find_opt is_key i with
+        | Some b ->
+          Circuit.add_node_raw out (Gate.Const b) [||] (Circuit.free_name out (Circuit.name c i))
+        | None -> copy i)
   in
-  for i = 0 to n - 1 do
-    let nd = Circuit.node c i in
-    remap.(i) <-
-      (match Hashtbl.find_opt is_key i with
-       | Some b -> Circuit.add_node_raw out (Gate.Const b) [||] (copy_name i)
-       | None ->
-         let fanins =
-           if nd.Circuit.kind = Gate.Dff then [| 0 |]
-           else Array.map (fun f -> remap.(f)) nd.Circuit.fanins
-         in
-         Circuit.add_node_raw out nd.Circuit.kind fanins (copy_name i))
-  done;
   Array.iter (fun (nm, o) -> Circuit.set_output out nm remap.(o)) (Circuit.outputs c);
   Synth.Pass.apply "constant_propagation" out
 

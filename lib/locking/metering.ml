@@ -127,29 +127,7 @@ let meter rng ~state_bits source =
     Array.init state_bits (fun k -> Circuit.add_dff ~name:(Printf.sprintf "lock%d" k) out ~d:0)
   in
   (* Copy the design. *)
-  let n = Circuit.node_count source in
-  let remap = Array.make n (-1) in
-  let name_taken = Hashtbl.create 64 in
-  let copy_name i =
-    let nm = Circuit.name source i in
-    if Hashtbl.mem name_taken nm || Circuit.find_by_name out nm <> None then ""
-    else begin
-      Hashtbl.replace name_taken nm ();
-      nm
-    end
-  in
-  for i = 0 to n - 1 do
-    let nd = Circuit.node source i in
-    let fanins =
-      if nd.Circuit.kind = Gate.Dff then [| 0 |]
-      else Array.map (fun f -> remap.(f)) nd.Circuit.fanins
-    in
-    remap.(i) <- Circuit.add_node_raw out nd.Circuit.kind fanins (copy_name i)
-  done;
-  for i = 0 to n - 1 do
-    if Circuit.kind source i = Gate.Dff then
-      Circuit.connect_dff out remap.(i) ~d:remap.((Circuit.fanins source i).(0))
-  done;
+  let remap = Circuit.rebuild ~into:out source (fun copy _ i -> copy i) in
   (* Lock FSM next-state logic: s' = rotate(s) xor (unlock ? keyA : keyB)
      once unlocked (all ones), hold. *)
   let unlocked = Circuit.reduce out Gate.And (Array.to_list lock_ffs) in

@@ -39,40 +39,20 @@ let embed_structural rng ~bits source =
   Array.iteri (fun k idx -> Hashtbl.replace marks arr.(idx) k) chosen;
   let signature = Array.init bits (fun _ -> Rng.bool rng) in
   let out = Circuit.create () in
-  let n = Circuit.node_count source in
-  let remap = Array.make n (-1) in
   let gadget_names = Array.make bits "" in
-  let name_taken = Hashtbl.create 64 in
-  let copy_name i =
-    let nm = Circuit.name source i in
-    if Hashtbl.mem name_taken nm || Circuit.find_by_name out nm <> None then ""
-    else begin
-      Hashtbl.replace name_taken nm ();
-      nm
-    end
+  let remap =
+    Circuit.rebuild ~into:out source (fun copy _ i ->
+        let id = copy i in
+        match Hashtbl.find_opt marks i with
+        | None -> id
+        | Some k ->
+          (* bit 1: NOT-NOT gadget; bit 0: BUF-BUF gadget. *)
+          let kind = if signature.(k) then Gate.Not else Gate.Buf in
+          let g1 = Circuit.add_node_raw out kind [| id |] "" in
+          let g2 = Circuit.add_node_raw out kind [| g1 |] "" in
+          gadget_names.(k) <- Circuit.name out g1;
+          g2)
   in
-  for i = 0 to n - 1 do
-    let nd = Circuit.node source i in
-    let fanins =
-      if nd.Circuit.kind = Gate.Dff then [| 0 |]
-      else Array.map (fun f -> remap.(f)) nd.Circuit.fanins
-    in
-    let id = Circuit.add_node_raw out nd.Circuit.kind fanins (copy_name i) in
-    remap.(i) <-
-      (match Hashtbl.find_opt marks i with
-       | None -> id
-       | Some k ->
-         (* bit 1: NOT-NOT gadget; bit 0: BUF-BUF gadget. *)
-         let kind = if signature.(k) then Gate.Not else Gate.Buf in
-         let g1 = Circuit.add_node_raw out kind [| id |] "" in
-         let g2 = Circuit.add_node_raw out kind [| g1 |] "" in
-         gadget_names.(k) <- Circuit.name out g1;
-         g2)
-  done;
-  for i = 0 to n - 1 do
-    if Circuit.kind source i = Gate.Dff then
-      Circuit.connect_dff out remap.(i) ~d:remap.((Circuit.fanins source i).(0))
-  done;
   Array.iter (fun (nm, o) -> Circuit.set_output out nm remap.(o)) (Circuit.outputs source);
   { s_circuit = out; gadget_names; s_signature = signature }
 
@@ -125,7 +105,8 @@ let embed_functional rng ~bits source =
         in
         fresh ())
   in
-  let out = Circuit.copy source in
+  let out = Circuit.create () in
+  let remap = Circuit.rebuild ~into:out source (fun copy _ i -> copy i) in
   let ins = Circuit.inputs out in
   (* match_k = AND over input literals of pattern k. *)
   let force =
@@ -144,37 +125,18 @@ let embed_functional rng ~bits source =
          patterns)
   in
   (* Output 0 rerouted: on a match, output the signature bit. *)
-  let nm0, o0 = (Circuit.outputs source).(0) in
+  let outs = Circuit.outputs source in
   let final =
     List.fold_left
       (fun acc (k, matches) ->
         let bit = Circuit.add_const out signature.(k) in
         Circuit.add_gate out Gate.Mux [ matches; acc; bit ])
-      o0 force
+      remap.(snd outs.(0)) force
   in
-  (* Rebuild so the output list has output 0 re-pointed at the marked
-     mux chain (outputs cannot be re-pointed in place). *)
-  let out2 = Circuit.create () in
-  let n = Circuit.node_count out in
-  let remap = Array.make n (-1) in
-  for i = 0 to n - 1 do
-    let nd = Circuit.node out i in
-    let fanins =
-      if nd.Circuit.kind = Gate.Dff then [| 0 |]
-      else Array.map (fun f -> remap.(f)) nd.Circuit.fanins
-    in
-    remap.(i) <- Circuit.add_node_raw out2 nd.Circuit.kind fanins nd.Circuit.name
-  done;
-  for i = 0 to n - 1 do
-    if Circuit.kind out i = Gate.Dff then
-      Circuit.connect_dff out2 remap.(i) ~d:remap.((Circuit.fanins out i).(0))
-  done;
   Array.iteri
-    (fun k (nm, o) ->
-      if k = 0 then Circuit.set_output out2 nm0 remap.(final)
-      else Circuit.set_output out2 nm remap.(o))
-    (Circuit.outputs source);
-  { f_circuit = out2; patterns; f_signature = signature }
+    (fun k (nm, o) -> Circuit.set_output out nm (if k = 0 then final else remap.(o)))
+    outs;
+  { f_circuit = out; patterns; f_signature = signature }
 
 (** Owner's readout: evaluate the suspect circuit on the secret patterns
     and compare output 0 to the signature. Returns the match count. *)

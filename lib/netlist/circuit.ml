@@ -300,31 +300,37 @@ let live_set c =
   Array.iter visit (inputs c);
   live
 
+(** [nm] when [c] does not define it yet, else [""], which makes the
+    insertion functions generate a fresh name. *)
+let free_name c nm = if Hashtbl.mem c.by_name nm then "" else nm
+
+(** Rebuild [src] into [into] node by node; see the .mli. *)
+let rebuild ~into src f =
+  let remap = Array.make src.n (-1) in
+  let dffs = ref [] in
+  let copy i =
+    let nd = node src i in
+    let name = free_name into nd.name in
+    if nd.kind = Gate.Dff then begin
+      (* The D-input may be a forward reference: wired after the loop. *)
+      let id = add_node into Gate.Dff [| 0 |] name in
+      dffs := (id, nd.fanins.(0)) :: !dffs;
+      id
+    end
+    else add_node into nd.kind (Array.map (fun f -> remap.(f)) nd.fanins) name
+  in
+  for i = 0 to src.n - 1 do
+    remap.(i) <- f copy remap i
+  done;
+  List.iter (fun (id, d) -> connect_dff into id ~d:remap.(d)) !dffs;
+  remap
+
 (** Rebuild the circuit keeping only live nodes; returns the new circuit and
     the old-to-new id mapping (dead nodes map to -1). *)
 let sweep c =
   let live = live_set c in
-  let remap = Array.make c.n (-1) in
   let out = create () in
-  for i = 0 to c.n - 1 do
-    if live.(i) then begin
-      let nd = node c i in
-      let fanins =
-        (* DFF fanins may be forward; remap later in a second pass. *)
-        if nd.kind = Gate.Dff then [| 0 |] else Array.map (fun f -> remap.(f)) nd.fanins
-      in
-      Array.iter (fun f -> assert (f >= 0)) fanins;
-      remap.(i) <- add_node out nd.kind fanins nd.name
-    end
-  done;
-  (* Second pass: DFF D-inputs. *)
-  for i = 0 to c.n - 1 do
-    if live.(i) && kind c i = Gate.Dff then begin
-      let d = (fanins c i).(0) in
-      assert (remap.(d) >= 0);
-      connect_dff out remap.(i) ~d:remap.(d)
-    end
-  done;
+  let remap = rebuild ~into:out c (fun copy _ i -> if live.(i) then copy i else -1) in
   Array.iter (fun (nm, o) -> set_output out nm remap.(o)) (outputs c);
   (* Region annotations are by name: dead members stop resolving. *)
   transfer_regions ~from:c out;
@@ -347,9 +353,7 @@ let inline ~into ~sub ~prefix bindings =
     | Gate.Dff -> assert false
     | k ->
       let fanins = Array.map (fun f -> remap.(f)) nd.fanins in
-      let name = prefix ^ nd.name in
-      let name = if Hashtbl.mem into.by_name name then "" else name in
-      remap.(i) <- add_node into k fanins name
+      remap.(i) <- add_node into k fanins (free_name into (prefix ^ nd.name))
   done;
   Array.map (fun (_, o) -> remap.(o)) (outputs sub)
 

@@ -129,6 +129,21 @@ val copy : t -> t
 (** Per-node liveness: reachable backwards from outputs, DFFs or inputs. *)
 val live_set : t -> bool array
 
+(** [nm] when the circuit does not define that name yet, else [""],
+    which makes the insertion functions generate a fresh name. *)
+val free_name : t -> string -> string
+
+(** [rebuild ~into src f] is the one node-by-node circuit rebuild. It
+    visits [src] in id order and stores [f copy map i] as node [i]'s new
+    id in [map], the old-to-new map it returns; -1 drops the node. [f]
+    may add any nodes to [into]; [copy i] adds node [i]'s plain copy
+    (same kind, fanins through [map], [src]'s name unless [into] already
+    defines it, then a fresh one) and returns its id. After the loop,
+    the D-input of every DFF that [copy] made is connected through
+    [map], whatever id [f] returned for that DFF. Outputs and region
+    annotations are left to the caller. *)
+val rebuild : into:t -> t -> ((int -> int) -> int array -> int -> int) -> int array
+
 (** Rebuild keeping only live nodes; returns the new circuit and the
     old-to-new id map (dead nodes map to -1). *)
 val sweep : t -> t * int array

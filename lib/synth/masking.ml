@@ -269,22 +269,13 @@ let mask_region ?(shares = 3) ?(style = Isw) ?(seed = 0) c ~region =
   let m = transform ~shares ~style ~seed sub in
   (* Rebuild the host circuit with the gadget spliced at [pos]. *)
   let out = Circuit.create () in
-  let remap = Array.make n (-1) in
-  let copy_plain i =
-    let nd = Circuit.node c i in
-    let fanins =
-      if nd.Circuit.kind = Gate.Dff then [| 0 |]
-      else Array.map (fun f -> remap.(f)) nd.Circuit.fanins
-    in
-    remap.(i) <- Circuit.add_node_raw out nd.Circuit.kind fanins nd.Circuit.name
-  in
   let fresh_pi =
     let k = ref 0 in
     fun tag ->
       incr k;
       Circuit.add_input ~name:(Printf.sprintf "%s%s_%s_%d" prefix tag region !k) out
   in
-  let splice () =
+  let splice remap =
     (* Encoders: split each boundary value into [shares] XOR shares with
        fresh randomness inputs; share 0 absorbs the value through a
        left-to-right chain of protected XORs. *)
@@ -330,15 +321,13 @@ let mask_region ?(shares = 3) ?(style = Isw) ?(seed = 0) c ~region =
         remap.(exit_id) <- !chain)
       exits
   in
-  (* [pos] <= the last member's id <= n-1, so the splice always fires. *)
-  for i = 0 to n - 1 do
-    if i = pos then splice ();
-    if not is_member.(i) then copy_plain i
-  done;
-  for i = 0 to n - 1 do
-    if (not is_member.(i)) && Circuit.kind c i = Gate.Dff then
-      Circuit.connect_dff out remap.(i) ~d:remap.((Circuit.fanins c i).(0))
-  done;
+  (* [pos] <= the last member's id <= n-1, so the splice always fires;
+     it maps the exits, and members keep what it stored. *)
+  let remap =
+    Circuit.rebuild ~into:out c (fun copy remap i ->
+        if i = pos then splice remap;
+        if is_member.(i) then remap.(i) else copy i)
+  in
   Array.iter (fun (nm, o) -> Circuit.set_output out nm remap.(o)) (Circuit.outputs c);
   Circuit.transfer_regions ~from:c out;
   out

@@ -6,8 +6,8 @@
     so a transform never needs its own plumbing.
 
     Registration makes a transform addressable by name from pipeline
-    descriptions, the CLI and tests; [Rewrite] and [Basis] are private
-    to the library and [Techmap.run] is deprecated outside it. Builtin
+    descriptions, the CLI and tests; [Rewrite] and [Basis] (which holds
+    the technology mapping) are private to the library. Builtin
     passes are registered here (not in their home modules) so that
     linking any registry user is enough to see them — module
     initializers of otherwise-unreferenced archive members are dropped
@@ -138,8 +138,7 @@ let () =
        ~check:(fun ctx c ->
          if Techmap.conforms (target_of ctx) c then Ok ()
          else Error "mapped circuit leaves the target library")
-       (* the registry is the supported way to reach [Techmap.run] *)
-       (fun ctx c -> (Techmap.run [@alert "-deprecated"]) ~target:(target_of ctx) c));
+       (fun ctx c -> Basis.techmap (target_of ctx) c));
   register
     (make ~name:"to_and_xor_not"
        ~doc:"Rewrite into the AND/XOR/NOT masking basis"

@@ -13,44 +13,14 @@ module Gate = Netlist.Gate
 
 let no_protection _ = false
 
-(* Rebuild [c] mapping each node through [rewrite_node], which receives the
-   partially built output circuit and the old->new map and returns the new
-   id for the node. *)
-let rebuild c rewrite_node =
+(* Rebuild [c] mapping each node through [rewrite out copy remap i], which
+   receives the partially built output circuit and returns the node's new
+   id; outputs follow the map. *)
+let rebuild c rewrite =
   let out = Circuit.create () in
-  let n = Circuit.node_count c in
-  let remap = Array.make n (-1) in
-  (* Names can collide after merging; keep the first, generate for later. *)
-  let name_taken = Hashtbl.create 64 in
-  let copy_name i =
-    let nm = Circuit.name c i in
-    if Hashtbl.mem name_taken nm || Circuit.find_by_name out nm <> None then ""
-    else begin
-      Hashtbl.replace name_taken nm ();
-      nm
-    end
-  in
-  for i = 0 to n - 1 do
-    remap.(i) <- rewrite_node out remap copy_name i
-  done;
-  (* DFF D-inputs were deferred (forward references). *)
-  for i = 0 to n - 1 do
-    if Circuit.kind c i = Gate.Dff then begin
-      let d = (Circuit.fanins c i).(0) in
-      Circuit.connect_dff out remap.(i) ~d:remap.(d)
-    end
-  done;
+  let remap = Circuit.rebuild ~into:out c (rewrite out) in
   Array.iter (fun (nm, o) -> Circuit.set_output out nm remap.(o)) (Circuit.outputs c);
   out
-
-(* Copy a node verbatim (with remapped fanins). *)
-let copy_node c out remap copy_name i =
-  let nd = Circuit.node c i in
-  let fanins =
-    if nd.Circuit.kind = Gate.Dff then [| 0 |]
-    else Array.map (fun f -> remap.(f)) nd.Circuit.fanins
-  in
-  Circuit.add_node_raw out nd.Circuit.kind fanins (copy_name i)
 
 (** Constant propagation and algebraic simplification:
     AND(x,0)=0, AND(x,1)=x, XOR(x,0)=x, XOR(x,x)=0, NOT(NOT x)=x, etc. *)
@@ -75,15 +45,15 @@ let constant_propagation ?(protect = no_protection) c =
       Hashtbl.replace const_of id b;
       id
   in
-  let rewrite out remap copy_name i =
+  let rewrite out copy remap i =
     let nd = Circuit.node c i in
-    let verbatim () = copy_node c out remap copy_name i in
-    if protect i then verbatim ()
+    if protect i then copy i
     else begin
       let f k = remap.(nd.Circuit.fanins.(k)) in
       let cst id = Hashtbl.find_opt const_of id in
       let fresh kind fanins =
-        let id = Circuit.add_node_raw out kind (Array.of_list fanins) (copy_name i) in
+        let name = Circuit.free_name out (Circuit.name c i) in
+        let id = Circuit.add_node_raw out kind (Array.of_list fanins) name in
         (match kind with
          | Gate.Const b -> Hashtbl.replace const_of id b
          | Gate.Not -> (match fanins with [ a ] -> Hashtbl.replace not_of id a | _ -> ())
@@ -101,7 +71,7 @@ let constant_propagation ?(protect = no_protection) c =
            | None -> fresh Gate.Not [ a ])
       in
       match nd.Circuit.kind with
-      | Gate.Input | Gate.Dff -> verbatim ()
+      | Gate.Input | Gate.Dff -> copy i
       | Gate.Const b -> constant out b
       | Gate.Buf -> f 0
       | Gate.Not -> negate (f 0)
@@ -170,12 +140,12 @@ let constant_propagation ?(protect = no_protection) c =
 let strash ?(protect = no_protection) c =
   let protect i = protect (Circuit.name c i) in
   let table = Hashtbl.create 256 in  (* (kind, fanins) -> new id *)
-  let rewrite out remap copy_name i =
+  let rewrite out copy remap i =
     let nd = Circuit.node c i in
-    if protect i then copy_node c out remap copy_name i
+    if protect i then copy i
     else begin
       match nd.Circuit.kind with
-      | Gate.Input | Gate.Dff | Gate.Const _ -> copy_node c out remap copy_name i
+      | Gate.Input | Gate.Dff | Gate.Const _ -> copy i
       | k ->
         let fanins = Array.map (fun f -> remap.(f)) nd.Circuit.fanins in
         let normalized =
@@ -191,7 +161,7 @@ let strash ?(protect = no_protection) c =
         (match Hashtbl.find_opt table key with
          | Some id -> id
          | None ->
-           let id = Circuit.add_node_raw out k fanins (copy_name i) in
+           let id = Circuit.add_node_raw out k fanins (Circuit.free_name out nd.Circuit.name) in
            Hashtbl.replace table key id;
            id)
     end

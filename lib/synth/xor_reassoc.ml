@@ -97,62 +97,35 @@ let run ?(protect = Rewrite.no_protection) ?(strategy = Factoring_friendly) c =
     end
   done;
   let out = Circuit.create () in
-  let remap = Array.make n (-1) in
-  let name_taken = Hashtbl.create 64 in
-  let copy_name i =
-    let nm = Circuit.name c i in
-    if Hashtbl.mem name_taken nm || Circuit.find_by_name out nm <> None then ""
-    else begin
-      Hashtbl.replace name_taken nm ();
-      nm
-    end
-  in
-  for i = 0 to n - 1 do
-    let nd = Circuit.node c i in
-    if is_root.(i) then begin
-      let leaves, parity = collect_tree c ~fanout_count ~protect i in
-      let leaves =
-        match strategy with
-        | Factoring_friendly ->
-          List.stable_sort (fun a b -> compare (leaf_key c a) (leaf_key c b)) leaves
-        | Balanced -> leaves
-      in
-      let mapped = List.map (fun l -> remap.(l)) leaves in
-      List.iter (fun m -> assert (m >= 0)) mapped;
-      let tree =
-        match strategy with
-        | Factoring_friendly -> Circuit.reduce_chain out Gate.Xor mapped
-        | Balanced -> Circuit.reduce out Gate.Xor mapped
-      in
-      let final =
-        if parity then Circuit.add_node_raw out Gate.Not [| tree |] (copy_name i)
-        else if List.length leaves = 1 then
-          (* Degenerate: single leaf; keep a buffer to carry the name. *)
-          Circuit.add_node_raw out Gate.Buf [| tree |] (copy_name i)
-        else begin
-          (* Give the tree root the original name if still free. *)
-          ignore (copy_name i);
-          tree
+  let remap =
+    Circuit.rebuild ~into:out c (fun copy remap i ->
+        if is_root.(i) then begin
+          let leaves, parity = collect_tree c ~fanout_count ~protect i in
+          let leaves =
+            match strategy with
+            | Factoring_friendly ->
+              List.stable_sort (fun a b -> compare (leaf_key c a) (leaf_key c b)) leaves
+            | Balanced -> leaves
+          in
+          let mapped = List.map (fun l -> remap.(l)) leaves in
+          List.iter (fun m -> assert (m >= 0)) mapped;
+          let tree =
+            match strategy with
+            | Factoring_friendly -> Circuit.reduce_chain out Gate.Xor mapped
+            | Balanced -> Circuit.reduce out Gate.Xor mapped
+          in
+          let name () = Circuit.free_name out (Circuit.name c i) in
+          if parity then Circuit.add_node_raw out Gate.Not [| tree |] (name ())
+          else if List.length leaves = 1 then
+            (* Degenerate: single leaf; keep a buffer to carry the name. *)
+            Circuit.add_node_raw out Gate.Buf [| tree |] (name ())
+          else tree
         end
-      in
-      remap.(i) <- final
-    end
-    else if is_xor i && not (protect i) then
-      (* Absorbed into a root built later; remap lazily via its leaves.
-         Mark with a placeholder; roots never read absorbed nodes. *)
-      remap.(i) <- -2
-    else begin
-      let fanins =
-        if nd.Circuit.kind = Gate.Dff then [| 0 |]
-        else Array.map (fun f -> remap.(f)) nd.Circuit.fanins
-      in
-      Array.iter (fun f -> assert (f >= 0)) fanins;
-      remap.(i) <- Circuit.add_node_raw out nd.Circuit.kind fanins (copy_name i)
-    end
-  done;
-  for i = 0 to n - 1 do
-    if Circuit.kind c i = Gate.Dff then
-      Circuit.connect_dff out remap.(i) ~d:remap.((Circuit.fanins c i).(0))
-  done;
+        else if is_xor i && not (protect i) then
+          (* Absorbed into a root built later, which reads its leaves,
+             never this node. *)
+          -1
+        else copy i)
+  in
   Array.iter (fun (nm, o) -> Circuit.set_output out nm remap.(o)) (Circuit.outputs c);
   fst (Circuit.sweep out)

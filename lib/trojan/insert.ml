@@ -115,57 +115,43 @@ let insert rng ?(payload = Flip_output) ~trigger_width ~patterns source =
     pick [] all_ones candidates
   in
   assert (List.length conditions = trigger_width);
-  let c = Circuit.copy source in
+  let c = Circuit.create () in
+  let remap = Circuit.rebuild ~into:c source (fun copy _ i -> copy i) in
   (* Build the trigger: AND over the conditioned nets. *)
   let condition_nodes =
     List.map
       (fun (net, value) ->
-        if value then net else Circuit.add_gate c Gate.Not [ net ])
+        if value then remap.(net) else Circuit.add_gate c Gate.Not [ remap.(net) ])
       conditions
   in
   let trigger = Circuit.reduce c Gate.And condition_nodes in
   let outs = Circuit.outputs source in
   let victim = Rng.int rng (Array.length outs) in
-  (* Outputs can't be re-pointed in place; build the payload, then rebuild
-     the circuit with the victim output re-routed through it. *)
   let _, o_victim = outs.(victim) in
   let payload_node =
     match payload with
-    | Flip_output -> Circuit.add_gate ~name:"troj_payload" c Gate.Xor [ o_victim; trigger ]
+    | Flip_output ->
+      Circuit.add_gate ~name:"troj_payload" c Gate.Xor [ remap.(o_victim); trigger ]
     | Leak_parasitic ->
       (* A chain of buffers toggled by the trigger cone: pure load. *)
       let b1 = Circuit.add_gate c Gate.Buf [ trigger ] in
       let b2 = Circuit.add_gate c Gate.Buf [ b1 ] in
       Circuit.add_gate ~name:"troj_payload" c Gate.Buf [ b2 ]
   in
-  let rebuilt = Circuit.create () in
-  let remap = Array.make (Circuit.node_count c) (-1) in
-  for i = 0 to Circuit.node_count c - 1 do
-    let nd = Circuit.node c i in
-    let fanins =
-      if nd.Circuit.kind = Gate.Dff then [| 0 |]
-      else Array.map (fun f -> remap.(f)) nd.Circuit.fanins
-    in
-    remap.(i) <- Circuit.add_node_raw rebuilt nd.Circuit.kind fanins nd.Circuit.name
-  done;
-  for i = 0 to Circuit.node_count c - 1 do
-    if Circuit.kind c i = Gate.Dff then
-      Circuit.connect_dff rebuilt remap.(i) ~d:remap.((Circuit.fanins c i).(0))
-  done;
+  (* Outputs are declared last, the victim re-routed through the payload. *)
   Array.iteri
     (fun k (nm, o) ->
       match payload with
-      | Flip_output when k = victim ->
-        Circuit.set_output rebuilt nm remap.(payload_node)
-      | Flip_output | Leak_parasitic -> Circuit.set_output rebuilt nm remap.(o))
+      | Flip_output when k = victim -> Circuit.set_output c nm payload_node
+      | Flip_output | Leak_parasitic -> Circuit.set_output c nm remap.(o))
     outs;
   (* Parasitic payload must stay live: give it a pseudo-output. *)
   (match payload with
-   | Leak_parasitic -> Circuit.set_output rebuilt "troj_load" remap.(payload_node)
+   | Leak_parasitic -> Circuit.set_output c "troj_load" payload_node
    | Flip_output -> ());
-  { infected = rebuilt;
+  { infected = c;
     trigger_nets = conditions;
-    trigger_node = remap.(trigger);
+    trigger_node = trigger;
     victim_output = victim;
     payload }
 

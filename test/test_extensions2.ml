@@ -207,17 +207,226 @@ let test_techmap_camo_target () =
         (Synth.Techmap.conforms Synth.Techmap.Nand_nor_xnor mapped))
     [ Gen.c17 (); Gen.ripple_adder 5 ]
 
-let test_techmap_sequential () =
-  (* DFFs survive mapping; the counter still counts. *)
+(* --- circuit rebuild users ------------------------------------------------ *)
+
+(* q = DFF(d), a = NAND(x, q), d = XOR(a, w): the DFF's D-input is a
+   forward reference, which every rebuild must re-connect after its node
+   loop. With [~key], a key gate XOR(a, key0) sits between [a] and [d]
+   (transparent for key 0), declared first as a locked circuit's key. *)
+let dff_feedback ?(key = false) () =
   let c = Circuit.create () in
-  let en = Circuit.add_input ~name:"en" c in
-  let q0 = Circuit.add_dff ~name:"q0" c ~d:0 in
-  let t0 = Circuit.add_gate c Gate.Xor [ q0; en ] in
-  Circuit.connect_dff c q0 ~d:t0;
-  Circuit.set_output c "q0" q0;
-  let mapped = Synth.Pass.apply "techmap" c in
-  let trace c' = Netlist.Sim.run c' [ [| true |]; [| true |]; [| false |]; [| true |] ] in
-  Alcotest.(check bool) "sequential behaviour preserved" true (trace c = trace mapped)
+  let k = if key then Circuit.add_input ~name:"key0" c else -1 in
+  let x = Circuit.add_input ~name:"x" c in
+  let w = Circuit.add_input ~name:"w" c in
+  let q = Circuit.add_dff ~name:"q" c ~d:0 in
+  let a = Circuit.add_gate ~name:"a" c Gate.Nand [ x; q ] in
+  let a' = if key then Circuit.add_gate ~name:"g" c Gate.Xor [ a; k ] else a in
+  let d = Circuit.add_gate ~name:"d" c Gate.Xor [ a'; w ] in
+  Circuit.connect_dff c q ~d;
+  Circuit.set_output c "a" a;
+  Circuit.set_output c "q" q;
+  c
+
+let feedback_stimulus =
+  List.map
+    (fun (x, w) -> [| x; w |])
+    [ (true, true); (true, false); (false, true); (true, true); (true, false) ]
+
+(* Traces observe, per cycle, the source's outputs and then the next
+   state of each source register. This one steps the source under a
+   stuck-at through the fault simulator: the reference for
+   [faulty_copy]. *)
+let faulty_trace c fault =
+  let state = ref (Array.make (Circuit.num_dffs c) false) in
+  List.map
+    (fun v ->
+      let values = Fault.Model.eval_all_faulty ~state:!state c ~faults:[ fault ] v in
+      state := Array.map (fun q -> values.((Circuit.fanins c q).(0))) (Circuit.dffs c);
+      Array.append (Array.map (fun o -> values.(o)) (Circuit.output_ids c)) !state)
+    feedback_stimulus
+
+(* Step a rebuilt circuit on the source's stimulus: inputs the source
+   declares by name, every added input (key, scan, mask randomness) from
+   [extra]; registers are matched by name. *)
+let rebuilt_trace src ~extra mapped =
+  let dffs = Circuit.dffs mapped in
+  let regs =
+    Array.map
+      (fun q ->
+        let id = Option.get (Circuit.find_by_name mapped (Circuit.name src q)) in
+        Option.get (Array.find_index (( = ) id) dffs))
+      (Circuit.dffs src)
+  in
+  let state = ref (Array.make (Circuit.num_dffs mapped) false) in
+  List.map
+    (fun v ->
+      let vec =
+        Array.map
+          (fun id ->
+            let nm = Circuit.name mapped id in
+            match Circuit.find_by_name src nm with
+            | Some s when Circuit.kind src s = Gate.Input -> v.(Circuit.input_position src s)
+            | Some _ | None -> extra nm)
+          (Circuit.inputs mapped)
+      in
+      let outs, next = Netlist.Sim.step mapped ~state:!state vec in
+      state := next;
+      Array.append (Array.sub outs 0 (Circuit.num_outputs src)) (Array.map (Array.get next) regs))
+    feedback_stimulus
+
+let test_techmap_sequential () =
+  (* Every rebuild keeps the DFF's D-input connected: the rebuilt circuit
+     is lint-clean, and its outputs and register step like the source's
+     (or, for a fault copy, like the fault simulator's). *)
+  let src = dff_feedback () in
+  let node nm = Option.get (Circuit.find_by_name src nm) in
+  let no_extra _ = false in
+  let pass ?params name = (name, no_extra, Synth.Pass.apply ?params name src, None) in
+  let stuck nm value =
+    let fault = Fault.Model.Stuck_at { node = node nm; value } in
+    ( Fault.Model.describe src fault,
+      no_extra,
+      Fault.Model.faulty_copy src fault,
+      Some (faulty_trace src fault) )
+  in
+  let camo = { Camo.Camouflage.circuit = src; ambiguous = [ (node "a", 0) ] } in
+  let camo_locked = Camo.Camouflage.to_locked camo in
+  let key_value (locked : Locking.Lock.locked) nm =
+    match
+      Array.find_index
+        (fun id -> Circuit.name locked.Locking.Lock.circuit id = nm)
+        locked.Locking.Lock.key_inputs
+    with
+    | Some k -> locked.Locking.Lock.correct_key.(k)
+    | None -> false
+  in
+  let hand_locked =
+    let c = dff_feedback ~key:true () in
+    let id nm = Option.get (Circuit.find_by_name c nm) in
+    { Locking.Lock.circuit = c;
+      key_inputs = [| id "key0" |];
+      data_inputs = [| id "x"; id "w" |];
+      correct_key = [| false |] }
+  in
+  let region =
+    let c = dff_feedback () in
+    Circuit.annotate_region c ~region:"core" [ node "a" ];
+    Synth.Masking.mask_region ~shares:2 ~seed:1 c ~region:"core"
+  in
+  let cases =
+    [ pass "techmap";
+      pass ~params:[ ("target", "camo") ] "techmap";
+      pass "to_and_xor_not";
+      pass "constant_propagation";
+      pass "strash";
+      pass "xor_reassoc";
+      pass "sweep";
+      ("mask_region", no_extra, region, None);
+      ("scan", no_extra, (Dft.Scan.insert src).Dft.Scan.circuit, None);
+      ( "watermark",
+        no_extra,
+        (Locking.Watermark.embed_structural (Rng.create 5) ~bits:2 src)
+          .Locking.Watermark.s_circuit,
+        None );
+      ("to_locked", key_value camo_locked, camo_locked.Locking.Lock.circuit, None);
+      ("apply_key", no_extra, Locking.Lock.apply_key hand_locked ~key:[| false |], None);
+      stuck "q" true;
+      stuck "q" false;
+      stuck "d" false;
+      stuck "d" true;
+      stuck "a" true ]
+  in
+  let show trace =
+    String.concat " "
+      (List.map
+         (fun o -> String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") o)))
+         trace)
+  in
+  let expected = rebuilt_trace src ~extra:no_extra src in
+  List.iter
+    (fun (name, extra, mapped, reference) ->
+      (match Netlist.Lint.errors mapped with
+       | [] -> ()
+       | issue :: _ -> Alcotest.failf "%s: %s" name (Netlist.Lint.describe issue));
+      Alcotest.(check string) (name ^ " trace")
+        (show (Option.value reference ~default:expected))
+        (show (rebuilt_trace src ~extra mapped)))
+    cases
+
+(* One structural fingerprint per rebuild user on a fixed design, pinned
+   so a refactor of the shared rebuild shows any change of id, name,
+   fanin or output. *)
+let rebuild_fingerprints () =
+  let fp = Netlist.Bench_gen.fingerprint in
+  let design () =
+    Netlist.Bench_gen.layered ~seed:23
+      ~kinds:Gate.[ And; Nand; Or; Nor; Xor; Xnor; Not; Buf; Mux ]
+      ~inputs:10 ~layers:5 ~width:12 ()
+  in
+  let c = design () in
+  let seq = Crypto.Sbox_circuit.aes_round_registered () in
+  let line name v = name ^ ": " ^ v in
+  let locked = Locking.Lock.epic (Rng.create 3) ~key_bits:8 c in
+  let wrong = Array.map not locked.Locking.Lock.correct_key in
+  let camo = Camo.Camouflage.apply (Rng.create 4) ~cells:6 c in
+  let trojan payload =
+    (Trojan.Insert.insert (Rng.create 6) ~payload ~trigger_width:3 ~patterns:256 c)
+      .Trojan.Insert.infected
+  in
+  let masked =
+    let c = design () in
+    Circuit.annotate_region c ~region:"core" [ Circuit.output_id c 0 ];
+    Synth.Masking.mask_region ~seed:2 c ~region:"core"
+  in
+  [ line "faulty_copy"
+      (fp (Fault.Model.faulty_copy c (Fault.Model.Stuck_at { node = 30; value = true })));
+    line "scan" (fp (Dft.Scan.insert seq).Dft.Scan.circuit);
+    line "scan secure"
+      (fp
+         (Dft.Scan.insert ~protection:(Dft.Scan.Secure (Array.init 8 (fun k -> k mod 3 = 0))) seq)
+           .Dft.Scan.circuit);
+    line "epic" (fp locked.Locking.Lock.circuit);
+    line "epic xor_only"
+      (fp (Locking.Lock.epic (Rng.create 3) ~style:Locking.Lock.Xor_only ~key_bits:8 c)
+           .Locking.Lock.circuit);
+    line "apply_key" (fp (Locking.Lock.apply_key locked ~key:locked.Locking.Lock.correct_key));
+    line "apply_key wrong" (fp (Locking.Lock.apply_key locked ~key:wrong));
+    line "to_locked" (fp (Camo.Camouflage.to_locked camo).Locking.Lock.circuit);
+    line "watermark structural"
+      (fp (Locking.Watermark.embed_structural (Rng.create 7) ~bits:6 c).Locking.Watermark.s_circuit);
+    line "watermark functional"
+      (fp (Locking.Watermark.embed_functional (Rng.create 8) ~bits:4 c).Locking.Watermark.f_circuit);
+    line "meter" (fp (Locking.Metering.meter (Rng.create 9) ~state_bits:4 c).Locking.Metering.circuit);
+    line "trojan flip" (fp (trojan Trojan.Insert.Flip_output));
+    line "trojan parasitic" (fp (trojan Trojan.Insert.Leak_parasitic));
+    line "to_and_xor_not" (fp (Synth.Pass.apply "to_and_xor_not" c));
+    line "techmap nand-inv" (fp (Synth.Pass.apply "techmap" c));
+    line "techmap camo" (fp (Synth.Pass.apply ~params:[ ("target", "camo") ] "techmap" c));
+    line "mask_region" (fp masked) ]
+
+(* Recorded before the rebuild loops moved onto [Circuit.rebuild]. *)
+let pinned_rebuild_fingerprints =
+  [ "faulty_copy: 17c8862300f8d3f1";
+    "scan: cfe07b876850699f";
+    "scan secure: e3520889a9365871";
+    "epic: 8f3e124783a1fc0d";
+    "epic xor_only: 9469db72e5d42d80";
+    "apply_key: 3feac5140cc2c8ff";
+    "apply_key wrong: f10f395e26393d1a";
+    "to_locked: a1e91b8bad2e651c";
+    "watermark structural: 042e9666f6e65214";
+    "watermark functional: 6fb1928690b3c2aa";
+    "meter: 6ef91f19e676356c";
+    "trojan flip: 6a2a6c58de09f760";
+    "trojan parasitic: 8e2d18a6c12f352f";
+    "to_and_xor_not: 415b550d8560152f";
+    "techmap nand-inv: e1a0466655d35f97";
+    "techmap camo: 3315f2f5ff9648cc";
+    "mask_region: 9703b55a545b1860" ]
+
+let test_rebuild_fingerprints () =
+  Alcotest.(check (list string)) "rebuild fingerprints" pinned_rebuild_fingerprints
+    (rebuild_fingerprints ())
 
 let test_techmap_overhead_reasonable () =
   let c = Gen.alu 4 in
@@ -279,6 +488,17 @@ let test_redundancy_removal_restores_coverage () =
   let after = Dft.Atpg.run cleaned in
   Alcotest.(check (float 1e-9)) "full coverage after removal" 1.0 after.Dft.Atpg.coverage;
   Alcotest.(check int) "nothing untestable" 0 (List.length after.Dft.Atpg.untestable)
+
+let test_redundancy_rejects_sequential () =
+  (* A single-frame stuck-at query cannot see next-state logic: on the DFF
+     feedback circuit it would call both faults on [d] untestable. *)
+  match Dft.Atpg.remove_redundancy (dff_feedback ()) with
+  | _ -> Alcotest.fail "a sequential circuit was accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "names the DFF count"
+      "Atpg.remove_redundancy: sequential circuit (1 DFFs); redundancy removal reasons \
+       about combinational logic only"
+      msg
 
 let test_formal_audit_duplication () =
   let prot = Fault.Countermeasure.duplicate_protect (Gen.ripple_adder 2) in
@@ -439,10 +659,13 @@ let () =
          Alcotest.test_case "sequential" `Quick test_techmap_sequential;
          Alcotest.test_case "overhead" `Quick test_techmap_overhead_reasonable;
          Alcotest.test_case "present round" `Quick test_present_round_netlist ]);
+      ("rebuild",
+       [ Alcotest.test_case "pinned fingerprints" `Quick test_rebuild_fingerprints ]);
       ("redundancy",
        [ Alcotest.test_case "absorption removed" `Quick test_redundancy_removal;
          Alcotest.test_case "irredundant untouched" `Quick test_redundancy_removal_keeps_irredundant;
-         Alcotest.test_case "coverage restored" `Quick test_redundancy_removal_restores_coverage ]);
+         Alcotest.test_case "coverage restored" `Quick test_redundancy_removal_restores_coverage;
+         Alcotest.test_case "rejects sequential" `Quick test_redundancy_rejects_sequential ]);
       ("formal_audit",
        [ Alcotest.test_case "duplication" `Slow test_formal_audit_duplication;
          Alcotest.test_case "parity vs duplication" `Slow test_formal_audit_parity_finds_more_escapes ]);
