@@ -21,5 +21,6 @@ val to_locked : camouflaged -> Locking.Lock.locked
     candidate (the constrained-synthesis cost). *)
 val area_overhead : camouflaged -> float
 
-(** Oracle-guided de-camouflaging; (DIPs used, functions recovered). *)
+(** Oracle-guided de-camouflaging; (DIPs used, functions recovered).
+    @raise Invalid_argument on a sequential circuit, as {!Locking.Sat_attack.run}. *)
 val decamouflage : ?max_iterations:int -> camouflaged -> int * bool

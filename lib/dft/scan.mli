@@ -21,9 +21,6 @@ type scanned = {
     without flip-flops, or when a [Secure] key length mismatches. *)
 val insert : ?protection:protection -> Netlist.Circuit.t -> scanned
 
-(** Full input vector for one cycle of the scanned circuit. *)
-val input_vector : scanned -> scan_en:bool -> scan_in:bool -> data:bool array -> bool array
-
 (** One functional (capture) cycle; returns the next register state. *)
 val capture : scanned -> state:bool array -> data:bool array -> bool array
 

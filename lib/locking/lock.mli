@@ -25,9 +25,6 @@ type style =
 val epic :
   Eda_util.Rng.t -> ?style:style -> key_bits:int -> Netlist.Circuit.t -> locked
 
-(** Full input vector from a key and data assignment. *)
-val input_vector : locked -> key:bool array -> data:bool array -> bool array
-
 val eval : locked -> key:bool array -> data:bool array -> bool array
 
 (** Specialize under a fixed key (key inputs become constants, then

@@ -57,6 +57,13 @@ let run ?(max_iterations = 256) ?budget ?iteration_steps ~oracle (locked : Lock.
         ("data_bits", Telemetry.Int (Array.length locked.Lock.data_inputs)) ]
   @@ fun () ->
   let c = locked.Lock.circuit in
+  (* The miter ties only the data inputs, so DFF outputs would float
+     apart in the two copies. *)
+  if Circuit.num_dffs c > 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Sat_attack.run: sequential circuit (%d DFFs); the attack unlocks combinational logic only"
+         (Circuit.num_dffs c));
   let solver = Solver.create () in
   let add = Solver.add_clause solver in
   let vars env ids = Array.map (fun id -> env.Cnf.vars.(id)) ids in

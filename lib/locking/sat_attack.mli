@@ -26,7 +26,9 @@ type result = {
     exhaustion the attack returns honestly instead of hanging: [status]
     records the reason and [iterations] the DIPs completed. The attack
     is deterministic: the same netlist, oracle and budget give the same
-    DIP sequence, key and solver stats. *)
+    DIP sequence, key and solver stats.
+    @raise Invalid_argument when the locked circuit has DFFs; the
+    message names the DFF count. *)
 val run :
   ?max_iterations:int ->
   ?budget:Eda_util.Budget.t ->

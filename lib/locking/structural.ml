@@ -18,18 +18,18 @@ type strength = Naive | Local_reconstruction
    the path from key input to gate. *)
 let key_gate_info locked key_node =
   let c = (locked : Lock.locked).Lock.circuit in
-  let fanouts = Circuit.fanouts c in
+  let { Circuit.kinds; fanout_start = start; fanout; _ } = Circuit.view c in
   let rec chase node parity =
-    match fanouts.(node) with
-    | [ consumer ] ->
-      (match Circuit.kind c consumer with
-       | Gate.Not -> chase consumer (not parity)
-       | Gate.Buf -> chase consumer parity
-       | Gate.Xor -> Some (`Xor, parity)
-       | Gate.Xnor -> Some (`Xnor, parity)
-       | Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Mux | Gate.Input
-       | Gate.Const _ | Gate.Dff -> None)
-    | [] | _ :: _ :: _ -> None
+    if start.(node + 1) - start.(node) <> 1 then None
+    else
+      let consumer = fanout.(start.(node)) in
+      match kinds.(consumer) with
+      | Gate.Not -> chase consumer (not parity)
+      | Gate.Buf -> chase consumer parity
+      | Gate.Xor -> Some (`Xor, parity)
+      | Gate.Xnor -> Some (`Xnor, parity)
+      | Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Mux | Gate.Input
+      | Gate.Const _ | Gate.Dff -> None
   in
   chase key_node false
 

@@ -233,13 +233,33 @@ let reduce_chain c kind ids =
   | first :: rest ->
     List.fold_left (fun acc x -> add_gate c kind [ acc; x ]) first rest
 
-(** Fanout lists: for each node, which nodes consume it. *)
-let fanouts c =
-  let out = Array.make c.n [] in
-  for i = 0 to c.n - 1 do
-    Array.iter (fun f -> out.(f) <- i :: out.(f)) (fanins c i)
+(* --- Resolved topology --------------------------------------------------- *)
+
+type view = {
+  kinds : Gate.kind array;
+  fanin : int array array;
+  fanout_start : int array;
+  fanout : int array;
+}
+
+let view c =
+  let n = c.n in
+  let kinds = Array.init n (kind c) and fanin = Array.init n (fanins c) in
+  let fanout_start = Array.make (n + 1) 0 in
+  Array.iter (Array.iter (fun v -> fanout_start.(v + 1) <- fanout_start.(v + 1) + 1)) fanin;
+  for v = 0 to n - 1 do
+    fanout_start.(v + 1) <- fanout_start.(v + 1) + fanout_start.(v)
   done;
-  out
+  let fill = Array.sub fanout_start 0 n and fanout = Array.make fanout_start.(n) 0 in
+  (* Visiting consumers from the last one down lists them in descending id. *)
+  for i = n - 1 downto 0 do
+    Array.iter
+      (fun v ->
+        fanout.(fill.(v)) <- i;
+        fill.(v) <- fill.(v) + 1)
+      fanin.(i)
+  done;
+  { kinds; fanin; fanout_start; fanout }
 
 (** Structural statistics used for PPA reporting. *)
 type stats = {

@@ -109,8 +109,22 @@ val reduce : t -> Gate.kind -> int list -> int
     the property masked logic depends on (see the Fig. 2 experiment). *)
 val reduce_chain : t -> Gate.kind -> int list -> int
 
-(** Per-node consumer lists. *)
-val fanouts : t -> int list array
+(** {2 Resolved topology} *)
+
+(** Kinds, fanins and a fanout CSR in flat arrays, for the engines that
+    walk fanouts. [kinds.(i)] and [fanin.(i)] are {!kind} and {!fanins}
+    of node [i]. The consumers of net [v] are [fanout.(k)] for
+    [fanout_start.(v) <= k < fanout_start.(v + 1)]: descending consumer
+    id, one entry per fanin slot that reads [v], DFF consumers included.
+    A snapshot, built per call and never cached; do not mutate it. *)
+type view = {
+  kinds : Gate.kind array;
+  fanin : int array array;
+  fanout_start : int array;
+  fanout : int array;
+}
+
+val view : t -> view
 
 type stats = {
   gates : int;

@@ -75,24 +75,6 @@ let eval kind fanins =
   | (Const _ | Buf | Not | And | Nand | Or | Nor | Xor | Xnor | Mux), _ ->
     invalid_arg (Printf.sprintf "Gate.eval: %s arity mismatch" (name kind))
 
-(** Bit-parallel evaluation over 63 simulation slots packed in an int. *)
-let eval_word kind fanins =
-  match kind, fanins with
-  | Const false, [||] -> 0
-  | Const true, [||] -> -1
-  | Buf, [| a |] -> a
-  | Not, [| a |] -> Stdlib.lnot a
-  | And, [| a; b |] -> a land b
-  | Nand, [| a; b |] -> Stdlib.lnot (a land b)
-  | Or, [| a; b |] -> a lor b
-  | Nor, [| a; b |] -> Stdlib.lnot (a lor b)
-  | Xor, [| a; b |] -> a lxor b
-  | Xnor, [| a; b |] -> Stdlib.lnot (a lxor b)
-  | Mux, [| s; a; b |] -> (Stdlib.lnot s land a) lor (s land b)
-  | (Input | Dff), _ -> invalid_arg "Gate.eval_word: stateful cell"
-  | (Const _ | Buf | Not | And | Nand | Or | Nor | Xor | Xnor | Mux), _ ->
-    invalid_arg (Printf.sprintf "Gate.eval_word: %s arity mismatch" (name kind))
-
 (** Combinational evaluation reading fanin values straight out of [values]
     through the node's fanin-index array — the zero-allocation path used by
     {!Netlist.Sim}'s hot loops (no per-gate operand array is built). Fanin

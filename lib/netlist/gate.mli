@@ -33,9 +33,6 @@ val of_name : string -> kind
     @raise Invalid_argument on stateful kinds or arity mismatch. *)
 val eval : kind -> bool array -> bool
 
-(** Bit-parallel evaluation over 63 simulation slots packed in an int. *)
-val eval_word : kind -> int array -> int
-
 (** Evaluation reading operands directly out of [values] via the node's
     fanin-index array: [eval_indexed k fanins values] equals
     [eval k (Array.map (fun f -> values.(f)) fanins)] but allocates

@@ -32,15 +32,17 @@ type csr = {
 
 let csr circuit =
   let n = Circuit.node_count circuit in
-  let fanouts = Circuit.fanouts circuit in
+  let { Circuit.fanout_start = start; fanout; _ } = Circuit.view circuit in
   let nets =
     List.filter_map
-      (fun d -> if fanouts.(d) = [] then None else Some (d :: fanouts.(d)))
+      (fun d ->
+        let degree = start.(d + 1) - start.(d) in
+        if degree = 0 then None else Some (Array.append [| d |] (Array.sub fanout start.(d) degree)))
       (List.init n Fun.id)
   in
-  let pins = Array.of_list (List.concat nets) in
+  let pins = Array.concat nets in
   let pin_start = Array.make (List.length nets + 1) 0 in
-  List.iteri (fun k net -> pin_start.(k + 1) <- pin_start.(k) + List.length net) nets;
+  List.iteri (fun k net -> pin_start.(k + 1) <- pin_start.(k) + Array.length net) nets;
   let inc_start = Array.make (n + 1) 0 in
   Array.iter (fun v -> inc_start.(v + 1) <- inc_start.(v + 1) + 1) pins;
   for v = 1 to n do
@@ -50,7 +52,7 @@ let csr circuit =
   let fill = Array.sub inc_start 0 n in
   List.iteri
     (fun k net ->
-      List.iter
+      Array.iter
         (fun v ->
           incident.(fill.(v)) <- k;
           fill.(v) <- fill.(v) + 1)

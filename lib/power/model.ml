@@ -77,35 +77,27 @@ let hamming_distance_sample rng ?scratch ?scratch2 circuit ~noise_sigma ~prev_in
 
 (** Hamming-weight model of the settled state: energy proportional to the
     weighted count of nets at 1, the leakage model of precharged buses.
-    The circuit is resolved once — input ids, cell kinds, fanin arrays
-    and per-cell energies — for campaigns that sample one circuit
-    thousands of times. Word-parallel: bit [j] of input word [k] is input
-    [k] of trace (lane) [j], one bit-parallel sweep evaluates up to 63
-    traces, and lane [j]'s energy is summed over the nets in node order,
-    the order of a one-trace evaluation, so a trace's energy does not
-    depend on its lane or on the traces beside it. [scratch] is the
-    net-word buffer (length >= node count); concurrent callers need
-    distinct buffers. *)
+    The per-net energies are tabled once, for campaigns that sample one
+    circuit thousands of times. Word-parallel: bit [j] of input word [k]
+    is input [k] of trace (lane) [j], one {!Netlist.Sim.eval_all_word_into}
+    sweep (DFF outputs at 0) evaluates up to 63 traces, and lane [j]'s
+    energy is summed over the nets in node order, the order of a
+    one-trace evaluation, so a trace's energy does not depend on its lane
+    or on the traces beside it. [scratch] is the net-word buffer (length
+    >= node count); concurrent callers need distinct buffers. *)
 let hamming_weight_sampler circuit =
   let n = Circuit.node_count circuit in
-  let input_ids = Circuit.inputs circuit and dff_ids = Circuit.dffs circuit in
-  let kinds = Array.init n (Circuit.kind circuit) in
-  let fanins = Array.init n (Circuit.fanins circuit) in
   (* [pick.(2i + b)]: net [i]'s term when its value is [b]. A net at 0
      adds +0.0 to a non-negative sum, which leaves it unchanged, so the
      branchless sum equals the sum over the nets at 1, bit for bit. *)
   let pick = Array.make (2 * n) 0.0 in
-  Array.iteri (fun i k -> pick.((2 * i) + 1) <- Gate.switch_energy k) kinds;
+  for i = 0 to n - 1 do
+    pick.((2 * i) + 1) <- Gate.switch_energy (Circuit.kind circuit i)
+  done;
   fun ~scratch:values ~lanes ~inputs ->
     if lanes < 1 || lanes > 63 then
       invalid_arg (Printf.sprintf "Power.Model.hamming_weight_sampler: %d lanes" lanes);
-    Array.iteri (fun k id -> values.(id) <- inputs.(k)) input_ids;
-    Array.iter (fun id -> values.(id) <- 0) dff_ids;
-    for i = 0 to n - 1 do
-      match kinds.(i) with
-      | Gate.Input | Gate.Dff -> ()
-      | k -> values.(i) <- Gate.eval_word_indexed k fanins.(i) values
-    done;
+    Netlist.Sim.eval_all_word_into circuit inputs ~into:values;
     let energies = Array.make lanes 0.0 in
     (* Four lanes per sweep: four independent sums keep the float adder
        busy, and each still adds its nets in node order. *)

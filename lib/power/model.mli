@@ -48,18 +48,19 @@ val hamming_distance_sample :
   float
 
 (** Weighted Hamming weight of the settled state (precharged-logic
-    model), with the circuit's input ids, cell kinds, fanins and energies
-    resolved once: build it outside a campaign loop.
+    model), with the per-net energies tabled once: build it outside a
+    campaign loop.
 
     Lane layout: [inputs.(k)] is a word whose bit [j] is input [k]
     (declaration order) of trace [j], for the [lanes] traces
     [0 .. lanes - 1] (at most 63); higher bits are ignored. One
-    bit-parallel sweep evaluates every lane, and the result holds lane
-    [j]'s energy, summed over the nets at 1 in node order — the same
-    float, bit for bit, as evaluating that trace alone in one lane. No
-    noise is added: a campaign draws its own, so its draws stay in the
-    order it chose. [scratch] is the net-word buffer (length >= node
-    count); concurrent callers need distinct buffers.
+    {!Netlist.Sim.eval_all_word_into} sweep (DFF outputs at 0) evaluates
+    every lane, and the result holds lane [j]'s energy, summed over the
+    nets at 1 in node order — the same float, bit for bit, as evaluating
+    that trace alone in one lane. No noise is added: a campaign draws
+    its own, so its draws stay in the order it chose. [scratch] is the
+    net-word buffer (length >= node count); concurrent callers need
+    distinct buffers.
     @raise Invalid_argument unless [1 <= lanes <= 63]. *)
 val hamming_weight_sampler :
   Netlist.Circuit.t ->

@@ -286,17 +286,24 @@ end
     same interface: [None] when equivalent, or a distinguishing input
     assignment. *)
 let check_equivalence a b =
+  let refuse msg =
+    raise
+      (Eda_util.Eda_error.Error
+         (Eda_util.Eda_error.Invalid_input { what = "equivalence query"; msg }))
+  in
   if Circuit.num_inputs a <> Circuit.num_inputs b
      || Circuit.num_outputs a <> Circuit.num_outputs b
   then
-    raise
-      (Eda_util.Eda_error.Error
-         (Eda_util.Eda_error.Invalid_input
-            { what = "equivalence query";
-              msg =
-                Printf.sprintf "interface mismatch: %dx%d vs %dx%d inputs/outputs"
-                  (Circuit.num_inputs a) (Circuit.num_outputs a)
-                  (Circuit.num_inputs b) (Circuit.num_outputs b) }));
+    refuse
+      (Printf.sprintf "interface mismatch: %dx%d vs %dx%d inputs/outputs"
+         (Circuit.num_inputs a) (Circuit.num_outputs a)
+         (Circuit.num_inputs b) (Circuit.num_outputs b));
+  (* Only the primary inputs are tied, so DFF outputs would float apart
+     in the two copies and a register could tell a circuit from itself. *)
+  let dffs = max (Circuit.num_dffs a) (Circuit.num_dffs b) in
+  if dffs > 0 then
+    refuse
+      (Printf.sprintf "sequential circuit (%d DFFs); only combinational circuits are compared" dffs);
   let solver = Solver.create () in
   let add = Solver.add_clause solver in
   let env_a = encode ~solver a in

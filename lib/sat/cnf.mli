@@ -98,7 +98,8 @@ end
     circuits; [None] when equivalent, otherwise a distinguishing input
     assignment.
     @raise Eda_util.Eda_error.Error ([Invalid_input], what
-    ["equivalence query"]) when the input or output counts differ. *)
+    ["equivalence query"]) when the input or output counts differ, or
+    when either circuit has DFFs (the message names the DFF count). *)
 val check_equivalence : Netlist.Circuit.t -> Netlist.Circuit.t -> bool array option
 
 (** Is output [output] ever true? Returns a witness input when so. *)

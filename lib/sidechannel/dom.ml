@@ -52,9 +52,10 @@ let transform ?(shares = 2) source =
     Array.to_list (Circuit.inputs src)
     |> List.map (fun id ->
         let base = Circuit.name src id in
+        (* "<base>_s<k>": the share naming Masking.interface_of groups. *)
         let ids =
           Array.init shares (fun s ->
-              Circuit.add_input ~name:(Printf.sprintf "%s_d%d" base s) c)
+              Circuit.add_input ~name:(Printf.sprintf "%s_s%d" base s) c)
         in
         base, ids)
   in

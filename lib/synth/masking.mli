@@ -1,6 +1,8 @@
 (** Order-parametric masked-gadget insertion — the one generator of
-    masked gadgets: it builds the private circuit of the Fig. 2 demo and,
-    as a synthesis pass, masks designs {e inside} the flow.
+    combinational masked gadgets: it builds the private circuit of the
+    Fig. 2 demo and, as a synthesis pass, masks designs {e inside} the
+    flow. The pipelined, registered DOM lives in {!Sidechannel.Dom},
+    whose share inputs follow this module's [<base>_s<k>] naming.
 
     Gadgets are emitted as left-to-right chains whose association order
     is the security property; every created net carries the ["mg_"]

@@ -10,8 +10,5 @@ type target =
   | Nand_inv  (** the NAND2+INV universal library — the classical baseline *)
   | Nand_nor_xnor  (** the camouflageable candidate set (cf. [Camo]) *)
 
-(** Cell kinds the target admits (IO cells always pass). *)
-val allowed : target -> Netlist.Gate.kind -> bool
-
 (** True when every cell of the circuit is in the target library. *)
 val conforms : target -> Netlist.Circuit.t -> bool

@@ -67,8 +67,8 @@ type strategy =
 let run ?(protect = Rewrite.no_protection) ?(strategy = Factoring_friendly) c =
   let protect i = protect (Circuit.name c i) in
   let n = Circuit.node_count c in
-  let fanouts = Circuit.fanouts c in
-  let fanout_count = Array.map List.length fanouts in
+  let { Circuit.fanout_start = start; fanout; _ } = Circuit.view c in
+  let fanout_count = Array.init n (fun i -> start.(i + 1) - start.(i)) in
   (* Mark outputs and DFF D-inputs as extra fanout so observable XORs stay
      put as roots. *)
   Array.iter
@@ -89,9 +89,9 @@ let run ?(protect = Rewrite.no_protection) ?(strategy = Factoring_friendly) c =
     if is_xor i && not (protect i) then begin
       let absorbed =
         fanout_count.(i) = 1
-        && (match fanouts.(i) with
-            | [ parent ] -> is_xor parent && not (protect parent)
-            | [] | _ :: _ :: _ -> false)
+        && start.(i + 1) - start.(i) = 1
+        && is_xor fanout.(start.(i))
+        && not (protect fanout.(start.(i)))
       in
       is_root.(i) <- not absorbed
     end

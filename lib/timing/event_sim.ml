@@ -7,12 +7,13 @@
     in the paper (Sec. III-E, [55]), so the power model consumes the full
     transition stream, not just final values.
 
-    The engine is flat: per call it builds a CSR fanout table and per-node
-    kind/fanin/delay arrays, then drains a bucketed time queue: one FIFO
-    of events per distinct pending time, and a short sorted array of those
-    times. {!iter} hands each transition to its consumer as it happens; a
-    push is an array append and a pop an array read, and nothing per event
-    is allocated on the queue's side. {!iter} is the only entry point:
+    The engine is flat: per call it reads the circuit's resolved
+    topology ({!Netlist.Circuit.view}: kinds, fanins and the fanout CSR),
+    then drains a bucketed time queue: one FIFO of events per distinct
+    pending time, and a short sorted array of those times. {!iter} hands
+    each transition to its consumer as it happens; a push is an array
+    append and a pop an array read, and nothing per event is allocated
+    on the queue's side. {!iter} is the only entry point:
     callers fold over the transitions in place rather than building a
     list. *)
 
@@ -162,34 +163,6 @@ let pop q =
   q.size <- q.size - 1;
   e
 
-(* Consumers of node v are adj.(start.(v)) .. adj.(start.(v + 1) - 1),
-   in {!Circuit.fanouts} order: descending consumer id, a consumer listed
-   once per fanin slot it reads v on. DFF consumers are left out — they
-   capture at the clock edge, never within the cycle. *)
-let csr_fanouts n kinds fanins =
-  let start = Array.make (n + 1) 0 in
-  for c = 0 to n - 1 do
-    match kinds.(c) with
-    | Gate.Dff -> ()
-    | _ -> Array.iter (fun v -> start.(v + 1) <- start.(v + 1) + 1) fanins.(c)
-  done;
-  for v = 0 to n - 1 do
-    start.(v + 1) <- start.(v + 1) + start.(v)
-  done;
-  let fill = Array.sub start 0 n in
-  let adj = Array.make start.(n) 0 in
-  for c = n - 1 downto 0 do
-    match kinds.(c) with
-    | Gate.Dff -> ()
-    | _ ->
-      Array.iter
-        (fun v ->
-          adj.(fill.(v)) <- c;
-          fill.(v) <- fill.(v) + 1)
-        fanins.(c)
-  done;
-  start, adj
-
 (* Once per call, never per event: the disabled-sink cost is one check. *)
 let report ~events ~transitions ~storms q =
   if T.active () then begin
@@ -221,10 +194,7 @@ let iter ?input_arrivals ?state circuit ~prev_inputs ~next_inputs ~f =
   Option.iter (check_length "state" ~expected:(Circuit.num_dffs circuit) ~unit:"DFFs") state;
   let n = Circuit.node_count circuit in
   let values = Netlist.Sim.eval_all ?state circuit prev_inputs in
-  let kinds = Array.init n (Circuit.kind circuit) in
-  let fanins = Array.init n (Circuit.fanins circuit) in
-  let delays = Array.map Gate.delay kinds in
-  let start, adj = csr_fanouts n kinds fanins in
+  let { Circuit.kinds; fanin; fanout_start; fanout } = Circuit.view circuit in
   (* An input's own switch time. Its bucket's time equals it as a float
      but may be the other zero (-0.0 beside 0.0); gate events are never
      at -0.0, since every cell delay is positive. *)
@@ -254,9 +224,11 @@ let iter ?input_arrivals ?state circuit ~prev_inputs ~next_inputs ~f =
       incr transitions;
       let t = match kinds.(node) with Gate.Input -> arrival.(node) | _ -> t in
       f t node v;
-      for j = start.(node) to start.(node + 1) - 1 do
-        let c = adj.(j) in
-        push q (t +. delays.(c)) c (Gate.eval_indexed kinds.(c) fanins.(c) values)
+      for j = fanout_start.(node) to fanout_start.(node + 1) - 1 do
+        let c = fanout.(j) in
+        match kinds.(c) with
+        | Gate.Dff -> ()  (* DFFs capture at the clock edge, not within the cycle *)
+        | k -> push q (t +. Gate.delay k) c (Gate.eval_indexed k fanin.(c) values)
       done
     end
   done;

@@ -91,7 +91,7 @@ end
     {!Timing.Event_sim.iter}. *)
 let cycle ?input_arrivals ?state circuit ~prev_inputs ~next_inputs =
   let values = Netlist.Sim.eval_all ?state circuit prev_inputs in
-  let fanouts = Circuit.fanouts circuit in
+  let fanouts = Fanout_ref.consumers circuit in
   let heap = Heap.create () in
   let input_ids = Circuit.inputs circuit in
   let arrival k =

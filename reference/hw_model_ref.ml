@@ -2,7 +2,7 @@
     {!Power.Model.hamming_weight_sampler} replaced, kept verbatim as its
     differential oracle: it evaluates the circuit through
     {!Netlist.Sim.eval_all_into} and reads every cell's kind and energy
-    per call, where the sampler resolves them once per circuit. *)
+    per call, where the sampler tables the energies once per circuit. *)
 
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate

@@ -13,7 +13,7 @@ module Split = Splitmfg.Split
 
 (* Nets as (driver, consumers); geometry treats a net as its pin set. *)
 let nets circuit =
-  let fanouts = Circuit.fanouts circuit in
+  let fanouts = Fanout_ref.consumers circuit in
   let nets = ref [] in
   Array.iteri
     (fun driver consumers -> if consumers <> [] then nets := (driver, consumers) :: !nets)

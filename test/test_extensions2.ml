@@ -500,6 +500,35 @@ let test_redundancy_rejects_sequential () =
        about combinational logic only"
       msg
 
+(* A two-copy SAT engine ties only primary inputs, so each copy's DFF
+   outputs would be free and the DFF feedback circuit could differ from
+   itself. Both engines refuse it, naming the DFF count. *)
+let test_equivalence_rejects_sequential () =
+  let c = dff_feedback () in
+  match Sat.Cnf.check_equivalence c (Circuit.copy c) with
+  | _ -> Alcotest.fail "a sequential circuit was compared"
+  | exception
+      Eda_util.Eda_error.Error
+        (Eda_util.Eda_error.Invalid_input { what = "equivalence query"; msg }) ->
+    Alcotest.(check string) "names the DFF count"
+      "sequential circuit (1 DFFs); only combinational circuits are compared" msg
+
+let test_sat_attack_rejects_sequential () =
+  let c = dff_feedback ~key:true () in
+  let key = Option.get (Circuit.find_by_name c "key0") in
+  let locked =
+    { Locking.Lock.circuit = c;
+      key_inputs = [| key |];
+      data_inputs = Array.of_list (List.filter (( <> ) key) (Array.to_list (Circuit.inputs c)));
+      correct_key = [| false |] }
+  in
+  match Locking.Sat_attack.run ~oracle:(fun _ -> [| false; false |]) locked with
+  | _ -> Alcotest.fail "a sequential circuit was attacked"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "names the DFF count"
+      "Sat_attack.run: sequential circuit (1 DFFs); the attack unlocks combinational logic only"
+      msg
+
 let test_formal_audit_duplication () =
   let prot = Fault.Countermeasure.duplicate_protect (Gen.ripple_adder 2) in
   let `Proven proven, `Escapes escapes, `Harmless harmless = Fault.Formal.audit prot in
@@ -666,6 +695,11 @@ let () =
          Alcotest.test_case "irredundant untouched" `Quick test_redundancy_removal_keeps_irredundant;
          Alcotest.test_case "coverage restored" `Quick test_redundancy_removal_restores_coverage;
          Alcotest.test_case "rejects sequential" `Quick test_redundancy_rejects_sequential ]);
+      ("two-copy sat",
+       [ Alcotest.test_case "equivalence rejects sequential" `Quick
+           test_equivalence_rejects_sequential;
+         Alcotest.test_case "sat attack rejects sequential" `Quick
+           test_sat_attack_rejects_sequential ]);
       ("formal_audit",
        [ Alcotest.test_case "duplication" `Slow test_formal_audit_duplication;
          Alcotest.test_case "parity vs duplication" `Slow test_formal_audit_parity_finds_more_escapes ]);

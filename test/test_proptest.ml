@@ -713,6 +713,50 @@ let test_detects_many_differential () =
         faults;
       mask = again && !lanes_agree)
 
+(* --- the resolved circuit view vs an independent derivation --------------- *)
+
+(* Kinds and fanins read node by node, and the CSR against the consumer
+   lists of [Reference.Fanout_ref], order included. *)
+let view_matches c =
+  let v = Circuit.view c and n = Circuit.node_count c in
+  let start = v.Circuit.fanout_start and consumers = Reference.Fanout_ref.consumers c in
+  let csr_list i = Array.to_list (Array.sub v.Circuit.fanout start.(i) (start.(i + 1) - start.(i))) in
+  Array.length v.Circuit.kinds = n
+  && Array.length v.Circuit.fanin = n
+  && Array.length start = n + 1
+  && start.(0) = 0
+  && start.(n) = Array.length v.Circuit.fanout
+  && List.for_all
+       (fun i ->
+         v.Circuit.kinds.(i) = Circuit.kind c i
+         && v.Circuit.fanin.(i) = Circuit.fanins c i
+         && csr_list i = consumers.(i))
+       (List.init n Fun.id)
+
+let test_view_differential () =
+  (* A DFF reading back through its own cone (q = DFF(d), a = NAND(x, q),
+     d = XOR(a, w)), whose D-input points forward. *)
+  let feedback =
+    Netlist.Io.of_string
+      "INPUT(x)\nINPUT(w)\nOUTPUT(a)\nOUTPUT(q)\nq = DFF(d)\na = NAND(x, q)\nd = XOR(a, w)\n"
+  in
+  Alcotest.(check bool) "DFF feedback" true (view_matches feedback);
+  (* A gate reading one net on two pins is listed once per pin. *)
+  let c = Circuit.create () in
+  let x = Circuit.add_input ~name:"x" c in
+  let y = Circuit.add_gate ~name:"y" c Netlist.Gate.And [ x; x ] in
+  let z = Circuit.add_gate ~name:"z" c Netlist.Gate.Xor [ y; x ] in
+  Circuit.set_output c "z" z;
+  let v = Circuit.view c in
+  Alcotest.(check (list int)) "consumers of x" [ z; y; y ]
+    (Array.to_list (Array.sub v.Circuit.fanout 0 v.Circuit.fanout_start.(1)));
+  Alcotest.(check bool) "two pins on one net" true (view_matches c);
+  let arb = P.pair family_arb (P.pair (P.int_range 0 100_000) (P.int_range 16 600)) in
+  let show (fam, (seed, size)) = Printf.sprintf "%s seed=%d size=%d" (BG.family_name fam) seed size in
+  P.check_exn ~count:40 ~name:"circuit view matches node reads and consumer lists"
+    { arb with P.show } (fun (fam, (seed, size)) ->
+      view_matches (BG.sized ~seed fam ~target_gates:size))
+
 (* --- flat event engine vs the record-heap reference ---------------------- *)
 
 module Ev_ref = Reference.Event_sim_ref
@@ -1365,6 +1409,7 @@ let () =
           Alcotest.test_case "word fault drop vs scalar" `Quick
             test_detects_many_differential;
           Alcotest.test_case "atpg vs ground truth" `Quick test_atpg_ground_truth;
+          Alcotest.test_case "circuit view vs consumer lists" `Quick test_view_differential;
           Alcotest.test_case "event engine vs reference" `Quick test_event_sim_differential;
           Alcotest.test_case "pinned event storm" `Quick test_event_storm_pinned;
           Alcotest.test_case "glitch capture vs list capture" `Quick

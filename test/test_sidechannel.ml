@@ -291,6 +291,23 @@ let test_region_mask_boundary_still_leaks () =
   Alcotest.(check bool) "plain boundary wires still leak" true
     (Secure_synth.leaks (Rng.create 23) m ~traces_per_class:6000 ~noise_sigma)
 
+let test_pipelined_dom_assessed_as_shares () =
+  (* The 2-share DOM private AND is secure by construction. Its share
+     inputs must group into one secret per source input: were each share
+     a secret of its own, the fixed class would pin every share to 1, and
+     this campaign would read max |t| 29.1. *)
+  let dom = Sidechannel.Dom.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
+  let c = dom.Sidechannel.Dom.circuit in
+  let iface = Masking.interface_of c in
+  List.iter
+    (fun (base, ids) ->
+      match List.assoc_opt base iface.Masking.secrets with
+      | Some group -> Alcotest.(check (array int)) ("shares of " ^ base) ids group
+      | None -> Alcotest.failf "no share group for %s" base)
+    dom.Sidechannel.Dom.input_shares;
+  Alcotest.(check bool) "DOM private AND clean at 600 traces/class" false
+    (Secure_synth.leaks (Rng.create 24) c ~traces_per_class:600 ~noise_sigma)
+
 let prop_masked_eval_matches_source =
   QCheck.Test.make ~name:"masked random circuits compute their source" ~count:8
     QCheck.(pair (int_bound 300) (int_bound 255))
@@ -340,7 +357,9 @@ let () =
        [ Alcotest.test_case "recipe end to end" `Slow test_secure_synthesis_end_to_end;
          Alcotest.test_case "verify pair" `Slow test_verify_pair;
          Alcotest.test_case "tvla_check rejects unmasked" `Quick test_tvla_pass_rejects_unmasked;
-         Alcotest.test_case "region boundary still leaks" `Quick test_region_mask_boundary_still_leaks ]);
+         Alcotest.test_case "region boundary still leaks" `Quick test_region_mask_boundary_still_leaks;
+         Alcotest.test_case "pipelined DOM assessed as shares" `Quick
+           test_pipelined_dom_assessed_as_shares ]);
       ("metrics",
        [ Alcotest.test_case "snr" `Quick test_metrics_snr;
          Alcotest.test_case "traces to threshold" `Quick test_traces_to_threshold ]);
