@@ -535,12 +535,11 @@ let ablations () =
   report_masked "ISW 3 shares" 3;
   List.iter
     (fun shares ->
-      let dom = Sidechannel.Dom.transform ~shares (Sidechannel.Leakage.private_and_source ()) in
-      let cost = Sidechannel.Dom.cost dom in
+      let dom = Masking.pipelined ~shares (Sidechannel.Leakage.private_and_source ()) in
       Printf.printf "  %-16s %8.1f %10d %14s %14s   (+%d regs, %d-cycle latency)\n"
-        (Printf.sprintf "DOM %d shares" shares) cost.Sidechannel.Dom.area
-        cost.Sidechannel.Dom.randoms "-" "-" cost.Sidechannel.Dom.registers
-        cost.Sidechannel.Dom.latency)
+        (Printf.sprintf "DOM %d shares" shares) (Circuit.stats dom.Masking.circuit).Circuit.area
+        (Array.length dom.Masking.random_inputs) "-" "-" (Circuit.num_dffs dom.Masking.circuit)
+        dom.Masking.latency)
     [ 2; 3 ];
   let dual = Sidechannel.Wddl.transform (Sidechannel.Leakage.private_and_source ()) in
   let collect stream cls =

@@ -313,6 +313,25 @@ let sat_attack_cmd =
              String.length nm >= 3 && String.sub nm 0 3 = "key")
     in
     if key_inputs = [] then die "%s: no key inputs (names starting with \"key\")" locked_path;
+    (* The oracle answers DIPs on the locked netlist's data inputs, in
+       order, and is compared output by output. A sequential netlist is
+       left to the attack, which refuses it naming its DFF count. *)
+    let names c ids = List.map (Netlist.Circuit.name c) ids in
+    let output_names c = Array.to_list (Array.map fst (Netlist.Circuit.outputs c)) in
+    let interface ins outs =
+      Printf.sprintf "%d inputs (%s), %d outputs (%s)" (List.length ins) (String.concat " " ins)
+        (List.length outs) (String.concat " " outs)
+    in
+    let locked_ins = names locked_circuit data_inputs
+    and locked_outs = output_names locked_circuit in
+    let oracle_ins = names original (Array.to_list (Netlist.Circuit.inputs original))
+    and oracle_outs = output_names original in
+    if Netlist.Circuit.num_dffs locked_circuit = 0
+       && (locked_ins <> oracle_ins || locked_outs <> oracle_outs)
+    then
+      die "%s: oracle %s does not match the locked netlist: locked data interface %s, oracle %s"
+        locked_path oracle_path (interface locked_ins locked_outs)
+        (interface oracle_ins oracle_outs);
     let locked =
       { Locking.Lock.circuit = locked_circuit;
         key_inputs = Array.of_list key_inputs;

@@ -361,17 +361,17 @@ let run_redundancy _rng =
     (100.0 *. before) (100.0 *. after)
 
 let run_dom rng =
-  let dom = Sidechannel.Dom.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
+  let dom = Synth.Masking.pipelined ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
   let ok =
     List.for_all
       (fun (a, b) ->
-        Sidechannel.Dom.eval rng dom ~values:[ ("a", a); ("b", b) ] = [ ("y", a && b) ])
+        Sidechannel.Isw.eval rng dom ~values:[ ("a", a); ("b", b) ] = [ ("y", a && b) ])
       [ (false, false); (false, true); (true, false); (true, true) ]
   in
-  let c = Sidechannel.Dom.cost dom in
   Printf.sprintf
     "DOM [5]: correct=%b, %d random bit(s), %d registers (glitch barrier), latency %d cycle(s)"
-    ok c.Sidechannel.Dom.randoms c.Sidechannel.Dom.registers c.Sidechannel.Dom.latency
+    ok (Array.length dom.Synth.Masking.random_inputs)
+    (Netlist.Circuit.num_dffs dom.Synth.Masking.circuit) dom.Synth.Masking.latency
 
 (* --- the table --------------------------------------------------------- *)
 
@@ -384,7 +384,7 @@ let table =
       modules = "Synth.Masking"; run = run_masking };
     { stage = High_level_synthesis; threat = Threat_model.Side_channel;
       scheme = "Domain-oriented masking [5] (register stage)";
-      modules = "Sidechannel.Dom"; run = run_dom };
+      modules = "Synth.Masking"; run = run_dom };
     { stage = High_level_synthesis; threat = Threat_model.Side_channel;
       scheme = "Register flushing";
       modules = "Hls.Dataflow"; run = run_register_flush };

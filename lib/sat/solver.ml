@@ -1029,10 +1029,3 @@ let stats s =
     restarts = s.num_restarts;
     db_reductions = s.db_reductions;
     clauses_deleted = s.clauses_deleted }
-
-let pp_stats fmt st =
-  Format.fprintf fmt
-    "vars %d, clauses %d, conflicts %d, decisions %d, propagations %d, \
-     learnt %d (%d live), restarts %d, db reductions %d (%d deleted)"
-    st.vars st.clauses st.conflicts st.decisions st.propagations st.learnt
-    st.learnt_live st.restarts st.db_reductions st.clauses_deleted

@@ -1,9 +1,9 @@
 (** Share codec and stimulus for masked circuits — the assessment side of
     the paper's motivational example (Sec. II-B).
 
-    The gadgets themselves come from {!Synth.Masking.transform} (style
-    [Isw] is the ISW private-circuit AND, with its security-critical
-    association order); this module splits secrets into XOR shares,
+    The gadgets themselves come from {!Synth.Masking} (style [Isw] is the
+    ISW private-circuit AND, with its security-critical association
+    order); this module splits secrets into XOR shares,
     drives a masked circuit's inputs with fresh shares and randomness,
     and decodes its outputs. *)
 
@@ -61,42 +61,36 @@ let stimulus_lane rng ~groups ~randoms ~values ~words ~lane =
       let value =
         match List.assoc_opt name values with
         | Some v -> v
-        | None -> invalid_arg (Printf.sprintf "Isw.stimulus: missing input %s" name)
+        | None -> invalid_arg (Printf.sprintf "Isw.input_vector: missing input %s" name)
       in
       encode_lane rng value ~words ~positions ~lane)
     groups;
   let bit = 1 lsl lane in
   Array.iter (fun p -> if Rng.bool rng then words.(p) <- words.(p) lor bit) randoms
 
-let stimulus rng c ~shares ~input_shares ~random_inputs ~values =
+let input_vector rng (masked : Masking.masked) ~values =
   (* Share and randomness inputs may interleave, so translate node ids to
      input positions via the declaration order. *)
+  let c = masked.circuit in
   let pos_of = Circuit.input_position c in
-  let groups =
-    List.map
-      (fun (name, ids) ->
-        if Array.length ids <> shares then
-          invalid_arg (Printf.sprintf "Isw.stimulus: %s has %d shares, not %d" name
-                         (Array.length ids) shares);
-        name, Array.map pos_of ids)
-      input_shares
-  in
+  let groups = List.map (fun (name, ids) -> name, Array.map pos_of ids) masked.input_shares in
   let words = Array.make (Circuit.num_inputs c) 0 in
-  stimulus_lane rng ~groups ~randoms:(Array.map pos_of random_inputs) ~values ~words ~lane:0;
+  stimulus_lane rng ~groups ~randoms:(Array.map pos_of masked.random_inputs) ~values ~words
+    ~lane:0;
   Array.map (fun w -> w <> 0) words
 
-let decode_outputs c ~output_shares outs =
+let eval rng (masked : Masking.masked) ~values =
+  let c = masked.circuit in
+  let vec = input_vector rng masked ~values in
+  (* Clock the register stage [latency] cycles with the inputs held. *)
+  let state = ref (Array.make (Circuit.num_dffs c) false) in
+  for _ = 1 to masked.latency do
+    state := snd (Netlist.Sim.step c ~state:!state vec)
+  done;
+  let outs = Netlist.Sim.eval ~state:!state c vec in
   let out_positions = Hashtbl.create 16 in
   Array.iteri (fun pos (nm, _) -> Hashtbl.replace out_positions nm pos) (Circuit.outputs c);
   List.map
     (fun (nm, share_names) ->
       nm, decode (Array.map (fun sn -> outs.(Hashtbl.find out_positions sn)) share_names))
-    output_shares
-
-let input_vector rng (masked : Masking.masked) ~values =
-  stimulus rng masked.circuit ~shares:masked.shares ~input_shares:masked.input_shares
-    ~random_inputs:masked.random_inputs ~values
-
-let eval rng (masked : Masking.masked) ~values =
-  let outs = Netlist.Sim.eval masked.circuit (input_vector rng masked ~values) in
-  decode_outputs masked.circuit ~output_shares:masked.output_shares outs
+    masked.output_shares

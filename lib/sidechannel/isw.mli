@@ -1,5 +1,6 @@
-(** Share codec and stimulus for masked circuits. The ISW gadgets of the
-    paper's motivational example are built by {!Synth.Masking.transform};
+(** Share codec and stimulus for masked circuits. The gadgets are built
+    by {!Synth.Masking} (the ISW private circuit of the paper's
+    motivational example, and DOM with or without its register stage);
     this module splits secrets into XOR shares, drives a masked circuit
     with fresh shares and randomness, and decodes its outputs. *)
 
@@ -23,26 +24,11 @@ val encode_lane :
 (** XOR-recombine shares. *)
 val decode : bool array -> bool
 
-(** Full input vector for a circuit with the given share and randomness
-    inputs, from original input [values]: each input's shares are drawn
-    by {!encode} in [input_shares] order, then one fresh bit per
-    randomness input. Shared by every masked descriptor (ISW and DOM).
-    @raise Invalid_argument when [values] misses a shared input, or an
-    entry of [input_shares] does not hold [shares] ids. *)
-val stimulus :
-  Eda_util.Rng.t ->
-  Netlist.Circuit.t ->
-  shares:int ->
-  input_shares:(string * int array) list ->
-  random_inputs:int array ->
-  values:(string * bool) list ->
-  bool array
-
-(** {!stimulus}'s draws written into lane [lane] of input words (as
+(** {!input_vector}'s draws written into lane [lane] of input words (as
     {!encode_lane}), with the share groups and randomness inputs already
     resolved to input positions: [groups] pairs each shared input's name
     with its share positions, [randoms] lists the randomness positions.
-    Same draws, so the same vector, as {!stimulus}.
+    Same draws, so the same vector, as {!input_vector}.
     @raise Invalid_argument when [values] misses a shared input. *)
 val stimulus_lane :
   Eda_util.Rng.t ->
@@ -53,19 +39,15 @@ val stimulus_lane :
   lane:int ->
   unit
 
-(** Decode each original output from its share outputs, given the
-    circuit's output values in declaration order. *)
-val decode_outputs :
-  Netlist.Circuit.t ->
-  output_shares:(string * string array) list ->
-  bool array ->
-  (string * bool) list
-
-(** {!stimulus} for a {!Synth.Masking.masked} descriptor. *)
+(** Full input vector of a masked descriptor's circuit from original
+    input [values]: each input's shares are drawn by {!encode} in
+    [input_shares] order, then one fresh bit per randomness input.
+    @raise Invalid_argument when [values] misses a shared input. *)
 val input_vector :
   Eda_util.Rng.t -> Synth.Masking.masked -> values:(string * bool) list -> bool array
 
-(** Evaluate on original inputs with fresh masking; outputs are decoded
-    from their shares. *)
+(** Evaluate on original inputs with fresh masking: the register stage
+    is clocked [latency] cycles with the inputs held, then the outputs
+    are decoded from their shares. *)
 val eval :
   Eda_util.Rng.t -> Synth.Masking.masked -> values:(string * bool) list -> (string * bool) list

@@ -12,42 +12,25 @@
 
     The assessment harness is interface-generic via
     {!Synth.Masking.interface_of}: share-group inputs are re-encoded from
-    the secret per trace, [mg_]/[dom_] inputs draw fresh
-    randomness, unshared inputs carry the secret directly. One harness
-    therefore assesses masked and unmasked circuits alike — which is how
-    {!verify} can also assert that the {e unmasked} design fails the very
-    check the masked one passes. *)
+    the secret per trace, [mg_] inputs draw fresh randomness, unshared
+    inputs carry the secret directly. One harness therefore assesses
+    masked and unmasked circuits alike — which is how {!verify} can also
+    assert that the {e unmasked} design fails the very check the masked
+    one passes. *)
 
 module Circuit = Netlist.Circuit
 module Rng = Eda_util.Rng
 module Masking = Synth.Masking
 
-(* Randomness inputs of any recognised gadget family. *)
-let is_random_input name =
-  Masking.protected_name name || Dom.protected_name name
-
-(* The assessed interface: share groups re-encoded per trace, gadget
-   randomness refreshed per trace, unshared inputs carrying the secret. *)
-let harness c =
-  let iface = Masking.interface_of c in
-  let secrets, extra_randoms =
-    List.partition (fun (nm, _) -> not (is_random_input nm)) iface.Masking.secrets
-  in
-  let randoms =
-    Array.append iface.Masking.randoms
-      (Array.concat (List.map snd extra_randoms))
-  in
-  (secrets, randoms)
-
 (** One fixed-vs-random Hamming-weight TVLA campaign over any circuit.
     Fixed class: every secret input true; random class: uniform secrets.
     Masking randomness is fresh in both classes. *)
 let assess rng c ~traces_per_class ~noise_sigma =
-  let secrets, randoms = harness c in
+  let iface = Masking.interface_of c in
   (* Input positions resolved once per campaign rather than per trace. *)
   let pos = Circuit.input_position c in
-  let secrets = List.map (fun (_, ids) -> Array.map pos ids) secrets in
-  let randoms = Array.map pos randoms in
+  let secrets = List.map (fun (_, ids) -> Array.map pos ids) iface.Masking.secrets in
+  let randoms = Array.map pos iface.Masking.randoms in
   let draw stream cls words lane =
     let bit = 1 lsl lane in
     List.iter

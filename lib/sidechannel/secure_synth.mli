@@ -8,8 +8,8 @@
 (** One fixed-vs-random Hamming-weight TVLA campaign over any circuit,
     masked or not. The interface is recovered by name
     ({!Synth.Masking.interface_of}): share groups are re-encoded from the
-    secret per trace, gadget randomness ([mg_]/[dom_] inputs) is
-    fresh per trace, unshared inputs carry the secret directly. Fixed
+    secret per trace, gadget randomness ([mg_] inputs) is fresh per
+    trace, unshared inputs carry the secret directly. Fixed
     class: all secrets true; random class: uniform. The campaign runs on
     the calling domain: at the gate's trace counts a pool loses. *)
 val assess :

@@ -1,7 +1,7 @@
 (** Order-parametric masked-gadget insertion — the toolkit's one gadget
     generator. It builds the private circuit of the Fig. 2 demo (which a
-    classical flow then breaks) and, as a synthesis pass, masks designs
-    inside the flow.
+    classical flow then breaks), the pipelined DOM of Table II and, as a
+    synthesis pass, masks designs inside the flow.
 
     Two gadget styles over the AND/XOR/NOT basis, both emitted as
     left-to-right chains whose association order is the security
@@ -12,11 +12,12 @@
       unordered pair, accumulated as
       [c_i = a_i b_i ^ z_i1 ^ ...] — the private circuit of the
       paper's motivational example (Sec. II-B);
-    - [Dom]: the combinational DOM-indep AND — cross products remasked
-      with randomness {e shared} per unordered pair
-      ([q_i = a_i b_i ^ (a_i b_j ^ z_ij) ^ ...]); the register stage of
-      full DOM is out of scope for this combinational pass, so its
-      glitch argument does not transfer — only the probing-model one.
+    - [Dom]: the DOM-indep AND (Groß et al. [5]) — cross products
+      remasked with randomness {e shared} per unordered pair
+      ([q_i = a_i b_i ^ (a_i b_j ^ z_ij) ^ ...]). Combinational, only
+      the probing-model argument applies; {!pipelined} adds DOM's
+      register stage, the glitch barrier: every term is registered
+      before integration, at one cycle of latency per AND level.
 
     Masking randomness is {e distributed} deterministically: the pass
     pre-declares every randomness input and assigns them to gadgets
@@ -25,13 +26,15 @@
     runs and machines.
 
     Every created net carries the ["mg_"] prefix, which doubles as the
-    order barrier for security-aware synthesis (cf. ["dom_"] of the
-    pipelined DOM gadgets in [Sidechannel.Dom]).
+    order barrier for security-aware synthesis.
 
     Modes:
     - {!transform} masks a whole combinational circuit, re-shaping its
       interface: each primary input [x] becomes share inputs [x_s0..],
       each output likewise, plus randomness inputs [mg_r*];
+    - {!pipelined} is {!transform} at style [Dom] with the register
+      stage: operands from earlier stages pass through pipeline
+      registers and the outputs are aligned to the AND depth;
     - {!mask_region} splices gadgets for one annotated region {e inside}
       an otherwise untouched circuit: boundary values are split by
       XOR-encoders fed from fresh randomness inputs, the region is
@@ -57,6 +60,7 @@ type masked = {
   circuit : Circuit.t;
   shares : int;
   style : style;
+  latency : int;
   input_shares : (string * int array) list;
   random_inputs : int array;
   output_shares : (string * string array) list;
@@ -65,13 +69,17 @@ type masked = {
 let prefix = "mg_"
 let protected_name name = String.starts_with ~prefix name
 
-(* --- Whole-circuit transform ------------------------------------------- *)
+(* --- The gadget walk --------------------------------------------------- *)
 
 (* Randomness demand of one AND gadget: one fresh bit per unordered share
    pair, in both styles. *)
 let pairs_per_and shares = shares * (shares - 1) / 2
 
-let transform ?(shares = 3) ?(style = Isw) ?(seed = 0) source =
+(* One walk over the AND/XOR/NOT basis. With [registered] the DOM terms
+   are registered before integration, operands from earlier stages pass
+   through pipeline registers, and outputs are aligned to the AND depth;
+   without it every level stays 0 and no register is built. *)
+let walk ~registered ~shares ~style ~seed source =
   if shares < 2 then invalid_arg "Masking.transform: shares < 2";
   let src = Basis.to_and_xor_not source in
   assert (Circuit.num_dffs src = 0);
@@ -113,30 +121,46 @@ let transform ?(shares = 3) ?(style = Isw) ?(seed = 0) source =
   let gate kind fanins =
     Circuit.add_node_raw c kind (Array.of_list fanins) (fresh (Gate.name kind))
   in
+  let stage node = if registered then Circuit.add_dff ~name:(fresh "reg") c ~d:node else node in
+  (* Per source node: its share vector and its pipeline level. *)
   let share_map = Hashtbl.create 64 in
   List.iteri
-    (fun k (_, ids) -> Hashtbl.replace share_map (Circuit.inputs src).(k) ids)
+    (fun k (_, ids) -> Hashtbl.replace share_map (Circuit.inputs src).(k) (ids, 0))
     input_shares;
+  (* A share vector delayed from [level] to [target] through pipeline
+     registers. *)
+  let rec delay target (vec, level) =
+    if level >= target then vec else delay target (Array.map stage vec, level + 1)
+  in
+  let depth = ref 0 in
   for i = 0 to Circuit.node_count src - 1 do
     let nd = Circuit.node src i in
     let sh k = Hashtbl.find share_map nd.Circuit.fanins.(k) in
+    (* Both operands aligned to the later of their levels. *)
+    let aligned () =
+      let a = sh 0 and b = sh 1 in
+      let target = max (snd a) (snd b) in
+      let a = delay target a in
+      let b = delay target b in
+      a, b, target
+    in
     match nd.Circuit.kind with
     | Gate.Input -> ()
     | Gate.Const b ->
       (* Share 0 carries the value, the rest are zero. *)
       let zero = Circuit.add_const ~name:(fresh "c0") c false in
       let v = Circuit.add_const ~name:(fresh "cv") c b in
-      Hashtbl.replace share_map i (Array.init shares (fun s -> if s = 0 then v else zero))
+      Hashtbl.replace share_map i (Array.init shares (fun s -> if s = 0 then v else zero), 0)
     | Gate.Not ->
-      let a = sh 0 in
+      let a, level = sh 0 in
       Hashtbl.replace share_map i
-        (Array.mapi (fun s a_s -> if s = 0 then gate Gate.Not [ a_s ] else a_s) a)
+        (Array.mapi (fun s a_s -> if s = 0 then gate Gate.Not [ a_s ] else a_s) a, level)
     | Gate.Xor ->
-      let a = sh 0 and b = sh 1 in
+      let a, b, level = aligned () in
       Hashtbl.replace share_map i
-        (Array.init shares (fun s -> gate Gate.Xor [ a.(s); b.(s) ]))
+        (Array.init shares (fun s -> gate Gate.Xor [ a.(s); b.(s) ]), level)
     | Gate.And ->
-      let a = sh 0 and b = sh 1 in
+      let a, b, level = aligned () in
       let slot = !gadget_index * pairs in
       incr gadget_index;
       let z = Array.make_matrix shares shares (-1) in
@@ -162,26 +186,28 @@ let transform ?(shares = 3) ?(style = Isw) ?(seed = 0) source =
       done;
       let out =
         Array.init shares (fun s ->
-            let acc = ref (gate Gate.And [ a.(s); b.(s) ]) in
+            let acc = ref (stage (gate Gate.And [ a.(s); b.(s) ])) in
             for j = 0 to shares - 1 do
               if j <> s then
                 (match style with
                  | Isw -> acc := gate Gate.Xor [ !acc; z.(s).(j) ]
                  | Dom ->
                    let prod = gate Gate.And [ a.(s); b.(j) ] in
-                   let remasked = gate Gate.Xor [ prod; z.(s).(j) ] in
+                   let remasked = stage (gate Gate.Xor [ prod; z.(s).(j) ]) in
                    acc := gate Gate.Xor [ !acc; remasked ])
             done;
             !acc)
       in
-      Hashtbl.replace share_map i out
+      let level = if registered then level + 1 else level in
+      depth := max !depth level;
+      Hashtbl.replace share_map i (out, level)
     | Gate.Buf | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xnor | Gate.Mux | Gate.Dff ->
       invalid_arg "Masking.transform: circuit not in AND/XOR/NOT basis"
   done;
   let output_shares =
     Array.to_list (Circuit.outputs src)
     |> List.map (fun (nm, o) ->
-        let ids = Hashtbl.find share_map o in
+        let ids = delay !depth (Hashtbl.find share_map o) in
         let names =
           Array.mapi
             (fun s id ->
@@ -192,7 +218,12 @@ let transform ?(shares = 3) ?(style = Isw) ?(seed = 0) source =
         in
         nm, names)
   in
-  { circuit = c; shares; style; input_shares; random_inputs; output_shares }
+  { circuit = c; shares; style; latency = !depth; input_shares; random_inputs; output_shares }
+
+let transform ?(shares = 3) ?(style = Isw) ?(seed = 0) source =
+  walk ~registered:false ~shares ~style ~seed source
+
+let pipelined ~shares source = walk ~registered:true ~shares ~style:Dom ~seed:0 source
 
 (* --- Region splicing --------------------------------------------------- *)
 

@@ -1,8 +1,7 @@
 (** Order-parametric masked-gadget insertion — the one generator of
-    combinational masked gadgets: it builds the private circuit of the
-    Fig. 2 demo and, as a synthesis pass, masks designs {e inside} the
-    flow. The pipelined, registered DOM lives in {!Sidechannel.Dom},
-    whose share inputs follow this module's [<base>_s<k>] naming.
+    masked gadgets: it builds the private circuit of the Fig. 2 demo,
+    the pipelined DOM with its register stage, and, as a synthesis pass,
+    masks designs {e inside} the flow.
 
     Gadgets are emitted as left-to-right chains whose association order
     is the security property; every created net carries the ["mg_"]
@@ -17,10 +16,10 @@ type style =
   | Isw  (** ISW private-circuit AND: fresh randomness per ordered pair,
              [z_qp = (r ^ a_p b_q) ^ a_q b_p] — the private circuit of
              the paper's motivational example *)
-  | Dom  (** combinational DOM-indep AND: cross products remasked with
-             randomness shared per unordered pair; no register stage, so
-             only the probing-model argument applies, not the glitch
-             one *)
+  | Dom  (** DOM-indep AND: cross products remasked with randomness
+             shared per unordered pair. Without the register stage of
+             {!pipelined} only the probing-model argument applies, not
+             the glitch one *)
 
 (** @raise Invalid_argument on anything but ["isw"] / ["dom"]. *)
 val style_of_string : string -> style
@@ -31,6 +30,9 @@ type masked = {
   circuit : Netlist.Circuit.t;
   shares : int;
   style : style;
+  latency : int;
+      (** clock cycles until the outputs are valid; 0 without a
+          register stage *)
   input_shares : (string * int array) list;
       (** per original input, its share input ids in order *)
   random_inputs : int array;  (** randomness inputs, declaration order *)
@@ -38,6 +40,7 @@ type masked = {
       (** per original output, its share output names *)
 }
 
+(** ["mg_"], the prefix of every net the generator creates. *)
 val prefix : string
 
 (** The order-barrier predicate: true for every net the pass created. *)
@@ -49,6 +52,14 @@ val protected_name : string -> bool
     @raise Invalid_argument when [shares < 2]. *)
 val transform :
   ?shares:int -> ?style:style -> ?seed:int -> Netlist.Circuit.t -> masked
+
+(** {!transform} at style [Dom], seed 0, with DOM's register stage: each
+    term ([a_s b_s], and each remasked [a_s b_j ^ z]) is registered
+    before integration, operands from earlier stages pass through
+    pipeline registers, and every output is aligned to the AND depth,
+    which is the [latency]. Same interface naming as {!transform}.
+    @raise Invalid_argument when [shares < 2]. *)
+val pipelined : shares:int -> Netlist.Circuit.t -> masked
 
 (** Mask one annotated region in place: XOR-encoders split each boundary
     value using fresh [mg_] randomness inputs, the region is replaced by

@@ -158,7 +158,7 @@ let run_recipe ?budget ?protect ?params ?observe name c =
 
 (** Net-name prefixes of masked-gadget internals; the standard fence for
     security-aware recipes. *)
-let gadget_prefixes = [ "dom_"; "mg_" ]
+let gadget_prefixes = [ Masking.prefix ]
 
 let () =
   register
@@ -178,7 +178,7 @@ let () =
     (make ~name:"optimize_secure"
        ~doc:
          "Security-aware flow: the same passes behind a protect fence over \
-          masked-gadget internals (dom_/mg_) plus any caller fence"
+          masked-gadget internals (mg_) plus any caller fence"
        [ Protect
            { prefixes = gadget_prefixes;
              body = [ pass "constant_propagation"; pass "strash"; pass "xor_reassoc" ] } ])

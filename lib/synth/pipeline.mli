@@ -47,7 +47,7 @@ val all : unit -> t list
 (** Pass names a recipe mentions, in first-use order. *)
 val passes_used : t -> string list
 
-(** Net-name prefixes of masked-gadget internals ([dom_]/[mg_]) —
+(** Net-name prefixes of masked-gadget internals ([mg_]) —
     the standard fence used by security-aware recipes. *)
 val gadget_prefixes : string list
 

@@ -378,6 +378,9 @@ let rebuild_fingerprints () =
     Circuit.annotate_region c ~region:"core" [ Circuit.output_id c 0 ];
     Synth.Masking.mask_region ~seed:2 c ~region:"core"
   in
+  let transform style shares =
+    (Synth.Masking.transform ~shares ~style ~seed:2 (design ())).Synth.Masking.circuit
+  in
   [ line "faulty_copy"
       (fp (Fault.Model.faulty_copy c (Fault.Model.Stuck_at { node = 30; value = true })));
     line "scan" (fp (Dft.Scan.insert seq).Dft.Scan.circuit);
@@ -402,9 +405,14 @@ let rebuild_fingerprints () =
     line "to_and_xor_not" (fp (Synth.Pass.apply "to_and_xor_not" c));
     line "techmap nand-inv" (fp (Synth.Pass.apply "techmap" c));
     line "techmap camo" (fp (Synth.Pass.apply ~params:[ ("target", "camo") ] "techmap" c));
-    line "mask_region" (fp masked) ]
+    line "mask_region" (fp masked);
+    line "transform isw 2" (fp (transform Synth.Masking.Isw 2));
+    line "transform isw 3" (fp (transform Synth.Masking.Isw 3));
+    line "transform dom 2" (fp (transform Synth.Masking.Dom 2));
+    line "transform dom 3" (fp (transform Synth.Masking.Dom 3)) ]
 
-(* Recorded before the rebuild loops moved onto [Circuit.rebuild]. *)
+(* Recorded before the rebuild loops moved onto [Circuit.rebuild]; the
+   four [transform] lines before the register stage joined its walk. *)
 let pinned_rebuild_fingerprints =
   [ "faulty_copy: 17c8862300f8d3f1";
     "scan: cfe07b876850699f";
@@ -422,7 +430,11 @@ let pinned_rebuild_fingerprints =
     "to_and_xor_not: 415b550d8560152f";
     "techmap nand-inv: e1a0466655d35f97";
     "techmap camo: 3315f2f5ff9648cc";
-    "mask_region: 9703b55a545b1860" ]
+    "mask_region: 9703b55a545b1860";
+    "transform isw 2: 261caa26e675b538";
+    "transform isw 3: f9606bedf43c7379";
+    "transform dom 2: 90e7452bf6b99526";
+    "transform dom 3: 0c5ef60cf4840e5f" ]
 
 let test_rebuild_fingerprints () =
   Alcotest.(check (list string)) "rebuild fingerprints" pinned_rebuild_fingerprints
@@ -596,10 +608,10 @@ let test_dom_and_correct () =
   let src = Sidechannel.Leakage.private_and_source () in
   List.iter
     (fun shares ->
-      let dom = Sidechannel.Dom.transform ~shares src in
+      let dom = Synth.Masking.pipelined ~shares src in
       List.iter
         (fun (a, b) ->
-          match Sidechannel.Dom.eval rng dom ~values:[ ("a", a); ("b", b) ] with
+          match Sidechannel.Isw.eval rng dom ~values:[ ("a", a); ("b", b) ] with
           | [ (_, y) ] -> Alcotest.(check bool) "and" (a && b) y
           | _ -> Alcotest.fail "unexpected outputs")
         [ (false, false); (false, true); (true, false); (true, true) ])
@@ -608,40 +620,50 @@ let test_dom_and_correct () =
 let test_dom_multi_level_pipeline () =
   let rng = Rng.create 61 in
   let c17 = Gen.c17 () in
-  let dom = Sidechannel.Dom.transform ~shares:2 c17 in
-  Alcotest.(check int) "three AND levels -> latency 3" 3 dom.Sidechannel.Dom.latency;
-  for m = 0 to 31 do
-    let inputs = Array.init 5 (fun i -> (m lsr i) land 1 = 1) in
-    let expected = Netlist.Sim.eval c17 inputs in
-    let values =
-      List.mapi (fun k id -> Circuit.name c17 id, inputs.(k))
-        (Array.to_list (Circuit.inputs c17))
-    in
-    let got = Sidechannel.Dom.eval rng dom ~values in
-    List.iteri
-      (fun k (_, v) -> Alcotest.(check bool) (Printf.sprintf "m=%d out %d" m k) expected.(k) v)
-      got
-  done
+  List.iter
+    (fun shares ->
+      let dom = Synth.Masking.pipelined ~shares c17 in
+      Alcotest.(check int) "three AND levels -> latency 3" 3 dom.Synth.Masking.latency;
+      for m = 0 to 31 do
+        let inputs = Array.init 5 (fun i -> (m lsr i) land 1 = 1) in
+        let expected = Netlist.Sim.eval c17 inputs in
+        let values =
+          List.mapi (fun k id -> Circuit.name c17 id, inputs.(k))
+            (Array.to_list (Circuit.inputs c17))
+        in
+        let got = Sidechannel.Isw.eval rng dom ~values in
+        List.iteri
+          (fun k (_, v) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%d shares, m=%d out %d" shares m k) expected.(k) v)
+          got
+      done)
+    [ 2; 3 ]
 
 let test_dom_registers_cross_terms () =
-  (* The register stage is DOM's defining feature: the masked AND must
-     contain flip-flops (ISW has none). *)
+  (* The register stage is DOM's defining feature: the pipelined AND
+     must contain flip-flops, the combinational gadgets none. *)
   let src = Sidechannel.Leakage.private_and_source () in
-  let dom = Sidechannel.Dom.transform ~shares:2 src in
-  let isw = Synth.Masking.transform ~shares:2 src in
+  let dom = Synth.Masking.pipelined ~shares:2 src in
   Alcotest.(check bool) "DOM has registers" true
-    (Circuit.num_dffs dom.Sidechannel.Dom.circuit > 0);
-  Alcotest.(check int) "ISW is combinational" 0
-    (Circuit.num_dffs isw.Synth.Masking.circuit);
-  (* Same randomness budget at equal share count. *)
-  Alcotest.(check int) "same randomness"
-    (Array.length isw.Synth.Masking.random_inputs)
-    (Array.length dom.Sidechannel.Dom.random_inputs)
+    (Circuit.num_dffs dom.Synth.Masking.circuit > 0);
+  List.iter
+    (fun style ->
+      let m = Synth.Masking.transform ~shares:2 ~style src in
+      let name = Synth.Masking.string_of_style style in
+      Alcotest.(check int) (name ^ " is combinational") 0
+        (Circuit.num_dffs m.Synth.Masking.circuit);
+      Alcotest.(check int) (name ^ " has latency 0") 0 m.Synth.Masking.latency;
+      (* Same randomness budget at equal share count. *)
+      Alcotest.(check int) (name ^ " same randomness")
+        (Array.length m.Synth.Masking.random_inputs)
+        (Array.length dom.Synth.Masking.random_inputs))
+    [ Synth.Masking.Isw; Synth.Masking.Dom ]
 
 let test_dom_first_order_passes () =
   let rng = Rng.create 62 in
-  let dom = Sidechannel.Dom.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
-  let c = dom.Sidechannel.Dom.circuit in
+  let dom = Synth.Masking.pipelined ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
+  let c = dom.Synth.Masking.circuit in
   let sample = Power.Model.hamming_weight_sampler c in
   let scratch = Array.make (Netlist.Circuit.node_count c) 0 in
   let collect stream cls =
@@ -650,10 +672,7 @@ let test_dom_first_order_passes () =
       | `Fixed -> true, true
       | `Random -> Rng.bool stream, Rng.bool stream
     in
-    let vec =
-      Sidechannel.Isw.stimulus stream c ~shares:2 ~input_shares:dom.Sidechannel.Dom.input_shares
-        ~random_inputs:dom.Sidechannel.Dom.random_inputs ~values:[ ("a", a); ("b", b) ]
-    in
+    let vec = Sidechannel.Isw.input_vector stream dom ~values:[ ("a", a); ("b", b) ] in
     (* Leakage: HW of the settled combinational state in cycle 0. *)
     let e = sample ~scratch ~lanes:1 ~inputs:(Array.map Bool.to_int vec) in
     [| e.(0) +. Rng.gaussian_scaled stream ~mean:0.0 ~sigma:0.1 |]

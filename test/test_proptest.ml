@@ -1212,9 +1212,6 @@ let oracle_encode stream ~shares value =
 let oracle_assess rng c ~traces_per_class ~noise_sigma =
   let module M = Synth.Masking in
   let iface = M.interface_of c in
-  let is_random nm = M.protected_name nm || Sidechannel.Dom.protected_name nm in
-  let secrets, extra = List.partition (fun (nm, _) -> not (is_random nm)) iface.M.secrets in
-  let randoms = Array.append iface.M.randoms (Array.concat (List.map snd extra)) in
   let pos = Circuit.input_position c in
   let collect stream cls =
     let vec = Array.make (Circuit.num_inputs c) false in
@@ -1226,8 +1223,8 @@ let oracle_assess rng c ~traces_per_class ~noise_sigma =
           let sh = oracle_encode stream ~shares:(Array.length ids) value in
           Array.iteri (fun s id -> vec.(pos id) <- sh.(s)) ids
         end)
-      secrets;
-    Array.iter (fun id -> vec.(pos id) <- Rng.bool stream) randoms;
+      iface.M.secrets;
+    Array.iter (fun id -> vec.(pos id) <- Rng.bool stream) iface.M.randoms;
     [| Reference.Hw_model_ref.hamming_weight_sample stream c ~noise_sigma ~inputs:vec |]
   in
   Sidechannel.Tvla.campaign_seeded rng ~traces_per_class ~collect
@@ -1297,8 +1294,8 @@ let test_hw_lanes_differential () =
       ("c17 ISW 2 shares", (Synth.Masking.transform ~shares:2 (Gen.c17 ())).Synth.Masking.circuit);
       ("c17 ISW 3 shares", (Synth.Masking.transform ~shares:3 (Gen.c17 ())).Synth.Masking.circuit);
       ( "private AND DOM 2 shares",
-        (Sidechannel.Dom.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()))
-          .Sidechannel.Dom.circuit ) ]
+        (Synth.Masking.pipelined ~shares:2 (Sidechannel.Leakage.private_and_source ()))
+          .Synth.Masking.circuit ) ]
   in
   List.iter
     (fun (name, c) ->

@@ -296,15 +296,15 @@ let test_pipelined_dom_assessed_as_shares () =
      inputs must group into one secret per source input: were each share
      a secret of its own, the fixed class would pin every share to 1, and
      this campaign would read max |t| 29.1. *)
-  let dom = Sidechannel.Dom.transform ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
-  let c = dom.Sidechannel.Dom.circuit in
+  let dom = Masking.pipelined ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
+  let c = dom.Masking.circuit in
   let iface = Masking.interface_of c in
   List.iter
     (fun (base, ids) ->
       match List.assoc_opt base iface.Masking.secrets with
       | Some group -> Alcotest.(check (array int)) ("shares of " ^ base) ids group
       | None -> Alcotest.failf "no share group for %s" base)
-    dom.Sidechannel.Dom.input_shares;
+    dom.Masking.input_shares;
   Alcotest.(check bool) "DOM private AND clean at 600 traces/class" false
     (Secure_synth.leaks (Rng.create 24) c ~traces_per_class:600 ~noise_sigma)
 
