@@ -121,7 +121,19 @@ let walk ~registered ~shares ~style ~seed source =
   let gate kind fanins =
     Circuit.add_node_raw c kind (Array.of_list fanins) (fresh (Gate.name kind))
   in
-  let stage node = if registered then Circuit.add_dff ~name:(fresh "reg") c ~d:node else node in
+  (* One register per D net: an operand that several later gates read
+     passes through one pipeline chain. *)
+  let registers = Hashtbl.create 64 in
+  let stage node =
+    if not registered then node
+    else
+      match Hashtbl.find_opt registers node with
+      | Some q -> q
+      | None ->
+        let q = Circuit.add_dff ~name:(fresh "reg") c ~d:node in
+        Hashtbl.add registers node q;
+        q
+  in
   (* Per source node: its share vector and its pipeline level. *)
   let share_map = Hashtbl.create 64 in
   List.iteri

@@ -197,4 +197,4 @@ let () =
       ("simulation",
        [ Alcotest.test_case "word sim all slots" `Quick test_word_sim_matches_scalar_on_all_slots ]);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest [ prop_solver_models_satisfy_circuit_constraints ]) ]
+       List.map Seeded.to_alcotest [ prop_solver_models_satisfy_circuit_constraints ]) ]

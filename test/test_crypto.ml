@@ -157,4 +157,4 @@ let () =
          Alcotest.test_case "round datapath" `Quick test_datapath_matches_software;
          Alcotest.test_case "registered datapath" `Quick test_registered_datapath;
          Alcotest.test_case "byte conversions" `Quick test_byte_conversions ]);
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_aes_key_sensitivity ]) ]
+      ("properties", List.map Seeded.to_alcotest [ prop_aes_key_sensitivity ]) ]

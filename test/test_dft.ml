@@ -176,4 +176,4 @@ let () =
          Alcotest.test_case "signature deterministic" `Quick test_bist_signature_deterministic;
          Alcotest.test_case "detects faults" `Quick test_bist_detects_faults;
          Alcotest.test_case "signature sensitive" `Quick test_bist_signature_changes_under_fault ]);
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_scan_roundtrip_any_state ]) ]
+      ("properties", List.map Seeded.to_alcotest [ prop_scan_roundtrip_any_state ]) ]

@@ -660,6 +660,31 @@ let test_dom_registers_cross_terms () =
         (Array.length dom.Synth.Masking.random_inputs))
     [ Synth.Masking.Isw; Synth.Masking.Dom ]
 
+let test_dom_shares_pipeline_registers () =
+  (* An operand read by several later gates passes through one register
+     chain, not one per reader: no two flip-flops register the same net.
+     The pipelined alu4 still computes alu4 after [latency] clocks. *)
+  let rng = Rng.create 63 in
+  let alu = Gen.alu 4 in
+  List.iter
+    (fun shares ->
+      let dom = Synth.Masking.pipelined ~shares alu in
+      let c = dom.Synth.Masking.circuit in
+      let d_nets = Array.map (fun q -> (Circuit.fanins c q).(0)) (Circuit.dffs c) in
+      let distinct = List.length (List.sort_uniq compare (Array.to_list d_nets)) in
+      Alcotest.(check int) (Printf.sprintf "%d shares: one register per D net" shares)
+        (Array.length d_nets) distinct;
+      for _ = 1 to 32 do
+        let inputs = Array.init (Circuit.num_inputs alu) (fun _ -> Rng.bool rng) in
+        let values =
+          List.mapi (fun k id -> (Circuit.name alu id, inputs.(k))) (Array.to_list (Circuit.inputs alu))
+        in
+        Alcotest.(check (list bool)) (Printf.sprintf "%d shares: decodes alu4" shares)
+          (Array.to_list (Netlist.Sim.eval alu inputs))
+          (List.map snd (Sidechannel.Isw.eval rng dom ~values))
+      done)
+    [ 2; 3 ]
+
 let test_dom_first_order_passes () =
   let rng = Rng.create 62 in
   let dom = Synth.Masking.pipelined ~shares:2 (Sidechannel.Leakage.private_and_source ()) in
@@ -729,4 +754,5 @@ let () =
        [ Alcotest.test_case "and correct" `Quick test_dom_and_correct;
          Alcotest.test_case "pipeline levels" `Quick test_dom_multi_level_pipeline;
          Alcotest.test_case "register stage" `Quick test_dom_registers_cross_terms;
+         Alcotest.test_case "shared pipeline registers" `Quick test_dom_shares_pipeline_registers;
          Alcotest.test_case "first order" `Slow test_dom_first_order_passes ]) ]

@@ -209,4 +209,4 @@ let () =
        [ Alcotest.test_case "accuracy" `Quick test_discrimination;
          Alcotest.test_case "stream classification" `Quick test_discrimination_classifies_streams ]);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest [ prop_faulty_eval_differs_only_downstream ]) ]
+       List.map Seeded.to_alcotest [ prop_faulty_eval_differs_only_downstream ]) ]

@@ -235,4 +235,4 @@ let () =
          Alcotest.test_case "resource constraint" `Quick test_hls_resource_constraint;
          Alcotest.test_case "secure binding" `Quick test_hls_secure_binding_no_sharing;
          Alcotest.test_case "flush schedule" `Quick test_hls_flush_schedule ]);
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_glift_subset_of_structural ]) ]
+      ("properties", List.map Seeded.to_alcotest [ prop_glift_subset_of_structural ]) ]

@@ -244,5 +244,5 @@ let () =
          Alcotest.test_case "decamouflage" `Quick test_decamouflage_succeeds;
          Alcotest.test_case "area overhead" `Quick test_camouflage_area_overhead ]);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest
+       List.map Seeded.to_alcotest
          [ prop_locking_roundtrip_random_circuits; prop_sat_attack_always_functionally_correct ]) ]

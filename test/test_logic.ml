@@ -158,5 +158,5 @@ let () =
          Alcotest.test_case "count models" `Quick test_bdd_count_models;
          Alcotest.test_case "of truth table" `Quick test_bdd_of_truth_table ]);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest
+       List.map Seeded.to_alcotest
          [ prop_qmc_correct; prop_bdd_matches_tt; prop_qmc_cost_not_worse_than_minterms ]) ]

@@ -500,5 +500,5 @@ let () =
          Alcotest.test_case "rejects garbage" `Quick test_io_rejects_garbage;
          Alcotest.test_case "region pragma roundtrip" `Quick test_region_io_roundtrip ]);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest
+       List.map Seeded.to_alcotest
          [ prop_random_dag_well_formed; prop_io_roundtrip_random; prop_sweep_preserves_function ]) ]

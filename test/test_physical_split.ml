@@ -269,4 +269,4 @@ let () =
          Alcotest.test_case "attack shared sites" `Quick test_attack_shared_sites;
          Alcotest.test_case "placement and attack telemetry" `Quick test_telemetry_attrs ]);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest [ prop_split_preserves_connection_count ]) ]
+       List.map Seeded.to_alcotest [ prop_split_preserves_connection_count ]) ]

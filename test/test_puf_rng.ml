@@ -140,4 +140,4 @@ let () =
          Alcotest.test_case "stuck detected" `Quick test_trng_stuck_fails_everything;
          Alcotest.test_case "online monitor" `Quick test_online_monitor;
          Alcotest.test_case "poker" `Quick test_poker_uniformish ]);
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_encode_features_pm_one ]) ]
+      ("properties", List.map Seeded.to_alcotest [ prop_encode_features_pm_one ]) ]

@@ -14,7 +14,6 @@ module Lint = Netlist.Lint
 module Solver = Sat.Solver
 module Rng = Eda_util.Rng
 module Flow = Secure_eda.Flow
-module Chaos = Fault.Chaos
 
 (* --- Budget ------------------------------------------------------------ *)
 
@@ -552,6 +551,177 @@ let test_chaos_detects_crashes () =
    | Chaos.Survived _ | Chaos.Degraded _ -> Alcotest.fail "escaped exception not flagged");
   Alcotest.(check bool) "crash is not graceful" false (Chaos.graceful o)
 
+(* --- Parser fuzzing -------------------------------------------------------- *)
+
+(* Every parser of untrusted input answers [Ok] or [Error] on any text,
+   never an exception. The inputs are small Bench_gen designs (half with
+   a region pragma), their flow checkpoints and a flow's trace JSONL,
+   each put through a few random edits. *)
+
+module Json = Eda_util.Telemetry.Json
+
+(* One edit anywhere in [text]: a cut, a byte set to a random value, or a
+   splice of the text before one offset to the text after another (which
+   drops or repeats the slice between them). *)
+let edit_bytes rng text =
+  let n = String.length text in
+  let at () = Rng.int rng (n + 1) in
+  match Rng.int rng 3 with
+  | 0 -> String.sub text 0 (at ())
+  | 1 when n > 0 ->
+    let b = Bytes.of_string text in
+    Bytes.set b (Rng.int rng n) (Char.chr (Rng.int rng 256));
+    Bytes.to_string b
+  | _ ->
+    let i = at () and j = at () in
+    String.sub text 0 i ^ String.sub text j (n - j)
+
+let insert_line rng text line =
+  let lines = String.split_on_char '\n' text in
+  let k = Rng.int rng (List.length lines + 1) in
+  String.concat "\n" (List.filteri (fun i _ -> i < k) lines @ (line :: List.filteri (fun i _ -> i >= k) lines))
+
+(* A region pragma over the text's own words, naming a missing net, or
+   missing its name and members. *)
+let pragma_line rng text =
+  let words =
+    String.map (fun ch -> match ch with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> ch | _ -> ' ') text
+    |> String.split_on_char ' '
+    |> List.filter (( <> ) "")
+  in
+  let word () = if words = [] then "w" else Rng.choose rng words in
+  match Rng.int rng 4 with
+  | 0 -> "# region " ^ word ()
+  | 1 -> Printf.sprintf "# region %s : %s %s" (word ()) (word ()) (word ())
+  | 2 -> Printf.sprintf "# region %s : no_such_net" (word ())
+  | _ -> "# region : :"
+
+let edit_netlist rng text =
+  match Rng.int rng 3 with
+  | 0 -> Chaos.corrupt rng (Rng.choose rng Chaos.all_corruptions) text
+  | 1 -> insert_line rng text (pragma_line rng text)
+  | _ -> edit_bytes rng text
+
+(* Replace one value somewhere in a JSON tree by a small junk value, or
+   drop one object field. *)
+let rec edit_json rng j =
+  let pick l = Rng.int rng (List.length l) in
+  match j with
+  | Json.JObj fields when fields <> [] && Rng.int rng 4 > 0 ->
+    let k = pick fields in
+    if Rng.int rng 5 = 0 then Json.JObj (List.filteri (fun i _ -> i <> k) fields)
+    else Json.JObj (List.mapi (fun i (f, v) -> (f, if i = k then edit_json rng v else v)) fields)
+  | Json.JList items when items <> [] && Rng.int rng 4 > 0 ->
+    let k = pick items in
+    Json.JList (List.mapi (fun i v -> if i = k then edit_json rng v else v) items)
+  | _ ->
+    [| Json.Null; Json.JBool true; Json.JInt (Rng.int rng 5 - 2); Json.JFloat Float.nan;
+       Json.JStr ""; Json.JStr "x"; Json.JList []; Json.JObj [] |].(Rng.int rng 8)
+
+(* The checkpoint's content hash (FNV-1a, 64-bit, of the serialized
+   payload), so an edited payload can be sealed again and reach the
+   payload checks behind the hash check. *)
+let fnv1a64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L) s;
+  Printf.sprintf "%016Lx" !h
+
+(* A byte edit, or a sealed edit of the payload: its circuit text edited
+   as a netlist, or one of its values replaced. *)
+let edit_checkpoint rng ~netlist text =
+  match Rng.int rng 3, Json.parse text with
+  | k, Ok (Json.JObj fields) when k > 0 ->
+    let edit_payload = function
+      | Json.JObj p when k = 1 ->
+        Json.JObj
+          (List.map
+             (fun (f, v) -> (f, if f = "circuit" then Json.JStr (edit_netlist rng netlist) else v))
+             p)
+      | payload -> edit_json rng payload
+    in
+    let payload = edit_payload (Option.value (List.assoc_opt "payload" fields) ~default:Json.Null) in
+    Json.to_string
+      (Json.JObj
+         (List.map
+            (fun (f, v) ->
+              match f with
+              | "payload" -> (f, payload)
+              | "hash" -> (f, Json.JStr (fnv1a64 (Json.to_string payload)))
+              | _ -> (f, v))
+            fields))
+  | _ -> edit_bytes rng text
+
+(* A byte edit, a repeated event line, or one event's JSON edited. *)
+let edit_trace rng text =
+  let lines = Array.of_list (String.split_on_char '\n' text) in
+  let k = Rng.int rng (Array.length lines) in
+  match Rng.int rng 3 with
+  | 0 -> edit_bytes rng text
+  | 1 -> insert_line rng text lines.(k)
+  | _ ->
+    (match Json.parse lines.(k) with
+     | Ok j -> lines.(k) <- Json.to_string (edit_json rng j)
+     | Error _ -> ());
+    String.concat "\n" (Array.to_list lines)
+
+let fuzz_case =
+  Seeded.of_rng
+    ~print:(fun (fam, seed, size, region) ->
+      Printf.sprintf "%s seed=%d size=%d region=%b" (Netlist.Bench_gen.family_name fam) seed size
+        region)
+    (fun rng ->
+      ( Rng.choose rng Netlist.Bench_gen.all_families,
+        Rng.int rng 100_000,
+        16 + Rng.int rng 100,
+        Rng.bool rng ))
+
+let test_parsers_never_raise () =
+  (* One traced c17 flow run gives the checkpoints their stage reports
+     and the trace its spans, counters, gauges and notes. *)
+  let module T = Eda_util.Telemetry in
+  let sink, events = T.memory_sink () in
+  let stages =
+    match T.with_sink sink (fun () -> Flow.run (Rng.create 1) (Gen.c17 ())) with
+    | Ok r -> r.Flow.stages
+    | Error e -> Alcotest.fail (Eda_error.to_string e)
+  in
+  let trace = String.concat "\n" (List.map T.event_to_line (events ())) in
+  (* [rounds] texts per parser, each 1 to 4 random edits of [text]. An
+     exception fails the property, naming the parser and the text. *)
+  let accepted = Hashtbl.create 3 in
+  let fuzz rng ~rounds what parse edit text =
+    for _ = 1 to rounds do
+      let edited = ref text in
+      for _ = 0 to Rng.int rng 3 do
+        edited := edit rng !edited
+      done;
+      match parse !edited with
+      | Ok _ -> Hashtbl.replace accepted what ()
+      | Error _ -> ()
+      | exception e -> failwith (Printf.sprintf "%s raised %s on:\n%s" what (Printexc.to_string e) !edited)
+    done
+  in
+  Seeded.check ~count:100 ~name:"parsers return Ok or Error on edited input" fuzz_case
+    (fun (fam, seed, size, region) ->
+      let c = Netlist.Bench_gen.sized ~seed fam ~target_gates:size in
+      if region then
+        Circuit.annotate_region c ~region:"secret"
+          (List.filter (fun i -> i mod 3 = 0) (List.init (Circuit.node_count c) Fun.id));
+      let netlist = Io.to_string c in
+      let checkpoint =
+        Flow.checkpoint_to_string { Flow.source = fnv1a64 netlist; done_stages = stages; circuit = c }
+      in
+      let rng = Rng.create seed in
+      fuzz rng ~rounds:30 "Io.of_string_result" Io.of_string_result edit_netlist netlist;
+      fuzz rng ~rounds:30 "Flow.checkpoint_of_string" Flow.checkpoint_of_string
+        (edit_checkpoint ~netlist) checkpoint;
+      fuzz rng ~rounds:50 "Telemetry.Trace.of_string" T.Trace.of_string edit_trace trace;
+      true);
+  (* Edits that every parser refuses would test only its first check. *)
+  List.iter
+    (fun what -> Alcotest.(check bool) (what ^ " accepted some edited input") true (Hashtbl.mem accepted what))
+    [ "Io.of_string_result"; "Flow.checkpoint_of_string"; "Telemetry.Trace.of_string" ]
+
 let () =
   Alcotest.run "robustness"
     [ ("budget",
@@ -608,4 +778,6 @@ let () =
        [ Alcotest.test_case "corruption campaign" `Quick test_chaos_corruption_campaign;
          Alcotest.test_case "budget starvation scenarios" `Quick
            test_chaos_budget_starvation_scenarios;
-         Alcotest.test_case "detects crashes" `Quick test_chaos_detects_crashes ]) ]
+         Alcotest.test_case "detects crashes" `Quick test_chaos_detects_crashes ]);
+      ("fuzz",
+       [ Alcotest.test_case "parsers never raise" `Quick test_parsers_never_raise ]) ]

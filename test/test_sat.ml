@@ -801,5 +801,5 @@ let () =
          Alcotest.test_case "satisfiable output" `Quick test_satisfiable_output;
          Alcotest.test_case "xor associativity miter" `Quick test_xor_chain_equivalence_deep ]);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest
+       List.map Seeded.to_alcotest
          [ prop_miter_random_dags_self_equal; prop_equivalence_agrees_with_exhaustive ]) ]

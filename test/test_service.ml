@@ -8,7 +8,6 @@ module Budget = Eda_util.Budget
 module Eda_error = Eda_util.Eda_error
 module Pool = Eda_util.Pool
 module Rng = Eda_util.Rng
-module Chaos = Fault.Chaos
 module Gen = Netlist.Generators
 module Io = Netlist.Io
 module Flow = Secure_eda.Flow

@@ -363,4 +363,4 @@ let () =
       ("metrics",
        [ Alcotest.test_case "snr" `Quick test_metrics_snr;
          Alcotest.test_case "traces to threshold" `Quick test_traces_to_threshold ]);
-      ("properties", List.map QCheck_alcotest.to_alcotest [ prop_masked_eval_matches_source ]) ]
+      ("properties", List.map Seeded.to_alcotest [ prop_masked_eval_matches_source ]) ]

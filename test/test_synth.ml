@@ -465,5 +465,5 @@ let () =
          Alcotest.test_case "region preserves function" `Quick test_mask_region_preserves_function;
          Alcotest.test_case "region randomness budget" `Quick test_mask_region_gadget_counts ]);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest
+       List.map Seeded.to_alcotest
          [ prop_optimize_never_changes_function; prop_basis_preserves_function ]) ]

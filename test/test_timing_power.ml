@@ -295,4 +295,4 @@ let () =
          Alcotest.test_case "hw sample" `Quick test_hw_sample_monotone_in_ones;
          Alcotest.test_case "iddq trojan" `Quick test_iddq_trojan_increases_current ]);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest [ prop_event_sim_settles_to_static ]) ]
+       List.map Seeded.to_alcotest [ prop_event_sim_settles_to_static ]) ]

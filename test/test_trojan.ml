@@ -160,4 +160,4 @@ let () =
          Alcotest.test_case "ro sensor" `Quick test_ro_sensor;
          Alcotest.test_case "bisa" `Quick test_bisa ]);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest [ prop_infected_equals_clean_when_dormant ]) ]
+       List.map Seeded.to_alcotest [ prop_infected_equals_clean_when_dormant ]) ]

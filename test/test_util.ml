@@ -234,5 +234,5 @@ let () =
          Alcotest.test_case "histogram" `Quick test_histogram;
          Alcotest.test_case "argmax/max_abs" `Quick test_argmax_maxabs ]);
       ("properties",
-       List.map QCheck_alcotest.to_alcotest
+       List.map Seeded.to_alcotest
          [ prop_welch_antisymmetric; prop_hamming_triangle ]) ]
