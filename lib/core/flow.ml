@@ -47,8 +47,8 @@ type checkpoint = {
 (* A checkpoint file is one JSON object:
 
      {"format":"secure-eda/flow-checkpoint","version":2,
-      "hash":"<fnv1a64 of the serialized payload>",
-      "payload":{"source":"<fnv1a64 of the input's bench text>",
+      "hash":"<content_hash of the serialized payload>",
+      "payload":{"source":"<content_hash of the input's bench text>",
                  "circuit":"<bench text>","stages":[...]}}
 
    Writes are atomic (temp file in the same directory, then rename), so
@@ -81,7 +81,7 @@ let stage_of_id = function
 (* FNV-1a, 64-bit: tiny, dependency-free, and plenty to detect the
    truncation/bit-flip corruption this guards against (not an integrity
    MAC — the threat is accident, not an adversary with write access). *)
-let fnv1a64 s =
+let content_hash s =
   let h = ref 0xcbf29ce484222325L in
   String.iter
     (fun c ->
@@ -166,7 +166,7 @@ let checkpoint_to_string cp =
     (Json.JObj
        [ ("format", Json.JStr checkpoint_format);
          ("version", Json.JInt checkpoint_version);
-         ("hash", Json.JStr (fnv1a64 (Json.to_string payload)));
+         ("hash", Json.JStr (content_hash (Json.to_string payload)));
          ("payload", payload) ])
 
 let payload_of_json j =
@@ -213,7 +213,7 @@ let checkpoint_of_string text =
         | Some (Json.JInt v) when v = checkpoint_version ->
           (match find "hash", find "payload" with
            | Some (Json.JStr h), Some payload ->
-             let actual = fnv1a64 (Json.to_string payload) in
+             let actual = content_hash (Json.to_string payload) in
              if actual <> h then
                invalid "content hash mismatch (stored %s, computed %s) — corrupt file" h
                  actual
@@ -278,7 +278,7 @@ let run rng ?protect ?budget ?(stage_steps = fun (_ : stage) -> None) ?checkpoin
   let ( let* ) = Result.bind in
   let root = match budget with Some b -> b | None -> Budget.unlimited () in
   (* the checkpoint file and the hash of the design it belongs to *)
-  let target = Option.map (fun path -> (path, fnv1a64 (Netlist.Io.to_string circuit))) checkpoint in
+  let target = Option.map (fun path -> (path, content_hash (Netlist.Io.to_string circuit))) checkpoint in
   let* start_circuit, done_reports =
     match target with
     | Some (path, source) when Sys.file_exists path ->

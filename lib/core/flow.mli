@@ -41,6 +41,10 @@ type checkpoint = {
     structured [Invalid_input {what = "checkpoint"}] error instead of
     raising. *)
 
+(** The checkpoint format's hash: FNV-1a 64 of [s] as 16 lowercase hex
+    digits. It seals the payload and names the source design. *)
+val content_hash : string -> string
+
 val checkpoint_to_string : checkpoint -> string
 
 val checkpoint_of_string : string -> (checkpoint, Eda_util.Eda_error.t) result

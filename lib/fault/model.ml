@@ -46,11 +46,15 @@ let eval_all_faulty ?state circuit ~faults inputs =
     faults;
   let n = Circuit.node_count circuit in
   let values = Array.make n false in
-  let input_ids = Circuit.inputs circuit in
-  Array.iteri (fun k id -> values.(id) <- inputs.(k)) input_ids;
+  for k = 0 to Circuit.num_inputs circuit - 1 do
+    values.(Circuit.input_id circuit k) <- inputs.(k)
+  done;
   (match state with
    | None -> ()
-   | Some st -> Array.iteri (fun k id -> values.(id) <- st.(k)) (Circuit.dffs circuit));
+   | Some st ->
+     for k = 0 to Circuit.num_dffs circuit - 1 do
+       values.(Circuit.dff_id circuit k) <- st.(k)
+     done);
   let apply_override i v =
     match Hashtbl.find_opt overrides i with
     | Some (`Force b) -> b
@@ -147,10 +151,12 @@ let detects_many w circuit ~faults ~pos ~len pattern =
   Netlist.Sim.eval_all_into circuit pattern ~into:w.clean;
   let n = Circuit.node_count circuit in
   let values = w.values in
-  Array.iter (fun id -> values.(id) <- 0) (Circuit.dffs circuit);
-  Array.iteri
-    (fun k id -> values.(id) <- (if pattern.(k) then word_mask else 0))
-    (Circuit.inputs circuit);
+  for k = 0 to Circuit.num_dffs circuit - 1 do
+    values.(Circuit.dff_id circuit k) <- 0
+  done;
+  for k = 0 to Circuit.num_inputs circuit - 1 do
+    values.(Circuit.input_id circuit k) <- (if pattern.(k) then word_mask else 0)
+  done;
   for i = 0 to n - 1 do
     let nd = Circuit.node circuit i in
     let computed =
@@ -165,11 +171,11 @@ let detects_many w circuit ~faults ~pos ~len pattern =
       lxor w.flip_mask.(i)
   done;
   let detected = ref 0 in
-  Array.iter
-    (fun (_, o) ->
-      let clean_word = if w.clean.(o) then word_mask else 0 in
-      detected := !detected lor ((values.(o) lxor clean_word) land word_mask))
-    (Circuit.outputs circuit);
+  for k = 0 to Circuit.num_outputs circuit - 1 do
+    let o = Circuit.output_id circuit k in
+    let clean_word = if w.clean.(o) then word_mask else 0 in
+    detected := !detected lor ((values.(o) lxor clean_word) land word_mask)
+  done;
   (* Reset the override masks via the touched-site list (zeroing clears
      both polarities at a shared site at once). *)
   for j = 0 to w.ntouched - 1 do

@@ -239,8 +239,8 @@ let campaign_batched ?pool rng ~traces_per_class ~batch =
 (** {!campaign_batched} over the {!per_trace} lift of a per-trace
     collect: [collect stream cls] produces one trace for class [cls],
     drawing randomness only from [stream]. *)
-let campaign_seeded ?pool rng ~traces_per_class ~collect =
-  campaign_batched ?pool rng ~traces_per_class ~batch:(per_trace collect)
+let campaign_seeded rng ~traces_per_class ~collect =
+  campaign_batched rng ~traces_per_class ~batch:(per_trace collect)
 
 (** Campaign assessed at first and second order from one accumulator.
     Its first-order result equals {!campaign_batched}'s on the same

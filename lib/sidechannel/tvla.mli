@@ -54,10 +54,9 @@ val campaign_batched :
   batch:batch ->
   result
 
-(** {!campaign_batched} on [per_trace collect].
+(** {!campaign_batched} on [per_trace collect], with no pool.
     @raise Invalid_argument as {!campaign_batched}. *)
 val campaign_seeded :
-  ?pool:Eda_util.Pool.t ->
   Eda_util.Rng.t ->
   traces_per_class:int ->
   collect:(Eda_util.Rng.t -> [ `Fixed | `Random ] -> float array) ->

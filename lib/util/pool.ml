@@ -39,21 +39,15 @@
     tasks is fully visible, and deterministic workloads merge to
     bit-identical traces at any pool size (modulo the scheduling noise
     {!Telemetry.Trace.canonicalize} projects away). The pool itself still
-    reports per-batch scheduling metrics — [pool.tasks] / [pool.steals]
-    counters, a [pool.utilization] gauge and one [pool.domain] note per
-    slot — from the caller's domain, all stamped with a single clock
-    reading so the caller's clock-read count per batch is fixed.
+    counts [pool.tasks] and [pool.steals] per batch from the caller's
+    domain, both stamped with a single clock reading so the caller's
+    clock-read count per batch is fixed; per-domain busy time is derived
+    from the [pool.task] spans ({!Telemetry.Trace.domain_timeline}).
 
     Not reentrant: calling pool operations from inside a task is
     unsupported. One caller domain at a time. *)
 
 module T = Telemetry
-
-type slot_stats = {
-  mutable tasks : int;
-  mutable steals : int;
-  mutable busy : float;  (* wall-clock seconds spent executing tasks *)
-}
 
 type job = {
   gen : int;
@@ -78,8 +72,6 @@ type task_ctx = {
   cancelled : unit -> bool;
   task_budget : ?steps:int -> ?seconds:float -> unit -> Budget.t;
 }
-
-let now () = Unix.gettimeofday ()
 
 let recommended () = max 1 (Domain.recommended_domain_count ())
 
@@ -193,7 +185,7 @@ let run_batch t work =
 
    [chunk] is the scheduling grain: a slot claims up to [chunk]
    consecutive task indices per atomic cursor bump and amortizes the
-   per-claim bookkeeping (two clock reads, counter updates) over the
+   per-claim bookkeeping (cursor and counter updates) over the
    block. Chunking moves tasks between domains, never changes which
    results land where — semantics are grain-independent. The stop flag
    is still polled before every task inside a block, so cancellation
@@ -222,7 +214,7 @@ let drive ?budget ?(label = "batch") ?(chunk = 1) ~exec t n =
   let lo s = s * n / t.size in
   let hi s = (s + 1) * n / t.size in
   let next = Array.init t.size (fun s -> Atomic.make (lo s)) in
-  let stats = Array.init t.size (fun _ -> { tasks = 0; steals = 0; busy = 0.0 }) in
+  let steals = Array.make t.size 0 in
   let completed = Atomic.make 0 in
   (match budget with Some b when Budget.exhausted b -> Atomic.set stop true | _ -> ());
   let ctx slot i =
@@ -232,21 +224,16 @@ let drive ?budget ?(label = "batch") ?(chunk = 1) ~exec t n =
     in
     { task_index = i; slot; cancelled; task_budget }
   in
-  (* Run tasks [i, j): one timing window for the whole block. *)
   let run_block slot i j =
-    let st = stats.(slot) in
-    let t0 = now () in
     let k = ref i in
     while !k < j && !k < Atomic.get bound && not (Atomic.get stop) do
       (try exec (ctx slot !k) !k
        with e ->
          exns.(!k) <- Some (e, Printexc.get_raw_backtrace ());
          lower_bound !k);
-      st.tasks <- st.tasks + 1;
       Atomic.incr completed;
       incr k
-    done;
-    st.busy <- st.busy +. (now () -. t0)
+    done
   in
   let work slot =
     let rec loop () =
@@ -270,7 +257,7 @@ let drive ?budget ?(label = "batch") ?(chunk = 1) ~exec t n =
         (* steal single tasks: finer grain rebalances the tail *)
         let i = Atomic.fetch_and_add next.(v) 1 in
         if i < hi v then begin
-          stats.(slot).steals <- stats.(slot).steals + 1;
+          steals.(slot) <- steals.(slot) + 1;
           Some (i, i + 1)
         end
         else steal (k + 1)
@@ -280,31 +267,14 @@ let drive ?budget ?(label = "batch") ?(chunk = 1) ~exec t n =
   in
   let attrs = [ ("label", T.Str label); ("tasks", T.Int n); ("domains", T.Int t.size) ] in
   T.with_span "pool.batch" ~attrs (fun () ->
-      let t_start = now () in
       run_batch t work;
-      let elapsed = now () -. t_start in
       Array.iter (function Some b -> T.absorb b | None -> ()) captures;
-      let executed = Atomic.get completed in
-      let total_steals = Array.fold_left (fun acc s -> acc + s.steals) 0 stats in
-      let total_busy = Array.fold_left (fun acc s -> acc +. s.busy) 0.0 stats in
-      (* One shared timestamp for all scheduling events: the caller's
+      (* One shared timestamp for both scheduling counters: the caller's
          clock is read exactly once here regardless of pool size or
          steal count, which keeps ticking fake clocks deterministic. *)
       let t_sched = T.now () in
-      T.count ~time:t_sched "pool.tasks" executed;
-      T.count ~time:t_sched "pool.steals" total_steals;
-      if elapsed > 0.0 then
-        T.gauge ~time:t_sched "pool.utilization"
-          (Float.min 1.0 (total_busy /. (elapsed *. Float.of_int t.size)));
-      Array.iteri
-        (fun slot st ->
-          T.note ~time:t_sched "pool.domain"
-            ~attrs:
-              [ ("slot", T.Int slot);
-                ("tasks", T.Int st.tasks);
-                ("steals", T.Int st.steals);
-                ("busy_s", T.Float st.busy) ])
-        stats;
+      T.count ~time:t_sched "pool.tasks" (Atomic.get completed);
+      T.count ~time:t_sched "pool.steals" (Array.fold_left ( + ) 0 steals);
       Array.iter
         (function
           | Some (e, bt) -> Printexc.raise_with_backtrace e bt

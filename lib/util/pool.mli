@@ -28,11 +28,10 @@
     remapped, worker spans reparented under the dispatching [pool.batch]
     span. Deterministic workloads merge bit-identically at any pool size
     once {!Telemetry.Trace.canonicalize} drops scheduling noise. The
-    pool also reports scheduling metrics from the caller's domain:
-    [pool.tasks] and [pool.steals] counters, a [pool.utilization] gauge
-    (busy time / (elapsed x domains)) and a [pool.domain] note per slot
-    with its task/steal/busy breakdown, all stamped from one clock
-    reading per batch.
+    pool also counts [pool.tasks] and [pool.steals] per batch from the
+    caller's domain, both stamped from one clock reading per batch;
+    per-domain busy time comes from the [pool.task] spans
+    ({!Telemetry.Trace.domain_timeline}).
 
     The pool is not reentrant (no pool calls from inside tasks) and
     serves one calling domain at a time. *)

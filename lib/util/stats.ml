@@ -1,47 +1,6 @@
 (** Statistical primitives used across leakage assessment, PUF metrics and
-    attack evaluation: online moments, Welch's t-test, Pearson correlation,
-    simple histograms and entropy estimates. *)
-
-type moments = {
-  mutable n : int;
-  mutable mean : float;
-  mutable m2 : float;  (* sum of squared deviations, Welford *)
-  mutable vmin : float;  (* smallest observation; +inf while empty *)
-  mutable vmax : float;  (* largest observation; -inf while empty *)
-}
-
-let moments_create () =
-  { n = 0; mean = 0.0; m2 = 0.0; vmin = Float.infinity; vmax = Float.neg_infinity }
-
-let moments_add m x =
-  m.n <- m.n + 1;
-  let delta = x -. m.mean in
-  m.mean <- m.mean +. (delta /. Float.of_int m.n);
-  m.m2 <- m.m2 +. (delta *. (x -. m.mean));
-  if x < m.vmin then m.vmin <- x;
-  if x > m.vmax then m.vmax <- x
-
-let moments_mean m = m.mean
-
-let moments_variance m = if m.n < 2 then 0.0 else m.m2 /. Float.of_int (m.n - 1)
-
-(** Merge two Welford accumulators into a fresh one (Chan et al.'s
-    pairwise update). Merging partial accumulators in a fixed order gives
-    the same moments regardless of how the underlying samples were
-    batched, which is what makes merged telemetry histograms deterministic. *)
-let moments_merge a b =
-  if a.n = 0 then { n = b.n; mean = b.mean; m2 = b.m2; vmin = b.vmin; vmax = b.vmax }
-  else if b.n = 0 then { n = a.n; mean = a.mean; m2 = a.m2; vmin = a.vmin; vmax = a.vmax }
-  else begin
-    let n = a.n + b.n in
-    let fa = Float.of_int a.n and fb = Float.of_int b.n and fn = Float.of_int n in
-    let delta = b.mean -. a.mean in
-    { n;
-      mean = a.mean +. (delta *. fb /. fn);
-      m2 = a.m2 +. b.m2 +. (delta *. delta *. fa *. fb /. fn);
-      vmin = Float.min a.vmin b.vmin;
-      vmax = Float.max a.vmax b.vmax }
-  end
+    attack evaluation: Welch's t-test, Pearson correlation, simple
+    histograms and entropy estimates. *)
 
 let mean xs =
   let n = Array.length xs in

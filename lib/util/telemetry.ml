@@ -7,13 +7,12 @@
       inherit the installing domain's context; instead the pool installs
       a private *capture* context per task ({!capture_task}) whose buffer
       is merged back into the installing domain's trace after the join
-      ({!absorb}) — every mutable registry is only ever touched from the
+      ({!absorb}) — every mutable context is only ever touched from the
       domain that owns it, so there are no cross-domain data races;
     - span lifecycle is exception-safe: an escaping exception ends the
       span with an [error] attribute and re-raises;
-    - counters/gauges/histograms aggregate in per-installation registries
-      (histograms through {!Stats.moments}) in addition to streaming
-      events, so totals are queryable without replaying the trace;
+    - counters and gauges are events only: whole-trace totals are
+      rebuilt from the stream by {!Trace.of_events};
     - the default clock is a monotonized [Unix.gettimeofday] — wall
       seconds, never decreasing — because [Sys.time] is process CPU time
       and reads wrong on multicore runs. [?clock] still accepts fake
@@ -33,7 +32,6 @@ type kind =
   | Point
   | Count
   | Gauge
-  | Hist
 
 type event = {
   kind : kind;
@@ -97,14 +95,11 @@ type ctx = {
   (* (span id, start time, alloc words at start, major words at start),
      innermost first; the GC marks are 0 when [gc] is off *)
   mutable stack : (int * float * float * float) list;
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float) Hashtbl.t;
-  moments : (string, Stats.moments) Hashtbl.t;
 }
 
 (* One ambient context per domain. A plain global ref would be shared by
-   every domain in OCaml 5, and the ctx registries (Hashtbl, span stack)
-   are not thread-safe; domain-local storage keeps the ambient-context
+   every domain in OCaml 5, and the ctx (id counter, span stack) is not
+   thread-safe; domain-local storage keeps the ambient-context
    convenience while confining each ctx to the domain that installed it. *)
 let current : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
@@ -187,100 +182,27 @@ let note ?time ?(attrs = []) name =
 
 let count ?time name n =
   match get_current () with
-  | None -> ()
-  | Some c ->
-    (match Hashtbl.find_opt c.counters name with
-     | Some r -> r := !r + n
-     | None -> Hashtbl.replace c.counters name (ref n));
-    if n <> 0 then begin
-      let time = match time with Some t -> t | None -> c.clock () in
-      c.sink.emit
-        { kind = Count;
-          span = enclosing c;
-          parent = 0;
-          name;
-          time;
-          value = Float.of_int n;
-          attrs = [] }
-    end
+  | Some c when n <> 0 ->
+    let time = match time with Some t -> t | None -> c.clock () in
+    c.sink.emit
+      { kind = Count;
+        span = enclosing c;
+        parent = 0;
+        name;
+        time;
+        value = Float.of_int n;
+        attrs = [] }
+  | Some _ | None -> ()
 
 let gauge ?time name v =
   match get_current () with
   | None -> ()
   | Some c ->
-    Hashtbl.replace c.gauges name v;
     let time = match time with Some t -> t | None -> c.clock () in
     c.sink.emit
       { kind = Gauge; span = enclosing c; parent = 0; name; time; value = v; attrs = [] }
 
-let observe name x =
-  match get_current () with
-  | None -> ()
-  | Some c ->
-    let m =
-      match Hashtbl.find_opt c.moments name with
-      | Some m -> m
-      | None ->
-        let m = Stats.moments_create () in
-        Hashtbl.replace c.moments name m;
-        m
-    in
-    Stats.moments_add m x
-
-(* --- registry access ---------------------------------------------------- *)
-
-let counter_total name =
-  match get_current () with
-  | None -> 0
-  | Some c -> (match Hashtbl.find_opt c.counters name with Some r -> !r | None -> 0)
-
-let counter_totals () =
-  match get_current () with
-  | None -> []
-  | Some c ->
-    Hashtbl.fold (fun name r acc -> (name, !r) :: acc) c.counters []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let gauge_last name =
-  match get_current () with None -> None | Some c -> Hashtbl.find_opt c.gauges name
-
-let observed name =
-  match get_current () with
-  | None -> None
-  | Some c ->
-    Option.map
-      (fun m ->
-        (m.Stats.n, Stats.moments_mean m, sqrt (Stats.moments_variance m)))
-      (Hashtbl.find_opt c.moments name)
-
-let observed_range name =
-  match get_current () with
-  | None -> None
-  | Some c ->
-    (match Hashtbl.find_opt c.moments name with
-     | Some m when m.Stats.n > 0 -> Some (m.Stats.vmin, m.Stats.vmax)
-     | _ -> None)
-
 (* --- installation ------------------------------------------------------- *)
-
-let emit_hist_summaries c =
-  Hashtbl.fold (fun name m acc -> (name, m) :: acc) c.moments []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.iter (fun (name, m) ->
-         let mean = Stats.moments_mean m in
-         c.sink.emit
-           { kind = Hist;
-             span = 0;
-             parent = 0;
-             name;
-             time = c.clock ();
-             value = mean;
-             attrs =
-               [ ("n", Int m.Stats.n);
-                 ("mean", Float mean);
-                 ("std", Float (sqrt (Stats.moments_variance m)));
-                 ("min", Float m.Stats.vmin);
-                 ("max", Float m.Stats.vmax) ] })
 
 let with_sink ?clock ?task_clock ?(gc = false) sink f =
   if sink == null then f ()
@@ -292,22 +214,11 @@ let with_sink ?clock ?task_clock ?(gc = false) sink f =
     let task_clock =
       match task_clock with Some f -> f | None -> fun _ -> monotonic_clock ()
     in
-    let ctx =
-      { sink;
-        clock;
-        task_clock;
-        gc;
-        next_id = 1;
-        stack = [];
-        counters = Hashtbl.create 16;
-        gauges = Hashtbl.create 16;
-        moments = Hashtbl.create 16 }
-    in
+    let ctx = { sink; clock; task_clock; gc; next_id = 1; stack = [] } in
     let saved = get_current () in
     set_current (Some ctx);
     Fun.protect
       ~finally:(fun () ->
-        emit_hist_summaries ctx;
         sink.flush ();
         set_current saved)
       f
@@ -316,15 +227,10 @@ let with_sink ?clock ?task_clock ?(gc = false) sink f =
 (* --- cross-domain capture ----------------------------------------------- *)
 
 (* A worker buffer: everything a single pooled task recorded, frozen at
-   task end. Registry snapshots are sorted by name so the merge is
-   independent of Hashtbl iteration order. *)
+   task end. *)
 type buffer = {
-  b_task : int;
   b_events : event list;  (* in emission order *)
   b_span_count : int;  (* ids used by the capture ctx: 1 .. b_span_count *)
-  b_counters : (string * int) list;  (* name-sorted totals *)
-  b_gauges : (string * float) list;  (* name-sorted last values *)
-  b_moments : (string * Stats.moments) list;  (* name-sorted accumulators *)
 }
 
 (* What a worker needs from the installing domain's ctx to build its
@@ -351,35 +257,14 @@ let capture_task spec ~task ~domain ~into f =
         task_clock = spec.ws_task_clock;
         gc = spec.ws_gc;
         next_id = 1;
-        stack = [];
-        counters = Hashtbl.create 8;
-        gauges = Hashtbl.create 8;
-        moments = Hashtbl.create 8 }
+        stack = [] }
     in
     let saved = get_current () in
     set_current (Some ctx);
     Fun.protect
       ~finally:(fun () ->
         set_current saved;
-        let sorted_assoc fold tbl =
-          fold tbl |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        into
-          { b_task = task;
-            b_events = drain ();
-            b_span_count = ctx.next_id - 1;
-            b_counters =
-              sorted_assoc
-                (fun t -> Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t [])
-                ctx.counters;
-            b_gauges =
-              sorted_assoc
-                (fun t -> Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [])
-                ctx.gauges;
-            b_moments =
-              sorted_assoc
-                (fun t -> Hashtbl.fold (fun k m acc -> (k, m) :: acc) t [])
-                ctx.moments })
+        into { b_events = drain (); b_span_count = ctx.next_id - 1 })
       (fun () ->
         with_span "pool.task"
           ~attrs:[ ("task", Int task); ("domain", Int domain) ]
@@ -404,27 +289,11 @@ let absorb buf =
           { e with
             span = (match e.kind with
                     | Span_start | Span_end -> remap e.span
-                    | Point | Count | Gauge | Hist -> reparent e.span);
+                    | Point | Count | Gauge -> reparent e.span);
             parent = (match e.kind with
                       | Span_start | Span_end -> reparent e.parent
-                      | Point | Count | Gauge | Hist -> e.parent) })
-      buf.b_events;
-    (* Registries merge once from the frozen totals — the re-emitted
-       Count events above are raw stream data and must not double-bump
-       the caller's counters, so they bypass [count]. *)
-    List.iter
-      (fun (name, n) ->
-        match Hashtbl.find_opt c.counters name with
-        | Some r -> r := !r + n
-        | None -> Hashtbl.replace c.counters name (ref n))
-      buf.b_counters;
-    List.iter (fun (name, v) -> Hashtbl.replace c.gauges name v) buf.b_gauges;
-    List.iter
-      (fun (name, m) ->
-        match Hashtbl.find_opt c.moments name with
-        | Some prev -> Hashtbl.replace c.moments name (Stats.moments_merge prev m)
-        | None -> Hashtbl.replace c.moments name (Stats.moments_merge (Stats.moments_create ()) m))
-      buf.b_moments
+                      | Point | Count | Gauge -> e.parent) })
+      buf.b_events
 
 (* --- JSON --------------------------------------------------------------- *)
 
@@ -748,7 +617,6 @@ let kind_name = function
   | Point -> "event"
   | Count -> "count"
   | Gauge -> "gauge"
-  | Hist -> "hist"
 
 let kind_of_name = function
   | "span_start" -> Some Span_start
@@ -756,7 +624,6 @@ let kind_of_name = function
   | "event" -> Some Point
   | "count" -> Some Count
   | "gauge" -> Some Gauge
-  | "hist" -> Some Hist
   | _ -> None
 
 let json_of_value = function
@@ -875,7 +742,6 @@ module Trace = struct
     event_count : int;
     counter_totals : (string * float) list;
     gauge_last : (string * float) list;
-    hists : (string * attrs) list;
   }
 
   let bump assoc name v =
@@ -890,7 +756,6 @@ module Trace = struct
     let roots = ref [] in
     let counter_totals = ref [] in
     let gauge_last = ref [] in
-    let hists = ref [] in
     let event_count = ref 0 in
     let error = ref None in
     let fail msg = if !error = None then error := Some msg in
@@ -953,7 +818,6 @@ module Trace = struct
             (match owner "event" e.span with
              | Some sp -> sp.notes <- (e.name, e.attrs) :: sp.notes
              | None -> ())
-          | Hist -> hists := (e.name, e.attrs) :: !hists
         end)
       events;
     match !error with
@@ -973,8 +837,7 @@ module Trace = struct
           span_count = Hashtbl.length spans;
           event_count = !event_count;
           counter_totals = List.sort compare (List.rev !counter_totals);
-          gauge_last = List.rev !gauge_last;
-          hists = List.rev !hists }
+          gauge_last = List.rev !gauge_last }
 
   let of_string text =
     let lines = String.split_on_char '\n' text in
@@ -1072,12 +935,6 @@ module Trace = struct
       List.iter
         (fun (name, v) -> Format.fprintf fmt "  %-40s %g@." name v)
         (List.sort compare t.gauge_last)
-    end;
-    if t.hists <> [] then begin
-      Format.fprintf fmt "@.histograms:@.";
-      List.iter
-        (fun (name, attrs) -> Format.fprintf fmt "  %-40s %a@." name pp_attrs attrs)
-        (List.sort compare t.hists)
     end
 
   (* --- analysis --------------------------------------------------------- *)
@@ -1195,22 +1052,17 @@ module Trace = struct
      exactly what varies with pool size; the canonical projection drops
      it so deterministic workloads compare bit-identical at 1/2/8
      domains. pool.tasks counts survive (the executed task set is
-     pool-size-independent); placement attrs and GC deltas do not. *)
-  let scheduling_event (e : event) =
-    match e.name with
-    | "pool.steals" | "pool.utilization" | "pool.domain" -> true
-    | _ -> false
-
+     pool-size-independent); steal counts, placement attrs and GC deltas
+     do not. *)
   let nondeterministic_attr (k, _) =
     match k with
-    | "domain" | "domains" | "slot" | "busy_s" | "gc.alloc_words" | "gc.major_words" ->
-      true
+    | "domain" | "domains" | "gc.alloc_words" | "gc.major_words" -> true
     | _ -> false
 
   let canonicalize events =
     List.filter_map
       (fun (e : event) ->
-        if scheduling_event e then None
+        if e.name = "pool.steals" then None
         else
           Some
             { e with attrs = List.filter (fun a -> not (nondeterministic_attr a)) e.attrs })

@@ -8,8 +8,9 @@
     - {b spans}: named, attributed, hierarchically nested intervals whose
       lifecycle follows engine calls ([Flow.run] stages, SAT solves,
       DIP iterations);
-    - {b counters / gauges / histograms}: registered by name; histograms
-      aggregate online through {!Stats.moments};
+    - {b counters / gauges}: named events in the stream; the
+      trace is the one record, and {!Trace.of_events} rebuilds
+      whole-trace counter totals and last gauge values from it;
     - {b sinks}: {!null} (the default ambient state — near-zero overhead),
       an in-memory collector for tests, and a JSONL exporter streaming one
       event per line.
@@ -49,7 +50,6 @@ type kind =
   | Point  (** a point-in-time note attached to the enclosing span *)
   | Count  (** [value] holds the increment *)
   | Gauge  (** [value] holds the sampled level *)
-  | Hist  (** summary of an {!observe} series, emitted at sink teardown *)
 
 type event = {
   kind : kind;
@@ -89,9 +89,8 @@ val monotonic_clock : unit -> unit -> float
     no mutable clock state is shared across domains. [gc] (default
     [false]) attaches per-span allocation deltas ([gc.alloc_words],
     [gc.major_words]) to every {!Span_end} event — useful, but
-    nondeterministic, so off unless asked for. At teardown, one {!Hist}
-    summary event per {!observe}d name is emitted and the sink is
-    flushed. *)
+    nondeterministic, so off unless asked for. The sink is flushed at
+    teardown. *)
 val with_sink :
   ?clock:(unit -> float) ->
   ?task_clock:(int -> unit -> float) ->
@@ -121,17 +120,12 @@ val now : unit -> float
     how many bookkeeping events a batch emits). *)
 val note : ?time:float -> ?attrs:attrs -> string -> unit
 
-(** Add [n] to the named counter (registry total) and emit a {!Count}
-    event when [n <> 0]. *)
+(** Emit a {!Count} event carrying the increment [n]; a zero increment
+    emits nothing. *)
 val count : ?time:float -> string -> int -> unit
 
 (** Sample the named gauge. *)
 val gauge : ?time:float -> string -> float -> unit
-
-(** Feed one observation into the named histogram ({!Stats.moments}
-    under the hood); no per-observation event is emitted — a {!Hist}
-    summary (n, mean, std, min, max) appears at sink teardown. *)
-val observe : string -> float -> unit
 
 (** {1 Allocation accounting} — the GC cost model shared by per-span
     deltas and the bench harness. *)
@@ -148,41 +142,26 @@ val alloc_snapshot : unit -> alloc
 (** Delta between now and an earlier {!alloc_snapshot}. *)
 val alloc_since : alloc -> alloc
 
-(** {1 Registry access} (valid inside [with_sink]; empty/0 outside) *)
-
-val counter_total : string -> int
-val counter_totals : unit -> (string * int) list  (** sorted by name *)
-
-val gauge_last : string -> float option
-
-(** [(n, mean, std)] of an {!observe} series. *)
-val observed : string -> (int * float * float) option
-
-(** [(min, max)] of an {!observe} series; [None] until the first
-    observation. *)
-val observed_range : string -> (float * float) option
-
 (** {1 Cross-domain capture} — how {!Pool} makes worker telemetry land
     in the installing domain's trace.
 
     The installing domain takes a {!capture_spec} snapshot of its
     context before dispatch; each worker runs its task under
-    {!capture_task}, which installs a private buffering context (events,
-    registries, a per-task clock from the spec's factory) and wraps the
+    {!capture_task}, which installs a private buffering context (an
+    event buffer and a per-task clock from the spec's factory) and wraps the
     task in a [pool.task] span carrying [task]/[domain] attributes. The
     finished buffer is handed to [into] even when the task raises, so a
     crashing worker still yields a well-formed buffer whose [pool.task]
     span ends with an [error] attribute. After the join the caller
     replays the buffers with {!absorb} {e in task-index order}: span ids
     are remapped onto a fresh block of the caller's id space, buffer
-    roots are reparented under the caller's enclosing span, and registry
-    totals merge once (counters add, gauges replace so the highest
-    absorbed task index wins, moments merge via
-    {!Stats.moments_merge}) — the re-emitted [Count] events are stream
-    data only and do not double-bump totals. *)
+    roots are reparented under the caller's enclosing span, and the
+    events are re-emitted to the caller's sink. Task order makes the
+    merged trace's totals schedule-independent: counters add, and the
+    gauge of the highest task index is the last value. *)
 
-(** A finished task's frozen telemetry: events in emission order plus
-    name-sorted registry snapshots. Safe to move across domains. *)
+(** A finished task's frozen telemetry: its events in emission order
+    and the number of span ids it used. Safe to move across domains. *)
 type buffer
 
 (** Immutable slice of the current context a worker needs to build its
@@ -252,8 +231,7 @@ module Trace : sig
     span_count : int;
     event_count : int;
     counter_totals : (string * float) list;  (** whole-trace, sorted *)
-    gauge_last : (string * float) list;
-    hists : (string * attrs) list;
+    gauge_last : (string * float) list;  (** last value per name *)
   }
 
   (** Rebuild the span tree. [Error] on structural violations (an end or
@@ -269,8 +247,8 @@ module Trace : sig
   val find_spans : t -> string -> span list
 
   (** Human-readable profile: the span tree with per-span wall time,
-      counters and notes, then whole-trace counter/gauge/histogram
-      totals. *)
+      counters and notes, then whole-trace counter totals and last
+      gauge values. *)
   val pp_profile : Format.formatter -> t -> unit
 
   (** {2 Analysis} *)
@@ -302,11 +280,9 @@ module Trace : sig
 
   val pp_domains : Format.formatter -> t -> unit
 
-  (** Project away scheduling noise: drops [pool.steals] /
-      [pool.utilization] / [pool.domain] events and strips
-      [domain]/[domains]/[slot]/[busy_s]/[gc.*] attributes, so a
-      deterministic workload's merged trace is bit-identical across pool
-      sizes. *)
+  (** Project away scheduling noise: drops [pool.steals] events and
+      strips [domain]/[domains]/[gc.*] attributes, so a deterministic
+      workload's merged trace is bit-identical across pool sizes. *)
   val canonicalize : event list -> event list
 
   (** {2 Trace-vs-trace diff} *)

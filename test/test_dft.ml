@@ -1,4 +1,4 @@
-(* Tests for scan insertion, ATPG, BIST and the scan attack / secure scan. *)
+(* Tests for scan insertion, ATPG and the scan attack / secure scan. *)
 
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
@@ -118,35 +118,6 @@ let test_atpg_finds_untestable () =
    | Dft.Atpg.Pattern _ | Dft.Atpg.Abstained _ ->
      Alcotest.fail "redundant fault must be untestable")
 
-let test_lfsr_maximal_period () =
-  Alcotest.(check int) "8-bit lfsr period" 255 (Dft.Bist.period ~width:8 ~seed:1);
-  Alcotest.(check int) "16-bit lfsr period" 65535 (Dft.Bist.period ~width:16 ~seed:1)
-
-let test_bist_signature_deterministic () =
-  let c = Gen.alu 4 in
-  let s1 = Dft.Bist.signature ~patterns:200 ~seed:7 c in
-  let s2 = Dft.Bist.signature ~patterns:200 ~seed:7 c in
-  Alcotest.(check int) "deterministic" s1 s2;
-  let s3 = Dft.Bist.signature ~patterns:200 ~seed:8 c in
-  Alcotest.(check bool) "seed-sensitive" true (s1 <> s3)
-
-let test_bist_detects_faults () =
-  let c = Gen.c17 () in
-  let coverage = Dft.Bist.coverage ~patterns:100 ~seed:3 c in
-  Alcotest.(check bool) "high coverage" true (coverage > 0.9)
-
-let test_bist_signature_changes_under_fault () =
-  let c = Gen.c17 () in
-  let golden = Dft.Bist.signature ~patterns:100 ~seed:3 c in
-  match Circuit.find_by_name c "G22" with
-  | None -> Alcotest.fail "missing net"
-  | Some node ->
-    let s =
-      Dft.Bist.signature ~faults:[ Fault.Model.Stuck_at { node; value = true } ]
-        ~patterns:100 ~seed:3 c
-    in
-    Alcotest.(check bool) "signature differs" true (s <> golden)
-
 let prop_scan_roundtrip_any_state =
   QCheck.Test.make ~name:"scan load/unload is identity" ~count:30
     QCheck.(int_bound 15)
@@ -171,9 +142,4 @@ let () =
        [ Alcotest.test_case "per-fault patterns" `Quick test_atpg_pattern_detects_target;
          Alcotest.test_case "full run" `Quick test_atpg_full_run;
          Alcotest.test_case "untestable found" `Quick test_atpg_finds_untestable ]);
-      ("bist",
-       [ Alcotest.test_case "lfsr period" `Quick test_lfsr_maximal_period;
-         Alcotest.test_case "signature deterministic" `Quick test_bist_signature_deterministic;
-         Alcotest.test_case "detects faults" `Quick test_bist_detects_faults;
-         Alcotest.test_case "signature sensitive" `Quick test_bist_signature_changes_under_fault ]);
       ("properties", List.map Seeded.to_alcotest [ prop_scan_roundtrip_any_state ]) ]

@@ -224,9 +224,12 @@ let test_telemetry_attrs () =
      = Some (T.Int (nets + List.length (List.concat fanins))));
   let s = Split.lift_wires ~fraction:1.0 (Split.split_by_length ~feol_threshold:2 p) in
   let attack () =
-    traced (fun () ->
-        ignore (Split.proximity_attack s);
-        T.counter_total "splitmfg.buckets_scanned")
+    let (), events = traced (fun () -> ignore (Split.proximity_attack s)) in
+    match T.Trace.of_events events with
+    | Ok trace ->
+      let scanned = List.assoc_opt "splitmfg.buckets_scanned" trace.T.Trace.counter_totals in
+      (Float.to_int (Option.value scanned ~default:0.0), events)
+    | Error msg -> Alcotest.fail msg
   in
   let scanned, events = attack () in
   let hidden = List.length s.Split.hidden in

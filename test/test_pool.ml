@@ -189,7 +189,7 @@ let traced_batch d =
                ~f:(fun _ctx i ->
                  T.with_span "task.work" ~attrs:[ ("i", T.Int i) ] (fun () ->
                      T.count "work.done" 1;
-                     T.observe "work.cost" (Float.of_int i));
+                     T.gauge "work.cost" (Float.of_int i));
                  i * i)
                (Array.init 8 (fun i -> i)))));
   events ()
@@ -239,16 +239,9 @@ let test_merged_trace_structure () =
      | l -> Alcotest.failf "expected one pool.batch span, got %d" (List.length l));
     Alcotest.(check (option (float 1e-9))) "worker counters merged" (Some 8.0)
       (List.assoc_opt "work.done" trace.T.Trace.counter_totals);
-    (* Worker moments merged in task order and summarized at teardown. *)
-    (match List.assoc_opt "work.cost" trace.T.Trace.hists with
-     | Some attrs ->
-       Alcotest.(check bool) "hist n covers every task" true
-         (List.assoc_opt "n" attrs = Some (T.Int 8));
-       Alcotest.(check bool) "hist min observed" true
-         (List.assoc_opt "min" attrs = Some (T.Float 0.0));
-       Alcotest.(check bool) "hist max observed" true
-         (List.assoc_opt "max" attrs = Some (T.Float 7.0))
-     | None -> Alcotest.fail "worker histogram lost in merge");
+    (* Worker gauges merge in task order: the last task's value wins. *)
+    Alcotest.(check (option (float 1e-9))) "worker gauge from the last task" (Some 7.0)
+      (List.assoc_opt "work.cost" trace.T.Trace.gauge_last);
     (* The per-domain timeline sees the capture spans. *)
     let timeline = T.Trace.domain_timeline trace in
     Alcotest.(check int) "timeline covers all 8 tasks" 8

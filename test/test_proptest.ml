@@ -814,13 +814,16 @@ let test_event_storm_pinned () =
   Alcotest.(check bool) "same storm as the reference" true
     (engines_agree c ~prev_inputs ~next_inputs);
   (* The reference gives up on pop 200 * nodes + 1. *)
-  let sink, _ = Eda_util.Telemetry.memory_sink () in
-  let pops =
-    Eda_util.Telemetry.with_sink sink (fun () ->
-        (try ignore (Ev_ref.collect c ~prev_inputs ~next_inputs) with Invalid_argument _ -> ());
-        Eda_util.Telemetry.counter_total "event_sim.events")
-  in
-  Alcotest.(check int) "cap counted on pops" ((200 * Circuit.node_count c) + 1) pops
+  let module T = Eda_util.Telemetry in
+  let sink, events = T.memory_sink () in
+  T.with_sink sink (fun () ->
+      try ignore (Ev_ref.collect c ~prev_inputs ~next_inputs) with Invalid_argument _ -> ());
+  match T.Trace.of_events (events ()) with
+  | Ok trace ->
+    Alcotest.(check (option (float 0.0))) "cap counted on pops"
+      (Some (Float.of_int ((200 * Circuit.node_count c) + 1)))
+      (List.assoc_opt "event_sim.events" trace.T.Trace.counter_totals)
+  | Error msg -> Alcotest.fail msg
 
 let test_glitch_capture_differential () =
   (* [Glitch_attack.capture_at] folds the production event stream into the
@@ -1118,8 +1121,8 @@ let test_tvla_pool_identical () =
   let results =
     with_pools (fun pool ->
         let r =
-          Sidechannel.Tvla.campaign_seeded ?pool (Rng.create 5150)
-            ~traces_per_class:257 ~collect
+          Sidechannel.Tvla.campaign_batched ?pool (Rng.create 5150)
+            ~traces_per_class:257 ~batch:(Sidechannel.Tvla.per_trace collect)
         in
         (r.Sidechannel.Tvla.t_per_sample, r.Sidechannel.Tvla.max_abs_t))
   in
@@ -1290,7 +1293,7 @@ let test_trace_merge_deterministic () =
                  ~f:(fun _ctx i ->
                    T.with_span "task.work" ~attrs:[ ("i", T.Int i) ] (fun () ->
                        T.count "work.done" 1;
-                       T.observe "work.cost" (Float.of_int ((i * salt) mod 97)));
+                       T.gauge "work.cost" (Float.of_int ((i * salt) mod 97)));
                    i)
                  (Array.init tasks (fun i -> i)))));
     String.concat "\n" (List.map T.event_to_line (T.Trace.canonicalize (events ())))

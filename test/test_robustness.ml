@@ -186,24 +186,28 @@ let test_flow_testing_stage_cap_is_real () =
   let cap = 500 in
   let placement_moves = 4000 in
   let root = Budget.unlimited () in
-  let sink, _events = T.memory_sink () in
+  let sink, events = T.memory_sink () in
+  T.with_sink sink (fun () ->
+      match
+        Flow.run (Rng.create 1) ~budget:root
+          ~stage_steps:(function Flow.Testing -> Some cap | _ -> None)
+          c
+      with
+      | Error e -> Alcotest.fail (Eda_error.to_string e)
+      | Ok r ->
+        (* The timing stage degrades too, on an event storm of this
+           multiplier; only the testing stage's note is under test. *)
+        let testing = List.find (fun sr -> sr.Flow.stage = Flow.Testing) r.Flow.stages in
+        Alcotest.(check bool) "testing stage degraded" true
+          (match testing.Flow.degraded with
+           | Some why -> String.starts_with ~prefix:"partial ATPG" why
+           | None -> false));
   let conflicts =
-    T.with_sink sink (fun () ->
-        match
-          Flow.run (Rng.create 1) ~budget:root
-            ~stage_steps:(function Flow.Testing -> Some cap | _ -> None)
-            c
-        with
-        | Error e -> Alcotest.fail (Eda_error.to_string e)
-        | Ok r ->
-          (* The timing stage degrades too, on an event storm of this
-             multiplier; only the testing stage's note is under test. *)
-          let testing = List.find (fun sr -> sr.Flow.stage = Flow.Testing) r.Flow.stages in
-          Alcotest.(check bool) "testing stage degraded" true
-            (match testing.Flow.degraded with
-             | Some why -> String.starts_with ~prefix:"partial ATPG" why
-             | None -> false);
-          T.counter_total "sat.conflicts")
+    match T.Trace.of_events (events ()) with
+    | Ok trace ->
+      Float.to_int
+        (Option.value (List.assoc_opt "sat.conflicts" trace.T.Trace.counter_totals) ~default:0.0)
+    | Error msg -> Alcotest.fail msg
   in
   Alcotest.(check bool) (Printf.sprintf "conflicts %d <= cap %d" conflicts cap) true
     (conflicts <= cap);
@@ -618,16 +622,10 @@ let rec edit_json rng j =
     [| Json.Null; Json.JBool true; Json.JInt (Rng.int rng 5 - 2); Json.JFloat Float.nan;
        Json.JStr ""; Json.JStr "x"; Json.JList []; Json.JObj [] |].(Rng.int rng 8)
 
-(* The checkpoint's content hash (FNV-1a, 64-bit, of the serialized
-   payload), so an edited payload can be sealed again and reach the
-   payload checks behind the hash check. *)
-let fnv1a64 s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L) s;
-  Printf.sprintf "%016Lx" !h
-
 (* A byte edit, or a sealed edit of the payload: its circuit text edited
-   as a netlist, or one of its values replaced. *)
+   as a netlist, or one of its values replaced. The edit is sealed with
+   the checkpoint's own content hash, so it reaches the payload checks
+   behind the hash check. *)
 let edit_checkpoint rng ~netlist text =
   match Rng.int rng 3, Json.parse text with
   | k, Ok (Json.JObj fields) when k > 0 ->
@@ -646,7 +644,7 @@ let edit_checkpoint rng ~netlist text =
             (fun (f, v) ->
               match f with
               | "payload" -> (f, payload)
-              | "hash" -> (f, Json.JStr (fnv1a64 (Json.to_string payload)))
+              | "hash" -> (f, Json.JStr (Flow.content_hash (Json.to_string payload)))
               | _ -> (f, v))
             fields))
   | _ -> edit_bytes rng text
@@ -709,7 +707,7 @@ let test_parsers_never_raise () =
           (List.filter (fun i -> i mod 3 = 0) (List.init (Circuit.node_count c) Fun.id));
       let netlist = Io.to_string c in
       let checkpoint =
-        Flow.checkpoint_to_string { Flow.source = fnv1a64 netlist; done_stages = stages; circuit = c }
+        Flow.checkpoint_to_string { Flow.source = Flow.content_hash netlist; done_stages = stages; circuit = c }
       in
       let rng = Rng.create seed in
       fuzz rng ~rounds:30 "Io.of_string_result" Io.of_string_result edit_netlist netlist;

@@ -70,7 +70,13 @@ let test_span_ends_on_exception () =
   Alcotest.(check bool) "error attr recorded" true
     (List.mem_assoc "error" e.T.attrs)
 
-(* --- counters / gauges / histograms -------------------------------- *)
+(* --- counters / gauges ---------------------------------------------- *)
+
+(* Whole-trace totals, rebuilt from the recorded events. *)
+let trace_of events =
+  match T.Trace.of_events events with
+  | Ok trace -> trace
+  | Error msg -> Alcotest.fail ("trace rebuild failed: " ^ msg)
 
 let test_counter_aggregation_deterministic () =
   let run () =
@@ -78,52 +84,39 @@ let test_counter_aggregation_deterministic () =
         T.count "a" 3;
         T.count "b" 1;
         T.count "a" 4;
-        T.count "zero" 0;
-        (T.counter_totals (), T.counter_total "a"))
+        T.count "zero" 0)
   in
-  let (totals1, a1), events1 = run () in
-  let (totals2, _), events2 = run () in
-  Alcotest.(check int) "a total" 7 a1;
+  let (), events1 = run () in
+  let (), events2 = run () in
+  let totals1 = (trace_of events1).T.Trace.counter_totals in
+  let totals2 = (trace_of events2).T.Trace.counter_totals in
+  Alcotest.(check (option (float 1e-9))) "a total" (Some 7.0) (List.assoc_opt "a" totals1);
   Alcotest.(check bool) "totals identical across runs" true (totals1 = totals2);
   Alcotest.(check int) "same event count" (List.length events1) (List.length events2);
-  (* Sorted by name, and zero increments still register. *)
-  Alcotest.(check bool) "sorted with zero entry" true
-    (totals1 = [ ("a", 7); ("b", 1); ("zero", 0) ]);
-  (* But a zero increment emits no event. *)
+  Alcotest.(check bool) "sorted by name" true (totals1 = [ ("a", 7.0); ("b", 1.0) ]);
+  (* A zero increment emits no event. *)
   let counts = List.filter (fun e -> e.T.kind = T.Count) events1 in
   Alcotest.(check int) "only nonzero increments emitted" 3 (List.length counts)
 
-let test_gauge_and_histogram () =
-  let (last, moments), events =
+let test_gauge_keeps_last () =
+  let (), events =
     collect (fun () ->
         T.gauge "temp" 8.0;
-        T.gauge "temp" 0.5;
-        T.observe "delta" 1.0;
-        T.observe "delta" 3.0;
-        (T.gauge_last "temp", T.observed "delta"))
+        T.gauge "temp" 0.5)
   in
-  Alcotest.(check (option (float 1e-9))) "gauge keeps last" (Some 0.5) last;
-  (match moments with
-   | Some (n, mean, _) ->
-     Alcotest.(check int) "two observations" 2 n;
-     Alcotest.(check (float 1e-9)) "mean" 2.0 mean
-   | None -> Alcotest.fail "no histogram recorded");
-  (* Histogram summary is emitted once, at sink teardown. *)
-  let hists = List.filter (fun e -> e.T.kind = T.Hist) events in
-  Alcotest.(check int) "one hist summary" 1 (List.length hists)
+  Alcotest.(check (option (float 1e-9))) "gauge keeps last" (Some 0.5)
+    (List.assoc_opt "temp" (trace_of events).T.Trace.gauge_last)
 
 (* --- null sink / disabled state ------------------------------------ *)
 
 let test_null_sink_adds_no_events () =
   (* Instrumentation outside any sink, and under the null sink, must both
-     be invisible: no events, no registry state, [active () = false]. *)
+     be invisible: no events, [active () = false]. *)
   T.with_span "orphan" (fun () -> T.count "orphan" 5);
   Alcotest.(check bool) "inactive outside with_sink" false (T.active ());
-  Alcotest.(check int) "registry empty outside" 0 (T.counter_total "orphan");
   Alcotest.(check bool) "null sink reports inactive" false
     (T.with_sink T.null (fun () -> T.active ()));
   T.with_sink T.null (fun () -> T.with_span "hidden" (fun () -> T.count "h" 1));
-  Alcotest.(check int) "null sink leaves no registry trace" 0 (T.counter_total "h");
   let (), events =
     collect (fun () ->
         Alcotest.(check bool) "active under memory sink" true (T.active ());
@@ -228,9 +221,7 @@ let instrumented_run () =
       T.with_span "stage_a" (fun () ->
           T.count "work" 3;
           T.note "checkpoint" ~attrs:[ ("ok", T.Bool true) ]);
-      T.with_span "stage_b" (fun () ->
-          T.gauge "level" 0.75;
-          T.observe "sample" 2.0))
+      T.with_span "stage_b" (fun () -> T.gauge "level" 0.75))
 
 let test_jsonl_roundtrip_reconstructs () =
   let events, text = jsonl_of_run instrumented_run in
@@ -264,8 +255,8 @@ let test_jsonl_roundtrip_reconstructs () =
      | roots -> Alcotest.failf "expected one root, got %d" (List.length roots));
     Alcotest.(check bool) "counter totals survive" true
       (List.mem_assoc "work" from_text.T.Trace.counter_totals);
-    Alcotest.(check bool) "hist summary survives" true
-      (List.mem_assoc "sample" from_text.T.Trace.hists)
+    Alcotest.(check bool) "gauges survive" true
+      (List.mem_assoc "level" from_text.T.Trace.gauge_last)
 
 let test_trace_rejects_malformed () =
   (* Structurally broken traces must be an [Error] (the CI report step
@@ -314,26 +305,6 @@ let test_monotonic_clock () =
   let e = List.find (fun e -> e.T.kind = T.Span_end) (events ()) in
   Alcotest.(check bool) "wall-clock duration covers the sleep" true (e.T.value >= 0.015)
 
-let test_hist_min_max () =
-  let range, events =
-    collect (fun () ->
-        Alcotest.(check (option (pair (float 1e-9) (float 1e-9))))
-          "no range before observations" None (T.observed_range "delta");
-        T.observe "delta" 4.0;
-        T.observe "delta" (-1.0);
-        T.observe "delta" 2.5;
-        T.observed_range "delta")
-  in
-  Alcotest.(check (option (pair (float 1e-9) (float 1e-9))))
-    "range tracks extremes" (Some (-1.0, 4.0)) range;
-  let hist = List.find (fun e -> e.T.kind = T.Hist) events in
-  let attr k = List.assoc k hist.T.attrs in
-  Alcotest.(check bool) "hist summary carries min" true (attr "min" = T.Float (-1.0));
-  Alcotest.(check bool) "hist summary carries max" true (attr "max" = T.Float 4.0);
-  Alcotest.(check bool) "n/mean/std still present" true
-    (List.mem_assoc "n" hist.T.attrs && List.mem_assoc "mean" hist.T.attrs
-     && List.mem_assoc "std" hist.T.attrs)
-
 let test_gc_span_attrs () =
   let run gc =
     let sink, events = T.memory_sink () in
@@ -371,28 +342,23 @@ let task_clock i =
 let test_capture_absorb_merges () =
   let sink, events = T.memory_sink () in
   let buffers = ref [] in
-  let total =
-    T.with_sink ~clock:(fake_clock ()) ~task_clock sink (fun () ->
-        T.with_span "batch" (fun () ->
-            let spec = T.capture_spec () in
-            (* Completion order 1 then 0 — absorb order must not care. *)
-            T.capture_task spec ~task:1 ~domain:3
-              ~into:(fun b -> buffers := (1, b) :: !buffers)
-              (fun () ->
-                T.with_span "work" (fun () -> T.count "done" 1);
-                T.gauge "progress" 1.0);
-            T.capture_task spec ~task:0 ~domain:2
-              ~into:(fun b -> buffers := (0, b) :: !buffers)
-              (fun () ->
-                T.count "done" 1;
-                T.gauge "progress" 0.5;
-                T.observe "cost" 2.0);
-            List.iter
-              (fun (_, b) -> T.absorb b)
-              (List.sort (fun (a, _) (b, _) -> compare a b) !buffers);
-            T.counter_total "done"))
-  in
-  Alcotest.(check int) "registry counter merged once" 2 total;
+  T.with_sink ~clock:(fake_clock ()) ~task_clock sink (fun () ->
+      T.with_span "batch" (fun () ->
+          let spec = T.capture_spec () in
+          (* Completion order 1 then 0 — absorb order must not care. *)
+          T.capture_task spec ~task:1 ~domain:3
+            ~into:(fun b -> buffers := (1, b) :: !buffers)
+            (fun () ->
+              T.with_span "work" (fun () -> T.count "done" 1);
+              T.gauge "progress" 1.0);
+          T.capture_task spec ~task:0 ~domain:2
+            ~into:(fun b -> buffers := (0, b) :: !buffers)
+            (fun () ->
+              T.count "done" 1;
+              T.gauge "progress" 0.5);
+          List.iter
+            (fun (_, b) -> T.absorb b)
+            (List.sort (fun (a, _) (b, _) -> compare a b) !buffers)));
   let events = events () in
   match T.Trace.of_events events with
   | Error msg -> Alcotest.fail ("merged trace is structurally invalid: " ^ msg)
@@ -417,14 +383,12 @@ let test_capture_absorb_merges () =
        Alcotest.(check (list string)) "nested worker span survives remap" [ "work" ]
          (List.map (fun s -> s.T.Trace.name) t1.T.Trace.children)
      | roots -> Alcotest.failf "expected one root, got %d" (List.length roots));
-    (* Counters merged once from buffer totals (stream Counts are data,
-       not double-bumps); gauges land task-order-last-wins. *)
+    (* Each worker increment lands in the trace once; gauges land
+       task-order-last-wins. *)
     Alcotest.(check (option (float 1e-9))) "counter total merged once" (Some 2.0)
       (List.assoc_opt "done" trace.T.Trace.counter_totals);
     Alcotest.(check (option (float 1e-9))) "gauge from highest task index" (Some 1.0)
-      (List.assoc_opt "progress" trace.T.Trace.gauge_last);
-    Alcotest.(check bool) "worker histogram reaches the hist summary" true
-      (List.mem_assoc "cost" trace.T.Trace.hists)
+      (List.assoc_opt "progress" trace.T.Trace.gauge_last)
 
 let test_capture_crash_delivers_buffer () =
   let sink, events = T.memory_sink () in
@@ -507,8 +471,6 @@ let test_canonicalize () =
   let events =
     [ mk T.Span_start 1 0 "pool.batch" [ ("label", T.Str "atpg"); ("domains", T.Int 8) ];
       mk T.Count 1 0 "pool.steals" [];
-      mk T.Gauge 1 0 "pool.utilization" [];
-      mk T.Point 1 0 "pool.domain" [ ("slot", T.Int 0); ("busy_s", T.Float 0.1) ];
       mk T.Count 1 0 "pool.tasks" [];
       mk T.Span_end 1 0 "pool.batch"
         [ ("gc.alloc_words", T.Float 10.0); ("gc.major_words", T.Float 2.0) ] ]
@@ -522,7 +484,7 @@ let test_canonicalize () =
       List.iter
         (fun k ->
           Alcotest.(check bool) (k ^ " stripped") false (List.mem_assoc k e.T.attrs))
-        [ "domains"; "domain"; "slot"; "busy_s"; "gc.alloc_words"; "gc.major_words" ])
+        [ "domains"; "domain"; "gc.alloc_words"; "gc.major_words" ])
     canon;
   Alcotest.(check bool) "deterministic attrs survive" true
     (List.mem_assoc "label" (List.hd canon).T.attrs)
@@ -677,14 +639,13 @@ let () =
       ("metrics",
        [ Alcotest.test_case "counter determinism" `Quick
            test_counter_aggregation_deterministic;
-         Alcotest.test_case "gauge + histogram" `Quick test_gauge_and_histogram ]);
+         Alcotest.test_case "gauge" `Quick test_gauge_keeps_last ]);
       ("null sink",
        [ Alcotest.test_case "adds no events" `Quick test_null_sink_adds_no_events;
          Alcotest.test_case "disabled span allocates nothing" `Quick
            test_disabled_span_allocates_nothing ]);
       ("clock & gc",
        [ Alcotest.test_case "monotonic wall clock" `Quick test_monotonic_clock;
-         Alcotest.test_case "hist min/max" `Quick test_hist_min_max;
          Alcotest.test_case "per-span gc deltas" `Quick test_gc_span_attrs ]);
       ("capture",
        [ Alcotest.test_case "absorb merges deterministically" `Quick

@@ -117,14 +117,6 @@ let test_mean_variance () =
   (* Sample variance with n-1 denominator: sum sq dev = 32, / 7. *)
   Alcotest.(check (float 1e-9)) "variance" (32.0 /. 7.0) (Stats.variance xs)
 
-let test_moments_match_batch () =
-  let rng = Rng.create 13 in
-  let xs = Array.init 500 (fun _ -> Rng.float rng) in
-  let m = Stats.moments_create () in
-  Array.iter (Stats.moments_add m) xs;
-  Alcotest.(check (float 1e-9)) "online mean" (Stats.mean xs) (Stats.moments_mean m);
-  Alcotest.(check (float 1e-9)) "online var" (Stats.variance xs) (Stats.moments_variance m)
-
 let test_welch_identical_zero () =
   let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
   Alcotest.(check (float 1e-9)) "t = 0 on identical" 0.0 (Stats.welch_t xs xs)
@@ -222,7 +214,6 @@ let () =
          Alcotest.test_case "sample distinct" `Quick test_rng_sample_distinct ]);
       ("stats",
        [ Alcotest.test_case "mean/variance" `Quick test_mean_variance;
-         Alcotest.test_case "online moments" `Quick test_moments_match_batch;
          Alcotest.test_case "welch identical" `Quick test_welch_identical_zero;
          Alcotest.test_case "welch known value" `Quick test_welch_known_value;
          Alcotest.test_case "welch detects shift" `Quick test_welch_detects_shift;
