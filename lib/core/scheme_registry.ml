@@ -187,10 +187,7 @@ let run_fault_modeling rng =
   let flips = List.init 6 (fun k -> Fault.Model.Bit_flip { node = 5 + k }) in
   let pats = List.init 16 (fun _ -> Array.init 5 (fun _ -> Rng.bool rng)) in
   let affected =
-    List.length
-      (List.filter
-         (fun f -> List.exists (fun p -> Fault.Model.detects c ~fault:f p) pats)
-         flips)
+    List.length (List.filter snd (Fault.Model.fault_simulation c ~faults:flips ~patterns:pats))
   in
   Printf.sprintf "electrical fault modelling: %d/6 transient sites observable" affected
 

@@ -59,15 +59,17 @@ type campaign = {
 }
 
 (* Word-parallel fault dropping: fault-simulate pattern [p] against the
-   live faults in 63-fault batches ({!Fault.Model.detects_many}, one
-   word lane per fault) and compact the undetected survivors in place,
-   in order. Returns the number of faults dropped. *)
+   live faults in batches of 62 fault lanes beside a fault-free lane
+   ({!Fault.Model.detects_many}, one word lane per fault) and compact the
+   undetected survivors in place, in order. Returns the number of faults
+   dropped. *)
 let drop_detected st circuit p =
+  let lanes = Fault.Model.lanes in
   let lo = st.lo and live = st.hi - st.lo in
   (* The write cursor never passes the batch being read. *)
   let w = ref lo in
-  for b = 0 to ((live + 62) / 63) - 1 do
-    let base = lo + (63 * b) and len = min 63 (live - (63 * b)) in
+  for b = 0 to ((live + lanes - 1) / lanes) - 1 do
+    let base = lo + (lanes * b) and len = min lanes (live - (lanes * b)) in
     let m = Fault.Model.detects_many st.wsim circuit ~faults:st.faults ~pos:base ~len p in
     for k = 0 to len - 1 do
       if (m lsr k) land 1 = 0 then begin
@@ -133,9 +135,9 @@ let finish_report st ~total =
    fixed, deterministic batch of random patterns and keep each one that
    detects at least one remaining fault. Classic two-phase ATPG: random
    patterns cover the easy bulk of the fault list for the cost of a few
-   word-parallel circuit simulations (63 fault lanes per sweep), leaving
-   the SAT session only the hard residue — random-resistant and
-   untestable faults. *)
+   word-parallel circuit simulations (62 fault lanes beside a fault-free
+   lane per sweep), leaving the SAT session only the hard residue —
+   random-resistant and untestable faults. *)
 let bootstrap_patterns = 64
 let bootstrap_seed = 0x5eed
 
@@ -171,9 +173,9 @@ let generate ?budget ?on_stats circuit fault =
 
 (** Full ATPG run in two phases. A deterministic random-pattern
     bootstrap first fault-simulates a fixed batch of random patterns
-    (word-parallel, 63 fault lanes per sweep), keeping each pattern that
-    detects a remaining fault — this covers the easy bulk of the fault
-    list for a few circuit simulations. The hard residue then goes to
+    (word-parallel, 62 fault lanes beside a fault-free lane per sweep),
+    keeping each pattern that detects a remaining fault — this covers the
+    easy bulk of the fault list for a few circuit simulations. The hard residue then goes to
     SAT in one greedy loop over one persistent incremental session (the
     clean circuit Tseitin-encoded once, created on the first query):
     take the head remaining fault, add its fanout-cone miter under a

@@ -35,47 +35,6 @@ let faulty_copy circuit = function
     Array.iter (fun (nm, o) -> Circuit.set_output out nm remap.(o)) (Circuit.outputs circuit);
     out
 
-(** Evaluate all nets with [faults] active. *)
-let eval_all_faulty ?state circuit ~faults inputs =
-  let overrides = Hashtbl.create 4 in
-  List.iter
-    (fun f ->
-      match f with
-      | Stuck_at { node; value } -> Hashtbl.replace overrides node (`Force value)
-      | Bit_flip { node } -> Hashtbl.replace overrides node `Flip)
-    faults;
-  let n = Circuit.node_count circuit in
-  let values = Array.make n false in
-  for k = 0 to Circuit.num_inputs circuit - 1 do
-    values.(Circuit.input_id circuit k) <- inputs.(k)
-  done;
-  (match state with
-   | None -> ()
-   | Some st ->
-     for k = 0 to Circuit.num_dffs circuit - 1 do
-       values.(Circuit.dff_id circuit k) <- st.(k)
-     done);
-  let apply_override i v =
-    match Hashtbl.find_opt overrides i with
-    | Some (`Force b) -> b
-    | Some `Flip -> not v
-    | None -> v
-  in
-  for i = 0 to n - 1 do
-    let nd = Circuit.node circuit i in
-    let computed =
-      match nd.Circuit.kind with
-      | Gate.Input | Gate.Dff -> values.(i)
-      | k -> Gate.eval_indexed k nd.Circuit.fanins values
-    in
-    values.(i) <- apply_override i computed
-  done;
-  values
-
-let eval_faulty ?state circuit ~faults inputs =
-  let values = eval_all_faulty ?state circuit ~faults inputs in
-  Array.map (fun (_, o) -> values.(o)) (Circuit.outputs circuit)
-
 (** All single stuck-at faults on internal nets and inputs (the classical
     fault list, collapsed to observable sites). *)
 let all_stuck_at_faults circuit =
@@ -89,109 +48,140 @@ let all_stuck_at_faults circuit =
   done;
   List.rev !faults
 
-(** Does [inputs] detect [fault] (change any primary output)? *)
-let detects circuit ~fault inputs =
-  Netlist.Sim.eval circuit inputs <> eval_faulty circuit ~faults:[ fault ] inputs
+(* Faults per word sweep. A native int has 63 lanes below the sign bit
+   (Sim's convention); lanes 0..61 each carry a fault, and no override
+   ever reaches lane 62, so it is the fault-free circuit the others are
+   compared with. *)
+let lanes = 62
 
-(* The 63 usable lanes of a native int word (Sim's convention: the sign
-   bit is unused so [lnot]-based gates stay maskable). *)
-let word_mask = 0x7FFFFFFFFFFFFFFF
-let max_lanes = 63
-
-(** Reusable scratch for word-parallel multi-fault simulation: one
-    circuit evaluation carries up to 63 {e faults} in the bit lanes of
-    each net word, against a single broadcast input pattern. *)
+(** Reusable scratch for the word sweep: one circuit evaluation carries
+    up to 62 {e faults} in the bit lanes of each net word, beside the
+    fault-free circuit in the top lane, against a single broadcast input
+    pattern. *)
 type wsim = {
   values : int array;  (* per-net words, lane k = circuit under fault k *)
-  clean : bool array;  (* scalar clean evaluation of the same pattern *)
   stuck_mask : int array;  (* per-net: lanes overridden by a stuck-at *)
   stuck_val : int array;  (* per-net: forced value in overridden lanes *)
   flip_mask : int array;  (* per-net: lanes inverted by a bit-flip *)
-  touched : int array;  (* fault sites whose masks need clearing *)
-  mutable ntouched : int;
 }
 
 let wsim_create circuit =
   let n = Circuit.node_count circuit in
   { values = Array.make n 0;
-    clean = Array.make n false;
     stuck_mask = Array.make n 0;
     stuck_val = Array.make n 0;
-    flip_mask = Array.make n 0;
-    touched = Array.make max_lanes 0;
-    ntouched = 0 }
+    flip_mask = Array.make n 0 }
 
-(** [detects_many w circuit ~faults ~pos ~len pattern] fault-simulates
-    [pattern] against the slice [faults.(pos) .. faults.(pos + len - 1)]
-    (at most 63 faults) in one word-parallel sweep and returns a
-    bitmask: bit [k] is set iff [pattern] detects [faults.(pos + k)] on
-    a primary output. Allocation-free after {!wsim_create}; agrees with
-    per-fault {!detects} lane by lane (differential-tested). *)
-let detects_many w circuit ~faults ~pos ~len pattern =
-  if len > max_lanes then invalid_arg "Model.detects_many: more than 63 faults";
-  if pos < 0 || len < 0 || pos + len > Array.length faults then
-    invalid_arg "Model.detects_many: slice out of bounds";
-  if Array.length w.values < Circuit.node_count circuit then
-    invalid_arg "Model.detects_many: scratch built for a smaller circuit";
-  (* Install per-lane overrides; OR so both polarities at one site and
-     duplicate sites compose (each lane carries exactly one fault). *)
-  for k = 0 to len - 1 do
-    let f = faults.(pos + k) in
-    let bit = 1 lsl k in
-    let v = node_of f in
-    w.touched.(w.ntouched) <- v;
-    w.ntouched <- w.ntouched + 1;
-    match f with
-    | Stuck_at { value; _ } ->
-      w.stuck_mask.(v) <- w.stuck_mask.(v) lor bit;
-      if value then w.stuck_val.(v) <- w.stuck_val.(v) lor bit
-    | Bit_flip _ -> w.flip_mask.(v) <- w.flip_mask.(v) lor bit
-  done;
-  (* Clean scalar reference for the broadcast comparison. *)
-  Netlist.Sim.eval_all_into circuit pattern ~into:w.clean;
-  let n = Circuit.node_count circuit in
+(* Put [f] in [lane], replacing whatever override that lane held at the
+   fault's node. Other lanes at the node are untouched, so both
+   polarities at one site and duplicate sites compose across lanes. *)
+let install w lane f =
+  let v = node_of f and bit = 1 lsl lane in
+  let keep = lnot bit in
+  match f with
+  | Stuck_at { value; _ } ->
+    w.stuck_mask.(v) <- w.stuck_mask.(v) lor bit;
+    w.stuck_val.(v) <- (if value then w.stuck_val.(v) lor bit else w.stuck_val.(v) land keep);
+    w.flip_mask.(v) <- w.flip_mask.(v) land keep
+  | Bit_flip _ ->
+    w.stuck_mask.(v) <- w.stuck_mask.(v) land keep;
+    w.stuck_val.(v) <- w.stuck_val.(v) land keep;
+    w.flip_mask.(v) <- w.flip_mask.(v) lor bit
+
+(* The one sweep: every lane reads [inputs] and, for the DFF outputs,
+   [state] (all-false when absent); then each net's word takes its
+   per-lane overrides: force the stuck lanes, then invert the flip
+   lanes. Reads the ids in place: nothing is allocated. *)
+let sweep ?state w circuit inputs =
   let values = w.values in
-  for k = 0 to Circuit.num_dffs circuit - 1 do
-    values.(Circuit.dff_id circuit k) <- 0
-  done;
   for k = 0 to Circuit.num_inputs circuit - 1 do
-    values.(Circuit.input_id circuit k) <- (if pattern.(k) then word_mask else 0)
+    values.(Circuit.input_id circuit k) <- (if inputs.(k) then -1 else 0)
   done;
-  for i = 0 to n - 1 do
+  for k = 0 to Circuit.num_dffs circuit - 1 do
+    values.(Circuit.dff_id circuit k) <-
+      (match state with Some st when st.(k) -> -1 | _ -> 0)
+  done;
+  for i = 0 to Circuit.node_count circuit - 1 do
     let nd = Circuit.node circuit i in
     let computed =
       match nd.Circuit.kind with
       | Gate.Input | Gate.Dff -> values.(i)
       | k -> Gate.eval_word_indexed k nd.Circuit.fanins values
     in
-    (* Per-lane override, mirroring [eval_all_faulty]'s apply_override:
-       force the stuck lanes, then invert the flip lanes. *)
     values.(i) <-
-      ((computed land lnot w.stuck_mask.(i)) lor w.stuck_val.(i))
-      lxor w.flip_mask.(i)
+      ((computed land lnot w.stuck_mask.(i)) lor w.stuck_val.(i)) lxor w.flip_mask.(i)
+  done
+
+(** Evaluate all nets with [faults] active: the whole list goes into
+    lane 0 (a later fault at a node replaces an earlier one), and lane 0
+    is read back. *)
+let eval_all_faulty ?state circuit ~faults inputs =
+  let w = wsim_create circuit in
+  List.iter (install w 0) faults;
+  sweep ?state w circuit inputs;
+  Array.map (fun word -> word land 1 = 1) w.values
+
+let eval_faulty ?state circuit ~faults inputs =
+  let values = eval_all_faulty ?state circuit ~faults inputs in
+  Array.init (Circuit.num_outputs circuit) (fun k -> values.(Circuit.output_id circuit k))
+
+(** [detects_many w circuit ~faults ~pos ~len pattern] fault-simulates
+    [pattern] against the slice [faults.(pos) .. faults.(pos + len - 1)]
+    (at most {!lanes} faults) in one sweep and returns a bitmask: bit
+    [k] is set iff [pattern] detects [faults.(pos + k)], i.e. some
+    primary output of lane [k] differs from the fault-free top lane.
+    Allocation-free after {!wsim_create}. *)
+let detects_many w circuit ~faults ~pos ~len pattern =
+  if len > lanes then invalid_arg "Model.detects_many: more than 62 faults";
+  if pos < 0 || len < 0 || pos + len > Array.length faults then
+    invalid_arg "Model.detects_many: slice out of bounds";
+  if Array.length w.values < Circuit.node_count circuit then
+    invalid_arg "Model.detects_many: scratch built for a smaller circuit";
+  for k = 0 to len - 1 do
+    install w k faults.(pos + k)
   done;
+  sweep w circuit pattern;
   let detected = ref 0 in
   for k = 0 to Circuit.num_outputs circuit - 1 do
-    let o = Circuit.output_id circuit k in
-    let clean_word = if w.clean.(o) then word_mask else 0 in
-    detected := !detected lor ((values.(o) lxor clean_word) land word_mask)
+    let word = w.values.(Circuit.output_id circuit k) in
+    (* The top lane, broadcast to every lane. *)
+    let clean = -((word lsr lanes) land 1) in
+    detected := !detected lor (word lxor clean)
   done;
-  (* Reset the override masks via the touched-site list (zeroing clears
-     both polarities at a shared site at once). *)
-  for j = 0 to w.ntouched - 1 do
-    let v = w.touched.(j) in
+  (* Clear the overrides at every site of the slice (zeroing clears all
+     of its lanes at once). *)
+  for k = 0 to len - 1 do
+    let v = node_of faults.(pos + k) in
     w.stuck_mask.(v) <- 0;
     w.stuck_val.(v) <- 0;
     w.flip_mask.(v) <- 0
   done;
-  w.ntouched <- 0;
   !detected land ((1 lsl len) - 1)
 
-(** Fault simulation of a pattern set: returns per-fault detection. *)
+(** Does [inputs] detect [fault] (change any primary output)? *)
+let detects circuit ~fault inputs =
+  detects_many (wsim_create circuit) circuit ~faults:[| fault |] ~pos:0 ~len:1 inputs <> 0
+
+(** Fault simulation of a pattern set, {!lanes} faults per sweep:
+    returns per-fault detection. *)
 let fault_simulation circuit ~faults ~patterns =
-  List.map
-    (fun fault -> fault, List.exists (fun p -> detects circuit ~fault p) patterns)
-    faults
+  let faults_a = Array.of_list faults in
+  let nf = Array.length faults_a in
+  let hit = Array.make nf false in
+  let w = wsim_create circuit in
+  for b = 0 to ((nf + lanes - 1) / lanes) - 1 do
+    let pos = lanes * b in
+    let len = min lanes (nf - pos) in
+    let m =
+      List.fold_left
+        (fun m p -> m lor detects_many w circuit ~faults:faults_a ~pos ~len p)
+        0 patterns
+    in
+    for k = 0 to len - 1 do
+      hit.(pos + k) <- (m lsr k) land 1 = 1
+    done
+  done;
+  List.mapi (fun i fault -> fault, hit.(i)) faults
 
 (** Fault coverage of a pattern set over [faults]. *)
 let coverage circuit ~faults ~patterns =

@@ -18,11 +18,14 @@ val describe : Netlist.Circuit.t -> fault -> string
     @raise Invalid_argument on a transient ([Bit_flip]) fault. *)
 val faulty_copy : Netlist.Circuit.t -> fault -> Netlist.Circuit.t
 
-(** Evaluate all nets with [faults] active. *)
+(** Evaluate all nets with [faults] active. The DFF outputs read
+    [state] (all-false when absent). Every fault acts at once; of two
+    faults at the same node, the later one in [faults] replaces the
+    earlier. *)
 val eval_all_faulty :
   ?state:bool array -> Netlist.Circuit.t -> faults:fault list -> bool array -> bool array
 
-(** Primary outputs with [faults] active. *)
+(** Primary outputs of {!eval_all_faulty}. *)
 val eval_faulty :
   ?state:bool array -> Netlist.Circuit.t -> faults:fault list -> bool array -> bool array
 
@@ -32,9 +35,13 @@ val all_stuck_at_faults : Netlist.Circuit.t -> fault list
 (** Does the pattern change any primary output under the fault? *)
 val detects : Netlist.Circuit.t -> fault:fault -> bool array -> bool
 
+(** Faults per word sweep: 62 fault lanes beside a fault-free lane. *)
+val lanes : int
+
 (** Reusable scratch for {!detects_many}: one word-parallel circuit
-    evaluation carries up to 63 {e faults} in the bit lanes of each net
-    word, against a single broadcast input pattern. *)
+    evaluation carries up to {!lanes} {e faults} in the bit lanes of each
+    net word, beside the fault-free circuit in the top lane, against a
+    single broadcast input pattern. *)
 type wsim
 
 (** Scratch sized for [circuit] (usable for any circuit with at most as
@@ -43,15 +50,16 @@ val wsim_create : Netlist.Circuit.t -> wsim
 
 (** [detects_many w circuit ~faults ~pos ~len pattern] fault-simulates
     [pattern] against the slice [faults.(pos) .. faults.(pos + len - 1)]
-    in one sweep; bit [k] of the result is set iff [pattern] detects
-    [faults.(pos + k)] on a primary output. Agrees with per-fault
-    {!detects} lane by lane; allocation-free after {!wsim_create}.
-    @raise Invalid_argument when [len] exceeds 63, the slice leaves
+    in one sweep; bit [k] of the result is set iff some primary output
+    under [faults.(pos + k)] differs from the fault-free top lane. DFF
+    outputs read 0. Allocation-free after {!wsim_create}; the test suite
+    checks every lane against the scalar oracle in [reference/].
+    @raise Invalid_argument when [len] exceeds {!lanes}, the slice leaves
     [faults], or the scratch was built for a smaller circuit. *)
 val detects_many :
   wsim -> Netlist.Circuit.t -> faults:fault array -> pos:int -> len:int -> bool array -> int
 
-(** Per-fault detection by a pattern set. *)
+(** Per-fault detection by a pattern set, {!lanes} faults per sweep. *)
 val fault_simulation :
   Netlist.Circuit.t -> faults:fault list -> patterns:bool array list -> (fault * bool) list
 

@@ -33,7 +33,6 @@ let severity_name = function Transient -> "transient" | Permanent -> "permanent"
 type shed_reason =
   | Queue_depth of { limit : int }
   | Admission_exhausted of Budget.exhaustion
-  | Admission_low of { remaining_fraction : float; threshold : float }
 
 type state =
   | Done of string
@@ -51,9 +50,6 @@ let describe_shed = function
   | Queue_depth { limit } -> Printf.sprintf "queue depth over %d at admission" limit
   | Admission_exhausted e ->
     Printf.sprintf "admission budget: %s" (Budget.describe_exhaustion e)
-  | Admission_low { remaining_fraction; threshold } ->
-    Printf.sprintf "admission budget low: %.1f%% left (< %.1f%%)"
-      (100.0 *. remaining_fraction) (100.0 *. threshold)
 
 let describe_state = function
   | Done note -> "done: " ^ note
@@ -97,7 +93,6 @@ let fingerprint r =
 type config = {
   wave_size : int;
   max_queue_depth : int option;
-  shed_below_fraction : float;
   quarantine_after : int;
   sleep : float -> unit;
 }
@@ -105,7 +100,6 @@ type config = {
 let default_config =
   { wave_size = 8;
     max_queue_depth = None;
-    shed_below_fraction = 0.0;
     quarantine_after = 3;
     sleep = (fun s -> if s > 0.0 then Unix.sleepf (Float.min s 30.0)) }
 
@@ -246,79 +240,73 @@ let run ?pool ?budget ?(config = default_config) rng jobs =
           (match Budget.status admission with
            | Some e -> shed_all_pending (Admission_exhausted e)
            | None ->
-             (match Budget.remaining_fraction admission with
-              | Some f when f < config.shed_below_fraction ->
-                shed_all_pending
-                  (Admission_low
-                     { remaining_fraction = f; threshold = config.shed_below_fraction })
-              | _ ->
-                (* Circuit breaker: a class that has struck out is
-                   refused before dispatch, in job order. *)
-                List.iter
-                  (fun i ->
-                    let klass = jobs.(i).Job.klass in
-                    if Hashtbl.mem quarantined_classes klass then
-                      terminal i
-                        (Quarantined { klass; strikes = strike_count klass }))
-                  pend;
-                let ready =
-                  pending () |> List.filteri (fun k _ -> k < wave_size)
-                  |> Array.of_list
-                in
-                if Array.length ready > 0 then begin
-                  let results =
-                    T.with_span "service.wave"
-                      ~attrs:
-                        [ ("wave", T.Int !waves);
-                          ("dispatched", T.Int (Array.length ready)) ]
-                      (fun () -> execute ready)
-                  in
-                  (* Classification, retry scheduling and admission
-                     charging: caller's domain, job-index order. *)
-                  let max_delay = ref 0.0 in
-                  Array.iteri
-                    (fun k result ->
-                      let i = ready.(k) in
-                      match result with
-                      | None -> ()  (* skipped: next wave's admission check decides *)
-                      | Some (res, used) ->
-                        attempts.(i) <- attempts.(i) + 1;
-                        Budget.tick ~cost:used admission;
-                        (match res with
-                         | Ok note ->
-                           Hashtbl.replace strikes jobs.(i).Job.klass 0;
-                           terminal i (Done note)
-                         | Error error ->
-                           let severity = classify error in
-                           let policy = jobs.(i).Job.policy in
-                           let retries_done = attempts.(i) - 1 in
-                           if
-                             severity = Permanent
-                             || retries_done >= policy.Job.max_retries
-                           then begin
-                             terminal i
-                               (Failed { error; severity; attempts = attempts.(i) });
-                             strike i
-                           end
-                           else begin
-                             (* Deterministic exponential backoff with
-                                per-job jitter. *)
-                             let expo =
-                               policy.Job.backoff_base_s
-                               *. (2.0 ** Float.of_int retries_done)
-                             in
-                             let capped = Float.min policy.Job.backoff_max_s expo in
-                             let delay =
-                               capped
-                               *. (1.0 +. (policy.Job.jitter *. Rng.float rngs.(i)))
-                             in
-                             backoffs.(i) <- delay :: backoffs.(i);
-                             if delay > !max_delay then max_delay := delay;
-                             T.count "job.retries" 1
-                           end))
-                    results;
-                  if !max_delay > 0.0 then config.sleep !max_delay
-                end));
+             (* Circuit breaker: a class that has struck out is
+                refused before dispatch, in job order. *)
+             List.iter
+               (fun i ->
+                 let klass = jobs.(i).Job.klass in
+                 if Hashtbl.mem quarantined_classes klass then
+                   terminal i
+                     (Quarantined { klass; strikes = strike_count klass }))
+               pend;
+             let ready =
+               pending () |> List.filteri (fun k _ -> k < wave_size)
+               |> Array.of_list
+             in
+             if Array.length ready > 0 then begin
+               let results =
+                 T.with_span "service.wave"
+                   ~attrs:
+                     [ ("wave", T.Int !waves);
+                       ("dispatched", T.Int (Array.length ready)) ]
+                   (fun () -> execute ready)
+               in
+               (* Classification, retry scheduling and admission
+                  charging: caller's domain, job-index order. *)
+               let max_delay = ref 0.0 in
+               Array.iteri
+                 (fun k result ->
+                   let i = ready.(k) in
+                   match result with
+                   | None -> ()  (* skipped: next wave's admission check decides *)
+                   | Some (res, used) ->
+                     attempts.(i) <- attempts.(i) + 1;
+                     Budget.tick ~cost:used admission;
+                     (match res with
+                      | Ok note ->
+                        Hashtbl.replace strikes jobs.(i).Job.klass 0;
+                        terminal i (Done note)
+                      | Error error ->
+                        let severity = classify error in
+                        let policy = jobs.(i).Job.policy in
+                        let retries_done = attempts.(i) - 1 in
+                        if
+                          severity = Permanent
+                          || retries_done >= policy.Job.max_retries
+                        then begin
+                          terminal i
+                            (Failed { error; severity; attempts = attempts.(i) });
+                          strike i
+                        end
+                        else begin
+                          (* Deterministic exponential backoff with
+                             per-job jitter. *)
+                          let expo =
+                            policy.Job.backoff_base_s
+                            *. (2.0 ** Float.of_int retries_done)
+                          in
+                          let capped = Float.min policy.Job.backoff_max_s expo in
+                          let delay =
+                            capped
+                            *. (1.0 +. (policy.Job.jitter *. Rng.float rngs.(i)))
+                          in
+                          backoffs.(i) <- delay :: backoffs.(i);
+                          if delay > !max_delay then max_delay := delay;
+                          T.count "job.retries" 1
+                        end))
+                 results;
+               if !max_delay > 0.0 then config.sleep !max_delay
+             end);
           wave_loop ()
       in
       wave_loop ();

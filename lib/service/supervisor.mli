@@ -11,7 +11,7 @@
       (with exponential backoff and per-job jitter) are spent;
     - [Shed] — the supervisor refused to run it at all: the queue was
       over its depth limit at admission, or the admission budget ran
-      out (or crossed the low-water fraction) before its wave;
+      out before its wave;
     - [Quarantined] — the circuit breaker: once a class accumulates
       [quarantine_after] consecutive failures, its remaining jobs are
       refused without dispatch (a success resets the class's count).
@@ -47,7 +47,6 @@ val classify : Eda_util.Eda_error.t -> severity
 type shed_reason =
   | Queue_depth of { limit : int }
   | Admission_exhausted of Eda_util.Budget.exhaustion
-  | Admission_low of { remaining_fraction : float; threshold : float }
 
 type state =
   | Done of string
@@ -90,9 +89,6 @@ type config = {
           outcomes don't depend on parallelism (default 8) *)
   max_queue_depth : int option;
       (** admission cap: submissions beyond it are [Shed] up front *)
-  shed_below_fraction : float;
-      (** shed all pending work once the admission budget's remaining
-          fraction drops below this (default 0.0 — never) *)
   quarantine_after : int;
       (** consecutive failures that trip a class's breaker (default 3) *)
   sleep : float -> unit;

@@ -143,9 +143,6 @@ let utilization t =
   | Some f, None | None, Some f -> Some f
   | Some a, Some b -> Some (Float.max a b)
 
-(** [1 - utilization]; [None] when unlimited. *)
-let remaining_fraction t = Option.map (fun u -> 1.0 -. u) (utilization t)
-
 (** Human-readable summary for reports and CLI output. *)
 let describe t =
   let steps =

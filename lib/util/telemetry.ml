@@ -1029,16 +1029,16 @@ module Trace = struct
     match domain_timeline t with
     | [] -> ()
     | rows ->
+      (* The pool runs one batch at a time, so the summed batch spans are
+         the wall time any domain could have been busy in. *)
       let wall =
-        List.fold_left
-          (fun acc sp -> Float.max acc (duration sp))
-          0.0 (find_spans t "pool.batch")
+        List.fold_left (fun acc sp -> acc +. duration sp) 0.0 (find_spans t "pool.batch")
       in
       Format.fprintf fmt "@.per-domain busy time (pool.task spans):@.";
       List.iter
         (fun (d, tasks, busy) ->
           if wall > 0.0 then
-            Format.fprintf fmt "  domain %-3d %4d task(s)  busy %s (%.0f%% of longest batch)@."
+            Format.fprintf fmt "  domain %-3d %4d task(s)  busy %s (%.0f%% of pooled wall)@."
               d tasks (pretty_duration busy)
               (100.0 *. busy /. wall)
           else

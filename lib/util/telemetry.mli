@@ -278,6 +278,9 @@ module Trace : sig
       [(domain, tasks, busy seconds)], sorted by domain id. *)
   val domain_timeline : t -> (int * int * float) list
 
+  (** The {!domain_timeline}, each domain's busy time also shown as a
+      share of the pooled wall: the summed [pool.batch] spans (the pool
+      runs one batch at a time). *)
   val pp_domains : Format.formatter -> t -> unit
 
   (** Project away scheduling noise: drops [pool.steals] events and

@@ -16,6 +16,7 @@ module BG = Netlist.Bench_gen
 module Circuit = Netlist.Circuit
 module Sim = Netlist.Sim
 module Lint = Netlist.Lint
+module Fault_sim_ref = Reference.Fault_sim_ref
 
 (* QCheck's [int_range] shrinks toward 0, out of its own range; keep every
    shrink candidate inside [lo, hi]. *)
@@ -591,7 +592,10 @@ let test_session_budget_resume () =
 
 let test_atpg_ground_truth () =
   (* Unbudgeted campaigns checked against independent ground truth: the
-     pattern set's simulated coverage is exactly the reported coverage,
+     pattern set's coverage under the scalar fault-simulation oracle
+     (Reference.Fault_sim_ref) is exactly the reported coverage, the
+     engine's batched fault simulation agrees with the oracle fault by
+     fault,
      every reported untestable fault is re-proven by a fresh whole-copy
      solver (Reference.Stuck_at_ref, which shares nothing with the
      session under test), and detected plus untestable accounts for every
@@ -609,16 +613,15 @@ let test_atpg_ground_truth () =
       let c = BG.sized ~seed fam ~target_gates:tgt in
       let faults = Fault.Model.all_stuck_at_faults c in
       let r = Dft.Atpg.run c in
-      let detected =
-        List.length
-          (List.filter snd
-             (Fault.Model.fault_simulation c ~faults ~patterns:r.Dft.Atpg.patterns))
-      in
+      let patterns = r.Dft.Atpg.patterns in
+      let simulated = Fault_sim_ref.fault_simulation c ~faults ~patterns in
+      let detected = List.length (List.filter snd simulated) in
       let untestable = r.Dft.Atpg.untestable in
       untestable_seen := !untestable_seen + List.length untestable;
       r.Dft.Atpg.exhausted = None
       && Int64.bits_of_float r.Dft.Atpg.coverage
-         = Int64.bits_of_float (Fault.Model.coverage c ~faults ~patterns:r.Dft.Atpg.patterns)
+         = Int64.bits_of_float (Fault_sim_ref.coverage c ~faults ~patterns)
+      && Fault.Model.fault_simulation c ~faults ~patterns = simulated
       && List.for_all
            (function
              | Fault.Model.Stuck_at { node; value } ->
@@ -629,9 +632,9 @@ let test_atpg_ground_truth () =
   Alcotest.(check bool) "some campaign reported untestable faults" true (!untestable_seen > 0)
 
 let test_detects_many_differential () =
-  (* Lane k of the word-parallel fault simulation must agree with the
-     scalar [detects] oracle, and reusing the scratch must not leak state
-     between calls. *)
+  (* Every lane of the word sweep must agree with the scalar oracle
+     (Reference.Fault_sim_ref.detects), and reusing the scratch must not
+     leak state between calls. *)
   let arb =
     Seeded.of_rng
       ~print:(fun (seed, pseed) -> Printf.sprintf "circuit=%d pattern=%d" seed pseed)
@@ -643,7 +646,7 @@ let test_detects_many_differential () =
       let rng = Rng.create pseed in
       let all = Array.of_list (Fault.Model.all_stuck_at_faults c) in
       Rng.shuffle rng all;
-      let nf = min 63 (Array.length all) in
+      let nf = min Fault.Model.lanes (Array.length all) in
       let faults = Array.sub all 0 nf in
       if nf > 2 then
         faults.(1) <- Fault.Model.Bit_flip { node = Fault.Model.node_of faults.(1) };
@@ -658,10 +661,64 @@ let test_detects_many_differential () =
       let lanes_agree = ref true in
       Array.iteri
         (fun k f ->
-          if (mask lsr k) land 1 = 1 <> Fault.Model.detects c ~fault:f pattern then
+          if (mask lsr k) land 1 = 1 <> Fault_sim_ref.detects c ~fault:f pattern then
             lanes_agree := false)
         faults;
       mask = again && !lanes_agree)
+
+(* A [Bench_gen] circuit with three DFFs: each latches a late net, and
+   its output reaches a primary output through an XOR with an input. *)
+let registered_circuit ~seed =
+  let c =
+    BG.layered ~seed ~inputs:(3 + (seed mod 5)) ~layers:(2 + (seed mod 3))
+      ~width:(4 + (seed mod 6)) ()
+  in
+  let n = Circuit.node_count c in
+  for k = 0 to 2 do
+    let q = Circuit.add_dff c ~d:(n - 1 - k) in
+    let x = Circuit.add_gate c Netlist.Gate.Xor [ q; Circuit.input_id c k ] in
+    Circuit.set_output c (Printf.sprintf "q%d" k) x
+  done;
+  c
+
+let test_eval_faulty_differential () =
+  (* Lane 0 of the word sweep, carrying a whole fault list, against the
+     scalar oracle: with and without a DFF state, with two faults on one
+     node (the later one wins), and with bit-flips on an input and on a
+     DFF output. *)
+  let arb =
+    Seeded.of_rng
+      ~print:(fun (seed, fseed) -> Printf.sprintf "circuit=%d faults=%d" seed fseed)
+      (fun rng -> (Rng.int rng 1_000_000, Rng.int rng 1_000_000))
+  in
+  Seeded.check ~count:40 ~name:"eval_faulty matches the scalar fault-simulation oracle" arb
+    (fun (seed, fseed) ->
+      let c = registered_circuit ~seed in
+      let rng = Rng.create fseed in
+      let random_fault node =
+        match Rng.int rng 3 with
+        | 0 -> Fault.Model.Bit_flip { node }
+        | v -> Fault.Model.Stuck_at { node; value = v = 2 }
+      in
+      let pick n = Rng.int rng n in
+      let n = Circuit.node_count c in
+      let some = List.init (1 + pick 5) (fun _ -> random_fault (pick n)) in
+      let twice = Fault.Model.node_of (List.hd some) in
+      let faults =
+        some
+        @ [ random_fault twice;
+            Fault.Model.Bit_flip { node = Circuit.input_id c (pick (Circuit.num_inputs c)) };
+            Fault.Model.Bit_flip { node = Circuit.dff_id c (pick (Circuit.num_dffs c)) } ]
+      in
+      let inputs = Array.init (Circuit.num_inputs c) (fun _ -> Rng.bool rng) in
+      let state = Array.init (Circuit.num_dffs c) (fun _ -> Rng.bool rng) in
+      List.for_all
+        (fun state ->
+          Fault.Model.eval_all_faulty ?state c ~faults inputs
+          = Fault_sim_ref.eval_all_faulty ?state c ~faults inputs
+          && Fault.Model.eval_faulty ?state c ~faults inputs
+             = Fault_sim_ref.eval_faulty ?state c ~faults inputs)
+        [ None; Some state ])
 
 (* --- the resolved circuit view vs an independent derivation --------------- *)
 
@@ -1344,6 +1401,7 @@ let () =
           Alcotest.test_case "session budget resume" `Quick test_session_budget_resume;
           Alcotest.test_case "word fault drop vs scalar" `Quick
             test_detects_many_differential;
+          Alcotest.test_case "faulty eval vs scalar" `Quick test_eval_faulty_differential;
           Alcotest.test_case "atpg vs ground truth" `Quick test_atpg_ground_truth;
           Alcotest.test_case "circuit view vs consumer lists" `Quick test_view_differential;
           Alcotest.test_case "event engine vs reference" `Quick test_event_sim_differential;

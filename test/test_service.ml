@@ -209,21 +209,6 @@ let test_admission_exhaustion_sheds_pending () =
   (* Shed + failed covers everything; nothing succeeded or vanished. *)
   Alcotest.(check int) "taxonomy complete" 6 (report.Sup.failed + report.Sup.shed)
 
-let test_low_water_shedding () =
-  let config = { test_config with Sup.wave_size = 1; shed_below_fraction = 0.5 } in
-  let burn = fun (b : Budget.t) -> Budget.tick ~cost:60 b; Ok "burned 60" in
-  let report =
-    Sup.run ~config ~budget:(Budget.create ~steps:100 ()) (Rng.create 1)
-      [ job "burner" burn; job "late" (ok_work "fine") ]
-  in
-  (match state_of report "burner" with
-   | Sup.Done _, 1, _ -> ()
-   | st, _, _ -> Alcotest.failf "burner: %s" (Sup.describe_state st));
-  match state_of report "late" with
-  | Sup.Shed (Sup.Admission_low { threshold; _ }), 0, [] ->
-    Alcotest.(check (float 1e-9)) "threshold recorded" 0.5 threshold
-  | st, _, _ -> Alcotest.failf "late: %s" (Sup.describe_state st)
-
 (* --- the chaos property -------------------------------------------------- *)
 
 (* Build one job list covering the whole failure space:
@@ -382,8 +367,7 @@ let () =
           Alcotest.test_case "quarantine" `Quick test_quarantine_trips_per_class;
           Alcotest.test_case "success resets strikes" `Quick test_success_resets_strikes;
           Alcotest.test_case "queue-depth shed" `Quick test_queue_depth_shed;
-          Alcotest.test_case "admission exhaustion" `Quick test_admission_exhaustion_sheds_pending;
-          Alcotest.test_case "low-water shed" `Quick test_low_water_shedding ] );
+          Alcotest.test_case "admission exhaustion" `Quick test_admission_exhaustion_sheds_pending ] );
       ( "chaos-property",
         [ Alcotest.test_case "all terminal" `Quick test_chaos_sweep_all_terminal;
           Alcotest.test_case "bit-identical across domains" `Quick

@@ -424,6 +424,41 @@ let test_capture_crash_delivers_buffer () =
 
 (* --- trace analysis --------------------------------------------------- *)
 
+(* Two pooled TVLA campaigns on the real clock: each domain's busy time,
+   summed over both batches, is shown as a share of both batches' wall
+   time, so no domain can read over 100%. *)
+let test_domain_busy_within_pooled_wall () =
+  let masked = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_unaware in
+  let sink, events = T.memory_sink () in
+  T.with_sink sink (fun () ->
+      Eda_util.Pool.with_pool ~num_domains:2 (fun pool ->
+          for seed = 1 to 2 do
+            ignore
+              (Sidechannel.Leakage.tvla_campaign ~pool (Eda_util.Rng.create seed) masked
+                 ~traces_per_class:300 ~noise_sigma:0.3)
+          done));
+  match T.Trace.of_events (events ()) with
+  | Error msg -> Alcotest.fail msg
+  | Ok trace ->
+    Alcotest.(check bool) "two pooled batches" true
+      (List.length (T.Trace.find_spans trace "pool.batch") >= 2);
+    let rendered = Format.asprintf "%a" T.Trace.pp_domains trace in
+    Alcotest.(check bool) "timeline header" true
+      (contains rendered "per-domain busy time");
+    let shares =
+      List.filter_map
+        (fun line ->
+          match String.rindex_opt line '(' with
+          | Some i when contains line "% of pooled wall)" ->
+            Scanf.sscanf (String.sub line i (String.length line - i)) "(%d%%" Option.some
+          | _ -> None)
+        (String.split_on_char '\n' rendered)
+    in
+    Alcotest.(check bool) "a share per domain" true (shares <> []);
+    List.iter
+      (fun pct -> Alcotest.(check bool) (Printf.sprintf "%d%% <= 100%%" pct) true (pct <= 100))
+      shares
+
 (* root{a, b{c, d}} under the ticking fake clock: a/c/d last 1, b lasts
    5, root lasts 9. *)
 let analysis_trace () =
@@ -608,8 +643,6 @@ let test_budget_utilization () =
   Budget.tick ~cost:4 b;
   Alcotest.(check int) "consumed" 4 (Budget.consumed_steps b);
   Alcotest.(check (option (float 1e-9))) "40% used" (Some 0.4) (Budget.utilization b);
-  Alcotest.(check (option (float 1e-9))) "60% left" (Some 0.6)
-    (Budget.remaining_fraction b);
   Budget.tick ~cost:100 b;
   Alcotest.(check (option (float 1e-9))) "clamped at 1" (Some 1.0)
     (Budget.utilization b);
@@ -655,7 +688,9 @@ let () =
       ("analysis",
        [ Alcotest.test_case "critical path" `Quick test_critical_path;
          Alcotest.test_case "fold stacks" `Quick test_fold_stacks;
-         Alcotest.test_case "canonicalize" `Quick test_canonicalize ]);
+         Alcotest.test_case "canonicalize" `Quick test_canonicalize;
+         Alcotest.test_case "domain busy within pooled wall" `Quick
+           test_domain_busy_within_pooled_wall ]);
       ("diff",
        [ Alcotest.test_case "same trace clean" `Quick test_diff_same_trace_clean;
          Alcotest.test_case "classification" `Quick test_diff_classification;
