@@ -35,66 +35,43 @@ type design = {
   point : point;
   circuit : Circuit.t;
   masked : Masking.masked option;  (* drives share/randomness inputs *)
-  alarm : string option;  (* error-detection alarm output name *)
+  protection : Fault.Countermeasure.protected_circuit option;  (* error detection *)
 }
-
-(* Protect a circuit with an independent predictor of the XOR of its
-   outputs (cf. Fault.Countermeasure.parity_protect, rebuilt here so the
-   masked variant can keep its masking descriptor attached). *)
-let add_parity source =
-  let prot = Fault.Countermeasure.parity_protect source in
-  prot.Fault.Countermeasure.circuit
 
 let build point =
   let source = Sidechannel.Leakage.private_and_source () in
   match point with
-  | Baseline -> { point; circuit = source; masked = None; alarm = None }
+  | Baseline -> { point; circuit = source; masked = None; protection = None }
   | Masked ->
     let m = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
-    { point; circuit = m.Masking.circuit; masked = Some m; alarm = None }
+    { point; circuit = m.Masking.circuit; masked = Some m; protection = None }
   | Parity ->
-    { point; circuit = add_parity source; masked = None; alarm = Some "alarm" }
+    let prot = Fault.Countermeasure.parity_protect source in
+    { point; circuit = prot.circuit; masked = None; protection = Some prot }
   | Masked_and_parity ->
     let m = Sidechannel.Leakage.synthesize_masked Sidechannel.Leakage.Security_aware in
-    let protected_c = add_parity m.Masking.circuit in
-    let m = Isw.rebind m protected_c in
-    { point; circuit = protected_c; masked = Some m; alarm = Some "alarm" }
+    let prot = Fault.Countermeasure.parity_protect m.Masking.circuit in
+    let m = Isw.rebind m prot.circuit in
+    { point; circuit = prot.circuit; masked = Some m; protection = Some prot }
 
-(* Input vector for secrets (a, b), drawing shares/randomness when masked. *)
-let stimulus rng design ~a ~b =
-  match design.masked with
-  | Some m -> Isw.input_vector rng m ~values:[ ("a", a); ("b", b) ]
-  | None -> [| a; b |]
-
-(** First-order TVLA max |t| under the Hamming-weight model. *)
+(** First-order TVLA max |t| under the Hamming-weight model: the masked
+    variant's campaign for a masked design, the interface-generic one for
+    an unmasked design. *)
 let tvla_max_t rng design ~traces_per_class ~noise_sigma =
-  let sample = Power.Model.hamming_weight_sampler design.circuit in
-  (* no pool: the one [scratch] serves one trace at a time *)
-  let scratch = Array.make (Circuit.node_count design.circuit) 0 in
-  let collect stream cls =
-    let a, b =
-      match cls with
-      | `Fixed -> true, true
-      | `Random -> Rng.bool stream, Rng.bool stream
-    in
-    let vec = stimulus stream design ~a ~b in
-    let e = sample ~scratch ~lanes:1 ~inputs:(Array.map Bool.to_int vec) in
-    [| e.(0) +. Rng.gaussian_scaled stream ~mean:0.0 ~sigma:noise_sigma |]
+  let result =
+    match design.masked with
+    | Some m -> Sidechannel.Leakage.tvla_campaign rng m ~traces_per_class ~noise_sigma
+    | None -> Sidechannel.Secure_synth.assess rng design.circuit ~traces_per_class ~noise_sigma
   in
-  (Sidechannel.Tvla.campaign_seeded rng ~traces_per_class ~collect).Sidechannel.Tvla.max_abs_t
+  result.Sidechannel.Tvla.max_abs_t
 
-(** Fault detection rate: fraction of random transient bit-flips that are
-    caught by the alarm (0 without error detection). *)
+(** Fault detection rate: fraction of data-corrupting random transient
+    bit-flips that are caught by the alarm (0 without error detection). *)
 let fault_detection_rate rng design ~injections =
-  match design.alarm with
+  match design.protection with
   | None -> 0.0
-  | Some alarm_name ->
-    let c = design.circuit in
-    let outs = Circuit.outputs c in
-    let alarm_idx =
-      let rec find k = if fst outs.(k) = alarm_name then k else find (k + 1) in
-      find 0
-    in
+  | Some prot ->
+    let c = prot.circuit in
     let n = Circuit.node_count c in
     let detected = ref 0 and corrupting = ref 0 in
     let attempts = ref 0 in
@@ -106,15 +83,17 @@ let fault_detection_rate rng design ~injections =
        | Gate.Buf | Gate.Not | Gate.And | Gate.Nand | Gate.Or | Gate.Nor
        | Gate.Xor | Gate.Xnor | Gate.Mux ->
          let a = Rng.bool rng and b = Rng.bool rng in
-         let vec = stimulus rng design ~a ~b in
-         let golden = Netlist.Sim.eval c vec in
-         let faulty =
-           Fault.Model.eval_faulty c ~faults:[ Fault.Model.Bit_flip { node } ] vec
+         let vec =
+           match design.masked with
+           | Some m -> Isw.input_vector rng m ~values:[ ("a", a); ("b", b) ]
+           | None -> [| a; b |]
          in
-         if faulty <> golden then begin
-           incr corrupting;
-           if faulty.(alarm_idx) && not golden.(alarm_idx) then incr detected
-         end)
+         (match Fault.Countermeasure.classify prot ~fault:(Fault.Model.Bit_flip { node }) vec with
+          | Fault.Countermeasure.Detected ->
+            incr corrupting;
+            incr detected
+          | Fault.Countermeasure.Corrupted_undetected -> incr corrupting
+          | Fault.Countermeasure.Silent -> ()))
     done;
     if !corrupting = 0 then 0.0
     else Float.of_int !detected /. Float.of_int !corrupting

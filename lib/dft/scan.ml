@@ -109,18 +109,13 @@ let insert ?(protection = Plain) source =
         | None -> assert false)
       (Circuit.inputs source)
   in
-  let scan_out_index =
-    let outs = Circuit.outputs out in
-    let rec find k = if fst outs.(k) = "scan_out" then k else find (k + 1) in
-    find 0
-  in
   { circuit = out;
     protection;
     num_cells = n_cells;
     scan_en_pos = input_pos scan_en;
     scan_in_pos = input_pos scan_in;
     data_positions;
-    scan_out_index }
+    scan_out_index = Circuit.output_position out "scan_out" }
 
 (** Build a full input vector for the scanned circuit. *)
 let input_vector scanned ~scan_en ~scan_in ~data =

@@ -66,23 +66,11 @@ let infective_protect source =
   let base = duplicate_protect source in
   let c = base.circuit in
   let rnd = Circuit.add_input ~name:"infect_rnd" c in
-  let alarm_id =
-    match Circuit.find_by_name c "alarm" with
-    | Some id -> id
-    | None -> assert false
-  in
+  let output_node nm = Circuit.output_id c (Circuit.output_position c nm) in
+  let alarm_id = output_node base.alarm_output in
   (* infection = alarm & (rnd | 1) -> alarm (always infect), alarm & rnd
      randomizes; combine both so output differs and is randomized. *)
   let infect = Circuit.add_gate ~name:"infect" c Gate.Or [ alarm_id; Circuit.add_gate c Gate.And [ alarm_id; rnd ] ] in
-  let output_node nm =
-    let outs = Circuit.outputs c in
-    let rec find k =
-      if k >= Array.length outs then invalid_arg ("infective: missing output " ^ nm)
-      else if fst outs.(k) = nm then snd outs.(k)
-      else find (k + 1)
-    in
-    find 0
-  in
   let infected_outputs =
     List.map
       (fun nm ->
@@ -106,51 +94,60 @@ let infective_protect source =
     [faults] and every pattern, classify the outcome. *)
 type outcome = Silent | Detected | Corrupted_undetected
 
-let classify protected_c ~fault pattern =
-  let c = protected_c.circuit in
-  let golden = Netlist.Sim.eval c pattern in
-  let faulty = Model.eval_faulty c ~faults:[ fault ] pattern in
-  let outs = Circuit.outputs c in
-  let index_of nm =
-    let rec find k =
-      if k >= Array.length outs then invalid_arg ("missing output " ^ nm)
-      else if fst outs.(k) = nm then k
-      else find (k + 1)
-    in
-    find 0
-  in
-  let alarm_idx = index_of protected_c.alarm_output in
-  let data_idx = List.map index_of protected_c.data_outputs in
-  let data_corrupted = List.exists (fun k -> golden.(k) <> faulty.(k)) data_idx in
-  let alarmed = faulty.(alarm_idx) && not golden.(alarm_idx) in
-  if alarmed then Detected
-  else if data_corrupted then Corrupted_undetected
+(* The shared classifier of [prot]: one word sweep over the slice
+   [faults.(pos) .. faults.(pos + len - 1)] returns two disjoint lane
+   masks. [detected]: the alarm reads 1 while the fault-free top lane's
+   reads 0. [escaped]: no alarm rose, but some data output differs from
+   the top lane. Every other lane is silent. *)
+let classifier prot =
+  let c = prot.circuit in
+  let w = Model.wsim_create c in
+  let alarm = Circuit.output_position c prot.alarm_output in
+  let data = Array.of_list (List.map (Circuit.output_position c) prot.data_outputs) in
+  fun ~faults ~pos ~len pattern ->
+    ignore (Model.detects_many w c ~faults ~pos ~len pattern);
+    let word k = Model.output_word w c k in
+    (* The top lane, broadcast to every lane. *)
+    let clean word = -((word lsr Model.lanes) land 1) in
+    let a = word alarm in
+    let raised = a land lnot (clean a) in
+    let corrupted = Array.fold_left (fun m k -> let v = word k in m lor (v lxor clean v)) 0 data in
+    raised, corrupted land lnot raised
+
+let classify prot ~fault pattern =
+  let detected, escaped = classifier prot ~faults:[| fault |] ~pos:0 ~len:1 pattern in
+  if detected land 1 = 1 then Detected
+  else if escaped land 1 = 1 then Corrupted_undetected
   else Silent
 
 (** Detection statistics over a fault list and random patterns: fraction of
     data-corrupting faults that escape detection (the number an EDA flow
     must drive to zero). *)
-let validate rng protected_c ~faults ~patterns =
-  let ni = Circuit.num_inputs protected_c.circuit in
+let validate rng prot ~faults ~patterns =
+  let ni = Circuit.num_inputs prot.circuit in
   let pats =
     List.init patterns (fun _ -> Array.init ni (fun _ -> Eda_util.Rng.bool rng))
   in
+  let sweep = classifier prot in
+  let faults = Array.of_list faults in
+  let nf = Array.length faults in
   let detected = ref 0 and escaped = ref 0 and silent = ref 0 in
-  List.iter
-    (fun fault ->
-      (* Worst observed outcome across patterns. *)
-      let worst =
-        List.fold_left
-          (fun acc p ->
-            match acc, classify protected_c ~fault p with
-            | Corrupted_undetected, _ | _, Corrupted_undetected -> Corrupted_undetected
-            | Detected, _ | _, Detected -> Detected
-            | Silent, Silent -> Silent)
-          Silent pats
-      in
-      match worst with
-      | Detected -> incr detected
-      | Corrupted_undetected -> incr escaped
-      | Silent -> incr silent)
-    faults;
+  for b = 0 to ((nf + Model.lanes - 1) / Model.lanes) - 1 do
+    let pos = Model.lanes * b in
+    let len = min Model.lanes (nf - pos) in
+    (* Each fault's worst outcome across patterns: an escape under any
+       pattern, else a detection under any. *)
+    let det, esc =
+      List.fold_left
+        (fun (det, esc) p ->
+          let d, e = sweep ~faults ~pos ~len p in
+          det lor d, esc lor e)
+        (0, 0) pats
+    in
+    for k = 0 to len - 1 do
+      if (esc lsr k) land 1 = 1 then incr escaped
+      else if (det lsr k) land 1 = 1 then incr detected
+      else incr silent
+    done
+  done;
   !detected, !escaped, !silent

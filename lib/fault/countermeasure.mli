@@ -24,11 +24,17 @@ val infective_protect : Netlist.Circuit.t -> protected_circuit
 
 type outcome = Silent | Detected | Corrupted_undetected
 
-(** Outcome of one fault under one pattern. *)
+(** Outcome of one fault under one pattern, on one combinational frame:
+    [Detected] when the alarm reads 1 while the fault-free circuit's reads
+    0; [Corrupted_undetected] when no alarm rose but some data output
+    differs from the fault-free circuit's; [Silent] otherwise. *)
 val classify : protected_circuit -> fault:Model.fault -> bool array -> outcome
 
 (** Random-pattern campaign over a fault list: (detected, escaped, silent)
-    counts, scoring each fault by its worst outcome. *)
+    counts, scoring each fault by its worst outcome ({!classify}'s, an
+    escape under any pattern first, then a detection). The patterns are
+    drawn from [rng] first; each then runs one word sweep per
+    {!Model.lanes} (62) faults. *)
 val validate :
   Eda_util.Rng.t ->
   protected_circuit ->

@@ -21,15 +21,7 @@ type verdict =
 let check_fault (prot : Countermeasure.protected_circuit) fault =
   let clean = prot.Countermeasure.circuit in
   let faulty = Model.faulty_copy clean fault in
-  let outs = Circuit.outputs clean in
-  let index_of nm =
-    let rec find k =
-      if k >= Array.length outs then invalid_arg ("Formal: missing output " ^ nm)
-      else if fst outs.(k) = nm then k
-      else find (k + 1)
-    in
-    find 0
-  in
+  let index_of = Circuit.output_position clean in
   let alarm = index_of prot.Countermeasure.alarm_output in
   let data_idx = Array.of_list (List.map index_of prot.Countermeasure.data_outputs) in
   (* A fresh miter of the clean and faulty copies asserting that some
@@ -70,11 +62,7 @@ let check_fault (prot : Countermeasure.protected_circuit) fault =
     scheme can detect all faults means to search for faults possibly
     missed"). *)
 let audit prot =
-  let faults =
-    List.filter
-      (fun f -> match f with Model.Stuck_at _ -> true | Model.Bit_flip _ -> false)
-      (Model.all_stuck_at_faults prot.Countermeasure.circuit)
-  in
+  let faults = Model.all_stuck_at_faults prot.Countermeasure.circuit in
   let proven = ref 0 and escapes = ref [] and harmless = ref 0 in
   List.iter
     (fun fault ->

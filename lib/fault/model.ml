@@ -5,7 +5,9 @@
     bit-flips (laser/EM injection at runtime) and forced-value faults
     (precise attacker control). Injection is simulation-level: the fault
     site's value is overridden during evaluation, which is exactly the
-    substitution a laser rig performs on the physical net. *)
+    substitution a laser rig performs on the physical net. Every
+    injection runs on one word sweep of a combinational frame: up to
+    {!lanes} faults beside the fault-free circuit, DFF outputs at 0. *)
 
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
@@ -88,18 +90,17 @@ let install w lane f =
     w.stuck_val.(v) <- w.stuck_val.(v) land keep;
     w.flip_mask.(v) <- w.flip_mask.(v) lor bit
 
-(* The one sweep: every lane reads [inputs] and, for the DFF outputs,
-   [state] (all-false when absent); then each net's word takes its
-   per-lane overrides: force the stuck lanes, then invert the flip
-   lanes. Reads the ids in place: nothing is allocated. *)
-let sweep ?state w circuit inputs =
+(* The one sweep: every lane reads [inputs], and 0 on every DFF output
+   (one combinational frame); then each net's word takes its per-lane
+   overrides: force the stuck lanes, then invert the flip lanes. Reads
+   the ids in place: nothing is allocated. *)
+let sweep w circuit inputs =
   let values = w.values in
   for k = 0 to Circuit.num_inputs circuit - 1 do
     values.(Circuit.input_id circuit k) <- (if inputs.(k) then -1 else 0)
   done;
   for k = 0 to Circuit.num_dffs circuit - 1 do
-    values.(Circuit.dff_id circuit k) <-
-      (match state with Some st when st.(k) -> -1 | _ -> 0)
+    values.(Circuit.dff_id circuit k) <- 0
   done;
   for i = 0 to Circuit.node_count circuit - 1 do
     let nd = Circuit.node circuit i in
@@ -111,19 +112,6 @@ let sweep ?state w circuit inputs =
     values.(i) <-
       ((computed land lnot w.stuck_mask.(i)) lor w.stuck_val.(i)) lxor w.flip_mask.(i)
   done
-
-(** Evaluate all nets with [faults] active: the whole list goes into
-    lane 0 (a later fault at a node replaces an earlier one), and lane 0
-    is read back. *)
-let eval_all_faulty ?state circuit ~faults inputs =
-  let w = wsim_create circuit in
-  List.iter (install w 0) faults;
-  sweep ?state w circuit inputs;
-  Array.map (fun word -> word land 1 = 1) w.values
-
-let eval_faulty ?state circuit ~faults inputs =
-  let values = eval_all_faulty ?state circuit ~faults inputs in
-  Array.init (Circuit.num_outputs circuit) (fun k -> values.(Circuit.output_id circuit k))
 
 (** [detects_many w circuit ~faults ~pos ~len pattern] fault-simulates
     [pattern] against the slice [faults.(pos) .. faults.(pos + len - 1)]
@@ -157,6 +145,10 @@ let detects_many w circuit ~faults ~pos ~len pattern =
     w.flip_mask.(v) <- 0
   done;
   !detected land ((1 lsl len) - 1)
+
+(** The word of primary output [k] left by the last {!detects_many}
+    sweep on [w]. *)
+let output_word w circuit k = w.values.(Circuit.output_id circuit k)
 
 (** Does [inputs] detect [fault] (change any primary output)? *)
 let detects circuit ~fault inputs =

@@ -1,7 +1,11 @@
 (** Fault models and faulty simulation: permanent stuck-at faults (the
     ATPG target), transient bit-flips (laser/EM injection). Injection
     overrides the fault site's value during evaluation — the simulation-
-    level substitute for a physical rig. *)
+    level substitute for a physical rig. Every fault simulation and
+    injection runs on one word sweep over one combinational frame: up to
+    {!lanes} faults, each in its own bit lane, beside the fault-free
+    circuit in the top lane, with every DFF output at 0. A multi-cycle
+    stuck-at is a {!faulty_copy} stepped by {!Netlist.Sim.step}. *)
 
 type fault =
   | Stuck_at of { node : int; value : bool }
@@ -17,17 +21,6 @@ val describe : Netlist.Circuit.t -> fault -> string
     constant carrying the stuck value.
     @raise Invalid_argument on a transient ([Bit_flip]) fault. *)
 val faulty_copy : Netlist.Circuit.t -> fault -> Netlist.Circuit.t
-
-(** Evaluate all nets with [faults] active. The DFF outputs read
-    [state] (all-false when absent). Every fault acts at once; of two
-    faults at the same node, the later one in [faults] replaces the
-    earlier. *)
-val eval_all_faulty :
-  ?state:bool array -> Netlist.Circuit.t -> faults:fault list -> bool array -> bool array
-
-(** Primary outputs of {!eval_all_faulty}. *)
-val eval_faulty :
-  ?state:bool array -> Netlist.Circuit.t -> faults:fault list -> bool array -> bool array
 
 (** Both polarities of stuck-at on every input, gate and DFF site. *)
 val all_stuck_at_faults : Netlist.Circuit.t -> fault list
@@ -58,6 +51,12 @@ val wsim_create : Netlist.Circuit.t -> wsim
     [faults], or the scratch was built for a smaller circuit. *)
 val detects_many :
   wsim -> Netlist.Circuit.t -> faults:fault array -> pos:int -> len:int -> bool array -> int
+
+(** [output_word w circuit k]: the word of primary output [k] after the
+    last {!detects_many} sweep on [w]. Bit [j] is the output under the
+    slice's fault [j] for [j < len]; bit {!lanes} is the fault-free
+    output. *)
+val output_word : wsim -> Netlist.Circuit.t -> int -> int
 
 (** Per-fault detection by a pattern set, {!lanes} faults per sweep. *)
 val fault_simulation :

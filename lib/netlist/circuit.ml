@@ -171,6 +171,15 @@ let input_position c id =
   end;
   pos
 
+let output_position c name =
+  let rec find k =
+    if k >= c.no then
+      invalid_arg (Printf.sprintf "Circuit.output_position: %s is not an output" name)
+    else if fst c.outputs.(k) = name then k
+    else find (k + 1)
+  in
+  find 0
+
 (* --- Region annotations ------------------------------------------------ *)
 
 (** Add [ids] (resolved to their current net names) to [region], creating

@@ -76,6 +76,12 @@ val find_by_name : t -> string -> int option
     @raise Invalid_argument naming the net when [id] is not an input. *)
 val input_position : t -> int -> int
 
+(** Declaration position of the output named [name]: its index in
+    {!outputs} and in a simulation output vector (the first, if the name
+    is declared twice). Linear time, no allocation.
+    @raise Invalid_argument naming [name] when no output has it. *)
+val output_position : t -> string -> int
+
 (** {2 Region annotations}
 
     Named node groups ("this cone is a secret", "these nets are a masked

@@ -88,9 +88,7 @@ let eval rng (masked : Masking.masked) ~values =
     state := snd (Netlist.Sim.step c ~state:!state vec)
   done;
   let outs = Netlist.Sim.eval ~state:!state c vec in
-  let out_positions = Hashtbl.create 16 in
-  Array.iteri (fun pos (nm, _) -> Hashtbl.replace out_positions nm pos) (Circuit.outputs c);
   List.map
     (fun (nm, share_names) ->
-      nm, decode (Array.map (fun sn -> outs.(Hashtbl.find out_positions sn)) share_names))
+      nm, decode (Array.map (fun sn -> outs.(Circuit.output_position c sn)) share_names))
     masked.output_shares

@@ -234,13 +234,13 @@ let feedback_stimulus =
 
 (* Traces observe, per cycle, the source's outputs and then the next
    state of each source register. This one steps the source under a
-   stuck-at through the fault simulator: the reference for
-   [faulty_copy]. *)
+   stuck-at through the scalar fault-simulation oracle: the reference
+   for [faulty_copy]. *)
 let faulty_trace c fault =
   let state = ref (Array.make (Circuit.num_dffs c) false) in
   List.map
     (fun v ->
-      let values = Fault.Model.eval_all_faulty ~state:!state c ~faults:[ fault ] v in
+      let values = Reference.Fault_sim_ref.eval_all_faulty ~state:!state c ~faults:[ fault ] v in
       state := Array.map (fun q -> values.((Circuit.fanins c q).(0))) (Circuit.dffs c);
       Array.append (Array.map (fun o -> values.(o)) (Circuit.output_ids c)) !state)
     feedback_stimulus
@@ -277,7 +277,7 @@ let rebuilt_trace src ~extra mapped =
 let test_techmap_sequential () =
   (* Every rebuild keeps the DFF's D-input connected: the rebuilt circuit
      is lint-clean, and its outputs and register step like the source's
-     (or, for a fault copy, like the fault simulator's). *)
+     (or, for a fault copy, like the scalar oracle's). *)
   let src = dff_feedback () in
   let node nm = Option.get (Circuit.find_by_name src nm) in
   let no_extra _ = false in

@@ -6,6 +6,7 @@ module Gate = Netlist.Gate
 module Gen = Netlist.Generators
 module Model = Fault.Model
 module Cm = Fault.Countermeasure
+module Fault_sim_ref = Reference.Fault_sim_ref
 module Rng = Eda_util.Rng
 
 let test_stuck_at_changes_output () =
@@ -17,7 +18,7 @@ let test_stuck_at_changes_output () =
     let fault = Model.Stuck_at { node = g22; value = true } in
     let inputs = Array.make 5 false in
     Alcotest.(check bool) "clean is 0" false (Netlist.Sim.eval c inputs).(0);
-    Alcotest.(check bool) "faulty is 1" true (Model.eval_faulty c ~faults:[ fault ] inputs).(0);
+    Alcotest.(check bool) "faulty is 1" true (Fault_sim_ref.eval_faulty c ~faults:[ fault ] inputs).(0);
     Alcotest.(check bool) "detected" true (Model.detects c ~fault inputs)
 
 let test_bit_flip_inverts () =
@@ -27,7 +28,7 @@ let test_bit_flip_inverts () =
   for m = 0 to 15 do
     let inputs = Array.init 4 (fun i -> (m lsr i) land 1 = 1) in
     let clean = (Netlist.Sim.eval c inputs).(0) in
-    let faulty = (Model.eval_faulty c ~faults:[ fault ] inputs).(0) in
+    let faulty = (Fault_sim_ref.eval_faulty c ~faults:[ fault ] inputs).(0) in
     Alcotest.(check bool) (Printf.sprintf "m=%d inverted" m) (not clean) faulty
   done
 
@@ -92,12 +93,8 @@ let test_parity_misses_even_flips () =
   let faults = [ Model.Bit_flip { node = o0 }; Model.Bit_flip { node = o1 } ] in
   let inputs = Array.init (Circuit.num_inputs c) (fun _ -> Rng.bool rng) in
   let golden = Netlist.Sim.eval c inputs in
-  let faulty = Model.eval_faulty c ~faults inputs in
-  let outs = Circuit.outputs c in
-  let alarm_idx =
-    let rec find k = if fst outs.(k) = "alarm" then k else find (k + 1) in
-    find 0
-  in
+  let faulty = Fault_sim_ref.eval_faulty c ~faults inputs in
+  let alarm_idx = Circuit.output_position c "alarm" in
   Alcotest.(check bool) "data corrupted" true (faulty.(0) <> golden.(0));
   Alcotest.(check bool) "alarm silent (even parity)" golden.(alarm_idx) faulty.(alarm_idx)
 
@@ -179,7 +176,7 @@ let prop_faulty_eval_differs_only_downstream =
       let node = 6 + (seed mod 25) in
       let fault = Model.Stuck_at { node; value = true } in
       let clean = Netlist.Sim.eval_all c inputs in
-      let faulty = Model.eval_all_faulty c ~faults:[ fault ] inputs in
+      let faulty = Fault_sim_ref.eval_all_faulty c ~faults:[ fault ] inputs in
       (* Nodes before the fault site in topological order are untouched. *)
       let ok = ref true in
       for i = 0 to node - 1 do

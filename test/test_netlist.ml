@@ -41,6 +41,17 @@ let test_input_position () =
     (Invalid_argument "Circuit.input_position: x is not an input") (fun () ->
       ignore (Circuit.input_position c x))
 
+let test_output_position () =
+  (* The position is the declaration index, the one [outputs] and
+     simulation output vectors use; an input's name is not an output. *)
+  let c = Gen.c17 () in
+  Array.iteri
+    (fun k (nm, _) -> Alcotest.(check int) nm k (Circuit.output_position c nm))
+    (Circuit.outputs c);
+  Alcotest.check_raises "unknown output"
+    (Invalid_argument "Circuit.output_position: G1 is not an output") (fun () ->
+      ignore (Circuit.output_position c "G1"))
+
 let test_all_gate_kinds () =
   let c = Circuit.create () in
   let a = Circuit.add_input ~name:"a" c in
@@ -472,7 +483,8 @@ let () =
          Alcotest.test_case "stats" `Quick test_stats;
          Alcotest.test_case "fanouts" `Quick test_fanouts;
          Alcotest.test_case "regions" `Quick test_regions;
-         Alcotest.test_case "input position" `Quick test_input_position ]);
+         Alcotest.test_case "input position" `Quick test_input_position;
+         Alcotest.test_case "output position" `Quick test_output_position ]);
       ("sim",
        [ Alcotest.test_case "word matches scalar" `Quick test_word_sim_matches_scalar;
          Alcotest.test_case "sequential counter" `Quick test_sequential_counter;

@@ -666,59 +666,90 @@ let test_detects_many_differential () =
         faults;
       mask = again && !lanes_agree)
 
-(* A [Bench_gen] circuit with three DFFs: each latches a late net, and
-   its output reaches a primary output through an XOR with an input. *)
-let registered_circuit ~seed =
-  let c =
-    BG.layered ~seed ~inputs:(3 + (seed mod 5)) ~layers:(2 + (seed mod 3))
-      ~width:(4 + (seed mod 6)) ()
-  in
-  let n = Circuit.node_count c in
-  for k = 0 to 2 do
-    let q = Circuit.add_dff c ~d:(n - 1 - k) in
-    let x = Circuit.add_gate c Netlist.Gate.Xor [ q; Circuit.input_id c k ] in
-    Circuit.set_output c (Printf.sprintf "q%d" k) x
-  done;
-  c
+(* Today's scalar classification, the oracle for the lane classifier
+   of [Fault.Countermeasure]: a fault-free [Sim.eval] beside
+   [Fault_sim_ref.eval_faulty]. Detected: the alarm rises; corrupted
+   undetected: no alarm rose, but a data output differs. *)
+let classify_oracle (prot : Fault.Countermeasure.protected_circuit) ~fault pattern =
+  let c = prot.circuit in
+  let outs = Circuit.outputs c in
+  let pos nm = Option.get (Array.find_index (fun (o, _) -> o = nm) outs) in
+  let golden = Sim.eval c pattern in
+  let faulty = Fault_sim_ref.eval_faulty c ~faults:[ fault ] pattern in
+  let alarm = pos prot.alarm_output in
+  if faulty.(alarm) && not golden.(alarm) then Fault.Countermeasure.Detected
+  else if List.exists (fun nm -> golden.(pos nm) <> faulty.(pos nm)) prot.data_outputs then
+    Fault.Countermeasure.Corrupted_undetected
+  else Fault.Countermeasure.Silent
 
-let test_eval_faulty_differential () =
-  (* Lane 0 of the word sweep, carrying a whole fault list, against the
-     scalar oracle: with and without a DFF state, with two faults on one
-     node (the later one wins), and with bit-flips on an input and on a
-     DFF output. *)
+let test_classify_differential () =
+  (* [classify] outcomes and [validate] counts against the scalar oracle:
+     random Bench_gen circuits under all three protections, and bare
+     records naming an arbitrary output as the alarm (its fault-free value
+     can read 1, so only a rising alarm may count), over more than one
+     sweep's worth of stuck-at and bit-flip faults. *)
+  let module Cm = Fault.Countermeasure in
   let arb =
     Seeded.of_rng
       ~print:(fun (seed, fseed) -> Printf.sprintf "circuit=%d faults=%d" seed fseed)
       (fun rng -> (Rng.int rng 1_000_000, Rng.int rng 1_000_000))
   in
-  Seeded.check ~count:40 ~name:"eval_faulty matches the scalar fault-simulation oracle" arb
+  Seeded.check ~count:20 ~name:"lane classifier matches the scalar classification" arb
     (fun (seed, fseed) ->
-      let c = registered_circuit ~seed in
+      let c =
+        BG.layered ~seed ~inputs:(3 + (seed mod 5)) ~layers:(2 + (seed mod 3))
+          ~width:(4 + (seed mod 6)) ~outputs:(2 + (seed mod 3)) ()
+      in
       let rng = Rng.create fseed in
-      let random_fault node =
-        match Rng.int rng 3 with
-        | 0 -> Fault.Model.Bit_flip { node }
-        | v -> Fault.Model.Stuck_at { node; value = v = 2 }
+      let names = Array.to_list (Array.map fst (Circuit.outputs c)) in
+      let alarm = List.nth names (Rng.int rng (List.length names)) in
+      let bare =
+        { Cm.circuit = Circuit.copy c;
+          data_outputs = List.filter (( <> ) alarm) names;
+          alarm_output = alarm }
       in
-      let pick n = Rng.int rng n in
-      let n = Circuit.node_count c in
-      let some = List.init (1 + pick 5) (fun _ -> random_fault (pick n)) in
-      let twice = Fault.Model.node_of (List.hd some) in
-      let faults =
-        some
-        @ [ random_fault twice;
-            Fault.Model.Bit_flip { node = Circuit.input_id c (pick (Circuit.num_inputs c)) };
-            Fault.Model.Bit_flip { node = Circuit.dff_id c (pick (Circuit.num_dffs c)) } ]
+      let protections =
+        [ Cm.parity_protect c; Cm.duplicate_protect c; Cm.infective_protect c; bare ]
       in
-      let inputs = Array.init (Circuit.num_inputs c) (fun _ -> Rng.bool rng) in
-      let state = Array.init (Circuit.num_dffs c) (fun _ -> Rng.bool rng) in
       List.for_all
-        (fun state ->
-          Fault.Model.eval_all_faulty ?state c ~faults inputs
-          = Fault_sim_ref.eval_all_faulty ?state c ~faults inputs
-          && Fault.Model.eval_faulty ?state c ~faults inputs
-             = Fault_sim_ref.eval_faulty ?state c ~faults inputs)
-        [ None; Some state ])
+        (fun (prot : Cm.protected_circuit) ->
+          let pc = prot.circuit in
+          (* Drawn with replacement, so a node can carry both polarities
+             and a flip in different lanes of one sweep. *)
+          let faults =
+            List.init (Fault.Model.lanes + 1 + Rng.int rng 100) (fun _ ->
+                let node = Rng.int rng (Circuit.node_count pc) in
+                match Rng.int rng 3 with
+                | 0 -> Fault.Model.Bit_flip { node }
+                | v -> Fault.Model.Stuck_at { node; value = v = 2 })
+          in
+          let patterns = 1 + Rng.int rng 6 in
+          let vseed = Rng.int rng 1_000_000 in
+          (* The oracle campaign draws the same patterns as [validate]. *)
+          let pats =
+            let r = Rng.create vseed in
+            List.init patterns (fun _ ->
+                Array.init (Circuit.num_inputs pc) (fun _ -> Rng.bool r))
+          in
+          let worst fault =
+            List.fold_left
+              (fun acc p ->
+                match acc, classify_oracle prot ~fault p with
+                | Cm.Corrupted_undetected, _ | _, Cm.Corrupted_undetected ->
+                  Cm.Corrupted_undetected
+                | Cm.Detected, _ | _, Cm.Detected -> Cm.Detected
+                | Cm.Silent, Cm.Silent -> Cm.Silent)
+              Cm.Silent pats
+          in
+          let count o = List.length (List.filter (fun f -> worst f = o) faults) in
+          let expected = (count Cm.Detected, count Cm.Corrupted_undetected, count Cm.Silent) in
+          Cm.validate (Rng.create vseed) prot ~faults ~patterns = expected
+          && List.for_all
+               (fun fault ->
+                 let p = List.hd pats in
+                 Cm.classify prot ~fault p = classify_oracle prot ~fault p)
+               faults)
+        protections)
 
 (* --- the resolved circuit view vs an independent derivation --------------- *)
 
@@ -1401,7 +1432,8 @@ let () =
           Alcotest.test_case "session budget resume" `Quick test_session_budget_resume;
           Alcotest.test_case "word fault drop vs scalar" `Quick
             test_detects_many_differential;
-          Alcotest.test_case "faulty eval vs scalar" `Quick test_eval_faulty_differential;
+          Alcotest.test_case "countermeasure classify vs scalar" `Quick
+            test_classify_differential;
           Alcotest.test_case "atpg vs ground truth" `Quick test_atpg_ground_truth;
           Alcotest.test_case "circuit view vs consumer lists" `Quick test_view_differential;
           Alcotest.test_case "event engine vs reference" `Quick test_event_sim_differential;
