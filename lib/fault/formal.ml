@@ -5,7 +5,9 @@
     bounded-model-checking flavour of robustness analysis.
 
     Query for fault f on protected circuit C with alarm output A:
-      exists X :  data_f(X) != data(X)  /\  A_f(X) = A(X)
+      exists X :  data_f(X) != data(X)  /\  (A(X) \/ not A_f(X))
+    i.e. the data is corrupted and the alarm does not rise (A_f = 1 while
+    A = 0), the detection {!Countermeasure.classify} counts.
     UNSAT = the fault cannot corrupt silently. *)
 
 module Circuit = Netlist.Circuit
@@ -13,8 +15,8 @@ module Solver = Sat.Solver
 module Cnf = Sat.Cnf
 
 type verdict =
-  | Proven_detected  (* no input corrupts data silently *)
-  | Escape of bool array  (* witness input: corrupts data, alarm silent *)
+  | Proven_detected  (* every input that corrupts data raises the alarm *)
+  | Escape of bool array  (* witness input: corrupts data, the alarm does not rise *)
   | Harmless  (* the fault can never corrupt the data outputs *)
 
 (** Check one stuck-at fault against the protected circuit. *)
@@ -42,9 +44,10 @@ let check_fault (prot : Countermeasure.protected_circuit) fault =
     (solver, ins_c, out_c, out_f)
   in
   let solver, ins_c, out_c, out_f = corruption () in
-  (* Alarm agrees between faulty and clean (i.e. the fault is not flagged). *)
-  let add = Solver.add_clause solver in
-  add [ Solver.lit_of_var (Cnf.xor_var solver ~add out_c.(alarm) out_f.(alarm)) ~sign:false ];
+  (* The alarm does not rise: the clean copy's is up or the faulty copy's
+     is down. *)
+  Solver.add_clause solver
+    [ Solver.lit_of_var out_c.(alarm) ~sign:true; Solver.lit_of_var out_f.(alarm) ~sign:false ];
   match Solver.solve solver with
   | Solver.Unsat ->
     (* No silent corruption. Distinguish "always detected" from "harmless"

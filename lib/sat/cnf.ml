@@ -128,15 +128,44 @@ type equivalence =
    (= index) order, cut at DFF boundaries — a stuck fault cannot change
    this frame's latched state, matching {!encode}'s single-time-frame
    semantics. *)
-let mark_cone circuit ~node in_cone =
-  let n = Circuit.node_count circuit in
+let mark_cone (view : Circuit.view) ~node in_cone =
   in_cone.(node) <- true;
-  for i = node + 1 to n - 1 do
-    if
-      (match Circuit.kind circuit i with Gate.Dff -> false | _ -> true)
-      && Array.exists (fun f -> in_cone.(f)) (Circuit.fanins circuit i)
-    then in_cone.(i) <- true
+  for i = node + 1 to Array.length view.kinds - 1 do
+    match view.kinds.(i) with
+    | Gate.Dff -> ()
+    | _ ->
+      let fanin = view.fanin.(i) in
+      let k = ref 0 in
+      while !k < Array.length fanin && not in_cone.(fanin.(!k)) do
+        incr k
+      done;
+      if !k < Array.length fanin then in_cone.(i) <- true
   done
+
+(* Mark the fan-in closure of the cone in [in_support] (all-false on
+   entry), cut at DFF outputs — a DFF output is a free variable of the
+   frame — and list it in [support]; returns its size. A backward sweep
+   in index order: every fanin precedes its consumer. The closure holds
+   every clean variable a query's clauses mention (the outputs the cone
+   reaches, and the clean fanins its gates read), so it is the set a
+   query must branch on (see {!Solver.set_decision}). *)
+let mark_support (view : Circuit.view) in_cone in_support support =
+  let count = ref 0 in
+  for i = Array.length view.kinds - 1 downto 0 do
+    if in_cone.(i) || in_support.(i) then begin
+      in_support.(i) <- true;
+      support.(!count) <- i;
+      incr count;
+      match view.kinds.(i) with
+      | Gate.Dff -> ()
+      | _ ->
+        let fanin = view.fanin.(i) in
+        for k = 0 to Array.length fanin - 1 do
+          in_support.(fanin.(k)) <- true
+        done
+    end
+  done;
+  !count
 
 (** Incremental stuck-at sessions: the clean circuit is Tseitin-encoded
     {e once}, and each fault query adds only its fanout-cone faulty copy
@@ -152,6 +181,16 @@ let mark_cone circuit ~node in_cone =
     their equality is structural; a whole-copy miter makes the solver
     derive it, which is what made large-circuit ATPG intractable.
 
+    The search branches only on the query's support: the fan-in closure
+    of its cone, cut at DFF outputs. The session clears the clean
+    variables' decision flags once ({!Solver.set_decision}); each query
+    sets them on its support and clears them again before retiring. The
+    clean encoding is functional and the query's clauses mention no
+    clean variable outside the support, so a conflict-free assignment of
+    the support and the query's own variables extends to a model: the
+    nets outside take the values their fanins compute, and a primary
+    input outside the support reads 0 in the witness.
+
     Answers match a fresh solver's exactly (differential-tested against
     the whole-copy reference oracle in [reference/]): both are sound and
     complete, so the [Equivalent]/[Counterexample] status per fault is
@@ -165,8 +204,11 @@ module Stuck_at_session = struct
   type session = {
     env : env;
     circuit : Circuit.t;
+    view : Circuit.view;  (* the circuit's topology, read once *)
     floor : int;  (* variable floor: everything >= floor is per-query scratch *)
     in_cone : bool array;  (* per-query cone scratch, cleared after each query *)
+    in_support : bool array;  (* per-query support scratch, likewise *)
+    support : int array;  (* the support's nodes, descending, in a prefix *)
     fvars : int array;  (* per-query faulty-copy variables, cone entries only *)
     outputs : int list;  (* output node ids, sorted, without duplicates *)
     mutable queries : int;
@@ -181,12 +223,16 @@ module Stuck_at_session = struct
      {!Solver.shrink_vars} at the end of each query for the next. *)
   let create ?solver circuit =
     let env = encode ?solver circuit in
+    Array.iter (fun v -> Solver.set_decision env.solver v false) env.vars;
     Solver.reset_activity env.solver;
     let n = Circuit.node_count circuit in
     { env;
       circuit;
+      view = Circuit.view circuit;
       floor = (Solver.stats env.solver).Solver.vars;
       in_cone = Array.make n false;
+      in_support = Array.make n false;
+      support = Array.make n 0;
       fvars = Array.make n (-1);
       outputs = List.sort_uniq Int.compare (Array.to_list (Circuit.output_ids circuit));
       queries = 0 }
@@ -223,7 +269,7 @@ module Stuck_at_session = struct
     if node < 0 || node >= n then
       invalid_arg "Cnf.Stuck_at_session.query: node out of range";
     let in_cone = t.in_cone and fvars = t.fvars in
-    mark_cone circuit ~node in_cone;
+    mark_cone t.view ~node in_cone;
     (* The cone only contains indices >= node (topological order). *)
     let clear () =
       for i = node to n - 1 do
@@ -241,6 +287,10 @@ module Stuck_at_session = struct
     else begin
       let s = t.env.solver in
       let before = Solver.stats s in
+      let support = mark_support t.view in_cone t.in_support t.support in
+      for k = 0 to support - 1 do
+        Solver.set_decision s t.env.vars.(t.support.(k)) true
+      done;
       let g = Solver.new_group s in
       let add = Solver.add_clause_in s g in
       T.with_span "cnf.encode"
@@ -274,6 +324,11 @@ module Stuck_at_session = struct
         | Solver.Unknown e -> Equiv_unknown e
       in
       let after = Solver.stats s in
+      for k = 0 to support - 1 do
+        let i = t.support.(k) in
+        t.in_support.(i) <- false;
+        Solver.set_decision s t.env.vars.(i) false
+      done;
       Solver.retire_group s g;
       Solver.shrink_vars s t.floor;
       Option.iter (fun f -> f (stats_delta before after)) on_stats;

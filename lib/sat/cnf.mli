@@ -54,7 +54,10 @@ type equivalence =
 
     The fanout cone of a fault is cut at DFF boundaries (one time frame,
     as {!encode}); a fault whose cone reaches no output is answered
-    [Equivalent] without solving. Answers match a fresh solver's exactly,
+    [Equivalent] without solving. A query branches only on its support,
+    the fan-in closure of its cone cut at DFF outputs
+    ({!Solver.set_decision}), and a [Counterexample] holds 0 on every
+    primary input outside it. Answers match a fresh solver's exactly,
     because both are sound and complete: the test suite checks every
     status against the reference oracle in [reference/], a fresh solver
     per fault over a whole faulty copy. A [Counterexample]'s witness

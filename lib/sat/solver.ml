@@ -15,8 +15,13 @@
       ties to the lowest index: it picks the variable a linear scan for
       the first maximum would, at logarithmic instead of linear cost per
       decision;
-    - watch lists are growable array-backed vectors compacted in place
-      during propagation (no cons cells on the hot path);
+    - clauses live inline in one [int array] arena, and a clause is its
+      offset there: watch lists, antecedents, the learnt database and
+      clause groups hold offsets, so propagation stores no pointer and
+      pays no write barrier. Deleted clauses leave garbage that an
+      in-place compaction reclaims once it passes a fifth of the arena;
+    - watch lists are growable int vectors compacted in place during
+      propagation (no cons cells on the hot path);
     - conflict analysis uses a reusable [seen] bitmap with an explicit
       undo list and a reusable literal buffer (no per-conflict Hashtbl).
 
@@ -44,31 +49,60 @@ let negate l = l lxor 1
 
 type lbool = LTrue | LFalse | LUndef
 
-type clause = {
-  lits : lit array;
-  mutable activity : float;
-  mutable lbd : int;
-  learnt : bool;
-  mutable deleted : bool;
-}
+(* --- the clause arena ----------------------------------------------------
 
-(* Sentinel used instead of [clause option] in the reason array and as the
-   "no conflict" return of [propagate]; compared with [==] only, so the
-   hot paths never allocate a [Some]. *)
-let dummy_clause = { lits = [||]; activity = 0.0; lbd = 0; learnt = false; deleted = false }
+   A clause is an offset [c] into [t.arena]:
+   - [arena.(c)], the header: the two flags below, and the size in bits
+     2..31 (a collection parks the clause's new offset above them);
+   - [arena.(c+1 .. c+size)], the literals; the watched two come first;
+   - learnt clauses only: [arena.(c+size+1)], the LBD, and
+     [arena.(c+size+2)], the activity's bits.
+   A deleted clause stays in place, counted in [wasted], until a
+   collection slides the live ones down over it. *)
+
+let deleted_bit = 1
+let learnt_bit = 2
+
+(* Stands for "no clause" in the antecedent array and as the "no
+   conflict" return of [propagate]. *)
+let no_clause = -1
+
+let[@inline] size_of (a : int array) c = a.(c) lsr 2
+let is_learnt (a : int array) c = a.(c) land learnt_bit <> 0
+let is_deleted (a : int array) c = a.(c) land deleted_bit <> 0
+let words_of_header h = (h lsr 2) + if h land learnt_bit <> 0 then 3 else 1
+
+(* Activities are non-negative, so a double's sign bit is always 0 and
+   its other 63 bits fit an OCaml int exactly. *)
+let[@inline] clause_activity (a : int array) c =
+  Int64.float_of_bits (Int64.logand (Int64.of_int a.(c + size_of a c + 2)) Int64.max_int)
+
+let[@inline] set_clause_activity (a : int array) c x =
+  a.(c + size_of a c + 2) <- Int64.to_int (Int64.bits_of_float x)
+
+let clause_lbd (a : int array) c = a.(c + size_of a c + 1)
+
+(* A clause group: clauses guarded by a shared activation variable (see
+   the clause-group section below). [members] are the offsets of the
+   clauses {!add_clause_in} created. *)
+type group = { act : int; mutable retired : bool; mutable members : int list }
 
 type t = {
   mutable nvars : int;
   mutable num_clauses : int;  (* live problem (non-learnt) clauses *)
+  mutable arena : int array;
+  mutable arena_len : int;  (* words in use *)
+  mutable wasted : int;  (* words of deleted clauses *)
+  mutable groups : group list;  (* unretired groups, whose members a collection moves *)
   (* Watch vectors: [watches.(l)] holds the clauses in which [negate l] is
      a watched literal; [watch_len.(l)] is the live prefix length. *)
-  mutable watches : clause array array;
+  mutable watches : int array array;
   mutable watch_len : int array;
   mutable dirty : bool array;  (* per literal: watch vector awaits compaction *)
   mutable assign : lbool array;  (* per variable *)
   mutable vals : lbool array;  (* per literal: [value_lit] in one load *)
   mutable level : int array;  (* decision level per variable *)
-  mutable reason : clause array;  (* antecedent per variable; dummy_clause = none *)
+  mutable reason : int array;  (* antecedent per variable; no_clause = none *)
   mutable trail : lit array;
   mutable trail_len : int;
   mutable qhead : int;  (* next trail index to propagate *)
@@ -76,13 +110,14 @@ type t = {
   mutable lim_len : int;  (* current decision level *)
   mutable activity : float array;
   mutable var_inc : float;
-  order : Var_heap.t;  (* holds every unassigned variable *)
+  order : Var_heap.t;  (* holds every unassigned decision variable *)
   mutable phase : bool array;
+  mutable decision : bool array;  (* per variable: may the search branch on it *)
   (* Root trail length at the end of the last root sweep: no live clause
      is satisfied by [trail.(0 .. swept-1)]. *)
   mutable swept : int;
   (* Learnt-clause database. *)
-  mutable learnts : clause array;
+  mutable learnts : int array;
   mutable learnt_len : int;
   mutable cla_inc : float;
   mutable max_learnts : int;  (* 0 = automatic limit *)
@@ -106,13 +141,17 @@ type t = {
 let create () =
   { nvars = 0;
     num_clauses = 0;
+    arena = Array.make 64 0;
+    arena_len = 0;
+    wasted = 0;
+    groups = [];
     watches = Array.make 16 [||];
     watch_len = Array.make 16 0;
     dirty = Array.make 16 false;
     assign = Array.make 8 LUndef;
     vals = Array.make 16 LUndef;
     level = Array.make 8 0;
-    reason = Array.make 8 dummy_clause;
+    reason = Array.make 8 no_clause;
     trail = Array.make 8 0;
     trail_len = 0;
     qhead = 0;
@@ -122,8 +161,9 @@ let create () =
     var_inc = 1.0;
     order = Var_heap.create ();
     phase = Array.make 8 false;
+    decision = Array.make 8 true;
     swept = 0;
-    learnts = Array.make 16 dummy_clause;
+    learnts = Array.make 16 no_clause;
     learnt_len = 0;
     cla_inc = 1.0;
     max_learnts = 0;
@@ -166,9 +206,8 @@ let ensure_var s v =
       s.level <- grow_arr s.level 0;
       s.activity <- grow_arr s.activity 0.0;
       s.phase <- grow_arr s.phase false;
-      let reasons = Array.make vars dummy_clause in
-      Array.blit s.reason 0 reasons 0 s.nvars;
-      s.reason <- reasons;
+      s.decision <- grow_arr s.decision true;
+      s.reason <- grow_arr s.reason no_clause;
       let tr = Array.make vars 0 in
       Array.blit s.trail 0 tr 0 s.trail_len;
       s.trail <- tr;
@@ -183,8 +222,9 @@ let ensure_var s v =
       s.lbd_counter <- 0;
       Var_heap.reserve s.order vars
     end;
-    (* A fresh variable has zero activity and the highest index, so it
-       joins the bottom of the order without moving. *)
+    (* A fresh variable is a decision variable of zero activity and the
+       highest index, so it joins the bottom of the order without
+       moving. *)
     for v = s.nvars to need - 1 do
       Var_heap.insert s.order s.activity v
     done;
@@ -209,7 +249,7 @@ let push_watch s l c =
   let ws = s.watches.(l) in
   let n = s.watch_len.(l) in
   if n >= Array.length ws then begin
-    let ws' = Array.make (max 4 (2 * n)) dummy_clause in
+    let ws' = Array.make (max 4 (2 * n)) no_clause in
     Array.blit ws 0 ws' 0 n;
     ws'.(n) <- c;
     s.watches.(l) <- ws'
@@ -220,12 +260,34 @@ let push_watch s l c =
 let push_learnt s c =
   let n = s.learnt_len in
   if n >= Array.length s.learnts then begin
-    let ls = Array.make (max 16 (2 * n)) dummy_clause in
+    let ls = Array.make (max 16 (2 * n)) no_clause in
     Array.blit s.learnts 0 ls 0 n;
     s.learnts <- ls
   end;
   s.learnts.(n) <- c;
   s.learnt_len <- n + 1
+
+(* Append the header of a clause of [size] literals (a learnt one also
+   gets its LBD and activity words) and return its offset; the caller
+   writes the literals. *)
+let alloc_clause s ~learnt size =
+  let words = if learnt then size + 3 else size + 1 in
+  let c = s.arena_len in
+  if c + words > Array.length s.arena then begin
+    let a = Array.make (max (c + words) (2 * Array.length s.arena)) 0 in
+    Array.blit s.arena 0 a 0 c;
+    s.arena <- a
+  end;
+  s.arena.(c) <- (size lsl 2) lor if learnt then learnt_bit else 0;
+  s.arena_len <- c + words;
+  c
+
+(* Mark a clause deleted; its words stay in the arena until the next
+   collection. *)
+let delete_clause s c =
+  let a = s.arena in
+  a.(c) <- a.(c) lor deleted_bit;
+  s.wasted <- s.wasted + words_of_header a.(c)
 
 let enqueue s l reason =
   let v = var_of_lit l in
@@ -241,13 +303,13 @@ let enqueue s l reason =
 let new_decision s l =
   s.trail_lim.(s.lim_len) <- s.trail_len;
   s.lim_len <- s.lim_len + 1;
-  enqueue s l dummy_clause
+  enqueue s l no_clause
 
 exception Unsat_root
 
 (* The antecedent of an unassigned variable is left stale: only the
-   antecedents of assigned variables are ever read ([analyze], [locked]),
-   and clearing it would cost a write barrier per unassignment. *)
+   antecedents of assigned variables are ever read ([analyze], [locked])
+   or moved by a collection. *)
 let backtrack s target_level =
   if s.lim_len > target_level then begin
     let bound = s.trail_lim.(target_level) in
@@ -257,7 +319,7 @@ let backtrack s target_level =
       s.assign.(v) <- LUndef;
       s.vals.(l) <- LUndef;
       s.vals.(negate l) <- LUndef;
-      Var_heap.insert s.order s.activity v
+      if s.decision.(v) then Var_heap.insert s.order s.activity v
     done;
     s.trail_len <- bound;
     s.qhead <- bound;
@@ -269,32 +331,27 @@ let rec tautology = function
   | a :: (b :: _ as rest) -> b = negate a || tautology rest
   | [] | [ _ ] -> false
 
-(* [add_clause], returning the clause it created, or [dummy_clause] when
-   it created none (a tautology, a root-satisfied clause or a unit). *)
+(* [add_clause], returning the clause it created, or [no_clause] when it
+   created none (a tautology, a root-satisfied clause or a unit). *)
 let add_clause_ret s lits =
   backtrack s 0;
   let lits = List.sort_uniq Int.compare lits in
-  if tautology lits then dummy_clause
+  if tautology lits then no_clause
   else begin
     List.iter (fun l -> ensure_var s (var_of_lit l)) lits;
     (* Drop root-level false literals. *)
     let lits = List.filter (fun l -> value_lit s l <> LFalse) lits in
     let already_sat = List.exists (fun l -> value_lit s l = LTrue) lits in
-    if already_sat then dummy_clause
+    if already_sat then no_clause
     else
       match lits with
       | [] -> raise Unsat_root
       | [ l ] ->
-        enqueue s l dummy_clause;
-        dummy_clause
+        enqueue s l no_clause;
+        no_clause
       | l0 :: l1 :: _ ->
-        let c =
-          { lits = Array.of_list lits;
-            activity = 0.0;
-            lbd = 0;
-            learnt = false;
-            deleted = false }
-        in
+        let c = alloc_clause s ~learnt:false (List.length lits) in
+        List.iteri (fun k l -> s.arena.(c + 1 + k) <- l) lits;
         s.num_clauses <- s.num_clauses + 1;
         push_watch s (negate l0) c;
         push_watch s (negate l1) c;
@@ -308,12 +365,14 @@ let add_clause_ret s lits =
 let add_clause s lits = ignore (add_clause_ret s lits)
 
 (* Propagate everything pending on the trail; returns the conflicting
-   clause, or [dummy_clause] if none. Watch vectors are compacted in
-   place: clauses that found a new watch elsewhere are dropped from this
-   vector with no allocation. *)
+   clause, or [no_clause] if none. Watch vectors are compacted in place:
+   clauses that found a new watch elsewhere are dropped from this vector
+   with no allocation. Nothing here grows the arena or the value arrays,
+   so both are read once. *)
 let propagate s =
-  let conflict = ref dummy_clause in
-  while !conflict == dummy_clause && s.qhead < s.trail_len do
+  let conflict = ref no_clause in
+  let a = s.arena and vals = s.vals in
+  while !conflict = no_clause && s.qhead < s.trail_len do
     let l = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
@@ -321,55 +380,52 @@ let propagate s =
     let n = s.watch_len.(l) in
     let keep = ref 0 in
     let i = ref 0 in
-    (* A kept clause is stored back only once an earlier one has left:
-       until then it is already in its slot, and the store is a write
-       barrier. *)
     while !i < n do
       let c = ws.(!i) in
       incr i;
-      if !conflict != dummy_clause then begin
+      if !conflict <> no_clause then begin
         (* Conflict found: keep the remaining clauses watched unchanged. *)
-        if !keep <> !i - 1 then ws.(!keep) <- c;
+        ws.(!keep) <- c;
         incr keep
       end
       else begin
-        let lits = c.lits in
         (* Ensure the false literal is at position 1. *)
         let falsified = negate l in
-        if lits.(0) = falsified then begin
-          lits.(0) <- lits.(1);
-          lits.(1) <- falsified
+        if a.(c + 1) = falsified then begin
+          a.(c + 1) <- a.(c + 2);
+          a.(c + 2) <- falsified
         end;
-        if value_lit s lits.(0) = LTrue then begin
+        let first = a.(c + 1) in
+        if vals.(first) = LTrue then begin
           (* Satisfied; keep watching. *)
-          if !keep <> !i - 1 then ws.(!keep) <- c;
+          ws.(!keep) <- c;
           incr keep
         end
         else begin
           (* Find a new literal to watch. *)
-          let len = Array.length lits in
+          let stop = c + 1 + size_of a c in
           let found = ref false in
-          let k = ref 2 in
-          while (not !found) && !k < len do
-            if value_lit s lits.(!k) <> LFalse then begin
-              let tmp = lits.(1) in
-              lits.(1) <- lits.(!k);
-              lits.(!k) <- tmp;
+          let k = ref (c + 3) in
+          while (not !found) && !k < stop do
+            let lk = a.(!k) in
+            if vals.(lk) <> LFalse then begin
+              a.(!k) <- a.(c + 2);
+              a.(c + 2) <- lk;
               (* The new watch is non-false while [negate l] is false, so
                  this registers under a different literal — safe while
                  iterating over [ws]. *)
-              push_watch s (negate lits.(1)) c;
+              push_watch s (negate lk) c;
               found := true
             end;
             incr k
           done;
           if not !found then begin
             (* Unit or conflict; stays watched here. *)
-            if !keep <> !i - 1 then ws.(!keep) <- c;
+            ws.(!keep) <- c;
             incr keep;
-            match value_lit s lits.(0) with
+            match vals.(first) with
             | LFalse -> conflict := c
-            | LUndef -> enqueue s lits.(0) c
+            | LUndef -> enqueue s first c
             | LTrue -> ()
           end
         end
@@ -377,13 +433,13 @@ let propagate s =
     done;
     s.watch_len.(l) <- !keep
   done;
-  if !conflict != dummy_clause then s.qhead <- s.trail_len;
+  if !conflict <> no_clause then s.qhead <- s.trail_len;
   !conflict
 
-(* Refill the decision order with every unassigned variable. *)
+(* Refill the decision order with every unassigned decision variable. *)
 let rebuild_order s =
-  let assign = s.assign in
-  Var_heap.rebuild s.order s.activity ~n:s.nvars (fun v -> assign.(v) = LUndef)
+  let assign = s.assign and decision = s.decision in
+  Var_heap.rebuild s.order s.activity ~n:s.nvars (fun v -> assign.(v) = LUndef && decision.(v))
 
 let bump s v =
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
@@ -400,12 +456,14 @@ let bump s v =
 
 let decay s = s.var_inc <- s.var_inc /. 0.95
 
-let bump_clause s (c : clause) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
+let bump_clause s c =
+  let a = s.arena in
+  let act = clause_activity a c +. s.cla_inc in
+  set_clause_activity a c act;
+  if act > 1e20 then begin
     for i = 0 to s.learnt_len - 1 do
       let d = s.learnts.(i) in
-      d.activity <- d.activity *. 1e-20
+      set_clause_activity a d (clause_activity a d *. 1e-20)
     done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
@@ -438,10 +496,10 @@ let analyze s conflict =
   let learnt_len = ref 1 in  (* slot 0 reserved for the asserting literal *)
   let touched = ref 0 in
   let absorb c =
-    if c.learnt then bump_clause s c;
-    let lits = c.lits in
-    for j = 0 to Array.length lits - 1 do
-      let q = lits.(j) in
+    let a = s.arena in
+    if is_learnt a c then bump_clause s c;
+    for k = c + 1 to c + size_of a c do
+      let q = a.(k) in
       let v = var_of_lit q in
       if (not s.seen.(v)) && s.assign.(v) <> LUndef then begin
         s.seen.(v) <- true;
@@ -475,7 +533,7 @@ let analyze s conflict =
         end
         else begin
           let r = s.reason.(v) in
-          if r != dummy_clause then absorb r
+          if r <> no_clause then absorb r
         end
       end
     end
@@ -496,9 +554,8 @@ let analyze s conflict =
    assignment still on the trail (its implied literal sits at index 0 by
    the propagation invariant). *)
 let locked s c =
-  Array.length c.lits > 0
-  && value_lit s c.lits.(0) <> LUndef
-  && s.reason.(var_of_lit c.lits.(0)) == c
+  let l0 = s.arena.(c + 1) in
+  value_lit s l0 <> LUndef && s.reason.(var_of_lit l0) = c
 
 (* Drop the deleted clauses from the watch vector of [l], keeping the
    order of the rest. *)
@@ -507,7 +564,7 @@ let compact_watch s l =
   let keep = ref 0 in
   for j = 0 to s.watch_len.(l) - 1 do
     let c = ws.(j) in
-    if not c.deleted then begin
+    if not (is_deleted s.arena c) then begin
       ws.(!keep) <- c;
       incr keep
     end
@@ -521,15 +578,71 @@ let compact_learnts s =
   let keep = ref 0 in
   for j = 0 to n - 1 do
     let c = s.learnts.(j) in
-    if not c.deleted then begin
+    if not (is_deleted s.arena c) then begin
       s.learnts.(!keep) <- c;
       incr keep
     end
   done;
-  for j = !keep to n - 1 do
-    s.learnts.(j) <- dummy_clause
-  done;
   s.learnt_len <- !keep
+
+(* Slide every live clause down over the deleted ones, in address order
+   and inside the arena itself, and move each offset that refers to one.
+   Three passes: park each live clause's new offset in its header's bits
+   32..61; move the references — the learnt database, the watch table,
+   the antecedents on the trail and the members of unretired groups (a
+   member deleted while its group is live leaves the list); then slide.
+   A clause never moves up, so the slide overwrites nothing it has yet
+   to read. Watch vectors, the learnt database and every clause's
+   literal order are unchanged, so the search is too. Runs only where no
+   watch vector or learnt slot holds a deleted clause. *)
+let collect_garbage s =
+  let a = s.arena and len = s.arena_len in
+  assert (len < 1 lsl 30);
+  let forward c = a.(c) lsr 32 in
+  let dst = ref 0 and c = ref 0 in
+  while !c < len do
+    let h = a.(!c) in
+    if h land deleted_bit = 0 then begin
+      a.(!c) <- h lor (!dst lsl 32);
+      dst := !dst + words_of_header h
+    end;
+    c := !c + words_of_header h
+  done;
+  for j = 0 to s.learnt_len - 1 do
+    s.learnts.(j) <- forward s.learnts.(j)
+  done;
+  for l = 0 to (2 * s.nvars) - 1 do
+    let ws = s.watches.(l) in
+    for j = 0 to s.watch_len.(l) - 1 do
+      ws.(j) <- forward ws.(j)
+    done
+  done;
+  for i = 0 to s.trail_len - 1 do
+    let v = var_of_lit s.trail.(i) in
+    if s.reason.(v) <> no_clause then s.reason.(v) <- forward s.reason.(v)
+  done;
+  List.iter
+    (fun g ->
+      g.members <-
+        List.filter_map (fun c -> if is_deleted a c then None else Some (forward c)) g.members)
+    s.groups;
+  let c = ref 0 in
+  while !c < len do
+    let h = a.(!c) land ((1 lsl 32) - 1) in
+    let words = words_of_header h in
+    if h land deleted_bit = 0 then begin
+      let c' = forward !c in
+      a.(c') <- h;
+      Array.blit a (!c + 1) a (c' + 1) (words - 1)
+    end;
+    c := !c + words
+  done;
+  s.arena_len <- !dst;
+  s.wasted <- 0
+
+(* MiniSat's policy: collect once deleted clauses fill a fifth of the
+   arena. *)
+let maybe_collect_garbage s = if s.wasted > s.arena_len / 5 then collect_garbage s
 
 (** Drop the cold half of the learnt database: clauses are ranked by
     activity and deleted coldest-first, skipping binary clauses (cheap and
@@ -539,16 +652,17 @@ let compact_learnts s =
 let reduce_db s =
   let n = s.learnt_len in
   if n > 0 then begin
+    let a = s.arena in
     let live = Array.sub s.learnts 0 n in
-    Array.sort (fun (a : clause) (b : clause) -> Float.compare a.activity b.activity) live;
+    Array.sort (fun x y -> Float.compare (clause_activity a x) (clause_activity a y)) live;
     let target = n / 2 in
     let deleted = ref 0 in
     let i = ref 0 in
     while !deleted < target && !i < n do
       let c = live.(!i) in
       incr i;
-      if Array.length c.lits > 2 && c.lbd > 2 && not (locked s c) then begin
-        c.deleted <- true;
+      if size_of a c > 2 && clause_lbd a c > 2 && not (locked s c) then begin
+        delete_clause s c;
         incr deleted
       end
     done;
@@ -557,6 +671,7 @@ let reduce_db s =
         compact_watch s l
       done;
       compact_learnts s;
+      maybe_collect_garbage s;
       s.db_reductions <- s.db_reductions + 1;
       s.clauses_deleted <- s.clauses_deleted + !deleted;
       T.count "sat.db_reduced" 1;
@@ -581,19 +696,19 @@ let root_propagate s =
   s.qhead <- 0;
   ignore (propagate s);
   for i = 0 to s.trail_len - 1 do
-    s.reason.(var_of_lit s.trail.(i)) <- dummy_clause
+    s.reason.(var_of_lit s.trail.(i)) <- no_clause
   done
 
 (* At the root the whole trail is level 0, so a true literal is a
    root-true literal. *)
-let root_satisfied s (c : clause) =
-  let lits = c.lits in
-  let len = Array.length lits in
+let root_satisfied s c =
+  let a = s.arena in
+  let stop = c + 1 + size_of a c in
   let sat = ref false in
-  let j = ref 0 in
-  while (not !sat) && !j < len do
-    if value_lit s lits.(!j) = LTrue then sat := true;
-    incr j
+  let k = ref (c + 1) in
+  while (not !sat) && !k < stop do
+    if value_lit s a.(!k) = LTrue then sat := true;
+    incr k
   done;
   !sat
 
@@ -602,7 +717,8 @@ let finish_sweep s ~removed_problem ~removed_learnt =
   if removed_learnt > 0 then compact_learnts s;
   s.num_clauses <- s.num_clauses - removed_problem;
   s.clauses_deleted <- s.clauses_deleted + removed_learnt;
-  s.swept <- s.trail_len
+  s.swept <- s.trail_len;
+  maybe_collect_garbage s
 
 (* Delete every root-satisfied clause in the watch table. Runs after
    [root_propagate]. *)
@@ -612,9 +728,9 @@ let sweep_all s =
     let ws = s.watches.(l) in
     for j = 0 to s.watch_len.(l) - 1 do
       let c = ws.(j) in
-      if (not c.deleted) && root_satisfied s c then begin
-        c.deleted <- true;
-        if c.learnt then incr removed_learnt else incr removed_problem
+      if (not (is_deleted s.arena c)) && root_satisfied s c then begin
+        delete_clause s c;
+        if is_learnt s.arena c then incr removed_learnt else incr removed_problem
       end
     done
   done;
@@ -640,25 +756,26 @@ let simplify s =
 
 (* --- clause groups ---------------------------------------------------- *)
 
-(** A clause group: clauses guarded by a shared activation variable. Every
-    clause added through {!add_clause_in} carries the extra literal
-    [¬act], so the group is inert unless a solve assumes {!group_lit}
-    (the positive activation literal). Retiring the group root-falsifies
-    the activation variable, permanently satisfying the group's clauses
-    and every learnt clause derived from them — resolution can never
-    eliminate [¬act] because no clause contains the positive literal.
-    [members] are the clauses {!add_clause_in} created, so retirement can
-    find them without sweeping the whole watch table. *)
-type group = { act : int; mutable retired : bool; mutable members : clause list }
+(* Every clause added through {!add_clause_in} carries the extra literal
+   [¬act], so a group is inert unless a solve assumes {!group_lit} (the
+   positive activation literal). Retiring the group root-falsifies the
+   activation variable, permanently satisfying the group's clauses and
+   every learnt clause derived from them — resolution can never
+   eliminate [¬act] because no clause contains the positive literal.
+   [members] lets retirement find the group's clauses without sweeping
+   the whole watch table. *)
 
-let new_group s = { act = new_var s; retired = false; members = [] }
+let new_group s =
+  let g = { act = new_var s; retired = false; members = [] } in
+  s.groups <- g :: s.groups;
+  g
 
 let group_lit g = lit_of_var g.act ~sign:true
 
 let add_clause_in s g lits =
   if g.retired then invalid_arg "Solver.add_clause_in: group already retired";
   let c = add_clause_ret s (lit_of_var g.act ~sign:false :: lits) in
-  if c != dummy_clause then g.members <- c :: g.members
+  if c <> no_clause then g.members <- c :: g.members
 
 (* The sweep of [sweep_all], at the cost of the group, for a root trail
    whose only literal since the last sweep is [¬act]. Every clause that
@@ -669,18 +786,19 @@ let add_clause_in s g lits =
    later problem clauses were skipped when root-satisfied, and learnt
    clauses never contain root literals. Deleting that set and compacting
    only the watch vectors it occupied (a clause is watched under the
-   negations of [lits.(0)] and [lits.(1)]) leaves every vector and the
+   negations of its first two literals) leaves every vector and the
    learnt database exactly as [sweep_all] would. *)
 let sweep_group s g =
   let removed_problem = ref 0 and removed_learnt = ref 0 in
+  let a = s.arena in
   let delete c =
-    c.deleted <- true;
-    s.dirty.(negate c.lits.(0)) <- true;
-    s.dirty.(negate c.lits.(1)) <- true
+    delete_clause s c;
+    s.dirty.(negate a.(c + 1)) <- true;
+    s.dirty.(negate a.(c + 2)) <- true
   in
   List.iter
     (fun c ->
-      if (not c.deleted) && root_satisfied s c then begin
+      if (not (is_deleted a c)) && root_satisfied s c then begin
         delete c;
         incr removed_problem
       end)
@@ -694,9 +812,9 @@ let sweep_group s g =
   done;
   (* Compact each vector a deleted clause occupied, once. *)
   let compact_occupied c =
-    if c.deleted then
-      for k = 0 to 1 do
-        let l = negate c.lits.(k) in
+    if is_deleted a c then
+      for k = 1 to 2 do
+        let l = negate a.(c + k) in
         if s.dirty.(l) then begin
           s.dirty.(l) <- false;
           compact_watch s l
@@ -718,6 +836,7 @@ let sweep_group s g =
 let retire_group s g =
   if not g.retired then begin
     g.retired <- true;
+    s.groups <- List.filter (fun h -> h != g) s.groups;
     let deact = lit_of_var g.act ~sign:false in
     add_clause s [ deact ];
     root_propagate s;
@@ -750,8 +869,9 @@ let reset_activity s =
     intended discipline is per-query variables above a fixed floor,
     all guarded by one group, with {!retire_group} run before the
     shrink. Root assignments of released variables are dropped from the
-    trail and their activity/saved phase reset, so re-allocating the
-    same indices behaves like fresh variables; the survivors' decision
+    trail and their activity, saved phase and decision flag reset, so
+    re-allocating the same indices behaves like fresh variables; the
+    survivors' decision
     heuristic is then reset as {!reset_activity} does, ready for the
     next query, with one rebuild of the decision order. Keeps
     incremental sessions' variable range (and the decision order)
@@ -781,9 +901,10 @@ let shrink_vars s n =
     s.vals.(2 * v) <- LUndef;
     s.vals.((2 * v) + 1) <- LUndef;
     s.level.(v) <- 0;
-    s.reason.(v) <- dummy_clause;
+    s.reason.(v) <- no_clause;
     s.activity.(v) <- 0.0;
-    s.phase.(v) <- false
+    s.phase.(v) <- false;
+    s.decision.(v) <- true
   done;
   s.nvars <- n;
   reset_activity s
@@ -808,15 +929,25 @@ let maybe_reduce_db s =
     end
   end
 
-(* The next decision literal, or [-1] when every variable is assigned:
-   the unassigned variable of highest activity, ties to the lowest
-   index, in its saved phase. Assigned variables still in the order are dropped as they
-   surface; [backtrack] puts them back once they are unassigned. *)
+(* The next decision literal, or [-1] when every decision variable is
+   assigned: the unassigned decision variable of highest activity, ties
+   to the lowest index, in its saved phase. Assigned variables still in
+   the order, and variables whose flag was cleared there, are dropped as
+   they surface; [backtrack] and {!set_decision} put them back. *)
 let rec pick_branch s =
   let v = Var_heap.pop s.order s.activity in
   if v < 0 then -1
-  else if s.assign.(v) <> LUndef then pick_branch s
+  else if s.assign.(v) <> LUndef || not s.decision.(v) then pick_branch s
   else lit_of_var v ~sign:s.phase.(v)
+
+(** MiniSat's decision-variable flag: [set_decision s v false] stops the
+    search from branching on [v], which then takes a value only by
+    propagation. Clearing a flag is lazy (the variable leaves the order
+    when it surfaces); setting one puts an unassigned variable back. *)
+let set_decision s v b =
+  if v < 0 || v >= s.nvars then invalid_arg "Solver.set_decision";
+  s.decision.(v) <- b;
+  if b && s.assign.(v) = LUndef then Var_heap.insert s.order s.activity v
 
 let luby i =
   (* Luby sequence: 1 1 2 1 1 2 4 ... *)
@@ -848,18 +979,16 @@ let record_learnt s len lbd =
   let tmp = buf.(1) in
   buf.(1) <- buf.(!best);
   buf.(!best) <- tmp;
-  let c =
-    { lits = Array.sub buf 0 len;
-      activity = s.cla_inc;
-      lbd;
-      learnt = true;
-      deleted = false }
-  in
+  let c = alloc_clause s ~learnt:true len in
+  let a = s.arena in
+  Array.blit buf 0 a (c + 1) len;
+  a.(c + len + 1) <- lbd;
+  set_clause_activity a c s.cla_inc;
   push_learnt s c;
   s.learnt_count <- s.learnt_count + 1;
-  push_watch s (negate c.lits.(0)) c;
-  push_watch s (negate c.lits.(1)) c;
-  if value_lit s c.lits.(0) = LUndef then enqueue s c.lits.(0) c;
+  push_watch s (negate buf.(0)) c;
+  push_watch s (negate buf.(1)) c;
+  if value_lit s buf.(0) = LUndef then enqueue s buf.(0) c;
   maybe_reduce_db s
 
 (* The search loop proper; [solve] below wraps it in a telemetry span. *)
@@ -869,7 +998,7 @@ let solve_raw ?budget ~assumptions s =
      literals is idempotent and revisits clauses added since. *)
   backtrack s 0;
   s.qhead <- 0;
-  if propagate s != dummy_clause then Unsat
+  if propagate s <> no_clause then Unsat
   else begin
     let restart_count = ref 1 in
     let conflicts_until_restart = ref (32 * luby 1) in
@@ -883,7 +1012,7 @@ let solve_raw ?budget ~assumptions s =
          | LFalse -> false
          | LUndef ->
            new_decision s a;
-           if propagate s != dummy_clause then false else install rest)
+           if propagate s <> no_clause then false else install rest)
     in
     if not (install assumptions) then Unsat
     else begin
@@ -893,7 +1022,7 @@ let solve_raw ?budget ~assumptions s =
       let assumption_levels = s.lim_len in
       while !result = None do
         let conflict = propagate s in
-        if conflict != dummy_clause then begin
+        if conflict <> no_clause then begin
           s.conflicts <- s.conflicts + 1;
           (* One budget step per conflict; a definite Unsat at assumption
              level still wins over Unknown. *)
@@ -914,7 +1043,7 @@ let solve_raw ?budget ~assumptions s =
               (if len = 1 then begin
                  let l = s.learnt_buf.(0) in
                  if value_lit s l = LFalse then result := Some Unsat
-                 else if value_lit s l = LUndef then enqueue s l dummy_clause
+                 else if value_lit s l = LUndef then enqueue s l no_clause
                end
                else record_learnt s len lbd);
               decay s;
@@ -1003,7 +1132,9 @@ let model_value s v =
   else false
 
 let learnt_clauses s =
-  List.init s.learnt_len (fun j -> Array.copy s.learnts.(j).lits)
+  List.init s.learnt_len (fun j ->
+      let c = s.learnts.(j) in
+      Array.sub s.arena (c + 1) (size_of s.arena c))
 
 type stats = {
   vars : int;

@@ -7,11 +7,12 @@
 
     The core is allocation-free: the trail is a flat preallocated array
     indexed by a propagation head pointer (decision levels are trail
-    offsets), watch lists are array-backed vectors compacted in place,
+    offsets), clauses live inline in one int-array arena and are named
+    by their offsets, watch lists are int vectors compacted in place,
     literal values are stored per literal, and conflict analysis reuses
     scratch buffers. Decisions come from an activity heap ({!Var_heap})
-    that picks the highest-activity unassigned variable, ties to the
-    lowest index. Learnt clauses carry
+    that picks the highest-activity unassigned decision variable (see
+    {!set_decision}), ties to the lowest index. Learnt clauses carry
     activity and LBD scores and live in a bounded database: when it
     outgrows its limit, the cold half is dropped (binary, low-LBD and
     reason clauses are kept) — see {!set_learnt_limit} /
@@ -72,6 +73,26 @@ val solve : ?budget:Eda_util.Budget.t -> ?assumptions:lit list -> t -> result
 (** Model access after a [Sat] answer; unassigned variables read false. *)
 val model_value : t -> int -> bool
 
+(** [set_decision s v b] sets MiniSat's decision-variable flag: when [b]
+    is false, the search never branches on [v], which then takes a value
+    only by propagation, and {!solve} answers [Sat] once every decision
+    variable is assigned without conflict, [v] possibly still unassigned
+    (it then reads false in {!model_value}). Every variable starts as a
+    decision variable, and {!shrink_vars} sets the flag again on the
+    variables it releases.
+
+    {b Soundness contract.} A [Sat] answer is only as good as the
+    caller's guarantee that every conflict-free assignment of the
+    decision variables extends to a model of the whole formula. A
+    circuit's Tseitin encoding gives it when the decision variables are
+    the nets of a fan-in-closed set plus variables whose clauses mention
+    no other net: a net outside the set then takes the value its fanins
+    compute, and a primary input outside it may take any value ([false]
+    in the model when propagation left it unassigned). [Unsat] answers
+    need no such guarantee.
+    @raise Invalid_argument when [v] is not an allocated variable. *)
+val set_decision : t -> int -> bool -> unit
+
 (** {2 Clause groups}
 
     A clause group tags clauses with a shared activation literal: every
@@ -129,10 +150,11 @@ val simplify : t -> unit
 (** Roll variable allocation back to [n] variables. The caller must have
     removed every clause mentioning a released variable first — the
     intended use is recycling per-query scratch variables above a fixed
-    floor after {!retire_group}. Root assignments, activity and saved
-    phases of released variables are reset, so re-allocating the same
-    indices behaves like fresh variables, and the surviving variables'
-    decision heuristic is reset as by {!reset_activity}, so the next
+    floor after {!retire_group}. Root assignments, activity, saved
+    phases and decision flags of released variables are reset, so
+    re-allocating the same indices behaves like fresh variables, and the
+    surviving variables' decision heuristic is reset as by
+    {!reset_activity}, so the next
     query starts from a fresh solver's order. Dropping a retired group's
     activation unit from the root trail keeps a later retirement on the
     group-sized path.

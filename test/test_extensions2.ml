@@ -571,6 +571,45 @@ let test_formal_audit_parity_finds_more_escapes () =
   Alcotest.(check bool) (Printf.sprintf "parity (%d) weaker than duplication (%d)" par dup)
     true (par >= dup)
 
+(* A detection is a rising alarm, in [Formal] as in
+   [Countermeasure.classify]. With the first output of a layered circuit
+   as the alarm, the fault-free alarm is not always 0: on seed 1,
+   s-a-0 on pi2 corrupts the data while pulling a raised alarm low, an
+   escape, which "the alarm differs" proved detected. Over seeds 1-10 the
+   verdict agrees with all 32 patterns on every stuck-at fault: [Escape]
+   exactly when some pattern classifies as [Corrupted_undetected], and
+   the witness is one. *)
+let test_formal_alarm_must_rise () =
+  let module C = Fault.Countermeasure in
+  let layered seed =
+    let c = Netlist.Bench_gen.layered ~seed ~inputs:5 ~layers:3 ~width:6 ~outputs:3 () in
+    let outs = List.map fst (Array.to_list (Circuit.outputs c)) in
+    { C.circuit = c; alarm_output = List.hd outs; data_outputs = List.tl outs }
+  in
+  let patterns = List.init 32 (fun p -> Array.init 5 (fun k -> (p lsr k) land 1 = 1)) in
+  let prot = layered 1 in
+  let pi2 = Option.get (Circuit.find_by_name prot.C.circuit "pi2") in
+  (match Fault.Formal.check_fault prot (Fault.Model.Stuck_at { node = pi2; value = false }) with
+   | Fault.Formal.Escape _ -> ()
+   | Fault.Formal.Proven_detected | Fault.Formal.Harmless ->
+     Alcotest.fail "s-a-0 @ pi2 pulls the alarm low: an escape");
+  for seed = 1 to 10 do
+    let prot = layered seed in
+    List.iter
+      (fun fault ->
+        let name = Printf.sprintf "seed %d, %s" seed (Fault.Model.describe prot.C.circuit fault) in
+        let escapes =
+          List.exists (fun w -> C.classify prot ~fault w = C.Corrupted_undetected) patterns
+        in
+        match Fault.Formal.check_fault prot fault with
+        | Fault.Formal.Escape w ->
+          Alcotest.(check bool) (name ^ ": witness escapes") true
+            (C.classify prot ~fault w = C.Corrupted_undetected)
+        | Fault.Formal.Proven_detected | Fault.Formal.Harmless ->
+          Alcotest.(check bool) (name ^ ": no pattern escapes") false escapes)
+      (Fault.Model.all_stuck_at_faults prot.C.circuit)
+  done
+
 (* --- full AES core -------------------------------------------------------- *)
 
 let test_aes_core_matches_software () =
@@ -746,7 +785,8 @@ let () =
            test_sat_attack_rejects_sequential ]);
       ("formal_audit",
        [ Alcotest.test_case "duplication" `Slow test_formal_audit_duplication;
-         Alcotest.test_case "parity vs duplication" `Slow test_formal_audit_parity_finds_more_escapes ]);
+         Alcotest.test_case "parity vs duplication" `Slow test_formal_audit_parity_finds_more_escapes;
+         Alcotest.test_case "alarm must rise" `Quick test_formal_alarm_must_rise ]);
       ("aes_core",
        [ Alcotest.test_case "matches software" `Quick test_aes_core_matches_software;
          Alcotest.test_case "full-key scan attack" `Quick test_aes_core_scan_attack ]);

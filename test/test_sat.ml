@@ -106,6 +106,43 @@ let test_group_retire_reclaims () =
    | exception Invalid_argument _ -> ());
   Alcotest.(check bool) "base still sat" true (Solver.solve s = Solver.Sat)
 
+(* MiniSat's decision-variable flag. The search never branches on a
+   variable whose flag is clear: [Sat] can leave it unassigned, and it
+   reads false, where a decision in its saved (true) phase would have set
+   it. Setting the flag again puts it back in the order, and
+   [shrink_vars] hands a released index back as a decision variable. *)
+let test_decision_flag () =
+  let s = Solver.create () in
+  let a = Solver.new_var s and b = Solver.new_var s and c = Solver.new_var s in
+  Solver.add_clause s [ lit a true; lit b true ];
+  Alcotest.(check bool) "sat with c" true (Solver.solve ~assumptions:[ lit c true ] s = Solver.Sat);
+  Solver.set_decision s c false;
+  let decisions () = (Solver.stats s).Solver.decisions in
+  let d0 = decisions () in
+  Alcotest.(check bool) "sat without branching on c" true (Solver.solve s = Solver.Sat);
+  Alcotest.(check int) "one decision, on a" 1 (decisions () - d0);
+  Alcotest.(check bool) "c unassigned, reads false" false (Solver.model_value s c);
+  Alcotest.(check bool) "the model still satisfies a or b" true
+    (Solver.model_value s a || Solver.model_value s b);
+  Solver.set_decision s c true;
+  Alcotest.(check bool) "sat branching on c" true (Solver.solve s = Solver.Sat);
+  Alcotest.(check bool) "c decided in its saved phase" true (Solver.model_value s c);
+  let fresh_decisions ~shrink =
+    let s = Solver.create () in
+    Solver.set_decision s (Solver.new_var s) false;
+    if shrink then begin
+      Solver.shrink_vars s 0;
+      ignore (Solver.new_var s)
+    end;
+    ignore (Solver.solve s);
+    (Solver.stats s).Solver.decisions
+  in
+  Alcotest.(check int) "a cleared flag holds" 0 (fresh_decisions ~shrink:false);
+  Alcotest.(check int) "shrink_vars restores the flag" 1 (fresh_decisions ~shrink:true);
+  (match Solver.set_decision s 3 true with
+   | () -> Alcotest.fail "expected Invalid_argument on an unallocated variable"
+   | exception Invalid_argument _ -> ())
+
 (* Retirement must give back everything a query added, whichever sweep
    it takes. After every query of a session the problem-clause count is
    the clean circuit's again, and no live learnt clause mentions a
@@ -557,7 +594,9 @@ let answer_line s nvars = function
   | Solver.Unsat -> "unsat"
   | Solver.Unknown _ -> "unknown"
 
-let fingerprint_3sat ~seed ~nvars ~learnt_limit =
+(* The solver-level lines take a [prepare] step that runs once the
+   clauses are in, before the first solve. *)
+let fingerprint_3sat ?(prepare = ignore) ~seed ~nvars ~learnt_limit () =
   let rng = Rng.create seed in
   let nclauses = Float.to_int (4.26 *. Float.of_int nvars) in
   let clauses = random_3sat rng ~nvars ~nclauses in
@@ -565,17 +604,19 @@ let fingerprint_3sat ~seed ~nvars ~learnt_limit =
   ignore (Solver.new_vars s nvars);
   Solver.set_learnt_limit s learnt_limit;
   List.iter (Solver.add_clause s) clauses;
+  prepare s;
   let r = Solver.solve s in
   Printf.sprintf "3sat seed %d: %s %s" seed (answer_line s nvars r) (stats_line (Solver.stats s))
 
 (* Pigeonhole: past ~4,490 conflicts the decaying increment pushes an
    activity over 1e100 and every activity is rescaled, which can merge
    distinct scores into ties. *)
-let fingerprint_pigeonhole () =
+let fingerprint_pigeonhole ?(prepare = ignore) () =
   let nvars, clauses = pigeonhole_clauses ~pigeons:8 ~holes:7 in
   let s = Solver.create () in
   ignore (Solver.new_vars s nvars);
   List.iter (Solver.add_clause s) clauses;
+  prepare s;
   let r = Solver.solve s in
   let st = Solver.stats s in
   Alcotest.(check bool) "pigeonhole crosses the activity rescale" true
@@ -584,13 +625,14 @@ let fingerprint_pigeonhole () =
 
 (* One solver, a sequence of solves under shifting assumptions with
    clauses added in between. *)
-let fingerprint_incremental () =
+let fingerprint_incremental ?(prepare = ignore) () =
   let rng = Rng.create 77 in
   let nvars = 90 in
   let clauses = random_3sat rng ~nvars ~nclauses:330 in
   let s = Solver.create () in
   ignore (Solver.new_vars s nvars);
   List.iter (Solver.add_clause s) clauses;
+  prepare s;
   List.init 8 (fun step ->
       let assumptions = List.init 6 (fun _ -> lit (Rng.int rng nvars) (Rng.bool rng)) in
       let r = Solver.solve ~assumptions s in
@@ -702,15 +744,16 @@ let fingerprint_miters () =
     traced_search "remove_redundancy" (fun () ->
         BG.fingerprint (Dft.Atpg.remove_redundancy redundant)) ]
 
+let solver_fingerprints ?prepare () =
+  [ fingerprint_3sat ?prepare ~seed:1 ~nvars:150 ~learnt_limit:0 ();
+    fingerprint_3sat ?prepare ~seed:2 ~nvars:150 ~learnt_limit:0 ();
+    fingerprint_3sat ?prepare ~seed:3 ~nvars:150 ~learnt_limit:0 ();
+    fingerprint_3sat ?prepare ~seed:4 ~nvars:150 ~learnt_limit:40 ();
+    fingerprint_pigeonhole ?prepare () ]
+  @ fingerprint_incremental ?prepare ()
+
 let search_fingerprints () =
-  [ fingerprint_3sat ~seed:1 ~nvars:150 ~learnt_limit:0;
-    fingerprint_3sat ~seed:2 ~nvars:150 ~learnt_limit:0;
-    fingerprint_3sat ~seed:3 ~nvars:150 ~learnt_limit:0;
-    fingerprint_3sat ~seed:4 ~nvars:150 ~learnt_limit:40;
-    fingerprint_pigeonhole () ]
-  @ fingerprint_incremental ()
-  @ [ fingerprint_session () ]
-  @ fingerprint_miters ()
+  solver_fingerprints () @ [ fingerprint_session () ] @ fingerprint_miters ()
 
 let pinned_fingerprints =
   [ "3sat seed 1: unsat c1362 d1708 p41481 l1354 r15 db0 del0";
@@ -726,7 +769,8 @@ let pinned_fingerprints =
     "incremental 5: unsat c118 d181 p2810 l116 r1 db0 del0";
     "incremental 6: unsat c162 d229 p3585 l159 r2 db0 del0";
     "incremental 7: unsat c183 d257 p4012 l179 r2 db0 del0";
-    "session c880: c9001ba2170e c18976 d85618 p1155711 l18976 r442 db0 del18533";
+    (* Each query branches only on its support (Solver.set_decision). *)
+    "session c880: be08adc83d1a c19361 d82678 p1137710 l19361 r447 db0 del18927";
     (* The miter lines were recorded before the engines moved onto the
        shared Cnf.tie / Cnf.differs primitives, which emit the same
        clauses in the same order over the same variables. The last line
@@ -738,15 +782,36 @@ let pinned_fingerprints =
     "check_equivalence: none 5b84739a1529 s2 v714 cl2278 c1283 d2984 p60731";
     "sat_attack: 4 fe6eaa020d50 s6 v7926 cl23298 c1280 d3737 p79137";
     "sensitization: 0/10 q10 s10 v4110 cl12470 c16 d257 p5602";
-    "formal escape: escape 2be4f0108563 s1 v95 cl293 c8 d19 p259";
-    "formal proven: proven s2 v193 cl578 c86 d120 p3347";
+    (* The escape query asks that the alarm not rise: one binary clause
+       over the two copies' alarm variables. *)
+    "formal escape: escape 2be4f0108563 s1 v94 cl290 c8 d19 p258";
+    "formal proven: proven s2 v192 cl575 c86 d120 p3335";
     "two_safety_leak: 60997cc8aef7 s1 v1823 cl6763 c0 d47 p1823";
     "bounded_equivalence: true s1 v1777 cl6561 c406 d757 p181674";
-    "remove_redundancy: 68d3c904909b4717 s220 v13168 cl37912 c1533 d3604 p38843" ]
+    "remove_redundancy: 68d3c904909b4717 s220 v13168 cl37912 c1533 d3544 p38484" ]
 
 let test_search_fingerprint () =
   Alcotest.(check (list string)) "search fingerprints" pinned_fingerprints
     (search_fingerprints ())
+
+(* Clearing every decision flag, rebuilding the order without them and
+   setting them again, one insertion at a time, leaves every variable a
+   decision variable: the solver-level lines must not move. *)
+let test_decision_flags_set_fingerprint () =
+  let prepare s =
+    let n = (Solver.stats s).Solver.vars in
+    for v = 0 to n - 1 do
+      Solver.set_decision s v false
+    done;
+    Solver.reset_activity s;
+    for v = 0 to n - 1 do
+      Solver.set_decision s v true
+    done
+  in
+  let lines = solver_fingerprints ~prepare () in
+  Alcotest.(check (list string)) "search fingerprints, every flag set"
+    (List.filteri (fun k _ -> k < List.length lines) pinned_fingerprints)
+    lines
 
 let prop_miter_random_dags_self_equal =
   QCheck.Test.make ~name:"every circuit equals itself (SAT miter)" ~count:15
@@ -779,6 +844,7 @@ let () =
            test_retire_restores_session;
          Alcotest.test_case "retire a self-forcing group" `Quick
            test_retire_self_forcing_group;
+         Alcotest.test_case "decision flag" `Quick test_decision_flag;
          Alcotest.test_case "group fuzz vs fresh" `Quick test_group_fuzz_vs_fresh;
          Alcotest.test_case "fuzz vs brute force" `Slow test_fuzz_against_brute_force ]);
       ("perf core",
@@ -790,6 +856,8 @@ let () =
            test_budget_resume_preserves_learnts;
          Alcotest.test_case "learnt DB bounded" `Quick test_learnt_db_bounded;
          Alcotest.test_case "search fingerprint" `Quick test_search_fingerprint;
+         Alcotest.test_case "search fingerprint, every flag set" `Quick
+           test_decision_flags_set_fingerprint;
          Alcotest.test_case "fuzz with forced reduction" `Slow
            test_fuzz_forced_reduction ]);
       ("cnf",
