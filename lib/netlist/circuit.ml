@@ -33,8 +33,9 @@ type t = {
   mutable regions : (string * string list) list;
 }
 
-let create () =
-  { nodes = Array.make 64 { kind = Gate.Input; fanins = [||]; name = "" };
+let create ?(capacity = 64) () =
+  let capacity = max 1 capacity in
+  { nodes = Array.make capacity { kind = Gate.Input; fanins = [||]; name = "" };
     n = 0;
     inputs = [||];
     ni = 0;
@@ -42,7 +43,7 @@ let create () =
     no = 0;
     dffs = [||];
     nd = 0;
-    by_name = Hashtbl.create 64;
+    by_name = Hashtbl.create capacity;
     regions = [] }
 
 let node_count c = c.n
@@ -78,19 +79,22 @@ let fresh_name c prefix =
   in
   find c.n
 
-(* Core insertion; checks fanin validity for combinational cells. *)
+(* Core insertion; checks fanin validity for combinational cells. A
+   duplicate name is refused before anything changes, so the circuit is
+   left as it was. The name is hashed twice: for that check and for the
+   [add] (which, unlike [replace], does not search the bucket again). *)
 let add_node c kind fanins name =
   assert (Array.length fanins = Gate.arity kind);
   if Gate.is_combinational kind then
     Array.iter (fun f -> assert (f >= 0 && f < c.n)) fanins;
-  grow c;
-  let id = c.n in
   let name = if name = "" then fresh_name c "n" else name in
-  c.nodes.(id) <- { kind; fanins; name };
-  c.n <- c.n + 1;
   if Hashtbl.mem c.by_name name then
     invalid_arg (Printf.sprintf "Circuit: duplicate net name %s" name);
-  Hashtbl.replace c.by_name name id;
+  grow c;
+  let id = c.n in
+  c.nodes.(id) <- { kind; fanins; name };
+  c.n <- c.n + 1;
+  Hashtbl.add c.by_name name id;
   (match kind with
    | Gate.Input ->
      c.inputs <- room c.inputs c.ni ~fill:0;

@@ -16,8 +16,9 @@ type node = {
 
 type t
 
-(** Fresh empty circuit. *)
-val create : unit -> t
+(** Fresh empty circuit, with room for [capacity] nodes (default 64)
+    before its node array and name table grow. *)
+val create : ?capacity:int -> unit -> t
 
 val node_count : t -> int
 
@@ -30,7 +31,8 @@ val name : t -> int -> string
 
 (** Low-level insertion with an explicit fanin array; an empty name
     generates a fresh one.
-    @raise Invalid_argument on duplicate names. *)
+    @raise Invalid_argument on duplicate names, leaving the circuit
+    unchanged (as do the other insertion functions). *)
 val add_node_raw : t -> Gate.kind -> int array -> string -> int
 
 val add_input : ?name:string -> t -> int

@@ -9,7 +9,26 @@
     v}
 
     Gates must appear in topological order except DFF D-inputs, which may
-    reference nets defined later (feedback). *)
+    reference nets defined later (feedback).
+
+    The reader scans the text once, classifying each line in place into
+    a table of offsets, then declares every input, then the gates in line
+    order, then wires the DFF D-inputs, then the outputs and last the
+    region pragmas. It allocates only what the circuit keeps and the net
+    names it looks up, and sizes the circuit to the nodes the text
+    declares.
+
+    {b Error order.} A malformed text is reported at one 1-based line:
+    the first syntax error (a line that is no declaration, an unknown
+    cell) in line order; else the first failing input (a duplicate name);
+    else the first failing gate in line order (a wrong operand count,
+    then its first undefined operand, then a duplicate name); else the
+    first undefined DFF D-input in reverse line order; else the first
+    undefined output; else the first undefined region member. Keywords
+    and cell names are case-insensitive, and lines split on ['\n'] only,
+    so a CRLF ending's ['\r'] is trimmed like other whitespace, except in
+    a region pragma, whose words split on spaces and tabs only: there it
+    stays part of the last member's name. *)
 
 exception Parse_error of string
 

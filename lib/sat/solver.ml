@@ -106,6 +106,9 @@ type t = {
   mutable trail : lit array;
   mutable trail_len : int;
   mutable qhead : int;  (* next trail index to propagate *)
+  (* A conflict was found at the root: the formula is unsatisfiable, and
+     every later [solve] answers Unsat without propagating again. *)
+  mutable root_conflict : bool;
   mutable trail_lim : int array;  (* trail offset at each decision level *)
   mutable lim_len : int;  (* current decision level *)
   mutable activity : float array;
@@ -155,6 +158,7 @@ let create () =
     trail = Array.make 8 0;
     trail_len = 0;
     qhead = 0;
+    root_conflict = false;
     trail_lim = Array.make 9 0;
     lim_len = 0;
     activity = Array.make 8 0.0;
@@ -433,7 +437,10 @@ let propagate s =
     done;
     s.watch_len.(l) <- !keep
   done;
-  if !conflict <> no_clause then s.qhead <- s.trail_len;
+  if !conflict <> no_clause then begin
+    s.qhead <- s.trail_len;
+    if s.lim_len = 0 then s.root_conflict <- true
+  end;
   !conflict
 
 (* Refill the decision order with every unassigned decision variable. *)
@@ -680,11 +687,11 @@ let reduce_db s =
   end
 
 (* Back at the root, re-propagate the whole root trail, then detach its
-   antecedents. A conflict here means the formula is root-unsat; a sweep
-   after it is still sound, because it only removes root-SATISFIED
+   antecedents. A conflict here means the formula is root-unsat, and
+   [propagate] records it, so every later [solve] answers Unsat; a sweep
+   after it is sound anyway, because it only removes root-SATISFIED
    clauses and a conflicting clause (every literal false) is never one of
-   them, so the conflict — and every later [solve]'s Unsat answer —
-   survives. The whole trail is level 0 and conflict analysis skips
+   them. The whole trail is level 0 and conflict analysis skips
    level-0 literals, so no antecedent on it will ever be consulted again.
    Detaching them unlocks clauses that both imply a root literal and are
    root-satisfied — e.g. a group clause whose base literals were all
@@ -993,12 +1000,14 @@ let record_learnt s len lbd =
 
 (* The search loop proper; [solve] below wraps it in a telemetry span. *)
 let solve_raw ?budget ~assumptions s =
-  (* Reset to root and re-propagate the root-level trail: units enqueued by
-     [add_clause] may not have been propagated yet. Re-propagating assigned
-     literals is idempotent and revisits clauses added since. *)
+  (* Back at the root, propagate from the first root literal not yet
+     propagated: units enqueued by [add_clause] since the last call. The
+     literals before it need no second visit, since a clause added since
+     then watches no assigned literal ([add_clause] drops root-false
+     literals and skips root-true clauses). A root conflict, here or in
+     an earlier call, makes the answer Unsat for good. *)
   backtrack s 0;
-  s.qhead <- 0;
-  if propagate s <> no_clause then Unsat
+  if s.root_conflict || propagate s <> no_clause then Unsat
   else begin
     let restart_count = ref 1 in
     let conflicts_until_restart = ref (32 * luby 1) in

@@ -20,6 +20,24 @@ let test_build_and_eval () =
   Alcotest.(check bool) "1^1" false (Sim.eval c [| true; true |]).(0);
   Alcotest.(check bool) "well formed" true (Circuit.well_formed c)
 
+(* A refused duplicate name leaves the circuit as it was: no node, no
+   input, no name-table entry. *)
+let test_duplicate_name_unchanged () =
+  let c = Circuit.create () in
+  let a = Circuit.add_input ~name:"a" c in
+  Alcotest.check_raises "duplicate input" (Invalid_argument "Circuit: duplicate net name a")
+    (fun () -> ignore (Circuit.add_input ~name:"a" c));
+  Alcotest.check_raises "duplicate gate" (Invalid_argument "Circuit: duplicate net name a")
+    (fun () -> ignore (Circuit.add_gate ~name:"a" c Gate.Not [ a ]));
+  Alcotest.(check int) "node count" 1 (Circuit.node_count c);
+  Alcotest.(check int) "inputs" 1 (Circuit.num_inputs c);
+  Alcotest.(check (option int)) "a resolves" (Some a) (Circuit.find_by_name c "a");
+  let y = Circuit.add_gate ~name:"y" c Gate.Not [ a ] in
+  Alcotest.(check int) "next id" 1 y;
+  Circuit.set_output c "y" y;
+  Alcotest.(check (list string)) "lint clean" []
+    (List.map Netlist.Lint.describe (Netlist.Lint.check c))
+
 let test_input_position () =
   (* Inputs interleaved with gates, and a copy that grows further: the
      position is the declaration index, the one [inputs] and simulation
@@ -253,6 +271,35 @@ let test_io_rejects_garbage () =
   Alcotest.check_raises "bad line" (Io.Parse_error "bad line: what is this")
     (fun () -> ignore (Io.of_string "what is this"))
 
+(* Minor-heap words the reader allocates per input byte on a fixed
+   corpus: every Bench_gen family at 300 and 1200 target gates, seeds 1
+   and 2, with a region pragma (450 KB of text). What remains is what a
+   circuit keeps (names, nodes, fanin arrays, name-table entries) and
+   the names it looks up: 1.081 words per byte on OCaml 5.1.1, where the
+   list pipeline the reader replaced allocated 4.875. The bound leaves
+   15% headroom; a per-line string or list cell costs about 0.2 words per
+   byte more. Allocation is deterministic for one OCaml version, so the
+   bound holds on any host. *)
+let test_io_allocation_budget () =
+  let texts =
+    List.concat_map
+      (fun fam ->
+        List.concat_map
+          (fun (seed, size) ->
+            let c = Netlist.Bench_gen.sized ~seed fam ~target_gates:size in
+            Circuit.annotate_region c ~region:"secret"
+              (List.init (Circuit.node_count c / 7) (fun k -> 7 * k));
+            [ Io.to_string c ])
+          [ (1, 300); (2, 300); (1, 1200); (2, 1200) ])
+      Netlist.Bench_gen.all_families
+  in
+  let bytes = List.fold_left (fun acc t -> acc + String.length t) 0 texts in
+  let before = Gc.minor_words () in
+  List.iter (fun t -> ignore (Io.of_string t)) texts;
+  let per_byte = (Gc.minor_words () -. before) /. float_of_int bytes in
+  Alcotest.(check bool) (Printf.sprintf "%.3f minor words per byte, bound 1.25" per_byte) true
+    (per_byte <= 1.25)
+
 let test_sweep_removes_dead () =
   let c = Circuit.create () in
   let a = Circuit.add_input ~name:"a" c in
@@ -483,6 +530,8 @@ let () =
          Alcotest.test_case "stats" `Quick test_stats;
          Alcotest.test_case "fanouts" `Quick test_fanouts;
          Alcotest.test_case "regions" `Quick test_regions;
+         Alcotest.test_case "duplicate name leaves circuit unchanged" `Quick
+           test_duplicate_name_unchanged;
          Alcotest.test_case "input position" `Quick test_input_position;
          Alcotest.test_case "output position" `Quick test_output_position ]);
       ("sim",
@@ -510,6 +559,7 @@ let () =
          Alcotest.test_case "sequential roundtrip" `Quick test_io_sequential_roundtrip;
          Alcotest.test_case "port name collisions" `Quick test_io_port_name_collisions;
          Alcotest.test_case "rejects garbage" `Quick test_io_rejects_garbage;
+        Alcotest.test_case "reader allocation budget" `Quick test_io_allocation_budget;
          Alcotest.test_case "region pragma roundtrip" `Quick test_region_io_roundtrip ]);
       ("properties",
        List.map Seeded.to_alcotest

@@ -822,6 +822,147 @@ let test_view_differential () =
     (QCheck.set_print show arb) (fun (fam, (seed, size)) ->
       view_matches (BG.sized ~seed fam ~target_gates:size))
 
+(* --- the one-scan reader vs the list pipeline ----------------------------- *)
+
+(* A netlist text to mutate: a Bench_gen circuit of any family, maybe
+   with region pragmas and an output port aliasing an internal net (so
+   [Io.to_string] writes [port = BUF(net)]), or a DFF-feedback circuit
+   whose two D-inputs both point forward. *)
+let reader_base rng =
+  if Rng.int rng 8 = 0 then
+    "INPUT(x)\nINPUT(w)\nOUTPUT(a)\nOUTPUT(q)\nq = DFF(d)\nr = DFF(e)\na = NAND(x, q)\n\
+     d = XOR(a, r)\ne = NOT(d)\n"
+  else begin
+    let fam = Rng.choose rng BG.all_families in
+    let c = BG.sized ~seed:(Rng.int rng 100_000) fam ~target_gates:(16 + Rng.int rng 100) in
+    let n = Circuit.node_count c in
+    for k = 0 to Rng.int rng 3 - 1 do
+      Circuit.annotate_region c ~region:(Printf.sprintf "r%d" k)
+        (List.filter (fun _ -> Rng.int rng 4 = 0) (List.init n Fun.id))
+    done;
+    if Rng.bool rng then begin
+      (* A port named after no net, or after another gate's net (then
+         written under a fresh name); never after an input. *)
+      let gate () = Circuit.num_inputs c + Rng.int rng (n - Circuit.num_inputs c) in
+      let port = if Rng.bool rng then "alias" else Circuit.name c (gate ()) in
+      Circuit.set_output c port (gate ())
+    end;
+    Netlist.Io.to_string c
+  end
+
+let lines_of text = Array.of_list (String.split_on_char '\n' text)
+let of_lines lines = String.concat "\n" (Array.to_list lines)
+
+(* One mutation: a byte edit, a truncation, a case change, CRLF endings,
+   a tab, a trailing comment, a region pragma, a duplicated or two
+   swapped lines. *)
+let mutate_netlist rng text =
+  let n = String.length text in
+  let lines = lines_of text in
+  let line () = Rng.int rng (Array.length lines) in
+  let bytes = "()=,#:\t\r\n abxyINPUTOUTPUTDFFAND019" in
+  match Rng.int rng 9 with
+  | 0 when n > 0 ->
+    let b = Bytes.of_string text in
+    Bytes.set b (Rng.int rng n)
+      (if Rng.bool rng then bytes.[Rng.int rng (String.length bytes)]
+       else Char.chr (Rng.int rng 256));
+    Bytes.to_string b
+  | 1 -> String.sub text 0 (Rng.int rng (n + 1))
+  | 2 ->
+    let k = line () in
+    let case = if Rng.bool rng then String.uppercase_ascii else String.lowercase_ascii in
+    lines.(k) <- case lines.(k);
+    of_lines lines
+  | 3 -> String.concat "\r\n" (String.split_on_char '\n' text)
+  | 4 when n > 0 ->
+    let i = Rng.int rng n in
+    if text.[i] = ' ' then String.mapi (fun j ch -> if j = i then '\t' else ch) text
+    else String.sub text 0 i ^ "\t" ^ String.sub text i (n - i)
+  | 5 ->
+    let k = line () in
+    lines.(k) <-
+      lines.(k) ^ Rng.choose rng [ " # note"; "# x = AND(a, b)"; "\t#)"; " # region r : a" ];
+    of_lines lines
+  | 6 ->
+    let k = line () in
+    let words = List.filter (( <> ) "") (String.split_on_char ' ' lines.(line ())) in
+    let word () = if words = [] then "w" else Rng.choose rng words in
+    lines.(k) <-
+      Rng.choose rng
+        [ Printf.sprintf "# region %s : %s %s" (word ()) (word ()) (word ());
+          Printf.sprintf "#region\t%s :\t%s" (word ()) (word ());
+          "# region r : no_such_net"; "# region r :"; "# region : :" ]
+      ^ "\n" ^ lines.(k);
+    of_lines lines
+  | 7 ->
+    let k = line () in
+    lines.(k) <- lines.(k) ^ "\n" ^ lines.(k);
+    of_lines lines
+  | _ ->
+    let i = line () and j = line () in
+    let t = lines.(i) in
+    lines.(i) <- lines.(j);
+    lines.(j) <- t;
+    of_lines lines
+
+(* What a reader made of a text: the printed circuit, or the error. *)
+let read_outcome = function
+  | Ok c ->
+    Ok
+      (match Netlist.Io.to_string c with
+       | s -> s
+       | exception Invalid_argument m -> "unprintable: " ^ m)
+  | Error e -> Error e
+
+let show_outcome = function
+  | Ok s -> "circuit\n" ^ s
+  | Error e -> Eda_util.Eda_error.to_string e
+
+let test_reader_differential () =
+  let accepted = ref 0 and rejected = ref 0 in
+  (* Both readers' outcome on [text], or the report of a mismatch. *)
+  let compare_readers text =
+    let got = read_outcome (Netlist.Io.of_string_result text)
+    and want = read_outcome (Reference.Io_ref.of_string_result text) in
+    incr (match got with Ok _ -> accepted | Error _ -> rejected);
+    if got = want then None
+    else
+      Some
+        (Printf.sprintf "on:\n%s\nreader: %s\nlist pipeline: %s" text (show_outcome got)
+           (show_outcome want))
+  in
+  (* The quirks, one per text: an empty input name (a fresh name), an
+     unchecked last byte, an empty left-hand side, an input declared as
+     a gate, a ')' only before the '(', lower-case cells, a CRLF region
+     pragma (its last member keeps the '\r'), text after the ')', an
+     empty operand, DFFs of the wrong arity, an empty output name. *)
+  List.iter
+    (fun text -> Option.iter Alcotest.fail (compare_readers text))
+    [ ""; "\n"; "INPUT()\nOUTPUT(n0)\n"; "INPUT(ab\nOUTPUT(a)\n"; "INPUT(a)\n= NOT(a)\nOUTPUT(n1)";
+      "INPUT(a)\nx = INPUT()\nOUTPUT(x)"; "INPUT(a)\ny = AND)(a, a"; "INPUT(a)\ny = FOO)(a";
+      "INPUT(a)\ny = const1()\nz = xor(a, y)\nOUTPUT(z)";
+      "INPUT(a)\r\nOUTPUT(a)\r\n# region r : a\r\n";
+      "INPUT(a)\nOUTPUT(a)\n#region\tr\t:\ta\n"; "INPUT(a)\ny = NOT(a) trailing\nOUTPUT(y)";
+      "INPUT(a)\ny = AND(a,)\nOUTPUT(y)"; "INPUT(a)\nq = DFF()\n"; "INPUT(a)\nq = DFF(a, a)\n";
+      "OUTPUT()\n" ];
+  let arb = Seeded.of_rng ~print:string_of_int (fun rng -> Rng.int rng 1_000_000) in
+  Seeded.check ~count:150 ~name:"one-scan reader matches the list pipeline" arb (fun seed ->
+      let rng = Rng.create seed in
+      let base = reader_base rng in
+      for round = 0 to 100 do
+        let text = ref base in
+        if round > 0 then
+          for _ = 0 to Rng.int rng 3 do
+            text := mutate_netlist rng !text
+          done;
+        Option.iter (QCheck.Test.fail_reportf "%s") (compare_readers !text)
+      done;
+      true);
+  (* Mutations that every text survives, or none, would test one side only. *)
+  Alcotest.(check bool) "some texts read" true (!accepted > 0);
+  Alcotest.(check bool) "some texts refused" true (!rejected > 0)
+
 (* --- flat event engine vs the record-heap reference ---------------------- *)
 
 module Ev_ref = Reference.Event_sim_ref
@@ -1463,6 +1604,7 @@ let () =
             test_classify_differential;
           Alcotest.test_case "atpg vs ground truth" `Quick test_atpg_ground_truth;
           Alcotest.test_case "circuit view vs consumer lists" `Quick test_view_differential;
+          Alcotest.test_case "reader vs list pipeline" `Quick test_reader_differential;
           Alcotest.test_case "event engine vs reference" `Quick test_event_sim_differential;
           Alcotest.test_case "pinned event storm" `Quick test_event_storm_pinned;
           Alcotest.test_case "glitch capture vs list capture" `Quick

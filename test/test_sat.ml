@@ -26,6 +26,29 @@ let test_trivial_unsat () =
    | () -> Alcotest.fail "expected root conflict"
    | exception Solver.Unsat_root -> ())
 
+(* A root conflict found by one solve stays an Unsat answer: the unit
+   [a] is only enqueued, so the first solve propagates it into the
+   conflict of (¬a ∨ c) and (¬a ∨ ¬c); the root trail is not propagated
+   again after that, so later solves must remember the conflict. *)
+let test_root_conflict_sticks () =
+  (* Two solves, each with ([true]) or without an assumption on a free
+     variable [b]. *)
+  let unsat assumed =
+    let s = Solver.create () in
+    let a = Solver.new_var s and c = Solver.new_var s and b = Solver.new_var s in
+    Solver.add_clause s [ lit a false; lit c true ];
+    Solver.add_clause s [ lit a false; lit c false ];
+    Solver.add_clause s [ lit a true ];
+    List.map
+      (fun with_b ->
+        Solver.solve ~assumptions:(if with_b then [ lit b true ] else []) s = Solver.Unsat)
+      assumed
+  in
+  List.iter
+    (fun assumed ->
+      Alcotest.(check (list bool)) "both Unsat" [ true; true ] (unsat assumed))
+    [ [ false; false ]; [ true; true ]; [ false; true ]; [ true; false ] ]
+
 let test_unsat_pigeon () =
   (* 2 pigeons, 1 hole is immediate; use 3 pigeons, 2 holes. Variables
      p(i,j): pigeon i in hole j. *)
@@ -780,7 +803,7 @@ let pinned_fingerprints =
        sensitization attack recovers no bit in its first pass here, so
        it stops at that fixed point after one pass. *)
     "check_equivalence: none 5b84739a1529 s2 v714 cl2278 c1283 d2984 p60731";
-    "sat_attack: 4 fe6eaa020d50 s6 v7926 cl23298 c1280 d3737 p79137";
+    "sat_attack: 4 fe6eaa020d50 s6 v7926 cl23298 c1280 d3737 p75491";
     "sensitization: 0/10 q10 s10 v4110 cl12470 c16 d257 p5602";
     (* The escape query asks that the alarm not rise: one binary clause
        over the two copies' alarm variables. *)
@@ -835,6 +858,7 @@ let () =
     [ ("solver",
        [ Alcotest.test_case "trivial sat" `Quick test_trivial_sat;
          Alcotest.test_case "trivial unsat" `Quick test_trivial_unsat;
+         Alcotest.test_case "root conflict sticks" `Quick test_root_conflict_sticks;
          Alcotest.test_case "pigeonhole unsat" `Quick test_unsat_pigeon;
          Alcotest.test_case "assumptions" `Quick test_assumptions;
          Alcotest.test_case "assumption already true" `Quick test_assumption_already_true;
