@@ -75,25 +75,11 @@ let eval kind fanins =
   | (Const _ | Buf | Not | And | Nand | Or | Nor | Xor | Xnor | Mux), _ ->
     invalid_arg (Printf.sprintf "Gate.eval: %s arity mismatch" (name kind))
 
-(** Combinational evaluation reading fanin values straight out of [values]
-    through the node's fanin-index array — the zero-allocation path used by
-    {!Netlist.Sim}'s hot loops (no per-gate operand array is built). Fanin
-    arity is trusted; it is validated at circuit construction. *)
-let eval_indexed kind (fanins : int array) (values : bool array) =
-  match kind with
-  | Const b -> b
-  | Buf -> values.(fanins.(0))
-  | Not -> not values.(fanins.(0))
-  | And -> values.(fanins.(0)) && values.(fanins.(1))
-  | Nand -> not (values.(fanins.(0)) && values.(fanins.(1)))
-  | Or -> values.(fanins.(0)) || values.(fanins.(1))
-  | Nor -> not (values.(fanins.(0)) || values.(fanins.(1)))
-  | Xor -> values.(fanins.(0)) <> values.(fanins.(1))
-  | Xnor -> values.(fanins.(0)) = values.(fanins.(1))
-  | Mux -> if values.(fanins.(0)) then values.(fanins.(2)) else values.(fanins.(1))
-  | Input | Dff -> invalid_arg "Gate.eval_indexed: stateful cell"
-
-(** Bit-parallel analogue of {!eval_indexed} over packed 63-slot words. *)
+(** Combinational evaluation over packed 63-slot words, reading the
+    operand words straight out of [values] through the node's fanin-index
+    array: the gate kernel of every simulation sweep and of the event
+    engine (no per-gate operand array is built). Fanin arity is trusted; it is validated at
+    circuit construction. *)
 let eval_word_indexed kind (fanins : int array) (values : int array) =
   match kind with
   | Const false -> 0

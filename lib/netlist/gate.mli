@@ -33,14 +33,13 @@ val of_name : string -> kind
     @raise Invalid_argument on stateful kinds or arity mismatch. *)
 val eval : kind -> bool array -> bool
 
-(** Evaluation reading operands directly out of [values] via the node's
-    fanin-index array: [eval_indexed k fanins values] equals
-    [eval k (Array.map (fun f -> values.(f)) fanins)] but allocates
-    nothing. Fanin arity is trusted (validated at circuit construction).
+(** Bit-parallel evaluation over packed 63-slot words, reading operands
+    directly out of [values] via the node's fanin-index array: on every
+    lane, [eval_word_indexed k fanins values] equals
+    [eval k (Array.map (fun f -> values.(f)) fanins)] on that lane's
+    bits, and nothing is allocated. Fanin arity is trusted (validated at
+    circuit construction).
     @raise Invalid_argument on stateful kinds. *)
-val eval_indexed : kind -> int array -> bool array -> bool
-
-(** Bit-parallel analogue of {!eval_indexed} over packed 63-slot words. *)
 val eval_word_indexed : kind -> int array -> int array -> int
 
 (** Unit-area cost (NAND2-equivalent flavour) of the cell. *)

@@ -114,9 +114,11 @@ exception Parse_error of string
    syntax error in line order (the scan), then, in declaration order,
    input errors, gate errors (arity, then the first undefined operand,
    then a duplicate name), DFF D-input errors in reverse declaration
-   order, output errors, region errors. Lines split on '\n' only, so a
-   '\r' of a CRLF ending is whitespace where String.trim trims it and
-   part of a word in a region pragma. The list-pipeline reader this one
+   order, output errors, region errors. Lines split on '\n' only; the
+   '\r' of a CRLF ending is whitespace, trimmed from declarations and a
+   word separator in region pragmas. A declaration that names no net
+   ([INPUT()], [OUTPUT()], [= NOT(a)]) and an input declared as a gate
+   ([x = INPUT()]) are syntax errors. The list-pipeline reader this one
    replaced, kept in reference/ as the differential oracle, gives the
    same circuit or the same error on every text, quirks included. *)
 
@@ -184,8 +186,8 @@ let rec rindex text ch s e =
   else if String.unsafe_get text (e - 1) = ch then e - 1
   else rindex text ch s (e - 1)
 
-(* Words of a region pragma are split on ' ' and '\t' only. *)
-let is_blank ch = ch = ' ' || ch = '\t'
+(* Words of a region pragma are split on ' ', '\t' and '\r'. *)
+let is_blank ch = ch = ' ' || ch = '\t' || ch = '\r'
 
 let rec skip_blank text i e =
   if i < e && is_blank (String.unsafe_get text i) then skip_blank text (i + 1) e else i
@@ -233,6 +235,12 @@ let region_pragma r ln text s e =
     if w2 < w2e && spells text w3 w3e ":" && w4 < e then push r ln tag_region w2 w2e w4 e
   end
 
+(* An input or output row of line [ln], [text.[ls, le)], naming the net
+   [text.[s, e)]; an empty name fails. *)
+let push_port r ln tag text ~ls ~le s e =
+  if s = e then fail ln "no net name: %s" (sub text ls le);
+  push r ln tag s e 0 0
+
 (* Classify line [ln], [text.[ls0, le0)]. *)
 let classify r ln text ls0 le0 =
   let hash = index text '#' ls0 le0 in
@@ -245,11 +253,11 @@ let classify r ln text ls0 le0 =
     (* The last byte stands for the ')' and is not checked: "INPUT(ab"
        declares [a]. Text after the last ')' of a gate is ignored. *)
     let s = skip_space text (ls + 6) (le - 1) in
-    push r ln tag_input s (back_space text s (le - 1)) 0 0
+    push_port r ln tag_input text ~ls ~le s (back_space text s (le - 1))
   end
   else if le - ls > 7 && spells ~upper:true text ls (ls + 7) "OUTPUT(" then begin
     let s = skip_space text (ls + 7) (le - 1) in
-    push r ln tag_output s (back_space text s (le - 1)) 0 0
+    push_port r ln tag_output text ~ls ~le s (back_space text s (le - 1))
   end
   else begin
     let eq = index text '=' ls le in
@@ -260,13 +268,14 @@ let classify r ln text ls0 le0 =
     if lp = re then fail ln "bad rhs: %s" (sub text rs re);
     let close = rindex text ')' rs re in
     if close < 0 then fail ln "missing ): %s" (sub text rs re);
-    (* A ')' only before the '(': the operand list has a negative length,
-       reported with the message its substring has always failed with. *)
-    if close < lp then fail ln "String.sub / Bytes.sub";
+    if close < lp then fail ln "misplaced ): %s" (sub text rs re);
     let cs = skip_space text rs lp in
     let cell = cell_index ln text cs (back_space text cs lp) 0 in
     let hs = skip_space text ls eq in
-    push r ln (tag_gate + cell) hs (back_space text hs eq) (lp + 1) close
+    let he = back_space text hs eq in
+    if hs = he then fail ln "no net name: %s" (sub text ls le);
+    if cells.(cell) = Gate.Input then fail ln "input declared as a gate: %s" (sub text ls le);
+    push r ln (tag_gate + cell) hs he (lp + 1) close
   end
 
 let scan text =

@@ -20,15 +20,16 @@
 
     {b Error order.} A malformed text is reported at one 1-based line:
     the first syntax error (a line that is no declaration, an unknown
-    cell) in line order; else the first failing input (a duplicate name);
+    cell, a declaration that names no net such as [INPUT()] or
+    [= NOT(a)], an input declared as a gate such as [x = INPUT()]) in
+    line order; else the first failing input (a duplicate name);
     else the first failing gate in line order (a wrong operand count,
     then its first undefined operand, then a duplicate name); else the
     first undefined DFF D-input in reverse line order; else the first
     undefined output; else the first undefined region member. Keywords
     and cell names are case-insensitive, and lines split on ['\n'] only,
-    so a CRLF ending's ['\r'] is trimmed like other whitespace, except in
-    a region pragma, whose words split on spaces and tabs only: there it
-    stays part of the last member's name. *)
+    so a CRLF ending's ['\r'] is whitespace: trimmed from declarations,
+    and a word separator in region pragmas. *)
 
 exception Parse_error of string
 

@@ -1,23 +1,18 @@
 (** Functional simulation of circuits: single-pattern, bit-parallel
     (63 patterns per machine word) and multi-cycle sequential.
 
-    The hot loops evaluate gates directly against the net-value array via
-    {!Gate.eval_indexed} / {!Gate.eval_word_indexed} — no per-gate operand
-    array is built — and the [_into] variants reuse a caller-owned buffer,
-    so pattern-sweep workloads ([signal_probabilities], TVLA trace
-    generation, equivalence checking) run without per-pattern heap
-    allocation. *)
+    One kernel evaluates every gate: the word sweep, which reads each
+    gate's operands out of the net-word array through
+    {!Gate.eval_word_indexed}, with no per-gate operand array. A
+    single-pattern evaluation is the word sweep on broadcast inputs: true
+    loads -1 and false loads 0, so every lane carries the same pattern,
+    and a net reads back as [w <> 0]. The [_into] variants reuse a
+    caller-owned buffer, so pattern-sweep workloads
+    ([signal_probabilities], TVLA trace generation, equivalence checking)
+    run without per-pattern heap allocation. *)
 
-(* Combinational sweep over [values] in node (= topological) order. *)
-let run_gates circuit (values : bool array) =
-  for i = 0 to Circuit.node_count circuit - 1 do
-    let nd = Circuit.node circuit i in
-    match nd.Circuit.kind with
-    | Gate.Input | Gate.Dff -> ()
-    | k -> values.(i) <- Gate.eval_indexed k nd.Circuit.fanins values
-  done
-
-let run_gates_word circuit (values : int array) =
+(* The combinational sweep over [values] in node (= topological) order. *)
+let sweep circuit (values : int array) =
   for i = 0 to Circuit.node_count circuit - 1 do
     let nd = Circuit.node circuit i in
     match nd.Circuit.kind with
@@ -25,79 +20,70 @@ let run_gates_word circuit (values : int array) =
     | k -> values.(i) <- Gate.eval_word_indexed k nd.Circuit.fanins values
   done
 
+(* A pattern bit as a word: every lane carries it. *)
+let[@inline] broadcast b = -Bool.to_int b
+
 (* Load the input and DFF slots of [into]: the input vector, then the
-   DFF values from [state], or [zero] when it is absent (so a dirty
-   buffer from a previous pattern is safe to pass back in). Reads the ids
-   in place: nothing is allocated per pattern. *)
-let load_slots ?state circuit inputs ~into ~zero =
+   DFF values from [state], or 0 when it is absent (so a dirty buffer
+   from a previous pattern is safe to pass back in), each through
+   [word]. Reads the ids in place: nothing is allocated per pattern. *)
+let load_slots ?state circuit ~word inputs ~into =
   assert (Array.length inputs = Circuit.num_inputs circuit);
   for k = 0 to Array.length inputs - 1 do
-    into.(Circuit.input_id circuit k) <- inputs.(k)
+    into.(Circuit.input_id circuit k) <- word inputs.(k)
   done;
   (match state with
    | Some st -> assert (Array.length st = Circuit.num_dffs circuit)
    | None -> ());
   for k = 0 to Circuit.num_dffs circuit - 1 do
-    into.(Circuit.dff_id circuit k) <- (match state with None -> zero | Some st -> st.(k))
+    into.(Circuit.dff_id circuit k) <- (match state with None -> 0 | Some st -> word st.(k))
   done
 
-(** Evaluate every net into the caller-supplied buffer [into] (length >=
-    node count), reusing it across calls with no per-call allocation. DFF
-    slots are cleared when [state] is absent, so a dirty buffer from a
-    previous pattern is safe to pass back in. *)
+(** Evaluate every net of one pattern into the caller-supplied buffer of
+    net words [into] (length >= node count), broadcast: net [i] is true
+    iff [into.(i) <> 0]. Reuses the buffer with no per-call allocation;
+    DFF slots are cleared when [state] is absent. *)
 let eval_all_into ?state circuit inputs ~into =
-  load_slots ?state circuit inputs ~into ~zero:false;
-  run_gates circuit into
+  load_slots ?state circuit ~word:broadcast inputs ~into;
+  sweep circuit into
+
+(* The broadcast net words of one pattern, in a fresh buffer. *)
+let eval_words ?state circuit inputs =
+  let words = Array.make (Circuit.node_count circuit) 0 in
+  eval_all_into ?state circuit inputs ~into:words;
+  words
+
+let outputs circuit words =
+  Array.init (Circuit.num_outputs circuit) (fun k -> words.(Circuit.output_id circuit k) <> 0)
 
 (** Values of every net for one input assignment; DFF outputs come from
     [state] (all-false when absent). *)
 let eval_all ?state circuit inputs =
-  let values = Array.make (Circuit.node_count circuit) false in
-  eval_all_into ?state circuit inputs ~into:values;
-  values
+  Array.map (fun w -> w <> 0) (eval_words ?state circuit inputs)
 
 (** Primary outputs for one input assignment. *)
-let eval ?state circuit inputs =
-  let values = eval_all ?state circuit inputs in
-  Array.init (Circuit.num_outputs circuit) (fun k -> values.(Circuit.output_id circuit k))
+let eval ?state circuit inputs = outputs circuit (eval_words ?state circuit inputs)
 
-(** Bit-parallel analogue of {!eval_all_into}: each input word carries up
-    to 63 independent patterns; every net word lands in [into]. *)
+(** Bit-parallel evaluation: each input word carries up to 63 independent
+    patterns; every net word lands in [into]. *)
 let eval_all_word_into ?state circuit (inputs : int array) ~into =
-  load_slots ?state circuit inputs ~into ~zero:0;
-  run_gates_word circuit into
+  load_slots ?state circuit ~word:Fun.id inputs ~into;
+  sweep circuit into
 
-(** Bit-parallel evaluation: each input is a word carrying up to 63
-    independent patterns; returns all net words. *)
+(** Bit-parallel evaluation into a fresh buffer; returns all net words. *)
 let eval_all_word ?state circuit (inputs : int array) =
   let values = Array.make (Circuit.node_count circuit) 0 in
   eval_all_word_into ?state circuit inputs ~into:values;
   values
 
-let eval_word ?state circuit inputs =
-  let values = eval_all_word ?state circuit inputs in
-  Array.init (Circuit.num_outputs circuit) (fun k -> values.(Circuit.output_id circuit k))
-
 (** One clock cycle of a sequential circuit: returns (outputs, next state). *)
 let step circuit ~state inputs =
-  let values = eval_all ~state circuit inputs in
-  let outs = Array.init (Circuit.num_outputs circuit) (fun k -> values.(Circuit.output_id circuit k)) in
+  let words = eval_words ~state circuit inputs in
   let next =
     Array.init (Circuit.num_dffs circuit) (fun k ->
-        values.((Circuit.fanins circuit (Circuit.dff_id circuit k)).(0)))
+        words.((Circuit.fanins circuit (Circuit.dff_id circuit k)).(0)) <> 0)
   in
-  outs, next
-
-(** Run a sequence of input vectors from the all-zero state; returns the
-    output trace. *)
-let run circuit input_seq =
-  let state = ref (Array.make (Circuit.num_dffs circuit) false) in
-  List.map
-    (fun inputs ->
-      let outs, next = step circuit ~state:!state inputs in
-      state := next;
-      outs)
-    input_seq
+  outputs circuit words, next
 
 (** Truth table of output [k] (combinational circuits, <= 16 inputs). *)
 let truth_table circuit ~output =
@@ -187,7 +173,7 @@ let signal_probabilities rng ~patterns circuit =
     for k = 0 to ni - 1 do
       values.(input_ids.(k)) <- Eda_util.Rng.bits63 rng
     done;
-    run_gates_word circuit values;
+    sweep circuit values;
     for i = 0 to n - 1 do
       ones.(i) <- ones.(i) + Eda_util.Stats.popcount values.(i)
     done

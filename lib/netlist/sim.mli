@@ -1,36 +1,35 @@
 (** Functional simulation of circuits: single-pattern, bit-parallel
-    (63 patterns per machine word) and multi-cycle sequential. *)
+    (63 patterns per machine word) and multi-cycle sequential.
+
+    Every evaluation runs one kernel, the word sweep. A single pattern is
+    evaluated on broadcast inputs (true loads -1, false loads 0, so every
+    lane carries the pattern) and read back as [w <> 0]. *)
 
 (** Values of every net for one input assignment, indexed by node id.
     DFF outputs come from [state] (all-false when absent); inputs follow
     the circuit's input declaration order. *)
 val eval_all : ?state:bool array -> Circuit.t -> bool array -> bool array
 
-(** As {!eval_all}, but writes into the caller-supplied buffer [into]
-    (length >= node count) instead of allocating. The buffer may be dirty
-    from a previous call: input and DFF slots are (re)initialized and
-    every combinational net is overwritten. *)
-val eval_all_into : ?state:bool array -> Circuit.t -> bool array -> into:bool array -> unit
+(** As {!eval_all}, but writes the broadcast net words into the
+    caller-supplied buffer [into] (length >= node count) instead of
+    allocating: net [i] is true iff [into.(i) <> 0]. The buffer may be
+    dirty from a previous call: input and DFF slots are (re)initialized
+    and every combinational net is overwritten. *)
+val eval_all_into : ?state:bool array -> Circuit.t -> bool array -> into:int array -> unit
 
 (** Primary outputs for one input assignment, in output declaration order. *)
 val eval : ?state:bool array -> Circuit.t -> bool array -> bool array
 
-(** Bit-parallel variants: each input word carries up to 63 independent
-    patterns. *)
+(** Bit-parallel evaluation: each input word carries up to 63 independent
+    patterns; returns all net words. *)
 val eval_all_word : ?state:int array -> Circuit.t -> int array -> int array
 
 (** Reusable-buffer variant of {!eval_all_word}; zero per-pattern
     allocation when the buffer is hoisted out of the sweep loop. *)
 val eval_all_word_into : ?state:int array -> Circuit.t -> int array -> into:int array -> unit
 
-val eval_word : ?state:int array -> Circuit.t -> int array -> int array
-
 (** One clock cycle of a sequential circuit: (outputs, next DFF state). *)
 val step : Circuit.t -> state:bool array -> bool array -> bool array * bool array
-
-(** Run a sequence of input vectors from the all-zero state; returns the
-    output trace in order. *)
-val run : Circuit.t -> bool array list -> bool array list
 
 (** Truth table of one output (combinational circuits, <= 16 inputs). *)
 val truth_table : Circuit.t -> output:int -> Logic.Truth_table.t

@@ -48,7 +48,7 @@ let total_energy rng ?state circuit ~noise_sigma ~prev_inputs ~next_inputs =
       e.(0) <- e.(0) +. Gate.switch_energy (Circuit.kind circuit node));
   e.(0) +. Eda_util.Rng.gaussian_scaled rng ~mean:0.0 ~sigma:noise_sigma
 
-(* Net-value buffer for the zero-delay samplers: the caller-provided
+(* Net-word buffer for the zero-delay samplers: the caller-provided
    [?scratch] when present (hoisted out of a trace-campaign loop — zero
    per-sample allocation), a fresh array otherwise. *)
 let value_buffer ?scratch circuit =
@@ -56,12 +56,12 @@ let value_buffer ?scratch circuit =
   | Some b ->
     assert (Array.length b >= Circuit.node_count circuit);
     b
-  | None -> Array.make (Circuit.node_count circuit) false
+  | None -> Array.make (Circuit.node_count circuit) 0
 
 (** Zero-delay Hamming-distance power model: energy proportional to the
     number of nets whose settled value changes between two input vectors.
     Cheaper than event simulation; no glitch component. [scratch] /
-    [scratch2] are reusable net-value buffers (>= node count each). *)
+    [scratch2] are reusable net-word buffers (>= node count each). *)
 let hamming_distance_sample rng ?scratch ?scratch2 circuit ~noise_sigma ~prev_inputs
     ~next_inputs =
   let before = value_buffer ?scratch circuit in
@@ -70,6 +70,7 @@ let hamming_distance_sample rng ?scratch ?scratch2 circuit ~noise_sigma ~prev_in
   Netlist.Sim.eval_all_into circuit next_inputs ~into:after;
   let e = ref 0.0 in
   for i = 0 to Circuit.node_count circuit - 1 do
+    (* Broadcast words differ exactly where the settled values do. *)
     if before.(i) <> after.(i) then
       e := !e +. Gate.switch_energy (Circuit.kind circuit i)
   done;
@@ -137,7 +138,7 @@ let iddq_sample rng ?scratch circuit ~inputs ~noise_sigma ~temperature_factor =
   for i = 0 to Circuit.node_count circuit - 1 do
     let base = 0.1 *. Gate.area (Circuit.kind circuit i) in
     (* Input-state dependence: a conducting stack leaks slightly more. *)
-    let state_factor = if values.(i) then 1.1 else 0.9 in
+    let state_factor = if values.(i) <> 0 then 1.1 else 0.9 in
     total := !total +. (base *. state_factor)
   done;
   (!total *. temperature_factor)

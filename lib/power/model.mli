@@ -34,13 +34,13 @@ val total_energy :
   float
 
 (** Zero-delay Hamming-distance sample between two settled states.
-    [scratch]/[scratch2] are reusable net-value buffers (length >= node
-    count); hoist them out of a campaign loop for zero per-sample
-    allocation. *)
+    [scratch]/[scratch2] are reusable net-word buffers (length >= node
+    count; see {!Netlist.Sim.eval_all_into}); hoist them out of a
+    campaign loop for zero per-sample allocation. *)
 val hamming_distance_sample :
   Eda_util.Rng.t ->
-  ?scratch:bool array ->
-  ?scratch2:bool array ->
+  ?scratch:int array ->
+  ?scratch2:int array ->
   Netlist.Circuit.t ->
   noise_sigma:float ->
   prev_inputs:bool array ->
@@ -71,10 +71,10 @@ val hamming_weight_sampler :
 
 (** Quiescent-current (IDDQ) sample: per-cell leakage with input-state
     dependence and an environmental [temperature_factor]. [scratch] is a
-    reusable net-value buffer (length >= node count). *)
+    reusable net-word buffer (length >= node count). *)
 val iddq_sample :
   Eda_util.Rng.t ->
-  ?scratch:bool array ->
+  ?scratch:int array ->
   Netlist.Circuit.t ->
   inputs:bool array ->
   noise_sigma:float ->

@@ -165,10 +165,10 @@ let tvla_campaign_mask_failure rng masked ~traces_per_class ~noise_sigma =
     the largest |t|. Identifies the factored wire of Fig. 2 by name. *)
 let leakiest_wire rng masked ~samples =
   let c = masked.Masking.circuit in
-  let values = Array.make (Circuit.node_count c) false in
+  let values = Array.make (Circuit.node_count c) 0 in
   let collect stream cls =
     Netlist.Sim.eval_all_into c (class_vector stream masked cls) ~into:values;
-    Array.map (fun v -> if v then 1.0 else 0.0) values
+    Array.map (fun w -> if w <> 0 then 1.0 else 0.0) values
   in
   let t = (Tvla.campaign_seeded rng ~traces_per_class:samples ~collect).Tvla.t_per_sample in
   let best = ref 0 in

@@ -105,11 +105,7 @@ let precharge_inputs dual = Array.make (Circuit.num_inputs dual.circuit) false
     output from its rails (checking complementarity). *)
 let eval dual ~values =
   let outs = Netlist.Sim.eval dual.circuit (eval_inputs dual ~values) in
-  let pos_of =
-    let tbl = Hashtbl.create 16 in
-    Array.iteri (fun pos (nm, _) -> Hashtbl.replace tbl nm pos) (Circuit.outputs dual.circuit);
-    fun nm -> Hashtbl.find tbl nm
-  in
+  let pos_of = Circuit.output_position dual.circuit in
   List.map
     (fun (nm, (tn, fn)) ->
       let t = outs.(pos_of tn) and f = outs.(pos_of fn) in

@@ -8,9 +8,14 @@
     transition stream, not just final values.
 
     The engine is flat: per call it reads the circuit's resolved
-    topology ({!Netlist.Circuit.view}: kinds, fanins and the fanout CSR),
-    then drains a bucketed time queue: one FIFO of events per distinct
-    pending time, and a short sorted array of those times. {!iter} hands
+    topology ({!Netlist.Circuit.view}: kinds, fanins and the fanout CSR)
+    and settles the circuit at the previous inputs through
+    {!Netlist.Sim}'s word sweep. Net values stay broadcast words (true is
+    -1, false 0, every lane alike), and each event re-evaluates a gate
+    with {!Netlist.Gate.eval_word_indexed} and keeps its lane-0 bit, so
+    the engine shares the simulator's one gate kernel. It then drains a
+    bucketed time queue: one FIFO of events per distinct pending time,
+    and a short sorted array of those times. {!iter} hands
     each transition to its consumer as it happens; a push is an array
     append and a pop an array read, and nothing per event is allocated
     on the queue's side. {!iter} is the only entry point:
@@ -119,7 +124,7 @@ let open_slot q i t =
   q.wr.(i) <- w;
   q.live <- q.live + 1
 
-let[@inline] push q t node v =
+let[@inline] push q t node bit =
   (* [i]: the first slot whose time is not later than [t]. *)
   let lo = ref 0 and hi = ref q.live in
   while !lo < !hi do
@@ -129,7 +134,7 @@ let[@inline] push q t node v =
   let i = !lo in
   if i = q.live || q.time.(i) <> t then open_slot q i t;
   let w = q.wr.(i) in
-  q.store.(w) <- (node lsl 1) lor Bool.to_int v;
+  q.store.(w) <- (node lsl 1) lor bit;
   let w = w + 1 in
   if w land chunk_mask = 0 then begin
     let k = take_chunk q in
@@ -193,7 +198,10 @@ let iter ?input_arrivals ?state circuit ~prev_inputs ~next_inputs ~f =
   Option.iter (check_length "input_arrivals" ~expected:ni ~unit:"inputs") input_arrivals;
   Option.iter (check_length "state" ~expected:(Circuit.num_dffs circuit) ~unit:"DFFs") state;
   let n = Circuit.node_count circuit in
-  let values = Netlist.Sim.eval_all ?state circuit prev_inputs in
+  (* Net values as broadcast words (every lane alike), settled by the
+     word sweep; an event reads and writes lane 0's bit. *)
+  let values = Array.make n 0 in
+  Netlist.Sim.eval_all_into ?state circuit prev_inputs ~into:values;
   let { Circuit.kinds; fanin; fanout_start; fanout } = Circuit.view circuit in
   (* An input's own switch time. Its bucket's time equals it as a float
      but may be the other zero (-0.0 beside 0.0); gate events are never
@@ -203,8 +211,8 @@ let iter ?input_arrivals ?state circuit ~prev_inputs ~next_inputs ~f =
   let q = queue_create () in
   Array.iteri
     (fun k id ->
-      let v = next_inputs.(k) in
-      if v <> values.(id) then push q arrival.(id) id v)
+      let v = Bool.to_int next_inputs.(k) in
+      if v <> values.(id) land 1 then push q arrival.(id) id v)
     inputs;
   let max_events = storm_factor * n in
   let events = ref 0 and transitions = ref 0 in
@@ -218,17 +226,17 @@ let iter ?input_arrivals ?state circuit ~prev_inputs ~next_inputs ~f =
          degradation note and by failure classifiers; keep it stable. *)
       invalid_arg "Event_sim.cycle: event storm (oscillation?)"
     end;
-    let node = e lsr 1 and v = e land 1 = 1 in
-    if values.(node) <> v then begin
-      values.(node) <- v;
+    let node = e lsr 1 and v = e land 1 in
+    if values.(node) land 1 <> v then begin
+      values.(node) <- -v;
       incr transitions;
       let t = match kinds.(node) with Gate.Input -> arrival.(node) | _ -> t in
-      f t node v;
+      f t node (v = 1);
       for j = fanout_start.(node) to fanout_start.(node + 1) - 1 do
         let c = fanout.(j) in
         match kinds.(c) with
         | Gate.Dff -> ()  (* DFFs capture at the clock edge, not within the cycle *)
-        | k -> push q (t +. Gate.delay k) c (Gate.eval_indexed k fanin.(c) values)
+        | k -> push q (t +. Gate.delay k) c (Gate.eval_word_indexed k fanin.(c) values land 1)
       done
     end
   done;

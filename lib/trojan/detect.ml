@@ -28,7 +28,7 @@ let mero_patterns rng ~n_detect ~rare ~max_patterns circuit =
   (* Candidate pattern and net values are generated into reused buffers;
      only patterns that advance a rare-condition counter are copied out. *)
   let p = Array.make ni false in
-  let values = Array.make (Circuit.node_count circuit) false in
+  let values = Array.make (Circuit.node_count circuit) 0 in
   while (not (all_done ())) && !attempts < max_patterns do
     incr attempts;
     for i = 0 to ni - 1 do
@@ -38,7 +38,7 @@ let mero_patterns rng ~n_detect ~rare ~max_patterns circuit =
     let useful = ref false in
     Array.iteri
       (fun k (net, v) ->
-        if hits.(k) < n_detect && values.(net) = v then begin
+        if hits.(k) < n_detect && (values.(net) <> 0) = v then begin
           hits.(k) <- hits.(k) + 1;
           useful := true
         end)
@@ -106,7 +106,7 @@ let iddq_detection rng ~chips ~patterns ~threshold_sigmas ~clean ~infected =
   let ni = Circuit.num_inputs clean in
   let inputs = Array.make ni false in
   let measure circuit temperature_factor =
-    let scratch = Array.make (Circuit.node_count circuit) false in
+    let scratch = Array.make (Circuit.node_count circuit) 0 in
     let acc = ref 0.0 in
     for _ = 1 to patterns do
       for i = 0 to ni - 1 do

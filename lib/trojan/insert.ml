@@ -162,13 +162,13 @@ let trigger_probability rng trojan ~patterns =
   let ni = Circuit.num_inputs c in
   let hits = ref 0 in
   let inputs = Array.make ni false in
-  let values = Array.make (Circuit.node_count c) false in
+  let values = Array.make (Circuit.node_count c) 0 in
   for _ = 1 to patterns do
     for i = 0 to ni - 1 do
       inputs.(i) <- Rng.bool rng
     done;
     Netlist.Sim.eval_all_into c inputs ~into:values;
-    if values.(trojan.trigger_node) then incr hits
+    if values.(trojan.trigger_node) <> 0 then incr hits
   done;
   Float.of_int !hits /. Float.of_int patterns
 

@@ -1,6 +1,7 @@
 (** Statistical primitives used across leakage assessment, PUF metrics and
-    attack evaluation: Welch's t-test, Pearson correlation, simple
-    histograms and entropy estimates. *)
+    attack evaluation: mean and variance, Pearson correlation, simple
+    histograms and entropy estimates. Welch's t-test lives in
+    {!Sidechannel.Tvla}'s streaming engine. *)
 
 let mean xs =
   let n = Array.length xs in
@@ -16,18 +17,6 @@ let variance xs =
   end
 
 let std xs = sqrt (variance xs)
-
-(** Welch's t statistic between two samples; the TVLA decision statistic.
-    Returns 0 when either sample is degenerate. *)
-let welch_t xs ys =
-  let nx = Array.length xs and ny = Array.length ys in
-  if nx < 2 || ny < 2 then 0.0
-  else begin
-    let vx = variance xs /. Float.of_int nx in
-    let vy = variance ys /. Float.of_int ny in
-    let denom = sqrt (vx +. vy) in
-    if denom <= 0.0 then 0.0 else (mean xs -. mean ys) /. denom
-  end
 
 (** Pearson correlation coefficient; the CPA decision statistic. *)
 let pearson xs ys =

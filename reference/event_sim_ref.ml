@@ -2,9 +2,11 @@
     {!Timing.Event_sim} and {!Power.Model.trace} replaced, kept verbatim
     (minus the unused [?delay_of] knob) as the differential oracle for
     the flat engine: same transitions, same storm exception, same trace
-    samples to the bit. Also the list view of the production engine
-    ({!collect}, {!glitching_nodes}) that tests read transitions
-    through. *)
+    samples to the bit. It settles the circuit with {!Sim_ref} and
+    evaluates each event with {!Netlist.Gate.eval} on bools, so it shares
+    no word kernel with the engine it checks. Also the list view of the
+    production engine ({!collect}, {!glitching_nodes}) that tests read
+    transitions through. *)
 
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
@@ -90,7 +92,7 @@ end
 (** Every transition of one clock cycle, in time order; see
     {!Timing.Event_sim.iter}. *)
 let cycle ?input_arrivals ?state circuit ~prev_inputs ~next_inputs =
-  let values = Netlist.Sim.eval_all ?state circuit prev_inputs in
+  let values = Sim_ref.eval_all ?state circuit prev_inputs in
   let fanouts = Fanout_ref.consumers circuit in
   let heap = Heap.create () in
   let input_ids = Circuit.inputs circuit in
@@ -122,7 +124,7 @@ let cycle ?input_arrivals ?state circuit ~prev_inputs ~next_inputs =
             match nd.Circuit.kind with
             | Gate.Input | Gate.Dff -> ()  (* DFFs capture at the clock edge *)
             | k ->
-              let out = Gate.eval_indexed k nd.Circuit.fanins values in
+              let out = Gate.eval k (Array.map (fun f -> values.(f)) nd.Circuit.fanins) in
               Heap.push heap ~t:(t +. Gate.delay k) ~node:consumer ~v:out)
           fanouts.(node)
       end;

@@ -5,7 +5,8 @@
 
     One pass per pattern over a [bool] net array, with the faults held in
     a table of per-node overrides (a later fault at the same node replaces
-    an earlier one), and a separate {!Netlist.Sim} pass for the fault-free
+    an earlier one), each gate evaluated by {!Netlist.Gate.eval} on an
+    operand array, and a separate {!Sim_ref} pass for the fault-free
     outputs. It shares no lane, mask or word arithmetic with the engine,
     so a bug in any of those shows up as a differing value. *)
 
@@ -44,7 +45,7 @@ let eval_all_faulty ?state circuit ~faults inputs =
     let computed =
       match nd.Circuit.kind with
       | Gate.Input | Gate.Dff -> values.(i)
-      | k -> Gate.eval_indexed k nd.Circuit.fanins values
+      | k -> Gate.eval k (Array.map (fun f -> values.(f)) nd.Circuit.fanins)
     in
     values.(i) <- apply_override i computed
   done;
@@ -57,7 +58,7 @@ let eval_faulty ?state circuit ~faults inputs =
 
 (** Does [inputs] detect [fault] (change any primary output)? *)
 let detects circuit ~fault inputs =
-  Netlist.Sim.eval circuit inputs <> eval_faulty circuit ~faults:[ fault ] inputs
+  Sim_ref.eval circuit inputs <> eval_faulty circuit ~faults:[ fault ] inputs
 
 (** Per-fault detection by a pattern set. *)
 let fault_simulation circuit ~faults ~patterns =

@@ -12,10 +12,12 @@ module Lint = Netlist.Lint
 exception Parse_error of string
 
 (* "# region <name> : <net> <net> ..." — anything else after '#' is a
-   plain comment. *)
+   plain comment. Words are split on ' ', '\t' and '\r'. *)
 let parse_region_pragma comment =
   let words =
-    String.split_on_char ' ' comment |> List.concat_map (String.split_on_char '\t')
+    String.split_on_char ' ' comment
+    |> List.concat_map (String.split_on_char '\t')
+    |> List.concat_map (String.split_on_char '\r')
     |> List.filter (fun w -> w <> "")
   in
   match words with
@@ -34,6 +36,10 @@ let parse_line line =
     | None -> line
   in
   let line = String.trim line in
+  let named nm =
+    if nm = "" then raise (Parse_error (Printf.sprintf "no net name: %s" line));
+    nm
+  in
   if line = "" then begin
     match Option.bind comment parse_region_pragma with
     | Some (name, members) -> `Region (name, members)
@@ -41,11 +47,11 @@ let parse_line line =
   end
   else if String.length line > 6 && String.uppercase_ascii (String.sub line 0 6) = "INPUT(" then begin
     let inner = String.sub line 6 (String.length line - 7) in
-    `Input (String.trim inner)
+    `Input (named (String.trim inner))
   end
   else if String.length line > 7 && String.uppercase_ascii (String.sub line 0 7) = "OUTPUT(" then begin
     let inner = String.sub line 7 (String.length line - 8) in
-    `Output (String.trim inner)
+    `Output (named (String.trim inner))
   end
   else begin
     match String.index_opt line '=' with
@@ -62,13 +68,18 @@ let parse_line line =
            | Some i -> i
            | None -> raise (Parse_error (Printf.sprintf "missing ): %s" rhs))
          in
+         if close < lp then raise (Parse_error (Printf.sprintf "misplaced ): %s" rhs));
          let args_str = String.sub rhs (lp + 1) (close - lp - 1) in
          let args =
            if String.trim args_str = "" then []
            else
              String.split_on_char ',' args_str |> List.map String.trim
          in
-         `Gate (lhs, Gate.of_name cell, args))
+         let kind = Gate.of_name cell in
+         let lhs = named lhs in
+         if kind = Gate.Input then
+           raise (Parse_error (Printf.sprintf "input declared as a gate: %s" line));
+         `Gate (lhs, kind, args))
   end
 
 (* A parse failure located at a 1-based source line. *)

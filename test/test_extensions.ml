@@ -128,7 +128,7 @@ let test_unroll_matches_sequential_sim () =
     (fun frame_ids -> Array.iter (fun id -> inputs.(pos_of id) <- true) frame_ids)
     exp.Sat.Unroll.frame_inputs;
   let outs = Netlist.Sim.eval exp.Sat.Unroll.circuit inputs in
-  let seq_trace = Netlist.Sim.run c (List.init frames (fun _ -> [| true |])) in
+  let seq_trace = Reference.Sim_ref.run c (List.init frames (fun _ -> [| true |])) in
   List.iteri
     (fun f frame_outs ->
       Array.iteri

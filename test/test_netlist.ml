@@ -96,18 +96,20 @@ let test_all_gate_kinds () =
   check false true true
     [| false; true; true; false; true; false; true; false; true |]
 
+(* Broadcast inputs (true -1, false 0) give broadcast net words whose
+   bit 0 is the reference bool sweep's value. *)
 let test_word_sim_matches_scalar () =
   let c = Gen.c17 () in
   let rng = Rng.create 23 in
   for _ = 1 to 20 do
     let inputs = Array.init 5 (fun _ -> Rng.bool rng) in
-    let scalar = Sim.eval c inputs in
-    let words = Array.map (fun b -> if b then -1 else 0) inputs in
-    let word_outs = Sim.eval_word c words in
+    let scalar = Reference.Sim_ref.eval_all c inputs in
+    let words = Sim.eval_all_word c (Array.map (fun b -> if b then -1 else 0) inputs) in
     Array.iteri
-      (fun k w ->
-        Alcotest.(check bool) "word bit0 agrees" scalar.(k) (w land 1 = 1))
-      word_outs
+      (fun i w ->
+        Alcotest.(check bool) "word bit0 agrees" scalar.(i) (w land 1 = 1);
+        Alcotest.(check bool) "word is broadcast" true (w = 0 || w = -1))
+      words
   done
 
 let test_c17_reference_vectors () =
@@ -201,7 +203,13 @@ let test_sequential_counter () =
   Circuit.connect_dff c q1 ~d:t;
   Circuit.set_output c "q0" q0;
   Circuit.set_output c "q1" q1;
-  let trace = Sim.run c [ [| false |]; [| false |]; [| false |]; [| false |] ] in
+  let state = ref [| false; false |] in
+  let trace =
+    List.init 4 (fun _ ->
+        let outs, next = Sim.step c ~state:!state [| false |] in
+        state := next;
+        outs)
+  in
   let as_int outs = (if outs.(1) then 2 else 0) lor (if outs.(0) then 1 else 0) in
   Alcotest.(check (list int)) "counting" [ 0; 1; 2; 3 ] (List.map as_int trace)
 
@@ -349,9 +357,11 @@ let test_equivalence_helpers () =
 
 (* ---- Zero-allocation simulation paths ---- *)
 
-(* [Gate.eval_indexed] must agree with [Gate.eval] through a scattered
-   fanin indirection, for every combinational kind and operand pattern. *)
-let test_eval_indexed_agrees () =
+(* [Gate.eval_word_indexed] must agree with [Gate.eval] through a
+   scattered fanin indirection, for every combinational kind and operand
+   pattern: on the all-0/all-1 broadcast of the operands, and lane by lane
+   with every pattern in its own lane. *)
+let test_eval_word_indexed_agrees () =
   let kinds =
     [ (Gate.Buf, 1); (Gate.Not, 1); (Gate.And, 2); (Gate.Nand, 2);
       (Gate.Or, 2); (Gate.Nor, 2); (Gate.Xor, 2); (Gate.Xnor, 2);
@@ -359,30 +369,38 @@ let test_eval_indexed_agrees () =
   in
   List.iter
     (fun (kind, arity) ->
-      for m = 0 to (1 lsl arity) - 1 do
-        let operands = Array.init arity (fun i -> (m lsr i) land 1 = 1) in
-        (* Scatter the operands through a larger value array. *)
-        let values = Array.make 16 false in
-        let fanins = Array.init arity (fun i -> (3 * i) + 2) in
-        Array.iteri (fun i v -> values.(fanins.(i)) <- v) operands;
-        Alcotest.(check bool)
-          (Printf.sprintf "%s m=%d" (Gate.name kind) m)
-          (Gate.eval kind operands)
-          (Gate.eval_indexed kind fanins values);
-        (* Word variant on the all-0/all-1 broadcast of the same operands. *)
+      (* Scatter the operands through a larger value array. *)
+      let fanins = Array.init arity (fun i -> (3 * i) + 2) in
+      let operands m = Array.init arity (fun i -> (m lsr i) land 1 = 1) in
+      let patterns = 1 lsl arity in
+      for m = 0 to patterns - 1 do
         let wvalues = Array.make 16 0 in
-        Array.iteri (fun i v -> wvalues.(fanins.(i)) <- (if v then -1 else 0)) operands;
-        let wexpected = if Gate.eval kind operands then 1 else 0 in
+        Array.iteri (fun i v -> wvalues.(fanins.(i)) <- (if v then -1 else 0)) (operands m);
         Alcotest.(check int)
-          (Printf.sprintf "%s word m=%d" (Gate.name kind) m)
-          wexpected
-          (Gate.eval_word_indexed kind fanins wvalues land 1)
+          (Printf.sprintf "%s broadcast m=%d" (Gate.name kind) m)
+          (if Gate.eval kind (operands m) then -1 else 0)
+          (Gate.eval_word_indexed kind fanins wvalues)
+      done;
+      (* Lane m carries operand pattern m. *)
+      let wvalues = Array.make 16 0 in
+      for m = 0 to patterns - 1 do
+        Array.iteri
+          (fun i v -> if v then wvalues.(fanins.(i)) <- wvalues.(fanins.(i)) lor (1 lsl m))
+          (operands m)
+      done;
+      let w = Gate.eval_word_indexed kind fanins wvalues in
+      for m = 0 to patterns - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s lane %d" (Gate.name kind) m)
+          (Gate.eval kind (operands m))
+          ((w lsr m) land 1 = 1)
       done)
     kinds
 
-(* [eval_all_into] must match [eval_all] while REUSING one buffer across
-   patterns — including a sequential circuit where stale DFF slots from the
-   previous pattern must not leak into a state-less evaluation. *)
+(* [eval_all_into]'s broadcast net words must read back as the reference
+   bool sweep's values while REUSING one buffer across patterns —
+   including a sequential circuit where stale DFF slots from the previous
+   pattern must not leak into a state-less evaluation. *)
 let test_eval_all_into_matches () =
   let rng = Rng.create 314 in
   let comb = Gen.c17 () in
@@ -390,20 +408,21 @@ let test_eval_all_into_matches () =
   List.iter
     (fun c ->
       let ni = Circuit.num_inputs c in
-      let into = Array.make (Circuit.node_count c) true in  (* poisoned buffer *)
+      let into = Array.make (Circuit.node_count c) (-1) in  (* poisoned buffer *)
       for _ = 1 to 40 do
         let inputs = Array.init ni (fun _ -> Rng.bool rng) in
-        let fresh = Sim.eval_all c inputs in
+        let fresh = Reference.Sim_ref.eval_all c inputs in
         Sim.eval_all_into c inputs ~into;
-        Alcotest.(check (array bool)) "into = fresh" fresh into
+        Alcotest.(check (array bool)) "into = fresh" fresh (Array.map (fun w -> w <> 0) into)
       done;
       (* With explicit state the DFF slots must reflect it. *)
       if Circuit.num_dffs c > 0 then begin
         let state = Array.map (fun _ -> true) (Circuit.dffs c) in
         let inputs = Array.make ni false in
-        let fresh = Sim.eval_all ~state c inputs in
+        let fresh = Reference.Sim_ref.eval_all ~state c inputs in
         Sim.eval_all_into ~state c inputs ~into;
-        Alcotest.(check (array bool)) "stateful into = fresh" fresh into
+        Alcotest.(check (array bool)) "stateful into = fresh" fresh
+          (Array.map (fun w -> w <> 0) into)
       end)
     [ comb; seq ]
 
@@ -498,6 +517,49 @@ let test_region_io_roundtrip () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "pragma with unknown net should fail")
 
+(* A CRLF netlist's region pragma: the '\r' separates words, so the last
+   member is [a], not ["a\r"]. Both readers agree. *)
+let test_region_pragma_crlf () =
+  let text = "INPUT(a)\r\nOUTPUT(a)\r\n# region r : a\r\n" in
+  List.iter
+    (fun (reader, result) ->
+      match result with
+      | Ok c ->
+        Alcotest.(check (list string)) (reader ^ " regions") [ "r" ] (Circuit.region_names c);
+        Alcotest.(check (list string)) (reader ^ " members") [ "a" ]
+          (List.map (Circuit.name c) (Circuit.region_members c "r"))
+      | Error e -> Alcotest.fail (reader ^ ": " ^ Eda_util.Eda_error.to_string e))
+    [ ("reader", Io.of_string_result text); ("list pipeline", Reference.Io_ref.of_string_result text) ]
+
+(* [text] is refused at [line] with [msg] by the reader and by the list
+   pipeline alike. *)
+let check_refused text ~line ~msg =
+  let want = Eda_util.Eda_error.Parse_error { line = Some line; msg } in
+  List.iter
+    (fun (reader, result) ->
+      match result with
+      | Error e ->
+        Alcotest.(check string) reader (Eda_util.Eda_error.to_string want)
+          (Eda_util.Eda_error.to_string e)
+      | Ok _ -> Alcotest.failf "%s accepted %S" reader text)
+    [ ("reader", Io.of_string_result text); ("list pipeline", Reference.Io_ref.of_string_result text) ]
+
+let test_input_names_no_net () =
+  check_refused "INPUT(a)\nINPUT()\nOUTPUT(a)\n" ~line:2 ~msg:"no net name: INPUT()"
+
+let test_output_names_no_net () =
+  check_refused "INPUT(a)\nOUTPUT(a)\nOUTPUT( )\n" ~line:3 ~msg:"no net name: OUTPUT( )"
+
+let test_gate_names_no_net () =
+  check_refused "INPUT(a)\n= NOT(a)\nOUTPUT(a)" ~line:2 ~msg:"no net name: = NOT(a)"
+
+let test_input_declared_as_gate () =
+  check_refused "INPUT(a)\nx = INPUT()\nOUTPUT(x)" ~line:2
+    ~msg:"input declared as a gate: x = INPUT()"
+
+let test_misplaced_paren () =
+  check_refused "INPUT(a)\ny = AND)(a, a" ~line:2 ~msg:"misplaced ): AND)(a, a"
+
 let prop_random_dag_well_formed =
   QCheck.Test.make ~name:"random dags are well-formed" ~count:30
     QCheck.(int_bound 1000)
@@ -540,7 +602,7 @@ let () =
          Alcotest.test_case "truth table extraction" `Quick test_truth_table_extraction;
          Alcotest.test_case "signal probabilities" `Quick test_signal_probabilities;
          Alcotest.test_case "equivalence helpers" `Quick test_equivalence_helpers;
-         Alcotest.test_case "eval_indexed agrees" `Quick test_eval_indexed_agrees;
+         Alcotest.test_case "eval_word_indexed agrees" `Quick test_eval_word_indexed_agrees;
          Alcotest.test_case "eval_all_into matches" `Quick test_eval_all_into_matches;
          Alcotest.test_case "eval_all_word_into matches" `Quick test_eval_all_word_into_matches;
          Alcotest.test_case "word equivalence tail pattern" `Quick
@@ -560,7 +622,13 @@ let () =
          Alcotest.test_case "port name collisions" `Quick test_io_port_name_collisions;
          Alcotest.test_case "rejects garbage" `Quick test_io_rejects_garbage;
         Alcotest.test_case "reader allocation budget" `Quick test_io_allocation_budget;
-         Alcotest.test_case "region pragma roundtrip" `Quick test_region_io_roundtrip ]);
+         Alcotest.test_case "region pragma roundtrip" `Quick test_region_io_roundtrip;
+         Alcotest.test_case "region pragma with CRLF" `Quick test_region_pragma_crlf;
+         Alcotest.test_case "INPUT() names no net" `Quick test_input_names_no_net;
+         Alcotest.test_case "OUTPUT() names no net" `Quick test_output_names_no_net;
+         Alcotest.test_case "gate names no net" `Quick test_gate_names_no_net;
+         Alcotest.test_case "input declared as a gate" `Quick test_input_declared_as_gate;
+         Alcotest.test_case "misplaced )" `Quick test_misplaced_paren ]);
       ("properties",
        List.map Seeded.to_alcotest
          [ prop_random_dag_well_formed; prop_io_roundtrip_random; prop_sweep_preserves_function ]) ]

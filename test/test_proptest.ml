@@ -501,7 +501,8 @@ let test_sat_incremental_differential () =
 
 let test_word_sim_differential () =
   (* 63 patterns per case: lane j of the word simulation must equal the
-     boolean simulation of pattern j, on a fresh random circuit. *)
+     reference bool sweep of pattern j, on a fresh random circuit drawn
+     from every combinational cell kind. *)
   let arb =
     Seeded.of_rng
       ~print:(fun (seed, pat_seed) -> Printf.sprintf "seed=%d patterns=%d" seed pat_seed)
@@ -509,15 +510,19 @@ let test_word_sim_differential () =
   in
   Seeded.check ~count:25 ~name:"word-parallel sim matches naive eval" arb
     (fun (seed, pat_seed) ->
-      let c = BG.layered ~seed ~inputs:12 ~layers:4 ~width:24 () in
+      let kinds =
+        Netlist.Gate.[ Buf; Not; And; Nand; Or; Nor; Xor; Xnor; Mux; Const false; Const true ]
+      in
+      let c = BG.layered ~seed ~kinds ~inputs:12 ~layers:4 ~width:24 () in
       let ni = Circuit.num_inputs c in
       let rng = Rng.create pat_seed in
       let words = Array.init ni (fun _ -> Rng.bits63 rng) in
-      let word_out = Sim.eval_word c words in
+      let values = Sim.eval_all_word c words in
+      let word_out = Array.map (fun o -> values.(o)) (Circuit.output_ids c) in
       let ok = ref true in
       for lane = 0 to 62 do
         let bools = Array.map (fun w -> (w lsr lane) land 1 = 1) words in
-        let bool_out = Sim.eval c bools in
+        let bool_out = Reference.Sim_ref.eval c bools in
         Array.iteri
           (fun k w ->
             if ((w lsr lane) land 1 = 1) <> bool_out.(k) then ok := false)
@@ -932,11 +937,11 @@ let test_reader_differential () =
         (Printf.sprintf "on:\n%s\nreader: %s\nlist pipeline: %s" text (show_outcome got)
            (show_outcome want))
   in
-  (* The quirks, one per text: an empty input name (a fresh name), an
-     unchecked last byte, an empty left-hand side, an input declared as
-     a gate, a ')' only before the '(', lower-case cells, a CRLF region
-     pragma (its last member keeps the '\r'), text after the ')', an
-     empty operand, DFFs of the wrong arity, an empty output name. *)
+  (* The edge cases, one per text: an empty input name, an unchecked
+     last byte, an empty left-hand side, an input declared as a gate, a
+     ')' only before the '(', lower-case cells, a CRLF region pragma,
+     text after the ')', an empty operand, DFFs of the wrong arity, an
+     empty output name. *)
   List.iter
     (fun text -> Option.iter Alcotest.fail (compare_readers text))
     [ ""; "\n"; "INPUT()\nOUTPUT(n0)\n"; "INPUT(ab\nOUTPUT(a)\n"; "INPUT(a)\n= NOT(a)\nOUTPUT(n1)";
