@@ -1,7 +1,10 @@
-(** SAT-based automatic test pattern generation for single stuck-at faults
-    on combinational circuits: for each fault, a miter between the clean
-    circuit and a faulty copy either yields a detecting pattern or proves
-    the fault untestable (redundant logic). *)
+(** Automatic test pattern generation for single stuck-at faults on
+    combinational circuits, in two phases. A random phase fault-simulates
+    1,008 random patterns on the pattern-parallel engine and keeps each
+    one that is the first to detect some fault. SAT then answers what
+    random patterns miss: for each remaining fault, a miter between the
+    clean circuit and a faulty copy either yields a detecting pattern or
+    proves the fault untestable (redundant logic). *)
 
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
@@ -58,7 +61,7 @@ type campaign = {
   wsim : Fault.Model.wsim;  (* fault-dropping scratch *)
 }
 
-(* Word-parallel fault dropping: fault-simulate pattern [p] against the
+(* Fault dropping after one SAT pattern: fault-simulate [p] against the
    live faults in batches of 62 fault lanes beside a fault-free lane
    ({!Fault.Model.detects_many}, one word lane per fault) and compact the
    undetected survivors in place, in order. Returns the number of faults
@@ -131,25 +134,56 @@ let finish_report st ~total =
     exhausted = st.exhausted_by;
     solver_stats = st.totals }
 
-(* Random-pattern bootstrap: before any SAT query, fault-simulate a
-   fixed, deterministic batch of random patterns and keep each one that
-   detects at least one remaining fault. Classic two-phase ATPG: random
-   patterns cover the easy bulk of the fault list for the cost of a few
-   word-parallel circuit simulations (62 fault lanes beside a fault-free
-   lane per sweep), leaving the SAT session only the hard residue —
-   random-resistant and untestable faults. *)
-let bootstrap_patterns = 64
-let bootstrap_seed = 0x5eed
+(* The random phase: before any SAT query, fault-simulate a fixed,
+   deterministic set of random patterns, 16 words of 63 lanes, on the
+   pattern-parallel engine ({!Fault.Model.psim}), and keep exactly the
+   patterns that are the first to detect some fault, in pattern order:
+   the set a pattern-by-pattern drop would keep. Random patterns cover
+   the easy bulk of the fault list for a few circuit sweeps, leaving the
+   SAT session only the hard residue: random-resistant and untestable
+   faults. *)
+let random_words = 16
+let random_seed = 0x5eed
 
-let random_pattern_bootstrap st circuit =
-  let ni = Circuit.num_inputs circuit in
-  let rng = Eda_util.Rng.create bootstrap_seed in
-  let k = ref 0 in
-  while !k < bootstrap_patterns && st.lo < st.hi do
-    let p = Array.init ni (fun _ -> Eda_util.Rng.bool rng) in
-    if drop_detected st circuit p > 0 then st.patterns_rev <- p :: st.patterns_rev;
-    incr k
-  done
+let random_phase st circuit =
+  let module T = Eda_util.Telemetry in
+  T.with_span "atpg.random" (fun () ->
+      let rng = Eda_util.Rng.create random_seed in
+      let p = Fault.Model.psim_create circuit in
+      let inputs = Array.make (Circuit.num_inputs circuit) 0 in
+      let kept = ref 0 and dropped = ref 0 and word = ref 0 in
+      while !word < random_words && st.lo < st.hi do
+        for k = 0 to Array.length inputs - 1 do
+          inputs.(k) <- Eda_util.Rng.bits63 rng
+        done;
+        Fault.Model.simulate_word p inputs ~patterns:63;
+        (* Compact the undetected faults in place; a detected fault's
+           lowest lane is its first detecting pattern. *)
+        let first = ref 0 and w = ref st.lo in
+        for k = st.lo to st.hi - 1 do
+          let f = st.faults.(k) in
+          let lanes = Fault.Model.detecting_lanes p f in
+          if lanes = 0 then begin
+            st.faults.(!w) <- f;
+            incr w
+          end
+          else first := !first lor (lanes land -lanes)
+        done;
+        dropped := !dropped + (st.hi - !w);
+        st.hi <- !w;
+        for j = 0 to 62 do
+          if (!first lsr j) land 1 = 1 then begin
+            st.patterns_rev <- Array.map (fun x -> (x lsr j) land 1 = 1) inputs :: st.patterns_rev;
+            incr kept
+          end
+        done;
+        incr word
+      done;
+      if T.active () then begin
+        T.count "atpg.random_patterns_kept" !kept;
+        T.count "atpg.covered_by_simulation" !dropped;
+        T.count "atpg.faults_dropped" !dropped
+      end)
 
 (* One stuck-at query on [session]: the clean circuit was encoded when
    the session was created; this adds only the fault's cone under a
@@ -171,28 +205,34 @@ let generate_in session ?budget ?on_stats fault =
 let generate ?budget ?on_stats circuit fault =
   generate_in (Cnf.Stuck_at_session.create circuit) ?budget ?on_stats fault
 
-(** Full ATPG run in two phases. A deterministic random-pattern
-    bootstrap first fault-simulates a fixed batch of random patterns
-    (word-parallel, 62 fault lanes beside a fault-free lane per sweep),
-    keeping each pattern that detects a remaining fault — this covers the
-    easy bulk of the fault list for a few circuit simulations. The hard residue then goes to
-    SAT in one greedy loop over one persistent incremental session (the
-    clean circuit Tseitin-encoded once, created on the first query):
-    take the head remaining fault, add its fanout-cone miter under a
-    clause group retired after the query, and word-parallel
-    fault-simulate each fresh pattern against the remaining faults to
-    drop what it covers before the next query. [budget] goes straight
-    into each query, so it is charged one step per solver conflict,
-    plus one per fault processed; a query that starts with budget left
-    spends at most that balance, so a step cap of [k] is never
-    overspent by more than one step. On exhaustion the run stops and
-    reports honest partial coverage with the unprocessed fault count.
-    The whole campaign runs on the calling domain.
+(** Full ATPG run in two phases. The random phase fault-simulates 16
+    words of 63 deterministic random patterns on the pattern-parallel
+    engine ({!Fault.Model.psim}), drops every fault they detect and keeps
+    exactly the patterns that are the first to detect some fault: the
+    set a pattern-by-pattern drop would keep. This covers the easy bulk
+    of the fault list for a few circuit sweeps. The hard residue then
+    goes to SAT in one greedy loop over one persistent incremental
+    session (the clean circuit Tseitin-encoded once, created on the
+    first query): take the head remaining fault, add its fanout-cone
+    miter under a clause group retired after the query, and
+    fault-simulate each fresh pattern against the remaining faults on
+    the lane sweep to drop what it covers before the next query.
+    [budget] goes straight into each query, so it is charged one step per
+    solver conflict, plus one per fault processed; a query that starts
+    with budget left spends at most that balance, so a step cap of [k]
+    is never overspent by more than one step. On exhaustion the run stops
+    and reports honest partial coverage with the unprocessed fault
+    count. Unbounded, every testable fault ends detected and every
+    untestable one proven, so [coverage] and [untestable] do not depend
+    on the random phase; only the pattern list does. The whole campaign
+    runs on the calling domain.
 
-    Telemetry: an [atpg.run] span over the whole campaign with per-fault
-    outcome counters ([atpg.detected] for SAT-generated patterns,
+    Telemetry: an [atpg.run] span over the whole campaign, an
+    [atpg.random] span over the random phase with the
+    [atpg.random_patterns_kept] counter, per-fault outcome counters
+    ([atpg.detected] for SAT-generated patterns,
     [atpg.covered_by_simulation] and [atpg.faults_dropped] for faults
-    swept by fault-simulating a pattern, [atpg.untestable],
+    dropped by fault simulation in either phase, [atpg.untestable],
     [atpg.abstained]), session counters ([atpg.session_reused] per query
     answered by the already-encoded session, [sat.groups_retired] from
     the solver, per-query [cnf.encode] spans for the encode-vs-solve
@@ -212,7 +252,7 @@ let run ?budget circuit =
           totals = zero_stats;
           wsim = Fault.Model.wsim_create circuit }
       in
-      random_pattern_bootstrap st circuit;
+      random_phase st circuit;
       let session = ref None in
       let on_stats s = st.totals <- merge_stats st.totals s in
       while st.exhausted_by = None && st.lo < st.hi do

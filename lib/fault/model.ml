@@ -5,9 +5,12 @@
     bit-flips (laser/EM injection at runtime) and forced-value faults
     (precise attacker control). Injection is simulation-level: the fault
     site's value is overridden during evaluation, which is exactly the
-    substitution a laser rig performs on the physical net. Every
-    injection runs on one word sweep of a combinational frame: up to
-    {!lanes} faults beside the fault-free circuit, DFF outputs at 0. *)
+    substitution a laser rig performs on the physical net. Every fault
+    simulation sees one combinational frame, DFF outputs at 0, on one of
+    two engines, one per query shape: a single pattern against up to
+    {!lanes} faults beside the fault-free circuit on the lane sweep, and
+    a pattern set against a fault list on the pattern-parallel engine,
+    63 patterns per word and one fault at a time. *)
 
 module Circuit = Netlist.Circuit
 module Gate = Netlist.Gate
@@ -154,25 +157,241 @@ let output_word w circuit k = w.values.(Circuit.output_id circuit k)
 let detects circuit ~fault inputs =
   detects_many (wsim_create circuit) circuit ~faults:[| fault |] ~pos:0 ~len:1 inputs <> 0
 
-(** Fault simulation of a pattern set, {!lanes} faults per sweep:
-    returns per-fault detection. *)
+(* The pattern-parallel engine: 63 input patterns in the lanes of each
+   net word, one fault at a time (PPSFP). The frame is {!detects_many}'s:
+   DFF outputs read 0 and a DFF consumer does not propagate.
+
+   A net is a stem when it is a primary output or has other than exactly
+   one combinational fanout edge (a gate that reads it twice makes it a
+   stem). Every other net [v] lies in the fanout-free region of one stem
+   and reaches it along one path, through its one consumer [c] with
+   every other operand of [c] at its fault-free value. So the lanes in
+   which inverting [v] inverts its stem are the lanes in which it
+   inverts [c], masked by [c]'s own: critical-path tracing. A stem's
+   observability (the lanes in which inverting it changes some primary
+   output) comes from inverting it and propagating the change,
+   event-driven and level by level, through its fanout region; once the
+   change has narrowed to one net [t] with nothing else queued, the rest
+   is [t]'s lanes to its own stem and that stem's observability.
+   A fault at [v] is detected exactly in the lanes where it inverts [v],
+   [v] inverts its stem, and the stem is observed.
+
+   Both quantities are computed on demand and kept for the loaded word,
+   so a word only pays for the regions of the faults it is asked about:
+   after fault dropping, most stems are never propagated. *)
+type psim = {
+  circuit : Circuit.t;
+  kinds : Gate.kind array;
+  fanin : int array array;
+  fo_start : int array;  (* combinational fanout CSR, one entry per edge *)
+  fo : int array;
+  sole : int array;  (* a non-stem's one consumer; -1 marks a stem *)
+  stem : int array;  (* the stem whose fanout-free region holds the net *)
+  is_output : bool array;
+  level : int array;  (* logic depth: sources 0, a gate 1 + its deepest operand *)
+  level_start : int array;  (* the level-order queue: one bucket per level *)
+  fill : int array;  (* queued nets per level *)
+  bucket : int array;
+  queued : bool array;
+  mutable pending : int;  (* queued nets, over all levels *)
+  touched : int array;  (* nets whose word differs from [good] mid-region *)
+  good : int array;  (* fault-free net words of the loaded patterns *)
+  values : int array;  (* [good], except inside the region being propagated *)
+  to_stem : int array;  (* lanes in which inverting the net inverts its stem *)
+  obs : int array;  (* a stem's observability *)
+  known : int array;  (* per net: the word whose [to_stem]/[obs] is stored *)
+  mutable word : int;  (* the loaded word's number *)
+  mutable lane_mask : int;  (* the loaded lanes *)
+}
+
+let psim_create circuit =
+  let v = Circuit.view circuit in
+  let n = Array.length v.Circuit.kinds in
+  let comb i = match v.Circuit.kinds.(i) with Gate.Dff -> false | _ -> true in
+  let fo_start = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    let k = ref 0 in
+    for e = v.Circuit.fanout_start.(u) to v.Circuit.fanout_start.(u + 1) - 1 do
+      if comb v.Circuit.fanout.(e) then incr k
+    done;
+    fo_start.(u + 1) <- fo_start.(u) + !k
+  done;
+  let fo = Array.of_list (List.filter comb (Array.to_list v.Circuit.fanout)) in
+  let is_output = Array.make n false in
+  Array.iter (fun o -> is_output.(o) <- true) (Circuit.output_ids circuit);
+  let sole =
+    Array.init n (fun u ->
+        if is_output.(u) || fo_start.(u + 1) - fo_start.(u) <> 1 then -1 else fo.(fo_start.(u)))
+  in
+  let stem = Array.make n 0 in
+  for u = n - 1 downto 0 do
+    stem.(u) <- (if sole.(u) < 0 then u else stem.(sole.(u)))
+  done;
+  let level = Array.make n 0 in
+  for i = 0 to n - 1 do
+    if comb i then Array.iter (fun f -> level.(i) <- max level.(i) (level.(f) + 1)) v.Circuit.fanin.(i)
+  done;
+  let depth = Array.fold_left max 0 level + 1 in
+  let level_start = Array.make (depth + 1) 0 in
+  Array.iter (fun l -> level_start.(l + 1) <- level_start.(l + 1) + 1) level;
+  for l = 0 to depth - 1 do
+    level_start.(l + 1) <- level_start.(l + 1) + level_start.(l)
+  done;
+  { circuit; kinds = v.Circuit.kinds; fanin = v.Circuit.fanin; fo_start; fo; sole; stem; is_output;
+    level; level_start; fill = Array.make depth 0; bucket = Array.make n 0;
+    queued = Array.make n false; pending = 0; touched = Array.make n 0;
+    good = Array.make n 0; values = Array.make n 0; to_stem = Array.make n 0;
+    obs = Array.make n 0; known = Array.make n (-1); word = -1; lane_mask = 0 }
+
+(* Queue the combinational consumers of [t], each once, in its level's
+   bucket: O(1) per push. *)
+let enqueue_consumers p t =
+  for e = p.fo_start.(t) to p.fo_start.(t + 1) - 1 do
+    let c = p.fo.(e) in
+    if not p.queued.(c) then begin
+      p.queued.(c) <- true;
+      p.pending <- p.pending + 1;
+      let l = p.level.(c) in
+      p.bucket.(p.level_start.(l) + p.fill.(l)) <- c;
+      p.fill.(l) <- p.fill.(l) + 1
+    end
+  done
+
+(* Lanes in which inverting net [v] inverts its stem: invert [v] alone on
+   [values] (fault-free here) and evaluate its one consumer. *)
+let rec to_stem p v =
+  let c = p.sole.(v) in
+  if c < 0 then -1
+  else if p.known.(v) = p.word then p.to_stem.(v)
+  else begin
+    let down = to_stem p c in
+    let lanes =
+      if down = 0 then 0
+      else begin
+        let good = p.good and values = p.values in
+        values.(v) <- lnot good.(v);
+        let w = Gate.eval_word_indexed p.kinds.(c) p.fanin.(c) values in
+        values.(v) <- good.(v);
+        (w lxor good.(c)) land down
+      end
+    in
+    p.to_stem.(v) <- lanes;
+    p.known.(v) <- p.word;
+    lanes
+  end
+
+(* Observability of stem [s]. *)
+and observability p s =
+  if p.known.(s) = p.word then p.obs.(s)
+  else begin
+    let lanes =
+      if p.is_output.(s) then -1
+      else if p.fo_start.(s + 1) = p.fo_start.(s) then 0
+      else propagate p s
+    in
+    p.obs.(s) <- lanes;
+    p.known.(s) <- p.word;
+    lanes
+  end
+
+(* Invert [s] in every lane and propagate the change through its fanout
+   region in level order, evaluating each queued net on [values]
+   (fault-free outside the region), until the change dies out or
+   narrows to one net. The touched words are restored before that net's
+   own answer is asked for, so the query may propagate regions of its
+   own. *)
+and propagate p s =
+  let good = p.good and values = p.values in
+  let ntouched = ref 1 in
+  p.touched.(0) <- s;
+  values.(s) <- lnot good.(s);
+  enqueue_consumers p s;
+  let observed = ref 0 and tail = ref (-1) and tail_diff = ref 0 in
+  let l = ref (p.level.(s) + 1) in
+  while p.pending > 0 do
+    (* Consumers sit at deeper levels than their operands, so a drained
+       level never refills. *)
+    while p.fill.(!l) = 0 do incr l done;
+    let f = p.fill.(!l) - 1 in
+    p.fill.(!l) <- f;
+    p.pending <- p.pending - 1;
+    let t = p.bucket.(p.level_start.(!l) + f) in
+    p.queued.(t) <- false;
+    let w = Gate.eval_word_indexed p.kinds.(t) p.fanin.(t) values in
+    let diff = w lxor good.(t) in
+    if diff <> 0 then begin
+      if p.pending = 0 then begin
+        tail := t;
+        tail_diff := diff
+      end
+      else begin
+        values.(t) <- w;
+        p.touched.(!ntouched) <- t;
+        incr ntouched;
+        if p.is_output.(t) then observed := !observed lor diff;
+        enqueue_consumers p t
+      end
+    end
+  done;
+  for k = 0 to !ntouched - 1 do
+    let t = p.touched.(k) in
+    values.(t) <- good.(t)
+  done;
+  if !tail < 0 then !observed
+  else
+    let lanes = !tail_diff land lnot !observed land to_stem p !tail in
+    if lanes = 0 then !observed else !observed lor (lanes land observability p p.stem.(!tail))
+
+(** [simulate_word p inputs ~patterns]: load [patterns] (1 to 63) input
+    patterns, bit [j] of [inputs.(k)] being input [k] of pattern [j].
+    One word sweep gives the fault-free words; everything else is
+    computed when a fault asks for it. *)
+let simulate_word p inputs ~patterns =
+  if patterns < 1 || patterns > 63 then
+    invalid_arg (Printf.sprintf "Model.simulate_word: %d patterns" patterns);
+  p.lane_mask <- (if patterns = 63 then -1 else (1 lsl patterns) - 1);
+  p.word <- p.word + 1;
+  Netlist.Sim.eval_all_word_into p.circuit inputs ~into:p.good;
+  Array.blit p.good 0 p.values 0 (Array.length p.good)
+
+(** The loaded lanes whose pattern detects [fault]. *)
+let detecting_lanes p fault =
+  let v = node_of fault in
+  let inverted =
+    match fault with
+    | Stuck_at { value; _ } -> if value then lnot p.good.(v) else p.good.(v)
+    | Bit_flip _ -> -1
+  in
+  let lanes = inverted land p.lane_mask in
+  if lanes = 0 then 0
+  else
+    let lanes = lanes land to_stem p v in
+    if lanes = 0 then 0 else lanes land observability p p.stem.(v)
+
+(** Fault simulation of a pattern set, 63 patterns per word on the
+    pattern-parallel engine: returns per-fault detection. *)
 let fault_simulation circuit ~faults ~patterns =
   let faults_a = Array.of_list faults in
-  let nf = Array.length faults_a in
-  let hit = Array.make nf false in
-  let w = wsim_create circuit in
-  for b = 0 to ((nf + lanes - 1) / lanes) - 1 do
-    let pos = lanes * b in
-    let len = min lanes (nf - pos) in
-    let m =
-      List.fold_left
-        (fun m p -> m lor detects_many w circuit ~faults:faults_a ~pos ~len p)
-        0 patterns
-    in
-    for k = 0 to len - 1 do
-      hit.(pos + k) <- (m lsr k) land 1 = 1
-    done
-  done;
+  let hit = Array.make (Array.length faults_a) false in
+  let p = psim_create circuit in
+  let inputs = Array.make (Circuit.num_inputs circuit) 0 in
+  let rec words = function
+    | [] -> ()
+    | rest ->
+      Array.fill inputs 0 (Array.length inputs) 0;
+      let rec pack j = function
+        | pat :: tl when j < 63 ->
+          assert (Array.length pat = Array.length inputs);
+          Array.iteri (fun k b -> if b then inputs.(k) <- inputs.(k) lor (1 lsl j)) pat;
+          pack (j + 1) tl
+        | tl -> j, tl
+      in
+      let n, rest = pack 0 rest in
+      simulate_word p inputs ~patterns:n;
+      Array.iteri (fun i f -> if (not hit.(i)) && detecting_lanes p f <> 0 then hit.(i) <- true) faults_a;
+      words rest
+  in
+  words patterns;
   List.mapi (fun i fault -> fault, hit.(i)) faults
 
 (** Fault coverage of a pattern set over [faults]. *)

@@ -1,11 +1,16 @@
 (** Fault models and faulty simulation: permanent stuck-at faults (the
     ATPG target), transient bit-flips (laser/EM injection). Injection
     overrides the fault site's value during evaluation — the simulation-
-    level substitute for a physical rig. Every fault simulation and
-    injection runs on one word sweep over one combinational frame: up to
-    {!lanes} faults, each in its own bit lane, beside the fault-free
-    circuit in the top lane, with every DFF output at 0. A multi-cycle
-    stuck-at is a {!faulty_copy} stepped by {!Netlist.Sim.step}. *)
+    level substitute for a physical rig. Every fault simulation sees one
+    combinational frame, with every DFF output at 0, and runs on one of
+    two engines, one per query shape. A single pattern against many
+    faults (fault injection, dropping after one new test) runs on the
+    lane sweep {!detects_many}: up to {!lanes} faults, each in its own
+    bit lane, beside the fault-free circuit in the top lane. A pattern
+    set against a fault list ({!fault_simulation}, {!coverage}, ATPG's
+    random phase) runs on the pattern-parallel engine {!psim}: 63
+    patterns per word, one fault at a time. A multi-cycle stuck-at is a
+    {!faulty_copy} stepped by {!Netlist.Sim.step}. *)
 
 type fault =
   | Stuck_at of { node : int; value : bool }
@@ -58,7 +63,32 @@ val detects_many :
     output. *)
 val output_word : wsim -> Netlist.Circuit.t -> int -> int
 
-(** Per-fault detection by a pattern set, {!lanes} faults per sweep. *)
+(** Scratch of the pattern-parallel engine (PPSFP): up to 63 input
+    {e patterns} in the bit lanes of each net word, one fault at a time,
+    in {!detects_many}'s frame (DFF outputs read 0, DFF consumers do not
+    propagate). One {!Netlist.Sim} word sweep gives the fault-free words;
+    each fanout stem's observability comes from inverting it and
+    propagating event-driven through its fanout region in level order;
+    every net inside a fanout-free region gets its lanes by critical-path
+    tracing back from its stem. *)
+type psim
+
+(** The engine for [circuit], with its topology resolved once. *)
+val psim_create : Netlist.Circuit.t -> psim
+
+(** [simulate_word p inputs ~patterns] loads [patterns] (1 to 63) input
+    patterns: bit [j] of [inputs.(k)] is input [k] of pattern [j].
+    @raise Invalid_argument on another count. *)
+val simulate_word : psim -> int array -> patterns:int -> unit
+
+(** The lanes of the loaded word whose pattern detects [fault]: bit [j]
+    is set iff pattern [j] changes some primary output under [fault],
+    exactly as {!detects_many} on that pattern. A word pays only for
+    the fanout regions of the faults it is asked about. *)
+val detecting_lanes : psim -> fault -> int
+
+(** Per-fault detection by a pattern set, 63 patterns per word on the
+    pattern-parallel engine. *)
 val fault_simulation :
   Netlist.Circuit.t -> faults:fault list -> patterns:bool array list -> (fault * bool) list
 

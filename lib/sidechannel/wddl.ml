@@ -125,21 +125,26 @@ let rising_transitions dual ~values =
   done;
   !rising
 
-(** Precharge-evaluate power sample: the side channel of a WDDL cycle. *)
-let power_sample rng dual ~noise_sigma ~values =
-  Power.Model.hamming_distance_sample rng dual.circuit ~noise_sigma
+(** Precharge-evaluate power sample: the side channel of a WDDL cycle.
+    [scratch]/[scratch2] are the two net-word buffers of
+    {!Power.Model.hamming_distance_sample}. *)
+let power_sample ?scratch ?scratch2 rng dual ~noise_sigma ~values =
+  Power.Model.hamming_distance_sample rng ?scratch ?scratch2 dual.circuit ~noise_sigma
     ~prev_inputs:(precharge_inputs dual)
     ~next_inputs:(eval_inputs dual ~values)
 
 (** TVLA on a WDDL-protected circuit with a two-secret-input interface
-    (like the Fig. 2 AND target). *)
+    (like the Fig. 2 AND target). The campaign runs on the calling
+    domain, so one pair of net buffers serves every trace. *)
 let tvla_campaign rng dual ~traces_per_class ~noise_sigma =
+  let n = Circuit.node_count dual.circuit in
+  let scratch = Array.make n 0 and scratch2 = Array.make n 0 in
   let collect stream cls =
     let a, b =
       match cls with
       | `Fixed -> true, true
       | `Random -> Eda_util.Rng.bool stream, Eda_util.Rng.bool stream
     in
-    [| power_sample stream dual ~noise_sigma ~values:[ ("a", a); ("b", b) ] |]
+    [| power_sample ~scratch ~scratch2 stream dual ~noise_sigma ~values:[ ("a", a); ("b", b) ] |]
   in
   Tvla.campaign_seeded rng ~traces_per_class ~collect

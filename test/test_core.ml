@@ -134,32 +134,32 @@ let pinned_flow_reports =
       [ "logic synthesis|0x1.40cccccccccc9p+6|0x1.59p+8|-|-|constant-prop + strash + xor-reassoc|-";
         "physical synthesis (place)|0x1.40cccccccccc9p+6|0x1.59p+8|227|-|simulated-annealing placement|-";
         "timing/power verification|0x1.40cccccccccc9p+6|0x1.59p+8|-|-|event-sim: 67 transitions, 12 glitching nets|-";
-        "testing (ATPG)|0x1.40cccccccccc9p+6|0x1.59p+8|-|0x1p+0|35 patterns|-" ]);
+        "testing (ATPG)|0x1.40cccccccccc9p+6|0x1.59p+8|-|0x1p+0|40 patterns|-" ]);
     (("c432", true), "3481e605d890fc08",
       [ "logic synthesis|0x1.45ffffffffffcp+6|0x1.59p+8|-|-|constant-prop + strash + xor-reassoc|-";
         "physical synthesis (place)|0x1.45ffffffffffcp+6|0x1.59p+8|225|-|simulated-annealing placement|-";
         "timing/power verification|0x1.45ffffffffffcp+6|0x1.59p+8|-|-|event-sim: 81 transitions, 22 glitching nets|-";
-        "testing (ATPG)|0x1.45ffffffffffcp+6|0x1.59p+8|-|0x1.fa3f47e8fd1fap-1|35 patterns|-" ]);
+        "testing (ATPG)|0x1.45ffffffffffcp+6|0x1.59p+8|-|0x1.fa3f47e8fd1fap-1|39 patterns|-" ]);
     (("c880", false), "e2913ddc6c76b311",
       [ "logic synthesis|0x1.769999999999fp+7|0x1.e5p+9|-|-|constant-prop + strash + xor-reassoc|-";
         "physical synthesis (place)|0x1.769999999999fp+7|0x1.e5p+9|539|-|simulated-annealing placement|-";
         "timing/power verification|0x1.769999999999fp+7|0x1.e5p+9|-|-|event-sim: 133 transitions, 26 glitching nets|-";
-        "testing (ATPG)|0x1.769999999999fp+7|0x1.e5p+9|-|0x1p+0|25 patterns|-" ]);
+        "testing (ATPG)|0x1.769999999999fp+7|0x1.e5p+9|-|0x1p+0|19 patterns|-" ]);
     (("c880", true), "6c4dfe84426644f5",
       [ "logic synthesis|0x1.769999999999fp+7|0x1.09p+10|-|-|constant-prop + strash + xor-reassoc|-";
         "physical synthesis (place)|0x1.769999999999fp+7|0x1.09p+10|532|-|simulated-annealing placement|-";
         "timing/power verification|0x1.769999999999fp+7|0x1.09p+10|-|-|event-sim: 90 transitions, 15 glitching nets|-";
-        "testing (ATPG)|0x1.769999999999fp+7|0x1.09p+10|-|0x1p+0|25 patterns|-" ]);
+        "testing (ATPG)|0x1.769999999999fp+7|0x1.09p+10|-|0x1p+0|19 patterns|-" ]);
     (("layered", false), "97524ca9bc9e2287",
       [ "logic synthesis|0x1.38e6666666675p+8|0x1.2f2p+12|-|-|constant-prop + strash + xor-reassoc|-";
         "physical synthesis (place)|0x1.38e6666666675p+8|0x1.2f2p+12|1283|-|simulated-annealing placement|-";
         "timing/power verification|0x1.38e6666666675p+8|0x1.2f2p+12|-|-|event-sim: 1900 transitions, 102 glitching nets|-";
-        "testing (ATPG)|0x1.38e6666666675p+8|0x1.2f2p+12|-|0x1.f20f353a4c0a2p-1|18 patterns|-" ]);
+        "testing (ATPG)|0x1.38e6666666675p+8|0x1.2f2p+12|-|0x1.f20f353a4c0a2p-1|16 patterns|-" ]);
     (("layered", true), "19cf0193969a71cb",
       [ "logic synthesis|0x1.560000000001p+8|0x1.978p+9|-|-|constant-prop + strash + xor-reassoc|-";
         "physical synthesis (place)|0x1.560000000001p+8|0x1.978p+9|1465|-|simulated-annealing placement|-";
         "timing/power verification|0x1.560000000001p+8|0x1.978p+9|-|-|event-sim: 740 transitions, 104 glitching nets|-";
-        "testing (ATPG)|0x1.560000000001p+8|0x1.978p+9|-|0x1.e9ca3a728e9cap-1|21 patterns|-" ]) ]
+        "testing (ATPG)|0x1.560000000001p+8|0x1.978p+9|-|0x1.e9ca3a728e9cap-1|14 patterns|-" ]) ]
 
 let test_flow_reports_pinned () =
   let designs =

@@ -698,6 +698,56 @@ let test_detects_many_differential () =
         faults;
       mask = again && !lanes_agree)
 
+let test_psim_differential () =
+  (* Every lane of the pattern-parallel engine against the scalar oracle
+     (Reference.Fault_sim_ref.detects): both stuck-at polarities and a
+     bit-flip at every net, constants and DFF outputs included, on
+     circuits drawn with every combinational kind and with DFFs, for a
+     full word of 63 patterns and then a partial one on the same
+     scratch. The pattern-set queries built on it must match the
+     oracle's fault by fault. *)
+  let arb =
+    Seeded.of_rng
+      ~print:(fun (seed, pseed) -> Printf.sprintf "circuit=%d patterns=%d" seed pseed)
+      (fun rng -> (Rng.int rng 1_000_000, Rng.int rng 1_000_000))
+  in
+  Seeded.check ~count:20 ~name:"pattern-parallel lanes match scalar detects" arb
+    (fun (seed, pseed) ->
+      let c = All_kinds.circuit ~dffs:3 ~seed ~inputs:6 ~gates:40 ~outputs:3 () in
+      let rng = Rng.create pseed in
+      let ni = Circuit.num_inputs c in
+      let faults =
+        List.concat
+          (List.init (Circuit.node_count c) (fun node ->
+               [ Fault.Model.Stuck_at { node; value = false };
+                 Fault.Model.Stuck_at { node; value = true };
+                 Fault.Model.Bit_flip { node } ]))
+      in
+      let p = Fault.Model.psim_create c in
+      let word_agrees count =
+        let pats = List.init count (fun _ -> Array.init ni (fun _ -> Rng.bool rng)) in
+        let inputs = Array.make ni 0 in
+        List.iteri
+          (fun j pat ->
+            Array.iteri (fun k b -> if b then inputs.(k) <- inputs.(k) lor (1 lsl j)) pat)
+          pats;
+        Fault.Model.simulate_word p inputs ~patterns:count;
+        List.for_all
+          (fun f ->
+            let lanes = Fault.Model.detecting_lanes p f in
+            let expected =
+              List.fold_left
+                (fun (m, j) pat ->
+                  ((if Fault_sim_ref.detects c ~fault:f pat then m lor (1 lsl j) else m), j + 1))
+                (0, 0) pats
+            in
+            lanes = fst expected)
+          faults
+        && Fault.Model.fault_simulation c ~faults ~patterns:pats
+           = Fault_sim_ref.fault_simulation c ~faults ~patterns:pats
+      in
+      word_agrees 63 && word_agrees 17)
+
 (* Today's scalar classification, the oracle for the lane classifier
    of [Fault.Countermeasure]: a fault-free [Sim.eval] beside
    [Fault_sim_ref.eval_faulty]. Detected: the alarm rises; corrupted
@@ -1605,6 +1655,7 @@ let () =
           Alcotest.test_case "session budget resume" `Quick test_session_budget_resume;
           Alcotest.test_case "word fault drop vs scalar" `Quick
             test_detects_many_differential;
+          Alcotest.test_case "pattern-parallel lanes vs scalar" `Quick test_psim_differential;
           Alcotest.test_case "countermeasure classify vs scalar" `Quick
             test_classify_differential;
           Alcotest.test_case "atpg vs ground truth" `Quick test_atpg_ground_truth;

@@ -149,21 +149,21 @@ let test_atpg_partial_coverage () =
   Alcotest.(check bool) "no exhaustion" true (full.Dft.Atpg.exhausted = None);
   Alcotest.(check int) "nothing remaining" 0 full.Dft.Atpg.faults_remaining;
   Alcotest.(check (float 0.001)) "c17 full coverage" 1.0 full.Dft.Atpg.coverage;
-  (* c17's whole fault list is covered by the random-pattern bootstrap,
+  (* c17's whole fault list is covered by the random phase,
      so the SAT phase may legitimately run zero queries. *)
   Alcotest.(check bool) "solver stats aggregated" true
     (full.Dft.Atpg.solver_stats.Sat.Solver.conflicts >= 0
      && full.Dft.Atpg.solver_stats.Sat.Solver.decisions >= 0)
 
-(* A step cap is a real cap. The SAT residue of this 540-node c6288-class
-   multiplier needs more than [cap] conflicts, so a capped run must stop
-   at the cap: at most [cap] conflicts, and at most one step beyond it
-   (the per-fault charge of a query whose last conflict spent the
-   balance but still concluded). *)
-let step_capped_multiplier () = Netlist.Bench_gen.sized ~seed:1 Netlist.Bench_gen.C6288 ~target_gates:600
+(* A step cap is a real cap. The SAT residue of this mixed-family
+   circuit (about 600 gates) needs more than [cap] conflicts after the
+   random phase, so a capped run must stop at the cap: at most [cap]
+   conflicts, and at most one step beyond it (the per-fault charge of a
+   query whose last conflict spent the balance but still concluded). *)
+let step_capped_mixed () = Netlist.Bench_gen.sized ~seed:1 Netlist.Bench_gen.Mixed ~target_gates:600
 
 let test_atpg_step_cap_is_real () =
-  let c = step_capped_multiplier () in
+  let c = step_capped_mixed () in
   let cap = 500 in
   let full = Dft.Atpg.run c in
   Alcotest.(check bool) "the residue needs more than the cap" true
@@ -182,7 +182,7 @@ let test_atpg_step_cap_is_real () =
 
 let test_flow_testing_stage_cap_is_real () =
   let module T = Eda_util.Telemetry in
-  let c = step_capped_multiplier () in
+  let c = step_capped_mixed () in
   let cap = 500 in
   let placement_moves = 4000 in
   let root = Budget.unlimited () in
@@ -195,8 +195,7 @@ let test_flow_testing_stage_cap_is_real () =
       with
       | Error e -> Alcotest.fail (Eda_error.to_string e)
       | Ok r ->
-        (* The timing stage degrades too, on an event storm of this
-           multiplier; only the testing stage's note is under test. *)
+        (* Only the testing stage's note is under test. *)
         let testing = List.find (fun sr -> sr.Flow.stage = Flow.Testing) r.Flow.stages in
         Alcotest.(check bool) "testing stage degraded" true
           (match testing.Flow.degraded with
